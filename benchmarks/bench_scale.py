@@ -10,12 +10,11 @@ point).  The acceptance metric is the ratio of *sessions completed per
 wall-clock second*; the sim-time session rates of the two builds agree to
 within noise, so the ratio isolates simulator speed.
 
-Before measuring, a determinism section reruns a small configuration four
-ways — inline shards, process shards, inline shards on the reference
-engine, and the monolithic twin — and insists on bit-identical boundary
-digests and per-zone results.  A fast simulator that drifts from the
-reference is worthless, so a determinism failure fails the benchmark
-regardless of speedup.
+Before measuring, a determinism section reruns a small configuration three
+ways — inline shards, process shards, and the monolithic twin — and insists
+on bit-identical boundary digests and per-zone results.  A fast simulator
+that drifts from its single-heap twin is worthless, so a determinism
+failure fails the benchmark regardless of speedup.
 
 Usage::
 
@@ -244,15 +243,13 @@ def bench_placement(p: ScaleParams) -> dict:
 
 
 def check_determinism() -> dict:
-    """Small config, four ways: every boundary digest and per-zone result
-    must agree bit-for-bit (shards vs processes vs reference engine vs the
-    monolithic twin)."""
+    """Small config, three ways: every boundary digest and per-zone result
+    must agree bit-for-bit (shards vs processes vs the monolithic twin)."""
     p = SMOKE_PARAMS
     runs: dict[str, dict] = {}
     for label, kwargs in (
         ("inline", {"parallel": False}),
         ("process", {"parallel": True}),
-        ("reference_engine", {"parallel": False, "fast_path": False}),
     ):
         sharded = ShardedSimulation(scale_builders(p), SEED, **kwargs)
         per_zone = sharded.run(SMOKE_SIM_S)

@@ -1,7 +1,7 @@
 """Hot-path discipline rules (PERF001/002).
 
-PRs 5 and 7 bought the fast-lane throughput (BENCH_sim.json,
-BENCH_scale.json) by keeping the per-event dispatch paths free of
+PRs 5 and 7 bought the dataplane's throughput (the ``bench/`` ledger's
+dispatch rows, BENCH_scale.json) by keeping the per-event paths free of
 allocation and name lookup: bound callbacks created once, rearmed timer
 handles, module-level pre-bound METRICS counters, RECORDER calls gated
 behind ``RECORDER.enabled``.  Nothing guards those wins against a quiet
@@ -10,8 +10,8 @@ million-session run pays for it a billion times.  These rules are that
 guard.
 
 The hot set is the call-graph closure of the explicitly named dispatch
-roots (:data:`ROOTS`) — the callback-lane link serializer, the fast IP
-send path, the fluid TCP fast-forward, and the ESP dataplane workers.
+roots (:data:`ROOTS`) — the callback-lane link serializer, the IP send
+path, the fluid TCP fast-forward, and the ESP dataplane workers.
 The walk follows only calls in the *hot region* of each function: error
 paths (blocks ending in ``raise``, ``except`` handlers, ``assert``) and
 ``RECORDER.enabled``-gated debug blocks are cold by construction and

@@ -1,8 +1,8 @@
 """Point-to-point links with bandwidth, propagation delay and drop-tail queues.
 
-Each direction of a link has its own transmitter process: packets wait in a
-bounded FIFO, are serialized at the link rate (``size_bytes * 8 / bandwidth``)
-and arrive at the far end after the propagation delay.  This is the standard
+Each direction of a link has its own serializer: packets wait in a bounded
+FIFO, are serialized at the link rate (``size_bytes * 8 / bandwidth``) and
+arrive at the far end after the propagation delay.  This is the standard
 store-and-forward model; with TCP on top it yields the familiar
 ``min(C, cwnd/RTT)`` throughput behaviour that the iperf experiments rely on.
 """
@@ -124,11 +124,10 @@ _FLUSH_EVERY = 64
 class LinkEndpoint:
     """One direction of a link: egress queue + serializer.
 
-    On the engine fast path the serializer is a callback-lane state machine:
-    transmit-complete and propagation-delivery are raw ``call_later`` timers
-    (FIFO per direction guaranteed by the heap's sequence tie-break), and
-    the global metrics counters are fed from batched per-endpoint tallies.
-    On the reference path it is the classic pair of generator processes.
+    The serializer is a callback-lane state machine: transmit-complete and
+    propagation-delivery are raw ``call_later`` timers (FIFO per direction
+    guaranteed by the heap's sequence tie-break), and the global metrics
+    counters are fed from batched per-endpoint tallies.
     """
 
     def __init__(
@@ -180,66 +179,51 @@ class LinkEndpoint:
         self.tx_packets = 0
         self.tx_bytes = 0
         self.lost_packets = 0
-        self._fast = sim.fast_path
-        if self._fast:
-            self._tx_busy = False
-            self._tx_current: "Packet | None" = None
-            self._tx_size = 0
-            self._tx_timer = None  # serializer TimerHandle, rearmed per packet
-            # The fast lane owns the egress queue exclusively (no process
-            # ever parks a getter on it), so enqueue/dequeue touch the
-            # backing deque directly.
-            self._q_items = self.queue._items
-            self._q_cap = self.queue.capacity
-            # Ring of delivery TimerHandles owned exclusively by this
-            # endpoint.  Deliveries are FIFO (fixed delay), so once the
-            # oldest handle has fired it can be rearmed for a new packet
-            # instead of allocating a fresh handle.
-            self._deliver_ring: deque = deque()
-            self._unflushed_pkts = 0
-            self._unflushed_bytes = 0
-            # One bound method each, created once and reused for every
-            # packet — the callback lane then allocates only heap tuples
-            # and TimerHandles.
-            self._tx_done_cb = self._tx_done
-            self._deliver_cb = self._deliver_packet
-        else:
-            sim.process(self._transmitter(), name="link-tx")
+        self._tx_busy = False
+        self._tx_current: "Packet | None" = None
+        self._tx_size = 0
+        self._tx_timer = None  # serializer TimerHandle, rearmed per packet
+        # The serializer owns the egress queue exclusively (no process ever
+        # parks a getter on it), so enqueue/dequeue touch the backing deque
+        # directly.
+        self._q_items = self.queue._items
+        self._q_cap = self.queue.capacity
+        # Ring of delivery TimerHandles owned exclusively by this endpoint.
+        # Deliveries are FIFO (fixed delay), so once the oldest handle has
+        # fired it can be rearmed for a new packet instead of allocating a
+        # fresh handle.
+        self._deliver_ring: deque = deque()
+        self._unflushed_pkts = 0
+        self._unflushed_bytes = 0
+        # One bound method each, created once and reused for every packet —
+        # the callback lane then allocates only heap tuples and TimerHandles.
+        self._tx_done_cb = self._tx_done
+        self._deliver_cb = self._deliver_packet
 
     def send(self, packet: "Packet") -> bool:
         """Enqueue for transmission; returns False if the queue dropped it."""
         if WIRE_TAPS:
             for tap in WIRE_TAPS:
                 tap(packet)
-        if self._fast:
-            if self._tx_busy:
-                items = self._q_items
-                if self._q_cap is not None and len(items) >= self._q_cap:
-                    self.queue.dropped += 1
-                    ok = False
-                else:
-                    if (
-                        self.ecn_threshold is not None
-                        and len(items) >= self.ecn_threshold
-                    ):
-                        self._mark_ce(packet)
-                    items.append(packet)
-                    ok = True
+        if self._tx_busy:
+            items = self._q_items
+            if self._q_cap is not None and len(items) >= self._q_cap:
+                self.queue.dropped += 1
+                ok = False
             else:
-                # Idle link: the packet goes straight to the serializer
-                # (mirroring the reference path, where a parked getter takes
-                # it without occupying queue capacity).
-                self._tx_busy = True
-                self._start_tx(packet)
+                if (
+                    self.ecn_threshold is not None
+                    and len(items) >= self.ecn_threshold
+                ):
+                    self._mark_ce(packet)
+                items.append(packet)
                 ok = True
         else:
-            if (
-                self.ecn_threshold is not None
-                and len(self.queue) >= self.ecn_threshold
-                and not self.queue.is_full
-            ):
-                self._mark_ce(packet)
-            ok = self.queue.try_put(packet)
+            # Idle link: the packet goes straight to the serializer without
+            # occupying queue capacity.
+            self._tx_busy = True
+            self._start_tx(packet)
+            ok = True
         if not ok:
             self._ledger.add_queue_drop()
             if RECORDER.enabled:
@@ -265,7 +249,7 @@ class LinkEndpoint:
         if RECORDER.enabled:
             RECORDER.record(self.sim.now, "link", "ecn_mark")
 
-    # -- fast path: callback-lane serializer ----------------------------------
+    # -- callback-lane serializer ---------------------------------------------
     def _start_tx(self, packet: "Packet") -> None:
         self._tx_current = packet
         # Inline ``size_bytes``: this is the only hot-path consumer and the
@@ -369,32 +353,6 @@ class LinkEndpoint:
         self.tx_packets += n_segments
         self.tx_bytes += n_bytes
         self._ledger.add_tx(n_segments, n_bytes)
-
-    # -- reference path: serializer + delivery processes ----------------------
-    def _transmitter(self):
-        while True:
-            packet = yield self.queue.get()
-            size = packet.size_bytes  # computed property — read it once
-            serialize = size * 8.0 / self.bandwidth_bps
-            yield self.sim.timeout(serialize)
-            self.tx_packets += 1
-            self.tx_bytes += size
-            self._ledger.add_tx(1, size)
-            if RECORDER.enabled:
-                RECORDER.record(self.sim.now, "link", "tx", bytes=size)
-            if self.loss_rate and self._lose():
-                self.lost_packets += 1
-                self._ledger.add_lost()
-                if RECORDER.enabled:
-                    RECORDER.record(self.sim.now, "link", "loss", bytes=size)
-                continue
-            # Propagation: deliver after delay without blocking the serializer.
-            self.sim.process(self._deliver(packet), name="link-prop")
-
-    def _deliver(self, packet: "Packet"):
-        yield self.sim.timeout(self.delay_s)
-        if self.peer is not None:
-            self.peer.receive(packet)
 
 
 class Link:

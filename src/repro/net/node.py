@@ -74,7 +74,6 @@ class Interface:
         self.rx_bytes += packet.size_bytes
         self.node._on_receive(packet, self)
 
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Interface {self.node.name}.{self.name} {self.addresses}>"
 
@@ -98,12 +97,11 @@ class Node:
         self.cpu_scale = cpu_scale
         self.cost_model = cost_model or CostModel()
         self.forwarding = forwarding
-        self._fast = sim.fast_path
         self._addr_cache: frozenset[IPAddress] | None = None
-        # One-entry identity caches for the dataplane fast path.  Parsed
-        # addresses are interned (lru_cache in repro.net.addresses) and a
-        # connection reuses the same address objects for every packet, so an
-        # ``is`` check replaces a hashed set lookup almost every time.
+        # One-entry identity caches for the dataplane.  Parsed addresses
+        # are interned (lru_cache in repro.net.addresses) and a connection
+        # reuses the same address objects for every packet, so an ``is``
+        # check replaces a hashed set lookup almost every time.
         self._addr_hit: IPAddress | None = None  # last address confirmed local
         self._ip_hdr_cache: IPHeader | None = None  # last header built by send_ip
         self.interfaces: list[Interface] = []
@@ -206,49 +204,16 @@ class Node:
         payload_packet: Packet,
         src: IPAddress | None = None,
         ttl: int = 64,
-        bypass_shims: bool = False,
     ) -> bool:
         """Wrap ``payload_packet`` in an IP header and route it out.
 
-        Returns False if the packet was dropped (no route / egress queue
-        full) or True if it was handed to a link or consumed by a shim.
+        Adapter over :meth:`send_ip_fast` for callers that already hold a
+        :class:`Packet`; the wire packet shares its ``meta`` annotations.
         """
-        if src is None:
-            src = self._pick_source(dst)
-            if src is None:
-                self.dropped_no_route += 1
-                return False
-        if self._fast:
-            # Same result as ``payload_packet.pushed(...)`` without the
-            # ``dataclasses.replace`` machinery — this runs once per
-            # locally-originated packet.  Headers are immutable values, so a
-            # flow's identical (src, dst, proto, ttl) header is shared
-            # between consecutive packets instead of rebuilt.
-            hdr = self._ip_hdr_cache
-            if (
-                hdr is None
-                or hdr.dst is not dst
-                or hdr.src is not src
-                or hdr.ttl != ttl
-                or hdr.proto != proto
-            ):
-                hdr = IPHeader(src=src, dst=dst, proto=proto, ttl=ttl)
-                self._ip_hdr_cache = hdr
-            packet = Packet(
-                headers=(hdr,) + payload_packet.headers,
-                payload=payload_packet.payload,
-                meta=payload_packet.meta,
-                packet_id=payload_packet.packet_id,
-            )
-        else:
-            packet = payload_packet.pushed(IPHeader(src=src, dst=dst, proto=proto, ttl=ttl))
-        if not bypass_shims:
-            for shim in self._output_shims:
-                result = shim(self, packet)
-                if result is None:
-                    return True  # consumed by the shim
-                packet = result
-        return self._route_out(packet)
+        return self.send_ip_fast(
+            dst, proto, payload_packet.headers, payload_packet.payload,
+            src, ttl, payload_packet.meta,
+        )
 
     def send_ip_fast(
         self,
@@ -258,18 +223,23 @@ class Node:
         payload,
         src: IPAddress | None = None,
         ttl: int = 64,
+        meta: dict | None = None,
     ) -> bool:
-        """Fast-path :meth:`send_ip` taking raw (headers, payload).
+        """Prepend an IP header to raw ``(headers, payload)`` and route it out.
 
-        Behaviourally identical to wrapping ``Packet(headers, payload)`` in
-        :meth:`send_ip`, but builds the wire packet in one allocation instead
-        of inner-packet-then-push.  Only used when ``sim.fast_path`` is on.
+        Builds the wire packet in one allocation, runs the output shims and
+        hands the result to the egress link.  Returns False if the packet
+        was dropped (no route / egress queue full) or True if it was handed
+        to a link or consumed by a shim.
         """
         if src is None:
             src = self._pick_source(dst)
             if src is None:
                 self.dropped_no_route += 1
                 return False
+        # Headers are immutable values, so a flow's identical (src, dst,
+        # proto, ttl) header is shared between consecutive packets instead
+        # of rebuilt.
         hdr = self._ip_hdr_cache
         if (
             hdr is None
@@ -280,7 +250,10 @@ class Node:
         ):
             hdr = IPHeader(src=src, dst=dst, proto=proto, ttl=ttl)
             self._ip_hdr_cache = hdr
-        packet = Packet((hdr,) + headers, payload)
+        if meta is None:
+            packet = Packet((hdr,) + headers, payload)
+        else:
+            packet = Packet((hdr,) + headers, payload, meta)
         shims = self._output_shims
         if shims:
             for shim in shims:
@@ -304,62 +277,34 @@ class Node:
         return None
 
     def _route_out(self, packet: Packet) -> bool:
-        if self._fast:
-            ip = packet.headers[0]
-            dst = ip.dst
-            if dst is self._addr_hit:
-                self._dispatch_local(packet, None)
-                return True
-            if dst in self._addrs():
-                self._addr_hit = dst
-                self._dispatch_local(packet, None)
-                return True
-            iface = self.routes.lookup_cached(dst)
-            endpoint = None if iface is None else iface._endpoint
-            if endpoint is None:  # no route, or egress not attached to a link
-                self.dropped_no_route += 1
-                return False
-            return endpoint.send(packet)
-        ip = packet.outer
-        assert isinstance(ip, IPHeader)
-        if self.has_address(ip.dst):
+        dst = packet.headers[0].dst
+        if dst is self._addr_hit or dst in self._addrs():
             # Loopback delivery stays inside the node.
+            self._addr_hit = dst
             self._dispatch_local(packet, None)
             return True
-        iface = self.routes.lookup(ip.dst)
-        if iface is None or not iface.is_attached:
+        iface = self.routes.lookup_cached(dst)
+        endpoint = None if iface is None else iface._endpoint
+        if endpoint is None:  # no route, or egress not attached to a link
             self.dropped_no_route += 1
             return False
-        return iface.send(packet)
+        return endpoint.send(packet)
 
     # -- receiving ---------------------------------------------------------------------
     def _on_receive(self, packet: Packet, iface: Interface | None) -> None:
-        if self._fast:
-            headers = packet.headers
-            ip = headers[0] if headers else None
-            if not isinstance(ip, IPHeader):
-                self.dropped_no_handler += 1
-                return
-            dst = ip.dst
-            if dst is self._addr_hit or dst in self._addrs():
-                self._addr_hit = dst
-                handler = self._protocol_handlers.get(ip.proto)
-                if handler is None:
-                    self.dropped_no_handler += 1
-                    return
-                handler(self, packet, iface)
-                return
-            if self.forwarding:
-                self._forward(packet)
-                return
-            self.dropped_no_route += 1
-            return
-        ip = packet.outer
+        headers = packet.headers
+        ip = headers[0] if headers else None
         if not isinstance(ip, IPHeader):
             self.dropped_no_handler += 1
             return
-        if self.has_address(ip.dst):
-            self._dispatch_local(packet, iface)
+        dst = ip.dst
+        if dst is self._addr_hit or dst in self._addrs():
+            self._addr_hit = dst
+            handler = self._protocol_handlers.get(ip.proto)
+            if handler is None:
+                self.dropped_no_handler += 1
+                return
+            handler(self, packet, iface)
             return
         if self.forwarding:
             self._forward(packet)
@@ -376,34 +321,19 @@ class Node:
         handler(self, packet, iface)  # type: ignore[arg-type]
 
     def _forward(self, packet: Packet) -> None:
-        if self._fast:
-            headers = packet.headers
-            ip = headers[0]
-            if ip.ttl <= 1:
-                self.dropped_ttl += 1
-                return
-            fresh = Packet(
-                headers=(IPHeader(src=ip.src, dst=ip.dst, proto=ip.proto, ttl=ip.ttl - 1),)
-                + headers[1:],
-                payload=packet.payload,
-                meta=packet.meta,
-                packet_id=packet.packet_id,
-            )
-            egress = self.routes.lookup_cached(ip.dst)
-            if egress is None or not egress.is_attached:
-                self.dropped_no_route += 1
-                return
-            egress.send(fresh)
-            return
-        ip, inner = packet.popped()
-        assert isinstance(ip, IPHeader)
+        headers = packet.headers
+        ip = headers[0]
         if ip.ttl <= 1:
             self.dropped_ttl += 1
             return
-        fresh = inner.pushed(
-            IPHeader(src=ip.src, dst=ip.dst, proto=ip.proto, ttl=ip.ttl - 1)
+        fresh = Packet(
+            headers=(IPHeader(src=ip.src, dst=ip.dst, proto=ip.proto, ttl=ip.ttl - 1),)
+            + headers[1:],
+            payload=packet.payload,
+            meta=packet.meta,
+            packet_id=packet.packet_id,
         )
-        egress = self.routes.lookup(ip.dst)
+        egress = self.routes.lookup_cached(ip.dst)
         if egress is None or not egress.is_attached:
             self.dropped_no_route += 1
             return

@@ -189,7 +189,7 @@ class Packet:
         return self.headers[0], replace(self, headers=self.headers[1:])
 
     def with_meta(self, **kv) -> "Packet":
-        # repro: ignore[PERF001] -- meta propagation copies one small dict per rebuilt packet by design; measured in BENCH_sim.json (PR 5) and dwarfed by the crypto work on the same path
+        # repro: ignore[PERF001] -- meta propagation copies one small dict per rebuilt packet by design; measured in PR 5 and dwarfed by the crypto work on the same path
         merged = dict(self.meta)
         merged.update(kv)
         return replace(self, meta=merged)

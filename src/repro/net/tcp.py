@@ -36,8 +36,8 @@ Implements the behaviourally-relevant subset for the paper's experiments:
   while the flow is cwnd-limited), which is what pins ``cwnd`` exactly in
   the window-limited steady state.
 
-``cc="reno"`` selects the legacy Reno machine (no SACK, no recovery state)
-— retained as the baseline for ``benchmarks/bench_tcp.py``.
+All timers (RTO, delayed ACK, persist, pacing, fluid) are callback-lane
+:class:`~repro.sim.engine.TimerHandle` objects rearmed in place.
 
 Segments carry either real bytes (all unit tests, HTTP control traffic) or
 :class:`~repro.net.packet.VirtualPayload` sizes (bulk benchmarks), and the
@@ -93,8 +93,8 @@ FLUID_CHUNK_S = 0.25
 FLUID_PROBE_RETRIES = 3
 
 #: Shared flag set for the overwhelmingly common case (data segments and
-#: pure ACKs) — the fast path reuses it instead of allocating a fresh
-#: ``frozenset`` per segment.
+#: pure ACKs) — reused instead of allocating a fresh ``frozenset`` per
+#: segment.
 _ACK_FLAGS = frozenset({"ACK"})
 _NO_FLAGS: frozenset[str] = frozenset()
 _ECE_FLAGS = frozenset({"ECE"})
@@ -143,14 +143,11 @@ class TcpConnection:
         remote_port: int,
         mss: int = DEFAULT_MSS,
         recv_window: int = DEFAULT_WINDOW,
-        cc: str = "newreno",
         pacing: bool = False,
         fluid: bool = False,
         fluid_flow_guard: bool = True,
         cwnd_validation: bool | None = None,
     ) -> None:
-        if cc not in ("newreno", "reno"):
-            raise ValueError(f"unknown congestion control {cc!r}")
         self.stack = stack
         self.node = stack.node
         self.sim = stack.node.sim
@@ -158,12 +155,7 @@ class TcpConnection:
         self.local_port = local_port
         self.remote_addr = remote_addr
         self.remote_port = remote_port
-        # Timer-process names, formatted once: the arm paths run per event.
-        self._persist_proc_name = f"tcp-persist-{local_port}"
-        self._pace_proc_name = f"tcp-pace-{local_port}"
-        self._rto_proc_name = f"tcp-rto-{local_port}"
         self.mss = mss
-        self._fast = self.sim.fast_path
         self.state = "CLOSED"
 
         # --- send side ---
@@ -180,12 +172,9 @@ class TcpConnection:
         self.rttvar = 0.0
         self.rto = 1.0
         self._handshake_retx = 0
-        self._timer_gen = 0
-        self._rto_timer = None  # TimerHandle (fast path); rearmed in place
-        self._delack_handle = None  # TimerHandle (fast path); rearmed in place
+        self._rto_timer = None  # TimerHandle; rearmed in place
+        self._delack_handle = None  # TimerHandle; rearmed in place
         # NewReno fast-recovery state (RFC 6582) + SACK scoreboard (RFC 2018).
-        self.cc = cc
-        self.sack_enabled = cc == "newreno"
         self.in_recovery = False
         self.recover = 0  # snd_nxt when loss was detected; full ACKs pass it
         self._sacked: list[list[int]] = []  # merged [start, end) peer-SACKed ranges
@@ -198,17 +187,15 @@ class TcpConnection:
         self.ecn_reductions = 0
         # Zero-window persist (probe a closed peer window, RFC 1122).
         self._persist_armed = False
-        self._persist_timer = None  # TimerHandle (fast path)
-        self._persist_gen = 0
+        self._persist_timer = None  # TimerHandle
         self._persist_backoff = PERSIST_MIN
         self.zero_window_probes = 0
         # Pacing: spread segments at cwnd/srtt through the callback lane
         # instead of bursting the whole window per ACK.
         self.pacing = pacing
         self._pace_armed = False
-        self._pace_timer = None  # TimerHandle (fast path)
-        self._pace_gen = 0
-        # Fast path: bulk senders cut identical VirtualPayload slices (one
+        self._pace_timer = None  # TimerHandle
+        # Bulk senders cut identical VirtualPayload slices (one
         # MSS each) for thousands of segments in a row; VirtualPayload is
         # immutable, so one shared instance per (size, tag) is safe.
         self._vp_cache: VirtualPayload | None = None
@@ -389,36 +376,27 @@ class TcpConnection:
             eff_flags = flags
         elif flags:
             eff_flags = flags | _ACK_FLAGS
-        elif self._fast:
-            eff_flags = _ACK_FLAGS  # shared set, no per-segment allocation
         else:
-            eff_flags = flags | frozenset({"ACK"})  # reference path, as before
+            eff_flags = _ACK_FLAGS  # shared set, no per-segment allocation
         if self._ecn_echo:
             eff_flags = eff_flags | _ECE_FLAGS
         if self._cwr_pending:
             eff_flags = eff_flags | _CWR_FLAGS
             self._cwr_pending = False
-        if self._fast:
-            # ``_rx_backlog()`` is a constant 0 — skip the call per segment.
-            window = self.recv_window
-        else:
-            window = max(0, self.recv_window - self._rx_backlog())
         header = TCPHeader(
             self.local_port,
             self.remote_port,
             self.snd_nxt if seq is None else seq,
             self.rcv_nxt,
             eff_flags,
-            window,
-            self._sack_blocks() if (self.sack_enabled and self.ooo) else _EMPTY_SACK,
+            # The app drains the rx queue; receive backlog is not modelled,
+            # so the advertised window is the configured one.
+            self.recv_window,
+            self._sack_blocks() if self.ooo else _EMPTY_SACK,
         )
-        if self._fast:
-            self.node.send_ip_fast(
-                self.remote_addr, "tcp", (header,), payload, self.local_addr
-            )
-        else:
-            packet = Packet(headers=(header,), payload=payload)
-            self.node.send_ip(self.remote_addr, "tcp", packet, src=self.local_addr)
+        self.node.send_ip_fast(
+            self.remote_addr, "tcp", (header,), payload, self.local_addr
+        )
         self.segments_sent += 1
         _SEGMENTS_SENT.value += 1
         if RECORDER.enabled:
@@ -449,9 +427,6 @@ class TcpConnection:
                     "retx": 0,
                 }
             self.inflight.append(entry)
-
-    def _rx_backlog(self) -> int:
-        return 0  # the rx queue is drained by the app; modeling backlog is out of scope
 
     def _pump(self) -> None:
         """Send as much queued data as the congestion/flow windows allow."""
@@ -515,7 +490,7 @@ class TcpConnection:
             clen = len(chunk)
             if start <= seq < start + clen:
                 take = min(length, start + clen - seq)
-                if self._fast and isinstance(chunk, VirtualPayload):
+                if isinstance(chunk, VirtualPayload):
                     key = (take, chunk.tag)
                     if key == self._vp_cache_key:
                         return self._vp_cache
@@ -532,26 +507,13 @@ class TcpConnection:
         self._persist_rearm(self._persist_backoff)
 
     def _persist_rearm(self, delay: float) -> None:
-        if self._fast:
-            handle = self._persist_timer
-            if handle is None:
-                self._persist_timer = self.sim.call_later(
-                    delay, TcpConnection._persist_fired, self
-                )
-            else:
-                handle.rearm(delay)
-            return
-        self._persist_gen += 1
-        self.sim.process(
-            self._persist_proc(self._persist_gen, delay),
-            name=self._persist_proc_name,
-        )
-
-    def _persist_proc(self, gen: int, delay: float) -> Generator:
-        yield self.sim.timeout(delay)
-        if gen != self._persist_gen:
-            return
-        self._persist_fired()
+        handle = self._persist_timer
+        if handle is None:
+            self._persist_timer = self.sim.call_later(
+                delay, TcpConnection._persist_fired, self
+            )
+        else:
+            handle.rearm(delay)
 
     def _persist_fired(self) -> None:
         if not self._persist_armed or self.state == "CLOSED":
@@ -599,7 +561,6 @@ class TcpConnection:
         if not self._persist_armed:
             return
         self._persist_armed = False
-        self._persist_gen += 1  # invalidates reference-path processes
         self._persist_backoff = PERSIST_MIN
         if self._persist_timer is not None:
             self._persist_timer.cancel()
@@ -652,26 +613,13 @@ class TcpConnection:
             self._arm_timer()
 
     def _pace_rearm(self, delay: float) -> None:
-        if self._fast:
-            handle = self._pace_timer
-            if handle is None:
-                self._pace_timer = self.sim.call_later(
-                    delay, TcpConnection._pace_fired, self
-                )
-            else:
-                handle.rearm(delay)
-            return
-        self._pace_gen += 1
-        self.sim.process(
-            self._pace_proc(self._pace_gen, delay),
-            name=self._pace_proc_name,
-        )
-
-    def _pace_proc(self, gen: int, delay: float) -> Generator:
-        yield self.sim.timeout(delay)
-        if gen != self._pace_gen:
-            return
-        self._pace_fired()
+        handle = self._pace_timer
+        if handle is None:
+            self._pace_timer = self.sim.call_later(
+                delay, TcpConnection._pace_fired, self
+            )
+        else:
+            handle.rearm(delay)
 
     def _pace_fired(self) -> None:
         if not self._pace_armed or self.state == "CLOSED":
@@ -681,44 +629,30 @@ class TcpConnection:
 
     # -- timers -----------------------------------------------------------------------
     def _arm_timer(self) -> None:
-        if self._fast:
-            # Callback-lane timer, rearmed in place: no generator process,
-            # no Event, no per-arm name string.  Stale firings are skipped
-            # by the handle's lazy-deletion check in the engine.
-            handle = self._rto_timer
-            if handle is None:
-                self._rto_timer = self.sim.call_later(
-                    self.rto, TcpConnection._rto_fired, self
-                )
-            else:
-                # Inlined ``TimerHandle.rearm`` (self.rto is clamped > 0).
-                sim = self.sim
-                # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this connection's own simulator (PR 5), not cross-shard state
-                sim._seq += 1
-                seq = sim._seq
-                handle._when = when = sim._now + self.rto
-                handle._entry_seq = seq
-                heappush(sim._heap, (when, seq, _KIND_CALL, handle))
-            return
-        self._timer_gen += 1
-        gen = self._timer_gen
-        self.sim.process(self._timer(gen), name=self._rto_proc_name)
+        # Callback-lane timer, rearmed in place: no generator process, no
+        # Event, no per-arm name string.  Stale firings are skipped by the
+        # handle's lazy-deletion check in the engine.
+        handle = self._rto_timer
+        if handle is None:
+            self._rto_timer = self.sim.call_later(
+                self.rto, TcpConnection._rto_fired, self
+            )
+        else:
+            # Inlined ``TimerHandle.rearm`` (self.rto is clamped > 0).
+            sim = self.sim
+            # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this connection's own simulator (PR 5), not cross-shard state
+            sim._seq += 1
+            seq = sim._seq
+            handle._when = when = sim._now + self.rto
+            handle._entry_seq = seq
+            heappush(sim._heap, (when, seq, _KIND_CALL, handle))
 
     def _cancel_timer(self) -> None:
-        self._timer_gen += 1  # invalidates reference-path timer processes
         if self._rto_timer is not None:
             self._rto_timer.cancel()
 
     def _rto_fired(self) -> None:
         if self.state == "CLOSED":
-            return
-        if self.snd_una >= self.snd_nxt and self.state in ("ESTABLISHED",):
-            return  # everything acked meanwhile
-        self._on_rto()
-
-    def _timer(self, gen: int) -> Generator:
-        yield self.sim.timeout(self.rto)
-        if gen != self._timer_gen or self.state == "CLOSED":
             return
         if self.snd_una >= self.snd_nxt and self.state in ("ESTABLISHED",):
             return  # everything acked meanwhile
@@ -731,10 +665,8 @@ class TcpConnection:
                 self._teardown(TcpError("connection attempt timed out"))
                 return
             if self.state == "SYN_SENT":
-                # repro: ignore[PERF001] -- handshake RTO slow path: one dict per retransmission timeout, not per segment
                 seg = {"seq": 0, "flags": frozenset({"SYN"}), "payload": b""}
             else:
-                # repro: ignore[PERF001] -- handshake RTO slow path: one dict per retransmission timeout, not per segment
                 seg = {"seq": 0, "flags": frozenset({"SYN", "ACK"}), "payload": b""}
         elif self.inflight:
             entry = self.inflight[0]
@@ -830,7 +762,7 @@ class TcpConnection:
         ack = tcp.ack
         if ack > self.snd_nxt:
             return  # acks data we never sent; ignore
-        if tcp.sack and self.sack_enabled:
+        if tcp.sack:
             self._register_sack(tcp.sack)
         if "ECE" in tcp.flags:
             self._on_ece()
@@ -905,17 +837,6 @@ class TcpConnection:
             # segments in a bidirectional transfer triggered spurious fast
             # retransmits.)
             self.dup_acks += 1
-            if self.cc == "reno":
-                # Legacy baseline: halve on the 3rd dup ACK, no recovery
-                # state, no cwnd inflation (benchmarks compare against this).
-                if self.dup_acks == 3 and self.inflight:
-                    entry = self.inflight[0]
-                    flight = max(self.snd_nxt - self.snd_una, self.mss)
-                    self.ssthresh = max(flight // 2, 2 * self.mss)
-                    self.cwnd = self.ssthresh
-                    self._retransmit_entry(entry, "fast")
-                    self._arm_timer()
-                return
             if not self.in_recovery:
                 if self.dup_acks == 3 and self.inflight:
                     self._enter_recovery()
@@ -1412,35 +1333,26 @@ class TcpConnection:
             self._ack_now()
         elif not self._delack_timer_armed:
             self._delack_timer_armed = True
-            if self._fast:
-                handle = self._delack_handle
-                if handle is None:
-                    self._delack_handle = self.sim.call_later(
-                        DELACK_TIMEOUT, TcpConnection._delack_fired, self
-                    )
-                else:
-                    # Inlined ``TimerHandle.rearm`` (constant positive delay).
-                    sim = self.sim
-                    # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this connection's own simulator (PR 5), not cross-shard state
-                    sim._seq += 1
-                    seq = sim._seq
-                    handle._when = when = sim._now + DELACK_TIMEOUT
-                    handle._entry_seq = seq
-                    heappush(sim._heap, (when, seq, _KIND_CALL, handle))
+            handle = self._delack_handle
+            if handle is None:
+                self._delack_handle = self.sim.call_later(
+                    DELACK_TIMEOUT, TcpConnection._delack_fired, self
+                )
             else:
-                self.sim.process(self._delack_timer(), name="tcp-delack")
+                # Inlined ``TimerHandle.rearm`` (constant positive delay).
+                sim = self.sim
+                # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this connection's own simulator (PR 5), not cross-shard state
+                sim._seq += 1
+                seq = sim._seq
+                handle._when = when = sim._now + DELACK_TIMEOUT
+                handle._entry_seq = seq
+                heappush(sim._heap, (when, seq, _KIND_CALL, handle))
 
     def _ack_now(self) -> None:
         self._delack_pending = 0
         self._send_segment()  # cumulative ACK
 
     def _delack_fired(self) -> None:
-        self._delack_timer_armed = False
-        if self._delack_pending and self.state not in ("CLOSED",):
-            self._ack_now()
-
-    def _delack_timer(self) -> Generator:
-        yield self.sim.timeout(DELACK_TIMEOUT)
         self._delack_timer_armed = False
         if self._delack_pending and self.state not in ("CLOSED",):
             self._ack_now()
@@ -1477,7 +1389,6 @@ class TcpConnection:
             self._delack_timer_armed = False
         self._persist_stop()
         self._pace_armed = False
-        self._pace_gen += 1
         if self._pace_timer is not None:
             self._pace_timer.cancel()
         if self._fluid_timer is not None:
@@ -1526,7 +1437,6 @@ class TcpListener:
         port: int,
         recv_window: int,
         mss: int,
-        cc: str = "newreno",
         fluid: bool = False,
         fluid_flow_guard: bool = True,
     ) -> None:
@@ -1534,7 +1444,6 @@ class TcpListener:
         self.port = port
         self.recv_window = recv_window
         self.mss = mss
-        self.cc = cc
         self.fluid = fluid
         self.fluid_flow_guard = fluid_flow_guard
         self.backlog = Queue(stack.node.sim, capacity=128)
@@ -1559,7 +1468,6 @@ class TcpStack:
         #: (the demux tuple would collide).
         self._local_ports: dict[int, int] = {}
         self._next_ephemeral = 33000
-        self._fast = node.sim.fast_path
         node.register_protocol("tcp", self._on_packet)
         self.rx_unmatched = 0
 
@@ -1569,13 +1477,12 @@ class TcpStack:
         port: int,
         recv_window: int = DEFAULT_WINDOW,
         mss: int = DEFAULT_MSS,
-        cc: str = "newreno",
         fluid: bool = False,
         fluid_flow_guard: bool = True,
     ) -> TcpListener:
         if port in self._listeners:
             raise OSError(f"TCP port {port} already listening on {self.node.name}")
-        listener = TcpListener(self, port, recv_window, mss, cc, fluid=fluid,
+        listener = TcpListener(self, port, recv_window, mss, fluid=fluid,
                                fluid_flow_guard=fluid_flow_guard)
         self._listeners[port] = listener
         return listener
@@ -1587,7 +1494,6 @@ class TcpStack:
         local_addr: IPAddress | None = None,
         recv_window: int = DEFAULT_WINDOW,
         mss: int = DEFAULT_MSS,
-        cc: str = "newreno",
         pacing: bool = False,
         fluid: bool = False,
         fluid_flow_guard: bool = True,
@@ -1601,7 +1507,7 @@ class TcpStack:
         local_port = self._alloc_ephemeral()
         conn = TcpConnection(
             self, local_addr, local_port, remote_addr, remote_port,
-            mss=mss, recv_window=recv_window, cc=cc, pacing=pacing,
+            mss=mss, recv_window=recv_window, pacing=pacing,
             fluid=fluid, fluid_flow_guard=fluid_flow_guard,
             cwnd_validation=cwnd_validation,
         )
@@ -1653,20 +1559,13 @@ class TcpStack:
             listener.backlog.try_put(conn)
 
     def _on_packet(self, node: "Node", packet: Packet, iface: "Interface | None") -> None:
-        if self._fast:
-            # Index the header stack in place: ``popped()`` allocates a new
-            # Packet per layer via ``dataclasses.replace`` and this handler
-            # runs once per delivered segment.  The inner packet's payload
-            # is the same object, so nothing else changes.
-            headers = packet.headers
-            ip = headers[0]
-            tcp = headers[1]
-            body_payload = packet.payload
-        else:
-            ip, inner = packet.popped()
-            tcp, body = inner.popped()
-            body_payload = body.payload
-            assert isinstance(tcp, TCPHeader)
+        # Index the header stack in place: ``popped()`` allocates a new
+        # Packet per layer via ``dataclasses.replace`` and this handler runs
+        # once per delivered segment.
+        headers = packet.headers
+        ip = headers[0]
+        tcp = headers[1]
+        body_payload = packet.payload
         key = self._key(tcp.dst_port, ip.src, tcp.src_port)
         conn = self._connections.get(key)
         if conn is not None:
@@ -1683,7 +1582,7 @@ class TcpStack:
                 conn = TcpConnection(
                     self, ip.dst, tcp.dst_port, ip.src, tcp.src_port,
                     mss=listener.mss, recv_window=listener.recv_window,
-                    cc=listener.cc, fluid=listener.fluid,
+                    fluid=listener.fluid,
                     fluid_flow_guard=listener.fluid_flow_guard,
                 )
                 self._connections[key] = conn

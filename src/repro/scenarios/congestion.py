@@ -17,7 +17,7 @@ opens that workload space on top of the NewReno+SACK transport:
   ``metrics.json``; the CLI entry point used by CI's smoke run.
 
 Everything is seeded through :class:`~repro.sim.RngStreams`; every scenario
-is deterministic and engine-mode independent.
+is deterministic.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def run_lossy_link(
     transfer_bytes: int = 2_000_000,
     bandwidth_bps: float = 20e6,
     delay_s: float = 0.025,
-    cc: str = "newreno",
 ) -> dict:
     """Bulk goodput over a ``loss_rate`` random-loss, 2*``delay_s``-RTT link."""
     sim = Simulator()
@@ -76,16 +75,14 @@ def run_lossy_link(
     out: dict = {}
 
     def main():
-        # The sender (tcp_a) carries the congestion-control flavour via the
-        # listener-less client connect inside run_iperf, so tag both stacks'
-        # defaults by monkeying the listen/connect is avoided: run_iperf's
-        # client is tcp_a -> the cc knob rides on an explicit connection.
+        # An explicit connection (not run_iperf) so the sender's recovery
+        # statistics can be read off ``conn`` afterwards.
         from repro.apps.iperf import IPERF_PORT, IperfServer
 
         server = IperfServer(tcp_b, port=IPERF_PORT)
         measurement = sim.process(server.measure_once())
         conn = yield sim.process(
-            tcp_a.open_connection(node_b.addresses()[0], IPERF_PORT, cc=cc)
+            tcp_a.open_connection(node_b.addresses()[0], IPERF_PORT)
         )
         conn.write(VirtualPayload(transfer_bytes, tag="lossy"))
         conn.close()
@@ -100,7 +97,7 @@ def run_lossy_link(
     ep_a, ep_b = _link_endpoints(node_a, node_b)
     return {
         "scenario": "lossy_link",
-        "cc": cc,
+        "cc": "newreno",
         "loss_rate": loss_rate,
         "transfer_bytes": transfer_bytes,
         "bandwidth_mbps": bandwidth_bps / 1e6,

@@ -596,14 +596,14 @@ def scale_builders(p: ScaleParams) -> dict:
 
 
 def build_scale_monolithic(
-    seed: int, p: ScaleParams, fast_path: bool | None = None
+    seed: int, p: ScaleParams
 ) -> tuple[Simulator, list[Zone]]:
     """The single-heap twin: same zones, same RNG namespaces, real wires.
 
     Used as the speedup baseline (with ``fluid=False``) and as the timing
     reference the sharded build must reproduce bit-identically.
     """
-    sim = Simulator(fast_path=fast_path)
+    sim = Simulator()
     root = RngStreams(seed)
     zone_rngs = [root.spawn(f"shard:z{i}") for i in range(p.n_zones)]
     zones = [

@@ -35,13 +35,6 @@ _KIND_CALL = 1
 #: Sentinel: "call fn with no argument" (None must stay passable as an arg).
 _NO_ARG = object()
 
-#: Default scheduling mode for new :class:`Simulator` instances.  ``True``
-#: enables the zero-allocation fast path (callback-lane link delivery and
-#: TCP timers, direct process resume on already-processed events); ``False``
-#: selects the pre-fast-path reference behaviour, kept as the baseline for
-#: ``benchmarks/bench_sim.py`` and the cross-mode replay-equality tests.
-DEFAULT_FAST_PATH = True
-
 
 class StopProcess(Exception):
     """Raised by ``Simulator.run(until=...)`` helpers to abort a run."""
@@ -116,11 +109,10 @@ class Simulator:
     bit-reproducible for a fixed seed.
     """
 
-    def __init__(self, fast_path: bool | None = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Any]] = []
         self._seq = 0
-        self._fast = DEFAULT_FAST_PATH if fast_path is None else bool(fast_path)
         #: Sim-scoped service registry.  Subsystems that would otherwise need
         #: process-global state (the TCP fluid-mode peer directory, its id
         #: counter) hang it off the owning simulator here, so two simulators
@@ -139,11 +131,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def fast_path(self) -> bool:
-        """Whether the zero-allocation scheduling fast path is enabled."""
-        return self._fast
 
     @property
     def active_process(self) -> Process | None:

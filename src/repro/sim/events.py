@@ -133,16 +133,10 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Event | None = None
         self._pid = sim._register_process(self)
-        # Bootstrap: resume once at the current time.  The fast path books
-        # the wake-up on the raw-callback lane (one heap tuple, no Event);
-        # the reference path keeps the classic boot Event.  Both draw their
-        # sequence number here, so same-time ordering is identical.
-        if sim._fast:
-            sim.call_later(0.0, Process._boot, self)
-        else:
-            boot = Event(sim)
-            boot.callbacks.append(self._resume)
-            boot.succeed()
+        # Bootstrap: resume once at the current time, booked on the
+        # raw-callback lane (one heap tuple, no Event).  The sequence number
+        # is drawn here, so same-time ordering follows creation order.
+        sim.call_later(0.0, Process._boot, self)
 
     @property
     def is_alive(self) -> bool:
@@ -197,7 +191,7 @@ class Process(Event):
         self._step(throw=evt._value)
 
     def _boot(self) -> None:
-        """First resume, via the callback lane (fast path only)."""
+        """First resume, via the callback lane."""
         if self._state == PENDING:  # a process can be close()d before booting
             self._step(send=None)
 
@@ -246,28 +240,14 @@ class Process(Event):
                 self._waiting_on = target
                 target.callbacks.append(self._resume)
                 return
-            # Target already fired.  Fast path: feed its outcome straight
-            # back into the generator — no follow Event, no reschedule, no
-            # extra dispatch.  A failure is thrown in, so an uncaught one
-            # lands in the except branch above and gets full fail()/crash
-            # accounting.
-            if sim._fast:
-                if target._ok:
-                    send, throw = target._value, None
-                else:
-                    send, throw = None, target._value
-                continue
-            # Reference path: resume via a zero-delay follow event.  The
-            # failure side goes through fail() proper (not hand-set state),
-            # so the resulting throw carries the same semantics as any
-            # failed event and crash accounting cannot be skipped.
-            follow = Event(sim)
-            follow.callbacks.append(self._resume)
+            # Target already fired: feed its outcome straight back into the
+            # generator — no follow Event, no reschedule, no extra dispatch.
+            # A failure is thrown in, so an uncaught one lands in the except
+            # branch above and gets full fail()/crash accounting.
             if target._ok:
-                follow.succeed(target._value)
+                send, throw = target._value, None
             else:
-                follow.fail(target._value)
-            return
+                send, throw = None, target._value
 
 
 def in_list_remove(lst: list, item: Any) -> bool:

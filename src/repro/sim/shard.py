@@ -49,8 +49,7 @@ min-heap keyed ``(arrival, src_index, seq)`` and folded into the SHA-256
 only once the barrier clock passes their arrival time.  Every envelope
 produced after a barrier at ``T`` arrives strictly later than ``T``, so the
 drained sequence is the globally sorted envelope stream — identical for the
-static schedule, any adaptive schedule, inline workers, forked workers and
-the reference engine.
+static schedule, any adaptive schedule, inline workers and forked workers.
 
 Determinism rules for shard authors:
 
@@ -385,12 +384,10 @@ class ShardPortal:
 class Shard:
     """One partition: its own simulator, RNG namespace, and boundary ports."""
 
-    def __init__(
-        self, name: str, index: int, seed: int, fast_path: bool | None = None
-    ) -> None:
+    def __init__(self, name: str, index: int, seed: int) -> None:
         self.name = name
         self.index = index
-        self.sim = Simulator(fast_path=fast_path)
+        self.sim = Simulator()
         #: Shard-owned link accounting: a *non-publishing* ledger installed
         #: before the builder runs, so every LinkEndpoint (and portal) this
         #: shard creates books into simulator-owned state instead of the
@@ -511,7 +508,6 @@ class _InlineWorker:
         name: str,
         index: int,
         seed: int,
-        fast_path: bool | None,
         builder: Builder,
         kwargs: dict[str, Any],
     ) -> None:
@@ -519,7 +515,7 @@ class _InlineWorker:
         self.bytes_tx = 0
         self.bytes_rx = 0
         self._window: tuple[float, list[Envelope]] | None = None
-        self.shard = Shard(name, index, seed, fast_path=fast_path)
+        self.shard = Shard(name, index, seed)
         builder(self.shard, **kwargs)
 
     def ports(self) -> dict[str, Any]:
@@ -537,14 +533,6 @@ class _InlineWorker:
         out, peek, delta = self.shard.advance(window_end)
         return out, peek, delta, 0.0
 
-    def window(
-        self, window_end: float, envelopes: list[Envelope]
-    ) -> tuple[list[Envelope], float, tuple[int, ...]]:
-        """Blocking one-shot window (kept for tests and direct drivers)."""
-        self.start_window(window_end, envelopes)
-        out, peek, delta, _busy = self.collect_window()
-        return out, peek, delta
-
     def finish(self) -> tuple[Any, tuple[int, ...]]:
         return self.shard.finish()
 
@@ -557,7 +545,6 @@ def _worker_main(
     name: str,
     index: int,
     seed: int,
-    fast_path: bool | None,
     builder: Builder,
     kwargs: dict[str, Any],
 ) -> None:
@@ -574,7 +561,7 @@ def _worker_main(
     ======  =========================================================
     """
     try:
-        shard = Shard(name, index, seed, fast_path=fast_path)
+        shard = Shard(name, index, seed)
         builder(shard, **kwargs)
         conn.send_bytes(b"P" + pickle.dumps(shard.ports(), _PICKLE_PROTO))
     except BaseException as exc:  # noqa: BLE001 - report, then die
@@ -623,7 +610,6 @@ class _ProcessWorker:
         name: str,
         index: int,
         seed: int,
-        fast_path: bool | None,
         builder: Builder,
         kwargs: dict[str, Any],
     ) -> None:
@@ -635,7 +621,7 @@ class _ProcessWorker:
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, name, index, seed, fast_path, builder, kwargs),
+            args=(child_conn, name, index, seed, builder, kwargs),
             daemon=True,
         )
         self._proc.start()
@@ -710,14 +696,6 @@ class _ProcessWorker:
         peek, d0, d1, d2, d3, d4, busy = _REPLY_TAIL.unpack_from(msg, offset)
         return envelopes, peek, (d0, d1, d2, d3, d4), busy
 
-    def window(
-        self, window_end: float, envelopes: list[Envelope]
-    ) -> tuple[list[Envelope], float, tuple[int, ...]]:
-        """Blocking one-shot window (kept for tests and direct drivers)."""
-        self.start_window(window_end, envelopes)
-        out, peek, delta, _busy = self.collect_window()
-        return out, peek, delta
-
     def finish(self) -> tuple[Any, tuple[int, ...]]:
         self._send(b"F")
         return pickle.loads(self._expect(b"F")[1:])
@@ -772,7 +750,6 @@ class ShardedSimulation:
         seed: int,
         lookahead: float | None = None,
         parallel: bool = False,
-        fast_path: bool | None = None,
         adaptive: bool = True,
     ) -> None:
         if not builders:
@@ -795,9 +772,7 @@ class ShardedSimulation:
             for index, (name, (builder, kwargs)) in enumerate(
                 sorted(builders.items())
             ):
-                self.workers[name] = worker_cls(
-                    name, index, seed, fast_path, builder, kwargs
-                )
+                self.workers[name] = worker_cls(name, index, seed, builder, kwargs)
             self._validate_ports(lookahead)
         except BaseException:
             # A failed builder (or port validation) must not leak the

@@ -406,12 +406,3 @@ class TestPacing:
         sim.run(until=60)
         assert len(got["data"]) == 200_000
         assert got["conn"].pacing
-
-    def test_reno_mode_has_no_sack(self, sim, scripted):
-        # The fixture conn is newreno; build a reno one alongside.
-        conn, peer = scripted
-        assert conn.sack_enabled
-        reno = conn.stack.connect(B, 81, mss=MSS, cc="reno")
-        assert not reno.sack_enabled
-        with pytest.raises(ValueError):
-            conn.stack.connect(B, 82, cc="vegas")

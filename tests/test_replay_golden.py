@@ -1,36 +1,62 @@
-"""Cross-mode replay equivalence: fast path vs reference engine.
+"""Golden replay digests: the surviving engine vs the retired reference engine.
 
-The engine/dataplane fast path (callback-lane timers, cached lookups, fused
-packet construction) must be *observationally invisible*: the flight-recorder
-event stream of a scenario run on the fast path must digest identically to
-the same scenario on the retained reference path (generator processes,
-per-packet delivery processes, uncached lookups).  These tests are the
-referee for every fast-path optimization — if one reorders, drops, or
-duplicates a traced event, the digests split.
+Until PR 12 every scenario here ran twice — on the callback-lane dataplane
+and on the generator-process reference engine kept beside it — and the
+flight-recorder digests had to match.  They did, from PR 5 on, so the
+reference engine was deleted and its *last* outputs (captured at
+``f39621e`` with reference == fast asserted in the same run) were frozen in
+``tests/golden/replay_digests.json``.  These tests hold the one remaining
+engine to those values: if a change reorders, drops or duplicates a traced
+event, or moves a counter, the digest splits.
+
+Regenerating the file is legitimate only for a deliberate behaviour change
+named in CHANGES.md (see DESIGN.md "Golden digests")::
+
+    PYTHONPATH=src python tests/test_replay_golden.py --write
 """
+
+import hashlib
+import json
+import pathlib
 
 import pytest
 
-import repro.sim.engine as engine
 from repro.analysis.replay import assert_replay_deterministic, record_run
+from repro.metrics import METRICS
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "replay_digests.json"
 
 
-@pytest.fixture
-def each_mode():
-    """Yield a runner that records a scenario once per engine mode."""
-    saved = engine.DEFAULT_FAST_PATH
+def load_golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
 
-    def run_both(scenario):
-        runs = {}
-        for fast in (False, True):
-            engine.DEFAULT_FAST_PATH = fast
-            runs[fast] = record_run(scenario, keep_events=False)
-        return runs
 
-    try:
-        yield run_both
-    finally:
-        engine.DEFAULT_FAST_PATH = saved
+def counters_digest() -> str:
+    """sha256 over the final non-zero ``METRICS`` counters, minus ``sim.steps``.
+
+    ``sim.steps`` (heap pops) is the one number the two engines were built
+    to differ in, so the reference arm's value cannot be pinned.  Zero
+    counters are dropped because ``METRICS.reset()`` zeroes in place: which
+    zero-valued names exist depends on what ran earlier in the process, not
+    on the scenario.
+    """
+    counters = {
+        name: value
+        for name, value in METRICS.snapshot()["counters"].items()
+        if value and name != "sim.steps"
+    }
+    return hashlib.sha256(
+        json.dumps(dict(sorted(counters.items())), sort_keys=True).encode()
+    ).hexdigest()
+
+
+def replay_row(scenario) -> dict:
+    run = record_run(scenario, keep_events=False)
+    return {
+        "digest": run.digest,
+        "n_events": run.n_events,
+        "counters_digest": counters_digest(),
+    }
 
 
 def iperf_scenario():
@@ -55,7 +81,7 @@ def iperf_scenario():
 def lossy_iperf_scenario():
     """Bulk transfer over a 1%-loss 50 ms-RTT link: exercises the whole
     NewReno+SACK machine (dup-ACK classification, fast recovery, partial
-    ACKs, selective retransmission, RTO fallback) in both engine modes."""
+    ACKs, selective retransmission, RTO fallback)."""
     from repro.apps.iperf import run_iperf
     from repro.net.tcp import TcpStack
     from repro.net.topology import lan_pair
@@ -81,7 +107,7 @@ def lossy_iperf_scenario():
 
 def paced_ecn_scenario():
     """Paced sender through an ECN-marking bottleneck: the pacing timers and
-    CE/ECE/CWR echo must behave identically in both engine modes."""
+    the CE/ECE/CWR echo."""
     from repro.net.packet import VirtualPayload
     from repro.net.tcp import TcpStack
     from repro.net.topology import lan_pair
@@ -116,8 +142,7 @@ def paced_ecn_scenario():
 def fluid_bulk_scenario():
     """Bulk transfer through the fluid fast-forward, including a forced
     mid-flight disturbance (competing flow) and re-entry: the probe,
-    enter, exit and re-enter events — and every segment around them —
-    must trace identically in both engine modes."""
+    enter, exit and re-enter events, and every segment around them."""
     from repro.net.packet import VirtualPayload
     from repro.net.tcp import TcpStack
     from repro.net.topology import lan_pair
@@ -191,52 +216,63 @@ def rubis_scenario():
     dep.sim.close()
 
 
-def test_iperf_trace_digest_equal_across_modes(each_mode):
-    runs = each_mode(iperf_scenario)
-    assert runs[False].n_events == runs[True].n_events
-    assert runs[False].digest == runs[True].digest
-    assert runs[False].n_events > 1000  # the tap really saw the transfer
+SCENARIOS = {
+    "iperf": iperf_scenario,
+    "lossy_iperf": lossy_iperf_scenario,
+    "paced_ecn": paced_ecn_scenario,
+    "fluid_bulk": fluid_bulk_scenario,
+    "rubis": rubis_scenario,
+}
 
 
-@pytest.mark.smoke
-def test_rubis_trace_digest_equal_across_modes(each_mode):
-    runs = each_mode(rubis_scenario)
-    assert runs[False].n_events == runs[True].n_events
-    assert runs[False].digest == runs[True].digest
-    assert runs[False].n_events > 1000
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.smoke) if name == "rubis" else name
+        for name in SCENARIOS
+    ],
+)
+def test_trace_matches_golden(name):
+    row = replay_row(SCENARIOS[name])
+    assert row == load_golden()["replay"][name]
+    assert row["n_events"] > 500  # the tap really saw the scenario
 
 
-def test_lossy_link_trace_digest_equal_across_modes(each_mode):
-    """NewReno+SACK recovery under 1% loss is engine-mode independent."""
-    runs = each_mode(lossy_iperf_scenario)
-    assert runs[False].n_events == runs[True].n_events
-    assert runs[False].digest == runs[True].digest
-    assert runs[False].n_events > 1000
+def test_iperf_replay_deterministic():
+    """Two runs under the same seed produce the identical event stream."""
+    report = assert_replay_deterministic(iperf_scenario)
+    assert report.runs[0].n_events > 1000
 
 
-def test_paced_ecn_trace_digest_equal_across_modes(each_mode):
-    """Pacing timers + ECN echo digest identically in both modes."""
-    runs = each_mode(paced_ecn_scenario)
-    assert runs[False].n_events == runs[True].n_events
-    assert runs[False].digest == runs[True].digest
-    assert runs[False].n_events > 500  # marks, reductions and tx all traced
+def write_golden() -> None:
+    """Re-record every row from the working tree."""
+    import platform
+
+    from tests.test_shard import echo_golden_row
+    from tests.test_tcp_fluid import fluid_golden_row
+
+    golden = {
+        "provenance": {
+            "python": platform.python_version(),
+            "parent_sha": load_golden()["provenance"]["parent_sha"],
+            "arm": "regenerated by tests/test_replay_golden.py --write; no "
+                   "longer the reference engine's output at parent_sha",
+        },
+        "replay": {
+            name: replay_row(scenario) for name, scenario in SCENARIOS.items()
+        },
+        "shard_echo": echo_golden_row(),
+        "tcp_fluid": fluid_golden_row(),
+    }
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
 
 
-def test_fluid_trace_digest_equal_across_modes(each_mode):
-    """Fluid enter/exit/re-enter (probe, jump, disturbance) digests
-    identically on the fast path and the reference engine."""
-    runs = each_mode(fluid_bulk_scenario)
-    assert runs[False].n_events == runs[True].n_events
-    assert runs[False].digest == runs[True].digest
-    assert runs[False].n_events > 500
+if __name__ == "__main__":
+    import sys
 
-
-def test_iperf_fast_mode_replay_deterministic():
-    """Fast mode is also self-deterministic: two runs, identical stream."""
-    saved = engine.DEFAULT_FAST_PATH
-    engine.DEFAULT_FAST_PATH = True
-    try:
-        report = assert_replay_deterministic(iperf_scenario)
-        assert report.runs[0].n_events > 1000
-    finally:
-        engine.DEFAULT_FAST_PATH = saved
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: python tests/test_replay_golden.py --write")
+    # Run as a script, ``tests`` is not importable until the repo root is.
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+    write_golden()

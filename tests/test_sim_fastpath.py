@@ -1,10 +1,10 @@
-"""Engine fast-path tests: the raw callback lane and cross-lane ordering.
+"""Callback-lane tests: raw timers and cross-lane ordering.
 
-Covers the scheduling contract the dataplane fast path is built on:
+Covers the scheduling contract the dataplane is built on:
 ``call_later``/``call_at`` handles (validation, cancellation, rearm),
 same-timestamp FIFO interleaving between the Event lane and the callback
 lane, ``close()`` with pending raw callbacks, and already-processed Event
-resume/failure semantics in both engine modes.
+resume/failure semantics.
 """
 
 import pytest
@@ -180,11 +180,10 @@ def test_close_discards_pending_callbacks(sim):
     assert sim.peek() == float("inf")  # heap dropped
 
 
-# -- already-processed Event semantics, both engine modes ---------------------
+# -- already-processed Event semantics -----------------------------------------
 
-@pytest.mark.parametrize("fast", [False, True])
-def test_yield_already_processed_success(fast):
-    sim = Simulator(fast_path=fast)
+def test_yield_already_processed_success():
+    sim = Simulator()
     evt = sim.event()
     evt.succeed("ready")
     got = []
@@ -200,10 +199,9 @@ def test_yield_already_processed_success(fast):
     assert got == ["ready"]
 
 
-@pytest.mark.parametrize("fast", [False, True])
-def test_yield_already_failed_event_crashes_via_fail(fast):
+def test_yield_already_failed_event_crashes_via_fail():
     """An uncaught already-processed failure gets full fail()/crash accounting."""
-    sim = Simulator(fast_path=fast)
+    sim = Simulator()
     evt = sim.event()
     evt.fail(RuntimeError("boom"))
     crashes = METRICS.counter("sim.process_crashes")
@@ -222,10 +220,9 @@ def test_yield_already_failed_event_crashes_via_fail(fast):
     assert isinstance(proc.value, RuntimeError)
 
 
-@pytest.mark.parametrize("fast", [False, True])
-def test_yield_already_failed_event_caught_by_waiter(fast):
+def test_yield_already_failed_event_caught_by_waiter():
     """A watcher waiting on the failing process sees the exception, no crash."""
-    sim = Simulator(fast_path=fast)
+    sim = Simulator()
     evt = sim.event()
     evt.fail(ValueError("expected"))
     seen = []
@@ -247,10 +244,10 @@ def test_yield_already_failed_event_caught_by_waiter(fast):
     assert seen == ["expected"]
 
 
-@pytest.mark.parametrize("fast", [False, True])
-def test_mode_equivalent_ordering(fast):
-    """The same program produces the same trace in both engine modes."""
-    sim = Simulator(fast_path=fast)
+def test_mode_equivalent_ordering():
+    """Process wake-ups and raw callbacks interleave in scheduling order (the
+    trace both engine modes produced before the reference engine was retired)."""
+    sim = Simulator()
     order = []
 
     def worker(name, delay):

@@ -1,19 +1,20 @@
-"""Fluid fast-forward TCP: entry, exit, accounting and cross-engine parity.
+"""Fluid fast-forward TCP: entry, exit, accounting and golden parity.
 
 A cwnd-stabilised bulk flow leaves per-packet simulation and advances as a
 closed-form rate integral (``min(cwnd, peer_window) / srtt``), re-entering
 packet mode when disturbed.  These tests pin the contract: the stream the
 receiver sees is byte-identical, the skipped segments' dataplane costs are
 still charged, disturbances (competing flow, rekey epoch bump) force an
-exit, and the whole dance is bit-identical across engine modes.
+exit, and the whole dance is bit-identical to the retired reference
+engine's golden run.
 """
 
-import repro.sim.engine as engine
 from repro.metrics import METRICS
 from repro.net.packet import VirtualPayload
 from repro.net.tcp import TcpStack
 from repro.net.topology import lan_pair
 from repro.sim.engine import Simulator
+from tests.test_replay_golden import load_golden
 
 N_BYTES = 2_000_000
 WINDOW = 65536
@@ -131,23 +132,22 @@ def test_fluid_completion_time_close_to_packet_mode():
     assert abs(fluid["done_at"] - packet["done_at"]) < 0.2 * packet["done_at"]
 
 
+def fluid_golden_row():
+    out = run_transfer(fluid=True)
+    conn = out["server_conn"]
+    return {
+        "done_at": out["done_at"],
+        "received_n": out["received_n"],
+        "segments": out["segments"],
+        "fluid_log": [list(entry) for entry in conn.fluid_log],
+        "fluid_bytes": conn.fluid_bytes,
+    }
+
+
 def test_fluid_identical_across_engine_modes():
-    saved = engine.DEFAULT_FAST_PATH
-    runs = {}
-    try:
-        for fast in (False, True):
-            engine.DEFAULT_FAST_PATH = fast
-            out = run_transfer(fluid=True)
-            runs[fast] = {
-                "done_at": out["done_at"],
-                "received_n": out["received_n"],
-                "segments": out["segments"],
-                "fluid_log": list(out["server_conn"].fluid_log),
-                "fluid_bytes": out["server_conn"].fluid_bytes,
-            }
-    finally:
-        engine.DEFAULT_FAST_PATH = saved
-    assert runs[False] == runs[True]
+    """The retired reference engine's last fluid transfer (frozen in
+    tests/golden/replay_digests.json) is reproduced to the last float."""
+    assert fluid_golden_row() == load_golden()["tcp_fluid"]
 
 
 def _open_competing_flow(sim, ctx):
