@@ -10,8 +10,8 @@ This package *enforces* that discipline mechanically:
 * :mod:`repro.analysis.statemachine` — protocol state-machine extraction
   checked against declarative RFC 5201/5206 transition tables
   (``CONF001``-``CONF003``);
-* :mod:`repro.analysis.taint` — intra-procedural secret-flow analysis for
-  the HIP/TLS stacks (``SEC001``/``SEC002``);
+* :mod:`repro.analysis.dataflow` — summary-based secret-flow analysis over
+  the whole-program call graph (``SEC001``-``SEC004``);
 * :mod:`repro.analysis.isolation` — shard-isolation rules: no shared
   mutable state across shard simulators (``ISO001``-``ISO004``);
 * :mod:`repro.analysis.lifecycle` — leak lints: timers, registries and
@@ -25,7 +25,7 @@ This package *enforces* that discipline mechanically:
 * :mod:`repro.analysis.runner` — file discovery, suppression handling and
   the ``python -m repro.analysis`` CLI;
 * :mod:`repro.analysis.report` — text and strict-JSON reporters (schema
-  ``repro-analysis/1``, sibling of ``repro-metrics/1``);
+  ``repro-analysis/2``, sibling of ``repro-metrics/1``);
 * :mod:`repro.analysis.replay` — the *dynamic* complement: run a scenario
   twice under one seed and compare flight-recorder digests.
 

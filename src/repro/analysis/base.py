@@ -1,4 +1,13 @@
-"""Checker framework: module context, visitor base class, rule registry."""
+"""Rule framework: contexts, declarative scope, the rule base class, registry.
+
+One protocol serves every rule.  The runner hands each registered
+:class:`Rule` the whole analyzed set (:class:`ProgramContext`); a rule that
+only needs one module at a time is the same thing iterated over
+``pctx.contexts``, and a family of rules fed by one whole-program pass
+(secret flow, wire validation, hot-path discipline) names that pass as data.
+Where a rule binds is data too (:class:`Scope`), evaluated by
+:func:`in_scope` and nothing else.
+"""
 
 from __future__ import annotations
 
@@ -7,41 +16,101 @@ from dataclasses import dataclass, field
 
 from repro.analysis.findings import Finding
 
+# -- small AST / path helpers shared by every pass -----------------------------
 
-def _parts(path: str) -> tuple[str, ...]:
+
+def path_parts(path: str) -> tuple[str, ...]:
+    """Components of a path as analyzed, whichever separator it came with."""
     return tuple(part for part in path.replace("\\", "/").split("/") if part)
+
+
+def call_name(func: ast.expr) -> str | None:
+    """Bare callable name: ``tls_prf`` or the attr of ``self._send_control``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def root_name(node: ast.expr) -> str | None:
+    """The base ``Name`` of an attribute/subscript chain, if any."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def self_attr(node: ast.expr) -> str | None:
+    """``self.X`` -> ``"X"`` (else None)."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+# -- scope ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Scope:
+    """Where a rule binds.  ``within``/``outside`` entries are runs of path
+    components: a directory (``"hip"``) or a module suffix
+    (``"hip/packets.py"``).
+    """
+
+    #: inside the ``repro`` package and not under ``tests`` — the simulator
+    #: proper, where the determinism contract is binding (test and benchmark
+    #: code may use the wall clock and ad-hoc randomness freely)
+    product: bool = False
+    #: when non-empty, at least one of these runs must be on the path
+    within: tuple[str, ...] = ()
+    #: none of these runs may be on the path
+    outside: tuple[str, ...] = ()
+
+
+EVERYWHERE = Scope()  # wherever the analyzer looks, tests included
+PRODUCT = Scope(product=True)
+
+
+def in_scope(scope: Scope, path: str) -> bool:
+    """The one scope evaluator: does a rule with ``scope`` bind at ``path``?"""
+    parts = path_parts(path)
+
+    def on_path(run: str) -> bool:
+        sub = tuple(run.split("/"))
+        return any(
+            parts[i : i + len(sub)] == sub for i in range(len(parts) - len(sub) + 1)
+        )
+
+    if scope.product and ("repro" not in parts or "tests" in parts):
+        return False
+    if scope.within and not any(on_path(run) for run in scope.within):
+        return False
+    return not any(on_path(run) for run in scope.outside)
+
+
+# -- contexts ------------------------------------------------------------------
 
 
 @dataclass
 class ModuleContext:
-    """Everything a checker may need about the module under analysis."""
+    """Everything a rule may need about one module under analysis."""
 
     path: str  # as reported in findings (repo-relative when possible)
     source: str
     tree: ast.Module
     findings: list[Finding] = field(default_factory=list)
     _aliases: dict[str, str] = field(default_factory=dict)
-    # Scratch space shared by the checkers that run on this module: rules
-    # which need the same expensive pass (state-machine extraction, taint
-    # propagation) compute it once and memoise it here, keyed by pass name.
+    # Scratch space shared by the rules that run on this module: rules which
+    # need the same expensive pass (state-machine extraction, module
+    # bindings) compute it once and memoise it here, keyed by pass name.
     cache: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._collect_aliases()
-
-    # -- scope ---------------------------------------------------------------
-    @property
-    def is_product(self) -> bool:
-        """True for modules inside the ``repro`` package (the simulator
-        proper), where the determinism contract is binding.  Test and
-        benchmark code may use the wall clock and ad-hoc randomness freely."""
-        parts = _parts(self.path)
-        return "repro" in parts and "tests" not in parts
-
-    @property
-    def is_rng_module(self) -> bool:
-        """``sim/rng.py`` — the one place allowed to construct ``Random``."""
-        return _parts(self.path)[-2:] == ("sim", "rng.py")
 
     # -- reporting -----------------------------------------------------------
     def add(self, rule: str, node: ast.AST, message: str) -> None:
@@ -98,44 +167,19 @@ class ModuleContext:
         return ".".join(reversed(chain))
 
 
-class Checker(ast.NodeVisitor):
-    """Base class for one rule.  Subclasses set ``rule``/``description`` and
-    visit nodes, calling :meth:`report` on violations."""
+def _build_program(pctx: "ProgramContext"):
+    from repro.analysis.callgraph import build_program
 
-    rule: str = ""
-    description: str = ""
-
-    def __init__(self, ctx: ModuleContext) -> None:
-        self.ctx = ctx
-
-    @classmethod
-    def applies(cls, ctx: ModuleContext) -> bool:
-        """Override to scope the rule (default: every analyzed file)."""
-        return True
-
-    def report(self, node: ast.AST, message: str) -> None:
-        self.ctx.add(self.rule, node, message)
-
-    def run(self) -> None:
-        self.visit(self.ctx.tree)
-
-
-class ProductChecker(Checker):
-    """A rule binding only inside the ``repro`` package."""
-
-    @classmethod
-    def applies(cls, ctx: ModuleContext) -> bool:
-        return ctx.is_product
+    return build_program(pctx.contexts)
 
 
 @dataclass
 class ProgramContext:
-    """The whole analyzed set at once, for interprocedural checkers.
+    """The whole analyzed set at once — what every rule is handed.
 
-    Per-module checkers see one :class:`ModuleContext`; program checkers
-    see all of them plus a shared ``cache`` where the expensive artifacts
-    (call graph, dataflow summaries) are computed once and reused by every
-    rule that needs them.
+    ``cache`` holds the expensive shared artifacts (call graph, each
+    family's whole-program pass), computed once per run through
+    :meth:`memo` and reused by every rule that needs them.
     """
 
     contexts: list[ModuleContext]
@@ -146,75 +190,84 @@ class ProgramContext:
             ctx.path: ctx for ctx in self.contexts
         }
 
+    def memo(self, compute):
+        """``compute(self)``, evaluated at most once per run."""
+        if compute not in self.cache:
+            self.cache[compute] = compute(self)
+        return self.cache[compute]
+
     def program(self):
         """Memoised ``(ProgramIndex, CallGraph)`` over the product modules."""
-        if "callgraph" not in self.cache:
-            from repro.analysis.callgraph import build_program
-
-            self.cache["callgraph"] = build_program(self.contexts)
-        return self.cache["callgraph"]
+        return self.memo(_build_program)
 
     def add(self, path: str, rule: str, node: ast.AST, message: str) -> None:
         """Report a finding into the owning module's context (so the normal
-        per-file suppression machinery applies to program-level rules)."""
+        per-file suppression machinery applies to whole-program rules)."""
         ctx = self.by_path.get(path)
         if ctx is not None:
             ctx.add(rule, node, message)
 
 
-class ProgramChecker:
-    """Base class for one whole-program rule."""
+# -- rules ---------------------------------------------------------------------
+
+
+class Rule(ast.NodeVisitor):
+    """Base class for one rule.  Subclasses set ``rule``/``description``
+    (and ``scope`` unless product code is it), then either visit nodes (one
+    fresh instance per in-scope module, calling :meth:`report` on
+    violations) or name the whole-program pass their family shares as
+    ``program_pass``."""
 
     rule: str = ""
     description: str = ""
+    scope: Scope = PRODUCT
+    #: ``pass(pctx) -> [(rule, path, node, message), ...]`` covering every
+    #: rule of a whole-program family; run once per analysis, each rule of
+    #: the family reports its own share.  None for per-module rules.
+    program_pass = None
 
-    def __init__(self, pctx: ProgramContext) -> None:
-        self.pctx = pctx
+    def __init__(self, ctx: ModuleContext) -> None:
+        self.ctx = ctx
 
     @classmethod
-    def applies(cls, pctx: ProgramContext) -> bool:
-        """Override to scope the rule (default: any analyzed set)."""
-        return True
+    def run(cls, pctx: ProgramContext) -> None:
+        if cls.program_pass is None:
+            for ctx in pctx.contexts:
+                if in_scope(cls.scope, ctx.path):
+                    cls(ctx).check()
+            return
+        for rule, path, node, message in pctx.memo(cls.program_pass):
+            if rule == cls.rule and in_scope(cls.scope, path):
+                pctx.add(path, rule, node, message)
 
-    def run(self) -> None:
-        raise NotImplementedError
+    def check(self) -> None:
+        self.visit(self.ctx.tree)
 
-
-REGISTRY: list[type[Checker]] = []
-PROGRAM_REGISTRY: list[type[ProgramChecker]] = []
-
-
-def _check_unique(rule: str, name: str) -> None:
-    if not rule:
-        raise ValueError(f"{name} has no rule id")
-    taken = {cls.rule for cls in REGISTRY} | {cls.rule for cls in PROGRAM_REGISTRY}
-    if rule in taken:
-        raise ValueError(f"duplicate rule id {rule}")
+    def report(self, node: ast.AST, message: str) -> None:
+        self.ctx.add(self.rule, node, message)
 
 
-def register(cls: type[Checker]) -> type[Checker]:
-    _check_unique(cls.rule, cls.__name__)
+REGISTRY: list[type[Rule]] = []
+
+
+def register(cls: type[Rule]) -> type[Rule]:
+    if not cls.rule:
+        raise ValueError(f"{cls.__name__} has no rule id")
+    if any(cls.rule == other.rule for other in REGISTRY):
+        raise ValueError(f"duplicate rule id {cls.rule}")
     REGISTRY.append(cls)
-    return cls
-
-
-def register_program(cls: type[ProgramChecker]) -> type[ProgramChecker]:
-    _check_unique(cls.rule, cls.__name__)
-    PROGRAM_REGISTRY.append(cls)
     return cls
 
 
 def registered_rules() -> dict[str, str]:
     """rule id -> description, for ``--list-rules`` and the JSON report."""
-    rules = {cls.rule: cls.description for cls in REGISTRY}
-    rules.update({cls.rule: cls.description for cls in PROGRAM_REGISTRY})
-    return rules
+    return {cls.rule: cls.description for cls in REGISTRY}
 
 
 def rule_doc(rule: str) -> str:
     """One-line doc for ``--list-rules``: first docstring line, else the
     registered description."""
-    for cls in (*REGISTRY, *PROGRAM_REGISTRY):
+    for cls in REGISTRY:
         if cls.rule == rule:
             doc = (cls.__doc__ or "").strip().splitlines()
             return doc[0].strip() if doc else cls.description

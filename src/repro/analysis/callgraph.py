@@ -1,17 +1,16 @@
 """Whole-program call graph over the ``repro`` package.
 
-The intra-procedural passes (``taint``, ``rules``) stop at function
-boundaries; the interprocedural rules (SEC003/004, VAL003, PERF001/002)
-need to know *who calls whom* across the whole tree.  This module builds
+The per-module rules (``rules``, ``isolation``, ``lifecycle``) stop at
+function boundaries; the whole-program families (SEC, VAL003, PERF) need
+to know *who calls whom* across the whole tree.  This module builds
 that graph statically from the ASTs the runner already parsed:
 
 * :class:`ProgramIndex` — every module, class and function in the analyzed
   set, keyed by dotted qualname (``repro.net.tcp.TcpConnection._pump``),
-  plus per-module import aliases and the repro-internal import graph;
+  plus per-module import aliases;
 * :class:`CallGraph` — caller→callee edges with CHA-style method
-  resolution, per-call-site target sets, reachability with root
-  provenance, and Tarjan SCCs in callee-first order for the dataflow
-  fixpoint (:mod:`repro.analysis.dataflow`).
+  resolution, per-call-site target sets, and Tarjan SCCs in callee-first
+  order for the dataflow fixpoint (:mod:`repro.analysis.dataflow`).
 
 Method resolution is class-hierarchy based and name-driven, the same
 bargain as the rest of the analysis package:
@@ -40,6 +39,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analysis.base import path_parts
+
 
 def module_name_of(path: str) -> str | None:
     """Dotted module name for a path inside the ``repro`` package.
@@ -49,11 +50,11 @@ def module_name_of(path: str) -> str | None:
     ``None`` — they are analyzed per-module but are not part of the
     whole-program graph.
     """
-    parts = [p for p in path.replace("\\", "/").split("/") if p]
+    parts = path_parts(path)
     if "repro" not in parts or not parts[-1].endswith(".py"):
         return None
     start = parts.index("repro")
-    mod_parts = parts[start:-1] + [parts[-1][: -len(".py")]]
+    mod_parts = [*parts[start:-1], parts[-1][: -len(".py")]]
     if mod_parts[-1] == "__init__":
         mod_parts = mod_parts[:-1]
     return ".".join(mod_parts)
@@ -118,8 +119,6 @@ class ProgramIndex:
         self.module_functions: dict[tuple[str, str], str] = {}
         #: module -> import aliases (local name -> dotted target)
         self.aliases: dict[str, dict[str, str]] = {}
-        #: module -> repro-internal modules it imports (for --changed-only)
-        self.module_imports: dict[str, set[str]] = {}
         #: path (as analyzed) -> module dotted name
         self.module_of_path: dict[str, str] = {}
 
@@ -138,27 +137,11 @@ class ProgramIndex:
                 continue
             index.module_of_path[ctx.path] = module
             index.aliases[module] = dict(ctx._aliases)
-            index.module_imports[module] = index._imported_modules(ctx.tree)
             index._index_module(module, ctx.path, ctx.tree)
         for name_map in (index.class_by_name, index.methods_by_name):
             for key in name_map:
                 name_map[key] = sorted(set(name_map[key]))
         return index
-
-    @staticmethod
-    def _imported_modules(tree: ast.Module) -> set[str]:
-        """Dotted ``repro.*`` modules this module imports (either form)."""
-        out: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                out.update(
-                    alias.name for alias in node.names
-                    if alias.name.split(".")[0] == "repro"
-                )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                if node.module.split(".")[0] == "repro":
-                    out.add(node.module)
-        return out
 
     def _index_module(self, module: str, path: str, tree: ast.Module) -> None:
         def add_function(
@@ -244,19 +227,6 @@ class ProgramIndex:
             for qual in self.class_by_name.get(name, ()):
                 queue.extend(self.classes[qual].bases)
         return seen
-
-    def changed_closure(self, changed_modules: set[str]) -> set[str]:
-        """Modules whose analysis may change when ``changed_modules`` change:
-        the changed set plus everything that (transitively) imports it."""
-        closure = set(changed_modules)
-        grew = True
-        while grew:
-            grew = False
-            for module, imports in self.module_imports.items():
-                if module not in closure and imports & closure:
-                    closure.add(module)
-                    grew = True
-        return closure
 
 
 class CallGraph:
@@ -417,29 +387,6 @@ class CallGraph:
     # -- queries -------------------------------------------------------------
     def callees(self, qualname: str) -> tuple[str, ...]:
         return self.edges.get(qualname, ())
-
-    def reachable(self, root_suffixes) -> dict[str, str]:
-        """BFS closure from roots named by dotted suffix.
-
-        Returns ``{reached qualname: root suffix it was reached from}`` —
-        the provenance makes PERF messages explain *why* a function is hot.
-        """
-        roots: list[tuple[str, str]] = []
-        for suffix in root_suffixes:
-            for qualname in sorted(self.edges):
-                if qualname == suffix or qualname.endswith("." + suffix):
-                    roots.append((qualname, suffix))
-        reached: dict[str, str] = {}
-        queue = list(roots)
-        while queue:
-            qualname, root = queue.pop(0)
-            if qualname in reached:
-                continue
-            reached[qualname] = root
-            for callee in self.edges.get(qualname, ()):
-                if callee not in reached:
-                    queue.append((callee, root))
-        return reached
 
     def sccs(self) -> list[tuple[str, ...]]:
         """Tarjan SCCs, emitted callees-first (reverse topological order of

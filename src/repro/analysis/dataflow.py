@@ -1,9 +1,27 @@
-"""Summary-based interprocedural dataflow over the whole-program call graph.
+"""Secret-flow analysis: one summary-based interpreter for SEC001-SEC004.
 
-PR 4's taint pass (:mod:`repro.analysis.taint`) is deliberately
-intra-procedural: a secret returned from ``tls_prf`` and logged two calls
-later is invisible to it.  This module closes that gap with the classic
-summary construction:
+The paper's confidentiality argument is only as good as the discipline that
+keeps key material off the wire and out of the observability layer.  This
+module tracks two taint classes through every product function:
+
+* **SECRET** — raw key material: DH shared secrets (``.shared_secret()``),
+  KEYMAT (``hip_keymat``/``hkdf_expand``/``hkdf_extract``), RSA-decrypted
+  premasters (``.decrypt()``), non-Finished ``tls_prf`` output, and any
+  name/attribute spelled like key material (``master_secret``, ``keymat``,
+  ``premaster``, ...).
+* **MAC** — values *derived* from secrets through a one-way function
+  (``.digest()``, ``hmac_digest``, ``tls_prf`` with a ``finished`` label).
+  MACs are designed to cross the wire, so they may reach packet builders —
+  but comparing one with ``==`` still leaks a byte-position timing oracle.
+
+Declassifiers stop propagation: ``.encrypt()`` (ciphertext is public),
+``ct_equal`` and ``len`` (booleans/lengths are not key bytes).  The
+observable sinks (:func:`observable_sinks`) are the flight recorder,
+metrics names, packet parameter builders, the plaintext control channel,
+``print``/``logging`` calls and exception messages.
+
+One flow-sensitive sweep (:class:`_InterFunction`) serves all four rules,
+built on the classic summary construction:
 
 * every function gets a :class:`Summary` — the taint of its return value
   (:class:`TaintVal`: a concrete SECRET/MAC/CLEAN level *plus* the set of
@@ -14,13 +32,14 @@ summary construction:
   (callee-first, iterating within a cycle until stable), so a chain
   ``A → B → C → sink`` composes: C's ``param_sinks`` lifts into B's, then
   into A's;
-* a final reporting sweep re-walks every function with the fixed
-  summaries and flags **SEC003** (secret crossing a call boundary into a
-  sink — returned from a producer through helpers, or passed as an
-  argument into a function that sinks it) and **SEC004** (secret material
-  parked in an attribute *not* spelled like key material, read back
-  elsewhere and sunk — the attribute round-trip the intra pass can only
-  see for ``SECRET_NAMES`` spellings).
+* a final reporting sweep re-walks every function and every module body
+  with the fixed summaries.  A secret reaching a sink is exactly one of
+  **SEC001** (the flow stays inside one function), **SEC003** (it crossed a
+  call boundary — returned from a producer through helpers, or passed as an
+  argument into a function that sinks it) or **SEC004** (it was parked in
+  an attribute *not* spelled like key material and read back elsewhere);
+  **SEC002** is a SECRET or MAC operand of ``==``/``!=`` — use
+  :func:`repro.crypto.hmac_kdf.ct_equal` instead.
 
 Attribute discovery iterates: attributes found to hold secrets extend the
 source set and summaries are recomputed, until the set is stable (three
@@ -42,23 +61,76 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.base import ProgramChecker, ProgramContext, register_program
+from repro.analysis.base import ProgramContext, Rule, Scope, call_name, register
 from repro.analysis.callgraph import CallGraph, FunctionInfo, ProgramIndex
-from repro.analysis.taint import (
-    CLEAN,
-    MAC,
-    SECRET,
-    SECRET_NAMES,
-    _DECLASSIFY_ATTRS,
-    _DECLASSIFY_CALLS,
-    _MAC_PRODUCER_ATTRS,
-    _MAC_PRODUCER_CALLS,
-    _SECRET_PRODUCER_ATTRS,
-    _SECRET_PRODUCER_CALLS,
-    _SINK_CALLS,
-    label_candidates,
-    tls_prf_taint,
+
+CLEAN = 0
+MAC = 1
+SECRET = 2
+
+_CLASS_NAMES = {MAC: "MAC-derived", SECRET: "secret"}
+
+#: Identifiers that *are* key material wherever they appear.  Matching by
+#: terminal name lets taint survive attribute round-trips without waiting
+#: for attribute discovery (``assoc.keymat`` written in one handler, read
+#: in another).
+SECRET_NAMES = frozenset(
+    {
+        "shared_secret",
+        "dh_secret",
+        "premaster",
+        "master_secret",
+        "keymat",
+        "new_keymat",
+        "session_key",
+        "private_key",
+        "enc_key",
+        "icv_key",
+    }
 )
+
+_SECRET_PRODUCER_CALLS = frozenset({"hip_keymat", "hkdf_expand", "hkdf_extract"})
+_MAC_PRODUCER_CALLS = frozenset({"hmac_digest"})
+_DECLASSIFY_CALLS = frozenset({"ct_equal", "len"})
+_SECRET_PRODUCER_ATTRS = frozenset({"shared_secret", "decrypt"})
+_MAC_PRODUCER_ATTRS = frozenset({"digest", "hexdigest"})
+_DECLASSIFY_ATTRS = frozenset({"encrypt"})
+_SINK_CALLS = frozenset({"_send_control", "_send_message"})
+
+_EXCEPTION = "an exception message"
+_NEVER_SINK = (
+    "secrets must never reach an observable sink — derive a MAC/PRF output "
+    "or encrypt first"
+)
+
+
+def label_candidates(
+    node: ast.expr, consts: dict[str, bytes]
+) -> list[bytes] | None:
+    """Constant candidates for a ``tls_prf`` label, or None if opaque."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, bytes):
+        return [node.value]
+    if isinstance(node, ast.Name) and node.id in consts:
+        return [consts[node.id]]
+    if isinstance(node, ast.IfExp):
+        body = label_candidates(node.body, consts)
+        orelse = label_candidates(node.orelse, consts)
+        if body is not None and orelse is not None:
+            return body + orelse
+    return None
+
+
+def tls_prf_taint(node: ast.Call, consts: dict[str, bytes]) -> int:
+    """Taint class of a ``tls_prf(...)`` call result.
+
+    Finished verify_data is PRF output *meant* for the wire; any other
+    label (master secret, key expansion) derives key bytes.
+    """
+    if len(node.args) >= 2:
+        labels = label_candidates(node.args[1], consts)
+        if labels is not None and all(b"finished" in lb for lb in labels):
+            return MAC
+    return SECRET
 
 
 @dataclass(frozen=True)
@@ -69,8 +141,8 @@ class TaintVal:
     symbolic part — indices of the enclosing function's parameters whose
     call-time taint flows into this value; ``via_call`` marks taint that
     crossed at least one program-function boundary (what distinguishes a
-    SEC003 from the intra pass's SEC001); ``attrs`` the discovered
-    secret-bearing attributes that contributed (what makes it a SEC004).
+    SEC003 from a SEC001); ``attrs`` the discovered secret-bearing
+    attributes that contributed (what makes it a SEC004).
     """
 
     level: int = CLEAN
@@ -111,14 +183,6 @@ class Summary:
     attr_sites: dict[str, str] = field(default_factory=dict)
 
 
-def _call_name(func: ast.expr) -> str | None:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def _short(qualname: str) -> str:
     return ".".join(qualname.split(".")[-2:])
 
@@ -126,10 +190,10 @@ def _short(qualname: str) -> str:
 def observable_sinks(
     node: ast.Call, aliases: dict[str, str]
 ) -> list[tuple[ast.expr, str]]:
-    """(value, sink description) pairs for one call, superset of the intra
-    pass's sink table plus ``print`` and ``logging``."""
+    """(value, sink description) pairs for one call — the one sink table
+    every SEC rule reads."""
     func = node.func
-    name = _call_name(func)
+    name = call_name(func)
     all_values = list(node.args) + [kw.value for kw in node.keywords]
     if (
         isinstance(func, ast.Attribute)
@@ -160,11 +224,14 @@ def observable_sinks(
 
 
 class _InterFunction:
-    """One flow-sensitive sweep over a function with summaries applied.
+    """One flow-sensitive sweep over a function (or a module body) with
+    summaries applied.
 
-    Used twice: ``summarize()`` during the fixpoint (reporting disabled)
-    and ``check()`` during the final sweep (summaries fixed, findings
-    collected through the ``report`` callback).
+    Used twice: during the fixpoint (no ``report`` callback, the
+    :class:`Summary` is the product) and during the final sweep (summaries
+    fixed, findings collected through ``report``).  The comparison check and
+    the branch-test walk only feed findings, never a summary, so they run
+    in the reporting sweep alone and the fixpoint does not pay for them.
     """
 
     def __init__(
@@ -193,13 +260,9 @@ class _InterFunction:
             level = SECRET if param in SECRET_NAMES else CLEAN
             self.env[param] = TaintVal(level=level, params=frozenset({i}))
 
-    # -- entry points --------------------------------------------------------
-    def summarize(self) -> Summary:
+    def run(self) -> Summary:
         self._sweep(self.fn.node.body)
         return self.summary
-
-    def check(self) -> None:
-        self._sweep(self.fn.node.body)
 
     # -- taint of expressions ------------------------------------------------
     def taint_of(self, node: ast.expr) -> TaintVal:
@@ -265,7 +328,7 @@ class _InterFunction:
         return out
 
     def _call_taint(self, node: ast.Call) -> TaintVal:
-        name = _call_name(node.func)
+        name = call_name(node.func)
         if name == "tls_prf":
             return TaintVal(level=tls_prf_taint(node, self.consts))
         if isinstance(node.func, ast.Attribute):
@@ -288,7 +351,7 @@ class _InterFunction:
             result = result.join(self._apply_summary(node, target))
         if not known:
             # Unknown callable (builtin, stdlib, unresolved): conservative
-            # argument propagation, exactly like the intra pass.
+            # argument propagation.
             if isinstance(node.func, ast.Attribute):
                 return self.taint_of(node.func.value).join(self._arg_taint(node))
             return self._arg_taint(node)
@@ -345,13 +408,19 @@ class _InterFunction:
         return result
 
     # -- reporting -----------------------------------------------------------
+    def _emit(self, rule: str, node: ast.AST, message: str) -> None:
+        key = (rule, getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
+        if key not in self._reported:
+            self._reported.add(key)
+            self.report(rule, self.fn.path, node, message)
+
     def _flag(
         self, node: ast.expr, val: TaintVal, what: str, across_call: bool = False
-    ) -> None:
-        """Report a secret reaching ``what``, choosing SEC003 vs SEC004."""
+    ) -> bool:
+        """Report a secret reaching ``what`` under exactly one of SEC004,
+        SEC003 or SEC001; True when ``val`` was a secret."""
         if self.report is None or val.level != SECRET:
-            return
-        key_base = (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
+            return False
         if val.attrs:
             attr = sorted(val.attrs)[0]
             origin = self.attr_origin.get(attr, "elsewhere")
@@ -363,15 +432,19 @@ class _InterFunction:
         elif val.via_call or across_call:
             rule, message = "SEC003", (
                 f"secret-derived value crosses a call boundary into {what}; "
-                "secrets must never reach an observable sink — derive a "
-                "MAC/PRF output or encrypt first"
+                f"{_NEVER_SINK}"
+            )
+        elif what == _EXCEPTION:  # purely local flow from here on
+            rule, message = "SEC001", (
+                "secret-derived value interpolated into an exception; "
+                "tracebacks land in logs and CI output"
             )
         else:
-            return  # purely local flow: the intra pass's (SEC001) territory
-        key = (rule, *key_base)
-        if key not in self._reported:
-            self._reported.add(key)
-            self.report(rule, self.fn.path, node, message)
+            rule, message = "SEC001", (
+                f"secret-derived value flows into {what}; {_NEVER_SINK}"
+            )
+        self._emit(rule, node, message)
+        return True
 
     def _check_sink_call(self, node: ast.Call) -> None:
         for value, what in observable_sinks(node, self.aliases):
@@ -380,18 +453,33 @@ class _InterFunction:
             for param in val.params:
                 self.summary.param_sinks.setdefault(param, what)
 
+    def _check_compare(self, node: ast.Compare) -> None:
+        if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            return
+        for operand in [node.left, *node.comparators]:
+            level = self.taint_of(operand).level
+            if level >= MAC:
+                self._emit(
+                    "SEC002",
+                    node,
+                    f"{_CLASS_NAMES[level]} value compared with ==/!=, which "
+                    "short-circuits on the first differing byte; use "
+                    "repro.crypto.hmac_kdf.ct_equal",
+                )
+                return
+
     def _check_raise(self, node: ast.Raise) -> None:
         for target in (node.exc, node.cause):
             if target is None:
                 continue
+            flagged = False  # one leak, one finding: the outermost expression
             for sub in ast.walk(target):
                 if isinstance(sub, ast.expr):
                     val = self.taint_of(sub)
-                    self._flag(sub, val, "an exception message")
+                    if not flagged:
+                        flagged = self._flag(sub, val, _EXCEPTION)
                     for param in val.params:
-                        self.summary.param_sinks.setdefault(
-                            param, "an exception message"
-                        )
+                        self.summary.param_sinks.setdefault(param, _EXCEPTION)
 
     # -- statement walk ------------------------------------------------------
     def _assign_name(self, target: ast.expr, val: TaintVal) -> None:
@@ -414,13 +502,15 @@ class _InterFunction:
                     f"{self.fn.path}:{getattr(target, 'lineno', 0)}",
                 )
 
-    def _check_exprs(self, stmt: ast.stmt) -> None:
+    def _check_exprs(self, stmt: ast.AST) -> None:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Call):
                 self._check_sink_call(node)
                 self._call_taint(node)  # summary application side effects
             elif isinstance(node, ast.Yield) and node.value is not None:
                 self.summary.ret = self.summary.ret.join(self.taint_of(node.value))
+            elif isinstance(node, ast.Compare) and self.report is not None:
+                self._check_compare(node)
         if isinstance(stmt, ast.Raise):
             self._check_raise(stmt)
         if isinstance(stmt, ast.Return) and stmt.value is not None:
@@ -431,6 +521,8 @@ class _InterFunction:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue  # nested scopes are separate graph nodes
             if isinstance(stmt, ast.If):
+                if self.report is not None:
+                    self._check_exprs(stmt.test)
                 before = dict(self.env)
                 self._sweep(stmt.body)
                 after_body = self.env
@@ -442,6 +534,8 @@ class _InterFunction:
             if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
                 if not isinstance(stmt, ast.While):
                     self._assign_name(stmt.target, self.taint_of(stmt.iter))
+                elif self.report is not None:
+                    self._check_exprs(stmt.test)
                 # Sweep twice so taint assigned late in the body reaches
                 # sinks earlier in it on the second iteration.
                 self._sweep(stmt.body)
@@ -496,8 +590,8 @@ class SecretFlowAnalysis:
         self.index = index
         self.graph = graph
 
-    def analyze(self) -> list[tuple[str, str, ast.AST, str]]:
-        """(rule, path, node, message) tuples for SEC003/SEC004."""
+    def analyze(self, contexts) -> list[tuple[str, str, ast.AST, str]]:
+        """(rule, path, node, message) tuples for SEC001-SEC004."""
         secret_attrs: frozenset[str] = frozenset()
         attr_origin: dict[str, str] = {}
         summaries: dict[str, Summary] = {}
@@ -519,8 +613,23 @@ class SecretFlowAnalysis:
         def collect(rule: str, path: str, node: ast.AST, message: str) -> None:
             findings.append((rule, path, node, message))
 
-        for qualname in sorted(self.index.functions):
-            fn = self.index.functions[qualname]
+        scopes = [self.index.functions[q] for q in sorted(self.index.functions)]
+        # Module-level statements too (metrics registrations and the like):
+        # a module body sweeps like a parameterless function.
+        for ctx in contexts:
+            module = self.index.module_of_path.get(ctx.path)
+            if module is not None:
+                scopes.append(
+                    FunctionInfo(
+                        qualname=module,
+                        module=module,
+                        path=ctx.path,
+                        name="<module>",
+                        class_name=None,
+                        node=ctx.tree,
+                    )
+                )
+        for fn in scopes:
             _InterFunction(
                 fn,
                 self.index,
@@ -529,7 +638,7 @@ class SecretFlowAnalysis:
                 secret_attrs,
                 attr_origin,
                 report=collect,
-            ).check()
+            ).run()
         return findings
 
     def compute_summaries(
@@ -544,7 +653,7 @@ class SecretFlowAnalysis:
                     fn = self.index.functions[qualname]
                     new = _InterFunction(
                         fn, self.index, self.graph, summaries, secret_attrs
-                    ).summarize()
+                    ).run()
                     if new != summaries.get(qualname):
                         summaries[qualname] = new
                         changed = True
@@ -587,51 +696,72 @@ def propagate_raises(
 
 
 def secretflow_findings(pctx: ProgramContext) -> list[tuple[str, str, ast.AST, str]]:
-    """Run (and memoise) the interprocedural secret-flow analysis."""
-    if "secretflow" not in pctx.cache:
-        index, graph = pctx.program()
-        pctx.cache["secretflow"] = SecretFlowAnalysis(index, graph).analyze()
-    return pctx.cache["secretflow"]
+    """The secret-flow pass all four SEC rules share."""
+    index, graph = pctx.program()
+    return SecretFlowAnalysis(index, graph).analyze(pctx.contexts)
 
 
-def _in_secret_scope(path: str) -> bool:
-    """Product modules minus the crypto primitives (they *are* the
-    implementation, with no observable sinks) and this analysis package."""
-    parts = tuple(p for p in path.replace("\\", "/").split("/") if p)
-    return (
-        "repro" in parts
-        and "tests" not in parts
-        and "crypto" not in parts
-        and "analysis" not in parts
+class _SecretFlowRule(Rule):
+    program_pass = secretflow_findings
+
+
+#: The protocol stacks, where key material lives and is compared.
+_STACKS = Scope(product=True, within=("hip", "tls"))
+#: Product modules minus the crypto primitives (they *are* the
+#: implementation, with no observable sinks) and this analysis package.
+_PROGRAM = Scope(product=True, outside=("crypto", "analysis"))
+
+
+@register
+class SecretSinkChecker(_SecretFlowRule):
+    """A secret that reaches the recorder, a metric, an exception message or
+    an unencrypted packet parameter is permanently disclosed — replay files
+    and CI artifacts outlive any key rotation."""
+
+    rule = "SEC001"
+    description = (
+        "key material (DH secret, KEYMAT, premaster, session key) must not "
+        "reach an observable sink (recorder, metrics, exceptions, plaintext "
+        "packet parameters)"
     )
+    scope = _STACKS
 
 
-class _SecretFlowChecker(ProgramChecker):
-    def run(self) -> None:
-        for rule, path, node, message in secretflow_findings(self.pctx):
-            if rule == self.rule and _in_secret_scope(path):
-                self.pctx.add(path, rule, node, message)
+@register
+class NonConstantTimeCompareChecker(_SecretFlowRule):
+    """``==`` on secret-derived bytes short-circuits at the first differing
+    byte; an attacker measuring response times can forge a MAC one byte at
+    a time.  All such comparisons go through ``ct_equal``."""
+
+    rule = "SEC002"
+    description = (
+        "secret- or MAC-derived bytes compared with ==/!= instead of the "
+        "constant-time helper ct_equal"
+    )
+    scope = _STACKS
 
 
-@register_program
-class InterproceduralSecretEscapeChecker(_SecretFlowChecker):
+@register
+class InterproceduralSecretEscapeChecker(_SecretFlowRule):
     """key material crossing a call boundary into a log, metric, exception or packet field"""
 
     rule = "SEC003"
     description = (
         "secret crossing a call boundary (returned from a producer through "
         "helpers, or passed into a function that sinks it) reaches an "
-        "observable sink the intra-procedural pass cannot see"
+        "observable sink"
     )
+    scope = _PROGRAM
 
 
-@register_program
-class SecretAttributeEscapeChecker(_SecretFlowChecker):
+@register
+class SecretAttributeEscapeChecker(_SecretFlowRule):
     """secret parked in an innocuously-named attribute, read back and leaked elsewhere"""
 
     rule = "SEC004"
     description = (
-        "attribute assigned secret material (under a name the intra pass "
-        "does not recognize) is read in another function and flows into an "
-        "observable sink"
+        "attribute assigned secret material (under a name SECRET_NAMES does "
+        "not list) is read in another function and flows into an observable "
+        "sink"
     )
+    scope = _PROGRAM

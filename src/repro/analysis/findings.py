@@ -23,14 +23,9 @@ class Finding:
     message: str
     suppressed: bool = False
     justification: str | None = None
-    #: Accepted by a baseline file (``--baseline``): reported, not gating.
-    baselined: bool = False
 
     def suppress(self, justification: str | None) -> "Finding":
         return replace(self, suppressed=True, justification=justification)
-
-    def baseline(self) -> "Finding":
-        return replace(self, baselined=True)
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -44,7 +39,6 @@ class Finding:
             "message": self.message,
             "suppressed": self.suppressed,
             "justification": self.justification,
-            "baselined": self.baselined,
         }
 
 

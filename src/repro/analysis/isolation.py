@@ -23,8 +23,8 @@ Scope: product code except ``repro/analysis`` itself — the analysis layer
 is deliberately process-global instrumentation (``WIRE_TAPS`` /
 ``CAUSALITY_TAPS`` installs, registry side effects) and never runs inside
 a shard.  Intentional exceptions in the simulator (the ``METRICS``
-get-or-create handles, the fast-path rearm inlining, the ``packet_id``
-debug counter) carry ``# repro: ignore[ISO...]`` suppressions with their
+get-or-create handles, the fast-path rearm inlining, the TCP segment
+pool) carry ``# repro: ignore[ISO...]`` suppressions with their
 justification at the site.
 """
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.base import Checker, ModuleContext, _parts, register
+from repro.analysis.base import ModuleContext, Rule, Scope, register, root_name
 
 #: Methods that mutate their receiver in place.
 _MUTATORS = frozenset(
@@ -86,9 +86,8 @@ _SIMULATOR_CONSTRUCTORS = frozenset(
 _METRIC_FACTORY_PREFIX = "repro.metrics.METRICS."
 
 
-def _iso_scope(ctx: ModuleContext) -> bool:
-    """Product code minus the analysis layer (see module docstring)."""
-    return ctx.is_product and "analysis" not in _parts(ctx.path)
+#: Product code minus the analysis layer (see module docstring).
+ISO_SCOPE = Scope(product=True, outside=("analysis",))
 
 
 def _module_bindings(ctx: ModuleContext) -> dict[str, str]:
@@ -133,18 +132,11 @@ def _module_bindings(ctx: ModuleContext) -> dict[str, str]:
     return bindings
 
 
-def _root_name(node: ast.expr) -> str | None:
-    """The base ``Name`` of an attribute/subscript chain, if any."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
 # ------------------------------------------------------------------ ISO001 --
 
 
 @register
-class ModuleStateWriteChecker(Checker):
+class ModuleStateWriteChecker(Rule):
     """Module-level mutable bindings are process-globals: one object per
     *process*, not per shard.  A forked worker mutates its private copy (the
     write is lost at the sync barrier), an inline worker mutates state every
@@ -157,10 +149,7 @@ class ModuleStateWriteChecker(Checker):
         "no runtime writes to module-level mutable state (containers, "
         "counters, cross-module attribute writes); own it via sim.services"
     )
-
-    @classmethod
-    def applies(cls, ctx: ModuleContext) -> bool:
-        return _iso_scope(ctx)
+    scope = ISO_SCOPE
 
     def __init__(self, ctx: ModuleContext) -> None:
         super().__init__(ctx)
@@ -236,7 +225,7 @@ class ModuleStateWriteChecker(Checker):
         # from-imported repro name; plain Name rebinding without `global`
         # is a local, not a module write.
         if isinstance(target, (ast.Attribute, ast.Subscript)):
-            root = _root_name(target)
+            root = root_name(target)
             if root is not None:
                 # Same-module METRICS handles are the sanctioned exception.
                 if self._bindings.get(root) == "metric":
@@ -265,7 +254,7 @@ class ModuleStateWriteChecker(Checker):
 
 
 @register
-class SimulatorPrivateWriteChecker(Checker):
+class SimulatorPrivateWriteChecker(Rule):
     """Only the engine owns the engine.  A module that pokes ``sim._seq`` or
     heap-pushes onto ``sim._heap`` bypasses the scheduling invariants the
     shard sync proof relies on (monotonic sequence numbers, one writer per
@@ -277,10 +266,7 @@ class SimulatorPrivateWriteChecker(Checker):
         "no writes to Simulator-private attributes (sim._seq, sim._heap, ...) "
         "outside repro/sim"
     )
-
-    @classmethod
-    def applies(cls, ctx: ModuleContext) -> bool:
-        return _iso_scope(ctx) and "sim" not in _parts(ctx.path)
+    scope = Scope(product=True, outside=("analysis", "sim"))
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_function(node)
@@ -350,7 +336,7 @@ def _is_mutable_value(node: ast.expr, ctx: ModuleContext) -> bool:
 
 
 @register
-class ClassMutableAttrChecker(Checker):
+class ClassMutableAttrChecker(Rule):
     """A class-level container is one object shared by every instance in
     every shard — the instance-attribute spelling (`self.x = []` in
     ``__init__``) is what per-shard ownership requires.  Dataclass fields
@@ -361,10 +347,7 @@ class ClassMutableAttrChecker(Checker):
         "no class-level mutable attributes ([], {}, set(), deque(), ...); "
         "initialize per-instance in __init__"
     )
-
-    @classmethod
-    def applies(cls, ctx: ModuleContext) -> bool:
-        return _iso_scope(ctx)
+    scope = ISO_SCOPE
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         for stmt in node.body:
@@ -392,7 +375,7 @@ class ClassMutableAttrChecker(Checker):
 
 
 @register
-class SimulatorEscapeChecker(Checker):
+class SimulatorEscapeChecker(Rule):
     """A ``Simulator`` bound at module scope (or hiding in a default
     argument) is shared by every importer — including shards that must each
     own exactly one.  Functions capturing such a global smuggle one shard's
@@ -403,10 +386,7 @@ class SimulatorEscapeChecker(Checker):
         "no module-level Simulator instances, Simulator default arguments, "
         "or closures capturing a module-global Simulator"
     )
-
-    @classmethod
-    def applies(cls, ctx: ModuleContext) -> bool:
-        return _iso_scope(ctx)
+    scope = ISO_SCOPE
 
     def __init__(self, ctx: ModuleContext) -> None:
         super().__init__(ctx)

@@ -17,14 +17,14 @@ rules demand the release half of every acquire:
 LIF001/LIF002 bind to product code; LIF003 binds everywhere (tests are
 exactly where taps get installed).  Deliberately permanent registries
 (e.g. a daemon's host table that lives as long as the simulation) carry
-``# repro: ignore[LIF002]`` suppressions or a baseline entry.
+``# repro: ignore[LIF002]`` suppressions.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.base import Checker, ModuleContext, ProductChecker, register
+from repro.analysis.base import EVERYWHERE, ModuleContext, Rule, register, self_attr
 
 _TIMER_FACTORIES = frozenset({"call_later", "call_at"})
 
@@ -44,22 +44,11 @@ _GROWERS = frozenset({"append", "appendleft", "add", "insert", "setdefault"})
 _SHRINKERS = frozenset({"pop", "popitem", "popleft", "remove", "discard", "clear"})
 
 
-def _self_attr(node: ast.expr) -> str | None:
-    """``self.X`` -> ``"X"`` (else None)."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 # ------------------------------------------------------------------ LIF001 --
 
 
 @register
-class TimerLeakChecker(ProductChecker):
+class TimerLeakChecker(Rule):
     """A stored timer handle is a promise to fire; teardown must revoke it.
     An uncancelled handle keeps its callback (and the whole object graph
     behind it) live on the heap and fires after close(), resurrecting state
@@ -81,13 +70,13 @@ class TimerLeakChecker(ProductChecker):
                 func = stmt.value.func
                 if isinstance(func, ast.Attribute) and func.attr in _TIMER_FACTORIES:
                     for target in stmt.targets:
-                        attr = _self_attr(target)
+                        attr = self_attr(target)
                         if attr is not None and attr not in created:
                             created[attr] = stmt
             elif isinstance(stmt, ast.Call):
                 func = stmt.func
                 if isinstance(func, ast.Attribute) and func.attr == "cancel":
-                    attr = _self_attr(func.value)
+                    attr = self_attr(func.value)
                     if attr is not None:
                         cancelled.add(attr)
         for attr, site in sorted(created.items()):
@@ -116,7 +105,7 @@ def _is_empty_container(node: ast.expr, ctx: ModuleContext) -> bool:
 
 
 @register
-class ResourceLeakChecker(ProductChecker):
+class ResourceLeakChecker(Rule):
     """An attribute that starts empty and only ever gains entries is the
     static signature of a leak: an SA registry without teardown, a
     connection table without a close path.  At million-session scale these
@@ -146,7 +135,7 @@ class ResourceLeakChecker(ProductChecker):
                         else:
                             targets.append(target)
                     for target in targets:
-                        attr = _self_attr(target)
+                        attr = self_attr(target)
                         if attr is not None:
                             if in_init and _is_empty_container(stmt.value, self.ctx):
                                 empties.add(attr)
@@ -154,13 +143,13 @@ class ResourceLeakChecker(ProductChecker):
                                 shrinks.add(attr)  # rebinding is a reset
                         # self.X[k] = v grows the table
                         elif isinstance(target, ast.Subscript) and not in_init:
-                            attr = _self_attr(target.value)
+                            attr = self_attr(target.value)
                             if attr is not None:
                                 grows.setdefault(attr, stmt)
                 elif isinstance(stmt, ast.Call):
                     f = stmt.func
                     if isinstance(f, ast.Attribute):
-                        attr = _self_attr(f.value)
+                        attr = self_attr(f.value)
                         if attr is not None:
                             if f.attr in _GROWERS and not in_init:
                                 grows.setdefault(attr, stmt)
@@ -169,7 +158,7 @@ class ResourceLeakChecker(ProductChecker):
                 elif isinstance(stmt, ast.Delete):
                     for target in stmt.targets:
                         if isinstance(target, ast.Subscript):
-                            attr = _self_attr(target.value)
+                            attr = self_attr(target.value)
                             if attr is not None:
                                 shrinks.add(attr)
         for attr in sorted(set(empties) & set(grows) - shrinks):
@@ -186,7 +175,7 @@ class ResourceLeakChecker(ProductChecker):
 
 
 @register
-class TapLeakChecker(Checker):
+class TapLeakChecker(Rule):
     """Sanitizer taps are process-global by design, which is exactly why a
     leaked one is poisonous: it outlives its test and asserts against every
     later run in the process.  Installation must be paired with removal in
@@ -198,6 +187,7 @@ class TapLeakChecker(Checker):
         "*_TAPS.append(...) needs a paired .remove() in the same function; "
         "prefer the sanitizer context managers"
     )
+    scope = EVERYWHERE
 
     @staticmethod
     def _walk_scope(body):

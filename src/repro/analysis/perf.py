@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.base import ProgramChecker, ProgramContext, register_program
+from repro.analysis.base import ProgramContext, Rule, Scope, in_scope, register
 
 #: Fast-lane dispatch roots, as ``Class.method`` qualname suffixes.  The
 #: serializer callbacks are wired through bound-method references
@@ -71,11 +71,10 @@ CHA_FANOUT_LIMIT = 3
 _REGISTRY_LOOKUPS = frozenset({"counter", "gauge", "histogram"})
 
 
-def _tooling_path(path: str) -> bool:
-    """The analysis package itself (and its causality sanitizer) is
-    offline tooling — opaque CHA edges into it are spurious."""
-    norm = path.replace("\\", "/")
-    return "/analysis/" in norm or "/tests/" in norm
+#: The analysis package itself (and its causality sanitizer) is offline
+#: tooling — opaque CHA edges into it are spurious, so the hot walk neither
+#: follows nor reports them.
+_HOT_SCOPE = Scope(outside=("analysis", "tests"))
 
 
 def _is_cold_if(node: ast.If) -> bool:
@@ -147,8 +146,8 @@ def hot_nodes(fn_node):
 def hot_reachable(index, graph) -> dict[str, str]:
     """Hot closure of :data:`ROOTS` with root provenance.
 
-    Unlike :meth:`CallGraph.reachable`, only calls in the hot region are
-    followed, and ambiguous CHA target sets are pruned.
+    Only calls in the hot region are followed, and ambiguous CHA target
+    sets are pruned.
     """
     queue: list[tuple[str, str]] = []
     for suffix in ROOTS:
@@ -161,7 +160,7 @@ def hot_reachable(index, graph) -> dict[str, str]:
         if qualname in reached:
             continue
         fn = index.functions.get(qualname)
-        if fn is not None and _tooling_path(fn.path):
+        if fn is not None and not in_scope(_HOT_SCOPE, fn.path):
             continue
         reached[qualname] = root
         if fn is None:
@@ -219,9 +218,7 @@ def _observability_problem(node: ast.AST, resolve_call) -> str | None:
 
 
 def perf_findings(pctx: ProgramContext) -> list[tuple[str, str, ast.AST, str]]:
-    """Run (and memoise) the hot-path discipline scan."""
-    if "perf" in pctx.cache:
-        return pctx.cache["perf"]
+    """The hot-path discipline scan PERF001/PERF002 share."""
     index, graph = pctx.program()
     findings: list[tuple[str, str, ast.AST, str]] = []
     for qualname, root in sorted(hot_reachable(index, graph).items()):
@@ -237,18 +234,15 @@ def perf_findings(pctx: ProgramContext) -> list[tuple[str, str, ast.AST, str]]:
             obs = _observability_problem(node, ctx.resolve_call)
             if obs is not None:
                 findings.append(("PERF002", fn.path, node, f"{obs} {where}"))
-    pctx.cache["perf"] = findings
     return findings
 
 
-class _PerfChecker(ProgramChecker):
-    def run(self) -> None:
-        for rule, path, node, message in perf_findings(self.pctx):
-            if rule == self.rule:
-                self.pctx.add(path, rule, node, message)
+class _PerfChecker(Rule):
+    scope = _HOT_SCOPE
+    program_pass = perf_findings
 
 
-@register_program
+@register
 class HotPathAllocationChecker(_PerfChecker):
     """per-event allocation (dict, closure, f-string, .format) in fast-lane code"""
 
@@ -259,7 +253,7 @@ class HotPathAllocationChecker(_PerfChecker):
     )
 
 
-@register_program
+@register
 class HotPathObservabilityChecker(_PerfChecker):
     """logging/print or METRICS registry lookup per event in fast-lane code"""
 

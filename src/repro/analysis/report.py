@@ -1,10 +1,10 @@
 """Text and strict-JSON reporters for analysis results.
 
-The JSON schema (version ``repro-analysis/1``) is the linter sibling of the
+The JSON schema (version ``repro-analysis/2``) is the linter sibling of the
 ``repro-metrics/1`` run report::
 
     {
-      "schema": "repro-analysis/1",
+      "schema": "repro-analysis/2",
       "rules":     {"<RULE>": "<description>", ...},   # every registered rule
       "files":     int,                                 # files analyzed
       "findings":  [{"path": str, "line": int, "col": int, "rule": str,
@@ -24,16 +24,14 @@ Strict JSON throughout — no NaN, stable key order, findings sorted by
 from __future__ import annotations
 
 from repro.analysis.base import registered_rules
-from repro.analysis.findings import Finding
 
-ANALYSIS_SCHEMA = "repro-analysis/1"
+ANALYSIS_SCHEMA = "repro-analysis/2"
 
 # Findings about the analysis itself (not produced by registered checkers).
 META_RULES = {
     "ANA000": "file failed to parse",
     "ANA001": "suppression comment lacks a `-- justification`",
     "ANA002": "suppression comment matched no finding",
-    "ANA003": "baseline entry matched no finding (stale baseline)",
 }
 
 
@@ -41,7 +39,6 @@ def analysis_json(result) -> dict:
     """JSON-ready report for one :class:`~repro.analysis.runner.AnalysisResult`."""
     active = sorted(result.active)
     suppressed = sorted(result.suppressed)
-    baselined = sorted(getattr(result, "baselined", []))
     counts: dict[str, int] = {}
     for finding in active:
         counts[finding.rule] = counts.get(finding.rule, 0) + 1
@@ -51,7 +48,6 @@ def analysis_json(result) -> dict:
         "files": result.files_checked,
         "findings": [f.as_json() for f in active],
         "suppressed": [f.as_json() for f in suppressed],
-        "baselined": [f.as_json() for f in baselined],
         "counts": dict(sorted(counts.items())),
         "timings": {
             rule: round(seconds, 6)
@@ -71,21 +67,11 @@ def render_text(result) -> list[str]:
         lines.append(
             f"{finding.location()}: {finding.rule} suppressed -- {why}"
         )
-    baselined = sorted(getattr(result, "baselined", []))
-    for finding in baselined:
-        lines.append(f"{finding.location()}: {finding.rule} baselined")
     n_active = len(result.active)
     n_sup = len(result.suppressed)
     verdict = "clean" if not n_active else f"{n_active} finding(s)"
-    summary = (
+    lines.append(
         f"repro.analysis: {result.files_checked} file(s), {verdict}, "
         f"{n_sup} suppressed"
     )
-    if baselined:
-        summary += f", {len(baselined)} baselined"
-    lines.append(summary)
     return lines
-
-
-def format_finding(finding: Finding) -> str:
-    return f"{finding.location()}: {finding.rule} {finding.message}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.base import Checker, ModuleContext, ProductChecker, register
+from repro.analysis.base import EVERYWHERE, ModuleContext, Rule, Scope, register
 
 # ------------------------------------------------------------------ DET001 --
 
@@ -37,7 +37,7 @@ _ENTROPY_PREFIXES = ("uuid.", "secrets.")
 
 
 @register
-class WallClockChecker(ProductChecker):
+class WallClockChecker(Rule):
     """Simulated components must read :attr:`Simulator.now`, never the host
     clock, and must draw entropy from named streams, never the OS pool —
     otherwise two runs of one seed diverge and every figure is unreproducible.
@@ -67,7 +67,7 @@ class WallClockChecker(ProductChecker):
 
 
 @register
-class AmbientRandomChecker(ProductChecker):
+class AmbientRandomChecker(Rule):
     """Randomness must arrive as an injected ``random.Random`` (usually a
     named ``RngStreams`` stream).  Calling into the ``random`` module —
     including constructing ``random.Random`` ad hoc — creates draws whose
@@ -78,10 +78,8 @@ class AmbientRandomChecker(ProductChecker):
         "no random-module calls or ad-hoc random.Random() outside sim/rng.py; "
         "inject a named RngStreams stream instead"
     )
-
-    @classmethod
-    def applies(cls, ctx: ModuleContext) -> bool:
-        return ctx.is_product and not ctx.is_rng_module
+    #: ``sim/rng.py`` is the one place allowed to construct ``Random``
+    scope = Scope(product=True, outside=("sim/rng.py",))
 
     def visit_Call(self, node: ast.Call) -> None:
         name = self.ctx.resolve_call(node.func)
@@ -125,7 +123,7 @@ def _key_is_id(key: ast.expr) -> bool:
 
 
 @register
-class UnstableOrderChecker(ProductChecker):
+class UnstableOrderChecker(Rule):
     """Set iteration order and ``id()``-based ordering vary across processes
     (hash randomization, allocator layout).  Anything they feed — event
     scheduling, peer selection, report rows — diverges between runs."""
@@ -189,7 +187,7 @@ def _mentions_recorder_enabled(test: ast.expr) -> bool:
 
 
 @register
-class RecorderGuardChecker(ProductChecker):
+class RecorderGuardChecker(Rule):
     """Trace sites must stay near-free while the recorder is off.  The
     established idiom is ``if RECORDER.enabled: RECORDER.record(...)`` — an
     unguarded call pays argument construction (dict build, f-strings) on
@@ -257,7 +255,7 @@ def _swallows(body: list[ast.stmt]) -> bool:
 
 
 @register
-class BroadExceptChecker(ProductChecker):
+class BroadExceptChecker(Rule):
     """Protocol code that swallows every exception turns a logic bug into a
     silently dropped packet or a wedged association — the hardest class of
     failure to localize in a discrete-event run."""
@@ -309,12 +307,13 @@ def _is_mutable_default(node: ast.expr, ctx: ModuleContext) -> bool:
 
 
 @register
-class MutableDefaultChecker(Checker):
+class MutableDefaultChecker(Rule):
     """A mutable default is one shared object across every call — state that
     leaks between invocations and, in simulator code, between experiments."""
 
     rule = "ARG001"
     description = "no mutable default arguments ([], {}, set(), ...)"
+    scope = EVERYWHERE
 
     def _check_args(self, node) -> None:
         defaults = list(node.args.defaults) + [

@@ -5,18 +5,10 @@
 finding survives, 2 on usage errors.  Without ``--strict`` the suppression
 hygiene meta-rules (ANA001/ANA002) are reported but do not gate.
 
-Each file is parsed exactly once; the per-module rules share the
-:class:`~repro.analysis.base.ModuleContext` and the whole-program rules
-(SEC003/004, VAL, PERF) share one :class:`~repro.analysis.base.ProgramContext`
-— call graph and dataflow summaries are built once per run, not per rule.
-Per-rule wall time lands in the JSON report's ``timings`` map.
-
-``--changed-only`` asks git for the files changed since the merge-base
-with the default branch and analyzes just those plus every module that
-(transitively) imports them — the import closure comes from the same
-program index the call graph uses.  Still parses the whole tree (the
-graph must be whole-program); only the checkers are skipped, which is
-where the time goes.  Falls back to a full run when git is unavailable.
+Each file is parsed exactly once and every rule is handed the same
+:class:`~repro.analysis.base.ProgramContext` — call graph and dataflow
+summaries are built once per run, not per rule.  Per-rule wall time lands
+in the JSON report's ``timings`` map.
 """
 
 from __future__ import annotations
@@ -25,13 +17,11 @@ import argparse
 import ast
 import json
 import pathlib
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
 
 from repro.analysis.base import (
-    PROGRAM_REGISTRY,
     REGISTRY,
     ModuleContext,
     ProgramContext,
@@ -46,14 +36,11 @@ import repro.analysis.isolation  # noqa: F401  (registration side effect)
 import repro.analysis.lifecycle  # noqa: F401  (registration side effect)
 import repro.analysis.rules  # noqa: F401  (registration side effect)
 import repro.analysis.statemachine  # noqa: F401  (registration side effect)
-import repro.analysis.taint  # noqa: F401  (registration side effect)
 import repro.analysis.dataflow  # noqa: F401  (registration side effect)
 import repro.analysis.validation  # noqa: F401  (registration side effect)
 import repro.analysis.perf  # noqa: F401  (registration side effect)
 
-_HYGIENE_RULES = ("ANA001", "ANA002", "ANA003")
-
-BASELINE_SCHEMA = "repro-analysis-baseline/1"
+_HYGIENE_RULES = ("ANA001", "ANA002")
 
 _FAMILY_TITLES = {
     "ANA": "analysis hygiene",
@@ -73,20 +60,17 @@ class AnalysisResult:
 
     files_checked: int = 0
     findings: list[Finding] = field(default_factory=list)
-    #: rule id -> accumulated wall seconds across all files/program passes
+    #: rule id -> wall seconds its run took (a family's shared pass is
+    #: booked to whichever of its rules ran first)
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def active(self) -> list[Finding]:
-        return [f for f in self.findings if not f.suppressed and not f.baselined]
+        return [f for f in self.findings if not f.suppressed]
 
     @property
     def suppressed(self) -> list[Finding]:
         return [f for f in self.findings if f.suppressed]
-
-    @property
-    def baselined(self) -> list[Finding]:
-        return [f for f in self.findings if f.baselined]
 
     def gating(self, strict: bool) -> list[Finding]:
         """Findings that should fail the build."""
@@ -101,107 +85,6 @@ class AnalysisResult:
 
     def add_timing(self, rule: str, seconds: float) -> None:
         self.timings[rule] = self.timings.get(rule, 0.0) + seconds
-
-    def apply_baseline(
-        self,
-        entries: list[dict],
-        rules: set[str] | None = None,
-        report_stale: bool = True,
-    ) -> None:
-        """Mark accepted pre-existing findings; report stale entries.
-
-        Each entry matches at most one finding by ``(path, rule, message)``,
-        where the entry path may be a repo-relative suffix of the finding
-        path (so one baseline serves both ``src/...`` and absolute-path
-        invocations).  Line numbers are deliberately ignored — baselines
-        must survive unrelated edits above the finding.  Entries that match
-        nothing become ANA003 findings: a stale baseline hides regressions,
-        so it gates under ``--strict`` exactly like unused suppressions.
-        ``report_stale=False`` (the ``--changed-only`` path) skips that:
-        entries for files outside the changed closure are not stale, their
-        rules simply did not run.
-        """
-        pool = [
-            {
-                "path": str(e["path"]).replace("\\", "/"),
-                "rule": str(e["rule"]),
-                "message": str(e["message"]),
-                "count": int(e.get("count", 1)),
-            }
-            for e in entries
-        ]
-        rewritten: list[Finding] = []
-        for finding in self.findings:
-            if not finding.suppressed and finding.rule not in META_RULES:
-                norm = finding.path.replace("\\", "/")
-                entry = next(
-                    (
-                        e
-                        for e in pool
-                        if e["count"] > 0
-                        and e["rule"] == finding.rule
-                        and e["message"] == finding.message
-                        and (norm == e["path"] or norm.endswith("/" + e["path"]))
-                    ),
-                    None,
-                )
-                if entry is not None:
-                    entry["count"] -= 1
-                    rewritten.append(finding.baseline())
-                    continue
-            rewritten.append(finding)
-        self.findings = rewritten
-        if not report_stale:
-            return
-        for entry in pool:
-            if entry["count"] <= 0:
-                continue
-            if rules is not None and entry["rule"] not in rules:
-                continue  # its rule did not run under this --rules subset
-            self.findings.append(
-                Finding(
-                    path=entry["path"],
-                    line=0,
-                    col=0,
-                    rule="ANA003",
-                    message=(
-                        f"baseline entry for {entry['rule']} "
-                        f"({entry['message'][:60]}...) matched no finding; "
-                        "refresh the baseline"
-                    ),
-                )
-            )
-
-
-def load_baseline(path: str) -> list[dict]:
-    """Parse a ``repro-analysis-baseline/1`` file into match entries."""
-    data = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    if data.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            f"{path}: expected schema {BASELINE_SCHEMA!r}, "
-            f"got {data.get('schema')!r}"
-        )
-    entries = data.get("findings")
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: 'findings' must be a list")
-    return entries
-
-
-def write_baseline(path: str, result: AnalysisResult) -> int:
-    """Accept every current active (non-meta) finding into ``path``."""
-    entries = [
-        {"path": p, "rule": r, "message": m}
-        for p, r, m in sorted(
-            (f.path.replace("\\", "/"), f.rule, f.message)
-            for f in result.active
-            if f.rule not in META_RULES
-        )
-    ]
-    payload = {"schema": BASELINE_SCHEMA, "findings": entries}
-    pathlib.Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return len(entries)
 
 
 def _apply_suppressions(
@@ -293,36 +176,20 @@ def _parse_module(source: str, path: str) -> ModuleContext | Finding:
     return ModuleContext(path=path, source=source, tree=tree)
 
 
-def _run_module_checkers(
-    ctx: ModuleContext,
-    rules: set[str] | None,
-    result: AnalysisResult | None = None,
-) -> None:
-    for checker_cls in REGISTRY:
-        if rules is not None and checker_cls.rule not in rules:
-            continue
-        if checker_cls.applies(ctx):
-            start = _clock()
-            checker_cls(ctx).run()
-            if result is not None:
-                result.add_timing(checker_cls.rule, _clock() - start)
-
-
-def _run_program_checkers(
+def _run_rules(
     contexts: list[ModuleContext],
     rules: set[str] | None,
     result: AnalysisResult | None = None,
 ) -> None:
-    """Run whole-program rules; findings land in each owning context."""
+    """Run every selected rule; findings land in each owning context."""
     pctx = ProgramContext(contexts=contexts)
-    for checker_cls in PROGRAM_REGISTRY:
-        if rules is not None and checker_cls.rule not in rules:
+    for rule_cls in REGISTRY:
+        if rules is not None and rule_cls.rule not in rules:
             continue
-        if checker_cls.applies(pctx):
-            start = _clock()
-            checker_cls(pctx).run()
-            if result is not None:
-                result.add_timing(checker_cls.rule, _clock() - start)
+        start = _clock()
+        rule_cls.run(pctx)
+        if result is not None:
+            result.add_timing(rule_cls.rule, _clock() - start)
 
 
 def analyze_source(
@@ -330,15 +197,14 @@ def analyze_source(
 ) -> list[Finding]:
     """Analyze one module's text; ``path`` drives rule scoping.
 
-    ``rules`` restricts which checkers run (None = all registered).  The
-    program-level rules run over a single-module program — exactly what
-    the fixture suites need.
+    ``rules`` restricts which rules run (None = all registered).  The
+    whole-program rules see a single-module program — exactly what the
+    fixture suites need.
     """
     parsed = _parse_module(source, path)
     if isinstance(parsed, Finding):
         return [parsed]
-    _run_module_checkers(parsed, rules)
-    _run_program_checkers([parsed], rules)
+    _run_rules([parsed], rules)
     return _apply_suppressions(
         parsed.findings, parse_suppressions(source, path), rules
     )
@@ -361,83 +227,12 @@ def _iter_python_files(paths: list[str]) -> list[pathlib.Path]:
     return sorted(set(files))
 
 
-def changed_files() -> set[str] | None:
-    """Repo-relative paths changed vs. the merge-base with the default
-    branch, plus uncommitted changes.  None when git is unusable (the
-    caller falls back to a full run)."""
-
-    def _git(*args: str) -> str | None:
-        try:
-            proc = subprocess.run(
-                ["git", *args], capture_output=True, text=True, timeout=30
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return proc.stdout if proc.returncode == 0 else None
-
-    base = None
-    for ref in ("origin/main", "origin/master", "main", "master"):
-        out = _git("merge-base", "HEAD", ref)
-        if out and out.strip():
-            base = out.strip()
-            break
-    listings = []
-    if base is not None:
-        listings.append(_git("diff", "--name-only", base, "HEAD"))
-    listings.append(_git("diff", "--name-only", "HEAD"))
-    listings.append(_git("ls-files", "--others", "--exclude-standard"))
-    if all(chunk is None for chunk in listings):
-        return None
-    changed: set[str] = set()
-    for chunk in listings:
-        if chunk:
-            changed.update(
-                line.strip() for line in chunk.splitlines() if line.strip()
-            )
-    return changed
-
-
-def _changed_closure_paths(
-    contexts: list[ModuleContext], changed: set[str]
-) -> set[str]:
-    """Analyzed paths to keep: changed files plus the import closure of
-    changed product modules (via the program index's import graph)."""
-    from repro.analysis.callgraph import ProgramIndex
-
-    norm_changed = {c.replace("\\", "/") for c in changed if c.endswith(".py")}
-
-    def is_changed(path: str) -> bool:
-        norm = path.replace("\\", "/")
-        return any(
-            norm == c or norm.endswith("/" + c) or c.endswith("/" + norm)
-            for c in norm_changed
-        )
-
-    index = ProgramIndex.build(contexts)
-    changed_modules = {
-        module
-        for path, module in index.module_of_path.items()
-        if is_changed(path)
-    }
-    closure = index.changed_closure(changed_modules)
-    keep: set[str] = set()
-    for ctx in contexts:
-        module = index.module_of_path.get(ctx.path)
-        if (module is not None and module in closure) or is_changed(ctx.path):
-            keep.add(ctx.path)
-    return keep
-
-
 def analyze_paths(
-    paths: list[str],
-    rules: set[str] | None = None,
-    changed_only: set[str] | None = None,
+    paths: list[str], rules: set[str] | None = None
 ) -> AnalysisResult:
     """Analyze every ``.py`` file under ``paths`` (files or directories).
 
-    Each file is parsed once; per-module and program rules share the ASTs.
-    ``changed_only`` (a set of repo-relative changed paths) restricts
-    *checking* to those files plus their reverse-import closure.
+    Each file is parsed once; every rule shares the ASTs.
     """
     result = AnalysisResult()
     contexts: list[ModuleContext] = []
@@ -457,32 +252,15 @@ def analyze_paths(
                 ]
             )
             continue
+        result.files_checked += 1
         parsed = _parse_module(source, str(file_path))
         if isinstance(parsed, Finding):
-            result.files_checked += 1
             result.extend([parsed])
-            continue
-        contexts.append(parsed)
+        else:
+            contexts.append(parsed)
 
-    keep: set[str] | None = None
-    if changed_only is not None:
-        keep = _changed_closure_paths(contexts, changed_only)
-
-    checked: list[ModuleContext] = []
+    _run_rules(contexts, rules, result)
     for ctx in contexts:
-        if keep is not None and ctx.path not in keep:
-            continue
-        checked.append(ctx)
-        result.files_checked += 1
-        _run_module_checkers(ctx, rules, result)
-
-    # Program rules see the whole parsed set (the graph must be complete)
-    # but only checked files' findings are reported.
-    checked_paths = {ctx.path for ctx in checked}
-    _run_program_checkers(contexts, rules, result)
-    for ctx in contexts:
-        if ctx.path not in checked_paths:
-            continue
         result.extend(
             _apply_suppressions(
                 ctx.findings, parse_suppressions(ctx.source, ctx.path), rules
@@ -519,11 +297,8 @@ def main(argv: list[str] | None = None) -> int:
         help="also fail on suppression-hygiene findings (ANA001/ANA002)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="shorthand for --format json"
+        "--json", action="store_true",
+        help="print the strict-JSON report instead of text",
     )
     parser.add_argument(
         "--rules", default=None,
@@ -534,29 +309,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print registered rules and exit"
-    )
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help=(
-            "check only files changed vs. the merge-base with the default "
-            "branch, plus modules that transitively import them; falls back "
-            "to a full run when git is unavailable"
-        ),
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=(
-            "accept the pre-existing findings listed in FILE "
-            f"(schema {BASELINE_SCHEMA}); they are reported but do not gate. "
-            "Stale entries become ANA003 findings"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help=(
-            "write every current active finding to FILE as a baseline and "
-            "exit 0 (maintenance mode; --baseline is not applied first)"
-        ),
     )
     args = parser.parse_args(argv)
 
@@ -581,31 +333,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"unknown rule(s): {', '.join(sorted(unknown))}", file=sys.stderr)
             return 2
 
-    changed: set[str] | None = None
-    if args.changed_only:
-        changed = changed_files()
-        if changed is None:
-            print(
-                "--changed-only: git unavailable; analyzing everything",
-                file=sys.stderr,
-            )
-
-    result = analyze_paths(args.paths, rules=selected, changed_only=changed)
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, result)
-        print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
-              f"to {args.write_baseline}")
-        return 0
-    if args.baseline:
-        try:
-            entries = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"--baseline: {exc}", file=sys.stderr)
-            return 2
-        result.apply_baseline(
-            entries, rules=selected, report_stale=changed is None
-        )
-    if args.format == "json" or args.json:
+    result = analyze_paths(args.paths, rules=selected)
+    if args.json:
         print(json.dumps(analysis_json(result), indent=2, sort_keys=True))
     else:
         for line in render_text(result):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.base import Checker, ModuleContext, register
+from repro.analysis.base import ModuleContext, Rule, Scope, path_parts, register
 
 # ------------------------------------------------------------------ specs --
 
@@ -131,9 +131,7 @@ SPECS: tuple[MachineSpec, ...] = (HIP_SPEC, VPN_SPEC)
 
 
 def spec_for(path: str) -> MachineSpec | None:
-    parts = tuple(
-        part for part in path.replace("\\", "/").split("/") if part
-    )
+    parts = path_parts(path)
     for spec in SPECS:
         if parts[-len(spec.module_suffix):] == spec.module_suffix:
             return spec
@@ -453,19 +451,17 @@ def extract(ctx: ModuleContext) -> ExtractedMachine | None:
 # ------------------------------------------------------------------ rules --
 
 
-class _ConformanceChecker(Checker):
+class _ConformanceChecker(Rule):
     """Shared scope: only the modules that define a protocol machine."""
 
-    @classmethod
-    def applies(cls, ctx: ModuleContext) -> bool:
-        return spec_for(ctx.path) is not None
+    scope = Scope(within=tuple("/".join(spec.module_suffix) for spec in SPECS))
 
-    def run(self) -> None:
+    def check(self) -> None:
         extracted = extract(self.ctx)
         if extracted is not None:
-            self.check(extracted)
+            self.check_machine(extracted)
 
-    def check(self, extracted: ExtractedMachine) -> None:
+    def check_machine(self, extracted: ExtractedMachine) -> None:
         raise NotImplementedError
 
 
@@ -483,7 +479,7 @@ class IllegalTransitionChecker(_ConformanceChecker):
         "table (or with statically undeterminable source; add expect_from=)"
     )
 
-    def check(self, extracted: ExtractedMachine) -> None:
+    def check_machine(self, extracted: ExtractedMachine) -> None:
         spec = extracted.spec
         for (frm, to), node in sorted(
             extracted.edges.items(), key=lambda item: item[0]
@@ -519,7 +515,7 @@ class MissingTransitionChecker(_ConformanceChecker):
     rule = "CONF002"
     description = "spec-table transition with no handler in the code"
 
-    def check(self, extracted: ExtractedMachine) -> None:
+    def check_machine(self, extracted: ExtractedMachine) -> None:
         spec = extracted.spec
         anchor = extracted.enum_def or self.ctx.tree
         for frm, to in sorted(spec.edges - set(extracted.edges)):
@@ -559,7 +555,7 @@ class StateLiteralChecker(_ConformanceChecker):
                 out.append((node, text))
         return out
 
-    def check(self, extracted: ExtractedMachine) -> None:
+    def check_machine(self, extracted: ExtractedMachine) -> None:
         spec = extracted.spec
         known = set(spec.value_to_member)
         for node, literal in self._dedup(extracted.bad_literals):

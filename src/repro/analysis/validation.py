@@ -44,7 +44,14 @@ from __future__ import annotations
 import ast
 import struct as _struct
 
-from repro.analysis.base import ProgramChecker, ProgramContext, register_program
+from repro.analysis.base import (
+    ProgramContext,
+    Rule,
+    Scope,
+    call_name,
+    in_scope,
+    register,
+)
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.dataflow import propagate_raises
 
@@ -57,6 +64,7 @@ SCOPED_SUFFIXES = (
     "net/icmp.py",
     "tls/connection.py",
 )
+_WIRE_SCOPE = Scope(within=SCOPED_SUFFIXES)
 
 #: Parameter names presumed to hold attacker-controlled wire bytes.
 WIRE_PARAMS = frozenset(
@@ -72,11 +80,6 @@ _RAW_KINDS = frozenset({STRUCT_ERROR, INDEX_ERROR})
 
 #: For-loop bodies containing a ``len()``-guarded raise re-validate the
 #: wire-derived trip count every iteration (the ``parse_locator`` idiom).
-
-
-def scoped_path(path: str) -> bool:
-    norm = path.replace("\\", "/")
-    return any(norm.endswith(suffix) for suffix in SCOPED_SUFFIXES)
 
 
 def module_consts(tree: ast.Module) -> dict[str, int]:
@@ -438,7 +441,7 @@ class _FunctionScan:
         names = [elt.id for elt in target.elts if isinstance(elt, ast.Name)]
         unwrapped = self._strip_yield(value)
         if isinstance(unwrapped, ast.Call):
-            callee = _call_suffix(unwrapped.func)
+            callee = call_name(unwrapped.func)
             if callee in ("unpack", "unpack_from") and self._unpack_is_wire(unwrapped, st):
                 for name in names:
                     st.forget(name)
@@ -494,7 +497,7 @@ class _FunctionScan:
         """recv_bytes(N)-style call: ('exact', N) / ('sym', var) / None."""
         if not isinstance(node, ast.Call):
             return None
-        callee = _call_suffix(node.func)
+        callee = call_name(node.func)
         if callee not in _RECV_CALLS or callee == "recvfrom":
             return None
         if node.args:
@@ -553,7 +556,7 @@ class _FunctionScan:
                 self._scan_expr(child, st)
 
     def _scan_call(self, node: ast.Call, st: _State) -> None:
-        callee = _call_suffix(node.func)
+        callee = call_name(node.func)
         self._record_caught(node)
         if callee in ("unpack", "unpack_from") and _is_struct_func(node.func):
             self._check_unpack(node, st, from_offset=callee == "unpack_from")
@@ -855,14 +858,6 @@ def _contains_len(node: ast.expr) -> bool:
     )
 
 
-def _call_suffix(func: ast.expr) -> str | None:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def _is_struct_func(func: ast.expr) -> bool:
     """``struct.unpack`` / ``struct.unpack_from`` (module access only)."""
     return (
@@ -875,9 +870,8 @@ def _is_struct_func(func: ast.expr) -> bool:
 # -- program-level driver -----------------------------------------------------
 
 def validation_findings(pctx: ProgramContext) -> list[tuple[str, str, ast.AST, str]]:
-    """Run (and memoise) the wire-input validation scan over scoped modules."""
-    if "validation" in pctx.cache:
-        return pctx.cache["validation"]
+    """The wire-input validation scan over the scoped modules, shared by
+    VAL001-VAL003."""
     index, graph = pctx.program()
     findings: list[tuple[str, str, ast.AST, str]] = []
     local: dict[str, frozenset[str]] = {}
@@ -886,7 +880,7 @@ def validation_findings(pctx: ProgramContext) -> list[tuple[str, str, ast.AST, s
     scanned: list[str] = []
     for qualname in sorted(index.functions):
         fn = index.functions[qualname]
-        if not scoped_path(fn.path):
+        if not in_scope(_WIRE_SCOPE, fn.path):
             continue
         if fn.module not in consts_by_module:
             ctx = pctx.by_path.get(fn.path)
@@ -927,22 +921,15 @@ def validation_findings(pctx: ProgramContext) -> list[tuple[str, str, ast.AST, s
                     "input; raise a domain parse error instead",
                 )
             )
-    pctx.cache["validation"] = findings
     return findings
 
 
-class _ValidationChecker(ProgramChecker):
-    @classmethod
-    def applies(cls, pctx: ProgramContext) -> bool:
-        return any(scoped_path(ctx.path) for ctx in pctx.contexts)
-
-    def run(self) -> None:
-        for rule, path, node, message in validation_findings(self.pctx):
-            if rule == self.rule:
-                self.pctx.add(path, rule, node, message)
+class _ValidationChecker(Rule):
+    scope = _WIRE_SCOPE
+    program_pass = validation_findings
 
 
-@register_program
+@register
 class WireIntValidationChecker(_ValidationChecker):
     """wire-derived length/count/offset reaches an allocation, loop bound or index unvalidated"""
 
@@ -953,7 +940,7 @@ class WireIntValidationChecker(_ValidationChecker):
     )
 
 
-@register_program
+@register
 class WireSliceTruncationChecker(_ValidationChecker):
     """slice of a wire buffer without a proven bound silently truncates short input"""
 
@@ -964,7 +951,7 @@ class WireSliceTruncationChecker(_ValidationChecker):
     )
 
 
-@register_program
+@register
 class RawExceptionEscapeChecker(_ValidationChecker):
     """parse function lets struct.error / IndexError escape instead of a domain error"""
 

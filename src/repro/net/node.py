@@ -331,7 +331,6 @@ class Node:
             + headers[1:],
             payload=packet.payload,
             meta=packet.meta,
-            packet_id=packet.packet_id,
         )
         egress = self.routes.lookup_cached(ip.dst)
         if egress is None or not egress.is_attached:

@@ -10,13 +10,10 @@ still paying correct serialization, encryption and queueing costs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Union
 
 from repro.net.addresses import IPAddress
-
-_packet_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,6 @@ class Packet:
     headers: tuple[Header, ...]
     payload: Payload = b""
     meta: dict = field(default_factory=dict, compare=False)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids), compare=False)
 
     @property
     def size_bytes(self) -> int:
@@ -200,4 +196,4 @@ class Packet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = "/".join(type(h).__name__.replace("Header", "") for h in self.headers)
-        return f"<Packet#{self.packet_id} {names} {self.size_bytes}B>"
+        return f"<Packet {names} {self.size_bytes}B>"

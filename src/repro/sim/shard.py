@@ -57,8 +57,7 @@ Determinism rules for shard authors:
   ``RngStreams(seed).spawn(f"shard:{name}")`` — so shard-local draw order
   cannot perturb other shards;
 * builders must not touch process-global mutable state that influences
-  packet contents (the ``Packet.packet_id`` debug counter is explicitly
-  excluded from boundary digests for this reason);
+  packet contents;
 * cross-shard traffic must be picklable (plain headers + bytes/virtual
   payloads), which the RUBiS scenario's zone heartbeats satisfy.
 """
@@ -146,12 +145,12 @@ class Envelope:
 
 
 def _canon_payload(payload: Any) -> Any:
-    """Canonical, ``packet_id``-free structural form of a packet payload.
+    """Canonical structural form of a packet payload.
 
-    ``repr(packet)`` is unusable for digests: tunneled payloads (ESP
-    ciphertext, VPN records) embed inner :class:`Packet` objects whose
-    ``packet_id`` is a process-global debug counter that differs between an
-    inline run and a forked worker.  Recurse structurally instead.
+    ``repr(packet)`` is unusable for digests: it names the header stack and
+    the size but not the contents, and tunneled payloads (ESP ciphertext,
+    VPN records) embed inner :class:`Packet` objects.  Recurse structurally
+    instead.
     """
     if isinstance(payload, Packet):
         return (

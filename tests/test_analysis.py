@@ -1,6 +1,7 @@
 """Analyzer tests: per-rule positive/negative fixtures, suppression
-handling, reporter schema, CLI exit codes, and a self-check that the repo's
-own tree is clean under ``--strict``.
+handling, reporter schema, CLI exit codes, and self-checks that the repo's
+own tree is clean under ``--strict`` and that its full finding inventory
+matches the pinned golden.
 
 The fixture table is keyed by rule id and cross-checked against the
 registry, so deleting (or unregistering) any rule implementation fails the
@@ -18,7 +19,7 @@ import pytest
 import repro
 from repro.analysis import ANALYSIS_SCHEMA, analysis_json, analyze_paths, analyze_source
 from repro.analysis.base import registered_rules
-from repro.analysis.runner import load_baseline, main as analysis_main
+from repro.analysis.runner import main as analysis_main
 
 PRODUCT = "src/repro/fake/module.py"  # scoped like simulator code
 TESTCODE = "tests/test_fake.py"  # scoped like test code
@@ -327,7 +328,7 @@ def test_cli_json_format(tmp_path, capsys):
     bad = tmp_path / "src" / "repro" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("def f(a={}):\n    pass\n")
-    assert analysis_main([str(bad), "--format", "json"]) == 1
+    assert analysis_main([str(bad), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == ANALYSIS_SCHEMA and payload["counts"] == {"ARG001": 1}
 
@@ -336,7 +337,7 @@ def test_cli_rule_selection(tmp_path, capsys):
     bad = tmp_path / "src" / "repro" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("import time\nx = time.time()\ndef f(a=[]):\n    pass\n")
-    assert analysis_main([str(bad), "--rules", "ARG001", "--format", "json"]) == 1
+    assert analysis_main([str(bad), "--rules", "ARG001", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"] == {"ARG001": 1}
     assert analysis_main([str(bad), "--rules", "NOPE01"]) == 2
@@ -350,185 +351,70 @@ def test_cli_list_rules(capsys):
         assert rule in out
 
 
-# ---------------------------------------------------------------- baseline --
-
-
-def _baselineable_tree(tmp_path):
-    """One accepted legacy finding (ISO001) plus room to add a fresh one."""
-    bad = tmp_path / "src" / "repro" / "legacy.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("_POOL = []\n\ndef release(x):\n    _POOL.append(x)\n")
-    return bad
-
-
-def test_baseline_accepted_finding_does_not_gate(tmp_path, capsys):
-    bad = _baselineable_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert analysis_main([str(bad), "--write-baseline", str(baseline)]) == 0
-    assert "wrote 1 baseline" in capsys.readouterr().out
-    # Round trip: the same tree gates without the baseline, passes with it.
-    assert analysis_main([str(bad), "--strict"]) == 1
-    capsys.readouterr()
-    assert analysis_main([str(bad), "--strict", "--baseline", str(baseline)]) == 0
-    assert "baselined" in capsys.readouterr().out
-
-
-def test_baseline_matches_by_path_suffix():
-    # An entry recorded repo-relative must match the same file analyzed via
-    # an absolute path — lines are ignored so edits above don't invalidate it.
-    source = "_POOL = []\n\ndef release(x):\n    _POOL.append(x)\n"
-    findings = analyze_source(source, "/abs/prefix/src/repro/legacy.py")
-    from repro.analysis.runner import AnalysisResult
-
-    result = AnalysisResult(files_checked=1, findings=findings)
-    [finding] = result.active
-    result.apply_baseline(
-        [{"path": "src/repro/legacy.py", "rule": finding.rule,
-          "message": finding.message}]
-    )
-    assert not result.active and len(result.baselined) == 1
-    assert result.baselined[0].baselined
-
-
-def test_baseline_new_finding_still_gates(tmp_path, capsys):
-    bad = _baselineable_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert analysis_main([str(bad), "--write-baseline", str(baseline)]) == 0
-    # A fresh regression in the same file is NOT covered by the baseline.
-    bad.write_text(
-        bad.read_text() + "\n_CACHE = {}\n\ndef remember(k, v):\n"
-        "    _CACHE[k] = v\n"
-    )
-    capsys.readouterr()
-    assert analysis_main([str(bad), "--strict", "--baseline", str(baseline)]) == 1
-    assert "_CACHE" in capsys.readouterr().out
-
-
-def test_baseline_stale_entry_reports_ana003(tmp_path, capsys):
-    bad = _baselineable_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert analysis_main([str(bad), "--write-baseline", str(baseline)]) == 0
-    # Fix the legacy finding; the baseline entry is now stale and must gate
-    # under --strict (a stale baseline hides regressions).
-    bad.write_text("def release(pool, x):\n    pool.append(x)\n")
-    capsys.readouterr()
-    assert analysis_main([str(bad), "--baseline", str(baseline)]) == 0
-    assert analysis_main([str(bad), "--strict", "--baseline", str(baseline)]) == 1
-    assert "ANA003" in capsys.readouterr().out
-
-
-def test_baseline_stale_entry_ignored_under_rules_subset(tmp_path, capsys):
-    # Under --rules the baselined rule may simply not have run; its unused
-    # entry must not count as stale then.
-    bad = _baselineable_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert analysis_main([str(bad), "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    assert analysis_main(
-        [str(bad), "--strict", "--rules", "lif", "--baseline", str(baseline)]
-    ) == 0
-    capsys.readouterr()
-
-
-def test_baseline_suffix_requires_component_boundary():
-    # "pro/legacy.py" must not match "src/repro/legacy.py" — suffixes only
-    # bind at path-component boundaries.
-    source = "_POOL = []\n\ndef release(x):\n    _POOL.append(x)\n"
-    findings = analyze_source(source, "src/repro/legacy.py")
-    from repro.analysis.runner import AnalysisResult
-
-    result = AnalysisResult(files_checked=1, findings=findings)
-    [finding] = result.active
-    result.apply_baseline(
-        [{"path": "pro/legacy.py", "rule": finding.rule,
-          "message": finding.message}]
-    )
-    assert result.active  # no match; the finding still gates
-    assert any(f.rule == "ANA003" for f in result.findings)  # entry is stale
-
-
-def test_baseline_entry_matches_only_one_of_two_suffix_sharing_files():
-    # Two files share the suffix the entry names; one entry accepts exactly
-    # one finding, the twin still gates.
-    source = "_POOL = []\n\ndef release(x):\n    _POOL.append(x)\n"
-    findings = analyze_source(source, "a/vendored/repro/legacy.py")
-    findings += analyze_source(source, "b/vendored/repro/legacy.py")
-    from repro.analysis.runner import AnalysisResult
-
-    result = AnalysisResult(files_checked=2, findings=findings)
-    rule, message = result.active[0].rule, result.active[0].message
-    result.apply_baseline(
-        [{"path": "vendored/repro/legacy.py", "rule": rule, "message": message}]
-    )
-    assert len(result.baselined) == 1
-    assert len([f for f in result.active if f.rule == rule]) == 1
-
-
-def test_baseline_renamed_file_goes_stale(tmp_path, capsys):
-    bad = _baselineable_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert analysis_main([str(bad), "--write-baseline", str(baseline)]) == 0
-    renamed = bad.with_name("renamed.py")
-    bad.rename(renamed)
-    capsys.readouterr()
-    # The finding moved to a path the entry no longer matches: the new
-    # finding gates AND the entry reports stale.
-    assert analysis_main(
-        [str(renamed), "--strict", "--baseline", str(baseline)]
-    ) == 1
-    out = capsys.readouterr().out
-    assert "ANA003" in out and "renamed.py" in out
-
-
-def test_write_baseline_is_idempotent(tmp_path, capsys):
-    bad = _baselineable_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert analysis_main([str(bad), "--write-baseline", str(baseline)]) == 0
-    first = baseline.read_text()
-    assert analysis_main([str(bad), "--write-baseline", str(baseline)]) == 0
-    assert baseline.read_text() == first
-    capsys.readouterr()
-
-
-def test_baseline_bad_file_is_usage_error(tmp_path, capsys):
-    bad = _baselineable_tree(tmp_path)
-    missing = tmp_path / "nope.json"
-    assert analysis_main([str(bad), "--baseline", str(missing)]) == 2
-    wrong = tmp_path / "wrong.json"
-    wrong.write_text(json.dumps({"schema": "something-else/9", "findings": []}))
-    assert analysis_main([str(bad), "--baseline", str(wrong)]) == 2
-    capsys.readouterr()
-
-
-def test_baseline_findings_reported_in_json(tmp_path, capsys):
-    bad = _baselineable_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert analysis_main([str(bad), "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    assert analysis_main(
-        [str(bad), "--json", "--strict", "--baseline", str(baseline)]
-    ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["clean"] and payload["findings"] == []
-    [entry] = payload["baselined"]
-    assert entry["rule"] == "ISO001" and entry["baselined"] is True
+def test_registered_rule_ids(capsys):
+    """The exact id set: 25 registered rules plus the three hygiene
+    meta-rules.  A rule that silently fails to register (or a new one
+    nobody documented) changes this list."""
+    assert sorted(registered_rules()) == [
+        "ARG001",
+        "CONF001", "CONF002", "CONF003",
+        "DET001", "DET002", "DET003",
+        "EXC001",
+        "ISO001", "ISO002", "ISO003", "ISO004",
+        "LIF001", "LIF002", "LIF003",
+        "MET001",
+        "PERF001", "PERF002",
+        "SEC001", "SEC002", "SEC003", "SEC004",
+        "VAL001", "VAL002", "VAL003",
+    ]
+    assert analysis_main(["--list-rules"]) == 0
+    listed = [
+        line.split()[0]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  ")
+    ]
+    assert listed == sorted([*registered_rules(), "ANA000", "ANA001", "ANA002"])
 
 
 # -------------------------------------------------------------- self-check --
 
 
-def test_repo_tree_is_clean_under_strict():
-    """The shipped tree must pass its own linter (modulo the shipped
-    baseline, which must itself be exactly current — stale entries gate as
-    ANA003), and every suppression in it must carry a justification."""
-    result = analyze_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
-    baseline_file = REPO_ROOT / "analysis_baseline.json"
-    if baseline_file.is_file():
-        result.apply_baseline(load_baseline(str(baseline_file)))
-    gating = result.gating(strict=True)
+@pytest.fixture(scope="module")
+def repo_result():
+    return analyze_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
+
+
+def test_repo_tree_is_clean_under_strict(repo_result):
+    """The shipped tree must pass its own linter, and every suppression in
+    it must carry a justification."""
+    gating = repo_result.gating(strict=True)
     assert not gating, "\n".join(f"{f.location()}: {f.rule} {f.message}" for f in gating)
-    for finding in result.suppressed:
+    for finding in repo_result.suppressed:
         assert finding.justification, f"unjustified suppression at {finding.location()}"
+
+
+def test_repo_inventory_matches_golden(repo_result):
+    """Every finding the linter makes on this tree, suppressed ones
+    included, row for row against the inventory pinned before the SEC
+    passes were merged (line numbers left out so unrelated edits do not
+    move it).  A refactor of the analysis package must not regenerate the
+    golden; a change to the *tree* that adds or retires a suppression edits
+    the one row it owns."""
+    golden = json.loads(
+        (REPO_ROOT / "tests" / "golden" / "analysis_inventory.json").read_text()
+    )
+    root = f"{REPO_ROOT.as_posix()}/"  # SEC004 messages name their origin file
+    rows = sorted(
+        [
+            pathlib.Path(f.path).relative_to(REPO_ROOT).as_posix(),
+            f.rule,
+            f.message.replace(root, ""),
+            "suppressed" if f.suppressed else "active",
+            f.justification,
+        ]
+        for f in repo_result.findings
+    )
+    assert rows == golden["rows"]
 
 
 def test_interprocedural_suppression_budget():

@@ -3,8 +3,8 @@
 Small in-memory programs exercise every resolution strategy the graph
 uses — direct calls, aliased imports, self/super method resolution through
 the MRO, opaque-receiver CHA, callback references — plus the traversal
-helpers the downstream passes depend on (reachable-with-provenance,
-callee-first SCCs, changed-module closure).
+helpers the downstream passes depend on (hot reachability with root
+provenance, callee-first SCCs).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import textwrap
 
 from repro.analysis.base import ModuleContext
 from repro.analysis.callgraph import build_program, module_name_of
+from repro.analysis.perf import hot_reachable
 
 
 def program(*modules):
@@ -158,9 +159,11 @@ def test_call_targets_maps_individual_call_sites():
 
 
 def test_reachable_reports_root_provenance():
-    _, graph = program(("src/repro/m.py", """
-        class Engine:
-            def run(self):
+    # The one BFS over the graph is the PERF pass's hot closure; its roots
+    # are perf.ROOTS, so the fixture names one of them.
+    index, graph = program(("src/repro/m.py", """
+        class LinkEndpoint:
+            def send(self):
                 self.helper()
 
             def helper(self):
@@ -172,10 +175,10 @@ def test_reachable_reports_root_provenance():
         def unrelated():
             pass
     """))
-    reached = graph.reachable(("Engine.run",))
-    assert reached["repro.m.Engine.run"] == "Engine.run"
-    assert reached["repro.m.Engine.helper"] == "Engine.run"
-    assert reached["repro.m.leaf"] == "Engine.run"
+    reached = hot_reachable(index, graph)
+    assert reached["repro.m.LinkEndpoint.send"] == "LinkEndpoint.send"
+    assert reached["repro.m.LinkEndpoint.helper"] == "LinkEndpoint.send"
+    assert reached["repro.m.leaf"] == "LinkEndpoint.send"
     assert "repro.m.unrelated" not in reached
 
 
@@ -196,26 +199,3 @@ def test_sccs_callee_first_with_cycle():
     c_pos = next(i for i, s in enumerate(order) if "repro.m.c" in s)
     cycle_pos = order.index(cycle)
     assert cycle_pos < c_pos, "callees must be emitted before their callers"
-
-
-def test_changed_closure_expands_through_importers():
-    index, _ = program(
-        ("src/repro/low.py", """
-            def f():
-                pass
-        """),
-        ("src/repro/mid.py", """
-            from repro.low import f
-
-            def g():
-                f()
-        """),
-        ("src/repro/other.py", """
-            def h():
-                pass
-        """),
-    )
-    closure = index.changed_closure({"repro.low"})
-    assert "repro.low" in closure
-    assert "repro.mid" in closure
-    assert "repro.other" not in closure

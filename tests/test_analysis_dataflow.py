@@ -2,9 +2,10 @@
 fixpoint (``propagate_raises``) that VAL003 builds on.
 
 SEC003/SEC004 fixtures are single modules in secret scope — the leak shapes
-the intra-procedural pass (SEC001/SEC002) structurally cannot see: secrets
-returned through helpers, sunk inside callees, or parked in innocuously
-named attributes and read back elsewhere.
+that cross a function boundary: secrets returned through helpers, sunk
+inside callees, or parked in innocuously named attributes and read back
+elsewhere.  The purely local shapes (SEC001/SEC002) come out of the same
+sweep and live in ``test_analysis_taint.py``.
 """
 
 from __future__ import annotations
@@ -101,6 +102,21 @@ def test_sec003_negative_intra_leak_is_sec001_territory():
     """
     assert not findings(src, "SEC003")
     assert findings(src, "SEC001")
+
+
+def test_sec003_one_raise_is_one_finding():
+    # The f-string, its FormattedValue and the attribute under it are three
+    # tainted columns of one leak; like SEC001, only the outermost reports.
+    src = """
+        def derive(assoc):
+            return hip_keymat(assoc, 32)
+
+        def install(assoc):
+            km = derive(assoc)
+            raise HipError(f"bad keymat {km.hex!r}")
+    """
+    [finding] = findings(src, "SEC003")
+    assert "exception message" in finding.message
 
 
 def test_sec003_negative_secret_kept_internal():

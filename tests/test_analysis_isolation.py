@@ -43,7 +43,8 @@ def test_iso001_mutator_on_module_list():
 
 
 def test_iso001_next_on_module_counter():
-    # The shape of net/packet.py's `_packet_ids = itertools.count()`.
+    # A process-global id counter: the shape `Packet.packet_id` was fed by
+    # until the field was deleted for exactly this finding.
     src = """
         import itertools
 

@@ -1,4 +1,5 @@
-"""Secret-flow rule tests (SEC001/SEC002).
+"""Secret-flow rule tests (SEC001/SEC002); SEC003/SEC004 fixtures, which
+come out of the same sweep, live in ``test_analysis_dataflow.py``.
 
 Each sink and declassifier in the taint model gets a seeded-broken fixture
 (the rule must fire) and a clean twin (it must not).  The SEC001 positive
@@ -139,6 +140,31 @@ def test_sec001_non_finished_prf_is_secret():
     assert len(findings(src, "SEC001", path=VPN_PATH)) == 1
 
 
+def test_sec001_module_level_statements_are_swept():
+    # Metrics registrations and the like run at import time, outside any
+    # function; the sweep covers the module body too.
+    src = """
+        METRICS.counter("hip." + str(session_key))
+    """
+    [finding] = findings(src, "SEC001", path="src/repro/hip/x.py")
+    assert "metrics name" in finding.message
+
+
+def test_sec001_print_and_logging_are_sinks():
+    # One sink table for all four rules: stdout and log calls count for a
+    # local flow exactly as they do for one that crossed a call.
+    src = """
+        import logging
+
+        def f(assoc):
+            print("keymat", assoc.keymat)
+            logging.debug("premaster %r", assoc.premaster)
+    """
+    messages = sorted(f.message for f in findings(src, "SEC001"))
+    assert len(messages) == 2
+    assert "a log call" in messages[0] and "standard output" in messages[1]
+
+
 def test_sec001_suppressible_and_out_of_scope():
     src = """
         def f(self, tunnel):
@@ -185,6 +211,20 @@ def test_sec002_hmac_digest_call_result():
                 return True
     """
     assert len(findings(src, "SEC002")) == 1
+
+
+def test_sec002_mac_returned_through_program_helper():
+    # One interpreter: the helper's summary says it returns a MAC, so the
+    # caller's == is a timing oracle even though no producer is in sight.
+    src = """
+        def tag(key, data):
+            return hmac_digest(key, data)
+
+        def f(key, data, got):
+            return tag(key, data) == got
+    """
+    [finding] = findings(src, "SEC002")
+    assert "MAC-derived" in finding.message
 
 
 def test_sec002_clean_shapes():

@@ -184,7 +184,3 @@ class TestPacket:
 
     def test_icmp_header(self):
         assert ICMPHeader(kind="echo-request", ident=1, seq=1).header_len == 8
-
-    def test_packet_ids_unique(self):
-        a, b = self._tcp_packet(), self._tcp_packet()
-        assert a.packet_id != b.packet_id
