@@ -1,7 +1,7 @@
 """Shared provenance stamping for BENCH_*.json reports.
 
 Every benchmark report carries the same header — generation time, Python
-version, and the git revision it was produced from — so a series of
+version, core count, and the git revision it was produced from — so a series of
 BENCH_*.json files checked in over time forms a comparable trajectory.
 Benchmarks are measurement scripts, not simulation code, so reading the
 wall clock here is fine (the determinism linter does not cover this
@@ -10,6 +10,7 @@ directory).
 
 from __future__ import annotations
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -45,5 +46,6 @@ def provenance() -> dict:
     return {
         "generated_unix": time.time(),
         "python": sys.version.split()[0],
+        "cpu_count": os.cpu_count(),
         "git_revision": git_revision(),
     }

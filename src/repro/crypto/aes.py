@@ -9,9 +9,17 @@ The hot path is the classic 32-bit T-table formulation: four 256-entry
 tables fold SubBytes + ShiftRows + MixColumns into table lookups and XORs
 over packed column words (and four TD tables for the equivalent inverse
 cipher, with InvMixColumns pre-applied to the decryption round keys).  The
-schoolbook byte-matrix implementation is retained as
-``_encrypt_block_ref`` / ``_decrypt_block_ref``; differential tests assert
-the two paths are byte-identical on random inputs.
+schoolbook byte-matrix implementation lives with the tests
+(``tests/oracles/crypto_reference.py``); differential tests assert the two
+are byte-identical on random inputs.
+
+CBC *decryption* has no dependency between blocks, so messages of
+``_PLANE_MIN_BLOCKS`` blocks or more skip the per-block loop: the
+ciphertext is transposed once into 16 byte planes (one per state
+position, each as long as the message has blocks) and every round then
+runs over the whole message with ``bytes.translate``, slicing and big-int
+XOR only — see :meth:`AES._cbc_decrypt_planes` and DESIGN.md "Crypto fast
+path".  CBC encryption chains block to block and stays scalar.
 
 This is the shared symmetric engine for both the HIP/ESP data plane and the
 TLS record layer — deliberately so, because the paper's core performance
@@ -118,6 +126,20 @@ BLOCK_SIZE = 16
 # shift/mask operations per round that the obvious formulation needs.
 _PACK4 = struct.Struct(">4I").pack
 
+# Block-parallel CBC decrypt (``AES._cbc_decrypt_planes``).  The x14/x9/x13/x11
+# products of InvSubBytes output are the four byte lanes of TD0, as
+# ``bytes.translate`` tables.
+_TD_MUL14 = bytes(t >> 24 for t in _TD0)
+_TD_MUL9 = bytes((t >> 16) & 0xFF for t in _TD0)
+_TD_MUL13 = bytes((t >> 8) & 0xFF for t in _TD0)
+_TD_MUL11 = bytes(t & 0xFF for t in _TD0)
+# Plane q = 4*row + col holds state byte 4*col + row of every block.
+_PLANE_ORDER = tuple(4 * col + row for row in range(4) for col in range(4))
+# Below this many blocks the scalar loop is faster (DESIGN.md has the table).
+_PLANE_MIN_BLOCKS = 4
+# Plane-expanded round keys kept per AES instance, one entry per block count.
+_PLANE_KEY_CACHE_MAX = 8
+
 
 class AES:
     """AES block cipher instance bound to one key.
@@ -128,15 +150,17 @@ class AES:
     for single-block byte callers.
     """
 
-    __slots__ = ("key", "rounds", "_round_keys", "_rk_enc", "_rk_dec")
+    __slots__ = ("key", "rounds", "_rk_enc", "_rk_dec", "_rk_dec_rows", "_plane_keys")
 
     def __init__(self, key: bytes) -> None:
         if len(key) not in (16, 24, 32):
             raise ValueError(f"AES key must be 16/24/32 bytes, got {len(key)}")
         self.key = bytes(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._round_keys = self._expand_key(self.key)
-        self._rk_enc, self._rk_dec = self._pack_round_keys(self._round_keys)
+        self._rk_enc, self._rk_dec, self._rk_dec_rows = self._pack_round_keys(
+            self._expand_key(self.key)
+        )
+        self._plane_keys: dict[int, tuple[int, ...]] = {}
 
     def _expand_key(self, key: bytes) -> list[list[int]]:
         nk = len(key) // 4
@@ -160,7 +184,7 @@ class AES:
             round_keys.append(rk)
         return round_keys
 
-    def _pack_round_keys(self, round_keys: list[list[int]]) -> tuple[tuple, tuple]:
+    def _pack_round_keys(self, round_keys: list[list[int]]) -> tuple[tuple, tuple, tuple]:
         """Pack byte round keys into 32-bit words; derive decryption keys.
 
         The equivalent inverse cipher wants the encryption schedule in
@@ -174,6 +198,10 @@ class AES:
         over (the middle-round count is odd for every AES key size), and the
         final round.  Unpacking a whole 8-tuple at the loop head costs one
         instruction and removes all per-round key indexing.
+
+        The third result is the decryption schedule once more, one 16-byte
+        string per round in plane order (row-major), for
+        :meth:`_plane_round_keys` to stretch to a message's block count.
         """
         enc = []
         for rk in round_keys:
@@ -190,7 +218,11 @@ class AES:
                     )
                 else:
                     dec.append((rk[c] << 24) | (rk[c + 1] << 16) | (rk[c + 2] << 8) | rk[c + 3])
-        return self._structure_schedule(enc), self._structure_schedule(dec)
+        dec_rows = tuple(
+            bytes((dec[r + col] >> shift) & 0xFF for shift in (24, 16, 8, 0) for col in range(4))
+            for r in range(0, len(dec), 4)
+        )
+        return self._structure_schedule(enc), self._structure_schedule(dec), dec_rows
 
     def _structure_schedule(self, flat: list[int]) -> tuple:
         mid = [tuple(flat[4 * r : 4 * r + 4]) for r in range(1, self.rounds)]
@@ -324,6 +356,8 @@ class AES:
 
     def cbc_decrypt_blocks(self, iv: bytes, ciphertext: bytes) -> bytes:
         n = len(ciphertext)
+        if n >= _PLANE_MIN_BLOCKS * BLOCK_SIZE:
+            return self._cbc_decrypt_planes(iv, ciphertext)
         words = struct.unpack(">%dI" % (n // 4), ciphertext)
         out = bytearray(n)
         pack_into = struct.pack_into
@@ -368,6 +402,67 @@ class AES:
             p0, p1, p2, p3 = c0, c1, c2, c3
         return bytes(out)
 
+    def _plane_round_keys(self, nblocks: int) -> tuple[int, ...]:
+        """Decryption round keys stretched over ``nblocks``-byte planes.
+
+        Each key byte is repeated once per block so one big-int XOR adds the
+        round key to every block of the message.  The cache is bounded and
+        evicts oldest-first: message lengths come off the wire, and a peer
+        cycling through them must cost a rebuild, not memory.
+        """
+        cache = self._plane_keys
+        keys = cache.get(nblocks)
+        if keys is None:
+            if len(cache) >= _PLANE_KEY_CACHE_MAX:
+                del cache[next(iter(cache))]
+            keys = cache[nblocks] = tuple(
+                int.from_bytes(b"".join([rk[q : q + 1] * nblocks for q in range(16)]), "big")
+                for rk in self._rk_dec_rows
+            )
+        return keys
+
+    def _cbc_decrypt_planes(self, iv: bytes, ciphertext: bytes) -> bytes:
+        """Block-parallel CBC decrypt: every round runs over the whole message.
+
+        The state is one ``bytes`` of 16 planes, row-major: plane ``4*row +
+        col`` is ``nb`` bytes, byte ``i`` belonging to block ``i``.  A state
+        row is therefore ``4*nb`` contiguous bytes and InvShiftRows rotates
+        row ``r`` right by ``r*nb`` bytes: seven slices.  InvMixColumns
+        output row ``i`` is ``14*a[i] ^ 11*a[i+1] ^ 13*a[i+2] ^ 9*a[i+3]``
+        over the InvSubBytes'd rows ``a``, so the shifted rows are joined in
+        four rotations, each translated through its product table, and the
+        results XORed as big ints together with the plane-stretched round key.
+        """
+        n = len(ciphertext)
+        nb = n // BLOCK_SIZE
+        keys = self._plane_round_keys(nb)
+        from_bytes = int.from_bytes
+        join = b"".join
+        n4, n7, n8, n10, n12, n13 = 4 * nb, 7 * nb, 8 * nb, 10 * nb, 12 * nb, 13 * nb
+        mul14, mul11, mul13, mul9 = _TD_MUL14, _TD_MUL11, _TD_MUL13, _TD_MUL9
+        s = from_bytes(join([ciphertext[p::16] for p in _PLANE_ORDER]), "big") ^ keys[0]
+        for k in keys[1:-1]:
+            b = s.to_bytes(n, "big")
+            r0, r1a, r1b = b[:n4], b[n7:n8], b[n4:n7]
+            r2a, r2b, r3a, r3b = b[n10:n12], b[n8:n10], b[n13:], b[n12:n13]
+            s = (
+                from_bytes(join((r0, r1a, r1b, r2a, r2b, r3a, r3b)).translate(mul14), "big")
+                ^ from_bytes(join((r1a, r1b, r2a, r2b, r3a, r3b, r0)).translate(mul11), "big")
+                ^ from_bytes(join((r2a, r2b, r3a, r3b, r0, r1a, r1b)).translate(mul13), "big")
+                ^ from_bytes(join((r3a, r3b, r0, r1a, r1b, r2a, r2b)).translate(mul9), "big")
+                ^ k
+            )
+        b = s.to_bytes(n, "big")
+        b = join(
+            (b[:n4], b[n7:n8], b[n4:n7], b[n10:n12], b[n8:n10], b[n13:], b[n12:n13])
+        ).translate(INV_SBOX)
+        b = (from_bytes(b, "big") ^ keys[-1]).to_bytes(n, "big")
+        out = bytearray(n)
+        for q, p in enumerate(_PLANE_ORDER):
+            out[p::16] = b[q * nb : (q + 1) * nb]
+        # CBC chaining for every block at once: P[i] = D(C[i]) ^ C[i-1].
+        return (from_bytes(out, "big") ^ from_bytes(iv + ciphertext[:-16], "big")).to_bytes(n, "big")
+
     # -- byte API ---------------------------------------------------------------
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_SIZE:
@@ -384,75 +479,3 @@ class AES:
         w = int.from_bytes(block, "big")
         out = self.decrypt_words(w >> 96, (w >> 64) & 0xFFFFFFFF, (w >> 32) & 0xFFFFFFFF, w & 0xFFFFFFFF)
         return ((out[0] << 96) | (out[1] << 64) | (out[2] << 32) | out[3]).to_bytes(16, "big")
-
-    # -- reference path (pre-optimization, kept for differential tests) ---------
-    # State layout: flat list of 16 bytes, column-major as in FIPS-197
-    # (state[4*c + r] is row r, column c).
-
-    def _encrypt_block_ref(self, block: bytes) -> bytes:
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"block must be 16 bytes, got {len(block)}")
-        rk = self._round_keys
-        s = [block[i] ^ rk[0][i] for i in range(16)]
-        for rnd in range(1, self.rounds):
-            s = self._round(s, rk[rnd])
-        # Final round: no MixColumns.
-        s = [SBOX[b] for b in s]
-        s = self._shift_rows(s)
-        return bytes(s[i] ^ rk[self.rounds][i] for i in range(16))
-
-    def _decrypt_block_ref(self, block: bytes) -> bytes:
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"block must be 16 bytes, got {len(block)}")
-        rk = self._round_keys
-        s = [block[i] ^ rk[self.rounds][i] for i in range(16)]
-        s = self._inv_shift_rows(s)
-        s = [INV_SBOX[b] for b in s]
-        for rnd in range(self.rounds - 1, 0, -1):
-            s = [s[i] ^ rk[rnd][i] for i in range(16)]
-            s = self._inv_mix_columns(s)
-            s = self._inv_shift_rows(s)
-            s = [INV_SBOX[b] for b in s]
-        return bytes(s[i] ^ rk[0][i] for i in range(16))
-
-    # -- round building blocks -------------------------------------------------
-    @staticmethod
-    def _shift_rows(s: list[int]) -> list[int]:
-        return [
-            s[0], s[5], s[10], s[15],
-            s[4], s[9], s[14], s[3],
-            s[8], s[13], s[2], s[7],
-            s[12], s[1], s[6], s[11],
-        ]
-
-    @staticmethod
-    def _inv_shift_rows(s: list[int]) -> list[int]:
-        return [
-            s[0], s[13], s[10], s[7],
-            s[4], s[1], s[14], s[11],
-            s[8], s[5], s[2], s[15],
-            s[12], s[9], s[6], s[3],
-        ]
-
-    def _round(self, s: list[int], rk: list[int]) -> list[int]:
-        s = [SBOX[b] for b in s]
-        s = self._shift_rows(s)
-        out = [0] * 16
-        for c in range(0, 16, 4):
-            a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
-            out[c] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
-            out[c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
-            out[c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
-            out[c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-        return [out[i] ^ rk[i] for i in range(16)]
-
-    @staticmethod
-    def _inv_mix_columns(s: list[int]) -> list[int]:
-        out = [0] * 16
-        for c in range(0, 16, 4):
-            a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
-            out[c] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-            out[c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-            out[c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-            out[c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
-        return out

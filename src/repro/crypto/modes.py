@@ -11,9 +11,10 @@ expressions, no per-block ``bytes`` round-trips through
 ``AES.encrypt_block``.  CBC delegates to ``AES.cbc_encrypt_blocks`` /
 ``cbc_decrypt_blocks`` so the whole message runs inside one round-loop
 frame (key schedule and tables bound once per message, the chaining XOR
-fused into the whitening round).  CTR derives each counter block from two
-nonce words plus the 64-bit counter split into words, so no counter buffer
-is ever (re)built or sliced.
+fused into the whitening round); decryption of four or more blocks runs
+block-parallel there, every round over the whole message.  CTR derives each
+counter block from two nonce words plus the 64-bit counter split into
+words, so no counter buffer is ever (re)built or sliced.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
     if data[-pad_len:] != bytes([pad_len]) * pad_len:
         raise ValueError("padding bytes are inconsistent")
     return data[:-pad_len]
-
-
-def _xor_block(a: bytes, b: bytes) -> bytes:
-    n = min(len(a), len(b))
-    return (int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")).to_bytes(n, "big")
 
 
 def cbc_encrypt(cipher: AES, iv: bytes, plaintext: bytes) -> bytes:

@@ -54,7 +54,15 @@ from repro.hip.identity import (
 )
 from repro.metrics import METRICS, RECORDER
 from repro.net.addresses import IPAddress, is_hit, is_lsi
-from repro.net.packet import ESPHeader, HIPHeader, IPHeader, Packet
+from repro.net.packet import (
+    ESPHeader,
+    HIPHeader,
+    ICMPHeader,
+    IPHeader,
+    Packet,
+    TCPHeader,
+    UDPHeader,
+)
 from repro.sim.resources import Queue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -435,8 +443,6 @@ class HipDaemon:
 
     @staticmethod
     def _inner_proto(transport: Packet) -> str:
-        from repro.net.packet import ICMPHeader, TCPHeader, UDPHeader
-
         head = transport.headers[0] if transport.headers else None
         if isinstance(head, TCPHeader):
             return "tcp"

@@ -10,7 +10,7 @@ still paying correct serialization, encryption and queueing costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 from repro.net.addresses import IPAddress
@@ -176,19 +176,19 @@ class Packet:
 
     def pushed(self, header: Header) -> "Packet":
         """New packet with ``header`` prepended (encapsulation)."""
-        return replace(self, headers=(header,) + self.headers)
+        return Packet((header,) + self.headers, self.payload, self.meta)
 
     def popped(self) -> tuple[Header, "Packet"]:
         """Remove the outermost header; returns (header, inner packet)."""
         if not self.headers:
             raise ValueError("cannot pop from header-less packet")
-        return self.headers[0], replace(self, headers=self.headers[1:])
+        return self.headers[0], Packet(self.headers[1:], self.payload, self.meta)
 
     def with_meta(self, **kv) -> "Packet":
         # repro: ignore[PERF001] -- meta propagation copies one small dict per rebuilt packet by design; measured in PR 5 and dwarfed by the crypto work on the same path
         merged = dict(self.meta)
         merged.update(kv)
-        return replace(self, meta=merged)
+        return Packet(self.headers, self.payload, merged)
 
     def __len__(self) -> int:
         """Packets can be payloads of other packets (tunneling: ESP, Teredo)."""

@@ -1,28 +1,25 @@
-"""Retained pre-optimization reference implementations (pinned baseline).
+"""Schoolbook crypto oracles (the pinned pre-optimization implementations).
 
-These are the schoolbook SHA/HMAC/mode loops that shipped before the
-fast-path rewrite of :mod:`repro.crypto.aes`, :mod:`repro.crypto.modes`,
-:mod:`repro.crypto.sha` and :mod:`repro.crypto.hmac_kdf`.  They exist for
-two reasons only:
+These are the byte-matrix AES, SHA/HMAC and mode loops that shipped before
+the fast-path rewrite of :mod:`repro.crypto.aes`, :mod:`repro.crypto.modes`,
+:mod:`repro.crypto.sha` and :mod:`repro.crypto.hmac_kdf`.  They live with
+the tests, not in ``src/``, and exist for two reasons only:
 
 1. **Differential tests** — ``tests/test_crypto_fastpath.py`` asserts the
    optimized primitives are byte-identical to these on random inputs, so a
-   perf regression fix can never silently change outputs.
+   perf change can never silently change outputs.
 2. **The perf baseline** — ``benchmarks/bench_crypto.py`` measures both the
-   reference and optimized paths and records the ratio in
-   ``BENCH_crypto.json``.
+   oracle and the shipped path and records the ratio in ``BENCH_crypto.json``.
 
-The naive AES block functions live on :class:`repro.crypto.aes.AES` as
-``_encrypt_block_ref`` / ``_decrypt_block_ref`` (they need the byte-form key
-schedule); everything else is here.  Do not use any of this in protocol
-code.
+:class:`AesRef` runs its own FIPS-197 key expansion and byte-matrix rounds;
+all it shares with the shipped cipher is the derived S-box.
 """
 
 from __future__ import annotations
 
 import struct
 
-from repro.crypto.aes import AES, BLOCK_SIZE
+from repro.crypto.aes import BLOCK_SIZE, INV_SBOX, SBOX
 from repro.crypto.modes import pkcs7_pad, pkcs7_unpad
 
 _MASK32 = 0xFFFFFFFF
@@ -131,11 +128,127 @@ def hmac_digest_ref(key: bytes, message: bytes, hash_name: str = "sha256") -> by
     return hash_fn(opad + hash_fn(ipad + message))
 
 
+def _gf_mul(a: int, b: int) -> int:
+    """GF(2^8) multiplication modulo the AES polynomial 0x11B."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+        b >>= 1
+    return result
+
+
+_MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14 = (
+    bytes(_gf_mul(x, m) for x in range(256)) for m in (2, 3, 9, 11, 13, 14)
+)
+_RCON = [0x01]
+while len(_RCON) < 14:
+    _RCON.append(_gf_mul(_RCON[-1], 2))
+
+
+class AesRef:
+    """Pre-PR AES: flat 16-byte state, column-major as in FIPS-197
+    (``state[4*c + r]`` is row r, column c), one list rebuild per step."""
+
+    def __init__(self, key: bytes) -> None:
+        if len(key) not in (16, 24, 32):
+            raise ValueError(f"AES key must be 16/24/32 bytes, got {len(key)}")
+        self.key = bytes(key)
+        self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
+        self.round_keys = self._expand_key(self.key)
+
+    def _expand_key(self, key: bytes) -> list[list[int]]:
+        nk = len(key) // 4
+        words = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
+        for i in range(nk, 4 * (self.rounds + 1)):
+            temp = list(words[i - 1])
+            if i % nk == 0:
+                temp = temp[1:] + temp[:1]  # RotWord
+                temp = [SBOX[b] for b in temp]  # SubWord
+                temp[0] ^= _RCON[i // nk - 1]
+            elif nk > 6 and i % nk == 4:
+                temp = [SBOX[b] for b in temp]
+            words.append([words[i - nk][j] ^ temp[j] for j in range(4)])
+        return [
+            [b for w in words[4 * r : 4 * r + 4] for b in w] for r in range(self.rounds + 1)
+        ]
+
+    def encrypt_block(self, block: bytes) -> bytes:
+        if len(block) != BLOCK_SIZE:
+            raise ValueError(f"block must be 16 bytes, got {len(block)}")
+        rk = self.round_keys
+        s = [block[i] ^ rk[0][i] for i in range(16)]
+        for rnd in range(1, self.rounds):
+            s = self._round(s, rk[rnd])
+        # Final round: no MixColumns.
+        s = [SBOX[b] for b in s]
+        s = self._shift_rows(s)
+        return bytes(s[i] ^ rk[self.rounds][i] for i in range(16))
+
+    def decrypt_block(self, block: bytes) -> bytes:
+        if len(block) != BLOCK_SIZE:
+            raise ValueError(f"block must be 16 bytes, got {len(block)}")
+        rk = self.round_keys
+        s = [block[i] ^ rk[self.rounds][i] for i in range(16)]
+        s = self._inv_shift_rows(s)
+        s = [INV_SBOX[b] for b in s]
+        for rnd in range(self.rounds - 1, 0, -1):
+            s = [s[i] ^ rk[rnd][i] for i in range(16)]
+            s = self._inv_mix_columns(s)
+            s = self._inv_shift_rows(s)
+            s = [INV_SBOX[b] for b in s]
+        return bytes(s[i] ^ rk[0][i] for i in range(16))
+
+    @staticmethod
+    def _shift_rows(s: list[int]) -> list[int]:
+        return [
+            s[0], s[5], s[10], s[15],
+            s[4], s[9], s[14], s[3],
+            s[8], s[13], s[2], s[7],
+            s[12], s[1], s[6], s[11],
+        ]
+
+    @staticmethod
+    def _inv_shift_rows(s: list[int]) -> list[int]:
+        return [
+            s[0], s[13], s[10], s[7],
+            s[4], s[1], s[14], s[11],
+            s[8], s[5], s[2], s[15],
+            s[12], s[9], s[6], s[3],
+        ]
+
+    def _round(self, s: list[int], rk: list[int]) -> list[int]:
+        s = [SBOX[b] for b in s]
+        s = self._shift_rows(s)
+        out = [0] * 16
+        for c in range(0, 16, 4):
+            a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
+            out[c] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
+            out[c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
+            out[c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
+            out[c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
+        return [out[i] ^ rk[i] for i in range(16)]
+
+    @staticmethod
+    def _inv_mix_columns(s: list[int]) -> list[int]:
+        out = [0] * 16
+        for c in range(0, 16, 4):
+            a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
+            out[c] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
+            out[c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
+            out[c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
+            out[c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
+        return out
+
+
 def _xor_block_ref(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def cbc_encrypt_ref(cipher: AES, iv: bytes, plaintext: bytes) -> bytes:
+def cbc_encrypt_ref(cipher: AesRef, iv: bytes, plaintext: bytes) -> bytes:
     """Pre-PR CBC: per-byte generator XOR + per-block naive AES."""
     if len(iv) != BLOCK_SIZE:
         raise ValueError(f"IV must be {BLOCK_SIZE} bytes")
@@ -144,12 +257,12 @@ def cbc_encrypt_ref(cipher: AES, iv: bytes, plaintext: bytes) -> bytes:
     prev = iv
     for i in range(0, len(padded), BLOCK_SIZE):
         block = _xor_block_ref(padded[i : i + BLOCK_SIZE], prev)
-        prev = cipher._encrypt_block_ref(block)
+        prev = cipher.encrypt_block(block)
         out += prev
     return bytes(out)
 
 
-def cbc_decrypt_ref(cipher: AES, iv: bytes, ciphertext: bytes) -> bytes:
+def cbc_decrypt_ref(cipher: AesRef, iv: bytes, ciphertext: bytes) -> bytes:
     if len(iv) != BLOCK_SIZE:
         raise ValueError(f"IV must be {BLOCK_SIZE} bytes")
     if len(ciphertext) % BLOCK_SIZE:
@@ -158,13 +271,13 @@ def cbc_decrypt_ref(cipher: AES, iv: bytes, ciphertext: bytes) -> bytes:
     prev = iv
     for i in range(0, len(ciphertext), BLOCK_SIZE):
         block = ciphertext[i : i + BLOCK_SIZE]
-        out += _xor_block_ref(cipher._decrypt_block_ref(block), prev)
+        out += _xor_block_ref(cipher.decrypt_block(block), prev)
         prev = block
     return pkcs7_unpad(bytes(out))
 
 
 def ctr_keystream_xor_ref(
-    cipher: AES, nonce: bytes, data: bytes, counter0: int = 0
+    cipher: AesRef, nonce: bytes, data: bytes, counter0: int = 0
 ) -> bytes:
     """Pre-PR CTR: rebuilds the counter block by concatenation per block."""
     if len(nonce) != 8:
@@ -172,7 +285,7 @@ def ctr_keystream_xor_ref(
     out = bytearray()
     counter = counter0
     for i in range(0, len(data), BLOCK_SIZE):
-        block = cipher._encrypt_block_ref(nonce + counter.to_bytes(8, "big"))
+        block = cipher.encrypt_block(nonce + counter.to_bytes(8, "big"))
         chunk = data[i : i + BLOCK_SIZE]
         out += _xor_block_ref(chunk, block[: len(chunk)])
         counter += 1

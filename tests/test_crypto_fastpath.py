@@ -1,6 +1,6 @@
 """Differential tests pinning the optimized crypto fast path to the naive
-reference implementations retained in ``repro.crypto._reference`` (and, for
-the AES block itself, ``AES._encrypt_block_ref``).
+oracle implementations in ``tests/oracles/crypto_reference.py`` (for the AES
+block itself, ``AesRef``).
 
 These complement the fixed known-answer vectors in
 ``test_crypto_primitives.py`` / ``test_crypto_aes_modes.py``: randomized
@@ -17,7 +17,8 @@ import struct
 
 import pytest
 
-from repro.crypto._reference import (
+from tests.oracles.crypto_reference import (
+    AesRef,
     cbc_decrypt_ref,
     cbc_encrypt_ref,
     ctr_keystream_xor_ref,
@@ -25,9 +26,9 @@ from repro.crypto._reference import (
     sha1_ref,
     sha256_ref,
 )
-from repro.crypto.aes import AES
+from repro.crypto.aes import _PLANE_KEY_CACHE_MAX, _PLANE_MIN_BLOCKS, AES
 from repro.crypto.hmac_kdf import HmacKey, hkdf_expand, hmac_digest
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_keystream_xor
+from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_keystream_xor, pkcs7_pad
 from repro.crypto.sha import sha1, sha256
 from repro.metrics import METRICS
 
@@ -44,17 +45,17 @@ class TestAesBlockDifferential:
     def test_encrypt_matches_reference(self, key_len):
         rng = random.Random(0xA15 + key_len)
         for _ in range(40):
-            aes = AES(rng.randbytes(key_len))
+            key = rng.randbytes(key_len)
             block = rng.randbytes(16)
-            assert aes.encrypt_block(block) == aes._encrypt_block_ref(block)
+            assert AES(key).encrypt_block(block) == AesRef(key).encrypt_block(block)
 
     @pytest.mark.parametrize("key_len", [16, 24, 32])
     def test_decrypt_matches_reference(self, key_len):
         rng = random.Random(0xDE5 + key_len)
         for _ in range(40):
-            aes = AES(rng.randbytes(key_len))
+            key = rng.randbytes(key_len)
             block = rng.randbytes(16)
-            assert aes.decrypt_block(block) == aes._decrypt_block_ref(block)
+            assert AES(key).decrypt_block(block) == AesRef(key).decrypt_block(block)
 
     def test_roundtrip_random(self):
         rng = random.Random(7)
@@ -69,38 +70,110 @@ class TestModesDifferential:
     def test_cbc_matches_reference(self):
         rng = random.Random(0xCBC)
         for trial in range(60):
-            aes = AES(rng.randbytes(16))
+            key = rng.randbytes(16)
+            aes, ref = AES(key), AesRef(key)
             iv = rng.randbytes(16)
             n = EDGE_LENS[trial % len(EDGE_LENS)] if trial < 32 else rng.randrange(0, 400)
             pt = rng.randbytes(n)
             ct = cbc_encrypt(aes, iv, pt)
-            assert ct == cbc_encrypt_ref(aes, iv, pt)
+            assert ct == cbc_encrypt_ref(ref, iv, pt)
             assert cbc_decrypt(aes, iv, ct) == pt
-            assert cbc_decrypt_ref(aes, iv, ct) == pt
+            assert cbc_decrypt_ref(ref, iv, ct) == pt
 
     def test_ctr_matches_reference(self):
         rng = random.Random(0xC12)
         for trial in range(60):
-            aes = AES(rng.randbytes(16))
+            key = rng.randbytes(16)
+            aes = AES(key)
             nonce = rng.randbytes(8)
             n = EDGE_LENS[trial % len(EDGE_LENS)] if trial < 32 else rng.randrange(0, 400)
             data = rng.randbytes(n)
             counter0 = rng.choice([0, 1, 0xFFFFFFFF, 2**63])
             ks = ctr_keystream_xor(aes, nonce, data, counter0)
-            assert ks == ctr_keystream_xor_ref(aes, nonce, data, counter0)
+            assert ks == ctr_keystream_xor_ref(AesRef(key), nonce, data, counter0)
             # XOR is an involution: applying it twice restores the data.
             assert ctr_keystream_xor(aes, nonce, ks, counter0) == data
 
     def test_ctr_counter_straddles_word_boundary(self):
         # counter0 near 2**32 exercises the high-word carry in the split
         # (counter >> 32, counter & 0xFFFFFFFF) counter representation.
-        aes = AES(bytes(range(16)))
+        aes, ref = AES(bytes(range(16))), AesRef(bytes(range(16)))
         nonce = bytes(8)
         data = bytes(64)
         for counter0 in (0xFFFFFFFE, 0xFFFFFFFF, 0x100000000):
             assert ctr_keystream_xor(aes, nonce, data, counter0) == ctr_keystream_xor_ref(
-                aes, nonce, data, counter0
+                ref, nonce, data, counter0
             )
+
+
+def scalar_cbc_decrypt_blocks(aes: AES, iv: bytes, ciphertext: bytes) -> bytes:
+    """The per-block loop on a message of any length: CBC decryption of a
+    chunk needs only the ciphertext block before it, so feed the loop
+    below-threshold chunks."""
+    chunk = (_PLANE_MIN_BLOCKS - 1) * 16
+    out = bytearray()
+    for i in range(0, len(ciphertext), chunk):
+        out += aes.cbc_decrypt_blocks(iv, ciphertext[i : i + chunk])
+        iv = ciphertext[i + chunk - 16 : i + chunk]
+    assert not aes._plane_keys  # never reached the block-parallel kernel
+    return bytes(out)
+
+
+class TestCbcDecryptPlanes:
+    """The block-parallel kernel against the scalar loop and the oracle."""
+
+    @pytest.mark.parametrize("key_len", [16, 24, 32])
+    def test_every_block_count_matches_scalar_and_oracle(self, key_len):
+        rng = random.Random(0x91A2E + key_len)
+        for nblocks in [*range(1, 97), 1024]:
+            key, iv = rng.randbytes(key_len), rng.randbytes(16)
+            plain = rng.randbytes(16 * nblocks - rng.randrange(1, 17))
+            aes = AES(key)
+            ciphertext = cbc_encrypt(aes, iv, plain)
+            assert len(ciphertext) == 16 * nblocks
+            raw = aes.cbc_decrypt_blocks(iv, ciphertext)
+            assert raw == pkcs7_pad(plain)
+            assert raw == scalar_cbc_decrypt_blocks(AES(key), iv, ciphertext)
+            assert cbc_decrypt_ref(AesRef(key), iv, ciphertext) == plain
+            assert cbc_decrypt(aes, iv, ciphertext) == plain
+
+    def test_threshold_boundary_takes_different_paths_and_agrees(self):
+        rng = random.Random(0xB0DE)
+        key, iv = rng.randbytes(16), rng.randbytes(16)
+        aes, ref = AES(key), AesRef(key)
+        below = rng.randbytes(16 * (_PLANE_MIN_BLOCKS - 1) - 1)
+        at = rng.randbytes(16 * _PLANE_MIN_BLOCKS - 1)
+        ct_below, ct_at = cbc_encrypt(aes, iv, below), cbc_encrypt(aes, iv, at)
+        assert cbc_decrypt(aes, iv, ct_below) == cbc_decrypt_ref(ref, iv, ct_below) == below
+        assert not aes._plane_keys  # scalar loop: no plane keys were built
+        assert cbc_decrypt(aes, iv, ct_at) == cbc_decrypt_ref(ref, iv, ct_at) == at
+        assert list(aes._plane_keys) == [_PLANE_MIN_BLOCKS]
+
+    def test_counters_do_not_depend_on_the_path(self):
+        aes_blocks = METRICS.counter("crypto.aes_blocks")
+        aes_bytes = METRICS.counter("crypto.aes_bytes")
+        aes = AES(bytes(16))
+        for nblocks in (_PLANE_MIN_BLOCKS - 1, _PLANE_MIN_BLOCKS, 88):
+            ciphertext = cbc_encrypt(aes, bytes(16), bytes(16 * nblocks - 1))
+            b0, y0 = aes_blocks.value, aes_bytes.value
+            cbc_decrypt(aes, bytes(16), ciphertext)
+            assert aes_blocks.value - b0 == nblocks
+            assert aes_bytes.value - y0 == 16 * nblocks
+
+    def test_plane_key_cache_is_bounded(self):
+        rng = random.Random(0xCAC4E)
+        key, iv = rng.randbytes(16), rng.randbytes(16)
+        aes = AES(key)
+        lengths = range(_PLANE_MIN_BLOCKS, _PLANE_MIN_BLOCKS + 200)
+        for nblocks in lengths:
+            aes.cbc_decrypt_blocks(iv, bytes(16 * nblocks))
+            assert len(aes._plane_keys) <= _PLANE_KEY_CACHE_MAX
+        assert list(aes._plane_keys) == list(lengths)[-_PLANE_KEY_CACHE_MAX:]
+        # An evicted length is rebuilt, not mis-served from a neighbour's keys.
+        ciphertext = rng.randbytes(16 * lengths[0])
+        assert aes.cbc_decrypt_blocks(iv, ciphertext) == scalar_cbc_decrypt_blocks(
+            AES(key), iv, ciphertext
+        )
 
 
 class TestShaDifferential:

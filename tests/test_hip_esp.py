@@ -1,7 +1,10 @@
 """ESP data-plane tests: real crypto, BEET vs tunnel, anti-replay."""
 
+import struct
+
 import pytest
 
+from repro.crypto.hmac_kdf import HmacKey
 from repro.hip.esp import (
     EspCiphertext,
     EspError,
@@ -10,6 +13,7 @@ from repro.hip.esp import (
     canonical_packet_bytes,
     derive_sa_pair,
 )
+from repro.metrics import METRICS
 from repro.net.addresses import ipv4, ipv6
 from repro.net.packet import IPHeader, Packet, TCPHeader, UDPHeader, VirtualPayload
 
@@ -62,6 +66,46 @@ class TestProtectVerify:
         with pytest.raises(EspError, match="ICV"):
             in_sa.verify(header, bad)
         assert in_sa.auth_failures == 1
+
+    def test_tampered_mss_packet_rejected_before_decrypt(self):
+        # 1400 B decrypts on the block-parallel path; the ICV check still
+        # comes first and still counts the failure.
+        failures = METRICS.counter("esp.auth_failures")
+        out_sa, in_sa = make_sa(), make_sa()
+        header, ct = out_sa.protect(sample_inner(bytes(range(256)) * 5 + bytes(120)))
+        assert len(ct.ciphertext) >= 1400
+        flipped = bytearray(ct.ciphertext)
+        flipped[700] ^= 0x04
+        bad = EspCiphertext(
+            inner=ct.inner, wire_len=ct.wire_len,
+            ciphertext=bytes(flipped), icv=ct.icv, iv=ct.iv,
+        )
+        before = failures.value
+        with pytest.raises(EspError, match="ICV verification failed"):
+            in_sa.verify(header, bad)
+        assert in_sa.auth_failures == 1
+        assert failures.value - before == 1
+        assert in_sa.verify(header, ct) is ct.inner  # the genuine packet still passes
+
+    def test_remaced_bad_padding_is_a_domain_error(self):
+        # A sender holding the auth key re-MACs a ciphertext whose last
+        # plaintext byte is no valid PKCS#7 length: past the ICV check, the
+        # padding check must still end in EspError.
+        out_sa, in_sa = make_sa(), make_sa()
+        header, ct = out_sa.protect(sample_inner(bytes(1400)))
+        forged = bytearray(ct.ciphertext)
+        forged[-17] ^= 0x80  # flips the top bit of the final pad-length byte
+        icv = HmacKey(AUTH, "sha1").digest(
+            struct.pack(">II", header.spi, header.seq) + ct.iv + bytes(forged)
+        )[:12]
+        bad = EspCiphertext(
+            inner=ct.inner, wire_len=ct.wire_len,
+            ciphertext=bytes(forged), icv=icv, iv=ct.iv,
+        )
+        with pytest.raises(EspError, match="decryption failed"):
+            in_sa.verify(header, bad)
+        assert in_sa.auth_failures == 1
+        assert in_sa.packets_verified == 0
 
     def test_wrong_key_rejected(self):
         out_sa = make_sa()

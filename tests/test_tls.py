@@ -1,9 +1,11 @@
 """TLS handshake / record layer and SSL-VPN tunnel tests."""
 
 import random
+import struct
 
 import pytest
 
+from repro.crypto.modes import cbc_encrypt
 from repro.crypto.rsa import RsaKeyPair
 from repro.net.addresses import IPAddress, ipv4
 from repro.net.packet import VirtualPayload
@@ -183,6 +185,51 @@ class TestRecords:
         sim.process(server_side())
         sim.run(until=sim.now + 5)
         assert out["reply"] == b"gnip"
+
+    def test_max_size_record_roundtrip(self, tls_net):
+        # 16 KiB + MAC + padding: 1026 blocks through the block-parallel decrypt.
+        sim, cli, srv = self._connected(tls_net)
+        payload = random.Random(16).randbytes(16384)
+        out = {}
+
+        def sender():
+            yield from cli.write_record(payload)
+
+        def receiver():
+            out["msg"] = yield from srv.recv_record()
+
+        sim.process(sender())
+        sim.process(receiver())
+        sim.run(until=sim.now + 20)
+        assert out["msg"] == payload
+
+    @pytest.mark.parametrize(
+        "forge, message",
+        [("mac", "record MAC verification failed"), ("padding", "record decryption failed")],
+    )
+    def test_forged_large_record_is_a_tls_error(self, tls_net, forge, message):
+        sim, cli, srv = self._connected(tls_net)
+        payload = bytes(16384)
+        seq = struct.pack(">Q", 1)
+        iv = cli._hmac_out.digest(seq)[:16]
+        mac = cli._hmac_out.digest(seq + payload)
+        if forge == "mac":
+            mac = bytes(20)
+        ciphertext = bytearray(cbc_encrypt(cli._aes_out, iv, payload + mac))
+        if forge == "padding":
+            ciphertext[-17] ^= 0x80  # final pad-length byte becomes > 16
+        cli.conn.write(struct.pack(">BHH", 23, 0, len(ciphertext) + 16) + iv + bytes(ciphertext))
+        out = {}
+
+        def receiver():
+            try:
+                yield from srv.recv_record()
+            except TlsError as exc:
+                out["error"] = exc
+
+        sim.process(receiver())
+        sim.run(until=sim.now + 20)
+        assert message in str(out.get("error"))
 
 
 class TestSslVpn:
