@@ -11,6 +11,12 @@ lookahead contract while the simulation executes:
   influence a remote shard sooner than the shortest boundary delay), and
   every envelope injected into a destination shard lands at
   ``arrival >= now``;
+* **kept promises** — no shard hands a packet to a portal before the
+  earliest output time it last reported, unless an envelope injected this
+  window had already arrived (the reaction case).  Checked at the send, so
+  it also finds a promise broken by a packet that happened to land after
+  the barrier — a latent violation the coordinator's own
+  ``LookaheadError`` check cannot see;
 * **monotonic scheduling** — each shard simulator's ``call_later`` /
   ``call_at`` only targets the present or future (the sanitizer wraps the
   two entry points per shard, so a violation names the shard and its local
@@ -48,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: arithmetic is exact float addition, so this only forgives representation
 #: error, never a real early delivery.
 _EPS = 1e-12
+_INF = float("inf")
 
 
 class CausalityViolation(AssertionError):
@@ -58,7 +65,7 @@ class CausalityViolation(AssertionError):
 class Violation:
     """One recorded contract breach (also raised unless ``strict=False``)."""
 
-    kind: str  # "late-envelope" | "past-schedule" | "smuggled-object" | ...
+    kind: str  # "late-envelope" | "promise-broken" | "past-schedule" | ...
     shard: str
     time: float
     detail: str
@@ -95,6 +102,8 @@ class CausalitySanitizer:
     _live: dict[int, Any] = field(default_factory=dict)
     #: shard name -> committed horizon (end of the last finished window).
     _commit: dict[str, float] = field(default_factory=dict)
+    #: shard name -> earliest arrival injected for the window in progress.
+    _inbound: dict[str, float] = field(default_factory=dict)
 
     # -- ownership ------------------------------------------------------------
     def track(self, obj: Any, shard_name: str) -> Any:
@@ -197,10 +206,21 @@ class CausalitySanitizer:
                 f"portal {portal.port_id!r} computed arrival {env.arrival} "
                 f"< send clock {env.sent_now} + link delay {portal.delay_s}",
             )
+        inbound = self._inbound.get(shard.name, _INF)
+        if env.sent_now < min(shard.eot, inbound) - _EPS:
+            self._violate(
+                "promise-broken",
+                shard.name,
+                env.sent_now,
+                f"sent through portal {portal.port_id!r} at t={env.sent_now} "
+                f"after promising no output before t={shard.eot} (earliest "
+                f"inbound arrival this window: {inbound})",
+            )
 
     def on_commit(self, shard: "Shard", window_end: float) -> None:
         """A shard finished a window: advance its committed horizon."""
         self._commit[shard.name] = window_end
+        self._inbound.pop(shard.name, None)
 
     def on_route(self, env: "Envelope", window_end: float, lookahead: float) -> None:
         """The coordinator is routing an envelope at a window barrier."""
@@ -232,6 +252,9 @@ class CausalitySanitizer:
                 f"envelope from {env.src_shard!r} arrives at {env.arrival}, "
                 f"behind shard {shard.name!r}'s clock",
             )
+        self._inbound[shard.name] = min(
+            env.arrival, self._inbound.get(shard.name, _INF)
+        )
         # The portal crossing is the sanctioned ownership transfer: in the
         # forked mode the packet was reborn via pickling, in the inline mode
         # the very same object now belongs to the destination shard.
@@ -252,9 +275,9 @@ class CausalitySanitizer:
 
         Asserts the adaptive-lookahead safety contract: windows advance
         monotonically, and a stretched window never extends past
-        ``next_hint + lookahead`` — the earliest instant any shard's next
-        live event (or pending envelope) could produce a cross-shard
-        consequence.
+        ``next_hint + lookahead`` — ``next_hint`` being the earliest instant
+        any shard's promised output (or its reaction to a pending envelope)
+        could produce a cross-shard consequence.
         """
         self.windows_checked += 1
         if end < start - _EPS:
@@ -271,7 +294,7 @@ class CausalitySanitizer:
                 "<coordinator>",
                 start,
                 f"window stretched to {end}, beyond the safe horizon "
-                f"max(start={start}, next_event={next_hint}) + "
+                f"max(start={start}, next_output={next_hint}) + "
                 f"lookahead {lookahead} = {limit}",
             )
         self._last_window_end = end

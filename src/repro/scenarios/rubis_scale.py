@@ -515,9 +515,10 @@ def _deploy_fleet(sim, zrngs, zone: Zone, zone_index: int, plan: FleetPlan,
 
 
 def _heartbeat_tx(sim, stats: ZoneStats, sock, peers: dict[int, IPAddress],
-                  interval: float) -> Generator:
+                  interval: float, next_fire: list[float]) -> Generator:
     beat = 0
     while True:
+        next_fire[0] = sim.now + interval  # the float the timeout is heaped at
         yield sim.timeout(interval)
         beat += 1
         payload = b"hb:%d" % beat
@@ -533,13 +534,17 @@ def _heartbeat_rx(stats: ZoneStats, sock) -> Generator:
 
 
 def _start_heartbeats(sim, zname: str, stats: ZoneStats, border: Node,
-                      peers: dict[int, IPAddress], p: ScaleParams) -> None:
+                      peers: dict[int, IPAddress], p: ScaleParams) -> list[float]:
+    """Start the border router's heartbeats; returns the one-slot holder the
+    sender keeps its next fire time in (0.0 until it first runs)."""
     sock = UdpStack(border).bind(HEARTBEAT_PORT)
+    next_fire = [0.0]
     sim.process(
-        _heartbeat_tx(sim, stats, sock, peers, p.heartbeat_interval),
+        _heartbeat_tx(sim, stats, sock, peers, p.heartbeat_interval, next_fire),
         name=f"{zname}-hb-tx",
     )
     sim.process(_heartbeat_rx(stats, sock), name=f"{zname}-hb-rx")
+    return next_fire
 
 
 # ----------------------------------------------------------------- builders --
@@ -576,11 +581,32 @@ def build_scale_zone(shard, zone_index: int, n_zones: int,
         border.routes.add(
             prefix(f"{_zone_base_octet(j)}.0.0.0/8"), neighbor_ifaces[nh]
         )
+    # Earliest-output-time promises (see repro.sim.shard): between them they
+    # must cover every source that can put a packet on a portal.  A timer is
+    # a sound promise only for a source whose send reaches the portal in the
+    # event that fires it; a source whose packet spends simulated time inside
+    # the shard first can be in flight at a barrier with its timer already
+    # re-armed, so it must promise the shard's next live event instead.
     if peers:
-        _start_heartbeats(sim, zone.name, zone.stats, border, peers, p)
+        # The heartbeat is sent by the border router itself: sendto ->
+        # send_ip -> _route_out -> ShardPortal.send is one event.
+        next_fire = _start_heartbeats(
+            sim, zone.name, zone.stats, border, peers, p
+        )
+        shard.egress_promise(lambda: next_fire[0])
     if p.n_fleets > 0:
         plan = fleet_plan if fleet_plan is not None else plan_fleet(p)
         _deploy_fleet(sim, shard.rngs, zone, zone_index, plan, p)
+        # A fleet VM is host -> rack -> core -> border away from the portal.
+        # Members whose ring peer is zone-local never reach it; packets from
+        # other zones (to a member here, or in transit over the border
+        # router, which forwards in the arrival event) are the coordinator's
+        # pending-arrival term and need no promise.
+        if any(
+            plan.members[(f, (k + 1) % p.fleet_size)][0] != zone_index
+            for f, k in plan.zone_members(zone_index)
+        ):
+            shard.egress_promise(sim.peek_live)
     shard.result_fn = zone.stats.as_dict
     return zone
 

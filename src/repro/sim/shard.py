@@ -25,21 +25,31 @@ The coordinator is built for real hardware parallelism:
   they arrive (``multiprocessing.connection.wait`` over the pipes), so
   shards genuinely overlap on multiple cores instead of advancing one at a
   time behind a blocking send+recv.
-* **Adaptive lookahead** — each reply carries the shard's next live event
-  time (:meth:`~repro.sim.engine.Simulator.peek_live`).  When every shard is
-  idle until ``next_t`` (and no pending envelope arrives sooner), the next
-  window can safely stretch to ``next_t + lookahead``: nothing anywhere can
-  fire before ``next_t``, and the earliest cross-shard consequence of an
-  event at ``next_t`` lands no sooner than ``next_t + lookahead``.  Barrier
-  count collapses whenever shards coast (fluid-mode bulk flows, think-time
-  troughs, drained tails) while busy phases degrade gracefully to the
-  static ``lookahead``-sized windows.
+* **Adaptive lookahead on earliest-output-time promises** — each reply
+  carries the shard's *earliest output time* (EOT): the simulated time
+  before which it hands no packet to any portal.  The next barrier is
+  ``next_t + lookahead`` with ``next_t = min(EOT over shards, pending
+  envelope arrivals)`` — classic null-message lookahead: no shard sends
+  before ``next_t``, so nothing sent from now on lands before
+  ``next_t + lookahead``.  A builder states what it knows through
+  :meth:`Shard.egress_promise`; a shard with no promise reports its next
+  live event time (:meth:`~repro.sim.engine.Simulator.peek_live`), the
+  weakest sound bound, under which windows stretch only while shards coast.
+  A portal send has three possible causes — (1) a packet already in flight
+  inside the shard, (2) a source that has not fired yet, (3) a reaction to
+  an inbound envelope — and a promise may speak for (2) only when the
+  source reaches the portal *in the event that fires it*; (3) is the
+  pending-arrival term (border forwarding is same-event); a source several
+  hops from its portal must promise ``peek_live`` because of (1).  A promise
+  that is too late cannot change a result silently: the envelope it failed
+  to announce arrives inside a committed window and :meth:`_route_window`
+  raises :class:`LookaheadError` naming the shard and the promise.
 * **Batched envelope frames** — cross-process traffic is one length-prefixed
   frame per window: struct-packed envelope metadata, an interned string
   table, and a *single* pickle of the packet list (shared memo, payload
   bytes interned once) instead of per-object pipe pickling.  Sync-overhead
   metrics (windows, stretched windows, envelopes, frame bytes, per-shard
-  busy seconds) land in the metrics registry and
+  busy and CPU seconds) land in the metrics registry and
   :meth:`ShardedSimulation.sync_stats`.
 
 **Digest invariance under window scheduling.**  Because adaptive windows
@@ -209,8 +219,9 @@ _STR_LEN = struct.Struct("<H")
 _ENV_META = struct.Struct("<ddIIHHH")
 _BLOB_LEN = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
-#: Window-reply tail: peek, 5-field ledger delta, busy wall-seconds.
-_REPLY_TAIL = struct.Struct("<d5qd")
+#: Window-reply tail: peek, EOT, 5-field ledger delta, busy wall-seconds,
+#: busy CPU-seconds.
+_REPLY_TAIL = struct.Struct("<dd5qdd")
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 
 
@@ -399,8 +410,13 @@ class Shard:
         #: perturb another shard's streams.
         self.rngs = RngStreams(seed).spawn(f"shard:{name}")
         self.portals: dict[str, ShardPortal] = {}
+        #: ``portals`` in port-id order, built on first :meth:`advance`.
+        self._portal_order: list[ShardPortal] | None = None
         self.ingress: dict[str, "Interface"] = {}
         self._env_seq = 0
+        self._promises: list[Callable[[], float]] = []
+        #: The earliest output time :meth:`advance` last reported.
+        self.eot = 0.0
         self.result_fn: Callable[[], Any] | None = None
         if CAUSALITY_TAPS:
             for tap in CAUSALITY_TAPS:
@@ -421,7 +437,21 @@ class Shard:
             self, port_id, dst_shard, bandwidth_bps, delay_s, queue_packets
         )
         self.portals[port_id] = portal
+        self._portal_order = None
         return portal
+
+    def egress_promise(self, fn: Callable[[], float]) -> None:
+        """Register a source's earliest-output-time promise.
+
+        ``fn()`` returns the simulated time before which this source hands
+        no packet to any portal of this shard; it is read at every window
+        barrier.  A timer's next fire time is a sound promise only for a
+        source whose send reaches the portal in the event that fires it;
+        anything further away must promise ``shard.sim.peek_live`` (see the
+        module docstring).  Once anything is registered the promises must
+        between them speak for *every* source in the shard.
+        """
+        self._promises.append(fn)
 
     def open_ingress(self, port_id: str, iface: "Interface") -> None:
         """Register ``iface`` as the landing point for a remote egress port."""
@@ -460,29 +490,39 @@ class Shard:
 
     def advance(
         self, window_end: float
-    ) -> tuple[list[Envelope], float, tuple[int, ...]]:
+    ) -> tuple[list[Envelope], float, float, tuple[int, ...]]:
         """Run this shard's clock to ``window_end``; return boundary traffic.
 
-        Returns ``(envelopes, peek, ledger_delta)``: ``peek`` is the next
-        *live* local event time (``inf`` when idle; stale cancelled timers
-        are pruned, see :meth:`Simulator.peek_live`) — the coordinator's
-        adaptive-lookahead hint; correctness never depends on it being
-        tight, only on it never reporting *later* than the true next event.
-        ``ledger_delta`` is this window's link accounting, published by the
-        coordinator in the parent process.
+        Returns ``(envelopes, peek, eot, ledger_delta)``.  ``peek`` is the
+        next *live* local event time (``inf`` when idle; stale cancelled
+        timers are pruned, see :meth:`Simulator.peek_live`); the coordinator
+        reads it only to tell when every shard has drained.  ``eot`` is the
+        earliest output time — the least of the registered
+        :meth:`egress_promise` values, or ``peek`` when none is registered —
+        and is what the next barrier is computed from: correctness never
+        depends on it being tight, only on no portal send happening before
+        it except in reaction to an inbound envelope.  ``ledger_delta`` is
+        this window's link accounting, published by the coordinator in the
+        parent process.
         """
         self.sim.run(until=window_end)
         if CAUSALITY_TAPS:
             for tap in CAUSALITY_TAPS:
                 tap.on_commit(self, window_end)
+        portals = self._portal_order
+        if portals is None:
+            portals = self._portal_order = [
+                self.portals[pid] for pid in sorted(self.portals)
+            ]
         out: list[Envelope] = []
-        for pid in sorted(self.portals):
-            portal = self.portals[pid]
+        for portal in portals:
             if portal.out:
                 out.extend(portal.out)
                 portal.out = []
         out.sort(key=_LOCAL_ORDER)
-        return out, self.sim.peek_live(), self.ledger.take_delta()
+        peek = self.sim.peek_live()
+        self.eot = eot = min([fn() for fn in self._promises], default=peek)
+        return out, peek, eot, self.ledger.take_delta()
 
     def finish(self) -> tuple[Any, tuple[int, ...]]:
         result = self.result_fn() if self.result_fn is not None else None
@@ -525,12 +565,12 @@ class _InlineWorker:
 
     def collect_window(
         self,
-    ) -> tuple[list[Envelope], float, tuple[int, ...], float]:
+    ) -> tuple[list[Envelope], float, float, tuple[int, ...], float, float]:
         window_end, envelopes = self._window  # type: ignore[misc]
         self._window = None
         self.shard.inject(envelopes)
-        out, peek, delta = self.shard.advance(window_end)
-        return out, peek, delta, 0.0
+        out, peek, eot, delta = self.shard.advance(window_end)
+        return out, peek, eot, delta, 0.0, 0.0
 
     def finish(self) -> tuple[Any, tuple[int, ...]]:
         return self.shard.finish()
@@ -554,8 +594,9 @@ def _worker_main(
     ======  =========================================================
     parent  ``W`` + window_end f64 + envelope frame; ``F``; ``S``
     child   ``P`` + pickled ports (once, after build);
-            ``W`` + envelope frame + reply tail (peek, ledger delta,
-            busy wall-seconds); ``F`` + pickled (result, delta);
+            ``W`` + envelope frame + reply tail (peek, EOT, ledger delta,
+            busy wall-seconds, busy CPU-seconds); ``F`` + pickled
+            (result, delta);
             ``E`` + utf-8 error text (then the child exits)
     ======  =========================================================
     """
@@ -577,15 +618,17 @@ def _worker_main(
                 (window_end,) = _F64.unpack_from(msg, 1)
                 envelopes, _ = decode_envelopes(msg, 1 + _F64.size)
                 start = time.perf_counter()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
+                cpu_start = time.process_time()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
                 shard.inject(envelopes)
-                out, peek, delta = shard.advance(window_end)
+                out, peek, eot, delta = shard.advance(window_end)
+                cpu = time.process_time() - cpu_start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
                 busy = time.perf_counter() - start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
                 conn.send_bytes(
                     b"".join(
                         (
                             b"W",
                             encode_envelopes(out),
-                            _REPLY_TAIL.pack(peek, *delta, busy),
+                            _REPLY_TAIL.pack(peek, eot, *delta, busy, cpu),
                         )
                     )
                 )
@@ -689,11 +732,13 @@ class _ProcessWorker:
 
     def collect_window(
         self,
-    ) -> tuple[list[Envelope], float, tuple[int, ...], float]:
+    ) -> tuple[list[Envelope], float, float, tuple[int, ...], float, float]:
         msg = self._expect(b"W")
         envelopes, offset = decode_envelopes(msg, 1)
-        peek, d0, d1, d2, d3, d4, busy = _REPLY_TAIL.unpack_from(msg, offset)
-        return envelopes, peek, (d0, d1, d2, d3, d4), busy
+        peek, eot, d0, d1, d2, d3, d4, busy, cpu = _REPLY_TAIL.unpack_from(
+            msg, offset
+        )
+        return envelopes, peek, eot, (d0, d1, d2, d3, d4), busy, cpu
 
     def finish(self) -> tuple[Any, tuple[int, ...]]:
         self._send(b"F")
@@ -738,7 +783,8 @@ class ShardedSimulation:
 
     ``parallel=True`` forks one worker process per shard and scatter-gathers
     every window; ``adaptive=True`` (default) stretches windows past the
-    static lookahead whenever every shard's next live event allows it.  The
+    static lookahead as far as the shards' earliest-output-time promises
+    allow (``adaptive=False`` is the static schedule and ignores them).  The
     boundary digest is schedule-invariant (see module docstring), so
     adaptive and static runs of the same scenario produce identical digests.
     """
@@ -784,7 +830,9 @@ class ShardedSimulation:
         self._dst_index = {name: i for i, name in enumerate(self._names)}
         self._pending: list[list[Envelope]] = [[] for _ in range(n)]
         self._peeks: list[float] = [0.0] * n
+        self._eots: list[float] = [0.0] * n
         self._busy: list[float] = [0.0] * n
+        self._cpu: list[float] = [0.0] * n
         if parallel:
             self._conns = [w.connection for w in self._worker_list]
             self._conn_index = {conn: i for i, conn in enumerate(self._conns)}
@@ -822,7 +870,14 @@ class ShardedSimulation:
         return self._digest.hexdigest()
 
     def sync_stats(self) -> dict[str, Any]:
-        """Per-run synchronization overhead (windows/s, bytes, idle time)."""
+        """Per-run synchronization overhead (windows/s, bytes, idle time).
+
+        Per shard, ``busy_s`` is the worker's wall time inside windows and
+        ``cpu_s`` the CPU time it was actually given for them: on an
+        oversubscribed host ``busy_s`` counts time spent preempted, so it is
+        ``cpu_s`` that says how much work the shard did.  Both are zero for
+        inline workers.
+        """
         wall = self.window_wall_s
         per_shard: dict[str, Any] = {}
         for i, name in enumerate(self._names):
@@ -833,6 +888,7 @@ class ShardedSimulation:
                 idle = min(1.0, max(0.0, 1.0 - busy / wall))
             per_shard[name] = {
                 "busy_s": busy,
+                "cpu_s": self._cpu[i],
                 "idle_fraction": idle,
                 "frame_bytes_tx": worker.bytes_tx,
                 "frame_bytes_rx": worker.bytes_rx,
@@ -865,7 +921,9 @@ class ShardedSimulation:
         workers = self._worker_list
         pending = self._pending
         peeks = self._peeks
+        eots = self._eots
         busy_acc = self._busy
+        cpu_acc = self._cpu
         n = len(workers)
         start = time.perf_counter()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
         for i in range(n):
@@ -889,25 +947,35 @@ class ShardedSimulation:
                     continue
                 for conn in ready:
                     i = conn_index[conn]
-                    sent, peek, delta, busy = workers[i].collect_window()
+                    sent, peek, eot, delta, busy, cpu = workers[i].collect_window()
                     remaining.remove(conn)
                     peeks[i] = peek
+                    eots[i] = eot
                     busy_acc[i] += busy
+                    cpu_acc[i] += cpu
                     publish_link_delta(delta)
                     if sent:
                         outs.extend(sent)
         else:
             for i in range(n):
-                sent, peek, delta, _busy = workers[i].collect_window()
+                sent, peek, eot, delta, _busy, _cpu = workers[i].collect_window()
                 peeks[i] = peek
+                eots[i] = eot
                 publish_link_delta(delta)
                 if sent:
                     outs.extend(sent)
         self.window_wall_s += time.perf_counter() - start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
         return outs
 
-    def _route_window(self, outs: list[Envelope], window_end: float) -> None:
-        """Validate, order and buffer one barrier's cross-shard envelopes."""
+    def _route_window(
+        self, outs: list[Envelope], window_end: float, promised: tuple[float, ...]
+    ) -> None:
+        """Validate, order and buffer one barrier's cross-shard envelopes.
+
+        ``promised`` is each shard's EOT as this window was scheduled from
+        it; an envelope landing inside the window from a shard that sent
+        before its own EOT is reported as that shard's broken promise.
+        """
         outs.sort(key=_GLOBAL_ORDER)
         taps = CAUSALITY_TAPS
         lookahead = self.lookahead
@@ -919,10 +987,18 @@ class ShardedSimulation:
                 for tap in taps:
                     tap.on_route(env, window_end, lookahead)
             if env.arrival < window_end:
-                raise LookaheadError(
+                msg = (
                     f"envelope from {env.src_shard!r} arrives at "
                     f"{env.arrival}, inside the window ending {window_end}"
                 )
+                eot = promised[env.src_index]
+                if env.sent_now < eot:
+                    msg = (
+                        f"shard {env.src_shard!r} sent through "
+                        f"{env.port_id!r} at t={env.sent_now:.6f} after "
+                        f"promising no output before t={eot:.6f}: {msg}"
+                    )
+                raise LookaheadError(msg)
             heappush(undigested, (env.arrival, env.src_index, env.seq, env))
             pending[dst_index[env.dst_shard]].append(env)
         self.envelopes_routed += len(outs)
@@ -970,26 +1046,29 @@ class ShardedSimulation:
         adaptive = self.adaptive
         pending = self._pending
         peeks = self._peeks
+        eots = self._eots
         t = 0.0
         window_end = min(lookahead, until)
         while t < until:
+            promised = tuple(eots)
             outs = self._sync_window(window_end)
             self.windows += 1
             if outs:
-                self._route_window(outs, window_end)
+                self._route_window(outs, window_end, promised)
             self._drain_digest(window_end)
             t = window_end
-            # The adaptive hint: the earliest instant anything, anywhere,
-            # can happen — a shard's next live event or a routed envelope
-            # waiting to be injected.  Nothing can fire before it, so the
-            # earliest cross-shard consequence arrives >= next_t + lookahead.
-            next_t = min(peeks)
+            next_arrival = _INF
             for bucket in pending:
                 for env in bucket:
-                    if env.arrival < next_t:
-                        next_t = env.arrival
-            if next_t == _INF:
+                    if env.arrival < next_arrival:
+                        next_arrival = env.arrival
+            if next_arrival == _INF and min(peeks) == _INF:
                 break  # every shard idle and nothing in flight: done
+            # The adaptive hint: the earliest instant any shard can hand a
+            # packet to a portal — its own promise, or its reaction to a
+            # routed envelope waiting to be injected.  No send happens
+            # before it, so nothing lands before next_t + lookahead.
+            next_t = min(min(eots), next_arrival)
             window_end = t + lookahead
             if adaptive and next_t + lookahead > window_end:
                 window_end = next_t + lookahead

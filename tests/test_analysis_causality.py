@@ -1,9 +1,9 @@
 """Runtime causality-sanitizer tests.
 
-A clean sharded run stays silent; three deliberately broken toy shards —
-a late envelope, a schedule into the past, and an object smuggled across a
-portal-less boundary — each produce a violation naming the offending shard
-and its simulated time.
+A clean sharded run stays silent; four deliberately broken toy shards —
+a late envelope, a broken earliest-output-time promise, a schedule into the
+past, and an object smuggled across a portal-less boundary — each produce a
+violation naming the offending shard and its simulated time.
 """
 
 from __future__ import annotations
@@ -15,10 +15,20 @@ from repro.analysis.causality import (
     CausalityViolation,
     causality_sanitizer,
 )
+from repro.net.addresses import Prefix, ipv4
+from repro.net.node import Node
 from repro.net.packet import Packet
+from repro.net.topology import wire, wire_cross_shard
+from repro.net.udp import UdpStack
 from repro.sim import shard as shard_mod
-from repro.sim.shard import Envelope, Shard, ShardedSimulation
-from tests.test_shard import CROSS_DELAY, echo_builders
+from repro.sim.shard import (
+    Envelope,
+    LookaheadError,
+    Shard,
+    ShardedSimulation,
+    ShardError,
+)
+from tests.test_shard import CROSS_DELAY, build_ticker, echo_builders
 
 LOOKAHEAD = CROSS_DELAY
 
@@ -125,6 +135,136 @@ def test_late_envelope_accumulates_when_not_strict():
     assert violation.kind == "late-envelope"
     assert violation.shard == "bad"
     assert violation.time == pytest.approx(LOOKAHEAD / 4)
+
+
+# ---------------------------------------------------------- broken promise --
+
+VM_ADDR, BORDER_LAN, BORDER_WAN = ipv4("10.9.0.2"), ipv4("10.9.0.1"), ipv4("10.9.1.1")
+FAR_ADDR = ipv4("10.9.1.2")
+SEND_EVERY = 10e-3
+
+
+def _vm_behind_border_builder(shard, hop_delay, promise_slack=0.0):
+    """A VM that promises its send timer although it is two hops from the
+    portal: VM -> (in-shard link, ``hop_delay``) -> border -> portal.
+
+    While a datagram is on the in-shard link the timer is already re-armed,
+    so a barrier falling in that gap reads a promise one period too late
+    (the unsound prototype DESIGN.md describes).  ``promise_slack`` instead
+    overstates the promise of a VM that *is* the border (``hop_delay=0``).
+    """
+    sim = shard.sim
+    border = Node(sim, "border", forwarding=True)
+    out = wire_cross_shard(
+        shard, border, BORDER_WAN, out_port="src->sink", in_port="sink->src",
+        dst_shard="sink", delay_s=LOOKAHEAD,
+    )
+    border.routes.add(Prefix(FAR_ADDR, 32), out)
+    if hop_delay:
+        sender = Node(sim, "vm")
+        vm_if, _border_if, _link = wire(
+            sim, sender, border, VM_ADDR, BORDER_LAN, delay_s=hop_delay
+        )
+        sender.routes.add(Prefix(FAR_ADDR, 32), vm_if)
+    else:
+        sender = border
+    sock = UdpStack(sender).bind(7300)
+    next_fire = [0.0]
+
+    def tx():
+        while True:
+            next_fire[0] = sim.now + SEND_EVERY
+            yield sim.timeout(SEND_EVERY)
+            sock.sendto(b"x" * 64, FAR_ADDR, 7300)
+
+    sim.process(tx())
+    shard.egress_promise(lambda: next_fire[0] + promise_slack)
+    shard.result_fn = lambda: None
+
+
+def _broken_promise_sim(parallel=False, sink=None, **src_kw):
+    return ShardedSimulation(
+        {
+            "src": (_vm_behind_border_builder, src_kw),
+            "sink": sink or (_sink_builder, {"port_id": "src->sink"}),
+        },
+        seed=1,
+        lookahead=LOOKAHEAD,
+        parallel=parallel,
+    )
+
+
+def _busy_sink_builder(shard):
+    _sink_builder(shard, port_id="src->sink")
+    build_ticker(shard, n_ticks=10_000, promise=None)
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_broken_promise_is_a_loud_lookahead_error(parallel):
+    # The VM fires at 10 ms inside the window ending 12 ms and re-arms for
+    # 20 ms; its datagram reaches the portal at 13 ms, inside the window
+    # the barrier at 12 ms stretched to 22 ms on the strength of "20 ms".
+    sharded = _broken_promise_sim(parallel=parallel, hop_delay=1.5 * LOOKAHEAD)
+    with pytest.raises(LookaheadError) as exc:
+        sharded.run(0.1)
+    msg = str(exc.value)
+    assert "shard 'src' sent through 'src->sink' at t=0.013" in msg
+    assert "after promising no output before t=0.020000" in msg
+    assert "inside the window ending" in msg
+    assert isinstance(exc.value, ShardError)
+    if parallel:
+        for worker in sharded.workers.values():
+            assert not worker._proc.is_alive()
+
+
+def test_broken_promise_is_reported_by_the_sanitizer():
+    with causality_sanitizer(strict=False) as tap:
+        sharded = _broken_promise_sim(hop_delay=1.5 * LOOKAHEAD)
+        with pytest.raises(LookaheadError):
+            sharded.run(0.1)
+    broken = [v for v in tap.violations if v.kind == "promise-broken"]
+    assert broken and broken[0].shard == "src"
+    assert broken[0].time == pytest.approx(0.013, abs=1e-4)
+    assert "'src->sink'" in broken[0].detail
+
+
+def test_broken_promise_in_forked_worker_names_shard_and_kind():
+    # Strict taps are inherited across the fork: the send itself raises in
+    # the child and surfaces as a ShardError, siblings reaped.
+    with causality_sanitizer():
+        sharded = _broken_promise_sim(parallel=True, hop_delay=1.5 * LOOKAHEAD)
+        with pytest.raises(ShardError, match="promise-broken") as exc:
+            sharded.run(0.1)
+    assert "shard 'src'" in str(exc.value)
+    for worker in sharded.workers.values():
+        assert not worker._proc.is_alive()
+
+
+def test_latent_broken_promise_is_found_at_the_send():
+    # The border itself sends (same event, no in-flight gap) but overstates
+    # its promise by half a lookahead.  A busy peer with no promise keeps
+    # every window short, so each envelope still lands after its barrier and
+    # the coordinator's check has nothing to see — the run is correct by
+    # luck.  The sanitizer checks the send against the promise itself.
+    sink = (_busy_sink_builder, {})
+    with causality_sanitizer(strict=False) as tap:
+        sharded = _broken_promise_sim(
+            sink=sink, hop_delay=0.0, promise_slack=LOOKAHEAD / 2
+        )
+        sharded.run(0.1)
+    assert sharded.envelopes_routed == 10
+    kinds = {v.kind for v in tap.violations}
+    assert kinds == {"promise-broken"}
+    assert all(v.shard == "src" for v in tap.violations)
+
+
+def test_kept_promise_is_silent():
+    with causality_sanitizer() as tap:
+        sharded = _broken_promise_sim(hop_delay=0.0)
+        sharded.run(0.1)
+    assert not tap.violations
+    assert sharded.envelopes_routed == 10
+    assert sharded.windows <= 2 * sharded.envelopes_routed + 2
 
 
 # ------------------------------------------------------ schedule-in-the-past --

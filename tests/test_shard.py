@@ -30,8 +30,17 @@ CROSS_DELAY = 2e-3
 ECHO_PORT = 7000
 
 
-def build_left(shard, n_packets=20, delay_s=CROSS_DELAY, dst_shard="right"):
-    """Sender shard: jittered UDP pings across the portal, counts echoes."""
+INF = float("inf")
+
+
+def build_left(shard, n_packets=20, delay_s=CROSS_DELAY, dst_shard="right",
+               promises=False):
+    """Sender shard: jittered UDP pings across the portal, counts echoes.
+
+    ``promises=True`` registers the honest earliest-output-time promise: the
+    node owns the portal, so a ping enters it in the event that fires it and
+    the next ping's fire time (``inf`` after the last) is a sound bound.
+    """
     sim = shard.sim
     node = Node(sim, "left")
     iface = wire_cross_shard(
@@ -43,11 +52,16 @@ def build_left(shard, n_packets=20, delay_s=CROSS_DELAY, dst_shard="right"):
     rng = shard.rngs.stream("tx")
     stats = {"sent": 0, "echoed": 0}
 
+    next_tx = [0.0]
+
     def tx():
         for i in range(n_packets):
-            yield sim.timeout(rng.random() * 0.01)
+            gap = rng.random() * 0.01
+            next_tx[0] = sim.now + gap
+            yield sim.timeout(gap)
             sock.sendto(bytes([i % 251]) * 64, RIGHT_ADDR, ECHO_PORT)
             stats["sent"] += 1
+        next_tx[0] = INF
 
     def rx():
         while True:
@@ -56,11 +70,17 @@ def build_left(shard, n_packets=20, delay_s=CROSS_DELAY, dst_shard="right"):
 
     sim.process(tx())
     sim.process(rx())
+    if promises:
+        shard.egress_promise(lambda: next_tx[0])
     shard.result_fn = lambda: dict(stats)
 
 
-def build_right(shard, delay_s=CROSS_DELAY):
-    """Echo shard: bounces every datagram back through the portal."""
+def build_right(shard, delay_s=CROSS_DELAY, promises=False):
+    """Echo shard: bounces every datagram back through the portal.
+
+    It only ever reacts to an inbound envelope, which the coordinator's
+    pending-arrival term covers, so its honest promise is ``inf``.
+    """
     sim = shard.sim
     node = Node(sim, "right")
     iface = wire_cross_shard(
@@ -78,13 +98,15 @@ def build_right(shard, delay_s=CROSS_DELAY):
             sock.sendto(payload, src, sport)
 
     sim.process(echo())
+    if promises:
+        shard.egress_promise(lambda: INF)
     shard.result_fn = lambda: dict(stats)
 
 
-def echo_builders(**left_kw):
+def echo_builders(promises=False, **left_kw):
     return {
-        "left": (build_left, left_kw),
-        "right": (build_right, {}),
+        "left": (build_left, {"promises": promises, **left_kw}),
+        "right": (build_right, {"promises": promises}),
     }
 
 
@@ -217,17 +239,133 @@ def test_sync_stats_shape():
     )
     assert set(stats["per_shard"]) == {"left", "right"}
     assert stats["window_wall_s"] > 0.0
+    for row in stats["per_shard"].values():
+        assert set(row) == {
+            "busy_s", "cpu_s", "idle_fraction", "frame_bytes_tx", "frame_bytes_rx",
+        }
+        assert row["busy_s"] == row["cpu_s"] == 0.0  # inline: not measured
+
+
+def test_sync_stats_forked_reports_cpu_beside_wall():
+    sharded, _ = run_echo(parallel=True)
+    for row in sharded.sync_stats()["per_shard"].values():
+        # CPU time given to the worker, next to the wall time it spent in
+        # its windows; both accumulate over every window of the run.
+        assert row["busy_s"] > 0.0
+        assert row["cpu_s"] > 0.0
+        assert 0.0 <= row["idle_fraction"] <= 1.0
+
+
+# --- earliest-output-time promises ---------------------------------------------
+
+BEACON_ADDRS = {"za": ipv4("10.8.0.1"), "zb": ipv4("10.8.0.2")}
+BEACON_PORT = 7100
+
+
+def build_beacon(shard, peer, promise):
+    """One zone of a two-zone heartbeat pair, busy with local work.
+
+    A 1 ms local ticker keeps the next live event within a millisecond of
+    every barrier — the condition under which ``peek + lookahead`` windows
+    never stretch — while the only portal traffic is a 50 ms beacon the
+    node sends itself.  ``promise`` registers the beacon's next fire time.
+    """
+    sim = shard.sim
+    me = shard.name
+    node = Node(sim, me)
+    iface = wire_cross_shard(
+        shard, node, BEACON_ADDRS[me], out_port=f"{me}->{peer}",
+        in_port=f"{peer}->{me}", dst_shard=peer, delay_s=CROSS_DELAY,
+    )
+    node.routes.add(Prefix(BEACON_ADDRS[peer], 32), iface)
+    sock = UdpStack(node).bind(BEACON_PORT)
+    rng = shard.rngs.stream("beacon")
+    stats = {"sent": 0, "heard": 0, "ticks": 0}
+    next_fire = [0.0]
+
+    def tx():
+        next_fire[0] = gap = rng.random() * 0.05  # desynchronised start
+        yield sim.timeout(gap)
+        while True:
+            sock.sendto(b"beacon:%d" % stats["sent"], BEACON_ADDRS[peer],
+                        BEACON_PORT)
+            stats["sent"] += 1
+            next_fire[0] = sim.now + 0.05
+            yield sim.timeout(0.05)
+
+    def rx():
+        while True:
+            yield sock.recvfrom()
+            stats["heard"] += 1
+
+    def tick():
+        stats["ticks"] += 1
+        sim.call_later(1e-3, tick)
+
+    sim.process(tx())
+    sim.process(rx())
+    sim.call_later(1e-3, tick)
+    if promise:
+        shard.egress_promise(lambda: next_fire[0])
+    shard.result_fn = lambda: dict(stats)
+
+
+def run_beacons(promise, until=1.0, **kwargs):
+    builders = {
+        "za": (build_beacon, {"peer": "zb", "promise": promise}),
+        "zb": (build_beacon, {"peer": "za", "promise": promise}),
+    }
+    sharded = ShardedSimulation(builders, 42, **kwargs)
+    return sharded, sharded.run(until)
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_promise_collapses_windows_to_envelope_count(parallel):
+    """The barrier waits for the next possible cross-shard *send*: with the
+    beacon's timer promised, a busy shard's window count follows the
+    envelope count instead of ``sim_s / lookahead`` — and the simulation is
+    the one the static schedule and the promise-less run compute."""
+    promised, promised_res = run_beacons(promise=True, parallel=parallel)
+    static, static_res = run_beacons(promise=True, adaptive=False)
+    plain, plain_res = run_beacons(promise=False)
+    assert promised.envelopes_routed == 40
+    assert promised.windows <= 2 * promised.envelopes_routed + 2
+    assert plain.windows > 300  # peek-bound: 1.0 s in 2-3 ms windows
+    assert static.windows == 500  # adaptive=False ignores the promise
+    for other, other_res in ((static, static_res), (plain, plain_res)):
+        assert promised_res == other_res
+        assert promised.boundary_digest == other.boundary_digest
+        assert promised.envelopes_routed == other.envelopes_routed
+    assert promised_res["za"]["ticks"] >= 999  # the local work all ran
+
+
+def test_echo_window_counts_without_promises_are_unchanged():
+    """No promise registered means ``eot = peek``: the echo scenarios keep
+    the window schedule they had before promises existed."""
+    adaptive, _ = run_echo()
+    static, _ = run_echo(adaptive=False)
+    assert (adaptive.windows, adaptive.stretched_windows) == (43, 42)
+    assert static.windows == 59
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_echo_with_promises_matches_without(parallel):
+    promised, promised_res = run_echo(
+        builders=echo_builders(promises=True), parallel=parallel
+    )
+    plain, plain_res = run_echo()
+    assert promised_res == plain_res
+    assert promised.boundary_digest == plain.boundary_digest
+    assert promised.windows <= plain.windows
 
 
 # --- early exit ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_early_exit_only_when_drained(parallel):
-    """``run(until=...)`` with a huge horizon must stop as soon as every
-    shard is idle AND nothing is in flight — but not a window earlier."""
+def _check_exit_only_when_drained(parallel, promises):
     sharded, results = run_echo(
-        until=1000.0, parallel=parallel, builders=echo_builders(n_packets=3)
+        until=1000.0, parallel=parallel,
+        builders=echo_builders(n_packets=3, promises=promises),
     )
     # All traffic completed before exit: nothing was abandoned in flight.
     assert results["left"]["sent"] == 3
@@ -237,6 +375,29 @@ def test_early_exit_only_when_drained(parallel):
     # And the loop exited long before the nominal horizon's window count
     # (1000 s / 2 ms lookahead = 500k static windows).
     assert sharded.windows < 1000
+    return sharded
+
+
+def _check_exit_waits_for_later_window_envelope(parallel, promises):
+    builders = {
+        "left": (build_left,
+                 {"n_packets": 1, "delay_s": 50e-3, "promises": promises}),
+        "right": (build_right, {"delay_s": 50e-3, "promises": promises}),
+    }
+    sharded = ShardedSimulation(builders, 42, lookahead=2e-3, parallel=parallel)
+    results = sharded.run(1000.0)
+    assert results["right"]["received"] == 1
+    assert results["left"]["echoed"] == 1
+    assert sharded.envelopes_routed == 2
+    return sharded
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_early_exit_only_when_drained(parallel):
+    """``run(until=...)`` with a huge horizon must stop as soon as every
+    shard is idle AND nothing is in flight — but not a window earlier."""
+    sharded = _check_exit_only_when_drained(parallel, promises=False)
+    assert sharded.windows == 10  # unchanged by the EOT barrier
 
 
 @pytest.mark.parametrize("parallel", [False, True])
@@ -245,15 +406,50 @@ def test_early_exit_waits_for_later_window_envelope(parallel):
     arriving many windows later (50 ms link delay, 2 ms lookahead).  The
     coordinator must keep running until it lands, not exit at the first
     all-idle barrier."""
+    sharded = _check_exit_waits_for_later_window_envelope(parallel, promises=False)
+    assert sharded.windows == 4  # unchanged by the EOT barrier
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_early_exit_is_keyed_on_peeks_not_promises(parallel):
+    """Both early-exit scenarios again with promises registered: the echo
+    shard reports ``eot = inf`` throughout and the sender does once its last
+    ping is out, while echoes are still in flight or still to be answered.
+    (``inf`` on the *sender* before that would be an unsound promise, and
+    raises ``LookaheadError`` as it should.)"""
+    _check_exit_only_when_drained(parallel, promises=True)
+    _check_exit_waits_for_later_window_envelope(parallel, promises=True)
+
+
+def build_ticker(shard, n_ticks, promise):
+    """No portals, ``n_ticks`` local 1 ms timers, and a constant promise."""
+    sim = shard.sim
+    stats = {"ticks": 0}
+
+    def tick():
+        stats["ticks"] += 1
+        if stats["ticks"] < n_ticks:
+            sim.call_later(1e-3, tick)
+
+    if n_ticks:
+        sim.call_later(1e-3, tick)
+    if promise is not None:
+        shard.egress_promise(lambda: promise)
+    shard.result_fn = lambda: dict(stats)
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_local_work_under_an_inf_promise_is_not_abandoned(parallel):
+    """``eot = inf`` everywhere says "no output ever", not "nothing left to
+    do": a shard with local work runs one window straight to ``until``."""
     builders = {
-        "left": (build_left, {"n_packets": 1, "delay_s": 50e-3}),
-        "right": (build_right, {"delay_s": 50e-3}),
+        "busy": (build_ticker, {"n_ticks": 50, "promise": INF}),
+        "idle": (build_ticker, {"n_ticks": 0, "promise": INF}),
     }
     sharded = ShardedSimulation(builders, 42, lookahead=2e-3, parallel=parallel)
-    results = sharded.run(1000.0)
-    assert results["right"]["received"] == 1
-    assert results["left"]["echoed"] == 1
-    assert sharded.envelopes_routed == 2
+    results = sharded.run(0.1)
+    assert results["busy"]["ticks"] == 50
+    assert sharded.windows == 2  # [0, lookahead], then [lookahead, until]
 
 
 # --- worker failure containment ----------------------------------------------
@@ -404,6 +600,9 @@ def test_scale_scenario_sharded_matches_monolithic():
     assert sum(z["errors"] for z in shard_res.values()) == 0
     assert sum(z["heartbeats_recv"] for z in shard_res.values()) > 0
     assert sharded.envelopes_routed > 0  # heartbeats crossed the boundary
+    # The border routers promise their heartbeat timers, so the barrier
+    # count follows the envelopes (3.0 s / 5 ms = 600 static windows).
+    assert sharded.windows <= 2 * sharded.envelopes_routed + 2
 
 
 def test_fleet_sharded_matches_monolithic():
@@ -433,6 +632,61 @@ def test_fleet_sharded_matches_monolithic():
     assert shard_res == mono_res
     assert sum(z["fleet_sent"] for z in shard_res.values()) > 0
     assert sum(z["fleet_recv"] for z in shard_res.values()) > 0
+
+
+def test_fleet_transit_through_heartbeat_only_zone_matches_monolithic():
+    """A 4-zone ring with one scattered fleet: members sit in z0, z1, z2 and
+    the z2 -> z0 leg ties on the ring and goes clockwise through z3, which
+    hosts no fleet member and so promises only its heartbeat timer.  The
+    transit must come out of z3 exactly as the single-heap twin forwards
+    it, stat for stat."""
+    from repro.scenarios.rubis_scale import (
+        ScaleParams,
+        build_scale_monolithic,
+        plan_fleet,
+        scale_builders,
+    )
+
+    p = ScaleParams(
+        n_zones=4, n_clients=1, n_web=1, n_filler_vms=2,
+        n_racks=1, hosts_per_rack=2,
+        n_fleets=1, fleet_size=3, fleet_placement="scatter",
+    )
+    assert sorted(z for z, _h, _a in plan_fleet(p).members.values()) == [0, 1, 2]
+    until = 2.0
+    sharded = ShardedSimulation(scale_builders(p), 7)
+    shard_res = sharded.run(until)
+
+    sim, zones = build_scale_monolithic(7, p)
+    sim.run(until=until)
+    mono_res = {z.name: z.stats.as_dict() for z in zones}
+    sim.close()
+
+    assert shard_res == mono_res
+    assert shard_res["z0"]["fleet_recv"] > 0  # the two-hop leg delivered
+    assert shard_res["z3"]["fleet_sent"] == shard_res["z3"]["fleet_recv"] == 0
+
+
+def test_fleet_placement_decides_the_window_schedule():
+    """Scattered fleet VMs are several hops from their portal, so their
+    zones promise ``peek_live`` and keep the peek-bound schedule; affinity
+    placement leaves only the heartbeat promises and the windows collapse."""
+    import dataclasses
+
+    from repro.scenarios.rubis_scale import ScaleParams, scale_builders
+
+    base = ScaleParams(
+        n_zones=2, n_clients=1, n_web=1, n_filler_vms=2,
+        n_racks=1, hosts_per_rack=2, n_fleets=2, fleet_size=2,
+    )
+    runs = {}
+    for placement in ("affinity", "scatter"):
+        p = dataclasses.replace(base, fleet_placement=placement)
+        runs[placement] = ShardedSimulation(scale_builders(p), 7)
+        runs[placement].run(1.0)
+    affinity, scatter = runs["affinity"], runs["scatter"]
+    assert affinity.windows <= 2 * affinity.envelopes_routed + 2
+    assert scatter.windows > 100  # about 1.0 s / 5 ms
 
 
 def test_fleet_affinity_placement_cuts_cross_shard_traffic():
