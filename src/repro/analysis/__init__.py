@@ -12,6 +12,9 @@ This package *enforces* that discipline mechanically:
   (``CONF001``-``CONF003``);
 * :mod:`repro.analysis.dataflow` — summary-based secret-flow analysis over
   the whole-program call graph (``SEC001``-``SEC004``);
+* :mod:`repro.analysis.validation` — received bytes are read through
+  :class:`repro.net.wire.WireReader`, never raw ``struct.unpack``
+  (``VAL001``);
 * :mod:`repro.analysis.isolation` — shard-isolation rules: no shared
   mutable state across shard simulators (``ISO001``-``ISO004``);
 * :mod:`repro.analysis.lifecycle` — leak lints: timers, registries and

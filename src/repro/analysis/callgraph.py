@@ -1,7 +1,7 @@
 """Whole-program call graph over the ``repro`` package.
 
 The per-module rules (``rules``, ``isolation``, ``lifecycle``) stop at
-function boundaries; the whole-program families (SEC, VAL003, PERF) need
+function boundaries; the whole-program families (SEC, PERF) need
 to know *who calls whom* across the whole tree.  This module builds
 that graph statically from the ASTs the runner already parsed:
 

@@ -45,10 +45,6 @@ Attribute discovery iterates: attributes found to hold secrets extend the
 source set and summaries are recomputed, until the set is stable (three
 rounds bound it in practice — attribute-of-attribute chains are rare).
 
-The module also hosts :func:`propagate_raises`, the generic escape-set
-fixpoint the validation pass (VAL003) uses to push "may raise
-``struct.error``" facts from parse helpers up to their callers.
-
 Soundness limits are the package's usual name-driven bargain, documented
 in DESIGN.md: containers launder taint between unrelated keys, calls
 through stored callables are invisible, and constructor results are CLEAN
@@ -660,39 +656,6 @@ class SecretFlowAnalysis:
                 if not changed:
                     break
         return summaries
-
-
-def propagate_raises(
-    graph: CallGraph,
-    local: dict[str, frozenset[str]],
-    caught: dict[tuple[str, str], frozenset[str]],
-) -> dict[str, frozenset[str]]:
-    """Escape-set fixpoint: which exception kinds can escape each function.
-
-    ``local`` holds each function's own unguarded risky raises; ``caught``
-    maps (caller, callee) to the exception kinds caught around *every*
-    call site of that callee inside that caller (intersection — one
-    unguarded site means the exception escapes).  Used by VAL003.
-    """
-    escapes = {q: frozenset(local.get(q, ())) for q in graph.edges}
-    for scc in graph.sccs():
-        for _ in range(SecretFlowAnalysis.MAX_SCC_ITERATIONS):
-            changed = False
-            for qualname in scc:
-                current = escapes[qualname]
-                for callee in graph.callees(qualname):
-                    if callee not in escapes:
-                        continue
-                    inherited = escapes[callee] - caught.get(
-                        (qualname, callee), frozenset()
-                    )
-                    current = current | inherited
-                if current != escapes[qualname]:
-                    escapes[qualname] = current
-                    changed = True
-            if not changed:
-                break
-    return escapes
 
 
 def secretflow_findings(pctx: ProgramContext) -> list[tuple[str, str, ast.AST, str]]:

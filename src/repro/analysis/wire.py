@@ -27,6 +27,10 @@ from typing import Iterator
 
 from repro.hip import packets as hp
 from repro.net.link import WIRE_TAPS
+from repro.net.wire import WireReader
+
+_HEADER = struct.Struct(">BBBBHH16s16s")  # the fixed 40 bytes
+_TLV_HEAD = struct.Struct(">HH")
 
 
 class WireViolation(AssertionError):
@@ -65,11 +69,11 @@ class WireSanitizer:
         raise WireViolation(f"HIP wire sanitizer: {message}")
 
     def _check_header(self, raw: bytes) -> None:
-        if len(raw) < 40:
+        if len(raw) < _HEADER.size:
             self._fail(f"packet is {len(raw)} bytes, below the 40-byte header")
-        _nxt, length_field, ptype, ver, _csum, _controls = struct.unpack_from(
-            ">BBBBHH", raw, 0
-        )
+        _nxt, length_field, ptype, ver, _csum, _controls, _src, _dst = WireReader(
+            raw, WireViolation
+        ).read(_HEADER, "HIP header")
         if (ver >> 4) != hp.HIP_VERSION:
             self._fail(f"version {ver >> 4}, expected {hp.HIP_VERSION}")
         declared = length_field * 8 + 8
@@ -82,32 +86,25 @@ class WireSanitizer:
             self._fail(f"unknown packet type {ptype}")
 
     def _check_tlvs(self, raw: bytes) -> None:
-        off = 40
+        reader = WireReader(raw, WireViolation)
+        reader.take(_HEADER.size, "HIP header")
         prev_code = -1
-        while off < len(raw):
-            if off + 4 > len(raw):
-                self._fail(f"parameter header truncated at offset {off}")
-            code, plen = struct.unpack_from(">HH", raw, off)
+        while reader.remaining:
+            code, plen = reader.read(_TLV_HEAD, "parameter header")
             if code < prev_code:
                 self._fail(
                     f"parameter {code} follows {prev_code}; type codes must "
                     "ascend"
                 )
             prev_code = code
-            end = off + 4 + plen
-            if end > len(raw):
+            if plen > reader.remaining:
                 self._fail(
                     f"parameter {code} declares {plen} value bytes but only "
-                    f"{len(raw) - off - 4} remain"
+                    f"{reader.remaining} remain"
                 )
-            padded_end = end + ((-(4 + plen)) % 8)
-            if padded_end > len(raw):
-                self._fail(f"parameter {code} padding truncated")
-            if any(raw[end:padded_end]):
+            reader.take(plen, f"parameter {code} value")
+            if any(reader.take((-(4 + plen)) % 8, f"parameter {code} padding")):
                 self._fail(f"parameter {code} has non-zero padding bytes")
-            off = padded_end
-        if off != len(raw):
-            self._fail("parameter block is not 8-byte aligned")
 
     def _check_roundtrip(self, raw: bytes) -> None:
         try:

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Generator
 from repro.apps.streams import BufferedReader, PlainStream, StreamClosed, TlsStream, wrap_stream
 from repro.net.packet import VirtualPayload
 from repro.net.tcp import TcpError, TcpStack
+from repro.net.wire import U32, WireReader
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -146,8 +147,7 @@ class DbServer:
                 head = yield from reader.read_exactly(4)
                 if isinstance(head, VirtualPayload):
                     break
-                (qlen,) = struct.unpack(">I", head)
-                raw = yield from reader.read_exactly(qlen)
+                raw = yield from reader.read_exactly(parse_request_head(head))
                 if isinstance(raw, VirtualPayload):
                     break
                 yield from self._execute(stream, bytes(raw))
@@ -162,7 +162,7 @@ class DbServer:
                 raise QueryError(f"no such table {query.table!r}")
         except QueryError:
             self.stats.errors += 1
-            yield from stream.send(struct.pack(">BII", 1, 0, 0))
+            yield from stream.send(_RESPONSE_HEAD.pack(1, 0, 0))
             return
         self.stats.queries += 1
         text = raw.decode("ascii", errors="replace")
@@ -173,7 +173,7 @@ class DbServer:
             cost = self._service_time(table.write_cost)
             yield from self.node.cpu_work(cost)
             self.stats.busy_seconds += cost
-            yield from stream.send(struct.pack(">BII", 0, 1, 0))
+            yield from stream.send(_RESPONSE_HEAD.pack(0, 1, 0))
             return
 
         cached_rows = self._cache.get(text) if self.cache_enabled else None
@@ -192,7 +192,7 @@ class DbServer:
         yield from self.node.cpu_work(cost)
         self.stats.busy_seconds += cost
         result_bytes = rows * table.row_bytes
-        yield from stream.send(struct.pack(">BII", 0, rows, result_bytes))
+        yield from stream.send(_RESPONSE_HEAD.pack(0, rows, result_bytes))
         if result_bytes:
             yield from stream.send(VirtualPayload(result_bytes, tag="db-rows"))
 
@@ -251,9 +251,9 @@ class DbClient:
         if self._stream is None:
             yield from self.connect()
         raw = query.to_wire()
-        yield from self._stream.send(struct.pack(">I", len(raw)) + raw)
+        yield from self._stream.send(U32.pack(len(raw)) + raw)
         head = yield from self._reader.read_exactly(9)
-        status, rows, result_bytes = struct.unpack(">BII", bytes(head))
+        status, rows, result_bytes = parse_response_head(head)
         if status != 0:
             raise QueryError(f"server rejected query {query}")
         if result_bytes:
@@ -265,6 +265,19 @@ class DbClient:
             self._stream.close()
             self._stream = None
             self._reader = None
+
+
+_RESPONSE_HEAD = struct.Struct(">BII")
+
+
+def parse_request_head(head: bytes) -> int:
+    """Request head -> length of the query string that follows."""
+    return WireReader(head, QueryError).read(U32, "request head")[0]
+
+
+def parse_response_head(head: bytes) -> tuple[int, int, int]:
+    """Response head -> (status, rows, result_bytes)."""
+    return WireReader(head, QueryError).read(_RESPONSE_HEAD, "response head")
 
 
 def rubis_tables() -> list[TableSpec]:

@@ -614,23 +614,26 @@ class HipDaemon:
             raw = packet.meta.get("hip_raw")
             if raw is None:
                 continue
+            assert isinstance(ip, IPHeader)
             try:
                 hip_pkt = hp.HipPacket.parse(raw)
+                handler = {
+                    hp.I1: self._handle_i1,
+                    hp.R1: self._handle_r1,
+                    hp.I2: self._handle_i2,
+                    hp.R2: self._handle_r2,
+                    hp.UPDATE: self._handle_update,
+                    hp.CLOSE: self._handle_close,
+                    hp.CLOSE_ACK: self._handle_close_ack,
+                }.get(hip_pkt.packet_type)
+                if handler is None:
+                    continue
+                yield from handler(hip_pkt, ip)
             except hp.HipParseError:
-                continue
-            assert isinstance(ip, IPHeader)
-            handler = {
-                hp.I1: self._handle_i1,
-                hp.R1: self._handle_r1,
-                hp.I2: self._handle_i2,
-                hp.R2: self._handle_r2,
-                hp.UPDATE: self._handle_update,
-                hp.CLOSE: self._handle_close,
-                hp.CLOSE_ACK: self._handle_close_ack,
-            }.get(hip_pkt.packet_type)
-            if handler is None:
-                continue
-            yield from handler(hip_pkt, ip)
+                # Malformed header, TLV block or typed parameter: any peer
+                # can send one, so it is dropped, never a daemon crash.
+                self.drops_policy += 1
+                _POLICY_DROPS.inc()
 
     def _charge(self, kind: str, cost: float) -> Generator:
         self.meter.charge(kind, cost)
@@ -656,8 +659,8 @@ class HipDaemon:
         # initiator's address in FROM; answer the initiator directly.
         reply_to = ip.src
         from_param = i1.get(hp.FROM)
-        if from_param is not None and len(from_param) >= 17:
-            reply_to = IPAddress(from_param[16], int.from_bytes(from_param[:16], "big"))
+        if from_param is not None:
+            reply_to = hp.parse_from(from_param)
         self._send_control(r1, reply_to)
 
     def _handle_i2(self, i2: hp.HipPacket, ip: IPHeader) -> Generator:
@@ -936,18 +939,6 @@ class HipDaemon:
                 self.identity.sign(pkt.bytes_for_param(hp.HIP_SIGNATURE), self.rng),
             )
         self._send_control(pkt, assoc.peer_locator)
-
-    def _verify_control(self, pkt: hp.HipPacket, assoc: Association) -> bool:
-        hmac_data = pkt.get(hp.HMAC_PARAM)
-        sig_data = pkt.get(hp.HIP_SIGNATURE)
-        if hmac_data is None or sig_data is None:
-            return False
-        expect = assoc.hmac_in.digest(pkt.bytes_for_param(hp.HMAC_PARAM))
-        if not ct_equal(expect, hmac_data):
-            return False
-        return verify_with_host_id(
-            assoc.peer_host_id or b"", pkt.bytes_for_param(hp.HIP_SIGNATURE), sig_data
-        ) or not assoc.peer_host_id  # responder may not have stored HI for updates
 
     def _handle_update(self, pkt: hp.HipPacket, ip: IPHeader) -> Generator:
         assoc = self.assocs.get(pkt.sender_hit)

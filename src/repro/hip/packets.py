@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.net.addresses import IPAddress
+from repro.net.wire import U16, U32, WireReader
 
 HIP_VERSION = 1
 
@@ -55,6 +56,12 @@ ECHO_RESPONSE_UNSIGNED = 63425
 
 class HipParseError(Exception):
     """Malformed HIP packet or parameter."""
+
+
+#: Fixed header: next-header, length, type, version, checksum, controls,
+#: sender HIT, receiver HIT.
+_HEADER = struct.Struct(">BBBBHH16s16s")
+_TLV_HEAD = struct.Struct(">HH")
 
 
 @dataclass(frozen=True)
@@ -137,53 +144,76 @@ class HipPacket:
 
     @classmethod
     def parse(cls, data: bytes) -> "HipPacket":
-        if len(data) < 40:
-            raise HipParseError("truncated HIP header")
-        nxt, length_field, ptype, ver, _csum, controls = struct.unpack_from(">BBBBHH", data, 0)
+        r = WireReader(data, HipParseError)
+        _nxt, length_field, ptype, ver, _csum, controls, sender, receiver = r.read(
+            _HEADER, "HIP header"
+        )
         if (ver >> 4) != HIP_VERSION:
             raise HipParseError(f"unsupported HIP version {ver >> 4}")
         total = (length_field * 8) + 8
         if total != len(data):
             raise HipParseError(f"length field says {total}, packet has {len(data)} bytes")
-        sender = IPAddress(6, int.from_bytes(data[8:24], "big"))
-        receiver = IPAddress(6, int.from_bytes(data[24:40], "big"))
-        packet = cls(packet_type=ptype, sender_hit=sender, receiver_hit=receiver,
-                     controls=controls)
-        off = 40
+        packet = cls(
+            packet_type=ptype,
+            sender_hit=IPAddress(6, int.from_bytes(sender, "big")),
+            receiver_hit=IPAddress(6, int.from_bytes(receiver, "big")),
+            controls=controls,
+        )
         prev_code = -1
-        while off < len(data):
-            if off + 4 > len(data):
-                raise HipParseError("truncated parameter header")
-            code, plen = struct.unpack_from(">HH", data, off)
+        while r.remaining:
+            code, plen = r.read(_TLV_HEAD, "parameter header")
             if code < prev_code:
                 raise HipParseError("parameters out of order")
             prev_code = code
-            value = data[off + 4 : off + 4 + plen]
-            if len(value) != plen:
-                raise HipParseError("truncated parameter value")
-            packet.params.append(Param(code, bytes(value)))
-            end = off + 4 + plen
-            off = end + ((-(4 + plen)) % 8)
-            if off > len(data):
-                raise HipParseError("truncated parameter padding")
-            if any(data[end:off]):
+            packet.params.append(Param(code, r.take(plen, "parameter value")))
+            pad = (-(4 + plen)) % 8
+            if pad and any(r.take(pad, "parameter padding")):
                 raise HipParseError("non-zero parameter padding")
-        if off != len(data):
-            raise HipParseError("parameter block not 8-byte aligned")
         return packet
 
 
 # -- typed parameter builders/parsers ------------------------------------------------
+
+_PUZZLE = struct.Struct(">BBH8s")
+_SOLUTION = struct.Struct(">BBH8s8s")
+_DH_HEAD = struct.Struct(">BH")
+_ESP_INFO = struct.Struct(">HHII")
+_HOST_ID_HEAD = struct.Struct(">HH")
+_LOCATOR_ENTRY = struct.Struct(">Bf16s")
+_FROM = struct.Struct(">16sB")
+
+
+def _parse_fixed(data: bytes, layout: struct.Struct, what: str) -> tuple:
+    """A parameter that is exactly one fixed layout."""
+    r = WireReader(data, HipParseError)
+    fields = r.read(layout, what)
+    r.expect_end(what)
+    return fields
+
+
+def _parse_array(data: bytes, item: str, what: str) -> list[int]:
+    """A parameter that is a whole number of ``item``-format integers."""
+    r = WireReader(data, HipParseError)
+    count = len(data) // struct.calcsize(item)
+    values = list(r.read(struct.Struct(f">{count}{item}"), what))
+    r.expect_end(what)
+    return values
+
+
+def _address(family: int, packed: bytes, what: str) -> IPAddress:
+    """A wire (family, 16-byte value) pair; the family byte is the peer's."""
+    try:
+        return IPAddress(family, int.from_bytes(packed, "big"))
+    except ValueError as exc:
+        raise HipParseError(f"bad address in {what}: {exc}") from exc
+
 
 def build_puzzle(k: int, lifetime_exp: int, opaque: int, i: bytes) -> bytes:
     return struct.pack(">BBH", k, lifetime_exp, opaque) + i
 
 
 def parse_puzzle(data: bytes) -> tuple[int, int, int, bytes]:
-    if len(data) != 4 + 8:
-        raise HipParseError(f"PUZZLE parameter must be 12 bytes, got {len(data)}")
-    k, lifetime_exp, opaque = struct.unpack_from(">BBH", data, 0)
-    return k, lifetime_exp, opaque, data[4:12]
+    return _parse_fixed(data, _PUZZLE, "PUZZLE")
 
 
 def build_solution(k: int, opaque: int, i: bytes, j: bytes) -> bytes:
@@ -191,10 +221,8 @@ def build_solution(k: int, opaque: int, i: bytes, j: bytes) -> bytes:
 
 
 def parse_solution(data: bytes) -> tuple[int, int, bytes, bytes]:
-    if len(data) != 4 + 16:
-        raise HipParseError(f"SOLUTION parameter must be 20 bytes, got {len(data)}")
-    k, _res, opaque = struct.unpack_from(">BBH", data, 0)
-    return k, opaque, data[4:12], data[12:20]
+    k, _res, opaque, i, j = _parse_fixed(data, _SOLUTION, "SOLUTION")
+    return k, opaque, i, j
 
 
 def build_dh(group_id: int, public: bytes) -> bytes:
@@ -202,15 +230,11 @@ def build_dh(group_id: int, public: bytes) -> bytes:
 
 
 def parse_dh(data: bytes) -> tuple[int, bytes]:
-    if len(data) < 3:
-        raise HipParseError("short DIFFIE_HELLMAN parameter")
-    group_id, length = struct.unpack_from(">BH", data, 0)
-    if len(data) != 3 + length:
-        raise HipParseError(
-            f"DIFFIE_HELLMAN declares {length} public-value bytes, "
-            f"parameter holds {len(data) - 3}"
-        )
-    return group_id, data[3 : 3 + length]
+    r = WireReader(data, HipParseError)
+    group_id, length = r.read(_DH_HEAD, "DIFFIE_HELLMAN header")
+    public = r.take(length, "DIFFIE_HELLMAN public value")
+    r.expect_end("DIFFIE_HELLMAN")
+    return group_id, public
 
 
 def build_esp_info(old_spi: int, new_spi: int, keymat_index: int = 0) -> bytes:
@@ -218,9 +242,7 @@ def build_esp_info(old_spi: int, new_spi: int, keymat_index: int = 0) -> bytes:
 
 
 def parse_esp_info(data: bytes) -> tuple[int, int, int]:
-    if len(data) != 12:
-        raise HipParseError(f"ESP_INFO parameter must be 12 bytes, got {len(data)}")
-    _res, keymat_index, old_spi, new_spi = struct.unpack(">HHII", data)
+    _res, keymat_index, old_spi, new_spi = _parse_fixed(data, _ESP_INFO, "ESP_INFO")
     return keymat_index, old_spi, new_spi
 
 
@@ -233,15 +255,12 @@ def build_host_id(public_key_bytes: bytes, domain_id: bytes = b"") -> bytes:
 
 
 def parse_host_id(data: bytes) -> tuple[bytes, bytes]:
-    if len(data) < 4:
-        raise HipParseError("short HOST_ID parameter")
-    hi_len, di_len = struct.unpack_from(">HH", data, 0)
-    if len(data) != 4 + hi_len + di_len:
-        raise HipParseError(
-            f"HOST_ID declares {hi_len}+{di_len} bytes, parameter holds "
-            f"{len(data) - 4}"
-        )
-    return data[4 : 4 + hi_len], data[4 + hi_len : 4 + hi_len + di_len]
+    r = WireReader(data, HipParseError)
+    hi_len, di_len = r.read(_HOST_ID_HEAD, "HOST_ID header")
+    host_id = r.take(hi_len, "HOST_ID host identity")
+    domain_id = r.take(di_len, "HOST_ID domain identifier")
+    r.expect_end("HOST_ID")
+    return host_id, domain_id
 
 
 def build_locator(addrs: list[tuple[IPAddress, float]]) -> bytes:
@@ -254,25 +273,24 @@ def build_locator(addrs: list[tuple[IPAddress, float]]) -> bytes:
 
 
 def parse_locator(data: bytes) -> list[tuple[IPAddress, float]]:
-    if len(data) < 2:
-        raise HipParseError("short LOCATOR parameter")
-    (count,) = struct.unpack_from(">H", data, 0)
-    off = 2
+    r = WireReader(data, HipParseError)
+    (count,) = r.read(U16, "LOCATOR count")
     out = []
     for _ in range(count):
-        if off + 5 + 16 > len(data):
-            raise HipParseError("truncated LOCATOR entry")
-        family, lifetime = struct.unpack_from(">Bf", data, off)
-        off += 5
-        value = int.from_bytes(data[off : off + 16], "big")
-        off += 16
-        out.append((IPAddress(family, value), lifetime))
-    if off != len(data):
-        raise HipParseError(
-            f"LOCATOR declares {count} entries, parameter has "
-            f"{len(data) - off} trailing bytes"
-        )
+        family, lifetime, packed = r.read(_LOCATOR_ENTRY, "LOCATOR entry")
+        out.append((_address(family, packed, "LOCATOR"), lifetime))
+    r.expect_end(f"the {count} declared LOCATOR entries")
     return out
+
+
+def build_from(addr: IPAddress) -> bytes:
+    """FROM (RFC 5204): the initiator's address as the rendezvous saw it."""
+    return _FROM.pack(addr.value.to_bytes(16, "big"), addr.family)
+
+
+def parse_from(data: bytes) -> IPAddress:
+    packed, family = _parse_fixed(data, _FROM, "FROM")
+    return _address(family, packed, "FROM")
 
 
 def build_seq(update_id: int) -> bytes:
@@ -280,9 +298,7 @@ def build_seq(update_id: int) -> bytes:
 
 
 def parse_seq(data: bytes) -> int:
-    if len(data) != 4:
-        raise HipParseError(f"SEQ parameter must be 4 bytes, got {len(data)}")
-    return struct.unpack(">I", data)[0]
+    return _parse_fixed(data, U32, "SEQ")[0]
 
 
 def build_ack(update_ids: list[int]) -> bytes:
@@ -290,9 +306,7 @@ def build_ack(update_ids: list[int]) -> bytes:
 
 
 def parse_ack(data: bytes) -> list[int]:
-    if len(data) % 4:
-        raise HipParseError("bad ACK parameter length")
-    return list(struct.unpack(f">{len(data) // 4}I", data))
+    return _parse_array(data, "I", "ACK")
 
 
 def build_transform(suite_ids: list[int]) -> bytes:
@@ -300,9 +314,7 @@ def build_transform(suite_ids: list[int]) -> bytes:
 
 
 def parse_transform(data: bytes) -> list[int]:
-    if len(data) % 2:
-        raise HipParseError("bad transform parameter length")
-    return list(struct.unpack(f">{len(data) // 2}H", data))
+    return _parse_array(data, "H", "transform")
 
 
 # ESP transform suite ids (RFC 5202 §5.1.2).

@@ -10,7 +10,6 @@ and the rest of the exchange — and all data — bypasses the RVS.
 
 from __future__ import annotations
 
-import struct
 from typing import TYPE_CHECKING, Generator
 
 from repro.crypto.hmac_kdf import ct_equal, hmac_digest
@@ -48,10 +47,7 @@ class RendezvousServer:
                         sender_hit=i1.sender_hit,
                         receiver_hit=i1.receiver_hit,
                     )
-                    relayed.add(
-                        hp.FROM,
-                        ip.src.value.to_bytes(16, "big") + struct.pack(">B", ip.src.family),
-                    )
+                    relayed.add(hp.FROM, hp.build_from(ip.src))
                     self.relayed_i1 += 1
                     yield from self.node.cpu_work(3e-6)
                     self.daemon._send_control(relayed, locator)

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.net.addresses import IPAddress
 from repro.net.udp import UdpSocket, UdpStack
+from repro.net.wire import U8, U16, WireReader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
@@ -27,6 +28,11 @@ DNS_PORT = 53
 
 class DnsDecodeError(ValueError):
     """Malformed DNS wire message (truncated, oversized field, bad UTF-8)."""
+
+
+_F32 = struct.Struct(">f")
+_QUERY_HEAD = struct.Struct(">HB")
+_RESPONSE_HEAD = struct.Struct(">HBH")
 
 
 @dataclass(frozen=True)
@@ -60,17 +66,12 @@ def _pack_str(s: str) -> bytes:
     return struct.pack(">H", len(data)) + data
 
 
-def _unpack_str(buf: bytes, off: int) -> tuple[str, int]:
-    if off + 2 > len(buf):
-        raise DnsDecodeError("truncated string length")
-    (n,) = struct.unpack_from(">H", buf, off)
-    off += 2
-    if off + n > len(buf):
-        raise DnsDecodeError("string runs past end of message")
+def _unpack_str(r: WireReader, what: str) -> str:
+    (n,) = r.read(U16, f"{what} length")
     try:
-        return buf[off : off + n].decode("utf-8"), off + n
+        return r.take(n, what).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DnsDecodeError(f"string is not valid UTF-8: {exc}") from exc
+        raise DnsDecodeError(f"{what} is not valid UTF-8: {exc}") from exc
 
 
 def encode_query(qname: str, qtype: str, qid: int) -> bytes:
@@ -78,13 +79,12 @@ def encode_query(qname: str, qtype: str, qid: int) -> bytes:
 
 
 def decode_query(data: bytes) -> tuple[int, str, str]:
-    if len(data) < 3:
-        raise DnsDecodeError("query shorter than its fixed header")
-    qid, kind = struct.unpack_from(">HB", data, 0)
+    r = WireReader(data, DnsDecodeError)
+    qid, kind = r.read(_QUERY_HEAD, "query header")
     if kind != 0:
         raise DnsDecodeError("not a query")
-    qname, off = _unpack_str(data, 3)
-    qtype, _ = _unpack_str(data, off)
+    qname = _unpack_str(r, "query name")
+    qtype = _unpack_str(r, "query type")
     return qid, qname, qtype
 
 
@@ -106,60 +106,36 @@ def encode_response(qid: int, records: list[DnsRecord]) -> bytes:
 
 
 def decode_response(data: bytes) -> tuple[int, list[DnsRecord]]:
-    if len(data) < 5:
-        raise DnsDecodeError("response shorter than its fixed header")
-    qid, kind, count = struct.unpack_from(">HBH", data, 0)
+    r = WireReader(data, DnsDecodeError)
+    qid, kind, count = r.read(_RESPONSE_HEAD, "response header")
     if kind != 1:
         raise DnsDecodeError("not a response")
-    off = 5
     records: list[DnsRecord] = []
     for _ in range(count):
-        name, off = _unpack_str(data, off)
-        rtype, off = _unpack_str(data, off)
-        if off + 4 > len(data):
-            raise DnsDecodeError("truncated TTL")
-        (ttl,) = struct.unpack_from(">f", data, off)
-        off += 4
+        name = _unpack_str(r, "record name")
+        rtype = _unpack_str(r, "record type")
+        (ttl,) = r.read(_F32, "TTL")
         if rtype in ("A", "AAAA"):
-            if off + 1 > len(data):
-                raise DnsDecodeError("truncated address family")
-            family = data[off]
-            off += 1
+            (family,) = r.read(U8, "address family")
             expect = 4 if rtype == "A" else 6
             if family != expect:
                 raise DnsDecodeError(f"family-{family} address in {rtype} record")
-            size = 4 if family == 4 else 16
-            if off + size > len(data):
-                raise DnsDecodeError("truncated address")
-            addr = IPAddress(family, int.from_bytes(data[off : off + size], "big"))
-            off += size
+            packed = r.take(4 if family == 4 else 16, "address")
+            addr = IPAddress(family, int.from_bytes(packed, "big"))
             records.append(DnsRecord(name=name, rtype=rtype, ttl=ttl, address=addr))
         elif rtype == "HIP":
-            if off + 18 > len(data):
-                raise DnsDecodeError("truncated HIP record")
-            hit = IPAddress(6, int.from_bytes(data[off : off + 16], "big"))
-            off += 16
-            (hid_len,) = struct.unpack_from(">H", data, off)
-            off += 2
-            if off + hid_len > len(data):
-                raise DnsDecodeError("host identifier runs past end of message")
-            host_id = data[off : off + hid_len]
-            off += hid_len
-            if off + 1 > len(data):
-                raise DnsDecodeError("truncated rendezvous count")
-            n_rvs = data[off]
-            off += 1
+            hit = IPAddress(6, int.from_bytes(r.take(16, "HIT"), "big"))
+            (hid_len,) = r.read(U16, "host identifier length")
+            host_id = r.take(hid_len, "host identifier")
+            (n_rvs,) = r.read(U8, "rendezvous count")
             # Each rendezvous name costs at least its 2-byte length prefix;
             # reject counts the remaining bytes cannot possibly satisfy.
-            if off + 2 * n_rvs > len(data):
+            if 2 * n_rvs > r.remaining:
                 raise DnsDecodeError("rendezvous list runs past end of message")
-            rvs = []
-            for _ in range(n_rvs):
-                rvs_name, off = _unpack_str(data, off)
-                rvs.append(rvs_name)
+            rvs = tuple(_unpack_str(r, "rendezvous name") for _ in range(n_rvs))
             records.append(
                 DnsRecord(name=name, rtype=rtype, ttl=ttl, hit=hit,
-                          host_id=host_id, rvs=tuple(rvs))
+                          host_id=host_id, rvs=rvs)
             )
         else:
             raise DnsDecodeError(f"bad record type {rtype!r} in response")

@@ -14,13 +14,11 @@ DNSSEC deploys incrementally.
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Generator
+from typing import Generator
 
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
-from repro.net.dns import DnsRecord, DnsResolver, Zone, encode_response
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+from repro.net.dns import DnsDecodeError, DnsRecord, DnsResolver, Zone, encode_response
+from repro.net.wire import U16, WireReader
 
 
 class DnssecError(Exception):
@@ -76,15 +74,13 @@ def encode_signed_response(zone: SignedZone, qid: int,
 def decode_signature_section(data: bytes, base_len: int) -> list[bytes]:
     if base_len >= len(data):
         return []
-    off = base_len
-    (count,) = struct.unpack_from(">H", data, off)
-    off += 2
+    r = WireReader(data, DnssecError)
+    r.take(base_len, "base response")
+    (count,) = r.read(U16, "signature count")
     sigs = []
     for _ in range(count):
-        (n,) = struct.unpack_from(">H", data, off)
-        off += 2
-        sigs.append(data[off : off + n])
-        off += n
+        (n,) = r.read(U16, "signature length")
+        sigs.append(r.take(n, "signature"))
     return sigs
 
 
@@ -106,7 +102,7 @@ class SignedDnsServer:
             data, (src, src_port) = yield self._sock.recvfrom()
             try:
                 qid, qname, qtype = self._decode_query(bytes(data))
-            except (ValueError, struct.error):
+            except DnsDecodeError:
                 continue
             # Signing happened at zone-load time; answering adds only the
             # usual lookup cost.
@@ -159,8 +155,12 @@ class ValidatingResolver(DnsResolver):
                 if rid != qid:
                     continue
                 base_len = len(encode_response(rid, records))
-                sigs = decode_signature_section(data, base_len)
-                self._validate(records, sigs)
+                try:
+                    sigs = decode_signature_section(data, base_len)
+                    self._validate(records, sigs)
+                except DnssecError:
+                    self.rejected += 1  # malformed, missing or bogus alike
+                    raise
                 if records:
                     ttl = min(r.ttl for r in records)
                     self._cache[(qname, qtype)] = (sim.now + ttl, records)
@@ -171,10 +171,8 @@ class ValidatingResolver(DnsResolver):
 
     def _validate(self, records: list[DnsRecord], sigs: list[bytes]) -> None:
         if len(sigs) < len(records):
-            self.rejected += 1
             raise DnssecError("answer is missing signatures")
         for record, sig in zip(records, sigs):
             if not self.trust_anchor.verify(record_canonical_bytes(record), sig):
-                self.rejected += 1
                 raise DnssecError(f"bogus signature for {record.name}/{record.rtype}")
             self.validated += 1

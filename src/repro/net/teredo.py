@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Generator
 from repro.net.addresses import IPAddress, TEREDO_PREFIX, ipv4, is_teredo
 from repro.net.packet import IPHeader, Packet
 from repro.net.udp import UdpStack
+from repro.net.wire import WireReader
 from repro.sim.resources import Queue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,7 +39,7 @@ _TAG_RS = 0x01  # router solicitation
 _TAG_RA = 0x02  # router advertisement
 _TAG_DATA = 0x00  # encapsulated IPv6 packet follows (as a tunneled Packet)
 
-_RA_LEN = 7  # tag + mapped IPv4 (4) + mapped port (2)
+_RA = struct.Struct(">BIH")  # tag + mapped IPv4 + mapped port
 
 
 class TeredoParseError(ValueError):
@@ -47,11 +48,10 @@ class TeredoParseError(ValueError):
 
 def parse_ra(data: bytes) -> tuple[IPAddress, int]:
     """Parse a router advertisement into (mapped_addr, mapped_port)."""
-    if len(data) != _RA_LEN:
-        raise TeredoParseError(f"RA must be {_RA_LEN} bytes, got {len(data)}")
-    mapped_addr = ipv4(int.from_bytes(bytes(data[1:5]), "big"))
-    (mapped_port,) = struct.unpack(">H", bytes(data[5:7]))
-    return mapped_addr, mapped_port
+    r = WireReader(data, TeredoParseError)
+    _tag, mapped_addr, mapped_port = r.read(_RA, "router advertisement")
+    r.expect_end("router advertisement")
+    return ipv4(mapped_addr), mapped_port
 
 
 def make_teredo_address(server_v4: IPAddress, mapped_addr: IPAddress, mapped_port: int) -> IPAddress:

@@ -88,6 +88,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.metrics import METRICS
 from repro.net.link import WIRE_TAPS, LinkLedger, publish_link_delta
 from repro.net.packet import Packet, VirtualPayload
+from repro.net.wire import WireReader
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
@@ -262,35 +263,39 @@ def encode_envelopes(envelopes: list[Envelope]) -> bytes:
 
 def decode_envelopes(buf: bytes, offset: int = 0) -> tuple[list[Envelope], int]:
     """Decode one envelope frame; returns ``(envelopes, end_offset)``."""
-    n_env, n_strings = _FRAME_HEAD.unpack_from(buf, offset)
-    offset += _FRAME_HEAD.size
-    strings: list[str] = []
+    reader = WireReader(buf, ShardError)
+    reader.take(offset, "frame prefix")
+    return _read_envelopes(reader), len(buf) - reader.remaining
+
+
+def _read_envelopes(reader: WireReader) -> list[Envelope]:
+    """One envelope frame off the front of ``reader``.  A frame cut short,
+    declaring more than it carries, or corrupt inside raises
+    :class:`ShardError` (truncation names the offset)."""
+    n_env, n_strings = reader.read(_FRAME_HEAD, "frame head")
+    raw_strings = []
     for _ in range(n_strings):
-        (length,) = _STR_LEN.unpack_from(buf, offset)
-        offset += _STR_LEN.size
-        strings.append(bytes(buf[offset:offset + length]).decode())
-        offset += length
-    metas = []
-    unpack_meta = _ENV_META.unpack_from
-    meta_size = _ENV_META.size
-    for _ in range(n_env):
-        metas.append(unpack_meta(buf, offset))
-        offset += meta_size
-    (blob_len,) = _BLOB_LEN.unpack_from(buf, offset)
-    offset += _BLOB_LEN.size
-    packets = pickle.loads(buf[offset:offset + blob_len])
-    offset += blob_len
-    envelopes = []
-    for i in range(n_env):
-        arrival, sent_now, src_index, seq, s_i, d_i, p_i = metas[i]
-        envelopes.append(
+        (length,) = reader.read(_STR_LEN, "frame string length")
+        raw_strings.append(reader.take(length, "frame string"))
+    read = reader.read
+    metas = [read(_ENV_META, "envelope meta") for _ in range(n_env)]
+    (blob_len,) = reader.read(_BLOB_LEN, "frame blob length")
+    blob = reader.take(blob_len, "frame packet blob")
+    try:
+        strings = [raw.decode() for raw in raw_strings]
+        packets = pickle.loads(blob)
+        return [
             Envelope(
                 arrival=arrival, src_shard=strings[s_i], src_index=src_index,
                 seq=seq, dst_shard=strings[d_i], port_id=strings[p_i],
                 packet=packets[i], sent_now=sent_now,
             )
-        )
-    return envelopes, offset
+            for i, (arrival, sent_now, src_index, seq, s_i, d_i, p_i) in enumerate(metas)
+        ]
+    except Exception as exc:  # noqa: BLE001 - a corrupt pickle can raise anything
+        raise ShardError(
+            f"corrupt envelope frame: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 class ShardPortal:
@@ -612,11 +617,12 @@ def _worker_main(
             msg = conn.recv_bytes()
         except EOFError:
             return
-        op = msg[:1]
         try:
+            reader = WireReader(msg, ShardError)
+            op = reader.take(1, "command")
             if op == b"W":
-                (window_end,) = _F64.unpack_from(msg, 1)
-                envelopes, _ = decode_envelopes(msg, 1 + _F64.size)
+                (window_end,) = reader.read(_F64, "window end")
+                envelopes = _read_envelopes(reader)
                 start = time.perf_counter()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
                 cpu_start = time.process_time()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
                 shard.inject(envelopes)
@@ -733,10 +739,11 @@ class _ProcessWorker:
     def collect_window(
         self,
     ) -> tuple[list[Envelope], float, float, tuple[int, ...], float, float]:
-        msg = self._expect(b"W")
-        envelopes, offset = decode_envelopes(msg, 1)
-        peek, eot, d0, d1, d2, d3, d4, busy, cpu = _REPLY_TAIL.unpack_from(
-            msg, offset
+        reader = WireReader(self._expect(b"W"), ShardError)
+        reader.take(1, "reply tag")
+        envelopes = _read_envelopes(reader)
+        peek, eot, d0, d1, d2, d3, d4, busy, cpu = reader.read(
+            _REPLY_TAIL, "window reply tail"
         )
         return envelopes, peek, eot, (d0, d1, d2, d3, d4), busy, cpu
 

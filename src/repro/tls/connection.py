@@ -36,6 +36,7 @@ from repro.crypto.rsa import RsaError, RsaKeyPair, RsaPublicKey
 from repro.crypto.sha import sha256
 from repro.net.packet import VirtualPayload
 from repro.net.tcp import TcpConnection, TcpError
+from repro.net.wire import U16, WireReader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
@@ -49,6 +50,10 @@ CERT_OVERHEAD = 800  # DER wrapping + chain bytes beyond the raw key
 
 class TlsError(Exception):
     """Handshake or record-layer failure."""
+
+
+_RECORD_HEAD = struct.Struct(">BHH")  # RECORD_HEADER_LEN bytes
+_RANDOM_LEN = 32
 
 
 @dataclass
@@ -71,7 +76,9 @@ def _recv_message(conn: TcpConnection) -> Generator:
     header = yield from conn.recv_bytes(RECORD_HEADER_LEN)
     if isinstance(header, VirtualPayload):
         raise TlsError("handshake messages must be real bytes")
-    rtype, mtype, length = struct.unpack(">BHH", header)
+    rtype, mtype, length = WireReader(header, TlsError).read(
+        _RECORD_HEAD, "handshake record header"
+    )
     if rtype != 22:
         raise TlsError(f"expected handshake record, got type {rtype}")
     body = yield from conn.recv_bytes(length)
@@ -87,6 +94,36 @@ CERTIFICATE = 11
 SERVER_HELLO_DONE = 14
 CLIENT_KEY_EXCHANGE = 16
 FINISHED = 20
+
+
+def parse_client_hello(body: bytes) -> tuple[bytes, bytes]:
+    """ClientHello body -> (offered session id, client random)."""
+    r = WireReader(body, TlsError)
+    (sid_len,) = r.read(U16, "ClientHello session id length")
+    if r.remaining != sid_len + _RANDOM_LEN:
+        raise TlsError("ClientHello length mismatch")
+    return r.take(sid_len, "session id"), r.take(_RANDOM_LEN, "client random")
+
+
+def parse_server_hello(body: bytes) -> tuple[bytes, bytes, bool]:
+    """ServerHello body -> (session id, server random, resumed?)."""
+    r = WireReader(body, TlsError)
+    (sid_len,) = r.read(U16, "ServerHello session id length")
+    if r.remaining != sid_len + _RANDOM_LEN + 1:  # + the resumed flag
+        raise TlsError("ServerHello length mismatch")
+    session_id = r.take(sid_len, "session id")
+    server_random = r.take(_RANDOM_LEN, "server random")
+    return session_id, server_random, r.take(1, "resumed flag") == b"\x01"
+
+
+def parse_certificate(cert: bytes) -> RsaPublicKey:
+    """Certificate body -> the server key (the chain padding is not read)."""
+    r = WireReader(cert, TlsError)
+    (key_len,) = r.read(U16, "Certificate key length")
+    try:
+        return RsaPublicKey.from_bytes(r.take(key_len, "Certificate key"))
+    except ValueError as exc:
+        raise TlsError(f"bad Certificate key: {exc}") from exc
 
 
 class TlsConnection:
@@ -176,7 +213,9 @@ class TlsConnection:
         header = yield from self.conn.recv_bytes(RECORD_HEADER_LEN)
         if isinstance(header, VirtualPayload):
             raise TlsError("record header must be real bytes")
-        rtype, pad, length = struct.unpack(">BHH", header)
+        rtype, pad, length = WireReader(header, TlsError).read(
+            _RECORD_HEAD, "record header"
+        )
         if rtype != 23:
             raise TlsError(f"expected application-data record, got type {rtype}")
         body = yield from self.conn.recv_bytes(length)
@@ -264,14 +303,7 @@ def tls_client_handshake(
     mtype, body = yield from _recv_message(conn)
     if mtype != SERVER_HELLO:
         raise TlsError(f"expected ServerHello, got {mtype}")
-    if len(body) < 2:
-        raise TlsError("ServerHello too short")
-    (sid_len,) = struct.unpack_from(">H", body, 0)
-    if len(body) != 35 + sid_len:  # 2 + session id + 32 random + 1 resumed
-        raise TlsError("ServerHello length mismatch")
-    session_id = body[2 : 2 + sid_len]
-    server_random = body[2 + sid_len : 34 + sid_len]
-    resumed = body[34 + sid_len : 35 + sid_len] == b"\x01"
+    session_id, server_random, resumed = parse_server_hello(body)
 
     if resumed:
         if session is None or session_id != session[0]:
@@ -289,12 +321,7 @@ def tls_client_handshake(
     mtype, cert = yield from _recv_message(conn)
     if mtype != CERTIFICATE:
         raise TlsError(f"expected Certificate, got {mtype}")
-    if len(cert) < 2:
-        raise TlsError("Certificate message too short")
-    key_len = struct.unpack_from(">H", cert, 0)[0]
-    if len(cert) < 2 + key_len:
-        raise TlsError("Certificate key runs past end of message")
-    server_key = RsaPublicKey.from_bytes(cert[2 : 2 + key_len])
+    server_key = parse_certificate(cert)
     mtype, _ = yield from _recv_message(conn)
     if mtype != SERVER_HELLO_DONE:
         raise TlsError(f"expected ServerHelloDone, got {mtype}")
@@ -329,13 +356,7 @@ def tls_server_handshake(
     mtype, body = yield from _recv_message(conn)
     if mtype != CLIENT_HELLO:
         raise TlsError(f"expected ClientHello, got {mtype}")
-    if len(body) < 2:
-        raise TlsError("ClientHello too short")
-    (sid_len,) = struct.unpack_from(">H", body, 0)
-    if len(body) != 34 + sid_len:  # 2 + session id + 32 random
-        raise TlsError("ClientHello length mismatch")
-    offered_id = body[2 : 2 + sid_len]
-    client_random = body[2 + sid_len : 34 + sid_len]
+    offered_id, client_random = parse_client_hello(body)
     server_random = rng.getrandbits(256).to_bytes(32, "big")
 
     cached = ctx.session_cache.get(offered_id) if offered_id else None

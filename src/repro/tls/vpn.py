@@ -30,6 +30,7 @@ from repro.crypto.hmac_kdf import ct_equal, tls_prf
 from repro.crypto.rsa import RsaError, RsaKeyPair
 from repro.net.addresses import IPAddress, Prefix, prefix
 from repro.net.packet import Header, IPHeader, Packet
+from repro.net.wire import WireReader
 from repro.sim.resources import Queue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,6 +88,15 @@ class Tunnel:
 
 class VpnError(Exception):
     """Tunnel establishment failure."""
+
+
+def parse_key_body(body: bytes, modulus_len: int) -> tuple[bytes, bytes]:
+    """``key`` control body -> (client random, RSA-encrypted premaster)."""
+    r = WireReader(body, VpnError)
+    client_random = r.take(32, "key message client random")
+    encrypted = r.take(modulus_len, "key message ciphertext")
+    r.expect_end("key message")
+    return client_random, encrypted
 
 
 class SslVpnDaemon:
@@ -372,8 +382,15 @@ class SslVpnDaemon:
             body = packet.payload
             if not isinstance(body, (bytes, bytearray)):
                 return
-            client_random = bytes(body[:32])
-            encrypted = bytes(body[32:])
+            try:
+                client_random, encrypted = parse_key_body(
+                    body, self.keypair.public.byte_length
+                )
+            except VpnError:
+                # Cannot be a premaster under our key: drop before the
+                # private-key operation is charged (free CPU otherwise).
+                self.drops += 1
+                return
             yield from self._charge("vpn.asym.decrypt", cm.rsa_sign(self.keypair.public.bits))
             try:
                 premaster = self.keypair.decrypt(encrypted)

@@ -137,8 +137,6 @@ _COVERED_ELSEWHERE = {
     "SEC003": "tests/test_analysis_dataflow.py",
     "SEC004": "tests/test_analysis_dataflow.py",
     "VAL001": "tests/test_analysis_validation.py",
-    "VAL002": "tests/test_analysis_validation.py",
-    "VAL003": "tests/test_analysis_validation.py",
     "PERF001": "tests/test_analysis_perf.py",
     "PERF002": "tests/test_analysis_perf.py",
     "ISO001": "tests/test_analysis_isolation.py",
@@ -352,7 +350,7 @@ def test_cli_list_rules(capsys):
 
 
 def test_registered_rule_ids(capsys):
-    """The exact id set: 25 registered rules plus the three hygiene
+    """The exact id set: 23 registered rules plus the three hygiene
     meta-rules.  A rule that silently fails to register (or a new one
     nobody documented) changes this list."""
     assert sorted(registered_rules()) == [
@@ -365,7 +363,7 @@ def test_registered_rule_ids(capsys):
         "MET001",
         "PERF001", "PERF002",
         "SEC001", "SEC002", "SEC003", "SEC004",
-        "VAL001", "VAL002", "VAL003",
+        "VAL001",
     ]
     assert analysis_main(["--list-rules"]) == 0
     listed = [

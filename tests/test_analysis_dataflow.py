@@ -1,5 +1,4 @@
-"""Interprocedural secret-flow tests (SEC003/SEC004) and the escape-set
-fixpoint (``propagate_raises``) that VAL003 builds on.
+"""Interprocedural secret-flow tests (SEC003/SEC004).
 
 SEC003/SEC004 fixtures are single modules in secret scope — the leak shapes
 that cross a function boundary: secrets returned through helpers, sunk
@@ -10,13 +9,9 @@ sweep and live in ``test_analysis_taint.py``.
 
 from __future__ import annotations
 
-import ast
 import textwrap
 
 from repro.analysis import analyze_source
-from repro.analysis.base import ModuleContext
-from repro.analysis.callgraph import build_program
-from repro.analysis.dataflow import propagate_raises
 
 HIP_PATH = "src/repro/hip/daemon.py"
 
@@ -27,15 +22,6 @@ def findings(source: str, rule: str, path: str = HIP_PATH) -> list:
         for f in analyze_source(textwrap.dedent(source), path, rules={rule})
         if not f.suppressed and f.rule == rule
     ]
-
-
-def program(*modules):
-    ctxs = [
-        ModuleContext(path=path, source=textwrap.dedent(src),
-                      tree=ast.parse(textwrap.dedent(src)))
-        for path, src in modules
-    ]
-    return build_program(ctxs)
 
 
 # ------------------------------------------------------------------ SEC003 --
@@ -182,68 +168,3 @@ def test_sec004_negative_clean_attribute():
                 RECORDER.record("hip.debug", stash=self._stash)
     """
     assert not findings(src, "SEC004")
-
-
-# -------------------------------------------------------- propagate_raises --
-
-
-def test_propagate_raises_chain():
-    _, graph = program(("src/repro/m.py", """
-        def parse(data):
-            pass
-
-        def handle(data):
-            parse(data)
-
-        def serve(data):
-            handle(data)
-    """))
-    local = {"repro.m.parse": frozenset({"struct.error"})}
-    escapes = propagate_raises(graph, local, {})
-    assert "struct.error" in escapes["repro.m.handle"]
-    assert "struct.error" in escapes["repro.m.serve"]
-
-
-def test_propagate_raises_stops_at_catching_caller():
-    _, graph = program(("src/repro/m.py", """
-        def parse(data):
-            pass
-
-        def serve(data):
-            parse(data)
-    """))
-    local = {"repro.m.parse": frozenset({"struct.error"})}
-    caught = {("repro.m.serve", "repro.m.parse"): frozenset({"struct.error"})}
-    escapes = propagate_raises(graph, local, caught)
-    assert "struct.error" not in escapes["repro.m.serve"]
-
-
-def test_propagate_raises_partial_catch_leaves_rest():
-    _, graph = program(("src/repro/m.py", """
-        def parse(data):
-            pass
-
-        def serve(data):
-            parse(data)
-    """))
-    local = {"repro.m.parse": frozenset({"struct.error", "IndexError"})}
-    caught = {("repro.m.serve", "repro.m.parse"): frozenset({"struct.error"})}
-    escapes = propagate_raises(graph, local, caught)
-    assert escapes["repro.m.serve"] == frozenset({"IndexError"})
-
-
-def test_propagate_raises_through_cycle():
-    _, graph = program(("src/repro/m.py", """
-        def a(n):
-            b(n)
-
-        def b(n):
-            a(n)
-
-        def entry(n):
-            a(n)
-    """))
-    local = {"repro.m.b": frozenset({"IndexError"})}
-    escapes = propagate_raises(graph, local, {})
-    assert "IndexError" in escapes["repro.m.a"]
-    assert "IndexError" in escapes["repro.m.entry"]

@@ -1,274 +1,121 @@
-"""Untrusted wire-input validation tests (VAL001/VAL002/VAL003).
+"""VAL001: received bytes are read through ``WireReader``.
 
-The fixtures are the shapes this pass caught (and we then fixed) in the
-real parsers — dns, teredo, tls — plus clean twins proving each guard
-idiom actually discharges the obligation: dominating length checks,
-exact-length equality, pending slice-length discharge, and validated
-offsets surviving ``off += k`` advancement.
+One syntactic rule: a raw struct unpack anywhere in product code (outside
+``repro/crypto`` and the reader's own module) is a finding, and so is a
+subscript of a buffer after a reader was built over it.  That malformed
+input ends in a domain error is not this rule's job — the
+``tests/wire_fuzz.py`` sweeps check it at runtime.
 """
 
 from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.analysis import analyze_source
 
-DNS_PATH = "src/repro/net/dns.py"
+RAW_PARSE = """
+    import struct
+
+    _HEAD = struct.Struct(">HB")
+
+    def decode(data):
+        (n,) = struct.unpack_from(">H", data, 0)
+        return data[2 : 2 + n]
+"""
+
+READER_PARSE = """
+    import struct
+
+    from repro.net.wire import WireReader
+
+    _U16 = struct.Struct(">H")
+
+    def decode(data):
+        r = WireReader(data, ValueError)
+        (n,) = r.read(_U16, "length")
+        return r.take(n, "value")
+"""
 
 
-def findings(source: str, rule: str, path: str = DNS_PATH) -> list:
+def findings(source: str, path: str = "src/repro/net/dns.py") -> list:
     return [
         f
-        for f in analyze_source(textwrap.dedent(source), path, rules={rule})
-        if not f.suppressed and f.rule == rule
+        for f in analyze_source(textwrap.dedent(source), path, rules={"VAL001"})
+        if not f.suppressed and f.rule == "VAL001"
     ]
 
 
-# ------------------------------------------------------------------ VAL001 --
+def test_raw_unpack_in_product_code_is_a_finding():
+    [finding] = findings(RAW_PARSE)
+    assert "unpack_from" in finding.message and "WireReader" in finding.message
 
 
-def test_val001_wire_count_bounds_allocation():
+@pytest.mark.parametrize(
+    "call",
+    [
+        'struct.unpack(">H", data)',
+        'struct.unpack_from(">H", data, 2)',
+        'list(struct.iter_unpack(">H", data))',
+        "_HEAD.unpack(data)",
+        "_HEAD.unpack_from(data, 0)",
+        'struct.Struct(">H").unpack(data)',
+        "unpack(data)",  # ``from struct import unpack``
+    ],
+)
+def test_every_spelling_of_a_raw_unpack_is_flagged(call):
+    assert findings(f"def decode(data):\n    return {call}\n")
+
+
+def test_the_same_parse_through_a_reader_is_clean():
+    assert not findings(READER_PARSE)
+
+
+def test_rule_binds_in_every_product_module_not_a_scope_list():
+    for path in (
+        "src/repro/net/dnssec.py",
+        "src/repro/tls/vpn.py",
+        "src/repro/sim/shard.py",
+        "src/repro/sim/engine.py",
+        "src/repro/analysis/wire.py",
+    ):
+        assert findings(RAW_PARSE, path), path
+
+
+def test_crypto_reader_module_and_tests_are_exempt():
+    for path in (
+        "src/repro/crypto/sha.py",
+        "src/repro/net/wire.py",
+        "tests/test_tls.py",
+        "benchmarks/bench_tcp.py",
+    ):
+        assert not findings(RAW_PARSE, path), path
+
+
+def test_buffer_subscripted_after_reader_built_is_a_finding():
     src = """
-        import struct
+        from repro.net.wire import WireReader
 
         def decode(data):
-            (n,) = struct.unpack_from(">H", data, 0)
-            return bytearray(n)
+            r = WireReader(data, ValueError)
+            tag = r.take(1, "tag")
+            return tag, data[1:5]
     """
-    [finding] = findings(src, "VAL001")
-    assert "bytearray" in finding.message or "alloc" in finding.message.lower()
+    [finding] = findings(src)
+    assert "'data'" in finding.message and finding.line == 7
 
 
-def test_val001_negative_range_guard_discharges():
+def test_subscript_before_the_reader_or_of_another_name_is_clean():
     src = """
-        import struct
+        from repro.net.wire import WireReader
 
-        def decode(data):
-            (n,) = struct.unpack_from(">H", data, 0)
-            if n > 64:
-                raise ValueError("bad count")
-            return bytearray(n)
+        def decode(msg, table):
+            op = msg[:1]
+            r = WireReader(msg, ValueError)
+            return op, table[r.take(1, "index")[0]]
+
+        def unrelated(msg):
+            return msg[0]
     """
-    assert not findings(src, "VAL001")
-
-
-def test_val001_wire_count_bounds_loop():
-    src = """
-        import struct
-
-        def decode(data):
-            (n,) = struct.unpack_from(">B", data, 0)
-            out = []
-            for i in range(n):
-                out.append(i)
-            return out
-    """
-    assert findings(src, "VAL001")
-
-
-def test_val001_negative_loop_guarded_against_buffer():
-    """The rendezvous-list shape from the dns fix: prove the loop's total
-    consumption fits the buffer before iterating."""
-    src = """
-        import struct
-
-        def decode(data):
-            (n,) = struct.unpack_from(">B", data, 0)
-            if 1 + 2 * n > len(data):
-                raise ValueError("short")
-            out = []
-            for i in range(n):
-                out.append(i)
-            return out
-    """
-    assert not findings(src, "VAL001")
-
-
-def test_val001_wire_int_indexes_buffer():
-    src = """
-        import struct
-
-        def decode(data):
-            if len(data) < 3:
-                raise ValueError("short")
-            (n,) = struct.unpack_from(">H", data, 0)
-            return data[n]
-    """
-    assert findings(src, "VAL001")
-
-
-def test_val001_negative_bytes_of_buffer_is_a_copy():
-    """``bytes(buf)`` copies; only ``bytes(n)`` allocates n zeros."""
-    src = """
-        def decode(data):
-            if len(data) < 4:
-                raise ValueError("short")
-            return bytes(data)
-    """
-    assert not findings(src, "VAL001")
-
-
-# ------------------------------------------------------------------ VAL002 --
-
-
-def test_val002_unproven_slice_silently_truncates():
-    src = """
-        def decode(data):
-            head = data[:5]
-            return head
-    """
-    [finding] = findings(src, "VAL002")
-    assert "trunc" in finding.message.lower() or "slic" in finding.message.lower()
-
-
-def test_val002_negative_dominating_length_check():
-    src = """
-        def decode(data):
-            if len(data) < 5:
-                raise ValueError("short")
-            head = data[:5]
-            return head
-    """
-    assert not findings(src, "VAL002")
-
-
-def test_val002_negative_pending_length_discharge():
-    """``value = data[o:o+n]`` followed by ``len(value)`` verification is
-    the guard idiom itself — slicing first, then checking the result."""
-    src = """
-        def decode(data):
-            value = data[0:7]
-            if len(value) != 7:
-                raise ValueError("short")
-            return value
-    """
-    assert not findings(src, "VAL002")
-
-
-def test_val002_negative_exact_length_equality():
-    """The teredo parse_ra shape: an exact-length gate proves every
-    in-bounds slice at once."""
-    src = """
-        import struct
-
-        def parse(data):
-            if len(data) != 7:
-                raise ValueError("bad length")
-            (port,) = struct.unpack(">H", bytes(data[5:7]))
-            return port
-    """
-    assert not findings(src, "VAL002")
-
-
-def test_val002_yield_recvfrom_marks_wire_buffer():
-    """``data, src = yield sock.recvfrom()`` must mark ``data`` as wire
-    input — the miss that hid the teredo ``_await_ra`` bug."""
-    src = """
-        def _serve(sock):
-            while True:
-                data, src = yield sock.recvfrom()
-                head = data[:5]
-    """
-    assert findings(src, "VAL002")
-
-
-# ------------------------------------------------------------------ VAL003 --
-
-
-def test_val003_unguarded_unpack_escapes():
-    src = """
-        import struct
-
-        def decode(data):
-            (n,) = struct.unpack(">H", data)
-            return n
-    """
-    [finding] = findings(src, "VAL003")
-    assert "struct.error" in finding.message
-    assert "domain parse error" in finding.message
-
-
-def test_val003_negative_wrapped_in_domain_error():
-    src = """
-        import struct
-
-        def decode(data):
-            try:
-                (n,) = struct.unpack(">H", data)
-            except struct.error as exc:
-                raise ValueError("short") from exc
-            return n
-    """
-    assert not findings(src, "VAL003")
-
-
-def test_val003_negative_length_guard_proves_unpack():
-    src = """
-        import struct
-
-        def decode(data):
-            if len(data) < 2:
-                raise ValueError("short")
-            (n,) = struct.unpack_from(">H", data, 0)
-            return n
-    """
-    assert not findings(src, "VAL003")
-
-
-def test_val003_escape_propagates_to_caller():
-    src = """
-        import struct
-
-        def _inner(data):
-            (n,) = struct.unpack(">H", data)
-            return n
-
-        def decode(data):
-            return _inner(data)
-    """
-    assert len(findings(src, "VAL003")) == 2
-
-
-def test_val003_validated_offset_survives_augassign():
-    """The dns decode_response shape: a guard covering the advanced offset
-    must keep the offset validated through ``off += 16``."""
-    src = """
-        import struct
-
-        def decode(data):
-            off = 1
-            if off + 18 > len(data):
-                raise ValueError("short")
-            off += 16
-            (n,) = struct.unpack_from(">H", data, off)
-            return n
-    """
-    assert not findings(src, "VAL003")
-
-
-def test_val003_unproven_advanced_offset_still_flagged():
-    src = """
-        import struct
-
-        def decode(data):
-            off = 1
-            off += 16
-            (n,) = struct.unpack_from(">H", data, off)
-            return n
-    """
-    assert findings(src, "VAL003")
-
-
-# ------------------------------------------------------------------- scope --
-
-
-def test_val_rules_only_fire_in_scoped_modules():
-    src = """
-        import struct
-
-        def decode(data):
-            (n,) = struct.unpack(">H", data)
-            return data[:5], bytearray(n)
-    """
-    for rule in ("VAL001", "VAL002", "VAL003"):
-        assert not findings(src, rule, path="src/repro/sim/engine.py")
+    assert not findings(src)

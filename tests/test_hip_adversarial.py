@@ -149,3 +149,53 @@ class TestCrossFamilyHandover:
 
         rtts = drive(sim, ping(icmp_a, db_.hit, count=2, interval=0.01))
         assert all(r is not None for r in rtts)
+
+
+class TestMalformedParametersNeverCrashTheDaemon:
+    """A typed parameter that does not parse is one more malformed packet:
+    dropped and counted, with the control worker still serving."""
+
+    def test_unauthenticated_i1_with_unknown_from_family_is_dropped(self, hip_pair, drive):
+        sim, a, b, da, db = hip_pair
+        i1 = hp.HipPacket(packet_type=hp.I1, sender_hit=da.hit, receiver_hit=db.hit)
+        i1.add(hp.FROM, b"\x00" * 12 + A.packed() + b"\x09")  # address family 9
+        da._send_control(i1, B)
+        sim.run(until=sim.now + 1)  # a crashed 'hipd-ctl-b' would raise here
+        assert db.drops_policy == 1
+        # The responder still answers the next well-formed I1.
+        drive(sim, da.associate(db.hit))
+        assert db.assocs[da.hit].is_established
+
+    def test_i2_with_short_solution_is_dropped(self, hip_pair, drive):
+        sim, a, b, da, db = hip_pair
+        i2 = hp.HipPacket(packet_type=hp.I2, sender_hit=da.hit, receiver_hit=db.hit)
+        i2.add(hp.SOLUTION, b"\x01\x02\x03")
+        i2.add(hp.DIFFIE_HELLMAN, hp.build_dh(1, b"\x02" * 96))
+        i2.add(hp.ESP_INFO, hp.build_esp_info(0, 0xBAD))
+        i2.add(hp.HOST_ID, hp.build_host_id(da.identity.public_key_bytes))
+        i2.add(hp.HMAC_PARAM, b"\x00" * 20)
+        i2.add(hp.HIP_SIGNATURE, b"\x00" * 64)
+        da._send_control(i2, B)
+        sim.run(until=sim.now + 1)
+        assert db.drops_policy == 1 and da.hit not in db.assocs
+        drive(sim, da.associate(db.hit))
+
+    def test_update_with_unknown_locator_family_from_peer_is_ignored(self, hip_pair, drive):
+        import struct
+
+        sim, a, b, da, db = hip_pair
+        drive(sim, da.associate(db.hit))
+        assoc = da.assocs[db.hit]
+        assoc.update_id += 1
+        update = da._new_packet(hp.UPDATE, db.hit)
+        update.add(hp.LOCATOR, struct.pack(">HBf", 1, 9, 120.0) + b"\x00" * 16)
+        update.add(hp.SEQ, hp.build_seq(assoc.update_id))
+        da._finalize_and_send(update, assoc, sign=True)  # authentic, but malformed
+        sim.run(until=sim.now + 1)
+        peer = db.assocs[da.hit]
+        assert peer.is_established and peer.peer_locator == A
+        assert peer.pending_update is None and db.drops_policy == 1
+        # The worker survived: a well-formed readdress still goes through.
+        da.move_to(A)
+        sim.run(until=sim.now + 1)
+        assert db.assocs[da.hit].peer_locator == A

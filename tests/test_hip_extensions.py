@@ -212,6 +212,51 @@ class TestDnssec:
         proc = sim.process(flow())
         assert sim.run(until=proc) is True
 
+    def test_malformed_signature_section_is_a_dnssec_error(self, dnssec_net):
+        import struct
+
+        from repro.net.dns import encode_response
+        from repro.net.dnssec import (
+            DnssecError,
+            decode_signature_section,
+            encode_signed_response,
+        )
+
+        _sim, zone, _server, _resolver, _keypair = dnssec_net
+        records = zone.lookup("web.cloud", "A")
+        base = encode_response(1, records)
+        signed = encode_signed_response(zone, 1, records)
+        assert decode_signature_section(signed, len(base)) == [
+            zone.signature_for(records[0])
+        ]
+        for malformed in (
+            base + b"\x00",  # truncated count
+            base + struct.pack(">H", 1) + b"\x00",  # truncated length prefix
+            base + struct.pack(">HH", 1, 64) + b"abc",  # 64 declared, 3 present
+            signed[:-1],
+        ):
+            with pytest.raises(DnssecError):
+                decode_signature_section(malformed, len(base))
+
+    def test_resolver_counts_truncated_signature_section_as_bogus(self, dnssec_net, sim):
+        from repro.net.dns import encode_response
+        from repro.net.dnssec import DnssecError
+
+        _sim, zone, server, resolver, _keypair = dnssec_net
+        # Cut the answer inside the first signature's length prefix.
+        keep = len(encode_response(1, zone.lookup("web.cloud", "A"))) + 3
+        sendto = server._sock.sendto
+        server._sock.sendto = lambda data, *to: sendto(data[:keep], *to)
+
+        def flow():
+            with pytest.raises(DnssecError):
+                yield from resolver.query("web.cloud", "A")
+            return True
+
+        proc = sim.process(flow())
+        assert sim.run(until=proc) is True
+        assert resolver.rejected == 1 and resolver.validated == 0
+
     def test_empty_answer_validates_trivially(self, dnssec_net, drive):
         sim, zone, server, resolver, keypair = dnssec_net
         records = drive(sim, resolver.query("ghost.cloud", "A"))

@@ -86,6 +86,7 @@ _PAIRS = [
     (lambda rng: hp.build_host_id(rng.randbytes(33), b"host.example"), hp.parse_host_id),
     (lambda rng: hp.build_locator([(_v4(rng), 60.0), (_v4(rng), 7.0)]), hp.parse_locator),
     (lambda rng: hp.build_seq(9), hp.parse_seq),
+    (lambda rng: hp.build_from(_v4(rng)), hp.parse_from),
 ]
 
 
@@ -93,6 +94,13 @@ class TestTruncationNeverEscapesStructError:
     @pytest.mark.parametrize("build, parse", _PAIRS, ids=lambda p: getattr(p, "__name__", "build"))
     def test_every_strict_prefix_rejected(self, build, parse):
         sweep_truncations(build(RNG), parse, hp.HipParseError)
+
+    @pytest.mark.parametrize("build, parse", _PAIRS, ids=lambda p: getattr(p, "__name__", "build"))
+    def test_corruption_parses_or_raises_parse_error(self, build, parse):
+        rng = random.Random(0xC0DE)
+        raw = build(rng)
+        sweep_byte_flips(raw, parse, hp.HipParseError, rng)
+        stomp_fields(raw, parse, hp.HipParseError, rng)
 
     def test_variable_stride_parsers_reject_ragged_lengths(self):
         full = hp.build_ack([1, 2, 3])
@@ -112,6 +120,19 @@ class TestTruncationNeverEscapesStructError:
         full = hp.build_locator([(_v4(RNG), 60.0)])
         with pytest.raises(hp.HipParseError):
             hp.parse_locator(full + b"\x00" * 3)
+
+    def test_unknown_family_or_out_of_range_address_rejected(self):
+        v4 = hp.build_from(IPAddress(4, 0x0A000001))
+        assert hp.parse_from(v4) == IPAddress(4, 0x0A000001)
+        entry = struct.pack(">HBf", 1, 4, 60.0)
+        for bad in (
+            lambda: hp.parse_from(v4[:16] + b"\x09"),  # family 9
+            lambda: hp.parse_from(b"\xff" * 16 + b"\x04"),  # IPv4 value >= 2**32
+            lambda: hp.parse_locator(struct.pack(">HBf", 1, 9, 60.0) + bytes(16)),
+            lambda: hp.parse_locator(entry + b"\xff" * 16),
+        ):
+            with pytest.raises(hp.HipParseError, match="bad address"):
+                bad()
 
     def test_dh_inflated_declared_length_rejected(self):
         raw = hp.build_dh(5, b"\x01" * 16)

@@ -7,6 +7,8 @@ engine's golden value) and produce identical per-shard results — and those
 results must match the monolithic single-heap twin of the same topology.
 """
 
+import struct
+
 import pytest
 
 from repro.net.addresses import Prefix, ipv4
@@ -553,6 +555,33 @@ def test_envelope_frame_roundtrip_empty():
     decoded, offset = decode_envelopes(buf)
     assert decoded == []
     assert offset == len(buf)
+
+
+def test_envelope_frame_cut_short_or_overdeclared_is_a_shard_error():
+    frame = encode_envelopes(
+        [
+            Envelope(
+                arrival=0.5, src_shard="left", src_index=0, seq=1,
+                dst_shard="right", port_id="l->r",
+                packet=Packet(headers=(), payload=b"x" * 8),
+            )
+        ]
+    )
+    with pytest.raises(ShardError, match="frame head.*offset 0"):
+        decode_envelopes(frame[:3])
+    for cut in range(len(frame)):
+        with pytest.raises(ShardError, match="offset"):
+            decode_envelopes(frame[:cut])
+    # A blob length that overruns the frame (the 8 bytes before the pickle).
+    blob_at = frame.index(b"\x80\x05")
+    overrun = frame[: blob_at - 8] + struct.pack("<Q", len(frame)) + frame[blob_at:]
+    with pytest.raises(ShardError, match="frame packet blob.*offset"):
+        decode_envelopes(overrun)
+    # A string-table index past the table is corruption, not an IndexError.
+    meta_at = blob_at - 8 - 6
+    bad_index = frame[:meta_at] + struct.pack("<H", 9) + frame[meta_at + 2 :]
+    with pytest.raises(ShardError, match="corrupt envelope frame"):
+        decode_envelopes(bad_index)
 
 
 def test_envelope_frame_interns_strings():

@@ -141,3 +141,20 @@ class TestVpnDetails:
         tunnel = va.tunnels.get(vpn_addr(11))
         assert tunnel is not None
         assert len(tunnel.queued) <= 4
+
+    @pytest.mark.parametrize("body", [b"\x00", bytes(32), bytes(32 + 63), bytes(32 + 65)],
+                             ids=["1-byte", "random-only", "short-ct", "long-ct"])
+    def test_key_body_of_wrong_size_dropped_before_rsa_is_charged(self, vpn_pair, body):
+        """An off-path sender must not buy a private-key operation with a
+        body that cannot be a premaster under the server's 512-bit key."""
+        from repro.net.packet import Packet
+
+        sim, a, b, va, vb = vpn_pair
+        ctl = Packet(headers=(), payload=body).with_meta(
+            vpn_ctl="key", vpn_src=vpn_addr(10)
+        )
+        a.send_ip(B, "sslvpn", ctl)
+        sim.run(until=1)
+        assert vb.drops == 1
+        assert "vpn.asym.decrypt" not in vb.meter.ops
+        assert vpn_addr(10) not in vb.tunnels

@@ -1,10 +1,10 @@
-"""Seeded fuzzing of the DNS and Teredo wire codecs.
+"""Seeded fuzzing of every wire codec outside HIP.
 
 Built on :mod:`tests.wire_fuzz` — the same truncation/byte-flip/field-stomp
-corpus the HIP codec runs — these prove the domain-error contract the
-validation lints (VAL003) enforce statically: malformed wire input raises
-``DnsDecodeError`` / ``TeredoParseError``, never a raw ``struct.error``
-or ``IndexError``.
+corpus the HIP codec runs — these check, at runtime and exactly, the
+contract ``WireReader`` gives by construction: malformed wire input raises
+the parser's domain error, never a raw ``struct.error`` or ``IndexError``,
+and never yields a silently short field.
 """
 
 from __future__ import annotations
@@ -24,7 +24,12 @@ from repro.net.dns import (
     encode_response,
 )
 from repro.net.teredo import TeredoParseError, parse_ra
-from tests.wire_fuzz import stomp_fields, sweep_byte_flips, sweep_truncations
+from tests.wire_fuzz import (
+    decoder_corpus,
+    stomp_fields,
+    sweep_byte_flips,
+    sweep_truncations,
+)
 
 
 def _query_corpus() -> list[bytes]:
@@ -105,3 +110,25 @@ class TestTeredoRaFuzz:
         for extra in (1, 3, 64):
             with pytest.raises(TeredoParseError):
                 parse_ra(self._ra() + b"\x00" * extra)
+
+
+CASES = decoder_corpus()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+class TestConvertedDecoders:
+    """The ``WireReader`` parsers without a suite of their own."""
+
+    def test_valid_message_parses(self, case):
+        case.parse(case.raw)
+
+    def test_truncations(self, case):
+        sweep_truncations(case.raw, case.parse, case.error)
+
+    def test_byte_flips(self, case):
+        raw, parse = case.corruption_target()
+        sweep_byte_flips(raw, parse, case.error, random.Random(0xF11B))
+
+    def test_field_stomps(self, case):
+        raw, parse = case.corruption_target()
+        stomp_fields(raw, parse, case.error, random.Random(0x570B))

@@ -6,14 +6,24 @@ input raises the codec's *domain* error (``HipParseError``,
 or ``IndexError``.  These helpers drive that contract with truncation
 sweeps, seeded byte flips and length/count-field stomps; the HIP, DNS and
 Teredo fuzz suites share them so a new parser only has to plug in its
-builder, parser and error type.
+builder, parser and error type.  :func:`decoder_corpus` is the plug-in
+table for the parsers that have no suite of their own.
 """
 
 from __future__ import annotations
 
+import pickle
+import random
 import struct
+from typing import Callable, NamedTuple
 
-__all__ = ["sweep_truncations", "sweep_byte_flips", "stomp_fields"]
+__all__ = [
+    "DecoderCase",
+    "decoder_corpus",
+    "sweep_truncations",
+    "sweep_byte_flips",
+    "stomp_fields",
+]
 
 
 def sweep_truncations(raw: bytes, parse, error) -> None:
@@ -76,3 +86,102 @@ def stomp_fields(raw: bytes, parse, error, rng, rounds: int = 64) -> None:
             parse(mutated)
         except error:
             pass
+
+
+class DecoderCase(NamedTuple):
+    """One valid message with the parser and domain error that own it."""
+
+    name: str
+    raw: bytes
+    parse: Callable[[bytes], object]
+    error: type[Exception]
+    #: Corrupt only this many leading bytes (truncation still sweeps all).
+    corruptible: int | None = None
+
+    def corruption_target(self) -> tuple[bytes, Callable[[bytes], object]]:
+        """``(bytes to corrupt, parser of their corrupted form)``."""
+        cut = len(self.raw) if self.corruptible is None else self.corruptible
+        head, tail = self.raw[:cut], self.raw[cut:]
+        return head, lambda data: self.parse(data + tail)
+
+
+def decoder_corpus() -> list[DecoderCase]:
+    """A valid message for every ``WireReader`` parser outside HIP/DNS/Teredo
+    (those have their own suites): DNSSEC signature section, TLS handshake
+    bodies, the VPN ``key`` body, the DB protocol heads and the shard
+    envelope frame."""
+    from repro.apps.database import QueryError, parse_request_head, parse_response_head
+    from repro.crypto.rsa import RsaKeyPair
+    from repro.net.addresses import ipv4
+    from repro.net.dns import DnsRecord, encode_response
+    from repro.net.dnssec import (
+        DnssecError,
+        SignedZone,
+        decode_signature_section,
+        encode_signed_response,
+    )
+    from repro.net.packet import Packet
+    from repro.sim.shard import Envelope, ShardError, decode_envelopes, encode_envelopes
+    from repro.tls.connection import (
+        TlsError,
+        parse_certificate,
+        parse_client_hello,
+        parse_server_hello,
+    )
+    from repro.tls.vpn import VpnError, parse_key_body
+
+    keypair = RsaKeyPair.generate(512, random.Random(0x5160))
+    zone = SignedZone(keypair)
+    records = [
+        DnsRecord(name="web.cloud", rtype="A", ttl=30.0, address=ipv4("10.0.0.9")),
+        DnsRecord(name="db.cloud", rtype="A", ttl=30.0, address=ipv4("10.0.0.7")),
+    ]
+    for record in records:
+        zone.add(record)
+    base = encode_response(7, records)
+    section = encode_signed_response(zone, 7, records)[len(base):]
+
+    def parse_signatures(data: bytes) -> list[bytes]:
+        # As the validating resolver reads it: no section at all is the
+        # "unsigned server" case, refused one step later for lack of
+        # signatures; fold that step in so every prefix is a rejection.
+        sigs = decode_signature_section(base + data, len(base))
+        if len(sigs) < len(records):
+            raise DnssecError("answer is missing signatures")
+        return sigs
+
+    session_id, nonce = bytes(range(16)), bytes(range(32))
+    key_bytes = keypair.public.to_bytes()
+    packets = [Packet(headers=(), payload=bytes([i]) * 32) for i in range(3)]
+    frame = encode_envelopes(
+        [
+            Envelope(
+                arrival=0.125 + i * 1e-9, src_shard="left", src_index=0,
+                seq=i + 1, dst_shard="right", port_id="l->r",
+                packet=packet, sent_now=0.1,
+            )
+            for i, packet in enumerate(packets)
+        ]
+    )
+    return [
+        DecoderCase("dnssec-signatures", section, parse_signatures, DnssecError),
+        DecoderCase("tls-client-hello", struct.pack(">H", 16) + session_id + nonce,
+                    parse_client_hello, TlsError),
+        DecoderCase("tls-server-hello",
+                    struct.pack(">H", 16) + session_id + nonce + b"\x01",
+                    parse_server_hello, TlsError),
+        # Without the chain padding, which the parser does not read.
+        DecoderCase("tls-certificate", struct.pack(">H", len(key_bytes)) + key_bytes,
+                    parse_certificate, TlsError),
+        DecoderCase("vpn-key", nonce + bytes(64),
+                    lambda body: parse_key_body(body, 64), VpnError),
+        DecoderCase("db-request-head", struct.pack(">I", 17),
+                    parse_request_head, QueryError),
+        DecoderCase("db-response-head", struct.pack(">BII", 0, 3, 768),
+                    parse_response_head, QueryError),
+        # Flips stay out of the trailing pickle: a frame is only ever bytes a
+        # worker of this program wrote, and a corrupted pickle can ask the
+        # unpickler for arbitrary allocations.
+        DecoderCase("shard-envelope-frame", frame, decode_envelopes, ShardError,
+                    corruptible=len(frame) - len(pickle.dumps(packets, pickle.HIGHEST_PROTOCOL))),
+    ]
