@@ -7,9 +7,9 @@ This package *enforces* that discipline mechanically:
 
 * :mod:`repro.analysis.rules` — repo-specific AST checkers (rule ids
   ``DET001``..., see ``--list-rules``);
-* :mod:`repro.analysis.statemachine` — protocol state-machine extraction
-  checked against declarative RFC 5201/5206 transition tables
-  (``CONF001``-``CONF003``);
+* :mod:`repro.analysis.statemachine` — the HIP and VPN machines move only
+  through ``_transition`` (which enforces the edge table kept beside each
+  ``StrEnum``) and spell states as enum members (``CONF001``, ``CONF003``);
 * :mod:`repro.analysis.dataflow` — summary-based secret-flow analysis over
   the whole-program call graph (``SEC001``-``SEC004``);
 * :mod:`repro.analysis.validation` — received bytes are read through

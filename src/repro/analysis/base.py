@@ -105,8 +105,8 @@ class ModuleContext:
     findings: list[Finding] = field(default_factory=list)
     _aliases: dict[str, str] = field(default_factory=dict)
     # Scratch space shared by the rules that run on this module: rules which
-    # need the same expensive pass (state-machine extraction, module
-    # bindings) compute it once and memoise it here, keyed by pass name.
+    # need the same expensive pass (module bindings) compute it once and
+    # memoise it here, keyed by pass name.
     cache: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -22,8 +22,8 @@ Two interchangeable midstate engines produce byte-identical output:
 * ``pure`` — this package's own compression-function API
   (:mod:`repro.crypto.sha`), the auditable reference engine.
 
-Select with ``REPRO_CRYPTO_BACKEND=pure|fast`` (read at import);
-differential tests run both engines against each other and against
+``HmacKey(backend="pure")`` selects the reference engine; differential
+tests run both engines against each other and against
 ``hmac``/``hashlib``.  The pure SHA implementations remain the canonical
 spec either way — HITs, puzzles and all one-shot ``sha1``/``sha256``
 callers always use them.
@@ -32,7 +32,6 @@ callers always use them.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 
 from repro.metrics import METRICS
@@ -50,9 +49,6 @@ _HMAC_OPS = METRICS.counter("crypto.hmac_ops")
 _HMAC_BYTES = METRICS.counter("crypto.hmac_bytes")
 
 _HASHLIB = {"sha1": hashlib.sha1, "sha256": hashlib.sha256}
-HMAC_BACKEND = os.environ.get("REPRO_CRYPTO_BACKEND", "fast")
-if HMAC_BACKEND not in ("fast", "pure"):
-    raise ValueError(f"REPRO_CRYPTO_BACKEND must be 'fast' or 'pure', got {HMAC_BACKEND!r}")
 
 
 class HmacKey:
@@ -60,7 +56,7 @@ class HmacKey:
 
     __slots__ = ("hash_name", "digest_size", "_compress", "_fmt", "_inner", "_outer")
 
-    def __init__(self, key: bytes, hash_name: str = "sha256", backend: str | None = None) -> None:
+    def __init__(self, key: bytes, hash_name: str = "sha256", backend: str = "fast") -> None:
         try:
             hash_fn = HASHES[hash_name]
             block = BLOCK_SIZES[hash_name]
@@ -75,7 +71,7 @@ class HmacKey:
         key = key.ljust(block, b"\x00")
         ipad = bytes(b ^ 0x36 for b in key)
         opad = bytes(b ^ 0x5C for b in key)
-        if (backend or HMAC_BACKEND) == "fast":
+        if backend == "fast":
             self._compress = None
             self._inner = _HASHLIB[hash_name](ipad)
             self._outer = _HASHLIB[hash_name](opad)

@@ -103,9 +103,11 @@ class HipState(StrEnum):
     """Canonical HIP association states (RFC 5201 §4.4.1, simplified).
 
     The single source of truth for the association FSM: every comparison and
-    every :meth:`HipDaemon._transition` call uses these members, and the
-    ``CONF003`` analysis rule rejects bare string literals in state
-    positions.  Deviations from the RFC table, both deliberate:
+    every :meth:`HipDaemon._transition` call uses these members (the
+    ``CONF003`` analysis rule rejects bare string literals and unknown
+    members), and the moves between them are exactly
+    :data:`HIP_TRANSITIONS` below.  Deviations from the RFC table, both
+    deliberate:
 
     * ``R2-SENT`` is collapsed into ``ESTABLISHED`` — the responder installs
       its SAs and completes as soon as a valid I2 is accepted;
@@ -124,6 +126,30 @@ class HipState(StrEnum):
     CLOSING = "CLOSING"
     CLOSED = "CLOSED"
     FAILED = "FAILED"
+
+
+#: Every legal move of the association machine: RFC 5201 §4.4.2 (base
+#: exchange) plus §5.3.6-§5.3.8 (CLOSE / CLOSE_ACK).  An association starts
+#: UNASSOCIATED; :meth:`HipDaemon._transition` refuses any pair not listed
+#: here, and ``tests/test_fsm_edges.py`` executes every pair that is.
+HIP_TRANSITIONS: frozenset[tuple[HipState, HipState]] = frozenset(
+    {
+        (HipState.UNASSOCIATED, HipState.I1_SENT),  # start BEX as initiator
+        (HipState.UNASSOCIATED, HipState.ESTABLISHED),  # responder accepts I2
+        (HipState.UNASSOCIATED, HipState.FAILED),  # no locator / policy denial
+        (HipState.I1_SENT, HipState.I2_SENT),  # R1 received, I2 sent
+        (HipState.I1_SENT, HipState.FAILED),  # I1 retransmissions exhausted
+        (HipState.I2_SENT, HipState.ESTABLISHED),  # R2 received
+        (HipState.I2_SENT, HipState.FAILED),  # I2 retransmissions exhausted
+        # §4.4.2 "ESTABLISHED, receive I2: process; if successful, send R2":
+        # the initiator lost our R2 and retransmitted, or rebooted and ran a
+        # new exchange.  With R2-SENT collapsed this is a self-loop.
+        (HipState.ESTABLISHED, HipState.ESTABLISHED),
+        (HipState.ESTABLISHED, HipState.CLOSING),  # we sent CLOSE
+        (HipState.ESTABLISHED, HipState.CLOSED),  # peer's CLOSE acknowledged
+        (HipState.CLOSING, HipState.CLOSED),  # CLOSE_ACK received (or crossed CLOSE)
+    }
+)
 
 
 @dataclass
@@ -453,25 +479,15 @@ class HipDaemon:
         return "raw"
 
     # ------------------------------------------------------------ associations --
-    def _transition(
-        self,
-        assoc: Association,
-        state: HipState,
-        expect_from: tuple[HipState, ...] | None = None,
-    ) -> None:
-        """Move the association FSM, tracing the edge when the recorder is on.
+    def _transition(self, assoc: Association, state: HipState) -> None:
+        """Move the association FSM along an edge of :data:`HIP_TRANSITIONS`,
+        tracing it when the recorder is on.
 
-        ``expect_from`` declares the legal source states for call sites whose
-        guard lives in a *caller* (shared helpers like :meth:`_established`).
-        It is checked at runtime and read statically by the ``CONF001`` /
-        ``CONF002`` conformance rules, so the declared FSM and the executed
-        one cannot drift apart silently.
+        The only place ``Association.state`` is written (``CONF001`` keeps it
+        so), hence every move the daemon ever makes is checked here.
         """
-        if expect_from is not None and assoc.state not in expect_from:
-            raise HipError(
-                f"illegal HIP transition {assoc.state} -> {state} "
-                f"(expected from {', '.join(expect_from)})"
-            )
+        if (assoc.state, state) not in HIP_TRANSITIONS:
+            raise HipError(f"illegal HIP transition {assoc.state} -> {state}")
         if RECORDER.enabled:
             RECORDER.record(
                 self.sim.now, "hip", "bex_state",
@@ -482,10 +498,7 @@ class HipDaemon:
 
     def _established(self, assoc: Association) -> None:
         """Common tail of both BEX completions (R2 received / I2 accepted)."""
-        self._transition(
-            assoc, HipState.ESTABLISHED,
-            expect_from=(HipState.UNASSOCIATED, HipState.I2_SENT),
-        )
+        self._transition(assoc, HipState.ESTABLISHED)
         assoc.established_at = self.sim.now
         self.bex_completed += 1
         _BEX_DONE.inc()
@@ -523,7 +536,7 @@ class HipDaemon:
             self._fail_assoc(assoc, HipError("outbound HIP policy denies peer"))
             return
         assoc.peer_locator = locator
-        self._transition(assoc, HipState.I1_SENT, expect_from=(HipState.UNASSOCIATED,))
+        self._transition(assoc, HipState.I1_SENT)
         assoc.retries = 0
         self._send_i1(assoc)
         self.sim.process(self._i1_retransmitter(assoc), name="hip-i1-rtx")
@@ -556,10 +569,7 @@ class HipDaemon:
             self._send_control(i2, assoc.peer_locator)
 
     def _fail_assoc(self, assoc: Association, error: Exception) -> None:
-        self._transition(
-            assoc, HipState.FAILED,
-            expect_from=(HipState.UNASSOCIATED, HipState.I1_SENT, HipState.I2_SENT),
-        )
+        self._transition(assoc, HipState.FAILED)
         assoc.queued.clear()
         evt = assoc.established_evt
         if evt is not None and not evt.triggered:  # type: ignore[attr-defined]
@@ -728,6 +738,9 @@ class HipDaemon:
         assoc.keymat = keymat
         assoc.set_hmac_keys(out_key=hmac_out, in_key=hmac_in)
         local_spi = self._alloc_spi()
+        if assoc.sa_in is not None:
+            # I2 on an established association: its SA pair is superseded.
+            self._sa_in_by_spi.pop(assoc.sa_in.spi, None)
         assoc.sa_out, assoc.sa_in = derive_sa_pair(
             keymat[_HIP_KEY_BYTES:], spi_out=peer_spi, spi_in=local_spi,
             local_hit=self.hit, peer_hit=assoc.peer_hit, is_initiator=False,
@@ -746,7 +759,12 @@ class HipDaemon:
         )
         r2.add(hp.HIP_SIGNATURE, self.identity.sign(r2.bytes_for_param(hp.HIP_SIGNATURE), self.rng))
         self._send_control(r2, ip.src)
-        self._established(assoc)
+        if assoc.is_established:
+            # The initiator never saw our R2 and sent I2 again (RFC 5201
+            # §4.4.2): R2 is re-sent above; no new exchange completed.
+            self._transition(assoc, HipState.ESTABLISHED)
+        else:
+            self._established(assoc)
 
     # -- initiator side --------------------------------------------------------------
     def _handle_r1(self, r1: hp.HipPacket, ip: IPHeader) -> Generator:
@@ -1086,10 +1104,7 @@ class HipDaemon:
         self._drop_assoc(assoc)
 
     def _drop_assoc(self, assoc: Association) -> None:
-        self._transition(
-            assoc, HipState.CLOSED,
-            expect_from=(HipState.ESTABLISHED, HipState.CLOSING),
-        )
+        self._transition(assoc, HipState.CLOSED)
         if assoc.sa_in is not None:
             self._sa_in_by_spi.pop(assoc.sa_in.spi, None)
         assoc.sa_in = assoc.sa_out = None

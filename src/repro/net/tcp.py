@@ -146,7 +146,6 @@ class TcpConnection:
         pacing: bool = False,
         fluid: bool = False,
         fluid_flow_guard: bool = True,
-        cwnd_validation: bool | None = None,
     ) -> None:
         self.stack = stack
         self.node = stack.node
@@ -203,9 +202,6 @@ class TcpConnection:
         self._fin_queued = False
         self._fin_seq: int | None = None
         # Fluid fast-forward (flow-level bulk mode); see the module docstring.
-        # ``cwnd_validation`` defaults to following ``fluid`` — a fluid flow
-        # needs the frozen-cwnd steady state, everything else keeps today's
-        # unvalidated growth so existing experiments are untouched.
         self.fluid = fluid
         # The competing-flow guard exits fluid mode when either endpoint's
         # stack gains or loses a connection (a new flow may share the
@@ -214,7 +210,9 @@ class TcpConnection:
         # is wnd/rtt regardless of its neighbours, so arrivals aren't
         # disturbances.
         self.fluid_flow_guard = fluid_flow_guard
-        self.cwnd_validation = fluid if cwnd_validation is None else cwnd_validation
+        # A fluid flow needs the frozen-cwnd steady state; everything else
+        # keeps unvalidated growth.
+        self.cwnd_validation = fluid
         self._fluid_want = False  # draining the pipe before jumping
         self._fluid_active = False  # advancing as a rate integral
         self._fluid_peer: TcpConnection | None = None
@@ -1497,7 +1495,6 @@ class TcpStack:
         pacing: bool = False,
         fluid: bool = False,
         fluid_flow_guard: bool = True,
-        cwnd_validation: bool | None = None,
     ) -> TcpConnection:
         """Initiate a connection; wait on ``conn.established`` to use it."""
         if local_addr is None:
@@ -1509,7 +1506,6 @@ class TcpStack:
             self, local_addr, local_port, remote_addr, remote_port,
             mss=mss, recv_window=recv_window, pacing=pacing,
             fluid=fluid, fluid_flow_guard=fluid_flow_guard,
-            cwnd_validation=cwnd_validation,
         )
         self._connections[self._key(local_port, remote_addr, remote_port)] = conn
         self._local_ports[local_port] = self._local_ports.get(local_port, 0) + 1

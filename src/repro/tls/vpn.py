@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Generator
 from repro.crypto.costmodel import CryptoMeter
 from repro.crypto.hmac_kdf import ct_equal, tls_prf
 from repro.crypto.rsa import RsaError, RsaKeyPair
+from repro.metrics import RECORDER
 from repro.net.addresses import IPAddress, Prefix, prefix
 from repro.net.packet import Header, IPHeader, Packet
 from repro.net.wire import WireReader
@@ -44,16 +45,35 @@ RETRY_BASE_S = 0.5
 class TunnelState(StrEnum):
     """Canonical SSL-VPN tunnel states.
 
-    Single source of truth for the tunnel state machine; the CONF003
-    analysis rule rejects bare string literals at comparison sites, and
-    CONF001/CONF002 check the extracted transition graph against the
-    declarative spec table in ``repro.analysis.statemachine``.
+    Single source of truth for the tunnel state machine: the CONF003
+    analysis rule rejects bare string literals and unknown members, and the
+    moves between states are exactly :data:`TUNNEL_TRANSITIONS` below.
     """
 
     NEW = "NEW"
     HELLO_SENT = "HELLO-SENT"
     ESTABLISHED = "ESTABLISHED"
     FAILED = "FAILED"
+
+
+#: Every legal move of the OpenVPN-style tunnel handshake.  A tunnel starts
+#: NEW; :meth:`SslVpnDaemon._transition` refuses any pair not listed here,
+#: and ``tests/test_fsm_edges.py`` executes every pair that is.
+TUNNEL_TRANSITIONS: frozenset[tuple[TunnelState, TunnelState]] = frozenset(
+    {
+        (TunnelState.NEW, TunnelState.HELLO_SENT),  # client sends hello
+        (TunnelState.NEW, TunnelState.ESTABLISHED),  # server accepts key message
+        (TunnelState.NEW, TunnelState.FAILED),  # unknown peer / no locator
+        # finished verified (client), or the peer's key message won a
+        # simultaneous open and this end becomes the server
+        (TunnelState.HELLO_SENT, TunnelState.ESTABLISHED),
+        (TunnelState.HELLO_SENT, TunnelState.FAILED),  # retransmissions exhausted
+        # A retransmitted key message re-derives the same secrets and the
+        # server answers finished again: an idempotent self-loop.
+        (TunnelState.ESTABLISHED, TunnelState.ESTABLISHED),
+        (TunnelState.ESTABLISHED, TunnelState.FAILED),  # no locator to answer finished on
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -149,8 +169,6 @@ class SslVpnDaemon:
         tunnel = self._ensure_tunnel(peer_vpn)
         if tunnel.is_established:
             return tunnel
-        if tunnel.state == TunnelState.FAILED:
-            tunnel = self._restart_tunnel(peer_vpn)
         if tunnel.state == TunnelState.NEW:
             self._start_handshake(tunnel)
         from repro.sim.events import AnyOf
@@ -177,8 +195,6 @@ class SslVpnDaemon:
             ip = packet.outer
             assert isinstance(ip, IPHeader)
             tunnel = self._ensure_tunnel(ip.dst)
-            if tunnel.state == TunnelState.FAILED:
-                tunnel = self._restart_tunnel(ip.dst)
             if not tunnel.is_established:
                 if len(tunnel.queued) < self.queue_limit:
                     tunnel.queued.append(packet)
@@ -273,8 +289,10 @@ class SslVpnDaemon:
 
     # -- handshake -----------------------------------------------------------------
     def _ensure_tunnel(self, peer_vpn: IPAddress) -> Tunnel:
+        """The tunnel to ``peer_vpn``; FAILED is terminal, so a failed one is
+        replaced by a fresh NEW tunnel for whoever needs the peer next."""
         tunnel = self.tunnels.get(peer_vpn)
-        if tunnel is None:
+        if tunnel is None or tunnel.state == TunnelState.FAILED:
             info = self.peers.get(peer_vpn)
             locator = info[0] if info else None
             tunnel = Tunnel(
@@ -284,26 +302,20 @@ class SslVpnDaemon:
             self.tunnels[peer_vpn] = tunnel
         return tunnel
 
-    def _restart_tunnel(self, peer_vpn: IPAddress) -> Tunnel:
-        self.tunnels.pop(peer_vpn, None)
-        return self._ensure_tunnel(peer_vpn)
+    def _transition(self, tunnel: Tunnel, state: TunnelState) -> None:
+        """Move ``tunnel`` along an edge of :data:`TUNNEL_TRANSITIONS`,
+        tracing it when the recorder is on.
 
-    def _transition(
-        self,
-        tunnel: Tunnel,
-        state: TunnelState,
-        expect_from: tuple[TunnelState, ...] | None = None,
-    ) -> None:
-        """Move ``tunnel`` to ``state``.
-
-        ``expect_from`` declares the legal source states for call sites whose
-        guard lives in a caller; it is checked at runtime and read statically
-        by the CONF001/CONF002 conformance rules.
+        The only place ``Tunnel.state`` is written (``CONF001`` keeps it so),
+        hence every move the daemon ever makes is checked here.
         """
-        if expect_from is not None and tunnel.state not in expect_from:
-            raise VpnError(
-                f"illegal tunnel transition {tunnel.state} -> {state} "
-                f"(expected from {', '.join(expect_from)})"
+        if (tunnel.state, state) not in TUNNEL_TRANSITIONS:
+            raise VpnError(f"illegal tunnel transition {tunnel.state} -> {state}")
+        if RECORDER.enabled:
+            RECORDER.record(
+                self.sim.now, "vpn", "tunnel_state",
+                node=self.node.name, peer=str(tunnel.peer_vpn),
+                frm=tunnel.state, to=state,
             )
         tunnel.state = state
         if state in (TunnelState.ESTABLISHED, TunnelState.FAILED):
@@ -312,15 +324,7 @@ class SslVpnDaemon:
             self.node.dataplane_epoch += 1
 
     def _fail(self, tunnel: Tunnel, error: Exception) -> None:
-        self._transition(
-            tunnel,
-            TunnelState.FAILED,
-            expect_from=(
-                TunnelState.NEW,
-                TunnelState.HELLO_SENT,
-                TunnelState.ESTABLISHED,
-            ),
-        )
+        self._transition(tunnel, TunnelState.FAILED)
         tunnel.queued.clear()
         evt = tunnel.established_evt
         if evt is not None and not evt.triggered:  # type: ignore[attr-defined]
@@ -341,7 +345,7 @@ class SslVpnDaemon:
             self._fail(tunnel, VpnError(f"unknown VPN peer {tunnel.peer_vpn}"))
             return
         tunnel.locator = info[0]
-        self._transition(tunnel, TunnelState.HELLO_SENT, expect_from=(TunnelState.NEW,))
+        self._transition(tunnel, TunnelState.HELLO_SENT)
         tunnel.role = "client"
         self.sim.process(self._client_handshake(tunnel), name=f"vpn-hs-{self.node.name}")
 
@@ -404,17 +408,7 @@ class SslVpnDaemon:
             tunnel.verify_data = tls_prf(
                 tunnel.master_secret, b"vpn finished", client_random, 12
             )
-            # A retransmitted key message re-derives the same secrets, so
-            # ESTABLISHED -> ESTABLISHED is a legal (idempotent) self-loop.
-            self._transition(
-                tunnel,
-                TunnelState.ESTABLISHED,
-                expect_from=(
-                    TunnelState.NEW,
-                    TunnelState.HELLO_SENT,
-                    TunnelState.ESTABLISHED,
-                ),
-            )
+            self._transition(tunnel, TunnelState.ESTABLISHED)
             if not tunnel.established_evt.triggered:  # type: ignore[attr-defined]
                 tunnel.established_evt.succeed(tunnel)  # type: ignore[attr-defined]
             self._send_control(tunnel, "finished", tunnel.verify_data)

@@ -6,13 +6,15 @@ import random
 
 import pytest
 
+from repro.crypto.rsa import RsaKeyPair
 from repro.hip.daemon import HipConfig, HipDaemon
 from repro.hip.identity import HostIdentity
-from repro.net.addresses import ipv4
+from repro.net.addresses import IPAddress, ipv4
 from repro.net.icmp import IcmpStack
 from repro.net.tcp import TcpStack
 from repro.net.topology import lan_pair
 from repro.sim import Simulator
+from repro.tls.vpn import VPN_SUBNET, SslVpnDaemon
 
 
 @pytest.fixture(autouse=True)
@@ -77,18 +79,48 @@ def session_identities():
     }
 
 
-@pytest.fixture
-def hip_pair(sim, session_identities):
+def build_hip_pair(sim: Simulator, identities):
     """Two HIP-enabled hosts with peer mappings installed.
 
     Returns (sim, node_a, node_b, daemon_a, daemon_b).
     """
     a, b = lan_pair(sim, "a", "b")
-    da = HipDaemon(a, session_identities["a"], rng=random.Random(11))
-    db = HipDaemon(b, session_identities["b"], rng=random.Random(22))
+    da = HipDaemon(a, identities["a"], rng=random.Random(11))
+    db = HipDaemon(b, identities["b"], rng=random.Random(22))
     da.add_peer(db.hit, [ipv4("10.0.0.2")])
     db.add_peer(da.hit, [ipv4("10.0.0.1")])
     return sim, a, b, da, db
+
+
+@pytest.fixture
+def hip_pair(sim, session_identities):
+    return build_hip_pair(sim, session_identities)
+
+
+@pytest.fixture(scope="session")
+def vpn_keys():
+    """Two RSA-512 VPN key pairs, generated once per test session."""
+    gen = random.Random(31)
+    return RsaKeyPair.generate(512, gen), RsaKeyPair.generate(512, gen)
+
+
+def vpn_addr(n: int) -> IPAddress:
+    return IPAddress(4, VPN_SUBNET.network.value + n)
+
+
+def build_vpn_pair(sim: Simulator, keys, server_knows_client: bool = True):
+    """Two SSL-VPN hosts, ``a`` keyed to reach ``b`` at ``vpn_addr(11)``.
+
+    Returns (sim, node_a, node_b, daemon_a, daemon_b).
+    """
+    key_a, key_b = keys
+    a, b = lan_pair(sim, "a", "b")
+    va = SslVpnDaemon(a, vpn_addr(10), key_a, rng=random.Random(1))
+    vb = SslVpnDaemon(b, vpn_addr(11), key_b, rng=random.Random(2))
+    va.add_peer(vpn_addr(11), ipv4("10.0.0.2"), key_b.public)
+    if server_knows_client:
+        vb.add_peer(vpn_addr(10), ipv4("10.0.0.1"), key_a.public)
+    return sim, a, b, va, vb
 
 
 def run_proc(sim: Simulator, generator, until: float = 60.0):

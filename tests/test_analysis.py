@@ -130,7 +130,6 @@ FIXTURES: dict[str, tuple[list[str], list[str]]] = {
 # Rules with richer fixture suites in their own test modules.
 _COVERED_ELSEWHERE = {
     "CONF001": "tests/test_analysis_conformance.py",
-    "CONF002": "tests/test_analysis_conformance.py",
     "CONF003": "tests/test_analysis_conformance.py",
     "SEC001": "tests/test_analysis_taint.py",
     "SEC002": "tests/test_analysis_taint.py",
@@ -350,12 +349,12 @@ def test_cli_list_rules(capsys):
 
 
 def test_registered_rule_ids(capsys):
-    """The exact id set: 23 registered rules plus the three hygiene
+    """The exact id set: 22 registered rules plus the three hygiene
     meta-rules.  A rule that silently fails to register (or a new one
     nobody documented) changes this list."""
     assert sorted(registered_rules()) == [
         "ARG001",
-        "CONF001", "CONF002", "CONF003",
+        "CONF001", "CONF003",
         "DET001", "DET002", "DET003",
         "EXC001",
         "ISO001", "ISO002", "ISO003", "ISO004",
