@@ -11,7 +11,7 @@ guard.
 
 The hot set is the call-graph closure of the explicitly named dispatch
 roots (:data:`ROOTS`) — the callback-lane link serializer, the IP send
-path, the fluid TCP fast-forward, and the ESP dataplane workers.
+path, the fluid TCP fast-forward, and the ESP dataplane lanes.
 The walk follows only calls in the *hot region* of each function: error
 paths (blocks ending in ``raise``, ``except`` handlers, ``assert``) and
 ``RECORDER.enabled``-gated debug blocks are cold by construction and
@@ -48,8 +48,11 @@ ROOTS = (
     "TcpConnection._fluid_advance",
     "TcpConnection._fluid_fired",
     "TcpConnection._fluid_charge",
-    "HipDaemon._protect_and_send",
-    "HipDaemon._rx_worker",
+    # (not _tx_serve: its pending branch starts base exchanges — cold — and
+    # its established branch is the same cost arithmetic as _rx_serve's)
+    "HipDaemon._tx_send",
+    "HipDaemon._rx_serve",
+    "HipDaemon._rx_deliver",
     "HipDaemon._fluid_taxer",
     # The shard coordinator's window loop (PR 10): these run once per sync
     # window / boundary packet, thousands of times per scale run, and the

@@ -25,8 +25,9 @@ Two interchangeable midstate engines produce byte-identical output:
 ``HmacKey(backend="pure")`` selects the reference engine; differential
 tests run both engines against each other and against
 ``hmac``/``hashlib``.  The pure SHA implementations remain the canonical
-spec either way — HITs, puzzles and all one-shot ``sha1``/``sha256``
-callers always use them.
+spec either way — HITs, puzzle *verification* and all one-shot
+``sha1``/``sha256`` callers always use them (the puzzle *solver* shares the
+``fast`` engine's ``hashlib`` midstate trick; the verifier cross-checks it).
 """
 
 from __future__ import annotations

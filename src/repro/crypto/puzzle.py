@@ -6,10 +6,16 @@ the initiator must find ``J`` such that the ``K`` lowest-order bits of
 O(2^K) hash operations on average while verification is a single hash —
 this asymmetry is HIP's DoS-mitigation knob, which the puzzle ablation
 benchmark sweeps.
+
+The solver hashes with :mod:`hashlib` (the fixed ``I | HIT-I | HIT-R``
+prefix once, ``.copy()`` per candidate ``J`` — the ``HmacKey`` "fast"
+engine's trick); the verifier stays on this package's pure :func:`sha1`, so
+every base exchange cross-checks the two implementations.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 
@@ -52,12 +58,14 @@ def solve_puzzle(puzzle: Puzzle, hit_i: bytes, hit_r: bytes, rng: random.Random)
     ``attempts`` is returned so simulations can charge the true number of
     hash operations spent, preserving the expected O(2^K) cost.
     """
+    prefix = hashlib.sha1(puzzle.i + hit_i + hit_r)
     attempts = 0
     while True:
         attempts += 1
         j = rng.getrandbits(8 * RHASH_LEN).to_bytes(RHASH_LEN, "big")
-        digest = sha1(puzzle.i + hit_i + hit_r + j)
-        if _ltrunc_ok(digest, puzzle.k):
+        candidate = prefix.copy()
+        candidate.update(j)
+        if _ltrunc_ok(candidate.digest(), puzzle.k):
             return j, attempts
 
 

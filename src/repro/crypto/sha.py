@@ -4,7 +4,10 @@ HIP uses SHA-1 for HITs and puzzles (RFC 5201 era) and SHA-256 in later
 revisions; TLS 1.2 PRF and our HMAC use SHA-256.  Both are implemented here
 rather than taken from :mod:`hashlib` so the whole crypto substrate is
 self-contained and auditable; tests cross-check every digest against
-``hashlib`` on random inputs.
+``hashlib`` on random inputs.  Two hot loops do use ``hashlib`` midstates
+and are checked against this module on every use or by differential test:
+``HmacKey``'s "fast" engine and the ~2^K-hash puzzle *solver*
+(:func:`repro.crypto.puzzle.solve_puzzle`; ``verify_solution`` hashes here).
 
 The module exposes two layers:
 

@@ -29,9 +29,10 @@ benchmark exercises.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from enum import StrEnum
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.crypto.costmodel import CryptoMeter
 from repro.crypto.dh import DHKeyPair, MODP_GROUPS
@@ -85,6 +86,7 @@ _DATA_RECV = METRICS.counter("hip.data_packets_received")
 _ESP_DROPS = METRICS.counter("hip.esp_drops")
 _NO_MAPPING = METRICS.counter("hip.drops_no_mapping")
 _POLICY_DROPS = METRICS.counter("hip.drops_policy")
+_QUEUE_FULL = METRICS.counter("hip.drops_queue_full")
 _BEX_DONE = METRICS.counter("hip.bex_completed")
 _BEX_T = METRICS.histogram("hip.bex_s")
 
@@ -138,6 +140,9 @@ HIP_TRANSITIONS: frozenset[tuple[HipState, HipState]] = frozenset(
         (HipState.UNASSOCIATED, HipState.ESTABLISHED),  # responder accepts I2
         (HipState.UNASSOCIATED, HipState.FAILED),  # no locator / policy denial
         (HipState.I1_SENT, HipState.I2_SENT),  # R1 received, I2 sent
+        # §6.9 crossing exchanges: the peer's I2 arrives while our own I1 is
+        # out and ours is the larger HIT — we answer it as responder.
+        (HipState.I1_SENT, HipState.ESTABLISHED),
         (HipState.I1_SENT, HipState.FAILED),  # I1 retransmissions exhausted
         (HipState.I2_SENT, HipState.ESTABLISHED),  # R2 received
         (HipState.I2_SENT, HipState.FAILED),  # I2 retransmissions exhausted
@@ -158,7 +163,7 @@ class HipConfig:
 
     esp_mode: EspMode = EspMode.BEET
     esp_encrypt: bool = True  # confidentiality on (vs auth-only ESP)
-    real_crypto: bool = True  # actually encrypt real-byte payloads
+    real_crypto: bool = True  # SAs cipher real-byte payloads (False: cost model only)
     puzzle_k: int = 8  # difficulty served in R1
     dh_group: int = 1  # MODP group id (1 = fast 768-bit test group)
     charge_costs: bool = True  # charge simulated CPU for crypto work
@@ -206,6 +211,48 @@ class Association:
         self.hmac_in = HmacKey(in_key, "sha1")
 
 
+class _Lane:
+    """One direction of the ESP data path: a FIFO served one item at a time.
+
+    ``submit`` wakes an idle lane through a zero-delay timer, never by
+    calling ``serve`` inline: the packet's sender is mid-dispatch, and other
+    work scheduled for this instant must reach the node's CPU first (DESIGN.md
+    "The ESP lane").  ``serve(item)`` owns the lane until it calls
+    ``advance`` — after the packet is sent, delivered or dropped.
+    """
+
+    __slots__ = ("sim", "serve", "items", "idle")
+
+    def __init__(self, sim, serve: Callable) -> None:
+        self.sim = sim
+        self.serve = serve
+        self.items: deque = deque()
+        self.idle = True
+
+    def submit(self, item) -> None:
+        self.items.append(item)
+        self._wake()
+
+    def submit_first(self, items: list) -> None:
+        """Put ``items`` ahead of everything waiting, keeping their order."""
+        self.items.extendleft(reversed(items))
+        self._wake()
+
+    def _wake(self) -> None:
+        if self.idle and self.items:
+            self.idle = False
+            self.sim.call_later(0.0, self._serve_next)
+
+    def advance(self) -> None:
+        if self.items:
+            self.sim.call_later(0.0, self._serve_next)
+        else:
+            self.idle = True
+
+    def _serve_next(self) -> None:
+        self.serve(self.items.popleft())
+
+
 class HipDaemon:
     """Per-host HIP engine."""
 
@@ -249,11 +296,9 @@ class HipDaemon:
         node.register_protocol("esp", self._on_esp_packet)
         node.fluid_taxers.append(self._fluid_taxer)
 
-        self._tx = Queue(self.sim)
-        self._rx = Queue(self.sim)
+        self._tx_lane = _Lane(self.sim, self._tx_serve)
+        self._rx_lane = _Lane(self.sim, self._rx_serve)
         self._ctl = Queue(self.sim)
-        self.sim.process(self._tx_worker(), name=f"hipd-tx-{node.name}")
-        self.sim.process(self._rx_worker(), name=f"hipd-rx-{node.name}")
         self.sim.process(self._ctl_worker(), name=f"hipd-ctl-{node.name}")
 
         # Precompute the signed R1 (off the hot path, like HIPL's R1 pool).
@@ -266,6 +311,7 @@ class HipDaemon:
         self.drops_no_mapping = 0
         self.drops_policy = 0
         self.drops_esp = 0
+        self.drops_queue_full = 0
         self.bex_completed = 0
 
     # ------------------------------------------------------------------ peers --
@@ -319,35 +365,43 @@ class HipDaemon:
                 self.drops_no_mapping += 1
                 _NO_MAPPING.inc()
                 return None
-            self._tx.try_put((peer_hit, packet, "lsi"))
+            self._tx_lane.submit((peer_hit, packet, "lsi"))
             return None
         if is_hit(ip.dst) and ip.dst != self.hit:
-            self._tx.try_put((ip.dst, packet, "hit"))
+            self._tx_lane.submit((ip.dst, packet, "hit"))
             return None
         return packet
 
-    def _tx_worker(self) -> Generator:
-        while True:
-            peer_hit, packet, kind = yield self._tx.get()
-            assoc = self._ensure_assoc(peer_hit)
-            if not assoc.is_established:
-                if assoc.state in (HipState.FAILED, HipState.CLOSED):
-                    assoc = self._restart_assoc(peer_hit)
-                if len(assoc.queued) < self.config.queue_limit:
-                    assoc.queued.append((packet, kind))
-                if assoc.state == HipState.UNASSOCIATED:
-                    self._start_bex(assoc)
-                continue
-            yield from self._protect_and_send(assoc, packet, kind)
-
-    def _protect_and_send(self, assoc: Association, packet: Packet, kind: str) -> Generator:
-        cm = self.node.cost_model
+    def _tx_serve(self, item: tuple[IPAddress, Packet, str]) -> None:
+        peer_hit, packet, kind = item
+        assoc = self._ensure_assoc(peer_hit)
+        if not assoc.is_established:
+            if assoc.state in (HipState.FAILED, HipState.CLOSED):
+                assoc = self._restart_assoc(peer_hit)
+            if len(assoc.queued) < self.config.queue_limit:
+                assoc.queued.append((packet, kind))
+            else:
+                self.drops_queue_full += 1
+                _QUEUE_FULL.inc()
+                if RECORDER.enabled:
+                    RECORDER.record(
+                        self.sim.now, "hip", "tx_drop", node=self.node.name,
+                        peer=str(peer_hit), reason="queue_full",
+                    )
+            if assoc.state == HipState.UNASSOCIATED:
+                self._start_bex(assoc)
+            self._tx_lane.advance()
+            return
+        cost = 0.0
         if self.config.charge_costs:
+            cm = self.node.cost_model
             translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
-            payload_bytes = packet.size_bytes
-            cost = translate + cm.esp_encrypt_cost(payload_bytes)
+            cost = translate + cm.esp_encrypt_cost(packet.size_bytes)
             self.meter.charge(_ESP_ENC_LSI if kind == "lsi" else _ESP_ENC_HIT, cost)
-            yield from self.node.cpu_work(cost)
+        self.node.cpu_run(cost, self._tx_send, (assoc, packet, kind))
+
+    def _tx_send(self, job: tuple[Association, Packet, str]) -> None:
+        assoc, packet, kind = job
         assert assoc.sa_out is not None and assoc.peer_locator is not None
         esp_header, ciphertext = assoc.sa_out.protect(packet)
         wire = Packet(headers=(esp_header,), payload=ciphertext).with_meta(addr_kind=kind)
@@ -359,50 +413,62 @@ class HipDaemon:
                 spi=esp_header.spi, seq=esp_header.seq, bytes=packet.size_bytes,
             )
         self.node.send_ip(assoc.peer_locator, "esp", wire)
+        self._tx_lane.advance()
+
+    def _flush_queued(self, assoc: Association) -> None:
+        """Send what queued while the exchange ran — through the tx lane, ahead
+        of anything submitted since, so newer packets cannot overtake it."""
+        queued, assoc.queued = assoc.queued, []
+        self._tx_lane.submit_first(
+            [(assoc.peer_hit, packet, kind) for packet, kind in queued]
+        )
 
     def _on_esp_packet(self, node: "Node", packet: Packet, iface) -> None:
-        self._rx.try_put(packet)
+        self._rx_lane.submit(packet)
 
-    def _rx_worker(self) -> Generator:
-        while True:
-            packet = yield self._rx.get()
-            ip, rest = packet.popped()
-            esp_header, body = rest.popped()
-            assert isinstance(esp_header, ESPHeader)
-            assoc = self._sa_in_by_spi.get(esp_header.spi)
-            if assoc is None or assoc.sa_in is None:
-                self._drop_esp(esp_header, "unknown_spi")
-                continue
-            payload = body.payload
-            if not isinstance(payload, EspCiphertext):
-                self._drop_esp(esp_header, "malformed_payload")
-                continue
-            kind = packet.meta.get("addr_kind", "hit")
+    def _rx_serve(self, packet: Packet) -> None:
+        ip, rest = packet.popped()
+        esp_header, body = rest.popped()
+        assert isinstance(esp_header, ESPHeader)
+        assoc = self._sa_in_by_spi.get(esp_header.spi)
+        if assoc is None or assoc.sa_in is None:
+            self._drop_esp(esp_header, "unknown_spi")
+            return
+        payload = body.payload
+        if not isinstance(payload, EspCiphertext):
+            self._drop_esp(esp_header, "malformed_payload")
+            return
+        kind = packet.meta.get("addr_kind", "hit")
+        cost = 0.0
+        if self.config.charge_costs:
             cm = self.node.cost_model
-            if self.config.charge_costs:
-                translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
-                cost = translate + cm.esp_decrypt_cost(len(payload.inner))
-                self.meter.charge(_ESP_DEC_LSI if kind == "lsi" else _ESP_DEC_HIT, cost)
-                yield from self.node.cpu_work(cost)
-            try:
-                inner = assoc.sa_in.verify(esp_header, payload)
-            except EspError as exc:
-                self._drop_esp(esp_header, str(exc))
-                continue
-            delivered = self._rebuild_inner(inner, assoc, kind)
-            if packet.meta.get("ce"):
-                # RFC 6040 decapsulation: a CE mark set on the outer ESP
-                # packet by a congested link is copied to the inner header
-                # so the tunneled flow sees the congestion signal.
-                delivered = delivered.with_meta(ce=True)
-            self.data_packets_received += 1
-            _DATA_RECV.value += 1
-            if RECORDER.enabled:
-                RECORDER.record(
-                    self.sim.now, "hip", "esp_open", node=self.node.name,
-                    spi=esp_header.spi, seq=esp_header.seq, bytes=delivered.size_bytes,
-                )
-            self.node._on_receive(delivered, None)
+            translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
+            cost = translate + cm.esp_decrypt_cost(len(payload.inner))
+            self.meter.charge(_ESP_DEC_LSI if kind == "lsi" else _ESP_DEC_HIT, cost)
+        self.node.cpu_run(cost, self._rx_deliver, (assoc, esp_header, payload, kind, packet))
+
+    def _rx_deliver(self, job: tuple) -> None:
+        assoc, esp_header, payload, kind, packet = job
+        try:
+            inner = assoc.sa_in.verify(esp_header, payload)
+        except EspError as exc:
+            self._drop_esp(esp_header, str(exc))
+            return
+        delivered = self._rebuild_inner(inner, assoc, kind)
+        if packet.meta.get("ce"):
+            # RFC 6040 decapsulation: a CE mark set on the outer ESP
+            # packet by a congested link is copied to the inner header
+            # so the tunneled flow sees the congestion signal.
+            delivered = delivered.with_meta(ce=True)
+        self.data_packets_received += 1
+        _DATA_RECV.value += 1
+        if RECORDER.enabled:
+            RECORDER.record(
+                self.sim.now, "hip", "esp_open", node=self.node.name,
+                spi=esp_header.spi, seq=esp_header.seq, bytes=delivered.size_bytes,
+            )
+        self.node._on_receive(delivered, None)
+        self._rx_lane.advance()
 
     def _fluid_taxer(
         self, peer_addr: IPAddress, n_bytes: int, n_segments: int, direction: str
@@ -440,6 +506,7 @@ class HipDaemon:
         self.node.cpu_busy_seconds += per_seg * n_segments
 
     def _drop_esp(self, esp_header: ESPHeader, reason: str) -> None:
+        """Count and trace an inbound drop, and move the rx lane on."""
         self.drops_esp += 1
         _ESP_DROPS.inc()
         if RECORDER.enabled:
@@ -447,6 +514,7 @@ class HipDaemon:
                 self.sim.now, "hip", "esp_drop", node=self.node.name,
                 spi=esp_header.spi, seq=esp_header.seq, reason=reason,
             )
+        self._rx_lane.advance()
 
     def _rebuild_inner(self, inner: Packet, assoc: Association, kind: str) -> Packet:
         """Reconstruct the inner IP header with *this host's* HIT/LSI view.
@@ -651,8 +719,20 @@ class HipDaemon:
             yield from self.node.cpu_work(cost)
 
     # -- responder side ------------------------------------------------------------
+    def _yields_to(self, peer_hit: IPAddress) -> bool:
+        """Crossing base exchanges (RFC 5201 §6.7 / §6.9, §4.4.2 table): with
+        our own I1 or I2 to this peer in flight, the larger HIT answers as
+        responder and the smaller drops the peer's I1/I2 and stays initiator.
+        True when we are the smaller."""
+        assoc = self.assocs.get(peer_hit)
+        return (
+            assoc is not None
+            and assoc.state in (HipState.I1_SENT, HipState.I2_SENT)
+            and self.hit < peer_hit
+        )
+
     def _handle_i1(self, i1: hp.HipPacket, ip: IPHeader) -> Generator:
-        if i1.receiver_hit != self.hit:
+        if i1.receiver_hit != self.hit or self._yields_to(i1.sender_hit):
             return
         if self.firewall is not None and not self.firewall.allow_inbound(i1.sender_hit):
             self.drops_policy += 1
@@ -674,7 +754,7 @@ class HipDaemon:
         self._send_control(r1, reply_to)
 
     def _handle_i2(self, i2: hp.HipPacket, ip: IPHeader) -> Generator:
-        if i2.receiver_hit != self.hit:
+        if i2.receiver_hit != self.hit or self._yields_to(i2.sender_hit):
             return
         if self.firewall is not None and not self.firewall.allow_inbound(i2.sender_hit):
             self.drops_policy += 1
@@ -727,7 +807,13 @@ class HipDaemon:
         # 5. Create association + SAs.
         _ki, _old_spi, peer_spi = hp.parse_esp_info(esp_data)
         assoc = self.assocs.get(i2.sender_hit)
-        if assoc is None or not assoc.is_established:
+        if assoc is not None and assoc.state in (HipState.I1_SENT, HipState.I2_SENT):
+            # Our own exchange crossed the peer's and ours is the larger HIT
+            # (_yields_to above): adopt the pending association as responder,
+            # so its waiters and queued packets complete with this exchange.
+            assoc.role = "responder"
+            assoc.pending_update = None
+        elif assoc is None or not assoc.is_established:
             assoc = Association(
                 peer_hit=i2.sender_hit, role="responder", created_at=self.sim.now,
                 established_evt=self.sim.event(),
@@ -745,6 +831,7 @@ class HipDaemon:
             keymat[_HIP_KEY_BYTES:], spi_out=peer_spi, spi_in=local_spi,
             local_hit=self.hit, peer_hit=assoc.peer_hit, is_initiator=False,
             mode=self.config.esp_mode, encrypt=self.config.esp_encrypt,
+            real=self.config.real_crypto,
         )
         self._sa_in_by_spi[local_spi] = assoc
         self.node.dataplane_epoch += 1  # new SA pair: fluid flows must re-enter
@@ -765,6 +852,7 @@ class HipDaemon:
             self._transition(assoc, HipState.ESTABLISHED)
         else:
             self._established(assoc)
+            self._flush_queued(assoc)
 
     # -- initiator side --------------------------------------------------------------
     def _handle_r1(self, r1: hp.HipPacket, ip: IPHeader) -> Generator:
@@ -864,14 +952,12 @@ class HipDaemon:
             assoc.keymat[_HIP_KEY_BYTES:], spi_out=peer_spi, spi_in=local_spi,
             local_hit=self.hit, peer_hit=assoc.peer_hit, is_initiator=True,
             mode=self.config.esp_mode, encrypt=self.config.esp_encrypt,
+            real=self.config.real_crypto,
         )
         self._sa_in_by_spi[local_spi] = assoc
         self.node.dataplane_epoch += 1  # new SA pair: fluid flows must re-enter
         self._established(assoc)
-        # Flush packets queued while the exchange ran.
-        queued, assoc.queued = assoc.queued, []
-        for packet, kind in queued:
-            yield from self._protect_and_send(assoc, packet, kind)
+        self._flush_queued(assoc)
 
     # ------------------------------------------------------------------- rekeying --
     def rekey(self, peer_hit: IPAddress) -> None:
@@ -914,6 +1000,7 @@ class HipDaemon:
             local_hit=self.hit, peer_hit=assoc.peer_hit,
             is_initiator=(assoc.role == "initiator"),
             mode=self.config.esp_mode, encrypt=self.config.esp_encrypt,
+            real=self.config.real_crypto,
         )
         assoc.rekey_count = count
         if old_spi is not None:

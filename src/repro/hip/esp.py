@@ -12,9 +12,15 @@ the full inner IP header, costing 20/40 extra bytes per packet; the
 difference is exactly the bandwidth-efficiency claim of §II-B, quantified by
 the ESP-mode ablation benchmark.
 
-When the inner payload is real bytes the transform genuinely encrypts and
-authenticates them (tamper tests flip ciphertext bits and watch decap fail);
-virtual payloads take a cost-only fast path with identical size accounting.
+When the inner payload is real bytes and the SA is ``real`` (the default)
+the transform genuinely encrypts and authenticates them (tamper tests flip
+ciphertext bits and watch decap fail).  Virtual payloads, and every payload
+of a ``real=False`` SA, take the cost-only branch: same ``wire_len``,
+padding, ESP header sizes, SPI match and replay window, no cipher work.
+That one ``real and bytes`` test in :meth:`SecurityAssociation.protect` is
+the only place bytes-vs-virtual is decided; the receiver follows the packet
+— a payload that arrives carrying ciphertext is ICV-checked and decrypted
+whatever the receiving SA's flag.
 """
 
 from __future__ import annotations
@@ -125,6 +131,7 @@ class SecurityAssociation:
         dst_hit: IPAddress,
         mode: EspMode = EspMode.BEET,
         encrypt: bool = True,
+        real: bool = True,
     ) -> None:
         if len(enc_key) != 16:
             raise ValueError("ESP encryption key must be 16 bytes (AES-128)")
@@ -137,6 +144,8 @@ class SecurityAssociation:
         self.dst_hit = dst_hit
         self.mode = mode
         self.encrypt = encrypt
+        #: False = cost-model SA: ``protect`` never ciphers, whatever the payload.
+        self.real = real
         self._aes = AES(enc_key)
         # Midstate-cached HMAC keys: the per-packet IV derivation and ICV
         # computation do zero key-schedule or pad work in steady state.
@@ -158,7 +167,7 @@ class SecurityAssociation:
         self.packets_protected += 1
         _PROTECTED.value += 1
         plain = self._plaintext_view(inner)
-        real = canonical_packet_bytes(plain)
+        real = canonical_packet_bytes(plain) if self.real else None
         # Pad plaintext + 2 trailer bytes to the AES block size.
         base_len = len(plain)
         pad_len = (-(base_len + 2)) % 16 if self.encrypt else 0
@@ -261,6 +270,7 @@ def derive_sa_pair(
     is_initiator: bool,
     mode: EspMode = EspMode.BEET,
     encrypt: bool = True,
+    real: bool = True,
 ) -> tuple[SecurityAssociation, SecurityAssociation]:
     """Split KEYMAT into the (outbound, inbound) SA pair.
 
@@ -277,10 +287,10 @@ def derive_sa_pair(
         out_keys, in_keys = (r2i_enc, r2i_auth), (i2r_enc, i2r_auth)
     outbound = SecurityAssociation(
         spi=spi_out, enc_key=out_keys[0], auth_key=out_keys[1],
-        src_hit=local_hit, dst_hit=peer_hit, mode=mode, encrypt=encrypt,
+        src_hit=local_hit, dst_hit=peer_hit, mode=mode, encrypt=encrypt, real=real,
     )
     inbound = SecurityAssociation(
         spi=spi_in, enc_key=in_keys[0], auth_key=in_keys[1],
-        src_hit=peer_hit, dst_hit=local_hit, mode=mode, encrypt=encrypt,
+        src_hit=peer_hit, dst_hit=local_hit, mode=mode, encrypt=encrypt, real=real,
     )
     return outbound, inbound

@@ -196,6 +196,28 @@ class Node:
         finally:
             self.cpu.release(req)
 
+    def cpu_run(self, seconds: float, fn: Callable, arg) -> None:
+        """Callback-lane :meth:`cpu_work`: occupy one CPU slot for scaled
+        ``seconds``, then release it and call ``fn(arg)``.
+
+        Queues FIFO with ``cpu_work`` users for the same slots.  Zero cost
+        runs ``fn`` inline, as ``cpu_work(0)`` returns without yielding.
+        """
+        if seconds < 0:
+            raise ValueError("negative CPU work")
+        if seconds == 0:
+            fn(arg)
+            return
+        self.cpu.acquire(self._cpu_granted, (seconds * self.cpu_scale, fn, arg))
+
+    def _cpu_granted(self, job: tuple) -> None:
+        self.cpu_busy_seconds += job[0]
+        self.sim.call_later(job[0], self._cpu_done, job)
+
+    def _cpu_done(self, job: tuple) -> None:
+        self.cpu.release()
+        job[1](job[2])
+
     # -- sending --------------------------------------------------------------------
     def send_ip(
         self,

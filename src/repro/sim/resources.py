@@ -8,7 +8,7 @@ backlog is a :class:`Queue`.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.events import Event
 
@@ -91,6 +91,10 @@ class Resource:
             ... hold the resource ...
         finally:
             pool.release(req)
+
+    Callback-lane users call :meth:`acquire` instead and later
+    ``release()``; both kinds of waiter share one FIFO, so slots are granted
+    in arrival order whichever lane asked.
     """
 
     def __init__(self, sim: "Simulator", capacity: int) -> None:
@@ -99,7 +103,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[Event | tuple[Callable, Any]] = deque()
 
     @property
     def in_use(self) -> int:
@@ -118,12 +122,30 @@ class Resource:
             self._waiters.append(evt)
         return evt
 
-    def release(self, request: Event) -> None:
+    def acquire(self, fn: Callable, arg: Any) -> None:
+        """Callback-lane :meth:`request`: run ``fn(arg)`` once a slot is held.
+
+        A free slot is claimed and ``fn`` runs inline (a generator's
+        ``request`` claims it at the same point and spends one zero-delay
+        event learning so); otherwise ``(fn, arg)`` queues behind earlier
+        waiters and runs from a zero-delay timer when a release hands it the
+        slot.  The holder calls ``release()`` when done.
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            fn(arg)
+        else:
+            self._waiters.append((fn, arg))
+
+    def release(self, request: Event | None = None) -> None:
         if self._in_use <= 0:
             raise RuntimeError("release without matching request")
         if self._waiters:
-            nxt = self._waiters.popleft()
-            nxt.succeed(nxt)  # hand the slot directly to the next waiter
+            nxt = self._waiters.popleft()  # hand the slot directly to the next waiter
+            if type(nxt) is tuple:
+                self.sim.call_later(0.0, *nxt)
+            else:
+                nxt.succeed(nxt)
         else:
             self._in_use -= 1
 

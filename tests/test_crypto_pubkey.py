@@ -224,6 +224,35 @@ class TestPuzzle:
         hard = mean_attempts(7)
         assert hard > easy * 4  # expectation ratio is 32
 
+    def test_hashlib_solver_matches_the_pure_sha1_reference(self):
+        """The solver resumes a ``hashlib`` midstate per candidate J; the
+        pre-PR loop hashed the whole 48 bytes with this package's ``sha1``.
+        Same rng draws, same J, same attempt count, over 240 seeded puzzles."""
+        from repro.crypto.sha import sha1
+
+        def reference(puzzle, hit_i, hit_r, rng):
+            attempts = 0
+            while True:
+                attempts += 1
+                j = rng.getrandbits(64).to_bytes(8, "big")
+                digest = int.from_bytes(sha1(puzzle.i + hit_i + hit_r + j), "big")
+                if digest & ((1 << puzzle.k) - 1) == 0:
+                    return j, attempts
+
+        gen = random.Random(2012)
+        total = 0
+        for n in range(240):
+            puzzle = Puzzle.fresh(n % 7, gen)  # K = 0..6
+            hit_i, hit_r = gen.randbytes(16), gen.randbytes(16)
+            seed = gen.getrandbits(32)
+            rng_fast, rng_ref = random.Random(seed), random.Random(seed)
+            solved = solve_puzzle(puzzle, hit_i, hit_r, rng_fast)
+            assert solved == reference(puzzle, hit_i, hit_r, rng_ref)
+            assert rng_fast.getstate() == rng_ref.getstate()
+            assert verify_solution(puzzle, hit_i, hit_r, solved[0])
+            total += solved[1]
+        assert total > 240  # some puzzles took more than one attempt
+
     def test_expected_attempts(self):
         assert expected_attempts(0) == 1
         assert expected_attempts(10) == 1024

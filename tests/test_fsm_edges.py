@@ -154,12 +154,37 @@ def hip_lost_r2(ids) -> None:
     assert run_proc(sim, icmp_b.echo(db.lsi_for_peer(da.hit))) is not None
 
 
+def hip_crossing_exchanges(ids) -> None:
+    """I1-SENT -> ESTABLISHED (RFC 5201 §6.7 / §6.9): both ends start a base
+    exchange at the same instant.  The smaller HIT drops the peer's I1 and
+    stays initiator; the larger answers the I2 on its *pending* association,
+    so its own waiter and queued packets complete too."""
+    sim, a, b, da, db = build_hip_pair(Simulator(), ids)
+    icmp_a, icmp_b = IcmpStack(a), IcmpStack(b)
+    callers = [sim.process(da.associate(db.hit)), sim.process(db.associate(da.hit))]
+    queued = sim.process(icmp_a.echo(db.hit, timeout=1.0))  # waits out the BEX
+    sim.run(until=1.0)
+    assert callers[0].value is da.assocs[db.hit] and callers[1].value is db.assocs[da.hit]
+    small, large = (da, db) if da.hit < db.hit else (db, da)
+    roles = small.assocs[large.hit].role, large.assocs[small.hit].role
+    assert roles == ("initiator", "responder")
+    assert small.bex_completed == large.bex_completed == 1
+    assert len(da._sa_in_by_spi) == len(db._sa_in_by_spi) == 1
+    assert not {"hip-i1-rtx", "hip-i2-rtx"} & live_process_names(sim)
+    assert queued.value is not None
+    assert run_proc(sim, icmp_a.echo(da.lsi_for_peer(db.hit))) is not None
+    assert run_proc(sim, icmp_b.echo(db.lsi_for_peer(da.hit))) is not None
+    assert da.drops_esp == db.drops_esp == 0
+    assert da.data_packets_sent == db.data_packets_received == 3
+
+
 HIP_SCENARIOS = (
     hip_bex_then_close,
     hip_no_locator,
     hip_i1_blackholed,
     hip_r2_never_arrives,
     hip_lost_r2,
+    hip_crossing_exchanges,
 )
 
 
@@ -270,7 +295,7 @@ def recorded_edges(scenarios, arg, layer: str, event: str) -> set:
 def test_hip_recorded_edges_equal_table(session_identities):
     seen = recorded_edges(HIP_SCENARIOS, session_identities, "hip", "bex_state")
     assert seen == HIP_TRANSITIONS
-    assert len(HIP_TRANSITIONS) == 11
+    assert len(HIP_TRANSITIONS) == 12
 
 
 def test_vpn_recorded_edges_equal_table(vpn_keys):

@@ -23,10 +23,10 @@ ENC = bytes(range(16))
 AUTH = bytes(range(20))
 
 
-def make_sa(mode=EspMode.BEET, encrypt=True, spi=0x1000):
+def make_sa(mode=EspMode.BEET, encrypt=True, spi=0x1000, real=True):
     return SecurityAssociation(
         spi=spi, enc_key=ENC, auth_key=AUTH,
-        src_hit=HIT_A, dst_hit=HIT_B, mode=mode, encrypt=encrypt,
+        src_hit=HIT_A, dst_hit=HIT_B, mode=mode, encrypt=encrypt, real=real,
     )
 
 
@@ -254,6 +254,78 @@ class TestAntiReplay:
             in_sa.verify(*packets[5])  # seq 6, offset 64 == window size
         in_sa.verify(*packets[6])  # seq 7, offset 63: last seq still inside
         assert in_sa.replay_drops == 1
+
+
+class TestCostModelSa:
+    """``real=False``: the SA charges and checks exactly as the real one does
+    — sizes, SPI, sequence numbers, replay window — and never ciphers."""
+
+    @staticmethod
+    def crypto_counts():
+        return (METRICS.counter("crypto.aes_blocks").value,
+                METRICS.counter("crypto.hmac_ops").value)
+
+    def test_no_cipher_work_across_100_real_byte_packets(self):
+        out_sa, in_sa = make_sa(real=False), make_sa(real=False)
+        real_out = make_sa()
+        before = self.crypto_counts()
+        for n in range(100):
+            inner = sample_inner(bytes([n]) * (n * 13 % 1400 + 1))
+            header, ct = out_sa.protect(inner)
+            assert ct.ciphertext is ct.icv is ct.iv is None
+            assert in_sa.verify(header, ct) is inner
+        assert self.crypto_counts() == before
+        assert out_sa.packets_protected == in_sa.packets_verified == 100
+        # Same bytes on the wire as the ciphering SA would put there.
+        inner = sample_inner(b"x" * 333)
+        virt_hdr, virt_ct = out_sa.protect(inner)
+        for _ in range(virt_hdr.seq - 1):
+            real_out.protect(inner)
+        real_hdr, real_ct = real_out.protect(inner)
+        assert (virt_hdr, virt_ct.wire_len) == (real_hdr, real_ct.wire_len)
+        assert out_sa.overhead_bytes(inner) == real_out.overhead_bytes(inner)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "cost-model"])
+    def test_spi_sequence_and_replay_checks_hold_on_both_branches(self, real):
+        out_sa, in_sa = make_sa(real=real), make_sa(real=real)
+        packets = [out_sa.protect(sample_inner()) for _ in range(70)]
+        in_sa.verify(*packets[0])
+        with pytest.raises(EspError, match="replayed sequence 1"):
+            in_sa.verify(*packets[0])
+        in_sa.verify(*packets[69])
+        with pytest.raises(EspError, match="below replay window"):
+            in_sa.verify(*packets[1])
+        header, ct = packets[2]
+        for seq in (0, -3):
+            bad = type(header)(spi=header.spi, seq=seq, iv_len=header.iv_len,
+                               icv_len=header.icv_len, pad_len=header.pad_len)
+            with pytest.raises(EspError, match="non-positive"):
+                in_sa.verify(bad, ct)
+        with pytest.raises(EspError, match="SPI mismatch"):
+            make_sa(spi=0x2000, real=real).verify(*packets[10])
+        assert (in_sa.packets_verified, in_sa.replay_drops, in_sa.auth_failures) == (2, 2, 0)
+
+    def test_ciphertext_from_a_real_sender_is_still_verified(self):
+        """The receiver follows the packet, not its own flag."""
+        out_sa, in_sa = make_sa(real=True), make_sa(real=False)
+        inner = sample_inner(b"sealed by a ciphering peer")
+        header, ct = out_sa.protect(inner)
+        assert ct.ciphertext is not None
+        assert in_sa.verify(header, ct) is inner
+        header, ct = out_sa.protect(inner)
+        flipped = bytes([ct.ciphertext[0] ^ 0x01]) + ct.ciphertext[1:]
+        bad = EspCiphertext(inner=ct.inner, wire_len=ct.wire_len,
+                            ciphertext=flipped, icv=ct.icv, iv=ct.iv)
+        with pytest.raises(EspError, match="ICV"):
+            in_sa.verify(header, bad)
+        assert in_sa.auth_failures == 1 and in_sa.packets_verified == 1
+
+    def test_derive_sa_pair_passes_the_flag(self):
+        keymat = bytes(range(72))
+        for real in (True, False):
+            pair = derive_sa_pair(keymat, 1, 2, HIT_A, HIT_B, True, real=real)
+            assert [sa.real for sa in pair] == [real, real]
+        assert all(sa.real for sa in derive_sa_pair(keymat, 1, 2, HIT_A, HIT_B, True))
 
 
 class TestKeymatSplit:

@@ -282,6 +282,50 @@ class TestNode:
         with pytest.raises(ValueError):
             list(node.cpu_work(-1))
 
+    def test_cpu_run_and_cpu_work_share_one_fifo(self, sim):
+        """Callback-lane and generator contenders for a 1-slot CPU are served
+        in arrival order, whichever lane each came by."""
+        node = Node(sim, "n", cpu_cores=1, cpu_scale=2.0)
+        done = []
+
+        def job(name):
+            yield from node.cpu_work(0.5)
+            done.append((name, sim.now))
+
+        def finished(name):
+            done.append((name, sim.now))
+
+        sim.process(job("g0"))
+        sim.call_at(0.1, lambda: node.cpu_run(0.5, finished, "c1"))
+        sim.call_at(0.2, lambda: sim.process(job("g2")))
+        sim.call_at(0.3, lambda: node.cpu_run(0.5, finished, "c3"))
+        sim.call_at(0.4, lambda: sim.process(job("g4")))
+        sim.run()
+        assert done == [("g0", 1.0), ("c1", 2.0), ("g2", 3.0), ("c3", 4.0), ("g4", 5.0)]
+        assert node.cpu_busy_seconds == pytest.approx(5.0)
+        assert node.cpu.in_use == 0 and node.cpu.queued == 0
+
+    def test_cpu_run_zero_runs_inline_and_negative_is_rejected(self, sim):
+        node = Node(sim, "n")
+        done = []
+        node.cpu_run(0.0, done.append, "now")
+        assert done == ["now"] and sim.peek() == float("inf")
+        assert node.cpu_busy_seconds == 0.0
+        with pytest.raises(ValueError):
+            node.cpu_run(-1e-9, done.append, "never")
+        assert done == ["now"] and node.cpu.in_use == 0
+
+    def test_cpu_run_claims_an_idle_slot_at_request_time(self, sim):
+        node = Node(sim, "n", cpu_cores=2)
+        done = []
+        node.cpu_run(1.0, done.append, "a")
+        node.cpu_run(1.0, done.append, "b")
+        assert node.cpu.in_use == 2
+        node.cpu_run(1.0, done.append, "c")
+        assert node.cpu.queued == 1
+        sim.run()
+        assert done == ["a", "b", "c"] and sim.now == 2.0
+
     def test_pick_source_prefers_routed_interface(self, sim):
         node = Node(sim, "n")
         eth = node.add_interface("eth0", ipv4("10.0.0.1"))

@@ -175,6 +175,30 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
 
+    def test_acquire_runs_inline_when_free_else_waits_its_turn(self, sim):
+        pool = Resource(sim, capacity=1)
+        log = []
+        pool.acquire(log.append, "first")
+        assert log == ["first"] and pool.in_use == 1  # claimed at request time
+        pool.acquire(log.append, "second")
+        waiter = pool.request()
+        pool.acquire(log.append, "fourth")
+        assert log == ["first"] and pool.queued == 3
+        pool.release()
+        assert log == ["first"]  # granted through a zero-delay timer, not inline
+        sim.run()
+        assert log == ["first", "second"] and pool.in_use == 1
+        pool.release()
+        sim.run()
+        assert waiter.processed and log == ["first", "second"]
+        pool.release(waiter)
+        sim.run()
+        assert log == ["first", "second", "fourth"]
+        pool.release()
+        assert pool.in_use == 0 and pool.queued == 0
+        with pytest.raises(RuntimeError):
+            pool.release()
+
 
 class TestRngStreams:
     def test_same_name_same_stream(self):
