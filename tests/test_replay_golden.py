@@ -7,7 +7,10 @@ reference engine was deleted and its *last* outputs (captured at
 ``f39621e`` with reference == fast asserted in the same run) were frozen in
 ``tests/golden/replay_digests.json``.  These tests hold the one remaining
 engine to those values: if a change reorders, drops or duplicates a traced
-event, or moves a counter, the digest splits.
+event, or moves a counter, the digest splits.  Each row also pins a
+``nonlink_digest`` over every event outside the ``link`` layer, so a change
+to the link layer's own records can be told apart from a change anywhere
+else.
 
 Regenerating the file is legitimate only for a deliberate behaviour change
 named in CHANGES.md (see DESIGN.md "Golden digests")::
@@ -50,10 +53,27 @@ def counters_digest() -> str:
     ).hexdigest()
 
 
+def nonlink_digest(events: list[str]) -> str:
+    """sha256 over the canonical events whose layer is not ``link``.
+
+    The full ``digest`` splits on any trace change; this one stays put when
+    only the link layer's own records move, so a link-trace schema change
+    is separable from a behaviour change elsewhere.
+    """
+    hasher = hashlib.sha256()
+    for line in events:
+        if json.loads(line)[1] != "link":
+            hasher.update(line.encode("utf-8"))
+            hasher.update(b"\n")
+    return hasher.hexdigest()
+
+
 def replay_row(scenario) -> dict:
-    run = record_run(scenario, keep_events=False)
+    run = record_run(scenario)
+    assert len(run.events) == run.n_events  # every event kept for the split
     return {
         "digest": run.digest,
+        "nonlink_digest": nonlink_digest(run.events),
         "n_events": run.n_events,
         "counters_digest": counters_digest(),
     }
