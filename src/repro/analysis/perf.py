@@ -34,15 +34,17 @@ import ast
 
 from repro.analysis.base import ProgramContext, Rule, Scope, in_scope, register
 
-#: Fast-lane dispatch roots, as ``Class.method`` qualname suffixes.  The
-#: serializer callbacks are wired through bound-method references
-#: (``self._tx_done_cb = self._tx_done``) the call graph cannot see, so
-#: the roots name them directly.
+#: Fast-lane dispatch roots, as ``Class.method`` (or ``module.function``)
+#: qualname suffixes.  The link's delivery callback is wired through a
+#: bound-method reference (``self._deliver_cb = self._deliver``) the call
+#: graph cannot see, and ``Serializer.send`` is reached only through opaque
+#: ``iface._endpoint`` receivers, so the roots name them directly.  A root
+#: that matches nothing although its class or module was analysed is a
+#: finding (:func:`stale_roots`): renaming a hot function must not quietly
+#: shrink the walk.
 ROOTS = (
-    "LinkEndpoint.send",
-    "LinkEndpoint._start_tx",
-    "LinkEndpoint._tx_done",
-    "LinkEndpoint._deliver_packet",
+    "Serializer.send",
+    "LinkEndpoint._deliver",
     "Node.send_ip_fast",
     "Node._route_out",
     "TcpConnection._fluid_advance",
@@ -60,11 +62,10 @@ ROOTS = (
     "ShardedSimulation._sync_window",
     "ShardedSimulation._route_window",
     "ShardedSimulation._drain_digest",
-    "ShardPortal.send",
     "Shard.inject",
     "Shard.advance",
-    "encode_envelopes",
-    "decode_envelopes",
+    "shard.encode_envelopes",
+    "shard.decode_envelopes",
 )
 
 #: Do not follow opaque-receiver CHA edges wider than this.
@@ -146,6 +147,29 @@ def hot_nodes(fn_node):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _matches(qualname: str, suffix: str) -> bool:
+    return qualname == suffix or qualname.endswith("." + suffix)
+
+
+def stale_roots(index, graph) -> list[tuple[str, str]]:
+    """``(root, path)`` for every root that names no function although its
+    owner — the class or module before the last dot — was analysed."""
+    path_of = {module: path for path, module in index.module_of_path.items()}
+    owners = {qual: info.module for qual, info in index.classes.items()}
+    owners.update((module, module) for module in path_of)
+    stale = []
+    for suffix in ROOTS:
+        if any(_matches(qualname, suffix) for qualname in graph.edges):
+            continue
+        owner = suffix.rpartition(".")[0]
+        stale.extend(
+            (suffix, path_of[module])
+            for qual, module in sorted(owners.items())
+            if _matches(qual, owner)
+        )
+    return stale
+
+
 def hot_reachable(index, graph) -> dict[str, str]:
     """Hot closure of :data:`ROOTS` with root provenance.
 
@@ -155,7 +179,7 @@ def hot_reachable(index, graph) -> dict[str, str]:
     queue: list[tuple[str, str]] = []
     for suffix in ROOTS:
         for qualname in sorted(graph.edges):
-            if qualname == suffix or qualname.endswith("." + suffix):
+            if _matches(qualname, suffix):
                 queue.append((qualname, suffix))
     reached: dict[str, str] = {}
     while queue:
@@ -224,6 +248,13 @@ def perf_findings(pctx: ProgramContext) -> list[tuple[str, str, ast.AST, str]]:
     """The hot-path discipline scan PERF001/PERF002 share."""
     index, graph = pctx.program()
     findings: list[tuple[str, str, ast.AST, str]] = []
+    for root, path in stale_roots(index, graph):
+        message = (
+            f"PERF root `{root}` matches no function, so the hot walk "
+            "silently checks less; point ROOTS at what replaced it"
+        )
+        module = pctx.by_path[path].tree
+        findings += [(rule, path, module, message) for rule in ("PERF001", "PERF002")]
     for qualname, root in sorted(hot_reachable(index, graph).items()):
         fn = index.functions.get(qualname)
         ctx = pctx.by_path.get(fn.path) if fn is not None else None

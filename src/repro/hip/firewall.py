@@ -92,10 +92,10 @@ class MiddleboxFirewall:
     def _install(self) -> None:
         original_forward = self.node._forward
 
-        def forward(packet: Packet) -> None:
+        def forward(packet: Packet, size: int = 0) -> None:
             if not self._permit(packet):
                 return
-            original_forward(packet)
+            original_forward(packet, size)
 
         self.node._forward = forward  # type: ignore[method-assign]
 

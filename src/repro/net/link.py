@@ -5,6 +5,12 @@ FIFO, are serialized at the link rate (``size_bytes * 8 / bandwidth``) and
 arrive at the far end after the propagation delay.  This is the standard
 store-and-forward model; with TCP on top it yields the familiar
 ``min(C, cwnd/RTT)`` throughput behaviour that the iperf experiments rely on.
+
+The serializer is arithmetic, not a timer: a FIFO link's departure times
+are known the moment a packet is accepted, so :class:`Serializer` computes
+them in closed form and hands each accepted packet to a sink — one delivery
+timer for an in-process :class:`LinkEndpoint`, one envelope for a
+cross-shard :class:`~repro.sim.shard.ShardPortal`.
 """
 
 from __future__ import annotations
@@ -14,8 +20,7 @@ from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from repro.metrics import METRICS, RECORDER
-from repro.sim.engine import _KIND_CALL
-from repro.sim.resources import Queue
+from repro.sim.engine import _KIND_CALL, TimerHandle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Interface
@@ -116,18 +121,130 @@ def publish_link_delta(delta: tuple[int, int, int, int, int]) -> None:
     _ECN_MARKS.value += delta[4]
 
 
-#: Flush batched per-endpoint tallies into the global counters at most this
-#: many packets apart while a burst is in flight (idle links always flush).
-_FLUSH_EVERY = 64
+class Serializer:
+    """One transmit direction in closed form: drop-tail FIFO + serializer.
+
+    A FIFO serializer's schedule is known at acceptance: a packet starts at
+    ``max(now, free_at)`` and departs ``size * 8 / bandwidth`` later, and
+    ``free_at`` becomes its departure.  The packets still *waiting* — the
+    queue that drop-tail and ECN marking look at — are exactly the accepted
+    ones whose start lies in the future, kept as a deque of start times
+    pruned lazily from the front.  No timer runs while a burst drains.
+
+    Accounting is booked at acceptance, straight into the simulator's
+    :class:`LinkLedger`, so the process-wide METRICS equal the serializers'
+    own totals whenever a run returns.  Subclasses are the *sink*:
+    :meth:`_depart` receives every accepted packet with its measured size
+    and departure time.
+    """
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        bandwidth_bps: float,
+        queue_packets: int,
+        ecn_threshold: int | None = None,
+    ) -> None:
+        if bandwidth_bps <= 0:
+            raise ValueError("bandwidth must be positive")
+        if queue_packets <= 0:
+            raise ValueError("queue_packets must be positive")
+        if ecn_threshold is not None and ecn_threshold <= 0:
+            raise ValueError("ecn_threshold must be positive")
+        self.sim = sim
+        self.bandwidth_bps = bandwidth_bps
+        self.queue_packets = queue_packets
+        #: RED-style deterministic marking: a packet enqueued while the
+        #: egress queue already holds >= ``ecn_threshold`` packets gets its
+        #: CE (congestion experienced) bit set instead of waiting for a
+        #: drop-tail loss.  Carried as ``packet.meta["ce"]`` (a simulation
+        #: annotation, like a real router rewriting the ECN codepoint).
+        self.ecn_threshold = ecn_threshold
+        self.tx_packets = 0
+        self.tx_bytes = 0
+        self.queue_drops = 0
+        self.ecn_marks = 0
+        # All global-counter traffic goes through the simulator's ledger so
+        # shard simulators can keep accounting local (see LinkLedger).
+        self._ledger = ledger_of(sim)
+        self._free_at = 0.0
+        self._starts: deque[float] = deque()
+
+    def send(self, packet: "Packet", size: int = 0) -> bool:
+        """Accept ``packet`` for transmission; False if the queue dropped it.
+
+        ``size`` is the packet's wire size when the caller already measured
+        it (a forwarding hop reuses the delivering link's figure); 0 means
+        measure here.
+        """
+        if WIRE_TAPS:
+            for tap in WIRE_TAPS:
+                tap(packet)
+        if not size:
+            size = len(packet.payload)
+            for header in packet.headers:
+                size += header.header_len
+        now = self.sim._now
+        start = self._free_at
+        if start > now:
+            starts = self._starts
+            while starts and starts[0] <= now:
+                starts.popleft()
+            waiting = len(starts)
+            if waiting >= self.queue_packets:
+                self.queue_drops += 1
+                self._ledger.add_queue_drop()
+                if RECORDER.enabled:
+                    RECORDER.record(now, "link", "queue_drop", bytes=size)
+                return False
+            if self.ecn_threshold is not None and waiting >= self.ecn_threshold:
+                packet.meta["ce"] = True
+                self.ecn_marks += 1
+                self._ledger.add_ecn_mark()
+                if RECORDER.enabled:
+                    RECORDER.record(now, "link", "ecn_mark")
+            starts.append(start)
+        else:
+            start = now
+        self._free_at = depart = start + size * 8.0 / self.bandwidth_bps
+        self.tx_packets += 1
+        self.tx_bytes += size
+        self._ledger.add_tx(1, size)
+        if RECORDER.enabled:
+            RECORDER.record(
+                now, "link", "tx", bytes=size, start=start, depart=depart,
+            )
+        self._depart(packet, size, depart)
+        return True
+
+    def _depart(self, packet: "Packet", size: int, depart: float) -> None:
+        """Sink: ``packet`` leaves the serializer at ``depart``."""
+        raise NotImplementedError
+
+    def account_fluid(self, n_bytes: int, n_segments: int) -> None:
+        """Charge a fluid fast-forwarded transfer to this serializer's tallies.
+
+        TCP fluid mode advances bulk flows without emitting packets; the
+        sender's first-hop serializer still books the payload bytes and
+        segment count so link utilization totals remain comparable with
+        per-packet runs (queueing and per-hop timing are intentionally not
+        modeled — fluid entry requires an uncongested steady state).
+        """
+        self.tx_packets += n_segments
+        self.tx_bytes += n_bytes
+        self._ledger.add_tx(n_segments, n_bytes)
 
 
-class LinkEndpoint:
-    """One direction of a link: egress queue + serializer.
+class LinkEndpoint(Serializer):
+    """One direction of an in-process link: serializer + propagation.
 
-    The serializer is a callback-lane state machine: transmit-complete and
-    propagation-delivery are raw ``call_later`` timers (FIFO per direction
-    guaranteed by the heap's sequence tie-break), and the global metrics
-    counters are fed from batched per-endpoint tallies.
+    The sink is one delivery timer per packet at ``depart + delay_s``,
+    armed at acceptance.  Deliveries are FIFO (one common delay), so the
+    ring of delivery handles is rearmed oldest-first instead of allocating a
+    handle per packet.  The loss decision is drawn at delivery, not at
+    acceptance: both directions of a :class:`Link` share one ``loss_rng``,
+    and only delivery order (departure order plus one common delay) draws
+    it in the order packets leave the two serializers.
     """
 
     def __init__(
@@ -141,20 +258,15 @@ class LinkEndpoint:
         ecn_threshold: int | None = None,
         loss_burst: int = 1,
     ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
         if delay_s < 0:
             raise ValueError("negative propagation delay")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss rate must be in [0, 1)")
         if loss_rate > 0.0 and loss_rng is None:
             raise ValueError("loss_rate needs a loss_rng stream")
-        if ecn_threshold is not None and ecn_threshold <= 0:
-            raise ValueError("ecn_threshold must be positive")
         if loss_burst < 1:
             raise ValueError("loss_burst must be >= 1")
-        self.sim = sim
-        self.bandwidth_bps = bandwidth_bps
+        super().__init__(sim, bandwidth_bps, queue_packets, ecn_threshold)
         self.delay_s = delay_s
         #: ``loss_rate`` is the *average* packet-loss rate.  With
         #: ``loss_burst > 1`` losses arrive in runs of that length (as
@@ -164,73 +276,30 @@ class LinkEndpoint:
         self.loss_rng = loss_rng
         self.loss_burst = loss_burst
         self._loss_run = 0
-        #: RED-style deterministic marking: a packet enqueued while the
-        #: egress queue already holds >= ``ecn_threshold`` packets gets its
-        #: CE (congestion experienced) bit set instead of waiting for a
-        #: drop-tail loss.  Carried as ``packet.meta["ce"]`` (a simulation
-        #: annotation, like a real router rewriting the ECN codepoint).
-        self.ecn_threshold = ecn_threshold
-        self.ecn_marks = 0
-        self.queue = Queue(sim, capacity=queue_packets)
-        self.peer: "Interface | None" = None
-        # All global-counter traffic goes through the simulator's ledger so
-        # shard simulators can keep accounting local (see LinkLedger).
-        self._ledger = ledger_of(sim)
-        self.tx_packets = 0
-        self.tx_bytes = 0
         self.lost_packets = 0
-        self._tx_busy = False
-        self._tx_current: "Packet | None" = None
-        self._tx_size = 0
-        self._tx_timer = None  # serializer TimerHandle, rearmed per packet
-        # The serializer owns the egress queue exclusively (no process ever
-        # parks a getter on it), so enqueue/dequeue touch the backing deque
-        # directly.
-        self._q_items = self.queue._items
-        self._q_cap = self.queue.capacity
-        # Ring of delivery TimerHandles owned exclusively by this endpoint.
-        # Deliveries are FIFO (fixed delay), so once the oldest handle has
-        # fired it can be rearmed for a new packet instead of allocating a
-        # fresh handle.
+        self.peer: "Interface | None" = None
         self._deliver_ring: deque = deque()
-        self._unflushed_pkts = 0
-        self._unflushed_bytes = 0
-        # One bound method each, created once and reused for every packet —
-        # the callback lane then allocates only heap tuples and TimerHandles.
-        self._tx_done_cb = self._tx_done
-        self._deliver_cb = self._deliver_packet
+        # Created once and reused for every packet.
+        self._deliver_cb = self._deliver
 
-    def send(self, packet: "Packet") -> bool:
-        """Enqueue for transmission; returns False if the queue dropped it."""
-        if WIRE_TAPS:
-            for tap in WIRE_TAPS:
-                tap(packet)
-        if self._tx_busy:
-            items = self._q_items
-            if self._q_cap is not None and len(items) >= self._q_cap:
-                self.queue.dropped += 1
-                ok = False
-            else:
-                if (
-                    self.ecn_threshold is not None
-                    and len(items) >= self.ecn_threshold
-                ):
-                    self._mark_ce(packet)
-                items.append(packet)
-                ok = True
+    def _depart(self, packet: "Packet", size: int, depart: float) -> None:
+        ring = self._deliver_ring
+        if ring and ring[0]._entry_seq < 0:  # oldest delivery has fired
+            handle = ring.popleft()
+            handle._arg = (packet, size)
         else:
-            # Idle link: the packet goes straight to the serializer without
-            # occupying queue capacity.
-            self._tx_busy = True
-            self._start_tx(packet)
-            ok = True
-        if not ok:
-            self._ledger.add_queue_drop()
-            if RECORDER.enabled:
-                RECORDER.record(
-                    self.sim.now, "link", "queue_drop", bytes=packet.size_bytes,
-                )
-        return ok
+            handle = TimerHandle(self.sim, self._deliver_cb, (packet, size))
+        ring.append(handle)
+        # Inlined ``TimerHandle.rearm`` at the absolute arrival time (``now +
+        # (when - now)`` need not round-trip to ``when``); the departure is
+        # never in the past and delay_s is validated >= 0.
+        sim = self.sim
+        # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this link's own simulator, not cross-shard state
+        sim._seq += 1
+        seq = sim._seq
+        handle._when = when = depart + self.delay_s
+        handle._entry_seq = seq
+        heappush(sim._heap, (when, seq, _KIND_CALL, handle))
 
     def _lose(self) -> bool:
         """Loss decision for one transmitted packet (only called when lossy)."""
@@ -242,117 +311,21 @@ class LinkEndpoint:
             return True
         return False
 
-    def _mark_ce(self, packet: "Packet") -> None:
-        packet.meta["ce"] = True
-        self.ecn_marks += 1
-        self._ledger.add_ecn_mark()
-        if RECORDER.enabled:
-            RECORDER.record(self.sim.now, "link", "ecn_mark")
-
-    # -- callback-lane serializer ---------------------------------------------
-    def _start_tx(self, packet: "Packet") -> None:
-        self._tx_current = packet
-        # Inline ``size_bytes``: this is the only hot-path consumer and the
-        # measured size is reused for counters and the delivery callback.
-        size = len(packet.payload)
-        for header in packet.headers:
-            size += header.header_len
-        self._tx_size = size
-        timer = self._tx_timer
-        if timer is None:
-            # repro: ignore[LIF001] -- serializer timer is rearmed for the link's lifetime; firing after idle is a no-op and links live as long as their sim
-            self._tx_timer = self.sim.call_later(
-                size * 8.0 / self.bandwidth_bps, self._tx_done_cb
-            )
-        else:
-            # The serializer handles one packet at a time, so its timer is
-            # never pending here — rearm the same handle instead of
-            # allocating a fresh one per packet.  ``TimerHandle.rearm``
-            # inlined (serialize time is always >= 0, so no validation):
-            sim = self.sim
-            # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this link's own simulator (PR 5), not cross-shard state
-            sim._seq += 1
-            seq = sim._seq
-            timer._when = when = sim._now + size * 8.0 / self.bandwidth_bps
-            timer._entry_seq = seq
-            heappush(sim._heap, (when, seq, _KIND_CALL, timer))
-
-    def _tx_done(self) -> None:
-        size = self._tx_size
-        packet = self._tx_current
-        self.tx_packets += 1
-        self.tx_bytes += size
-        self._unflushed_pkts += 1
-        self._unflushed_bytes += size
-        if RECORDER.enabled:
-            RECORDER.record(self.sim.now, "link", "tx", bytes=size)
+    def _deliver(self, item: "tuple[Packet, int]") -> None:
+        packet, size = item
         if self.loss_rate and self._lose():
             self.lost_packets += 1
             self._ledger.add_lost()
             if RECORDER.enabled:
                 RECORDER.record(self.sim.now, "link", "loss", bytes=size)
-        else:
-            # Propagation: deliver after the delay; the serializer moves on.
-            # The measured size rides along so the receiving interface does
-            # not recompute the ``size_bytes`` property.
-            ring = self._deliver_ring
-            if ring and ring[0]._entry_seq < 0:
-                handle = ring.popleft()
-                handle._arg = (packet, size)
-                # Inlined ``TimerHandle.rearm`` (delay_s validated >= 0 at
-                # construction).
-                sim = self.sim
-                # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this link's own simulator (PR 5), not cross-shard state
-                sim._seq += 1
-                seq = sim._seq
-                handle._when = when = sim._now + self.delay_s
-                handle._entry_seq = seq
-                heappush(sim._heap, (when, seq, _KIND_CALL, handle))
-            else:
-                handle = self.sim.call_later(
-                    self.delay_s, self._deliver_cb, (packet, size)
-                )
-            ring.append(handle)
-        items = self._q_items
-        if items:
-            if self._unflushed_pkts >= _FLUSH_EVERY:
-                self.flush_stats()
-            self._start_tx(items.popleft())
-        else:
-            self._tx_busy = False
-            self._tx_current = None
-            self.flush_stats()
-
-    def _deliver_packet(self, item: "tuple[Packet, int]") -> None:
+            return
         peer = self.peer
         if peer is not None:
-            # Inlined Interface.receive: the serializer already measured the
-            # packet, so the size rides along instead of being recomputed
-            # from the ``size_bytes`` property.
-            packet, size = item
+            # Inlined Interface.receive: the size measured at acceptance
+            # rides along instead of being recomputed.
             peer.rx_packets += 1
             peer.rx_bytes += size
-            peer.node._on_receive(packet, peer)
-
-    def flush_stats(self) -> None:
-        """Fold batched per-endpoint tallies into the simulator's ledger."""
-        if self._unflushed_pkts:
-            self._ledger.add_tx(self._unflushed_pkts, self._unflushed_bytes)
-            self._unflushed_pkts = 0
-            self._unflushed_bytes = 0
-
-    def account_fluid(self, n_bytes: int, n_segments: int) -> None:
-        """Charge a fluid fast-forwarded transfer to this endpoint's tallies.
-
-        TCP fluid mode advances bulk flows without emitting packets; the
-        sender's first-hop endpoint still books the payload bytes and segment
-        count so link utilization totals remain comparable with per-packet
-        runs (queueing and per-hop timing are intentionally not modeled —
-        fluid entry requires an uncongested steady state).
-        """
-        self.tx_packets += n_segments
-        self.tx_bytes += n_bytes
-        self._ledger.add_tx(n_segments, n_bytes)
+            peer.node._on_receive(packet, peer, size)
 
 
 class Link:

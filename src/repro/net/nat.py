@@ -48,17 +48,19 @@ class NatBox(Node):
         self._inside_ifaces.add(iface.name)
 
     # -- packet path ---------------------------------------------------------------
-    def _on_receive(self, packet: Packet, iface: "Interface | None") -> None:
+    def _on_receive(
+        self, packet: Packet, iface: "Interface | None", size: int = 0
+    ) -> None:
         ip = packet.outer
         if not isinstance(ip, IPHeader) or iface is None:
-            super()._on_receive(packet, iface)
+            super()._on_receive(packet, iface, size)
             return
         if iface.name in self._inside_ifaces:
             self._outbound(packet)
         elif self._outside_iface is not None and iface.name == self._outside_iface.name:
             self._inbound(packet)
         else:
-            super()._on_receive(packet, iface)
+            super()._on_receive(packet, iface, size)
 
     def _ports(self, packet: Packet) -> tuple[str, int, int] | None:
         """Extract (proto, src_port, dst_port) from the transport header."""

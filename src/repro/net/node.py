@@ -26,7 +26,7 @@ from repro.net.routing import RouteTable
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.link import LinkEndpoint
+    from repro.net.link import Serializer
     from repro.sim.engine import Simulator
 
 ProtocolHandler = Callable[["Node", Packet, "Interface"], None]
@@ -40,29 +40,23 @@ class Interface:
         self.node = node
         self.name = name
         self.addresses: list[IPAddress] = []
-        self._endpoint: "LinkEndpoint | None" = None
+        self._endpoint: "Serializer | None" = None
         self.rx_packets = 0
         self.rx_bytes = 0
 
     def add_address(self, addr: IPAddress) -> None:
         if addr not in self.addresses:
             self.addresses.append(addr)
-            self.node._addr_cache = None
-            self.node._addr_hit = None
+            self.node._addresses_changed()
 
     def remove_address(self, addr: IPAddress) -> None:
         self.addresses.remove(addr)
-        self.node._addr_cache = None
-        self.node._addr_hit = None
+        self.node._addresses_changed()
 
-    def attach(self, endpoint: "LinkEndpoint") -> None:
+    def attach(self, endpoint: "Serializer") -> None:
         if self._endpoint is not None:
             raise RuntimeError(f"interface {self.name} already attached to a link")
         self._endpoint = endpoint
-
-    @property
-    def is_attached(self) -> bool:
-        return self._endpoint is not None
 
     def send(self, packet: Packet) -> bool:
         if self._endpoint is None:
@@ -70,9 +64,10 @@ class Interface:
         return self._endpoint.send(packet)
 
     def receive(self, packet: Packet) -> None:
+        size = packet.size_bytes
         self.rx_packets += 1
-        self.rx_bytes += packet.size_bytes
-        self.node._on_receive(packet, self)
+        self.rx_bytes += size
+        self.node._on_receive(packet, self, size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Interface {self.node.name}.{self.name} {self.addresses}>"
@@ -148,6 +143,11 @@ class Node:
 
     def has_address(self, addr: IPAddress) -> bool:
         return any(addr in iface.addresses for iface in self.interfaces)
+
+    def _addresses_changed(self) -> None:
+        self._addr_cache = None
+        self._addr_hit = None
+        self.routes.invalidate()
 
     def _addrs(self) -> frozenset[IPAddress]:
         """All local addresses as a set (fast-path ``has_address``).
@@ -313,7 +313,11 @@ class Node:
         return endpoint.send(packet)
 
     # -- receiving ---------------------------------------------------------------------
-    def _on_receive(self, packet: Packet, iface: Interface | None) -> None:
+    def _on_receive(
+        self, packet: Packet, iface: Interface | None, size: int = 0
+    ) -> None:
+        """Consume or forward an arriving packet.  ``size`` is its wire size
+        when the delivering link already measured it (0: unknown)."""
         headers = packet.headers
         ip = headers[0] if headers else None
         if not isinstance(ip, IPHeader):
@@ -329,7 +333,7 @@ class Node:
             handler(self, packet, iface)
             return
         if self.forwarding:
-            self._forward(packet)
+            self._forward(packet, size)
             return
         self.dropped_no_route += 1
 
@@ -342,23 +346,18 @@ class Node:
             return
         handler(self, packet, iface)  # type: ignore[arg-type]
 
-    def _forward(self, packet: Packet) -> None:
+    def _forward(self, packet: Packet, size: int = 0) -> None:
         headers = packet.headers
         ip = headers[0]
         if ip.ttl <= 1:
             self.dropped_ttl += 1
             return
-        fresh = Packet(
-            headers=(IPHeader(src=ip.src, dst=ip.dst, proto=ip.proto, ttl=ip.ttl - 1),)
-            + headers[1:],
-            payload=packet.payload,
-            meta=packet.meta,
-        )
-        egress = self.routes.lookup_cached(ip.dst)
-        if egress is None or not egress.is_attached:
+        hop = self.routes.next_hop(ip)
+        if hop is None:  # no route, or egress not attached to a link
             self.dropped_no_route += 1
             return
-        egress.send(fresh)
+        # The TTL rewrite leaves the wire size unchanged.
+        hop[2].send(Packet((hop[1],) + headers[1:], packet.payload, packet.meta), size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.name}>"

@@ -12,9 +12,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.net.addresses import IPAddress, Prefix
+from repro.net.packet import IPHeader
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.link import Serializer
     from repro.net.node import Interface
+
+#: Bound on each forwarding cache, in entries.  64 already catches most of
+#: the flows a RUBiS forwarding hop sees; the bound exists for memory, since
+#: a scale run has a cache on every router.
+FORWARD_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -36,14 +43,24 @@ class RouteTable:
         self._cache: dict[IPAddress, "Interface | None"] = {}
         self._hot_dst: IPAddress | None = None
         self._hot_iface: "Interface | None" = None
+        # Forwarding cache: id(header) -> (header, TTL-decremented header,
+        # egress serializer).  Senders reuse one header object per flow, so
+        # a transit hop sees the same object packet after packet; the entry
+        # keeps its header alive, so the id cannot be recycled under it.
+        self._hops: dict[int, tuple[IPHeader, IPHeader, "Serializer"]] = {}
+
+    def invalidate(self) -> None:
+        """Drop every memoized answer (the table or an address changed)."""
+        self._cache.clear()
+        self._hot_dst = None
+        self._hops.clear()
 
     def add(self, prefix: Prefix, interface: "Interface") -> None:
         family = prefix.network.family
         self._routes[family].append(Route(prefix, interface))
         # Keep sorted by descending length so lookup can stop at first hit.
         self._routes[family].sort(key=lambda r: -r.prefix.length)
-        self._cache.clear()
-        self._hot_dst = None
+        self.invalidate()
 
     def remove(self, prefix: Prefix, interface: "Interface | None" = None) -> int:
         """Remove routes matching ``prefix`` (and iface, if given); returns count."""
@@ -53,9 +70,34 @@ class RouteTable:
             r for r in self._routes[family]
             if not (r.prefix == prefix and (interface is None or r.interface is interface))
         ]
-        self._cache.clear()
-        self._hot_dst = None
+        self.invalidate()
         return before - len(self._routes[family])
+
+    def next_hop(
+        self, ip: IPHeader
+    ) -> "tuple[IPHeader, IPHeader, Serializer] | None":
+        """``(ip, ip with TTL - 1, egress serializer)`` for forwarding a
+        packet whose outer header is ``ip``; None without an attached route.
+
+        Served from the forwarding cache (at most :data:`FORWARD_CACHE_SIZE`
+        entries, oldest evicted first) when ``ip`` is an object seen before.
+        """
+        hops = self._hops
+        hop = hops.get(id(ip))
+        if hop is not None and hop[0] is ip:
+            return hop
+        iface = self.lookup_cached(ip.dst)
+        egress = None if iface is None else iface._endpoint
+        if egress is None:
+            return None
+        if len(hops) >= FORWARD_CACHE_SIZE:
+            del hops[next(iter(hops))]
+        hop = hops[id(ip)] = (
+            ip,
+            IPHeader(src=ip.src, dst=ip.dst, proto=ip.proto, ttl=ip.ttl - 1),
+            egress,
+        )
+        return hop
 
     def lookup(self, dst: IPAddress) -> "Interface | None":
         for route in self._routes[dst.family]:

@@ -244,11 +244,11 @@ def install_relay_forwarding(node: "Node", relay: TeredoRelay) -> None:
     """Divert the node's IPv6 forwarding for Teredo destinations to the relay."""
     original_forward = node._forward
 
-    def forward(packet: Packet) -> None:
+    def forward(packet: Packet, size: int = 0) -> None:
         ip = packet.outer
         if isinstance(ip, IPHeader) and ip.family == 6 and is_teredo(ip.dst):
             relay.relay_ipv6(packet)
             return
-        original_forward(packet)
+        original_forward(packet, size)
 
     node._forward = forward  # type: ignore[method-assign]

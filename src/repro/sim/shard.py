@@ -10,13 +10,14 @@ full window without ever receiving a message "from the past".
 
 Cross-shard links are modeled by :class:`ShardPortal` — the egress half of a
 point-to-point link whose far interface lives in another shard.  The portal
-replicates :class:`~repro.net.link.LinkEndpoint` fast-path float arithmetic
-exactly (serialize at the head-of-line, then propagate), so a topology split
-across shards produces bit-identical timestamps to the same topology wired
-with in-process links.  Transmitted packets become :class:`Envelope` records;
-at each window barrier the coordinator routes them to their destination
-shards, which inject them as ``call_at(arrival, iface.receive, packet)``
-timers in a canonical global order ``(arrival, src_shard, seq)``.
+*is* a :class:`~repro.net.link.Serializer`, the same closed-form queue and
+serializer an in-process :class:`~repro.net.link.LinkEndpoint` runs, so a
+topology split across shards produces bit-identical timestamps to the same
+topology wired with in-process links.  Transmitted packets become
+:class:`Envelope` records; at each window barrier the coordinator routes
+them to their destination shards, which inject them as
+``call_at(arrival, iface.receive, packet)`` timers in a canonical global
+order ``(arrival, src_shard, seq)``.
 
 The coordinator is built for real hardware parallelism:
 
@@ -86,7 +87,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.metrics import METRICS
-from repro.net.link import WIRE_TAPS, LinkLedger, publish_link_delta
+from repro.net.link import LinkLedger, Serializer, publish_link_delta
 from repro.net.packet import Packet, VirtualPayload
 from repro.net.wire import WireReader
 from repro.sim.engine import Simulator
@@ -298,16 +299,14 @@ def _read_envelopes(reader: WireReader) -> list[Envelope]:
         ) from exc
 
 
-class ShardPortal:
+class ShardPortal(Serializer):
     """Egress half of a cross-shard link (the far interface is remote).
 
-    Mirrors the :class:`~repro.net.link.LinkEndpoint` fast path's float
-    arithmetic: a packet arriving to an idle serializer starts transmitting
-    at ``now``, a queued packet starts exactly when the previous
-    transmission completes, and delivery is transmission-complete plus the
-    propagation delay.  Each addition is performed separately (start + ser,
-    then + delay) so the computed arrival is the same float an in-process
-    link would produce.
+    The same :class:`~repro.net.link.Serializer` an in-process
+    :class:`~repro.net.link.LinkEndpoint` uses — queueing, drop-tail,
+    accounting and departure times are one code path — with an envelope as
+    the sink instead of a delivery timer: the arrival is ``depart +
+    delay_s``, the same float an in-process link would produce.
     """
 
     def __init__(
@@ -319,81 +318,35 @@ class ShardPortal:
         delay_s: float,
         queue_packets: int = 256,
     ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
         if delay_s <= 0:
             raise LookaheadError(
                 f"cross-shard link {port_id!r} needs positive delay "
                 "(the delay is the lookahead window)"
             )
+        super().__init__(shard.sim, bandwidth_bps, queue_packets)
         self.shard = shard
-        self.sim = shard.sim
         self.port_id = port_id
         self.dst_shard = dst_shard
-        self.bandwidth_bps = bandwidth_bps
         self.delay_s = delay_s
-        self.queue_packets = queue_packets
-        #: Serializer state: when the current back-to-back burst finishes.
-        self._busy_until = 0.0
-        #: Start times of accepted-but-not-yet-serializing packets; pruned
-        #: lazily to compute queue occupancy for drop-tail decisions.
-        self._pending_starts: list[float] = []
-        self.tx_packets = 0
-        self.tx_bytes = 0
-        self.dropped = 0
         self.out: list[Envelope] = []
 
-    def send(self, packet: Packet) -> bool:
-        """Enqueue for transmission toward the remote shard."""
-        if WIRE_TAPS:
-            for tap in WIRE_TAPS:
-                tap(packet)
-        now = self.sim.now
-        if self._busy_until > now:
-            starts = self._pending_starts
-            if starts and starts[0] <= now:
-                self._pending_starts = starts = [s for s in starts if s > now]
-            if len(starts) >= self.queue_packets:
-                self.dropped += 1
-                return False
-            start = self._busy_until
-            starts.append(start)
-        else:
-            start = now
-        size = len(packet.payload)
-        for header in packet.headers:
-            size += header.header_len
-        done = start + size * 8.0 / self.bandwidth_bps
-        arrival = done + self.delay_s
-        self._busy_until = done
-        self.tx_packets += 1
-        self.tx_bytes += size
-        self.shard.ledger.add_tx(1, size)
-        self.shard._env_seq += 1
+    def _depart(self, packet: Packet, size: int, depart: float) -> None:
+        shard = self.shard
+        shard._env_seq += 1
         env = Envelope(
-            arrival=arrival,
-            src_shard=self.shard.name,
-            src_index=self.shard.index,
-            seq=self.shard._env_seq,
+            arrival=depart + self.delay_s,
+            src_shard=shard.name,
+            src_index=shard.index,
+            seq=shard._env_seq,
             dst_shard=self.dst_shard,
             port_id=self.port_id,
             packet=packet,
-            sent_now=now,
+            sent_now=self.sim._now,
         )
         if CAUSALITY_TAPS:
             for tap in CAUSALITY_TAPS:
-                tap.on_send(self.shard, self, env)
+                tap.on_send(shard, self, env)
         self.out.append(env)
-        return True
-
-    def account_fluid(self, n_bytes: int, n_segments: int) -> None:
-        """Match :meth:`LinkEndpoint.account_fluid` for fluid-mode charging."""
-        self.tx_packets += n_segments
-        self.tx_bytes += n_bytes
-        self.shard.ledger.add_tx(n_segments, n_bytes)
-
-    def flush_stats(self) -> None:  # counters are unbatched here
-        return None
 
 
 class Shard:

@@ -162,7 +162,7 @@ def test_reachable_reports_root_provenance():
     # The one BFS over the graph is the PERF pass's hot closure; its roots
     # are perf.ROOTS, so the fixture names one of them.
     index, graph = program(("src/repro/m.py", """
-        class LinkEndpoint:
+        class Serializer:
             def send(self):
                 self.helper()
 
@@ -176,9 +176,9 @@ def test_reachable_reports_root_provenance():
             pass
     """))
     reached = hot_reachable(index, graph)
-    assert reached["repro.m.LinkEndpoint.send"] == "LinkEndpoint.send"
-    assert reached["repro.m.LinkEndpoint.helper"] == "LinkEndpoint.send"
-    assert reached["repro.m.leaf"] == "LinkEndpoint.send"
+    assert reached["repro.m.Serializer.send"] == "Serializer.send"
+    assert reached["repro.m.Serializer.helper"] == "Serializer.send"
+    assert reached["repro.m.leaf"] == "Serializer.send"
     assert "repro.m.unrelated" not in reached
 
 

@@ -75,7 +75,7 @@ class TestLink:
             for _ in range(400)
         )
         assert sent < 400  # some were dropped at the bounded egress queue
-        assert egress._endpoint.queue.dropped > 0
+        assert egress._endpoint.queue_drops == 400 - sent
 
     def test_loss_rate_validation(self, sim):
         with pytest.raises(ValueError):

@@ -208,6 +208,53 @@ def test_link_counters_aggregate_across_workers():
     assert inline[1] > 0
 
 
+def build_burst(shard, n_packets, queue_packets):
+    """Sender shard: one same-instant burst of ``n_packets`` datagrams into a
+    portal whose queue holds ``queue_packets``."""
+    sim = shard.sim
+    node = Node(sim, "left")
+    iface = wire_cross_shard(
+        shard, node, LEFT_ADDR, out_port="l->r", in_port="r->l",
+        dst_shard="right", delay_s=CROSS_DELAY, queue_packets=queue_packets,
+    )
+    node.routes.add(Prefix(RIGHT_ADDR, 32), iface)
+    sock = UdpStack(node).bind(ECHO_PORT)
+    accepted = [0]
+
+    def burst():
+        for _ in range(n_packets):
+            accepted[0] += sock.sendto(b"x" * 64, RIGHT_ADDR, ECHO_PORT)
+
+    sim.call_at(1e-3, burst)
+    shard.result_fn = lambda: {"accepted": accepted[0]}
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_portal_queue_overflow_books_queue_drops(parallel):
+    """Regression: a full portal queue used to count the drop only on the
+    portal itself — no ``link.queue_drops`` in the shard ledger, no
+    ``queue_drop`` trace record — so a cross-zone overflow showed zero drops
+    in METRICS.  One packet serializes, four wait, fifteen are dropped."""
+    from repro.metrics import METRICS, RECORDER
+
+    drops = METRICS.counter("link.queue_drops")
+    before = drops.value
+    builders = {
+        "left": (build_burst, {"n_packets": 20, "queue_packets": 4}),
+        "right": (build_right, {}),
+    }
+    with RECORDER.recording():
+        RECORDER.clear()
+        _, results = run_echo(builders=builders, parallel=parallel)
+        recorded = RECORDER.tally().get("link.queue_drop", 0)
+    assert results["left"]["accepted"] == 5
+    assert results["right"]["received"] == 5
+    assert drops.value - before == 15
+    # The flight recorder is per process: a forked shard's records stay in
+    # the child, the inline shard's land here.
+    assert recorded == (0 if parallel else 15)
+
+
 # --- adaptive lookahead -------------------------------------------------------
 
 
