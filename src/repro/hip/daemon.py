@@ -292,8 +292,8 @@ class HipDaemon:
         self._sa_in_by_spi: dict[int, Association] = {}
 
         node.add_output_shim(self._output_shim)
-        node.register_protocol("hip", self._on_hip_packet)
-        node.register_protocol("esp", self._on_esp_packet)
+        node.register_protocol("hip", self._on_hip_packet, HIPHeader)
+        node.register_protocol("esp", self._on_esp_packet, ESPHeader)
         node.fluid_taxers.append(self._fluid_taxer)
 
         self._tx_lane = _Lane(self.sim, self._tx_serve)
@@ -404,7 +404,11 @@ class HipDaemon:
         assoc, packet, kind = job
         assert assoc.sa_out is not None and assoc.peer_locator is not None
         esp_header, ciphertext = assoc.sa_out.protect(packet)
-        wire = Packet(headers=(esp_header,), payload=ciphertext).with_meta(addr_kind=kind)
+        # The one fresh annotation dict of this packet's trip: it rides the
+        # wire (where links mark "ce" in place, so it cannot be shared) and
+        # the receiver hands it on to the rebuilt inner packet.
+        # repro: ignore[PERF001] -- one dict per ESP packet: links mark meta["ce"] in place, so it cannot be shared, and the receiver hands this same dict to the rebuilt inner packet, so decapsulation copies nothing
+        meta = {**packet.meta, "addr_kind": kind}
         self.data_packets_sent += 1
         _DATA_SENT.value += 1
         if RECORDER.enabled:
@@ -412,7 +416,9 @@ class HipDaemon:
                 self.sim.now, "hip", "esp_seal", node=self.node.name,
                 spi=esp_header.spi, seq=esp_header.seq, bytes=packet.size_bytes,
             )
-        self.node.send_ip(assoc.peer_locator, "esp", wire)
+        self.node.send_ip_fast(
+            assoc.peer_locator, "esp", (esp_header,), ciphertext, None, 64, meta
+        )
         self._tx_lane.advance()
 
     def _flush_queued(self, assoc: Association) -> None:
@@ -427,14 +433,12 @@ class HipDaemon:
         self._rx_lane.submit(packet)
 
     def _rx_serve(self, packet: Packet) -> None:
-        ip, rest = packet.popped()
-        esp_header, body = rest.popped()
-        assert isinstance(esp_header, ESPHeader)
+        esp_header = packet.headers[1]  # an ESPHeader: Node dispatch checks
         assoc = self._sa_in_by_spi.get(esp_header.spi)
         if assoc is None or assoc.sa_in is None:
             self._drop_esp(esp_header, "unknown_spi")
             return
-        payload = body.payload
+        payload = packet.payload
         if not isinstance(payload, EspCiphertext):
             self._drop_esp(esp_header, "malformed_payload")
             return
@@ -454,12 +458,10 @@ class HipDaemon:
         except EspError as exc:
             self._drop_esp(esp_header, str(exc))
             return
-        delivered = self._rebuild_inner(inner, assoc, kind)
-        if packet.meta.get("ce"):
-            # RFC 6040 decapsulation: a CE mark set on the outer ESP
-            # packet by a congested link is copied to the inner header
-            # so the tunneled flow sees the congestion signal.
-            delivered = delivered.with_meta(ce=True)
+        # The wire packet's annotations go to the inner packet, so a CE mark
+        # a congested link set on the outer ESP packet reaches the tunneled
+        # flow (RFC 6040 decapsulation).
+        delivered = self._rebuild_inner(inner, assoc, kind, packet.meta)
         self.data_packets_received += 1
         _DATA_RECV.value += 1
         if RECORDER.enabled:
@@ -516,28 +518,30 @@ class HipDaemon:
             )
         self._rx_lane.advance()
 
-    def _rebuild_inner(self, inner: Packet, assoc: Association, kind: str) -> Packet:
+    def _rebuild_inner(
+        self, inner: Packet, assoc: Association, kind: str, meta: dict
+    ) -> Packet:
         """Reconstruct the inner IP header with *this host's* HIT/LSI view.
 
         In BEET mode the inner IP header never crosses the wire; each end
         regenerates it from the SPI-bound HIT pair.  LSIs are host-local, so
         the receiver maps the peer's HIT to its *own* LSI allocation.
         """
-        if inner.headers and isinstance(inner.outer, IPHeader):
-            old_ip, transport = inner.popped()
-        else:
-            transport = inner
+        transport = inner.headers
+        if transport and isinstance(transport[0], IPHeader):
+            transport = transport[1:]
         if kind == "lsi":
             src = self.lsi.assign(assoc.peer_hit)
             dst = self.lsi.own_lsi
         else:
             src = assoc.peer_hit
             dst = self.hit
-        return transport.pushed(IPHeader(src=src, dst=dst, proto=self._inner_proto(transport)))
+        ip = IPHeader(src, dst, self._inner_proto(transport))
+        return Packet((ip,) + transport, inner.payload, meta)
 
     @staticmethod
-    def _inner_proto(transport: Packet) -> str:
-        head = transport.headers[0] if transport.headers else None
+    def _inner_proto(transport: tuple) -> str:
+        head = transport[0] if transport else None
         if isinstance(head, TCPHeader):
             return "tcp"
         if isinstance(head, UDPHeader):
@@ -678,9 +682,9 @@ class HipDaemon:
         if locator is None:
             return
         raw = packet.serialize()
-        wire = Packet(headers=(HIPHeader(packet_type=packet.type_name),), payload=raw[40:])
-        wire = wire.with_meta(hip_raw=raw)
-        self.node.send_ip(locator, "hip", wire)
+        self.node.send_ip_fast(
+            locator, "hip", (HIPHeader(packet.type_name),), raw[40:], meta={"hip_raw": raw}
+        )
 
     def _on_hip_packet(self, node: "Node", packet: Packet, iface) -> None:
         self._ctl.try_put(packet)
@@ -688,11 +692,10 @@ class HipDaemon:
     def _ctl_worker(self) -> Generator:
         while True:
             packet = yield self._ctl.get()
-            ip, _rest = packet.popped()
+            ip = packet.headers[0]
             raw = packet.meta.get("hip_raw")
             if raw is None:
                 continue
-            assert isinstance(ip, IPHeader)
             try:
                 hip_pkt = hp.HipPacket.parse(raw)
                 handler = {

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
 
 from repro.crypto.aes import AES
 from repro.crypto.hmac_kdf import HmacKey, ct_equal
@@ -44,6 +43,7 @@ from repro.net.packet import (
     UDPHeader,
     VirtualPayload,
 )
+from repro.net.wire import WireValue
 
 ICV_LEN = 12  # HMAC-SHA1-96
 IV_LEN = 16
@@ -99,8 +99,7 @@ def canonical_packet_bytes(packet: Packet) -> bytes | None:
     return out + bytes(packet.payload)
 
 
-@dataclass(frozen=True)
-class EspCiphertext:
+class EspCiphertext(WireValue):
     """ESP payload: the protected inner packet.
 
     ``inner`` rides along for simulator delivery; ``ciphertext`` is the real
@@ -109,6 +108,7 @@ class EspCiphertext:
     packet size (already including padding).
     """
 
+    __slots__ = ()
     inner: Packet
     wire_len: int
     ciphertext: bytes | None = None
@@ -166,10 +166,9 @@ class SecurityAssociation:
         self.seq += 1
         self.packets_protected += 1
         _PROTECTED.value += 1
-        plain = self._plaintext_view(inner)
-        real = canonical_packet_bytes(plain) if self.real else None
+        real = canonical_packet_bytes(self._plaintext_view(inner)) if self.real else None
         # Pad plaintext + 2 trailer bytes to the AES block size.
-        base_len = len(plain)
+        base_len = self._plaintext_len(inner)
         pad_len = (-(base_len + 2)) % 16 if self.encrypt else 0
         header = ESPHeader(
             spi=self.spi, seq=self.seq,
@@ -190,12 +189,23 @@ class SecurityAssociation:
             )
         return header, EspCiphertext(inner=inner, wire_len=base_len)
 
+    def _strips_ip(self, headers: tuple) -> bool:
+        """BEET keeps the inner IP header off the wire."""
+        return self.mode is EspMode.BEET and bool(headers) and isinstance(headers[0], IPHeader)
+
     def _plaintext_view(self, inner: Packet) -> Packet:
-        """What actually goes on the wire: BEET strips the inner IP header."""
-        if self.mode is EspMode.BEET and inner.headers and isinstance(inner.outer, IPHeader):
-            _ip, transport = inner.popped()
-            return transport
+        """What actually goes on the wire."""
+        headers = inner.headers
+        if self._strips_ip(headers):
+            return Packet(headers[1:], inner.payload, inner.meta)
         return inner
+
+    def _plaintext_len(self, inner: Packet) -> int:
+        """``len(self._plaintext_view(inner))``, without building the view."""
+        headers = inner.headers
+        if self._strips_ip(headers):
+            return len(inner) - headers[0].header_len
+        return len(inner)
 
     # -- inbound -----------------------------------------------------------------
     def verify(self, header: ESPHeader, payload: EspCiphertext) -> Packet:
@@ -253,11 +263,11 @@ class SecurityAssociation:
 
     def overhead_bytes(self, inner: Packet) -> int:
         """Per-packet wire overhead vs sending ``inner`` unprotected."""
-        plain = self._plaintext_view(inner)
-        pad_len = (-(len(plain) + 2)) % 16 if self.encrypt else 0
+        plain_len = self._plaintext_len(inner)
+        pad_len = (-(plain_len + 2)) % 16 if self.encrypt else 0
         esp = ESPHeader(spi=self.spi, seq=0, iv_len=IV_LEN if self.encrypt else 0,
                         icv_len=ICV_LEN, pad_len=pad_len)
-        protected = esp.header_len + len(plain)
+        protected = esp.header_len + plain_len
         return protected - len(inner)
 
 

@@ -14,23 +14,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.net.wire import WireValue
 
-@dataclass(frozen=True, order=True)
-class IPAddress:
+
+class IPAddress(WireValue):
     """An IPv4 (family=4) or IPv6 (family=6) address."""
 
+    __slots__ = ()
     family: int
     value: int
 
-    def __post_init__(self) -> None:
-        if self.family == 4:
-            if not 0 <= self.value < (1 << 32):
+    def __new__(cls, family: int, value: int) -> "IPAddress":
+        if family == 4:
+            if not 0 <= value < (1 << 32):
                 raise ValueError("IPv4 address out of range")
-        elif self.family == 6:
-            if not 0 <= self.value < (1 << 128):
+        elif family == 6:
+            if not 0 <= value < (1 << 128):
                 raise ValueError("IPv6 address out of range")
         else:
-            raise ValueError(f"unknown address family {self.family}")
+            raise ValueError(f"unknown address family {family}")
+        return tuple.__new__(cls, (family, value))
 
     @property
     def bits(self) -> int:
@@ -134,15 +137,25 @@ LSI_PREFIX = prefix("1.0.0.0/8")  # Local-Scope Identifiers (HIPL convention)
 TEREDO_PREFIX = prefix("2001:0::/32")  # Teredo (RFC 4380)
 
 
+# Each membership test is one shift-compare on the address value; these
+# equal ``PREFIX.contains(addr)`` for the prefixes above.
+_ORCHID_SHIFT = 128 - ORCHID_PREFIX.length
+_ORCHID_NET = ORCHID_PREFIX.network.value >> _ORCHID_SHIFT
+_LSI_SHIFT = 32 - LSI_PREFIX.length
+_LSI_NET = LSI_PREFIX.network.value >> _LSI_SHIFT
+_TEREDO_SHIFT = 128 - TEREDO_PREFIX.length
+_TEREDO_NET = TEREDO_PREFIX.network.value >> _TEREDO_SHIFT
+
+
 def is_hit(addr: IPAddress) -> bool:
     """True if ``addr`` is a Host Identity Tag (ORCHID-prefixed IPv6)."""
-    return addr.family == 6 and ORCHID_PREFIX.contains(addr)
+    return addr.family == 6 and addr.value >> _ORCHID_SHIFT == _ORCHID_NET
 
 
 def is_lsi(addr: IPAddress) -> bool:
     """True if ``addr`` is a Local-Scope Identifier (1.x.x.x IPv4)."""
-    return addr.family == 4 and LSI_PREFIX.contains(addr)
+    return addr.family == 4 and addr.value >> _LSI_SHIFT == _LSI_NET
 
 
 def is_teredo(addr: IPAddress) -> bool:
-    return addr.family == 6 and TEREDO_PREFIX.contains(addr)
+    return addr.family == 6 and addr.value >> _TEREDO_SHIFT == _TEREDO_NET

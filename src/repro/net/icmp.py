@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from repro.net.addresses import IPAddress
-from repro.net.packet import ICMPHeader, IPHeader, Packet
+from repro.net.packet import ICMPHeader, IPHeader, Packet, Payload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Interface, Node
@@ -25,26 +25,24 @@ class IcmpStack:
         self.node = node
         self._waiters: dict[tuple[int, int], object] = {}  # (ident, seq) -> Event
         self._next_ident = 1
-        node.register_protocol("icmp", self._on_packet)
+        node.register_protocol("icmp", self._on_packet, ICMPHeader)
         self.echo_replies_sent = 0
 
     def _on_packet(self, node: "Node", packet: Packet, iface: "Interface | None") -> None:
-        ip, inner = packet.popped()
-        icmp, body = inner.popped()
-        assert isinstance(ip, IPHeader) and isinstance(icmp, ICMPHeader)
+        ip, icmp = packet.headers[:2]  # Node dispatch checks icmp is an ICMPHeader
         if icmp.kind == "echo-request":
-            self.node.sim.process(self._reply(ip, icmp, body), name="icmp-reply")
+            self.node.sim.process(self._reply(ip, icmp, packet.payload), name="icmp-reply")
         elif icmp.kind == "echo-reply":
             evt = self._waiters.pop((icmp.ident, icmp.seq), None)
             if evt is not None and not evt.triggered:  # type: ignore[attr-defined]
                 evt.succeed(self.node.sim.now)  # type: ignore[attr-defined]
 
-    def _reply(self, ip: IPHeader, icmp: ICMPHeader, body: Packet) -> Generator:
+    def _reply(self, ip: IPHeader, icmp: ICMPHeader, payload: Payload) -> Generator:
         # Tiny kernel cost for the reply path.
         yield from self.node.cpu_work(1e-6)
         reply = Packet(
             headers=(ICMPHeader(kind="echo-reply", ident=icmp.ident, seq=icmp.seq),),
-            payload=body.payload,
+            payload=payload,
         )
         self.node.send_ip(ip.src, "icmp", reply, src=ip.dst)
         self.echo_replies_sent += 1

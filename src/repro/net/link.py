@@ -361,7 +361,3 @@ class Link:
         self.b_to_a.peer = iface_a
         iface_a.attach(self.a_to_b)
         iface_b.attach(self.b_to_a)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.a_to_b.tx_bytes + self.b_to_a.tx_bytes

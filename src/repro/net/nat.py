@@ -8,12 +8,11 @@ TCP and UDP are rewritten; ICMP echo is translated by identifier.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.net.addresses import IPAddress
 from repro.net.node import Node
-from repro.net.packet import ICMPHeader, IPHeader, Packet, TCPHeader, UDPHeader
+from repro.net.packet import Header, ICMPHeader, IPHeader, Packet, TCPHeader, UDPHeader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Interface
@@ -62,18 +61,16 @@ class NatBox(Node):
         else:
             super()._on_receive(packet, iface, size)
 
-    def _ports(self, packet: Packet) -> tuple[str, int, int] | None:
-        """Extract (proto, src_port, dst_port) from the transport header."""
-        ip, inner = packet.popped()
-        if not inner.headers:
-            return None
-        head = inner.headers[0]
+    @staticmethod
+    def _transport(packet: Packet) -> tuple[str, int, int, Header] | None:
+        """(proto, src_port, dst_port, header) of a NATable transport header."""
+        head = packet.headers[1] if len(packet.headers) > 1 else None
         if isinstance(head, UDPHeader):
-            return ("udp", head.src_port, head.dst_port)
+            return ("udp", head.src_port, head.dst_port, head)
         if isinstance(head, TCPHeader):
-            return ("tcp", head.src_port, head.dst_port)
-        if isinstance(head, ICMPHeader):
-            return ("icmp", head.ident, head.ident)
+            return ("tcp", head.src_port, head.dst_port, head)
+        if isinstance(head, ICMPHeader):  # echo is mapped by identifier
+            return ("icmp", head.ident, head.ident, head)
         return None
 
     def _alloc_port(self) -> int:
@@ -84,70 +81,35 @@ class NatBox(Node):
         return port
 
     def _outbound(self, packet: Packet) -> None:
-        ip, inner = packet.popped()
-        assert isinstance(ip, IPHeader)
-        info = self._ports(packet)
+        ip, info = packet.headers[0], self._transport(packet)
         if info is None or self._outside_iface is None:
             self.dropped_no_handler += 1
             return
-        proto, src_port, _ = info
+        proto, src_port, _, head = info
         key = (proto, ip.src, src_port)
         ext_port = self._out_map.get(key)
         if ext_port is None:
             ext_port = self._alloc_port()
             self._out_map[key] = ext_port
             self._in_map[(proto, ext_port)] = (ip.src, src_port)
-        rewritten_inner = self._rewrite_src_port(inner, ext_port)
-        out = rewritten_inner.pushed(
-            IPHeader(src=self.external_addr, dst=ip.dst, proto=ip.proto, ttl=ip.ttl - 1)
-        )
-        egress = self.routes.lookup(ip.dst)
-        if egress is None:
-            self.dropped_no_route += 1
-            return
-        egress.send(out)
+        head = head._replace(ident=ext_port) if proto == "icmp" else head._replace(src_port=ext_port)
+        self._emit(packet, IPHeader(self.external_addr, ip.dst, ip.proto, ip.ttl - 1), head)
 
     def _inbound(self, packet: Packet) -> None:
-        ip, inner = packet.popped()
-        assert isinstance(ip, IPHeader)
-        info = self._ports(packet)
-        if info is None:
-            self.dropped_unsolicited += 1
-            return
-        proto, _, dst_port = info
-        mapping = self._in_map.get((proto, dst_port))
+        ip, info = packet.headers[0], self._transport(packet)
+        mapping = None if info is None else self._in_map.get((info[0], info[2]))
         if mapping is None:
             self.dropped_unsolicited += 1
             return
         in_addr, in_port = mapping
-        rewritten_inner = self._rewrite_dst_port(inner, in_port)
-        out = rewritten_inner.pushed(
-            IPHeader(src=ip.src, dst=in_addr, proto=ip.proto, ttl=ip.ttl - 1)
-        )
-        egress = self.routes.lookup(in_addr)
+        head = info[3]
+        head = head._replace(ident=in_port) if info[0] == "icmp" else head._replace(dst_port=in_port)
+        self._emit(packet, IPHeader(ip.src, in_addr, ip.proto, ip.ttl - 1), head)
+
+    def _emit(self, packet: Packet, ip: IPHeader, head: Header) -> None:
+        """Send ``packet`` on with its IP and transport headers rewritten."""
+        egress = self.routes.lookup(ip.dst)
         if egress is None:
             self.dropped_no_route += 1
             return
-        egress.send(out)
-
-    @staticmethod
-    def _rewrite_src_port(inner: Packet, port: int) -> Packet:
-        head, body = inner.popped()
-        if isinstance(head, UDPHeader):
-            return body.pushed(replace(head, src_port=port))
-        if isinstance(head, TCPHeader):
-            return body.pushed(replace(head, src_port=port))
-        if isinstance(head, ICMPHeader):
-            return body.pushed(replace(head, ident=port))
-        raise TypeError(f"cannot NAT header {head!r}")
-
-    @staticmethod
-    def _rewrite_dst_port(inner: Packet, port: int) -> Packet:
-        head, body = inner.popped()
-        if isinstance(head, UDPHeader):
-            return body.pushed(replace(head, dst_port=port))
-        if isinstance(head, TCPHeader):
-            return body.pushed(replace(head, dst_port=port))
-        if isinstance(head, ICMPHeader):
-            return body.pushed(replace(head, ident=port))
-        raise TypeError(f"cannot NAT header {head!r}")
+        egress.send(Packet((ip, head) + packet.headers[2:], packet.payload, packet.meta))

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.crypto.costmodel import CostModel
 from repro.net.addresses import IPAddress
-from repro.net.packet import IPHeader, Packet
+from repro.metrics import RECORDER
+from repro.net.packet import Header, IPHeader, Packet
 from repro.net.routing import RouteTable
 from repro.sim.resources import Resource
 
@@ -92,21 +93,21 @@ class Node:
         self.cpu_scale = cpu_scale
         self.cost_model = cost_model or CostModel()
         self.forwarding = forwarding
-        self._addr_cache: frozenset[IPAddress] | None = None
-        # One-entry identity caches for the dataplane.  Parsed addresses
-        # are interned (lru_cache in repro.net.addresses) and a connection
-        # reuses the same address objects for every packet, so an ``is``
-        # check replaces a hashed set lookup almost every time.
-        self._addr_hit: IPAddress | None = None  # last address confirmed local
+        #: Every local address, rebuilt whenever one is added or removed.
+        self._local: frozenset[IPAddress] = frozenset()
         self._ip_hdr_cache: IPHeader | None = None  # last header built by send_ip
         self.interfaces: list[Interface] = []
         self.routes = RouteTable()
-        self._protocol_handlers: dict[str, ProtocolHandler] = {}
+        #: proto -> (handler, the transport header type it is owed, or None
+        #: when the protocol checks its own packets).
+        self._protocol_handlers: dict[str, tuple[ProtocolHandler, type[Header] | None]] = {}
         self._output_shims: list[OutputShim] = []
         self.cpu = Resource(sim, cpu_cores)
         self.dropped_no_route = 0
         self.dropped_no_handler = 0
         self.dropped_ttl = 0
+        #: Local deliveries whose transport header does not match ``proto``.
+        self.dropped_malformed = 0
         self.cpu_busy_seconds = 0.0
         #: Dataplane taxers for TCP fluid fast-forward: when a bulk flow on
         #: this node advances as a closed-form rate integral instead of
@@ -122,9 +123,10 @@ class Node:
     # -- configuration -----------------------------------------------------------
     def add_interface(self, name: str, *addresses: IPAddress) -> Interface:
         iface = Interface(self, name)
+        # Attached first, so the address-set rebuild each add triggers sees it.
+        self.interfaces.append(iface)
         for addr in addresses:
             iface.add_address(addr)
-        self.interfaces.append(iface)
         return iface
 
     def interface(self, name: str) -> Interface:
@@ -142,31 +144,27 @@ class Node:
         return out
 
     def has_address(self, addr: IPAddress) -> bool:
-        return any(addr in iface.addresses for iface in self.interfaces)
+        return addr in self._local
 
     def _addresses_changed(self) -> None:
-        self._addr_cache = None
-        self._addr_hit = None
+        self._local = frozenset(
+            addr for iface in self.interfaces for addr in iface.addresses
+        )
         self.routes.invalidate()
 
-    def _addrs(self) -> frozenset[IPAddress]:
-        """All local addresses as a set (fast-path ``has_address``).
+    def register_protocol(
+        self, proto: str, handler: ProtocolHandler, header: type[Header] | None = None
+    ) -> None:
+        """Deliver local ``proto`` packets to ``handler``.
 
-        Rebuilt lazily after any address change; :meth:`Interface.add_address`
-        and :meth:`Interface.remove_address` invalidate the cache.
+        ``header`` is the transport header type every such packet must carry
+        right after its IP header; a packet without one is dropped and
+        counted in ``dropped_malformed``, so the handler can index it
+        unchecked.  ``None`` leaves the header stack to the handler.
         """
-        cached = self._addr_cache
-        if cached is None:
-            cached = frozenset(
-                addr for iface in self.interfaces for addr in iface.addresses
-            )
-            self._addr_cache = cached
-        return cached
-
-    def register_protocol(self, proto: str, handler: ProtocolHandler) -> None:
         if proto in self._protocol_handlers:
             raise ValueError(f"protocol {proto!r} already registered on {self.name}")
-        self._protocol_handlers[proto] = handler
+        self._protocol_handlers[proto] = (handler, header)
 
     def add_output_shim(self, shim: OutputShim) -> None:
         """Install an output interceptor (runs before routing on local sends).
@@ -259,23 +257,12 @@ class Node:
             if src is None:
                 self.dropped_no_route += 1
                 return False
-        # Headers are immutable values, so a flow's identical (src, dst,
-        # proto, ttl) header is shared between consecutive packets instead
-        # of rebuilt.
+        # Headers are immutable values, so consecutive packets of a flow
+        # share one header instead of rebuilding it.
         hdr = self._ip_hdr_cache
-        if (
-            hdr is None
-            or hdr.dst is not dst
-            or hdr.src is not src
-            or hdr.ttl != ttl
-            or hdr.proto != proto
-        ):
-            hdr = IPHeader(src=src, dst=dst, proto=proto, ttl=ttl)
-            self._ip_hdr_cache = hdr
-        if meta is None:
-            packet = Packet((hdr,) + headers, payload)
-        else:
-            packet = Packet((hdr,) + headers, payload, meta)
+        if hdr is None or hdr[:] != (src, dst, proto, ttl):
+            hdr = self._ip_hdr_cache = IPHeader(src, dst, proto, ttl)
+        packet = Packet((hdr,) + headers, payload, meta)
         shims = self._output_shims
         if shims:
             for shim in shims:
@@ -286,7 +273,7 @@ class Node:
         return self._route_out(packet)
 
     def _pick_source(self, dst: IPAddress) -> IPAddress | None:
-        iface = self.routes.lookup(dst)
+        iface = self.routes.lookup_cached(dst)
         if iface is not None:
             for addr in iface.addresses:
                 if addr.family == dst.family:
@@ -300,9 +287,8 @@ class Node:
 
     def _route_out(self, packet: Packet) -> bool:
         dst = packet.headers[0].dst
-        if dst is self._addr_hit or dst in self._addrs():
+        if dst in self._local:
             # Loopback delivery stays inside the node.
-            self._addr_hit = dst
             self._dispatch_local(packet, None)
             return True
         iface = self.routes.lookup_cached(dst)
@@ -323,14 +309,8 @@ class Node:
         if not isinstance(ip, IPHeader):
             self.dropped_no_handler += 1
             return
-        dst = ip.dst
-        if dst is self._addr_hit or dst in self._addrs():
-            self._addr_hit = dst
-            handler = self._protocol_handlers.get(ip.proto)
-            if handler is None:
-                self.dropped_no_handler += 1
-                return
-            handler(self, packet, iface)
+        if ip.dst in self._local:
+            self._dispatch_local(packet, iface)
             return
         if self.forwarding:
             self._forward(packet, size)
@@ -338,11 +318,22 @@ class Node:
         self.dropped_no_route += 1
 
     def _dispatch_local(self, packet: Packet, iface: Interface | None) -> None:
-        ip = packet.outer
-        assert isinstance(ip, IPHeader)
-        handler = self._protocol_handlers.get(ip.proto)
-        if handler is None:
+        """Hand a packet addressed to this node to its protocol handler: the
+        one place a handler's transport header is checked."""
+        headers = packet.headers
+        proto = headers[0].proto
+        entry = self._protocol_handlers.get(proto)
+        if entry is None:
             self.dropped_no_handler += 1
+            return
+        handler, header = entry
+        if header is not None and (len(headers) < 2 or not isinstance(headers[1], header)):
+            self.dropped_malformed += 1
+            if RECORDER.enabled:
+                RECORDER.record(
+                    self.sim.now, "node", "malformed_drop", node=self.name, proto=proto,
+                    headers="/".join(type(h).__name__ for h in headers),
+                )
             return
         handler(self, packet, iface)  # type: ignore[arg-type]
 
@@ -357,7 +348,7 @@ class Node:
             self.dropped_no_route += 1
             return
         # The TTL rewrite leaves the wire size unchanged.
-        hop[2].send(Packet((hop[1],) + headers[1:], packet.payload, packet.meta), size)
+        hop[1].send(Packet((hop[0],) + headers[1:], packet.payload, packet.meta), size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.name}>"

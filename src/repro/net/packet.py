@@ -1,8 +1,9 @@
 """Packet model: a stack of typed headers over a payload.
 
-Headers are small dataclasses; a packet's wire size is the sum of its
-headers' ``header_len`` plus the payload size.  Payloads are either real
-``bytes`` (used for control traffic and all unit tests) or a
+Headers, payload wrappers and packets are immutable
+:class:`~repro.net.wire.WireValue` tuples; a packet's wire size is the sum
+of its headers' ``header_len`` plus the payload size.  Payloads are either
+real ``bytes`` (used for control traffic and all unit tests) or a
 :class:`VirtualPayload` — a declared length without materialized bytes — so
 bulk-transfer experiments (iperf, HTTP bodies) don't burn host memory while
 still paying correct serialization, encryption and queueing costs.
@@ -10,22 +11,23 @@ still paying correct serialization, encryption and queueing costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 from repro.net.addresses import IPAddress
+from repro.net.wire import WireValue
 
 
-@dataclass(frozen=True)
-class VirtualPayload:
+class VirtualPayload(WireValue):
     """A payload of declared size whose bytes are never materialized."""
 
+    __slots__ = ()
     size: int
-    tag: str = ""  # optional marker for debugging/assertions
+    tag: str  # optional marker for debugging/assertions
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
+    def __new__(cls, size: int, tag: str = "") -> "VirtualPayload":
+        if size < 0:
             raise ValueError("negative payload size")
+        return tuple.__new__(cls, (size, tag))
 
     def __len__(self) -> int:
         return self.size
@@ -36,27 +38,25 @@ class VirtualPayload:
 Payload = Union[bytes, VirtualPayload, "Packet"]
 
 
-@dataclass(frozen=True)
-class Header:
-    """Base class for protocol headers."""
+class Header(WireValue):
+    """Base class for protocol headers; each has a ``header_len`` property."""
 
-    @property
-    def header_len(self) -> int:  # pragma: no cover - overridden
-        raise NotImplementedError
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IPHeader(Header):
     """IPv4 or IPv6 header (family follows the addresses)."""
 
+    __slots__ = ()
     src: IPAddress
     dst: IPAddress
     proto: str  # "tcp" | "udp" | "icmp" | "esp" | "hip"
-    ttl: int = 64
+    ttl: int
 
-    def __post_init__(self) -> None:
-        if self.src.family != self.dst.family:
+    def __new__(cls, src: IPAddress, dst: IPAddress, proto: str, ttl: int = 64) -> "IPHeader":
+        if src.family != dst.family:
             raise ValueError("IP src/dst family mismatch")
+        return tuple.__new__(cls, (src, dst, proto, ttl))
 
     @property
     def family(self) -> int:
@@ -64,11 +64,11 @@ class IPHeader(Header):
 
     @property
     def header_len(self) -> int:
-        return 20 if self.family == 4 else 40
+        return 20 if self.src.family == 4 else 40
 
 
-@dataclass(frozen=True)
 class UDPHeader(Header):
+    __slots__ = ()
     src_port: int
     dst_port: int
 
@@ -77,8 +77,8 @@ class UDPHeader(Header):
         return 8
 
 
-@dataclass(frozen=True)
 class TCPHeader(Header):
+    __slots__ = ()
     src_port: int
     dst_port: int
     seq: int = 0
@@ -103,8 +103,8 @@ class TCPHeader(Header):
         return flag in self.flags
 
 
-@dataclass(frozen=True)
 class ICMPHeader(Header):
+    __slots__ = ()
     kind: str  # "echo-request" | "echo-reply"
     ident: int
     seq: int
@@ -114,10 +114,10 @@ class ICMPHeader(Header):
         return 8
 
 
-@dataclass(frozen=True)
 class ESPHeader(Header):
     """ESP header+trailer accounting (SPI, sequence, IV, pad, ICV)."""
 
+    __slots__ = ()
     spi: int
     seq: int
     iv_len: int = 16
@@ -130,10 +130,10 @@ class ESPHeader(Header):
         return 4 + 4 + self.iv_len + self.pad_len + 2 + self.icv_len
 
 
-@dataclass(frozen=True)
 class HIPHeader(Header):
     """HIP control-packet header marker; the payload is the serialized packet."""
 
+    __slots__ = ()
     packet_type: str  # "I1" | "R1" | "I2" | "R2" | "UPDATE" | "CLOSE" | ...
 
     @property
@@ -141,25 +141,32 @@ class HIPHeader(Header):
         return 40  # fixed HIP header: nexthdr..checksum + sender/receiver HITs
 
 
-def payload_len(payload: Payload) -> int:
-    return len(payload)
-
-
-@dataclass(frozen=True)
-class Packet:
+class Packet(WireValue):
     """An immutable packet: header stack (outermost first) + payload.
 
     ``meta`` carries simulation-only annotations (timestamps, flow ids) that
-    do not contribute to the wire size.
+    do not contribute to the wire size, nor to ``==`` and ``hash``.
     """
 
+    __slots__ = ()
     headers: tuple[Header, ...]
-    payload: Payload = b""
-    meta: dict = field(default_factory=dict, compare=False)
+    payload: Payload
+    meta: dict
+
+    def __new__(
+        cls, headers: tuple[Header, ...], payload: Payload = b"", meta: dict | None = None
+    ) -> "Packet":
+        return tuple.__new__(cls, (headers, payload, {} if meta is None else meta))
+
+    def __eq__(self, other: object) -> bool:
+        return self.__class__ is other.__class__ and self[:2] == other[:2]  # type: ignore[index]
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     @property
     def size_bytes(self) -> int:
-        return sum(h.header_len for h in self.headers) + payload_len(self.payload)
+        return sum(h.header_len for h in self.headers) + len(self.payload)
 
     @property
     def outer(self) -> Header:
@@ -185,7 +192,6 @@ class Packet:
         return self.headers[0], Packet(self.headers[1:], self.payload, self.meta)
 
     def with_meta(self, **kv) -> "Packet":
-        # repro: ignore[PERF001] -- links mark meta["ce"] in place, so a rebuilt packet cannot share its parent's dict; one ~2 us copy per ESP packet, about 1 % of rubis_hip host time (re-measured in PR 23, once the cipher work it used to hide behind was gone)
         merged = dict(self.meta)
         merged.update(kv)
         return Packet(self.headers, self.payload, merged)

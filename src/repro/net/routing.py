@@ -8,8 +8,7 @@ forwards it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.net.addresses import IPAddress, Prefix
 from repro.net.packet import IPHeader
@@ -24,8 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
 FORWARD_CACHE_SIZE = 64
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     prefix: Prefix
     interface: "Interface"
 
@@ -36,23 +34,16 @@ class RouteTable:
     def __init__(self) -> None:
         self._routes: dict[int, list[Route]] = {4: [], 6: []}
         # Memoized lookup results; lookup is deterministic for a fixed table,
-        # so entries stay valid until add()/remove() clears them.  The
-        # one-entry identity cache fronts the dict: parsed addresses are
-        # interned, so bulk flows re-present the same object every packet
-        # and skip even the dict hash.
+        # so entries stay valid until add()/remove() clears them.
         self._cache: dict[IPAddress, "Interface | None"] = {}
-        self._hot_dst: IPAddress | None = None
-        self._hot_iface: "Interface | None" = None
-        # Forwarding cache: id(header) -> (header, TTL-decremented header,
-        # egress serializer).  Senders reuse one header object per flow, so
-        # a transit hop sees the same object packet after packet; the entry
-        # keeps its header alive, so the id cannot be recycled under it.
-        self._hops: dict[int, tuple[IPHeader, IPHeader, "Serializer"]] = {}
+        # Forwarding cache: header -> (TTL-decremented header, egress
+        # serializer).  A flow's packets carry equal headers, so a transit
+        # hop finds its answer after the first packet.
+        self._hops: dict[IPHeader, tuple[IPHeader, "Serializer"]] = {}
 
     def invalidate(self) -> None:
         """Drop every memoized answer (the table or an address changed)."""
         self._cache.clear()
-        self._hot_dst = None
         self._hops.clear()
 
     def add(self, prefix: Prefix, interface: "Interface") -> None:
@@ -73,18 +64,16 @@ class RouteTable:
         self.invalidate()
         return before - len(self._routes[family])
 
-    def next_hop(
-        self, ip: IPHeader
-    ) -> "tuple[IPHeader, IPHeader, Serializer] | None":
-        """``(ip, ip with TTL - 1, egress serializer)`` for forwarding a
-        packet whose outer header is ``ip``; None without an attached route.
+    def next_hop(self, ip: IPHeader) -> "tuple[IPHeader, Serializer] | None":
+        """``(ip with TTL - 1, egress serializer)`` for forwarding a packet
+        whose outer header is ``ip``; None without an attached route.
 
         Served from the forwarding cache (at most :data:`FORWARD_CACHE_SIZE`
-        entries, oldest evicted first) when ``ip`` is an object seen before.
+        entries, oldest evicted first) when an equal header was seen before.
         """
         hops = self._hops
-        hop = hops.get(id(ip))
-        if hop is not None and hop[0] is ip:
+        hop = hops.get(ip)
+        if hop is not None:
             return hop
         iface = self.lookup_cached(ip.dst)
         egress = None if iface is None else iface._endpoint
@@ -92,11 +81,7 @@ class RouteTable:
             return None
         if len(hops) >= FORWARD_CACHE_SIZE:
             del hops[next(iter(hops))]
-        hop = hops[id(ip)] = (
-            ip,
-            IPHeader(src=ip.src, dst=ip.dst, proto=ip.proto, ttl=ip.ttl - 1),
-            egress,
-        )
+        hop = hops[ip] = (ip._replace(ttl=ip.ttl - 1), egress)
         return hop
 
     def lookup(self, dst: IPAddress) -> "Interface | None":
@@ -111,18 +96,8 @@ class RouteTable:
         Same result as :meth:`lookup`; repeated queries for the same
         destination hit a dict that table mutations invalidate.
         """
-        if dst is self._hot_dst:
-            return self._hot_iface
         try:
-            iface = self._cache[dst]
+            return self._cache[dst]
         except KeyError:
-            iface = self.lookup(dst)
-            self._cache[dst] = iface
-        self._hot_dst = dst
-        self._hot_iface = iface
-        return iface
-
-    def routes(self, family: int | None = None) -> list[Route]:
-        if family is None:
-            return self._routes[4] + self._routes[6]
-        return list(self._routes[family])
+            iface = self._cache[dst] = self.lookup(dst)
+            return iface

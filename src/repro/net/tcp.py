@@ -196,9 +196,8 @@ class TcpConnection:
         self._pace_timer = None  # TimerHandle
         # Bulk senders cut identical VirtualPayload slices (one
         # MSS each) for thousands of segments in a row; VirtualPayload is
-        # immutable, so one shared instance per (size, tag) is safe.
-        self._vp_cache: VirtualPayload | None = None
-        self._vp_cache_key: tuple[int, str] = (-1, "")
+        # immutable, so the last one is shared while (size, tag) repeats.
+        self._vp_cache = VirtualPayload(0)
         self._fin_queued = False
         self._fin_seq: int | None = None
         # Fluid fast-forward (flow-level bulk mode); see the module docstring.
@@ -489,11 +488,9 @@ class TcpConnection:
             if start <= seq < start + clen:
                 take = min(length, start + clen - seq)
                 if isinstance(chunk, VirtualPayload):
-                    key = (take, chunk.tag)
-                    if key == self._vp_cache_key:
-                        return self._vp_cache
-                    vp = VirtualPayload(size=take, tag=chunk.tag)
-                    self._vp_cache, self._vp_cache_key = vp, key
+                    vp = self._vp_cache
+                    if vp.size != take or vp.tag != chunk.tag:
+                        vp = self._vp_cache = VirtualPayload(take, chunk.tag)
                     return vp
                 return _slice_payload(chunk, seq - start, take)
         raise TcpError(f"send buffer does not cover seq {seq}")
@@ -1466,7 +1463,7 @@ class TcpStack:
         #: (the demux tuple would collide).
         self._local_ports: dict[int, int] = {}
         self._next_ephemeral = 33000
-        node.register_protocol("tcp", self._on_packet)
+        node.register_protocol("tcp", self._on_packet, TCPHeader)
         self.rx_unmatched = 0
 
     # -- API ----------------------------------------------------------------------
@@ -1555,9 +1552,8 @@ class TcpStack:
             listener.backlog.try_put(conn)
 
     def _on_packet(self, node: "Node", packet: Packet, iface: "Interface | None") -> None:
-        # Index the header stack in place: ``popped()`` allocates a new
-        # Packet per layer via ``dataclasses.replace`` and this handler runs
-        # once per delivered segment.
+        # Index the header stack in place (this runs once per delivered
+        # segment); Node dispatch guarantees headers[1] is a TCPHeader.
         headers = packet.headers
         ip = headers[0]
         tcp = headers[1]

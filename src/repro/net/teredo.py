@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, Generator
 
-from repro.net.addresses import IPAddress, TEREDO_PREFIX, ipv4, is_teredo
+from repro.net.addresses import IPAddress, TEREDO_PREFIX, ipv4, is_hit, is_teredo
 from repro.net.packet import IPHeader, Packet
 from repro.net.udp import UdpStack
 from repro.net.wire import WireReader
@@ -154,14 +154,12 @@ class TeredoClient:
 
     # -- outbound ---------------------------------------------------------------
     def _output_shim(self, node: "Node", packet: Packet) -> Packet | None:
-        from repro.net.addresses import ORCHID_PREFIX
-
         ip = packet.outer
         if not isinstance(ip, IPHeader) or ip.family != 6:
             return packet
         if self.address is None or ip.dst == self.address:
             return packet
-        if ORCHID_PREFIX.contains(ip.dst):
+        if is_hit(ip.dst):
             return packet  # HITs belong to the HIP daemon, not the tunnel
         if is_teredo(ip.dst):
             self._tx.try_put(packet)
@@ -236,7 +234,7 @@ class TeredoRelay:
                 continue
             yield from self.node.cpu_work(5e-6)
             self.relayed += 1
-            if isinstance(data.outer, IPHeader):
+            if data.headers and isinstance(data.headers[0], IPHeader):
                 self.node._forward(data)
 
 

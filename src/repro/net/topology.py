@@ -86,12 +86,6 @@ def wire_cross_shard(
     return iface
 
 
-def default_route(node: Node, iface: Interface) -> None:
-    """Point both v4 and v6 default routes at ``iface``."""
-    node.routes.add(prefix("0.0.0.0/0"), iface)
-    node.routes.add(prefix("::/0"), iface)
-
-
 def lan_pair(
     sim: "Simulator",
     name_a: str = "a",

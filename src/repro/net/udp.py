@@ -55,7 +55,7 @@ class UdpStack:
         self.node = node
         self._sockets: dict[int, UdpSocket] = {}
         self._next_ephemeral = 49152
-        node.register_protocol("udp", self._on_packet)
+        node.register_protocol("udp", self._on_packet, UDPHeader)
         self.rx_dropped = 0
 
     def bind(self, port: int = 0) -> UdpSocket:
@@ -86,12 +86,10 @@ class UdpStack:
         self._sockets.pop(port, None)
 
     def _on_packet(self, node: "Node", packet: Packet, iface: "Interface | None") -> None:
-        ip, inner = packet.popped()
-        udp, body = inner.popped()
-        assert isinstance(udp, UDPHeader)
+        ip, udp = packet.headers[:2]  # Node dispatch checks udp is a UDPHeader
         sock = self._sockets.get(udp.dst_port)
         if sock is None or sock.closed:
             self.rx_dropped += 1
             return
-        if not sock.rx.try_put((body.payload, (ip.src, udp.src_port))):
+        if not sock.rx.try_put((packet.payload, (ip.src, udp.src_port))):
             self.rx_dropped += 1

@@ -76,10 +76,10 @@ TUNNEL_TRANSITIONS: frozenset[tuple[TunnelState, TunnelState]] = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class VpnRecordHeader(Header):
     """Per-packet tunnel overhead: record header + IV + MAC + pad + UDP encap."""
 
+    __slots__ = ()
     seq: int
     pad_len: int = 8
 
@@ -146,7 +146,8 @@ class SslVpnDaemon:
         iface.add_address(vpn_addr)
         node.routes.add(VPN_SUBNET, iface)
         node.add_output_shim(self._output_shim)
-        node.register_protocol("sslvpn", self._on_packet)
+        # Control messages carry no record header: _rx_worker checks its own.
+        node.register_protocol("sslvpn", self._on_packet, None)
         node.fluid_taxers.append(self._fluid_taxer)
 
         # peer vpn address -> (locator, peer public key)
@@ -228,9 +229,9 @@ class SslVpnDaemon:
             if kind is not None:
                 yield from self._handle_control(packet)
                 continue
-            ip, rest = packet.popped()
-            record, body = rest.popped()
-            if not isinstance(record, VpnRecordHeader) or not isinstance(body.payload, Packet):
+            headers = packet.headers
+            record = headers[1] if len(headers) > 1 else None
+            if not isinstance(record, VpnRecordHeader) or not isinstance(packet.payload, Packet):
                 self.drops += 1
                 continue
             peer_vpn = packet.meta.get("vpn_src")
@@ -238,7 +239,7 @@ class SslVpnDaemon:
             if tunnel is None or not tunnel.is_established:
                 self.drops += 1
                 continue
-            inner = body.payload
+            inner = packet.payload
             cm = self.node.cost_model
             cost = cm.tls_record_cost(inner.size_bytes)
             self.meter.charge("vpn.record.in", cost)

@@ -22,6 +22,7 @@ from repro.hip.identity import hit_from_public_key
 from repro.metrics import RECORDER
 from repro.net.addresses import ipv4
 from repro.net.icmp import IcmpStack
+from repro.net.packet import HIPHeader
 from repro.sim import Simulator
 from repro.tls import vpn
 from repro.tls.vpn import TUNNEL_TRANSITIONS, Tunnel, TunnelState, VpnError
@@ -37,7 +38,7 @@ VPN_BACKOFF_S = sum(vpn.RETRY_BASE_S * 2**n for n in range(vpn.HANDSHAKE_RETRIES
 def drop_inbound(node, proto: str, doomed) -> list:
     """Lose every ``proto`` packet arriving at ``node`` that ``doomed(packet)``
     selects; returns the list the dropped packets are collected in."""
-    deliver = node._protocol_handlers[proto]
+    deliver, header = node._protocol_handlers[proto]
     dropped: list = []
 
     def lossy(n, packet, iface) -> None:
@@ -46,7 +47,7 @@ def drop_inbound(node, proto: str, doomed) -> list:
         else:
             deliver(n, packet, iface)
 
-    node._protocol_handlers[proto] = lossy
+    node._protocol_handlers[proto] = (lossy, header)
     return dropped
 
 
@@ -126,7 +127,7 @@ def hip_r2_never_arrives(ids) -> None:
     assert db.assocs[da.hit].is_established and len(db._sa_in_by_spi) == 1
     # The path heals; the responder takes the new exchange on its
     # established association.
-    a._protocol_handlers["hip"] = da._on_hip_packet
+    a._protocol_handlers["hip"] = (da._on_hip_packet, HIPHeader)
     fresh = run_proc(sim, da.associate(db.hit))
     assert fresh is not failed and fresh.is_established
     assert len(db._sa_in_by_spi) == 1 and len(da._sa_in_by_spi) == 1

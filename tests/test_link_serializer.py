@@ -319,10 +319,10 @@ def test_ttl_one_is_dropped_and_counted_with_the_flow_cached(sim):
     a, router, rc, got = forwarding_triangle(sim)
     ping(sim, a, ttl=9)
     ping(sim, a, ttl=1)
-    ping(sim, a, ttl=1)  # same header object both times
+    ping(sim, a, ttl=1)  # an equal header both times
     assert router.dropped_ttl == 2
     assert len(got["b"]) == 1
-    assert all(hop[0].ttl > 1 for hop in router.routes._hops.values())
+    assert all(ip.ttl > 1 for ip in router.routes._hops)  # TTL 1 is never cached
 
 
 def test_forwarding_cache_is_bounded(sim):

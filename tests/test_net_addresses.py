@@ -110,6 +110,50 @@ class TestPrefix:
             prefix("10.0.0.0")
 
 
+# The range helpers are shift-compares on the address value; each must agree
+# with its prefix's ``contains`` everywhere, above all at the range edges.
+RANGES = ((is_hit, ORCHID_PREFIX), (is_lsi, LSI_PREFIX), (is_teredo, TEREDO_PREFIX))
+
+
+def _edges(p: Prefix) -> list[IPAddress]:
+    bits, shift = p.network.bits, p.network.bits - p.length
+    first, last = p.network.value, p.network.value | ((1 << shift) - 1)
+    values = {0, (1 << bits) - 1, first, last, first - 1, last + 1}
+    return [IPAddress(p.network.family, v) for v in sorted(values) if 0 <= v < 1 << bits]
+
+
+@pytest.mark.parametrize("helper,p", RANGES, ids=["hit", "lsi", "teredo"])
+def test_range_helpers_agree_with_prefix_at_the_edges(helper, p):
+    for addr in _edges(ORCHID_PREFIX) + _edges(LSI_PREFIX) + _edges(TEREDO_PREFIX):
+        assert helper(addr) == p.contains(addr), addr
+
+
+@given(st.sampled_from([4, 6]), st.integers(0, 2**128 - 1), st.data())
+def test_range_helpers_agree_with_prefix_contains(family, raw, data):
+    value = raw % (1 << (32 if family == 4 else 128))
+    # Half the draws land inside a range, where a random address almost never would.
+    if data.draw(st.booleans()):
+        p = data.draw(st.sampled_from([ORCHID_PREFIX, LSI_PREFIX, TEREDO_PREFIX]))
+        family, shift = p.network.family, p.network.bits - p.length
+        value = p.network.value | (raw & ((1 << shift) - 1))
+    addr = IPAddress(family, value)
+    for helper, p in RANGES:
+        assert helper(addr) == p.contains(addr)
+
+
+def test_hip_output_shim_never_scans_a_prefix(hip_pair, monkeypatch):
+    """Classifying a locally sent packet (LSI, HIT or neither) reaches no
+    ``Prefix.contains``: the per-packet shim is shift-compares only."""
+    sim, a, b, da, db = hip_pair
+    calls = []
+    real = Prefix.contains
+    monkeypatch.setattr(Prefix, "contains", lambda self, addr: calls.append(addr) or real(self, addr))
+    src = {4: ipv4("10.0.0.1"), 6: da.hit}
+    for dst in (da.lsi_for_peer(db.hit), db.hit, ipv4("10.0.0.2")):
+        da._output_shim(a, Packet((IPHeader(src[dst.family], dst, "udp"), UDPHeader(1, 2))))
+    assert calls == []
+
+
 class TestPacket:
     def _tcp_packet(self, payload=b"data"):
         return Packet(
