@@ -45,16 +45,25 @@ class IperfServer:
     def measure_once(self) -> Generator:
         """Process-generator: serve one sender; returns IperfResult."""
         conn = yield self.listener.accept()
+        sim = self.sim
+        eof = sim.event()
         first_at = None
         total = 0
-        while True:
-            chunk = yield conn.recv()
-            if isinstance(chunk, (bytes, bytearray)) and len(chunk) == 0:
-                break
-            if first_at is None:
-                first_at = self.sim.now
-            total += len(chunk)
-        end = self.sim.now
+
+        # Counted at delivery: no process wake per chunk, one at EOF.
+        def count(chunk) -> None:
+            nonlocal first_at, total
+            n = len(chunk)
+            if n:
+                if first_at is None:
+                    first_at = sim.now
+                total += n
+            elif not eof.triggered:
+                eof.succeed()
+
+        conn.consume(count)
+        yield eof
+        end = sim.now
         start = first_at if first_at is not None else end
         return IperfResult(
             bytes_received=total, duration=max(end - start, 1e-9), first_byte_at=start,

@@ -90,12 +90,18 @@ def migrate_vm(
 
     def receiver() -> Generator:
         conn = yield listener.accept()
+        eof = sim.event()
         total = 0
-        while True:
-            chunk = yield conn.recv()
-            if isinstance(chunk, (bytes, bytearray)) and len(chunk) == 0:
-                break
-            total += len(chunk)
+
+        def count(chunk) -> None:  # at delivery, no wake per chunk
+            nonlocal total
+            if len(chunk):
+                total += len(chunk)
+            elif not eof.triggered:
+                eof.succeed()
+
+        conn.consume(count)
+        yield eof
         received["bytes"] = total
 
     recv_proc = sim.process(receiver(), name=f"migrate-recv-{vm.name}")

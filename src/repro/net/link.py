@@ -16,11 +16,10 @@ cross-shard :class:`~repro.sim.shard.ShardPortal`.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from repro.metrics import METRICS, RECORDER
-from repro.sim.engine import _KIND_CALL, TimerHandle
+from repro.sim.engine import TimerHandle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Interface
@@ -290,16 +289,7 @@ class LinkEndpoint(Serializer):
         else:
             handle = TimerHandle(self.sim, self._deliver_cb, (packet, size))
         ring.append(handle)
-        # Inlined ``TimerHandle.rearm`` at the absolute arrival time (``now +
-        # (when - now)`` need not round-trip to ``when``); the departure is
-        # never in the past and delay_s is validated >= 0.
-        sim = self.sim
-        # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this link's own simulator, not cross-shard state
-        sim._seq += 1
-        seq = sim._seq
-        handle._when = when = depart + self.delay_s
-        handle._entry_seq = seq
-        heappush(sim._heap, (when, seq, _KIND_CALL, handle))
+        handle.rearm_at(depart + self.delay_s)
 
     def _lose(self) -> bool:
         """Loss decision for one transmitted packet (only called when lossy)."""

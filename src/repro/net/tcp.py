@@ -47,11 +47,9 @@ stream machinery is agnostic between them.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.metrics import METRICS, RECORDER
-from repro.sim.engine import _KIND_CALL
 from repro.net.addresses import IPAddress
 from repro.net.packet import Packet, Payload, TCPHeader, VirtualPayload
 from repro.sim.resources import Queue
@@ -248,6 +246,9 @@ class TcpConnection:
         self.rcv_nxt = 0
         self.ooo: dict[int, tuple[Payload, bool]] = {}  # seq -> (payload, fin)
         self.rx = Queue(self.sim)
+        #: Where in-order stream data and the ``b""`` EOF marker go: the rx
+        #: queue's put, or the sink installed by :meth:`consume`.
+        self._deliver: Callable[[Payload], object] = self.rx.try_put
         self._leftover: Payload | None = None  # partial chunk from recv_bytes
         self._peer_fin_seen = False
         # Delayed ACKs (RFC 1122): ack every 2nd in-order segment, or after
@@ -292,7 +293,31 @@ class TcpConnection:
 
     def recv(self):
         """Event yielding the next in-order chunk (``b""`` signals EOF)."""
+        if self._deliver != self.rx.try_put:
+            raise TcpError("recv() on a stream handed to consume()")
         return self.rx.get()
+
+    def consume(self, fn: Callable[[Payload], object]) -> None:
+        """Hand the receive stream to ``fn`` instead of the rx queue.
+
+        Chunks already queued (a partial chunk kept by :meth:`recv_bytes`
+        first) go to ``fn`` now, in order.  From then on every in-order
+        chunk, and the ``b""`` EOF marker, goes to ``fn`` inline at
+        delivery: no process wakes per chunk.  ``fn`` runs inside the
+        delivery, so it must schedule nothing per chunk — it is for sinks
+        whose per-chunk work is local accounting.  After this, :meth:`recv`
+        raises :class:`TcpError`; the connection must have no waiting reader.
+        """
+        if self._deliver != self.rx.try_put:
+            raise TcpError("consume() on a stream already handed to consume()")
+        if self._leftover is not None:
+            chunk, self._leftover = self._leftover, None
+            fn(chunk)
+        ok, chunk = self.rx.try_get()
+        while ok:
+            fn(chunk)
+            ok, chunk = self.rx.try_get()
+        self._deliver = fn
 
     def recv_bytes(self, n: int) -> Generator:
         """Process-generator: accumulate exactly ``n`` stream bytes.
@@ -625,22 +650,15 @@ class TcpConnection:
     # -- timers -----------------------------------------------------------------------
     def _arm_timer(self) -> None:
         # Callback-lane timer, rearmed in place: no generator process, no
-        # Event, no per-arm name string.  Stale firings are skipped by the
-        # handle's lazy-deletion check in the engine.
+        # Event, no per-arm name string.  Runs twice per ACK; a rearm to a
+        # later time pushes nothing (see ``TimerHandle.rearm_at``).
         handle = self._rto_timer
         if handle is None:
             self._rto_timer = self.sim.call_later(
                 self.rto, TcpConnection._rto_fired, self
             )
         else:
-            # Inlined ``TimerHandle.rearm`` (self.rto is clamped > 0).
-            sim = self.sim
-            # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this connection's own simulator (PR 5), not cross-shard state
-            sim._seq += 1
-            seq = sim._seq
-            handle._when = when = sim._now + self.rto
-            handle._entry_seq = seq
-            heappush(sim._heap, (when, seq, _KIND_CALL, handle))
+            handle.rearm(self.rto)
 
     def _cancel_timer(self) -> None:
         if self._rto_timer is not None:
@@ -1206,13 +1224,13 @@ class TcpConnection:
         if n <= 0:
             self._fluid_exit("complete")
             return
-        # Deliver the stream slice(s) to the peer's receive queue exactly as
+        # Deliver the stream slice(s) to the peer's receiver exactly as
         # per-packet _accept_data would, minus the segment events.
         seq = self.snd_nxt
         end = seq + n
         while seq < end:
             piece = self._gather(seq, end - seq)
-            peer.rx.try_put(piece)
+            peer._deliver(piece)
             seq += len(piece)
         self.snd_nxt = end
         self.snd_una = end
@@ -1334,14 +1352,7 @@ class TcpConnection:
                     DELACK_TIMEOUT, TcpConnection._delack_fired, self
                 )
             else:
-                # Inlined ``TimerHandle.rearm`` (constant positive delay).
-                sim = self.sim
-                # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this connection's own simulator (PR 5), not cross-shard state
-                sim._seq += 1
-                seq = sim._seq
-                handle._when = when = sim._now + DELACK_TIMEOUT
-                handle._entry_seq = seq
-                heappush(sim._heap, (when, seq, _KIND_CALL, handle))
+                handle.rearm(DELACK_TIMEOUT)
 
     def _ack_now(self) -> None:
         self._delack_pending = 0
@@ -1357,11 +1368,11 @@ class TcpConnection:
         if plen:
             self.rcv_nxt += plen
             self.bytes_received += plen
-            self.rx.try_put(payload)
+            self._deliver(payload)
         if fin:
             self.rcv_nxt += 1
             self._peer_fin_seen = True
-            self.rx.try_put(b"")  # EOF marker
+            self._deliver(b"")  # EOF marker
             self._maybe_finish()
 
     def _maybe_finish(self) -> None:
@@ -1414,7 +1425,7 @@ class TcpConnection:
         if not self._closed_evt.triggered:
             self._closed_evt.succeed(error)
         if error is not None:
-            self.rx.try_put(b"")  # unblock readers with EOF
+            self._deliver(b"")  # unblock readers with EOF
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -135,10 +135,14 @@ def _bufferbloat_once(
         # queue — that is the bufferbloat condition.
         listener = tcp_b.listen(5001, recv_window=2_000_000)
         conn = yield listener.accept()
-        while True:
-            chunk = yield conn.recv()
-            if isinstance(chunk, (bytes, bytearray)) and len(chunk) == 0:
-                return
+        eof = sim.event()
+
+        def discard(chunk) -> None:  # at delivery, no wake per chunk
+            if len(chunk) == 0 and not eof.triggered:
+                eof.succeed()
+
+        conn.consume(discard)
+        yield eof
 
     def main():
         base = yield sim.process(
@@ -220,20 +224,18 @@ def run_fairness(
     t_start = warmup
     t_end = warmup + duration
 
-    def serve(idx, conn):
-        while True:
-            chunk = yield conn.recv()
-            if isinstance(chunk, (bytes, bytearray)) and len(chunk) == 0:
-                return
-            now = sim.now
-            if t_start <= now <= t_end:
+    def sink(idx):
+        # Counted at delivery, no process wake per chunk (EOF adds 0).
+        def count(chunk) -> None:
+            if t_start <= sim.now <= t_end:
                 received[idx] += len(chunk)
+        return count
 
     def server():
         listener = tcp_b.listen(5001)
         for idx in range(n_flows):
             conn = yield listener.accept()
-            sim.process(serve(idx, conn), name=f"fair-sink-{idx}")
+            conn.consume(sink(idx))
 
     def client(idx):
         # Staggered joins, like tenants arriving one after another.

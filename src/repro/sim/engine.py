@@ -9,7 +9,10 @@ The scheduler has two lanes sharing one heap, ordered by ``(when, seq)``:
   :meth:`Simulator.call_at`.  No ``Event`` is allocated, cancellation is
   lazy (a stale heap entry pops as a no-op), and a handle can be rearmed
   in place, so per-packet machinery (link delivery, TCP retransmission
-  timers) costs one heap tuple instead of a generator process.
+  timers) costs one heap tuple instead of a generator process.  A rearm
+  to a time no earlier than the handle's heaped entry pushes nothing: the
+  entry carries the new ``(when, seq)`` and is re-pushed when it surfaces
+  (see :meth:`TimerHandle.rearm_at`).
 
 Both lanes draw sequence numbers from the same counter, so same-timestamp
 entries fire strictly in scheduling order regardless of lane — the
@@ -35,6 +38,9 @@ _KIND_CALL = 1
 #: Sentinel: "call fn with no argument" (None must stay passable as an arg).
 _NO_ARG = object()
 
+#: ``TimerHandle._heap_when`` of a handle with no heaped entry.
+_INF = float("inf")
+
 
 class StopProcess(Exception):
     """Raised by ``Simulator.run(until=...)`` helpers to abort a run."""
@@ -48,13 +54,20 @@ class TimerHandle:
     """Cancellable handle for a callback-lane timer.
 
     Cancellation is *lazy*: :meth:`cancel` invalidates the handle and the
-    already-pushed heap entry is skipped when it surfaces, so cancelling is
-    O(1) with no heap surgery.  :meth:`rearm` reschedules the same handle
-    (same ``fn``/``arg``) at a new delay, invalidating any pending entry —
-    the idiom for self-rearming protocol timers (TCP RTO).
+    already-pushed heap entry stays heaped, so cancelling is O(1) with no
+    heap surgery.  :meth:`rearm` / :meth:`rearm_at` reschedule the same
+    handle (same ``fn``/``arg``), invalidating any pending firing — the
+    idiom for self-rearming protocol timers (TCP RTO).
+
+    The handle's live firing is ``(_when, _entry_seq)``; ``_entry_seq`` is
+    -1 when nothing is pending.  Separately it tracks the one heap entry it
+    may reuse, ``(_heap_when, _heap_seq)`` (``_heap_when`` is ``inf`` when
+    there is none).  The two differ while a later rearm is *deferred*: when
+    the tracked entry surfaces, the engine re-pushes it at the live
+    ``(when, seq)``, or retires it if the handle was cancelled meanwhile.
     """
 
-    __slots__ = ("_sim", "_fn", "_arg", "_when", "_entry_seq")
+    __slots__ = ("_sim", "_fn", "_arg", "_when", "_entry_seq", "_heap_when", "_heap_seq")
 
     def __init__(self, sim: "Simulator", fn: Callable, arg: Any) -> None:
         self._sim = sim
@@ -62,6 +75,8 @@ class TimerHandle:
         self._arg = arg
         self._when = -1.0
         self._entry_seq = -1
+        self._heap_when = _INF
+        self._heap_seq = -1
 
     @property
     def when(self) -> float:
@@ -74,25 +89,43 @@ class TimerHandle:
         return self._entry_seq >= 0
 
     def cancel(self) -> bool:
-        """Deactivate the timer; returns whether it was still pending."""
+        """Deactivate the timer; returns whether it was still pending.
+
+        The heaped entry stays where it is, so a later rearm can reuse it.
+        """
         if self._entry_seq < 0:
             return False
         self._entry_seq = -1
         return True
 
     def rearm(self, delay: float) -> "TimerHandle":
-        """(Re)schedule this timer ``delay`` seconds from now; returns self.
-
-        Any previously pending firing is cancelled — the handle tracks only
-        its newest heap entry.
-        """
+        """(Re)schedule this timer ``delay`` seconds from now; returns self."""
         if delay < 0:
             raise ValueError(f"negative timer delay: {delay!r}")
+        return self.rearm_at(self._sim._now + delay)
+
+    def rearm_at(self, due: float) -> "TimerHandle":
+        """(Re)schedule this timer at absolute time ``due``; returns self.
+
+        Any previously pending firing is cancelled.  The sequence number is
+        drawn now, so the firing orders at ``(due, seq)`` exactly as a fresh
+        push would.  If the handle's heaped entry is due no later than
+        ``due``, nothing is pushed: that entry carries the new firing and is
+        re-pushed at ``(due, seq)`` when it surfaces — before anything it
+        could overtake.  Only a handle with no heaped entry (new or fired),
+        or a rearm to an *earlier* time, pushes.
+        """
         sim = self._sim
+        if due < sim._now:
+            raise ValueError(f"timer rearmed into the past: {due} < {sim._now}")
         sim._seq += 1
-        self._when = sim._now + delay
-        self._entry_seq = sim._seq
-        heappush(sim._heap, (self._when, sim._seq, _KIND_CALL, self))
+        seq = sim._seq
+        self._when = due
+        self._entry_seq = seq
+        if self._heap_when > due:
+            self._heap_when = due
+            self._heap_seq = seq
+            heappush(sim._heap, (due, seq, _KIND_CALL, self))
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -166,9 +199,9 @@ class Simulator:
         # this is the hottest scheduling entry point.
         handle = TimerHandle(self, fn, arg)
         self._seq += 1
-        handle._when = self._now + delay
-        handle._entry_seq = self._seq
-        heappush(self._heap, (handle._when, self._seq, _KIND_CALL, handle))
+        handle._when = handle._heap_when = when = self._now + delay
+        handle._entry_seq = handle._heap_seq = seq = self._seq
+        heappush(self._heap, (when, seq, _KIND_CALL, handle))
         return handle
 
     def call_at(self, when: float, fn: Callable, arg: Any = _NO_ARG) -> TimerHandle:
@@ -177,7 +210,7 @@ class Simulator:
             raise ValueError(f"call_at into the past: {when} < {self._now}")
         if not callable(fn):
             raise TypeError(f"call_at fn must be callable, got {fn!r}")
-        return TimerHandle(self, fn, arg).rearm(when - self._now)
+        return TimerHandle(self, fn, arg).rearm_at(when)
 
     # -- scheduling (internal) ------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
@@ -240,19 +273,30 @@ class Simulator:
 
     # -- run loop --------------------------------------------------------------
     def step(self) -> None:
-        """Pop and dispatch one heap entry (either lane)."""
-        when, seq, kind, payload = heappop(self._heap)
+        """Pop one heap entry (either lane) and dispatch it if it is live."""
+        heap = self._heap
+        when, seq, kind, payload = heappop(heap)
         self._now = when
         if kind:
-            # Callback lane.  A stale entry (cancelled or rearmed handle)
-            # no longer matches the handle's live sequence number: skip.
+            # Callback lane.  The entry is live iff it carries the handle's
+            # pending sequence number.  Otherwise, if it is the handle's
+            # tracked entry, re-push it at a deferred rearm or retire it;
+            # any other stale entry is skipped.
             if payload._entry_seq == seq:
                 payload._entry_seq = -1
+                payload._heap_when = _INF
                 arg = payload._arg
                 if arg is _NO_ARG:
                     payload._fn()
                 else:
                     payload._fn(arg)
+            elif payload._heap_seq == seq:
+                if payload._entry_seq >= 0:
+                    payload._heap_when = due = payload._when
+                    payload._heap_seq = seq = payload._entry_seq
+                    heappush(heap, (due, seq, _KIND_CALL, payload))
+                else:
+                    payload._heap_when = _INF
         else:
             callbacks = payload.callbacks
             payload.callbacks = []
@@ -280,35 +324,47 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` if none.
 
-        May report a cancelled timer's deadline: stale callback-lane entries
-        stay heaped until they surface (lazy deletion).
+        May report a dead entry's time: a cancelled timer's deadline, or a
+        rearmed timer's earlier entry that will surface only to be re-pushed
+        (lazy deletion and deferred rearms keep them heaped).
         """
-        return self._heap[0][0] if self._heap else float("inf")
+        return self._heap[0][0] if self._heap else _INF
 
     def peek_live(self) -> float:
         """Time of the next *live* entry, or ``inf`` if none.
 
-        Unlike :meth:`peek`, leading stale callback-lane entries (cancelled
-        or rearmed handles awaiting lazy deletion) are popped off the heap
-        first — they would dispatch as no-ops anyway, so removing them is
-        observably identical and deterministic.  The sharded coordinator
-        uses this as its adaptive-lookahead hint: a dead RTO timer must not
-        cap how far an idle shard's window can stretch.
+        Unlike :meth:`peek`, leading callback-lane entries that would not
+        dispatch are settled first, exactly as the run loop settles them:
+        a stale entry is popped, a tracked entry carrying a deferred rearm
+        is re-pushed at its live ``(when, seq)``, a cancelled one retired.
+        None of this runs a callback, so it is observably identical and
+        deterministic.  The sharded coordinator uses this as its
+        adaptive-lookahead hint: a dead RTO timer must not cap how far an
+        idle shard's window can stretch.
         """
         heap = self._heap
         while heap:
-            entry = heap[0]
-            if entry[2] == _KIND_CALL and entry[3]._entry_seq != entry[1]:
-                heappop(heap)
-                continue
-            return entry[0]
-        return float("inf")
+            when, seq, kind, payload = heap[0]
+            if not kind or payload._entry_seq == seq:
+                return when
+            heappop(heap)
+            if payload._heap_seq == seq:
+                if payload._entry_seq >= 0:
+                    payload._heap_when = due = payload._when
+                    payload._heap_seq = seq = payload._entry_seq
+                    heappush(heap, (due, seq, _KIND_CALL, payload))
+                else:
+                    payload._heap_when = _INF
+        return _INF
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
 
         ``until`` may be:
-          * ``None`` — run until the event heap drains;
+          * ``None`` — run until the event heap drains.  ``now`` is then the
+            time of the last entry popped, live or dead: a cancelled timer's
+            entry is retired when it surfaces, at its own (possibly earlier
+            than last armed) time;
           * a number — run until that absolute simulated time;
           * an :class:`Event` — run until it fires, returning its value
             (re-raising its exception if it failed).
@@ -320,7 +376,9 @@ class Simulator:
         steps = 0
         heap = self._heap
         pop = heappop
+        push = heappush
         no_arg = _NO_ARG
+        inf = _INF
         try:
             if until is None:
                 while heap:
@@ -330,11 +388,19 @@ class Simulator:
                     if kind:
                         if payload._entry_seq == seq:
                             payload._entry_seq = -1
+                            payload._heap_when = inf
                             arg = payload._arg
                             if arg is no_arg:
                                 payload._fn()
                             else:
                                 payload._fn(arg)
+                        elif payload._heap_seq == seq:
+                            if payload._entry_seq >= 0:
+                                payload._heap_when = due = payload._when
+                                payload._heap_seq = seq = payload._entry_seq
+                                push(heap, (due, seq, _KIND_CALL, payload))
+                            else:
+                                payload._heap_when = inf
                     else:
                         callbacks = payload.callbacks
                         payload.callbacks = []
@@ -359,11 +425,19 @@ class Simulator:
                     if kind:
                         if payload._entry_seq == seq:
                             payload._entry_seq = -1
+                            payload._heap_when = inf
                             arg = payload._arg
                             if arg is no_arg:
                                 payload._fn()
                             else:
                                 payload._fn(arg)
+                        elif payload._heap_seq == seq:
+                            if payload._entry_seq >= 0:
+                                payload._heap_when = due = payload._when
+                                payload._heap_seq = seq = payload._entry_seq
+                                push(heap, (due, seq, _KIND_CALL, payload))
+                            else:
+                                payload._heap_when = inf
                     else:
                         callbacks = payload.callbacks
                         payload.callbacks = []
@@ -386,11 +460,19 @@ class Simulator:
                 if kind:
                     if payload._entry_seq == seq:
                         payload._entry_seq = -1
+                        payload._heap_when = inf
                         arg = payload._arg
                         if arg is no_arg:
                             payload._fn()
                         else:
                             payload._fn(arg)
+                    elif payload._heap_seq == seq:
+                        if payload._entry_seq >= 0:
+                            payload._heap_when = due = payload._when
+                            payload._heap_seq = seq = payload._entry_seq
+                            push(heap, (due, seq, _KIND_CALL, payload))
+                        else:
+                            payload._heap_when = inf
                 else:
                     callbacks = payload.callbacks
                     payload.callbacks = []

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps.iperf import IperfResult, IperfServer, iperf_client, run_iperf
 from repro.apps.workload import ClosedLoopClients, OpenLoopGenerator, Sample, WorkloadResult
+from repro.metrics import METRICS
 from repro.metrics.stats import describe, mean, percentile, stdev
 from repro.net.addresses import ipv4
 from repro.net.tcp import TcpStack
@@ -195,3 +196,19 @@ class TestIperf:
         sim.run(until=proc)
         # 8 KB window over ~10.2 ms RTT: ~6.3 Mbit/s ceiling.
         assert out["result"].throughput_mbps < 8
+
+    def test_bulk_path_pops_one_event_per_link_transmission(self, sim):
+        """The smoke-size iperf job: besides one delivery per link
+        transmission the engine pops almost nothing.  A process wake per
+        segment or a heap push per ACK would add thousands of steps."""
+        a, b = lan_pair(sim, "sender", "receiver")
+        ta, tb = TcpStack(a), TcpStack(b)
+        METRICS.reset()
+        try:
+            result = sim.run(until=sim.process(run_iperf(tb, ta, B, n_bytes=2_000_000)))
+            steps = METRICS.counter("sim.steps").value
+            tx_packets = METRICS.counter("link.tx_packets").value
+        finally:
+            METRICS.reset()
+        assert result.bytes_received == 2_000_000
+        assert steps <= tx_packets + 16, (steps, tx_packets)

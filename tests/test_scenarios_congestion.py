@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -84,10 +85,16 @@ class TestLossSweep:
             run_loss_sweep(modes=("carrier-pigeon",), loss_rates=(0.0,))
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "congestion_smoke.json"
+
+
 class TestMatrix:
     def test_smoke_matrix_writes_metrics_reports(self, tmp_path):
-        summary = run_matrix(tmp_path, smoke=True, seed=11)
-        assert set(summary["scenarios"]) == {
+        """Each scenario's simulated results equal the recorded ones, value
+        for value (CI's congestion-matrix job checks the same file)."""
+        golden = json.loads(GOLDEN.read_text())
+        summary = run_matrix(tmp_path, smoke=True, seed=golden["seed"])
+        assert set(summary["scenarios"]) == set(golden["scenarios"]) == {
             "lossy_link", "bufferbloat", "fairness", "loss_sweep",
         }
         for name, result in summary["scenarios"].items():
@@ -96,3 +103,4 @@ class TestMatrix:
             payload = json.loads(report_path.read_text())
             assert payload["schema"] == "repro-metrics/1"
             assert payload["extra"] == result
+            assert payload["extra"] == golden["scenarios"][name], name
