@@ -6,12 +6,12 @@ is deterministic: all stochastic draws flow through named
 This package *enforces* that discipline mechanically:
 
 * :mod:`repro.analysis.rules` — repo-specific AST checkers (rule ids
-  ``DET001``..., see ``--list-rules``);
+  ``DET001``..., see ``--list-rules``), among them ``SEC002``: MACs are
+  compared with ``ct_equal``, never ``==`` (key material needs no rule: it is
+  a :class:`repro.crypto.secret.Secret`, which refuses ``==`` and printing);
 * :mod:`repro.analysis.statemachine` — the HIP and VPN machines move only
   through ``_transition`` (which enforces the edge table kept beside each
   ``StrEnum``) and spell states as enum members (``CONF001``, ``CONF003``);
-* :mod:`repro.analysis.dataflow` — summary-based secret-flow analysis over
-  the whole-program call graph (``SEC001``-``SEC004``);
 * :mod:`repro.analysis.validation` — received bytes are read through
   :class:`repro.net.wire.WireReader`, never raw ``struct.unpack``
   (``VAL001``);

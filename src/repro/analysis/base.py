@@ -4,7 +4,7 @@ One protocol serves every rule.  The runner hands each registered
 :class:`Rule` the whole analyzed set (:class:`ProgramContext`); a rule that
 only needs one module at a time is the same thing iterated over
 ``pctx.contexts``, and a family of rules fed by one whole-program pass
-(secret flow, hot-path discipline) names that pass as data.
+(hot-path discipline) names that pass as data.
 Where a rule binds is data too (:class:`Scope`), evaluated by
 :func:`in_scope` and nothing else.
 """

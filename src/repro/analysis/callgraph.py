@@ -1,16 +1,16 @@
 """Whole-program call graph over the ``repro`` package.
 
 The per-module rules (``rules``, ``isolation``, ``lifecycle``) stop at
-function boundaries; the whole-program families (SEC, PERF) need
-to know *who calls whom* across the whole tree.  This module builds
+function boundaries; the hot-path family (PERF) needs to know *who calls
+whom* across the whole tree.  This module builds
 that graph statically from the ASTs the runner already parsed:
 
 * :class:`ProgramIndex` — every module, class and function in the analyzed
   set, keyed by dotted qualname (``repro.net.tcp.TcpConnection._pump``),
   plus per-module import aliases;
 * :class:`CallGraph` — caller→callee edges with CHA-style method
-  resolution, per-call-site target sets, and Tarjan SCCs in callee-first
-  order for the dataflow fixpoint (:mod:`repro.analysis.dataflow`).
+  resolution and per-call-site target sets (the PERF hot walk follows
+  those).
 
 Method resolution is class-hierarchy based and name-driven, the same
 bargain as the rest of the analysis package:
@@ -70,11 +70,6 @@ class FunctionInfo:
     name: str  # _pump
     class_name: str | None  # TcpConnection, or None for module functions
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    params: tuple[str, ...] = ()
-
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
 
 
 @dataclass
@@ -86,12 +81,6 @@ class ClassInfo:
     name: str
     bases: tuple[str, ...]
     methods: dict[str, str] = field(default_factory=dict)
-
-
-def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
-    args = node.args
-    names = [a.arg for a in args.posonlyargs] + [a.arg for a in args.args]
-    return tuple(names)
 
 
 def _base_name(node: ast.expr) -> str | None:
@@ -155,7 +144,6 @@ class ProgramIndex:
                 name=node.name,
                 class_name=class_info.name if class_info else None,
                 node=node,
-                params=_param_names(node),
             )
             self.functions[qualname] = info
             if class_info is not None:
@@ -235,7 +223,7 @@ class CallGraph:
     def __init__(self, index: ProgramIndex) -> None:
         self.index = index
         self.edges: dict[str, tuple[str, ...]] = {}
-        #: id(ast.Call node) -> resolved callee qualnames (for dataflow)
+        #: id(ast.Call node) -> resolved callee qualnames (for the PERF walk)
         self.call_targets: dict[int, tuple[str, ...]] = {}
 
     @classmethod
@@ -383,65 +371,6 @@ class CallGraph:
             if local is not None:
                 return (local,)
         return ()
-
-    # -- queries -------------------------------------------------------------
-    def callees(self, qualname: str) -> tuple[str, ...]:
-        return self.edges.get(qualname, ())
-
-    def sccs(self) -> list[tuple[str, ...]]:
-        """Tarjan SCCs, emitted callees-first (reverse topological order of
-        the condensation) — exactly the order a bottom-up summary fixpoint
-        wants to process them in.  Iterative: the repo's call chains are
-        deeper than the default recursion limit allows for."""
-        index_of: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        out: list[tuple[str, ...]] = []
-        counter = [0]
-
-        def strongconnect(root: str) -> None:
-            work = [(root, iter(self.edges.get(root, ())))]
-            index_of[root] = lowlink[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for succ in it:
-                    if succ not in self.edges:
-                        continue
-                    if succ not in index_of:
-                        index_of[succ] = lowlink[succ] = counter[0]
-                        counter[0] += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(self.edges.get(succ, ()))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index_of[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index_of[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    out.append(tuple(sorted(component)))
-
-        for qualname in sorted(self.edges):
-            if qualname not in index_of:
-                strongconnect(qualname)
-        return out
 
 
 def _scope_chain(qualname: str) -> tuple[str, ...]:

@@ -2,7 +2,8 @@
 
 Scope: ``DET*``, ``MET*`` and ``EXC*`` bind inside the ``repro`` package
 (product code), where the determinism contract and the recorder-guard idiom
-hold; ``ARG*`` binds everywhere the analyzer looks.  Each rule documents the
+hold; ``SEC002`` binds in the HIP and TLS stacks, where MACs are checked;
+``ARG*`` binds everywhere the analyzer looks.  Each rule documents the
 failure mode it guards against — these are the exact mistakes that would
 silently invalidate EXPERIMENTS.md.
 """
@@ -11,7 +12,14 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.base import EVERYWHERE, ModuleContext, Rule, Scope, register
+from repro.analysis.base import (
+    EVERYWHERE,
+    ModuleContext,
+    Rule,
+    Scope,
+    call_name,
+    register,
+)
 
 # ------------------------------------------------------------------ DET001 --
 
@@ -280,6 +288,47 @@ class BroadExceptChecker(Rule):
                 "log or re-raise",
             )
         self.generic_visit(node)
+
+
+# ------------------------------------------------------------------ SEC002 --
+
+_MAC_CALLS = frozenset({"digest", "hmac_digest", "tls_verify_data"})
+
+
+def _is_mac(node: ast.expr, macs: frozenset[str] = frozenset()) -> bool:
+    """A MAC call (truncated or not), or a local in ``macs`` bound to one."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id in macs
+    return isinstance(node, ast.Call) and call_name(node.func) in _MAC_CALLS
+
+
+@register
+class MacCompareChecker(Rule):
+    """``==`` on a MAC short-circuits at the first differing byte, so a timing
+    attacker can forge it a byte at a time (keys are ``Secret``s: ``==`` raises)."""
+
+    rule = "SEC002"
+    description = "a MAC (or a local bound to one) compared with ==/!=, not ct_equal"
+    scope = Scope(product=True, within=("hip", "tls"))
+
+    def _visit_function(self, node) -> None:
+        body = list(ast.walk(node))
+        macs = frozenset(
+            t.id for s in body if isinstance(s, ast.Assign) and _is_mac(s.value)
+            for t in s.targets if isinstance(t, ast.Name)
+        )
+        for sub in body:
+            if (
+                isinstance(sub, ast.Compare)
+                and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in sub.ops)
+                and any(_is_mac(x, macs) for x in (sub.left, *sub.comparators))
+            ):
+                self.report(sub, "MAC compared with ==/!=, which short-circuits "
+                            "on the first differing byte; use ct_equal")
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_function
 
 
 # ------------------------------------------------------------------ ARG001 --

@@ -6,8 +6,8 @@ finding survives, 2 on usage errors.  Without ``--strict`` the suppression
 hygiene meta-rules (ANA001/ANA002) are reported but do not gate.
 
 Each file is parsed exactly once and every rule is handed the same
-:class:`~repro.analysis.base.ProgramContext` — call graph and dataflow
-summaries are built once per run, not per rule.  Per-rule wall time lands
+:class:`~repro.analysis.base.ProgramContext` — the call graph is built
+once per run, not per rule.  Per-rule wall time lands
 in the JSON report's ``timings`` map.
 """
 
@@ -36,7 +36,6 @@ import repro.analysis.isolation  # noqa: F401  (registration side effect)
 import repro.analysis.lifecycle  # noqa: F401  (registration side effect)
 import repro.analysis.rules  # noqa: F401  (registration side effect)
 import repro.analysis.statemachine  # noqa: F401  (registration side effect)
-import repro.analysis.dataflow  # noqa: F401  (registration side effect)
 import repro.analysis.validation  # noqa: F401  (registration side effect)
 import repro.analysis.perf  # noqa: F401  (registration side effect)
 
@@ -49,7 +48,7 @@ _FAMILY_TITLES = {
     "ISO": "shard isolation",
     "LIF": "handle lifecycle",
     "PERF": "hot-path discipline",
-    "SEC": "secret flow",
+    "SEC": "MAC comparison",
     "VAL": "wire-input validation",
 }
 

@@ -237,7 +237,6 @@ class DbClient:
             from repro.tls.connection import tls_client_handshake
 
             tls = yield from tls_client_handshake(
-                # repro: ignore[SEC004] -- tuple-insensitive over-approximation: only session[0] (the public session id) reaches the wire; the master secret element feeds the key schedule, never a sink
                 conn, self.node, self.rng, session=self._session
             )
             self._session = (tls.session_id, tls.master_secret)

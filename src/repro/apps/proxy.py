@@ -34,6 +34,7 @@ from repro.net.tcp import TcpError, TcpStack
 from repro.sim.resources import Queue
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.crypto.secret import Secret
     from repro.net.addresses import IPAddress
     from repro.net.node import Node
 
@@ -110,7 +111,7 @@ class ReverseProxy:
         self._pools: dict[int, Queue] = {id(b): Queue(self.sim) for b in backends}
         self._pool_sizes: dict[int, int] = {id(b): 0 for b in backends}
         self._max_pool = max_pool_per_backend
-        self._tls_sessions: dict[int, tuple[bytes, bytes]] = {}
+        self._tls_sessions: dict[int, tuple[bytes, Secret]] = {}
         self.listener = tcp.listen(port)
         self.sim.process(self._accept_loop(), name=f"proxy-accept-{node.name}")
 

@@ -15,7 +15,13 @@ from repro.crypto.aes import AES
 from repro.crypto.costmodel import CostModel, CryptoMeter
 from repro.crypto.dh import DHKeyPair, DHParams, MODP_GROUPS
 from repro.crypto.ecc import EcdsaKeyPair, P256
-from repro.crypto.hmac_kdf import ct_equal, hkdf_expand, hkdf_extract, hmac_digest
+from repro.crypto.hmac_kdf import (
+    ct_equal,
+    hkdf_expand,
+    hkdf_extract,
+    hmac_digest,
+    tls_verify_data,
+)
 from repro.crypto.modes import (
     cbc_decrypt,
     cbc_encrypt,
@@ -26,6 +32,7 @@ from repro.crypto.modes import (
 from repro.crypto.numtheory import is_probable_prime, modinv, random_prime
 from repro.crypto.puzzle import Puzzle, solve_puzzle, verify_solution
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
+from repro.crypto.secret import Secret
 from repro.crypto.sha import sha1, sha256
 
 __all__ = [
@@ -40,6 +47,7 @@ __all__ = [
     "Puzzle",
     "RsaKeyPair",
     "RsaPublicKey",
+    "Secret",
     "cbc_decrypt",
     "cbc_encrypt",
     "ct_equal",
@@ -55,5 +63,6 @@ __all__ = [
     "sha1",
     "sha256",
     "solve_puzzle",
+    "tls_verify_data",
     "verify_solution",
 ]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import struct
 
+from repro.crypto.secret import Secret
 from repro.metrics import METRICS
 
 _AES_BLOCKS = METRICS.counter("crypto.aes_blocks")
@@ -150,15 +151,16 @@ class AES:
     for single-block byte callers.
     """
 
-    __slots__ = ("key", "rounds", "_rk_enc", "_rk_dec", "_rk_dec_rows", "_plane_keys")
+    __slots__ = ("rounds", "_rk_enc", "_rk_dec", "_rk_dec_rows", "_plane_keys")
 
-    def __init__(self, key: bytes) -> None:
+    def __init__(self, key: bytes | Secret) -> None:
+        if isinstance(key, Secret):
+            key = key.reveal()
         if len(key) not in (16, 24, 32):
             raise ValueError(f"AES key must be 16/24/32 bytes, got {len(key)}")
-        self.key = bytes(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._rk_enc, self._rk_dec, self._rk_dec_rows = self._pack_round_keys(
-            self._expand_key(self.key)
+            self._expand_key(bytes(key))
         )
         self._plane_keys: dict[int, tuple[int, ...]] = {}
 

@@ -9,9 +9,10 @@ small 512-bit test group for fast unit tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.numtheory import int_to_bytes
+from repro.crypto.secret import Secret
 
 # RFC 3526 / RFC 2409 MODP primes.  All have generator 2 and (p-1)/2 prime.
 _MODP_1024 = int(
@@ -83,7 +84,7 @@ class DHKeyPair:
     """Ephemeral DH key pair bound to a group."""
 
     params: DHParams
-    private: int
+    private: int = field(repr=False)
     public: int
 
     @classmethod
@@ -95,7 +96,7 @@ class DHKeyPair:
         public = pow(params.generator, private, params.prime)
         return cls(params=params, private=private, public=public)
 
-    def shared_secret(self, peer_public: int) -> bytes:
+    def shared_secret(self, peer_public: int) -> Secret:
         """Compute the shared secret, validating the peer's public value."""
         p = self.params.prime
         if not 2 <= peer_public <= p - 2:
@@ -103,7 +104,7 @@ class DHKeyPair:
         secret = pow(peer_public, self.private, p)
         if secret in (0, 1, p - 1):
             raise ValueError("degenerate DH shared secret (small-subgroup attack?)")
-        return int_to_bytes(secret, self.params.byte_length)
+        return Secret(int_to_bytes(secret, self.params.byte_length))
 
     def public_bytes(self) -> bytes:
         return int_to_bytes(self.public, self.params.byte_length)

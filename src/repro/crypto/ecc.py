@@ -13,7 +13,7 @@ inversion per addition; only scalar-mult entry/exit converts to affine.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.numtheory import bytes_to_int, int_to_bytes, modinv
 from repro.crypto.sha import HASHES
@@ -142,7 +142,7 @@ class EcdsaKeyPair:
     """ECDSA key pair on a given curve (default P-256)."""
 
     curve: Curve
-    private: int
+    private: int = field(repr=False)
     public: tuple[int, int]
 
     @classmethod

@@ -3,7 +3,9 @@
 HIP derives its ESP keys from the Diffie-Hellman secret via a KEYMAT
 expansion (RFC 5201 §6.5) which is structurally HKDF-expand; TLS 1.2 uses a
 P_hash PRF which is also provided here so both protocol stacks share one
-audited primitive set.
+audited primitive set.  Every derived key comes back as a
+:class:`~repro.crypto.secret.Secret`; only the Finished ``verify_data``
+(:func:`tls_verify_data`), public by design, is plain bytes.
 
 :class:`HmacKey` is the steady-state fast path: it folds the ipad and opad
 key blocks through the hash **once at construction** and every subsequent
@@ -35,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import struct
 
+from repro.crypto.secret import Secret
 from repro.metrics import METRICS
 from repro.crypto.sha import (
     BLOCK_SIZES,
@@ -57,7 +60,11 @@ class HmacKey:
 
     __slots__ = ("hash_name", "digest_size", "_compress", "_fmt", "_inner", "_outer")
 
-    def __init__(self, key: bytes, hash_name: str = "sha256", backend: str = "fast") -> None:
+    def __init__(
+        self, key: bytes | Secret, hash_name: str = "sha256", backend: str = "fast"
+    ) -> None:
+        if isinstance(key, Secret):
+            key = key.reveal()
         try:
             hash_fn = HASHES[hash_name]
             block = BLOCK_SIZES[hash_name]
@@ -103,17 +110,21 @@ class HmacKey:
         return struct.pack(self._fmt, *md_finish(compress, self._outer, inner, 64 + len(inner)))
 
 
-def hmac_digest(key: bytes, message: bytes, hash_name: str = "sha256") -> bytes:
+def hmac_digest(key: bytes | Secret, message: bytes, hash_name: str = "sha256") -> bytes:
     """HMAC per RFC 2104 (one-shot; hot paths cache an :class:`HmacKey`)."""
     return HmacKey(key, hash_name).digest(message)
 
 
-def hkdf_extract(salt: bytes, ikm: bytes, hash_name: str = "sha256") -> bytes:
+def hkdf_extract(salt: bytes, ikm: bytes | Secret, hash_name: str = "sha256") -> Secret:
     """HKDF-Extract: PRK = HMAC(salt, IKM)."""
-    return hmac_digest(salt, ikm, hash_name)
+    if isinstance(ikm, Secret):
+        ikm = ikm.reveal()
+    return Secret(hmac_digest(salt, ikm, hash_name))
 
 
-def hkdf_expand(prk: bytes, info: bytes, length: int, hash_name: str = "sha256") -> bytes:
+def hkdf_expand(
+    prk: bytes | Secret, info: bytes, length: int, hash_name: str = "sha256"
+) -> Secret:
     """HKDF-Expand: derive ``length`` bytes of output keying material."""
     try:
         digest_len = DIGEST_SIZES[hash_name]
@@ -129,16 +140,18 @@ def hkdf_expand(prk: bytes, info: bytes, length: int, hash_name: str = "sha256")
         t = hk.digest(t + info + bytes([counter]))
         okm += t
         counter += 1
-    return okm[:length]
+    return Secret(okm[:length])
 
 
-def hip_keymat(dh_secret: bytes, hit_i: bytes, hit_r: bytes, length: int) -> bytes:
+def hip_keymat(dh_secret: bytes | Secret, hit_i: bytes, hit_r: bytes, length: int) -> Secret:
     """HIP KEYMAT generation (RFC 5201 §6.5).
 
     KEYMAT = K1 | K2 | ... where K1 = hash(Kij | sort(HIT-I, HIT-R) | 0x01)
     and Ki = hash(Kij | Ki-1 | i).  The sort uses the numeric HIT order so
     initiator and responder derive identical material.
     """
+    if isinstance(dh_secret, Secret):
+        dh_secret = dh_secret.reveal()
     lo, hi = sorted((hit_i, hit_r))
     hash_fn = HASHES["sha256"]
     out = b""
@@ -151,11 +164,10 @@ def hip_keymat(dh_secret: bytes, hit_i: bytes, hit_r: bytes, length: int) -> byt
             prev = hash_fn(dh_secret + prev + bytes([counter & 0xFF]))
         out += prev
         counter += 1
-    return out[:length]
+    return Secret(out[:length])
 
 
-def tls_prf(secret: bytes, label: bytes, seed: bytes, length: int) -> bytes:
-    """TLS 1.2 PRF (RFC 5246 §5): P_SHA256(secret, label + seed)."""
+def _p_sha256(secret: bytes | Secret, label: bytes, seed: bytes, length: int) -> bytes:
     hk = HmacKey(secret)
     full_seed = label + seed
     out = b""
@@ -166,15 +178,31 @@ def tls_prf(secret: bytes, label: bytes, seed: bytes, length: int) -> bytes:
     return out[:length]
 
 
+def tls_prf(secret: bytes | Secret, label: bytes, seed: bytes, length: int) -> Secret:
+    """TLS 1.2 PRF (RFC 5246 §5): P_SHA256(secret, label + seed)."""
+    return Secret(_p_sha256(secret, label, seed, length))
+
+
+def tls_verify_data(master: Secret, label: bytes, seed: bytes) -> bytes:
+    """Finished ``verify_data`` (RFC 5246 §7.4.9): PRF(master, label, seed)[0..11].
+
+    The one PRF output that is public by design: it crosses the wire to
+    prove key possession, so it is plain ``bytes``, never a ``Secret`` —
+    compared with :func:`ct_equal`, never ``==``.
+    """
+    return _p_sha256(master, label, seed, 12)
+
+
 def ct_equal(a: bytes, b: bytes) -> bool:
     """Constant-time equality for MACs, ICVs and Finished verify-data.
 
     A plain ``==`` short-circuits at the first differing byte, leaking the
-    match length through timing — the classic MAC-forgery oracle.  Every
-    comparison whose operands derive from key material must come through
-    here; the ``SEC002`` analysis rule enforces that mechanically.  Length
-    is not secret for fixed-size MACs, so a length mismatch may return
-    early.
+    match length through timing — the classic MAC-forgery oracle.  Key
+    material is a :class:`~repro.crypto.secret.Secret`, whose ``==`` raises;
+    MACs are public bytes, and the ``SEC002`` analysis rule flags a ``==``
+    on a ``.digest()``, ``hmac_digest()`` or ``tls_verify_data()`` result in
+    the protocol stacks.  Length is not secret for fixed-size MACs, so a
+    length mismatch may return early.
     """
     if len(a) != len(b):
         return False

@@ -9,7 +9,7 @@ paper's 2012-era deployment, and tests use smaller keys for speed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.numtheory import (
     bytes_to_int,
@@ -17,6 +17,7 @@ from repro.crypto.numtheory import (
     modinv,
     random_prime,
 )
+from repro.crypto.secret import Secret
 from repro.crypto.sha import HASHES
 
 # DigestInfo DER prefixes for EMSA-PKCS1-v1_5 (RFC 8017 §9.2 note 1).
@@ -79,8 +80,10 @@ class RsaPublicKey:
             return False
         return em == expected
 
-    def encrypt(self, message: bytes, rng: random.Random) -> bytes:
+    def encrypt(self, message: bytes | Secret, rng: random.Random) -> bytes:
         """RSAES-PKCS1-v1_5 encryption (TLS-style key transport)."""
+        if isinstance(message, Secret):
+            message = message.reveal()
         k = self.byte_length
         if len(message) > k - 11:
             raise ValueError(f"message too long for RSA-{self.bits} PKCS#1 v1.5")
@@ -94,12 +97,12 @@ class RsaKeyPair:
     """RSA key pair with CRT components for fast private operations."""
 
     public: RsaPublicKey
-    d: int
-    p: int
-    q: int
-    d_p: int
-    d_q: int
-    q_inv: int
+    d: int = field(repr=False)
+    p: int = field(repr=False)
+    q: int = field(repr=False)
+    d_p: int = field(repr=False)
+    d_q: int = field(repr=False)
+    q_inv: int = field(repr=False)
 
     @classmethod
     def generate(cls, bits: int, rng: random.Random, e: int = 65537) -> "RsaKeyPair":

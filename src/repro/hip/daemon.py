@@ -36,8 +36,9 @@ from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.crypto.costmodel import CryptoMeter
 from repro.crypto.dh import DHKeyPair, MODP_GROUPS
-from repro.crypto.hmac_kdf import HmacKey, ct_equal, hip_keymat
+from repro.crypto.hmac_kdf import HmacKey, ct_equal, hip_keymat, hkdf_expand
 from repro.crypto.puzzle import Puzzle, solve_puzzle, verify_solution
+from repro.crypto.secret import Secret
 from repro.hip import packets as hp
 from repro.hip.esp import (
     EspCiphertext,
@@ -180,11 +181,9 @@ class Association:
     peer_locator: IPAddress | None = None
     peer_host_id: bytes = b""
     dh: DHKeyPair | None = None
-    keymat: bytes = b""
-    hmac_key_out: bytes = b""
-    hmac_key_in: bytes = b""
-    # Midstate-cached HMAC objects for the control channel (set alongside the
-    # raw keys); every HMAC parameter after the handshake reuses them.
+    keymat: Secret | None = None
+    # Midstate-cached HMAC objects for the control channel; every HMAC
+    # parameter after the handshake reuses them.
     hmac_out: HmacKey | None = None
     hmac_in: HmacKey | None = None
     sa_out: SecurityAssociation | None = None
@@ -204,9 +203,8 @@ class Association:
     def is_established(self) -> bool:
         return self.state == HipState.ESTABLISHED
 
-    def set_hmac_keys(self, out_key: bytes, in_key: bytes) -> None:
-        """Install control-channel HMAC keys plus their cached midstates."""
-        self.hmac_key_out, self.hmac_key_in = out_key, in_key
+    def set_hmac_keys(self, out_key: Secret, in_key: Secret) -> None:
+        """Install the control-channel HMAC keys as cached midstates."""
         self.hmac_out = HmacKey(out_key, "sha1")
         self.hmac_in = HmacKey(in_key, "sha1")
 
@@ -986,9 +984,7 @@ class HipDaemon:
         pkt.add(hp.SEQ, hp.build_seq(assoc.update_id))
         self._finalize_and_send(pkt, assoc, sign=True)
 
-    def _rekey_keymat(self, assoc: Association, count: int) -> bytes:
-        from repro.crypto.hmac_kdf import hkdf_expand
-
+    def _rekey_keymat(self, assoc: Association, count: int) -> Secret:
         return hkdf_expand(
             assoc.keymat[:32], b"esp-rekey" + bytes([count & 0xFF]), _ESP_KEY_BYTES,
         )

@@ -31,6 +31,7 @@ import struct
 from repro.crypto.aes import AES
 from repro.crypto.hmac_kdf import HmacKey, ct_equal
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt
+from repro.crypto.secret import Secret
 from repro.metrics import METRICS
 from repro.net.addresses import IPAddress
 from repro.net.packet import (
@@ -125,8 +126,8 @@ class SecurityAssociation:
     def __init__(
         self,
         spi: int,
-        enc_key: bytes,
-        auth_key: bytes,
+        enc_key: bytes | Secret,
+        auth_key: bytes | Secret,
         src_hit: IPAddress,
         dst_hit: IPAddress,
         mode: EspMode = EspMode.BEET,
@@ -272,7 +273,7 @@ class SecurityAssociation:
 
 
 def derive_sa_pair(
-    keymat: bytes,
+    keymat: bytes | Secret,
     spi_out: int,
     spi_in: int,
     local_hit: IPAddress,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.crypto.hmac_kdf import ct_equal, hmac_digest
+from repro.crypto.hmac_kdf import ct_equal
 from repro.hip import packets as hp
 from repro.hip.daemon import HipDaemon
 from repro.net.addresses import IPAddress
@@ -66,9 +66,7 @@ class RendezvousServer:
             mac = pkt.get(hp.HMAC_PARAM)
             if mac is None:
                 return
-            expect = hmac_digest(
-                assoc.hmac_key_in, pkt.bytes_for_param(hp.HMAC_PARAM), "sha1"
-            )
+            expect = assoc.hmac_in.digest(pkt.bytes_for_param(hp.HMAC_PARAM))
             if not ct_equal(expect, mac):
                 return
             if REGTYPE_RENDEZVOUS in list(reg):

@@ -30,9 +30,10 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.crypto.aes import AES
 from repro.crypto.costmodel import CryptoMeter
-from repro.crypto.hmac_kdf import HmacKey, ct_equal, tls_prf
+from repro.crypto.hmac_kdf import HmacKey, ct_equal, tls_prf, tls_verify_data
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt
 from repro.crypto.rsa import RsaError, RsaKeyPair, RsaPublicKey
+from repro.crypto.secret import Secret
 from repro.crypto.sha import sha256
 from repro.net.packet import VirtualPayload
 from repro.net.tcp import TcpConnection, TcpError
@@ -61,7 +62,7 @@ class TlsServerContext:
     """Server-side long-lived state: key pair + session cache."""
 
     keypair: RsaKeyPair
-    session_cache: dict[bytes, bytes] = None  # type: ignore[assignment]
+    session_cache: dict[bytes, Secret] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.session_cache is None:
@@ -133,7 +134,7 @@ class TlsConnection:
         self,
         conn: TcpConnection,
         node: "Node",
-        master_secret: bytes,
+        master_secret: Secret,
         is_client: bool,
         transcript: bytes,
         meter: CryptoMeter | None = None,
@@ -147,18 +148,16 @@ class TlsConnection:
         self.session_id = session_id
         self.resumed = resumed
         key_block = tls_prf(master_secret, b"key expansion", transcript, 2 * (20 + 16))
-        c_mac, s_mac = key_block[0:20], key_block[20:40]
-        c_key, s_key = key_block[40:56], key_block[56:72]
-        if is_client:
-            self._mac_out, self._mac_in = c_mac, s_mac
-            self._aes_out, self._aes_in = AES(c_key), AES(s_key)
-        else:
-            self._mac_out, self._mac_in = s_mac, c_mac
-            self._aes_out, self._aes_in = AES(s_key), AES(c_key)
+        client = key_block[0:20], key_block[40:56]  # (MAC key, cipher key)
+        server = key_block[20:40], key_block[56:72]
+        (mac_out, key_out), (mac_in, key_in) = (
+            (client, server) if is_client else (server, client)
+        )
+        self._aes_out, self._aes_in = AES(key_out), AES(key_in)
         # Midstate-cached record MAC keys, one per direction for the
         # connection's lifetime (steady-state records skip all pad work).
-        self._hmac_out = HmacKey(self._mac_out, "sha1")
-        self._hmac_in = HmacKey(self._mac_in, "sha1")
+        self._hmac_out = HmacKey(mac_out, "sha1")
+        self._hmac_in = HmacKey(mac_in, "sha1")
         self._seq_out = 0
         self._seq_in = 0
         self._leftover = None  # partial plaintext from recv_bytes
@@ -285,7 +284,7 @@ def tls_client_handshake(
     node: "Node",
     rng: random.Random,
     meter: CryptoMeter | None = None,
-    session: tuple[bytes, bytes] | None = None,
+    session: tuple[bytes, Secret] | None = None,
 ) -> Generator:
     """Process-generator: run the client side; returns a TlsConnection.
 
@@ -330,7 +329,7 @@ def tls_client_handshake(
     meter.charge("asym.verify.cert", cm.rsa_verify(server_key.bits))
     yield from node.cpu_work(cm.rsa_verify(server_key.bits))
 
-    premaster = rng.getrandbits(48 * 8).to_bytes(48, "big")
+    premaster = Secret(rng.getrandbits(48 * 8).to_bytes(48, "big"))
     meter.charge("asym.encrypt.premaster", cm.rsa_verify(server_key.bits))
     yield from node.cpu_work(cm.rsa_verify(server_key.bits))  # public-key op
     encrypted = server_key.encrypt(premaster, rng)
@@ -386,7 +385,7 @@ def tls_server_handshake(
     meter.charge("asym.decrypt.premaster", cm.rsa_sign(ctx.keypair.public.bits))
     yield from node.cpu_work(cm.rsa_sign(ctx.keypair.public.bits))  # private-key op
     try:
-        premaster = ctx.keypair.decrypt(bytes(encrypted))
+        premaster = Secret(ctx.keypair.decrypt(bytes(encrypted)))
     except RsaError as exc:
         raise TlsError(f"bad ClientKeyExchange: {exc}") from exc
 
@@ -402,7 +401,7 @@ def _exchange_finished(
     tls: TlsConnection,
     conn: TcpConnection,
     node: "Node",
-    master: bytes,
+    master: Secret,
     transcript: bytes,
     client_first: bool,
 ) -> Generator:
@@ -410,8 +409,8 @@ def _exchange_finished(
     my_label = b"client finished" if client_first else b"server finished"
     peer_label = b"server finished" if client_first else b"client finished"
     digest = sha256(transcript)
-    my_verify = tls_prf(master, my_label, digest, 12)
-    peer_verify = tls_prf(master, peer_label, digest, 12)
+    my_verify = tls_verify_data(master, my_label, digest)
+    peer_verify = tls_verify_data(master, peer_label, digest)
     cost = node.cost_model.hmac_cost(64) * 2
     tls.meter.charge("tls.finished", cost)
     yield from node.cpu_work(cost)

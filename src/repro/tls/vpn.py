@@ -26,8 +26,9 @@ from enum import StrEnum
 from typing import TYPE_CHECKING, Generator
 
 from repro.crypto.costmodel import CryptoMeter
-from repro.crypto.hmac_kdf import ct_equal, tls_prf
+from repro.crypto.hmac_kdf import ct_equal, tls_prf, tls_verify_data
 from repro.crypto.rsa import RsaError, RsaKeyPair
+from repro.crypto.secret import Secret
 from repro.metrics import RECORDER
 from repro.net.addresses import IPAddress, Prefix, prefix
 from repro.net.packet import Header, IPHeader, Packet
@@ -95,7 +96,7 @@ class Tunnel:
     locator: IPAddress
     state: TunnelState = TunnelState.NEW
     role: str = "client"
-    master_secret: bytes = b""
+    master_secret: Secret | None = None
     verify_data: bytes = b""
     seq_out: int = 0
     queued: list[Packet] = field(default_factory=list)
@@ -358,7 +359,7 @@ class SslVpnDaemon:
         client_random = self.rng.getrandbits(256).to_bytes(32, "big")
         self._send_control(tunnel, "hello", client_random)
         # Premaster, really RSA-encrypted against the peer's public key.
-        premaster = self.rng.getrandbits(384).to_bytes(48, "big")
+        premaster = Secret(self.rng.getrandbits(384).to_bytes(48, "big"))
         yield from self._charge("vpn.asym.encrypt", cm.rsa_verify(peer_key.bits))
         encrypted = peer_key.encrypt(premaster, self.rng)
         yield from self._charge("vpn.asym.verify_cert", cm.rsa_verify(peer_key.bits))
@@ -367,8 +368,8 @@ class SslVpnDaemon:
         # RFC 5246-style verify_data: a PRF output over the master secret, so
         # the Finished message proves key possession without revealing any
         # master-secret bytes on the wire.
-        tunnel.verify_data = tls_prf(
-            tunnel.master_secret, b"vpn finished", client_random, 12
+        tunnel.verify_data = tls_verify_data(
+            tunnel.master_secret, b"vpn finished", client_random
         )
         # Wait for the server's finished (retry the key message on timeout).
         for attempt in range(HANDSHAKE_RETRIES):
@@ -398,7 +399,7 @@ class SslVpnDaemon:
                 return
             yield from self._charge("vpn.asym.decrypt", cm.rsa_sign(self.keypair.public.bits))
             try:
-                premaster = self.keypair.decrypt(encrypted)
+                premaster = Secret(self.keypair.decrypt(encrypted))
             except RsaError:
                 return
             tunnel = self._ensure_tunnel(peer_vpn)
@@ -406,8 +407,8 @@ class SslVpnDaemon:
                 tunnel.locator = self.peers[peer_vpn][0]
             tunnel.role = "server"
             tunnel.master_secret = tls_prf(premaster, b"vpn master", client_random, 48)
-            tunnel.verify_data = tls_prf(
-                tunnel.master_secret, b"vpn finished", client_random, 12
+            tunnel.verify_data = tls_verify_data(
+                tunnel.master_secret, b"vpn finished", client_random
             )
             self._transition(tunnel, TunnelState.ESTABLISHED)
             if not tunnel.established_evt.triggered:  # type: ignore[attr-defined]

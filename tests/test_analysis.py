@@ -22,6 +22,7 @@ from repro.analysis.base import registered_rules
 from repro.analysis.runner import main as analysis_main
 
 PRODUCT = "src/repro/fake/module.py"  # scoped like simulator code
+STACKS = "src/repro/tls/fake.py"  # scoped like the HIP/TLS protocol stacks
 TESTCODE = "tests/test_fake.py"  # scoped like test code
 
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
@@ -36,7 +37,7 @@ def rule_ids(source: str, path: str = PRODUCT) -> set[str]:
 
 
 # Per-rule fixtures: each entry is (snippets that must fire, snippets that
-# must stay silent) under product scope.
+# must stay silent) under product scope (SEC002: under the protocol stacks).
 FIXTURES: dict[str, tuple[list[str], list[str]]] = {
     "DET001": (
         [
@@ -124,17 +125,32 @@ FIXTURES: dict[str, tuple[list[str], list[str]]] = {
             "def f(a=0, b='x'):\n    pass\n",
         ],
     ),
+    "SEC002": (
+        [
+            "def f(key, data, got):\n    expect = key.digest(data)\n"
+            "    if expect != got:\n        return False\n",
+            "def f(key, data, mac):\n    return hmac_digest(key, data) == mac\n",
+            "def f(hk, seq, icv):\n    return hk.digest(seq)[:12] == icv\n",
+            "def f(master, digest, got):\n"
+            "    return got == tls_verify_data(master, b'server finished', digest)\n",
+            "class C:\n    def f(self, pkt, got):\n"
+            "        tag = self.hmac_in.digest(pkt)\n        return tag == got\n",
+        ],
+        [
+            "def f(key, data, got):\n    return ct_equal(key.digest(data), got)\n",
+            "def f(got, n):\n    return len(got) == n or got == b'public'\n",
+            "def f(key, data, seen):\n    expect = key.digest(data)\n"
+            "    return expect is None or expect in seen\n",
+        ],
+    ),
 }
+_FIXTURE_PATH = {"SEC002": STACKS}
 
 
 # Rules with richer fixture suites in their own test modules.
 _COVERED_ELSEWHERE = {
     "CONF001": "tests/test_analysis_conformance.py",
     "CONF003": "tests/test_analysis_conformance.py",
-    "SEC001": "tests/test_analysis_taint.py",
-    "SEC002": "tests/test_analysis_taint.py",
-    "SEC003": "tests/test_analysis_dataflow.py",
-    "SEC004": "tests/test_analysis_dataflow.py",
     "VAL001": "tests/test_analysis_validation.py",
     "PERF001": "tests/test_analysis_perf.py",
     "PERF002": "tests/test_analysis_perf.py",
@@ -157,13 +173,15 @@ def test_fixture_table_covers_every_registered_rule():
 @pytest.mark.parametrize("rule", sorted(FIXTURES))
 def test_rule_fires_on_positive_fixtures(rule):
     for snippet in FIXTURES[rule][0]:
-        assert rule in rule_ids(snippet), f"{rule} silent on: {snippet!r}"
+        path = _FIXTURE_PATH.get(rule, PRODUCT)
+        assert rule in rule_ids(snippet, path), f"{rule} silent on: {snippet!r}"
 
 
 @pytest.mark.parametrize("rule", sorted(FIXTURES))
 def test_rule_silent_on_negative_fixtures(rule):
     for snippet in FIXTURES[rule][1]:
-        assert rule not in rule_ids(snippet), f"{rule} fired on: {snippet!r}"
+        path = _FIXTURE_PATH.get(rule, PRODUCT)
+        assert rule not in rule_ids(snippet, path), f"{rule} fired on: {snippet!r}"
 
 
 # ---------------------------------------------------------------- scoping --
@@ -176,6 +194,13 @@ def test_determinism_rules_do_not_bind_in_test_code():
 
 def test_arg001_binds_in_test_code_too():
     assert "ARG001" in rule_ids("def f(a=[]):\n    pass\n", path=TESTCODE)
+
+
+def test_sec002_binds_only_in_the_protocol_stacks():
+    snippet = FIXTURES["SEC002"][0][0]
+    assert "SEC002" in rule_ids(snippet, path="src/repro/hip/daemon.py")
+    assert "SEC002" not in rule_ids(snippet, path="src/repro/crypto/hmac_kdf.py")
+    assert "SEC002" not in rule_ids(snippet, path="tests/test_tls.py")
 
 
 def test_rng_module_is_exempt_from_det002():
@@ -349,7 +374,7 @@ def test_cli_list_rules(capsys):
 
 
 def test_registered_rule_ids(capsys):
-    """The exact id set: 22 registered rules plus the three hygiene
+    """The exact id set: 19 registered rules plus the three hygiene
     meta-rules.  A rule that silently fails to register (or a new one
     nobody documented) changes this list."""
     assert sorted(registered_rules()) == [
@@ -361,7 +386,7 @@ def test_registered_rule_ids(capsys):
         "LIF001", "LIF002", "LIF003",
         "MET001",
         "PERF001", "PERF002",
-        "SEC001", "SEC002", "SEC003", "SEC004",
+        "SEC002",
         "VAL001",
     ]
     assert analysis_main(["--list-rules"]) == 0
@@ -400,12 +425,11 @@ def test_repo_inventory_matches_golden(repo_result):
     golden = json.loads(
         (REPO_ROOT / "tests" / "golden" / "analysis_inventory.json").read_text()
     )
-    root = f"{REPO_ROOT.as_posix()}/"  # SEC004 messages name their origin file
     rows = sorted(
         [
             pathlib.Path(f.path).relative_to(REPO_ROOT).as_posix(),
             f.rule,
-            f.message.replace(root, ""),
+            f.message,
             "suppressed" if f.suppressed else "active",
             f.justification,
         ]

@@ -3,8 +3,7 @@
 Small in-memory programs exercise every resolution strategy the graph
 uses — direct calls, aliased imports, self/super method resolution through
 the MRO, opaque-receiver CHA, callback references — plus the traversal
-helpers the downstream passes depend on (hot reachability with root
-provenance, callee-first SCCs).
+the PERF pass depends on (hot reachability with root provenance).
 """
 
 from __future__ import annotations
@@ -180,22 +179,3 @@ def test_reachable_reports_root_provenance():
     assert reached["repro.m.Serializer.helper"] == "Serializer.send"
     assert reached["repro.m.leaf"] == "Serializer.send"
     assert "repro.m.unrelated" not in reached
-
-
-def test_sccs_callee_first_with_cycle():
-    _, graph = program(("src/repro/m.py", """
-        def a():
-            b()
-
-        def b():
-            a()
-
-        def c():
-            a()
-    """))
-    order = graph.sccs()
-    cycle = next(s for s in order if len(s) == 2)
-    assert set(cycle) == {"repro.m.a", "repro.m.b"}
-    c_pos = next(i for i, s in enumerate(order) if "repro.m.c" in s)
-    cycle_pos = order.index(cycle)
-    assert cycle_pos < c_pos, "callees must be emitted before their callers"

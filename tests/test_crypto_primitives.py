@@ -14,6 +14,7 @@ from repro.crypto.hmac_kdf import (
     hkdf_extract,
     hmac_digest,
     tls_prf,
+    tls_verify_data,
 )
 from repro.crypto.numtheory import (
     bytes_to_int,
@@ -138,11 +139,11 @@ class TestHmacKdf:
         salt = bytes.fromhex("000102030405060708090a0b0c")
         info = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9")
         prk = hkdf_extract(salt, ikm)
-        assert prk.hex() == (
+        assert prk.reveal().hex() == (
             "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
         )
         okm = hkdf_expand(prk, info, 42)
-        assert okm.hex() == (
+        assert okm.reveal().hex() == (
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
             "34007208d5b887185865"
         )
@@ -154,15 +155,15 @@ class TestHmacKdf:
     def test_hip_keymat_symmetric(self):
         """Initiator and responder derive identical KEYMAT."""
         secret, hit_a, hit_b = b"S" * 96, b"\x01" * 16, b"\x02" * 16
-        assert hip_keymat(secret, hit_a, hit_b, 144) == hip_keymat(
+        assert hip_keymat(secret, hit_a, hit_b, 144).reveal() == hip_keymat(
             secret, hit_b, hit_a, 144
-        )
+        ).reveal()
 
     def test_hip_keymat_secret_sensitivity(self):
         hit_a, hit_b = b"\x01" * 16, b"\x02" * 16
         k1 = hip_keymat(b"x" * 96, hit_a, hit_b, 64)
         k2 = hip_keymat(b"y" * 96, hit_a, hit_b, 64)
-        assert k1 != k2
+        assert k1.reveal() != k2.reveal()
 
     @given(st.integers(1, 300))
     @settings(max_examples=20)
@@ -170,10 +171,16 @@ class TestHmacKdf:
         full = hip_keymat(b"s" * 32, b"\x01" * 16, b"\x02" * 16, 300)
         part = hip_keymat(b"s" * 32, b"\x01" * 16, b"\x02" * 16, n)
         assert len(part) == n
-        assert full.startswith(part)
+        assert full.reveal().startswith(part.reveal())
 
     def test_tls_prf_deterministic_and_expanding(self):
-        a = tls_prf(b"secret", b"label", b"seed", 48)
-        b = tls_prf(b"secret", b"label", b"seed", 48)
-        c = tls_prf(b"secret", b"label", b"seeD", 48)
+        a = tls_prf(b"secret", b"label", b"seed", 48).reveal()
+        b = tls_prf(b"secret", b"label", b"seed", 48).reveal()
+        c = tls_prf(b"secret", b"label", b"seeD", 48).reveal()
         assert a == b and a != c and len(a) == 48
+
+    def test_tls_verify_data_is_the_public_prf_prefix(self):
+        master = tls_prf(b"premaster", b"master secret", b"randoms", 48)
+        verify = tls_verify_data(master, b"client finished", b"hash")
+        assert type(verify) is bytes
+        assert verify == tls_prf(master, b"client finished", b"hash", 12).reveal()

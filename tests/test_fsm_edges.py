@@ -203,7 +203,7 @@ def vpn_handshake(keys) -> None:
     sim, a, b, va, vb = build_vpn_pair(Simulator(), keys)
     tunnel = run_proc(sim, va.connect(VB))
     assert tunnel.is_established and vb.tunnels[VA].is_established
-    assert tunnel.master_secret == vb.tunnels[VA].master_secret
+    assert tunnel.master_secret.reveal() == vb.tunnels[VA].master_secret.reveal()
 
 
 def vpn_unknown_peer(keys) -> None:
@@ -233,9 +233,9 @@ def vpn_lost_finished(keys) -> None:
     echo = sim.process(IcmpStack(a).echo(VB, timeout=5.0))  # queues behind the handshake
     IcmpStack(b)
     tunnel = run_proc(sim, va.connect(VB))
-    first_secret = vb.tunnels[VA].master_secret
+    first_secret = vb.tunnels[VA].master_secret.reveal()
     assert len(dropped) == 1 and tunnel.is_established
-    assert list(vb.tunnels) == [VA] and tunnel.master_secret == first_secret
+    assert list(vb.tunnels) == [VA] and tunnel.master_secret.reveal() == first_secret
     # The queued echo request crossed once, and so did its reply.
     assert sim.run(until=echo) is not None
     assert (va.packets_sent, vb.packets_received) == (1, 1)

@@ -32,7 +32,7 @@ class TestBaseExchange:
         bb = db.assocs[da.hit]
         assert aa.sa_out.spi == bb.sa_in.spi
         assert aa.sa_in.spi == bb.sa_out.spi
-        assert aa.sa_out.enc_key == bb.sa_in.enc_key
+        assert aa.sa_out.enc_key.reveal() == bb.sa_in.enc_key.reveal()
 
     def test_bex_message_sequence_costs_counted(self, hip_pair, drive):
         sim, a, b, da, db = hip_pair

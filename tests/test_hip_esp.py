@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro.crypto.hmac_kdf import HmacKey
+from repro.crypto.secret import Secret
 from repro.hip.esp import (
     EspCiphertext,
     EspError,
@@ -321,7 +322,7 @@ class TestCostModelSa:
         assert in_sa.auth_failures == 1 and in_sa.packets_verified == 1
 
     def test_derive_sa_pair_passes_the_flag(self):
-        keymat = bytes(range(72))
+        keymat = Secret(bytes(range(72)))
         for real in (True, False):
             pair = derive_sa_pair(keymat, 1, 2, HIT_A, HIT_B, True, real=real)
             assert [sa.real for sa in pair] == [real, real]
@@ -330,7 +331,7 @@ class TestCostModelSa:
 
 class TestKeymatSplit:
     def test_initiator_responder_keys_mirror(self):
-        keymat = bytes(range(72)) + bytes(72)
+        keymat = Secret(bytes(range(72)) + bytes(72))
         i_out, i_in = derive_sa_pair(
             keymat, spi_out=2, spi_in=1, local_hit=HIT_A, peer_hit=HIT_B,
             is_initiator=True,
@@ -339,12 +340,12 @@ class TestKeymatSplit:
             keymat, spi_out=1, spi_in=2, local_hit=HIT_B, peer_hit=HIT_A,
             is_initiator=False,
         )
-        assert i_out.enc_key == r_in.enc_key
-        assert i_out.auth_key == r_in.auth_key
-        assert i_in.enc_key == r_out.enc_key
+        assert i_out.enc_key.reveal() == r_in.enc_key.reveal() == bytes(range(16))
+        assert i_out.auth_key.reveal() == r_in.auth_key.reveal()
+        assert i_in.enc_key.reveal() == r_out.enc_key.reveal()
 
     def test_mirrored_sas_interoperate(self):
-        keymat = bytes(range(100, 172)) + bytes(72)
+        keymat = Secret(bytes(range(100, 172)) + bytes(72))
         i_out, i_in = derive_sa_pair(
             keymat, spi_out=2, spi_in=1, local_hit=HIT_A, peer_hit=HIT_B,
             is_initiator=True,
@@ -360,7 +361,7 @@ class TestKeymatSplit:
 
     def test_short_keymat_rejected(self):
         with pytest.raises(ValueError):
-            derive_sa_pair(bytes(10), 1, 2, HIT_A, HIT_B, True)
+            derive_sa_pair(Secret(bytes(10)), 1, 2, HIT_A, HIT_B, True)
 
 
 class TestCanonicalBytes:

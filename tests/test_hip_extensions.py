@@ -79,16 +79,16 @@ class TestRekeying:
         drive(sim, da.associate(db.hit))
         assoc_a = da.assocs[db.hit]
         old_spi_in = assoc_a.sa_in.spi
-        old_key = assoc_a.sa_out.enc_key
+        old_key = assoc_a.sa_out.enc_key.reveal()
         da.rekey(db.hit)
         sim.run(until=sim.now + 3)
         assert assoc_a.rekey_count == 1
         assert assoc_a.sa_in.spi != old_spi_in
-        assert assoc_a.sa_out.enc_key != old_key
+        assert assoc_a.sa_out.enc_key.reveal() != old_key
         assoc_b = db.assocs[da.hit]
         assert assoc_b.rekey_count == 1
         assert assoc_a.sa_out.spi == assoc_b.sa_in.spi
-        assert assoc_a.sa_out.enc_key == assoc_b.sa_in.enc_key
+        assert assoc_a.sa_out.enc_key.reveal() == assoc_b.sa_in.enc_key.reveal()
 
     def test_data_flows_after_rekey(self, hip_pair):
         sim, a, b, da, db = hip_pair
@@ -132,7 +132,8 @@ class TestRekeying:
             sim.run(until=sim.now + 2)
             assert da.assocs[db.hit].rekey_count == expected
         # Each round derives distinct keys.
-        assert da.assocs[db.hit].sa_out.enc_key != db.assocs[da.hit].sa_out.enc_key
+        ours = da.assocs[db.hit].sa_out.enc_key.reveal()
+        assert ours != db.assocs[da.hit].sa_out.enc_key.reveal()
 
     def test_rekey_requires_established(self, hip_pair):
         sim, a, b, da, db = hip_pair

@@ -7,6 +7,7 @@ import pytest
 
 from repro.crypto.modes import cbc_encrypt
 from repro.crypto.rsa import RsaKeyPair
+from repro.crypto.secret import Secret
 from repro.net.addresses import IPAddress, ipv4
 from repro.net.packet import VirtualPayload
 from repro.net.tcp import TcpStack
@@ -62,7 +63,7 @@ class TestHandshake:
     def test_full_handshake_derives_shared_master(self, tls_net):
         sim, a, b, ta, tb, ctx = tls_net
         cli, srv = run_handshake(sim, a, b, ta, tb, ctx)
-        assert cli.master_secret == srv.master_secret
+        assert cli.master_secret.reveal() == srv.master_secret.reveal()
         assert not cli.resumed and not srv.resumed
         assert len(cli.session_id) == 16
 
@@ -79,16 +80,16 @@ class TestHandshake:
             sim, a, b, ta, tb, ctx, session=(cli.session_id, cli.master_secret)
         )
         assert cli2.resumed and srv2.resumed
-        assert cli2.master_secret == cli.master_secret
+        assert cli2.master_secret.reveal() == cli.master_secret.reveal()
         assert "asym.encrypt.premaster" not in cli2.meter.ops
         assert "asym.decrypt.premaster" not in srv2.meter.ops
 
     def test_unknown_session_falls_back_to_full(self, tls_net):
         sim, a, b, ta, tb, ctx = tls_net
-        fake_session = (b"\x99" * 16, b"\x01" * 48)
+        fake_session = (b"\x99" * 16, Secret(b"\x01" * 48))
         cli, srv = run_handshake(sim, a, b, ta, tb, ctx, session=fake_session)
         assert not cli.resumed
-        assert cli.master_secret == srv.master_secret
+        assert cli.master_secret.reveal() == srv.master_secret.reveal()
 
 
 class TestRecords:
@@ -251,7 +252,8 @@ class TestSslVpn:
         tunnel = drive(sim, va.connect(vb.vpn_addr))
         assert tunnel.is_established
         # Both ends derived the same master secret from the real RSA exchange.
-        assert tunnel.master_secret == vb.tunnels[va.vpn_addr].master_secret
+        peer_master = vb.tunnels[va.vpn_addr].master_secret
+        assert tunnel.master_secret.reveal() == peer_master.reveal()
 
     def test_tcp_through_tunnel(self, vpn_pair):
         sim, a, b, va, vb = vpn_pair
