@@ -19,7 +19,8 @@ ciphertext is transposed once into 16 byte planes (one per state
 position, each as long as the message has blocks) and every round then
 runs over the whole message with ``bytes.translate``, slicing and big-int
 XOR only — see :meth:`AES._cbc_decrypt_planes` and DESIGN.md "Crypto fast
-path".  CBC encryption chains block to block and stays scalar.
+path".  CBC encryption chains within a message, so it batches across
+messages instead (:meth:`AES._cbc_encrypt_lanes`).
 
 This is the shared symmetric engine for both the HIP/ESP data plane and the
 TLS record layer — deliberately so, because the paper's core performance
@@ -138,8 +139,11 @@ _TD_MUL11 = bytes(t & 0xFF for t in _TD0)
 _PLANE_ORDER = tuple(4 * col + row for row in range(4) for col in range(4))
 # Below this many blocks the scalar loop is faster (DESIGN.md has the table).
 _PLANE_MIN_BLOCKS = 4
-# Plane-expanded round keys kept per AES instance, one entry per block count.
+# Stretched round keys kept per AES instance and direction, one per block/lane count.
 _PLANE_KEY_CACHE_MAX = 8
+# ``AES._cbc_encrypt_lanes``: x2/x3 SubBytes products, two byte lanes of TE0.
+_TE_MUL2 = bytes(t >> 24 for t in _TE0)
+_TE_MUL3 = bytes(t & 0xFF for t in _TE0)
 
 
 class AES:
@@ -151,7 +155,7 @@ class AES:
     for single-block byte callers.
     """
 
-    __slots__ = ("rounds", "_rk_enc", "_rk_dec", "_rk_dec_rows", "_plane_keys")
+    __slots__ = ("rounds", "_rk_enc", "_rk_dec", "_rk_rows", "_plane_keys", "_lane_keys")
 
     def __init__(self, key: bytes | Secret) -> None:
         if isinstance(key, Secret):
@@ -159,10 +163,11 @@ class AES:
         if len(key) not in (16, 24, 32):
             raise ValueError(f"AES key must be 16/24/32 bytes, got {len(key)}")
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._rk_enc, self._rk_dec, self._rk_dec_rows = self._pack_round_keys(
+        self._rk_enc, self._rk_dec, self._rk_rows = self._pack_round_keys(
             self._expand_key(bytes(key))
         )
         self._plane_keys: dict[int, tuple[int, ...]] = {}
+        self._lane_keys: dict[int, tuple[int, ...]] = {}
 
     def _expand_key(self, key: bytes) -> list[list[int]]:
         nk = len(key) // 4
@@ -201,9 +206,9 @@ class AES:
         final round.  Unpacking a whole 8-tuple at the loop head costs one
         instruction and removes all per-round key indexing.
 
-        The third result is the decryption schedule once more, one 16-byte
-        string per round in plane order (row-major), for
-        :meth:`_plane_round_keys` to stretch to a message's block count.
+        The third result is both schedules once more, indexed by
+        ``encrypt``, one 16-byte string per round in plane order (row-major), for
+        :meth:`_plane_round_keys` to stretch to a plane length.
         """
         enc = []
         for rk in round_keys:
@@ -220,11 +225,12 @@ class AES:
                     )
                 else:
                     dec.append((rk[c] << 24) | (rk[c + 1] << 16) | (rk[c + 2] << 8) | rk[c + 3])
-        dec_rows = tuple(
-            bytes((dec[r + col] >> shift) & 0xFF for shift in (24, 16, 8, 0) for col in range(4))
-            for r in range(0, len(dec), 4)
+        rows = tuple(
+            tuple(bytes((flat[r + col] >> shift) & 0xFF for shift in (24, 16, 8, 0) for col in range(4))
+                  for r in range(0, len(flat), 4))
+            for flat in (dec, enc)
         )
-        return self._structure_schedule(enc), self._structure_schedule(dec), dec_rows
+        return self._structure_schedule(enc), self._structure_schedule(dec), rows
 
     def _structure_schedule(self, flat: list[int]) -> tuple:
         mid = [tuple(flat[4 * r : 4 * r + 4]) for r in range(1, self.rounds)]
@@ -404,22 +410,22 @@ class AES:
             p0, p1, p2, p3 = c0, c1, c2, c3
         return bytes(out)
 
-    def _plane_round_keys(self, nblocks: int) -> tuple[int, ...]:
-        """Decryption round keys stretched over ``nblocks``-byte planes.
+    def _plane_round_keys(self, width: int, encrypt: bool = False) -> tuple[int, ...]:
+        """Round keys stretched over ``width``-byte planes.
 
-        Each key byte is repeated once per block so one big-int XOR adds the
-        round key to every block of the message.  The cache is bounded and
-        evicts oldest-first: message lengths come off the wire, and a peer
-        cycling through them must cost a rebuild, not memory.
+        Each key byte is repeated once per block (decrypt) or lane (encrypt)
+        so one big-int XOR adds the round key to all of them.  The cache is
+        bounded and evicts oldest-first: message lengths come off the wire,
+        and a peer cycling through them must cost a rebuild, not memory.
         """
-        cache = self._plane_keys
-        keys = cache.get(nblocks)
+        cache = self._lane_keys if encrypt else self._plane_keys
+        keys = cache.get(width)
         if keys is None:
             if len(cache) >= _PLANE_KEY_CACHE_MAX:
                 del cache[next(iter(cache))]
-            keys = cache[nblocks] = tuple(
-                int.from_bytes(b"".join([rk[q : q + 1] * nblocks for q in range(16)]), "big")
-                for rk in self._rk_dec_rows
+            keys = cache[width] = tuple(
+                int.from_bytes(b"".join([rk[q : q + 1] * width for q in range(16)]), "big")
+                for rk in self._rk_rows[encrypt]
             )
         return keys
 
@@ -464,6 +470,55 @@ class AES:
             out[p::16] = b[q * nb : (q + 1) * nb]
         # CBC chaining for every block at once: P[i] = D(C[i]) ^ C[i-1].
         return (from_bytes(out, "big") ^ from_bytes(iv + ciphertext[:-16], "big")).to_bytes(n, "big")
+
+    def _cbc_encrypt_lanes(self, ivs: list[bytes], padded: list[bytes]) -> list[bytes]:
+        """CBC-encrypt k equal-length messages as the k lanes of one state.
+
+        :meth:`_cbc_decrypt_planes`'s layout with lanes in place of blocks.
+        SubBytes∘MixColumns row ``i`` is ``2*a[i] ^ 3*a[i+1] ^ a[i+2] ^ a[i+3]``
+        over the ShiftRows'd state ``a``: four rotations of it, translated.
+        """
+        k, w = len(padded), 16 * len(padded)
+        first, *mid, last = self._plane_round_keys(k, encrypt=True)
+        # (lane, block, byte) -> (lane, block, plane) -> (block, plane, lane),
+        # with each IV as block 0 of its lane.
+        n = len(padded[0]) + 16
+        chains = b"".join(map(bytes.__add__, ivs, padded))
+        by_plane, planes = bytearray(k * n), bytearray(k * n)
+        for q, p in enumerate(_PLANE_ORDER):
+            by_plane[q::16] = chains[p::16]
+        for lane in range(k):
+            planes[lane::k] = by_plane[lane * n : (lane + 1) * n]
+        from_bytes, join = int.from_bytes, b"".join
+        w4, w5, w8, w10, w12, w15 = 4 * k, 5 * k, 8 * k, 10 * k, 12 * k, 15 * k
+        mul2, mul3, sbox = _TE_MUL2, _TE_MUL3, SBOX
+        c = from_bytes(planes[:w], "big")
+        out = []
+        for j in range(w, len(planes), w):
+            s = from_bytes(planes[j : j + w], "big") ^ c ^ first
+            for key in mid:
+                b = s.to_bytes(w, "big")
+                a = join((b[:w4], b[w5:w8], b[w4:w5], b[w10:w12], b[w8:w10], b[w15:], b[w12:w15]))
+                aa = a + a
+                s = (
+                    from_bytes(a.translate(mul2), "big")
+                    ^ from_bytes(aa[w4 : w4 + w].translate(mul3), "big")
+                    ^ from_bytes(aa[w8 : w8 + w].translate(sbox), "big")
+                    ^ from_bytes(aa[w12 : w12 + w].translate(sbox), "big")
+                    ^ key
+                )
+            b = s.to_bytes(w, "big")
+            a = join((b[:w4], b[w5:w8], b[w4:w5], b[w10:w12], b[w8:w10], b[w15:], b[w12:w15]))
+            c = from_bytes(a.translate(sbox), "big") ^ last
+            out.append(c.to_bytes(w, "big"))
+        # ... and back: (block, plane, lane) -> (lane, block, plane) -> bytes.
+        ct = join(out)
+        by_plane = join([ct[lane::k] for lane in range(k)])
+        body = bytearray(len(ct))
+        for q, p in enumerate(_PLANE_ORDER):
+            body[p::16] = by_plane[q::16]
+        n -= 16
+        return [bytes(body[lane * n : (lane + 1) * n]) for lane in range(k)]
 
     # -- byte API ---------------------------------------------------------------
     def encrypt_block(self, block: bytes) -> bytes:

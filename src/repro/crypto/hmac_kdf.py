@@ -92,8 +92,12 @@ class HmacKey:
     def digest(self, message: bytes) -> bytes:
         """HMAC(key, message), resuming from the cached pad midstates."""
         _HMAC_OPS.value += 1
+        _HMAC_BYTES.value += len(message)
+        return self._digest(message)
+
+    def _digest(self, message: bytes) -> bytes:
+        """:meth:`digest` without the counters, for callers that booked them."""
         n = len(message)
-        _HMAC_BYTES.value += n
         compress = self._compress
         if compress is None:
             h = self._inner.copy()

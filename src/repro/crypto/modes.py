@@ -15,6 +15,9 @@ fused into the whitening round); decryption of four or more blocks runs
 block-parallel there, every round over the whole message.  CTR derives each
 counter block from two nonce words plus the 64-bit counter split into
 words, so no counter buffer is ever (re)built or sliced.
+
+:class:`CbcSealer` defers CBC encrypt-then-MAC to the first read, so bodies
+sealed under one key meanwhile are ciphered as lanes of one pass.
 """
 
 from __future__ import annotations
@@ -22,12 +25,19 @@ from __future__ import annotations
 import struct
 
 from repro.crypto.aes import AES, BLOCK_SIZE
+from repro.crypto.hmac_kdf import HmacKey
 from repro.metrics import METRICS
 
 _AES_BLOCKS = METRICS.counter("crypto.aes_blocks")
 _AES_BYTES = METRICS.counter("crypto.aes_bytes")
+_HMAC_OPS = METRICS.counter("crypto.hmac_ops")
+_HMAC_BYTES = METRICS.counter("crypto.hmac_bytes")
 
 _MASK32 = 0xFFFFFFFF
+# Fewer same-length pending bodies than this take the scalar chain (DESIGN.md).
+_MULTI_MIN_LANES = 3
+# The seal that fills a sealer's queue flushes it: unread bodies pin bounded memory.
+_SEAL_QUEUE_MAX = 32
 
 
 def pkcs7_pad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
@@ -70,6 +80,69 @@ def cbc_decrypt(cipher: AES, iv: bytes, ciphertext: bytes) -> bytes:
     _AES_BLOCKS.value += n // BLOCK_SIZE
     _AES_BYTES.value += n
     return pkcs7_unpad(cipher.cbc_decrypt_blocks(iv, ciphertext))
+
+
+class Sealed:
+    """A body :meth:`CbcSealer.seal` booked.  Reading ``ciphertext`` or ``tag``
+    ciphers every body pending on the sealer: the bytes are the eager ones."""
+
+    __slots__ = ("_sealer", "_iv", "_body", "_mac_prefix", "_tag")
+
+    def __init__(self, sealer: CbcSealer, iv: bytes, padded: bytes, mac_prefix: bytes) -> None:
+        self._sealer, self._iv, self._body, self._mac_prefix = sealer, iv, padded, mac_prefix
+
+    ciphertext = property(lambda self: self._read()._body)
+    tag = property(lambda self: self._read()._tag)
+
+    def _read(self) -> Sealed:
+        if self._sealer is not None:
+            self._sealer._flush()
+        return self
+
+
+class CbcSealer:
+    """CBC encrypt-then-MAC under one key, deferred to the first read.
+
+    ``seal`` books the eager transform's counters and queues the body; reading
+    any pending :class:`Sealed` flushes the queue, same-length groups as lanes.
+    """
+
+    __slots__ = ("_aes", "_mac", "_tag_len", "_pending")
+
+    def __init__(self, aes: AES, mac: HmacKey, tag_len: int) -> None:
+        self._aes, self._mac, self._tag_len = aes, mac, tag_len
+        self._pending: list[Sealed] = []
+
+    def seal(self, iv: bytes, plaintext: bytes, mac_prefix: bytes) -> Sealed:
+        """Pad and queue ``plaintext``; its tag covers ``mac_prefix + iv + ciphertext``."""
+        if len(iv) != BLOCK_SIZE:
+            raise ValueError(f"IV must be {BLOCK_SIZE} bytes")
+        padded = pkcs7_pad(plaintext)
+        _AES_BLOCKS.value += len(padded) // BLOCK_SIZE
+        _AES_BYTES.value += len(padded)
+        _HMAC_OPS.value += 1
+        _HMAC_BYTES.value += len(mac_prefix) + BLOCK_SIZE + len(padded)
+        sealed = Sealed(self, iv, padded, mac_prefix)
+        self._pending.append(sealed)
+        if len(self._pending) >= _SEAL_QUEUE_MAX:
+            self._flush()
+        return sealed
+
+    def _flush(self) -> None:
+        pending, self._pending = self._pending, []
+        while pending:  # one pass per distinct length; a batch has a few
+            n = len(pending[0]._body)
+            group = [sealed for sealed in pending if len(sealed._body) == n]
+            pending = [sealed for sealed in pending if len(sealed._body) != n]
+            ivs, bodies = [sealed._iv for sealed in group], [sealed._body for sealed in group]
+            if len(group) >= _MULTI_MIN_LANES:
+                bodies = self._aes._cbc_encrypt_lanes(ivs, bodies)
+            else:
+                bodies = map(self._aes.cbc_encrypt_blocks, ivs, bodies)
+            for sealed, ciphertext in zip(group, bodies):
+                sealed._body, sealed._sealer = ciphertext, None
+                tag = self._mac._digest(sealed._mac_prefix + sealed._iv + ciphertext)
+                sealed._tag = tag[: self._tag_len]
 
 
 def ctr_keystream_xor(cipher: AES, nonce: bytes, data: bytes, counter0: int = 0) -> bytes:

@@ -30,7 +30,7 @@ import struct
 
 from repro.crypto.aes import AES
 from repro.crypto.hmac_kdf import HmacKey, ct_equal
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt
+from repro.crypto.modes import CbcSealer, Sealed, cbc_decrypt
 from repro.crypto.secret import Secret
 from repro.metrics import METRICS
 from repro.net.addresses import IPAddress
@@ -107,6 +107,9 @@ class EspCiphertext(WireValue):
     AES-CBC output when the payload was real bytes (None on the virtual fast
     path).  ``wire_len`` is the encrypted-payload length contributing to the
     packet size (already including padding).
+    A body from :meth:`SecurityAssociation.protect` holds a pending
+    :class:`~repro.crypto.modes.Sealed` in both slots; every observation
+    (the fields, ``==``, ``hash``, ``repr``, pickling) reads the eager bytes.
     """
 
     __slots__ = ()
@@ -118,6 +121,24 @@ class EspCiphertext(WireValue):
 
     def __len__(self) -> int:
         return self.wire_len
+
+    def __getnewargs__(self) -> tuple:  # the fields, sealed ones read
+        return (self[0], self[1], self.ciphertext, self.icv, self[4])
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            self.__class__ is other.__class__ and self.__getnewargs__() == other.__getnewargs__()
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.__getnewargs__())
+
+    def __repr__(self) -> str:
+        return WireValue.__repr__(EspCiphertext(*self.__getnewargs__()))
+
+
+EspCiphertext.ciphertext = property(lambda s: s[2].ciphertext if s[2].__class__ is Sealed else s[2])
+EspCiphertext.icv = property(lambda s: s[3].tag if s[3].__class__ is Sealed else s[3])
 
 
 class SecurityAssociation:
@@ -152,6 +173,7 @@ class SecurityAssociation:
         # computation do zero key-schedule or pad work in steady state.
         self._iv_hmac = HmacKey(enc_key, "sha1")
         self._icv_hmac = HmacKey(auth_key, "sha1")
+        self._sealer = CbcSealer(self._aes, self._icv_hmac, ICV_LEN)
         self.seq = 0
         # Anti-replay: highest seq seen + bitmask of the window below it.
         self._replay_top = 0
@@ -178,15 +200,11 @@ class SecurityAssociation:
         )
         if real is not None and self.encrypt:
             iv = self._iv_hmac.digest(struct.pack(">IQ", self.spi, self.seq))[:16]
-            ciphertext = cbc_encrypt(self._aes, iv, real)
-            icv = self._icv_hmac.digest(
-                struct.pack(">II", self.spi, self.seq) + iv + ciphertext
-            )[:ICV_LEN]
+            sealed = self._sealer.seal(iv, real, struct.pack(">II", self.spi, self.seq))
             # Padding/IV/ICV are accounted in ESPHeader.header_len, so the
             # ciphertext contributes exactly the plaintext length.
             return header, EspCiphertext(
-                inner=inner, wire_len=base_len,
-                ciphertext=ciphertext, icv=icv, iv=iv,
+                inner=inner, wire_len=base_len, ciphertext=sealed, icv=sealed, iv=iv,
             )
         return header, EspCiphertext(inner=inner, wire_len=base_len)
 
@@ -214,30 +232,30 @@ class SecurityAssociation:
         if header.spi != self.spi:
             raise EspError(f"SPI mismatch: packet {header.spi:#x}, SA {self.spi:#x}")
         self._check_replay(header.seq)
-        if payload.ciphertext is not None:
-            assert payload.iv is not None and payload.icv is not None
+        ciphertext, iv, icv = payload.ciphertext, payload.iv, payload.icv
+        if ciphertext is not None:
+            if not all(isinstance(field, bytes) for field in (ciphertext, iv, icv)):
+                raise self._auth_failure("malformed ESP payload")
             expect_icv = self._icv_hmac.digest(
-                struct.pack(">II", header.spi, header.seq) + payload.iv + payload.ciphertext
+                struct.pack(">II", header.spi, header.seq) + iv + ciphertext
             )[:ICV_LEN]
-            if not ct_equal(expect_icv, payload.icv):
-                self.auth_failures += 1
-                _AUTH_FAILURES.inc()
-                raise EspError("ICV verification failed")
+            if not ct_equal(expect_icv, icv):
+                raise self._auth_failure("ICV verification failed")
             try:
-                plain = cbc_decrypt(self._aes, payload.iv, payload.ciphertext)
+                plain = cbc_decrypt(self._aes, iv, ciphertext)
             except ValueError as exc:
-                self.auth_failures += 1
-                _AUTH_FAILURES.inc()
-                raise EspError(f"decryption failed: {exc}") from exc
-            reference = canonical_packet_bytes(self._plaintext_view(payload.inner))
-            if plain != reference:
-                self.auth_failures += 1
-                _AUTH_FAILURES.inc()
-                raise EspError("decrypted plaintext does not match inner packet")
+                raise self._auth_failure(f"decryption failed: {exc}") from exc
+            if plain != canonical_packet_bytes(self._plaintext_view(payload.inner)):
+                raise self._auth_failure("decrypted plaintext does not match inner packet")
         self._accept_replay(header.seq)
         self.packets_verified += 1
         _VERIFIED.value += 1
         return payload.inner
+
+    def _auth_failure(self, message: str) -> EspError:
+        self.auth_failures += 1
+        _AUTH_FAILURES.inc()
+        return EspError(message)
 
     def _check_replay(self, seq: int) -> None:
         if seq <= 0:

@@ -108,6 +108,21 @@ class TestProtectVerify:
         assert in_sa.auth_failures == 1
         assert in_sa.packets_verified == 0
 
+    @pytest.mark.parametrize("forged", [
+        {"iv": None}, {"icv": None}, {"ciphertext": "not bytes"}, {"icv": 12345},
+    ], ids=["no-iv", "no-icv", "str-ciphertext", "int-icv"])
+    def test_malformed_body_is_a_domain_error(self, forged):
+        # A co-tenant can put any object in these fields; verify must end in
+        # EspError (which the daemon drops and counts), with or without -O.
+        out_sa, in_sa = make_sa(), make_sa()
+        header, ct = out_sa.protect(sample_inner())
+        fields = {"ciphertext": ct.ciphertext, "icv": ct.icv, "iv": ct.iv, **forged}
+        bad = EspCiphertext(inner=ct.inner, wire_len=ct.wire_len, **fields)
+        with pytest.raises(EspError, match="malformed ESP payload"):
+            in_sa.verify(header, bad)
+        assert in_sa.auth_failures == 1
+        assert in_sa.verify(header, ct) is ct.inner  # the genuine packet still passes
+
     def test_wrong_key_rejected(self):
         out_sa = make_sa()
         wrong = SecurityAssociation(
