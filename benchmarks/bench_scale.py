@@ -11,8 +11,9 @@ wall-clock second*; the sim-time session rates of the two builds agree to
 within noise, so the ratio isolates simulator speed.
 
 Before measuring, a determinism section reruns a small configuration three
-ways — inline shards, process shards, and the monolithic twin — and insists
-on bit-identical boundary digests and per-zone results.  A fast simulator
+ways — inline shards, process shards, and the monolithic twin (every zone
+on one shard of the same builder) — and insists on bit-identical boundary
+digests and per-zone results.  A fast simulator
 that drifts from its single-heap twin is worthless, so a determinism
 failure fails the benchmark regardless of speedup.
 

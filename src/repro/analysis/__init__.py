@@ -21,10 +21,8 @@ This package *enforces* that discipline mechanically:
   taps must have a release path (``LIF001``-``LIF003``);
 * :mod:`repro.analysis.wire` — the runtime wire sanitizer: a link-layer
   tap asserting HIP TLV well-formedness and byte-exact parse/serialize
-  round-trips on every sent control packet;
-* :mod:`repro.analysis.causality` — the runtime causality sanitizer: a
-  shard-machinery tap asserting happens-before, monotonic scheduling and
-  object ownership while a sharded run executes;
+  round-trips on every sent control packet (the shard lookahead contract
+  needs no tap: :mod:`repro.sim.shard` raises where it can break);
 * :mod:`repro.analysis.runner` — file discovery, suppression handling and
   the ``python -m repro.analysis`` CLI;
 * :mod:`repro.analysis.report` — text and strict-JSON reporters (schema

@@ -20,9 +20,8 @@ rules make that ownership contract checkable:
   argument, or a function capturing a module-global ``Simulator``.
 
 Scope: product code except ``repro/analysis`` itself — the analysis layer
-is deliberately process-global instrumentation (``WIRE_TAPS`` /
-``CAUSALITY_TAPS`` installs, registry side effects) and never runs inside
-a shard.  Intentional exceptions in the simulator (the ``METRICS``
+is deliberately process-global instrumentation (``WIRE_TAPS`` installs,
+registry side effects) and never runs inside a shard.  Intentional exceptions in the simulator (the ``METRICS``
 get-or-create handles, the fast-path rearm inlining, the TCP segment
 pool) carry ``# repro: ignore[ISO...]`` suppressions with their
 justification at the site.

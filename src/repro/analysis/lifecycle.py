@@ -179,8 +179,8 @@ class TapLeakChecker(Rule):
     """Sanitizer taps are process-global by design, which is exactly why a
     leaked one is poisonous: it outlives its test and asserts against every
     later run in the process.  Installation must be paired with removal in
-    the same function — in practice, use ``wire_sanitizer()`` /
-    ``causality_sanitizer()`` instead of touching the tap lists."""
+    the same function — in practice, use ``wire_sanitizer()`` instead of
+    touching the tap list."""
 
     rule = "LIF003"
     description = (

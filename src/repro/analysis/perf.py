@@ -75,7 +75,7 @@ CHA_FANOUT_LIMIT = 3
 _REGISTRY_LOOKUPS = frozenset({"counter", "gauge", "histogram"})
 
 
-#: The analysis package itself (and its causality sanitizer) is offline
+#: The analysis package itself (and its wire sanitizer) is offline
 #: tooling — opaque CHA edges into it are spurious, so the hot walk neither
 #: follows nor reports them.
 _HOT_SCOPE = Scope(outside=("analysis", "tests"))

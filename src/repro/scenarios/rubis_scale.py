@@ -4,10 +4,14 @@ One availability zone per shard.  Each zone is a self-contained copy of the
 Figure-1 deployment grown sideways: a two-tier datacenter hosting the web
 tier, a database, a media VM and a crowd of idle multi-tenant filler VMs; a
 zone-local Internet stub with per-consumer WAN links; a keep-alive reverse
-proxy out front.  Zones peer through inter-AZ links — cross-shard portals in
-the sharded build, ordinary wires in the monolithic twin — and exchange UDP
-heartbeats across them, so the conservative-lookahead boundary carries real
-traffic for the boundary digests to referee.
+proxy out front.  Zones peer in a ring of inter-AZ links — ordinary wires
+between zones on one shard, cross-shard portals between zones on different
+shards — and exchange UDP heartbeats across them, so the conservative-
+lookahead boundary carries real traffic for the boundary digests to referee.
+One builder, :func:`build_scale_zones`, serves both plans there are:
+:func:`scale_builders` hosts one zone per shard, and
+:func:`build_scale_monolithic` (the single-heap twin) hosts every zone on one
+shard.
 
 A *session* is one JSON-API request/response over a persistent connection
 (:data:`~repro.apps.rubis.SCALE_API_MIX`).  A tunable fraction of sessions
@@ -31,16 +35,16 @@ a concrete physical host and guest address (``.200+`` inside the host's
 and the monolithic twin deploy the identical fleet without ever seeing each
 other's objects.
 
-Both builders derive every random stream from the zone's shard namespace
-(``RngStreams(seed).spawn("shard:z<i>")``), so the sharded run, the
-monolithic twin, and the multiprocessing run draw identical randomness
-per zone — the per-zone session counts are directly comparable.
+Every zone derives its random streams from its own namespace
+(``RngStreams(seed).spawn("shard:z<i>")``) whichever shard hosts it, so the
+sharded run, the monolithic twin, and the multiprocessing run draw identical
+randomness per zone — the per-zone session counts are directly comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Generator
+from typing import Callable, Generator
 
 from repro.apps.database import DbServer, rubis_tables
 from repro.apps.http import (
@@ -68,6 +72,7 @@ from repro.net.topology import (
 from repro.net.udp import UdpStack
 from repro.scenarios.rubis_cloud import DB_PORT, FRONTEND_PORT, WEB_PORT
 from repro.sim import RngStreams, Simulator
+from repro.sim.shard import Shard
 
 MEDIA_PORT = 9000
 HEARTBEAT_PORT = 7100
@@ -168,8 +173,8 @@ def _ring_neighbors(i: int, n: int) -> list[int]:
 def _ring_next_hop(i: int, j: int, n: int) -> int:
     """Ring-shortest next hop from zone ``i`` toward zone ``j``.
 
-    Ties (the antipodal zone on an even ring) break clockwise, and both
-    builders use this helper, so sharded and monolithic runs forward
+    Ties (the antipodal zone on an even ring) break clockwise, and every
+    plan routes with this helper, so sharded and monolithic runs forward
     multi-hop fleet traffic over the identical sequence of inter-AZ links.
     """
     forward = (j - i) % n
@@ -534,9 +539,10 @@ def _heartbeat_rx(stats: ZoneStats, sock) -> Generator:
 
 
 def _start_heartbeats(sim, zname: str, stats: ZoneStats, border: Node,
-                      peers: dict[int, IPAddress], p: ScaleParams) -> list[float]:
-    """Start the border router's heartbeats; returns the one-slot holder the
-    sender keeps its next fire time in (0.0 until it first runs)."""
+                      peers: dict[int, IPAddress],
+                      p: ScaleParams) -> Callable[[], float]:
+    """Start the border router's heartbeats; returns a reader of the
+    sender's next fire time (0.0 until it first runs)."""
     sock = UdpStack(border).bind(HEARTBEAT_PORT)
     next_fire = [0.0]
     sim.process(
@@ -544,79 +550,102 @@ def _start_heartbeats(sim, zname: str, stats: ZoneStats, border: Node,
         name=f"{zname}-hb-tx",
     )
     sim.process(_heartbeat_rx(stats, sock), name=f"{zname}-hb-rx")
-    return next_fire
+    return lambda: next_fire[0]
 
 
 # ----------------------------------------------------------------- builders --
 
 
-def build_scale_zone(shard, zone_index: int, n_zones: int,
-                     params: ScaleParams | None = None,
-                     fleet_plan: FleetPlan | None = None) -> Zone:
-    """Shard builder (module-level, hence picklable for process workers)."""
+def build_scale_zones(shard, hosted: tuple[int, ...], n_zones: int,
+                      params: ScaleParams | None = None,
+                      fleet_plan: FleetPlan | None = None) -> list[Zone]:
+    """Shard builder for the zones in ``hosted`` (module-level, hence
+    picklable for process workers); returns them in that order.
+
+    Every zone draws from ``RngStreams(seed).spawn("shard:z<i>")`` whichever
+    shard hosts it.  Ring neighbours hosted here are joined with
+    :func:`wire`, the others through cross-shard portals, and each zone
+    routes the others' guest space over the ring-shortest hop, so every plan
+    forwards over the identical link sequence.  A one-zone shard's result is
+    its zone's stats.
+    """
     p = params or ScaleParams()
     sim = shard.sim
-    zone = _build_zone(sim, shard.rngs, zone_index, p)
-    border = zone.internet.router
-    peers: dict[int, IPAddress] = {}
-    neighbor_ifaces: dict[int, object] = {}
-    for j in _ring_neighbors(zone_index, n_zones):
-        my_addr, peer_addr = _cross_link_addrs(zone_index, j)
-        iface = wire_cross_shard(
-            shard, border, my_addr,
-            out_port=f"x:z{zone_index}->z{j}", in_port=f"x:z{j}->z{zone_index}",
-            dst_shard=f"z{j}", bandwidth_bps=p.inter_zone_bps,
-            delay_s=p.inter_zone_delay,
-        )
-        border.routes.add(Prefix(peer_addr, 32), iface)
-        peers[j] = peer_addr
-        neighbor_ifaces[j] = iface
-    # Cross-zone guest routes: every other zone's 10.x/8 guest space is
-    # reachable over the ring-shortest inter-AZ hop, so zone-spanning
-    # tenants (fleets) can talk VM-to-VM across shard boundaries.
-    for j in range(n_zones):
-        if j == zone_index or not neighbor_ifaces:
-            continue
-        nh = _ring_next_hop(zone_index, j, n_zones)
-        border.routes.add(
-            prefix(f"{_zone_base_octet(j)}.0.0.0/8"), neighbor_ifaces[nh]
-        )
-    # Earliest-output-time promises (see repro.sim.shard): between them they
-    # must cover every source that can put a packet on a portal.  A timer is
-    # a sound promise only for a source whose send reaches the portal in the
-    # event that fires it; a source whose packet spends simulated time inside
-    # the shard first can be in flight at a barrier with its timer already
-    # re-armed, so it must promise the shard's next live event instead.
-    if peers:
-        # The heartbeat is sent by the border router itself: sendto ->
-        # send_ip -> _route_out -> ShardPortal.send is one event.
-        next_fire = _start_heartbeats(
-            sim, zone.name, zone.stats, border, peers, p
-        )
-        shard.egress_promise(lambda: next_fire[0])
+    root = RngStreams(shard.seed)
+    zrngs = {i: root.spawn(f"shard:z{i}") for i in hosted}
+    zones = {i: _build_zone(sim, zrngs[i], i, p) for i in hosted}
+    links: dict[tuple[int, int], object] = {}  # (zone, neighbour) -> iface
+    peers: dict[int, dict[int, IPAddress]] = {}
+    for i, zone in zones.items():
+        border = zone.internet.router
+        peers[i] = {}
+        for j in _ring_neighbors(i, n_zones):
+            my_addr, peer_addr = _cross_link_addrs(i, j)
+            if j not in zones:
+                links[i, j] = wire_cross_shard(
+                    shard, border, my_addr,
+                    out_port=f"x:z{i}->z{j}", in_port=f"x:z{j}->z{i}",
+                    dst_shard=f"z{j}", bandwidth_bps=p.inter_zone_bps,
+                    delay_s=p.inter_zone_delay,
+                )
+            elif (i, j) not in links:
+                links[i, j], links[j, i], _ = wire(
+                    sim, border, zones[j].internet.router,
+                    addr_a=my_addr, addr_b=peer_addr,
+                    bandwidth_bps=p.inter_zone_bps, delay_s=p.inter_zone_delay,
+                )
+            border.routes.add(Prefix(peer_addr, 32), links[i, j])
+            peers[i][j] = peer_addr
+        # Cross-zone guest routes: every other zone's 10.x/8 guest space is
+        # reachable over the ring-shortest inter-AZ hop, so zone-spanning
+        # tenants (fleets) can talk VM-to-VM across zones.
+        for j in range(n_zones):
+            if j != i:
+                border.routes.add(
+                    prefix(f"{_zone_base_octet(j)}.0.0.0/8"),
+                    links[i, _ring_next_hop(i, j, n_zones)],
+                )
+    # Earliest-output-time promises (see repro.sim.shard), registered for
+    # the sources that can reach a portal.  A heartbeat is sent by the
+    # border router itself (sendto -> send_ip -> _route_out ->
+    # ShardPortal.send is one event), so its timer is a sound promise.
+    for i, zone in zones.items():
+        if peers[i]:
+            next_fire = _start_heartbeats(
+                sim, zone.name, zone.stats, zone.internet.router, peers[i], p
+            )
+            if any(j not in zones for j in peers[i]):
+                shard.egress_promise(next_fire)
+    fleet_leaves = False
     if p.n_fleets > 0:
         plan = fleet_plan if fleet_plan is not None else plan_fleet(p)
-        _deploy_fleet(sim, shard.rngs, zone, zone_index, plan, p)
-        # A fleet VM is host -> rack -> core -> border away from the portal.
-        # Members whose ring peer is zone-local never reach it; packets from
-        # other zones (to a member here, or in transit over the border
-        # router, which forwards in the arrival event) are the coordinator's
-        # pending-arrival term and need no promise.
-        if any(
-            plan.members[(f, (k + 1) % p.fleet_size)][0] != zone_index
-            for f, k in plan.zone_members(zone_index)
-        ):
-            shard.egress_promise(sim.peek_live)
-    shard.result_fn = zone.stats.as_dict
-    return zone
+        for i, zone in zones.items():
+            _deploy_fleet(sim, zrngs[i], zone, i, plan, p)
+            fleet_leaves = fleet_leaves or any(
+                plan.members[(f, (k + 1) % p.fleet_size)][0] not in zones
+                for f, k in plan.zone_members(i)
+            )
+    # A fleet VM is host -> rack -> core -> border away from the portal, so
+    # its chat to a member hosted elsewhere can be in flight at a barrier
+    # with its timer already re-armed: it promises the shard's next live
+    # event.  Packets from other shards (to a member here, or in transit
+    # over the border router, which forwards in the arrival event) are the
+    # coordinator's pending-arrival term and need no promise.
+    if fleet_leaves:
+        shard.egress_promise(sim.peek_live)
+    built = list(zones.values())
+    if len(built) == 1:
+        shard.result_fn = built[0].stats.as_dict
+    return built
 
 
 def scale_builders(p: ScaleParams) -> dict:
-    """The ``ShardedSimulation`` builder map for a scale run."""
+    """The ``ShardedSimulation`` builder map for a scale run: one zone per
+    shard."""
     plan = plan_fleet(p)
     return {
-        f"z{i}": (build_scale_zone, {"zone_index": i, "n_zones": p.n_zones,
-                                     "params": p, "fleet_plan": plan})
+        f"z{i}": (build_scale_zones, {"hosted": (i,), "n_zones": p.n_zones,
+                                      "params": p, "fleet_plan": plan})
         for i in range(p.n_zones)
     }
 
@@ -624,57 +653,14 @@ def scale_builders(p: ScaleParams) -> dict:
 def build_scale_monolithic(
     seed: int, p: ScaleParams
 ) -> tuple[Simulator, list[Zone]]:
-    """The single-heap twin: same zones, same RNG namespaces, real wires.
+    """The single-heap twin: every zone on one shard of the same builder,
+    so the ring links are ordinary wires.
 
     Used as the speedup baseline (with ``fluid=False``) and as the timing
-    reference the sharded build must reproduce bit-identically.
+    reference the sharded build must reproduce bit-identically.  No
+    coordinator collects its link ledger, so it publishes as a plain
+    simulator's does.
     """
-    sim = Simulator()
-    root = RngStreams(seed)
-    zone_rngs = [root.spawn(f"shard:z{i}") for i in range(p.n_zones)]
-    zones = [
-        _build_zone(sim, zone_rngs[i], i, p) for i in range(p.n_zones)
-    ]
-    linked: set[tuple[int, int]] = set()
-    peer_map: dict[int, dict[int, IPAddress]] = {i: {} for i in range(p.n_zones)}
-    iface_map: dict[tuple[int, int], object] = {}
-    for i in range(p.n_zones):
-        for j in _ring_neighbors(i, p.n_zones):
-            pair = (min(i, j), max(i, j))
-            if pair in linked:
-                continue
-            linked.add(pair)
-            a, b = pair
-            addr_a, addr_b = _cross_link_addrs(a, b)
-            iface_a, iface_b, _ = wire(
-                sim, zones[a].internet.router, zones[b].internet.router,
-                addr_a=addr_a, addr_b=addr_b,
-                bandwidth_bps=p.inter_zone_bps, delay_s=p.inter_zone_delay,
-            )
-            zones[a].internet.router.routes.add(Prefix(addr_b, 32), iface_a)
-            zones[b].internet.router.routes.add(Prefix(addr_a, 32), iface_b)
-            peer_map[a][b] = addr_b
-            peer_map[b][a] = addr_a
-            iface_map[(a, b)] = iface_a
-            iface_map[(b, a)] = iface_b
-    # Mirror the sharded builder's cross-zone /8 guest routes (ring-shortest
-    # next hop, same tie-break) so both builds forward fleet traffic over
-    # the identical link sequence.
-    for i in range(p.n_zones):
-        for j in range(p.n_zones):
-            if i == j or not peer_map[i]:
-                continue
-            nh = _ring_next_hop(i, j, p.n_zones)
-            zones[i].internet.router.routes.add(
-                prefix(f"{_zone_base_octet(j)}.0.0.0/8"), iface_map[(i, nh)]
-            )
-    for i, zone in enumerate(zones):
-        if peer_map[i]:
-            _start_heartbeats(
-                sim, zone.name, zone.stats, zone.internet.router, peer_map[i], p
-            )
-    if p.n_fleets > 0:
-        plan = plan_fleet(p)
-        for i, zone in enumerate(zones):
-            _deploy_fleet(sim, zone_rngs[i], zone, i, plan, p)
-    return sim, zones
+    shard = Shard("monolithic", 0, seed)
+    shard.ledger.publish = True
+    return shard.sim, build_scale_zones(shard, tuple(range(p.n_zones)), p.n_zones, p)

@@ -42,16 +42,18 @@ The coordinator is built for real hardware parallelism:
   source reaches the portal *in the event that fires it*; (3) is the
   pending-arrival term (border forwarding is same-event); a source several
   hops from its portal must promise ``peek_live`` because of (1).  A promise
-  that is too late cannot change a result silently: the envelope it failed
-  to announce arrives inside a committed window and :meth:`_route_window`
-  raises :class:`LookaheadError` naming the shard and the promise.
-* **Batched envelope frames** — cross-process traffic is one length-prefixed
-  frame per window: struct-packed envelope metadata, an interned string
-  table, and a *single* pickle of the packet list (shared memo, payload
-  bytes interned once) instead of per-object pipe pickling.  Sync-overhead
-  metrics (windows, stretched windows, envelopes, frame bytes, per-shard
-  busy and CPU seconds) land in the metrics registry and
-  :meth:`ShardedSimulation.sync_stats`.
+  that is too late is refused where it breaks: the portal raises
+  :class:`LookaheadError` naming the shard, the port, the send time and the
+  promise, whether or not the packet would have landed inside a committed
+  window.
+* **Batched envelope frames** — every window is one length-prefixed frame
+  each way: struct-packed envelope metadata, an interned string table, and
+  a *single* pickle of the packet list (shared memo, payload bytes interned
+  once).  Inline and forked workers speak the same bytes (see
+  :func:`_serve`), so a destination shard never holds the sender's packet
+  object in either mode.  Sync-overhead metrics (windows, stretched
+  windows, envelopes, frame bytes, per-shard busy and CPU seconds) land in
+  the metrics registry and :meth:`ShardedSimulation.sync_stats`.
 
 **Digest invariance under window scheduling.**  Because adaptive windows
 change *when* envelopes reach the coordinator, the boundary digest referee
@@ -70,7 +72,8 @@ Determinism rules for shard authors:
 * builders must not touch process-global mutable state that influences
   packet contents;
 * cross-shard traffic must be picklable (plain headers + bytes/virtual
-  payloads), which the RUBiS scenario's zone heartbeats satisfy.
+  payloads) in both worker modes, which the RUBiS scenario's zone
+  heartbeats satisfy.
 """
 
 from __future__ import annotations
@@ -95,16 +98,6 @@ from repro.sim.rng import RngStreams
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Interface
-
-#: Opt-in causality sanitizer taps (mirrors ``net.link.WIRE_TAPS``).  Each
-#: tap observes shard registration, portal sends, coordinator routing and
-#: envelope injection, asserting the happens-before contract at runtime.
-#: Empty in production runs — :mod:`repro.analysis.causality` registers a
-#: sanitizer here from a pytest fixture or an explicit context manager.
-#: Taps installed before ``ShardedSimulation(parallel=True)`` forks are
-#: inherited by the worker children, so shard-side violations raise in the
-#: child and surface as ``ShardError`` in the parent.
-CAUSALITY_TAPS: list[Any] = []
 
 #: Sync-overhead observability (coordinator side, parent process only).
 _SYNC_WINDOWS = METRICS.counter("shard.sync.windows")
@@ -150,9 +143,10 @@ class Envelope:
     dst_shard: str
     port_id: str
     packet: Packet
-    #: Sender's local clock when the packet entered the portal.  Causality
-    #: metadata only — deliberately excluded from :func:`canonical_envelope`
-    #: so boundary digests stay comparable across sanitized/plain runs.
+    #: Sender's local clock when the packet entered the portal, which
+    #: :meth:`ShardedSimulation._route_window` holds ``arrival`` to (at least
+    #: one lookahead later).  Not part of :func:`canonical_envelope`: the
+    #: digest referees what arrives, not when the sender queued it.
     sent_now: float = -1.0
 
 
@@ -332,21 +326,28 @@ class ShardPortal(Serializer):
 
     def _depart(self, packet: Packet, size: int, depart: float) -> None:
         shard = self.shard
+        now = self.sim._now
+        # The shard's promise: no send before the EOT it last reported,
+        # except in reaction to an envelope injected this window.
+        if now < shard.eot and now < shard._inbound:
+            raise LookaheadError(
+                f"shard {shard.name!r} sent through {self.port_id!r} at "
+                f"t={now:.6f} after promising no output before "
+                f"t={shard.eot:.6f}"
+            )
         shard._env_seq += 1
-        env = Envelope(
-            arrival=depart + self.delay_s,
-            src_shard=shard.name,
-            src_index=shard.index,
-            seq=shard._env_seq,
-            dst_shard=self.dst_shard,
-            port_id=self.port_id,
-            packet=packet,
-            sent_now=self.sim._now,
+        self.out.append(
+            Envelope(
+                arrival=depart + self.delay_s,
+                src_shard=shard.name,
+                src_index=shard.index,
+                seq=shard._env_seq,
+                dst_shard=self.dst_shard,
+                port_id=self.port_id,
+                packet=packet,
+                sent_now=now,
+            )
         )
-        if CAUSALITY_TAPS:
-            for tap in CAUSALITY_TAPS:
-                tap.on_send(shard, self, env)
-        self.out.append(env)
 
 
 class Shard:
@@ -355,6 +356,8 @@ class Shard:
     def __init__(self, name: str, index: int, seed: int) -> None:
         self.name = name
         self.index = index
+        #: The run's seed, for a builder hosting several RNG namespaces.
+        self.seed = seed
         self.sim = Simulator()
         #: Shard-owned link accounting: a *non-publishing* ledger installed
         #: before the builder runs, so every LinkEndpoint (and portal) this
@@ -375,10 +378,11 @@ class Shard:
         self._promises: list[Callable[[], float]] = []
         #: The earliest output time :meth:`advance` last reported.
         self.eot = 0.0
+        #: Earliest arrival :meth:`inject` scheduled for the window in
+        #: progress (``inf`` if none; every window injects, possibly
+        #: nothing): a reaction to it may send before :attr:`eot`.
+        self._inbound = _INF
         self.result_fn: Callable[[], Any] | None = None
-        if CAUSALITY_TAPS:
-            for tap in CAUSALITY_TAPS:
-                tap.on_shard(self)
 
     def open_egress(
         self,
@@ -429,22 +433,23 @@ class Shard:
     def inject(self, envelopes: list[Envelope]) -> None:
         """Schedule arrivals from other shards (already globally ordered)."""
         now = self.sim.now
-        taps = CAUSALITY_TAPS
+        inbound = _INF
         for env in envelopes:
-            if taps:
-                for tap in taps:
-                    tap.on_inject(self, env, now)
-            if env.arrival < now:
+            arrival = env.arrival
+            if arrival < now:
                 raise ShardError(
                     f"lookahead violated: envelope for {env.port_id!r} arrives at "
-                    f"{env.arrival} but shard {self.name!r} is at {now}"
+                    f"{arrival} but shard {self.name!r} is at {now}"
                 )
             iface = self.ingress.get(env.port_id)
             if iface is None:
                 raise ShardError(
                     f"shard {self.name!r} has no ingress port {env.port_id!r}"
                 )
-            self.sim.call_at(env.arrival, iface.receive, env.packet)
+            if arrival < inbound:
+                inbound = arrival
+            self.sim.call_at(arrival, iface.receive, env.packet)
+        self._inbound = inbound
 
     def advance(
         self, window_end: float
@@ -459,14 +464,12 @@ class Shard:
         :meth:`egress_promise` values, or ``peek`` when none is registered —
         and is what the next barrier is computed from: correctness never
         depends on it being tight, only on no portal send happening before
-        it except in reaction to an inbound envelope.  ``ledger_delta`` is
+        it except in reaction to an inbound envelope, which the portal
+        enforces.  ``ledger_delta`` is
         this window's link accounting, published by the coordinator in the
         parent process.
         """
         self.sim.run(until=window_end)
-        if CAUSALITY_TAPS:
-            for tap in CAUSALITY_TAPS:
-                tap.on_commit(self, window_end)
         portals = self._portal_order
         if portals is None:
             portals = self._portal_order = [
@@ -490,6 +493,18 @@ class Shard:
 
 
 # ----------------------------------------------------------------- workers --
+#
+# One protocol, two transports.  The coordinator talks to every shard in
+# frame bytes and the shard answers through :func:`_serve`; the inline
+# worker calls it on those bytes directly, the forked worker pipes them to a
+# child process.  All messages are bytes:
+#
+#   parent  W + window_end f64 + envelope frame;  F;  S (forked only)
+#   shard   P + pickled ports (once, after build);
+#           W + envelope frame + reply tail (peek, EOT, ledger delta,
+#             busy wall-seconds, busy CPU-seconds);
+#           F + pickled (result, ledger delta);
+#           E, or L for a LookaheadError, + utf-8 error text
 
 Builder = Callable[..., None]
 
@@ -497,44 +512,51 @@ Builder = Callable[..., None]
 _POLL_INTERVAL_S = 0.05
 
 
-class _InlineWorker:
-    """Runs a shard on the coordinator's own event loop (no parallelism)."""
+def _open(
+    name: str, index: int, seed: int, builder: Builder, kwargs: dict[str, Any]
+) -> tuple[Shard, bytes]:
+    """Build one shard; returns it with its ``P`` reply."""
+    shard = Shard(name, index, seed)
+    builder(shard, **kwargs)
+    return shard, b"P" + pickle.dumps(shard.ports(), _PICKLE_PROTO)
 
-    def __init__(
-        self,
-        name: str,
-        index: int,
-        seed: int,
-        builder: Builder,
-        kwargs: dict[str, Any],
-    ) -> None:
-        self.name = name
-        self.bytes_tx = 0
-        self.bytes_rx = 0
-        self._window: tuple[float, list[Envelope]] | None = None
-        self.shard = Shard(name, index, seed)
-        builder(self.shard, **kwargs)
 
-    def ports(self) -> dict[str, Any]:
-        return self.shard.ports()
+def _serve(shard: Shard, msg: bytes) -> bytes:
+    """The shard side of the protocol: one command in, its reply out.
 
-    def start_window(self, window_end: float, envelopes: list[Envelope]) -> None:
-        self._window = (window_end, envelopes)
+    Busy and CPU seconds time the window's simulation, not the codec, the
+    same way under both transports.
+    """
+    reader = WireReader(msg, ShardError)
+    op = reader.take(1, "command")
+    if op == b"W":
+        (window_end,) = reader.read(_F64, "window end")
+        envelopes = _read_envelopes(reader)
+        start = time.perf_counter()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
+        cpu_start = time.process_time()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
+        shard.inject(envelopes)
+        out, peek, eot, delta = shard.advance(window_end)
+        cpu = time.process_time() - cpu_start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
+        busy = time.perf_counter() - start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
+        tail = _REPLY_TAIL.pack(peek, eot, *delta, busy, cpu)
+        return b"".join((b"W", encode_envelopes(out), tail))
+    if op == b"F":
+        return b"F" + pickle.dumps(shard.finish(), _PICKLE_PROTO)
+    raise ShardError(f"unknown command {bytes(op)!r}")
 
-    def collect_window(
-        self,
-    ) -> tuple[list[Envelope], float, float, tuple[int, ...], float, float]:
-        window_end, envelopes = self._window  # type: ignore[misc]
-        self._window = None
-        self.shard.inject(envelopes)
-        out, peek, eot, delta = self.shard.advance(window_end)
-        return out, peek, eot, delta, 0.0, 0.0
 
-    def finish(self) -> tuple[Any, tuple[int, ...]]:
-        return self.shard.finish()
-
-    def stop(self) -> None:
-        return None
+def _error_reply(exc: BaseException, shard: Shard | None) -> bytes:
+    """The ``E`` reply for ``exc``, stamped with the shard's clock; ``L`` for
+    a :class:`LookaheadError`, also one a crashed process wraps."""
+    tag = b"E"
+    cause: BaseException | None = exc
+    while cause is not None:
+        if isinstance(cause, LookaheadError):
+            tag, exc = b"L", cause
+            break
+        cause = cause.__cause__
+    at = "" if shard is None else f" at t={shard.sim.now:.6f}"
+    return tag + f"{type(exc).__name__}{at}: {exc}".encode()
 
 
 def _worker_main(
@@ -545,66 +567,31 @@ def _worker_main(
     builder: Builder,
     kwargs: dict[str, Any],
 ) -> None:
-    """Child-process loop: build the shard locally, then serve commands.
-
-    Wire protocol (all messages via ``send_bytes``/``recv_bytes``):
-
-    ======  =========================================================
-    parent  ``W`` + window_end f64 + envelope frame; ``F``; ``S``
-    child   ``P`` + pickled ports (once, after build);
-            ``W`` + envelope frame + reply tail (peek, EOT, ledger delta,
-            busy wall-seconds, busy CPU-seconds); ``F`` + pickled
-            (result, delta);
-            ``E`` + utf-8 error text (then the child exits)
-    ======  =========================================================
-    """
+    """Forked child: build the shard, then serve commands off the pipe until
+    ``S`` or EOF.  A failure is replied as ``E``/``L`` and ends the child."""
+    shard = None
     try:
-        shard = Shard(name, index, seed)
-        builder(shard, **kwargs)
-        conn.send_bytes(b"P" + pickle.dumps(shard.ports(), _PICKLE_PROTO))
+        shard, reply = _open(name, index, seed, builder, kwargs)
+        while True:
+            conn.send_bytes(reply)
+            try:
+                msg = conn.recv_bytes()
+            except EOFError:
+                return
+            if msg == b"S":
+                return
+            reply = _serve(shard, msg)
     except BaseException as exc:  # noqa: BLE001 - report, then die
-        conn.send_bytes(b"E" + f"{type(exc).__name__}: {exc}".encode())
-        return
-    while True:
-        try:
-            msg = conn.recv_bytes()
-        except EOFError:
-            return
-        try:
-            reader = WireReader(msg, ShardError)
-            op = reader.take(1, "command")
-            if op == b"W":
-                (window_end,) = reader.read(_F64, "window end")
-                envelopes = _read_envelopes(reader)
-                start = time.perf_counter()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
-                cpu_start = time.process_time()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
-                shard.inject(envelopes)
-                out, peek, eot, delta = shard.advance(window_end)
-                cpu = time.process_time() - cpu_start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
-                busy = time.perf_counter() - start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
-                conn.send_bytes(
-                    b"".join(
-                        (
-                            b"W",
-                            encode_envelopes(out),
-                            _REPLY_TAIL.pack(peek, eot, *delta, busy, cpu),
-                        )
-                    )
-                )
-            elif op == b"F":
-                conn.send_bytes(b"F" + pickle.dumps(shard.finish(), _PICKLE_PROTO))
-            elif op == b"S":
-                return
-            else:  # pragma: no cover - protocol bug
-                conn.send_bytes(b"E" + b"unknown command " + bytes(op))
-                return
-        except BaseException as exc:  # noqa: BLE001
-            conn.send_bytes(b"E" + f"{type(exc).__name__}: {exc}".encode())
-            return
+        conn.send_bytes(_error_reply(exc, shard))
 
 
-class _ProcessWorker:
-    """Runs a shard in a forked child, speaking a framed pipe protocol."""
+class _Worker:
+    """One shard behind the worker protocol, served in this process.
+
+    ``_send``/``_recv`` are the transport: here ``_send`` serves the
+    command at once and ``_recv`` hands back its reply.
+    :class:`_ProcessWorker` pipes the same bytes to a forked child.
+    """
 
     def __init__(
         self,
@@ -617,70 +604,58 @@ class _ProcessWorker:
         self.name = name
         self.bytes_tx = 0
         self.bytes_rx = 0
-        self._stopped = False
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_conn = ctx.Pipe()
-        self._proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, name, index, seed, builder, kwargs),
-            daemon=True,
-        )
-        self._proc.start()
-        child_conn.close()
-        self._ports = pickle.loads(self._expect(b"P")[1:])
-
-    # -- plumbing -------------------------------------------------------------
-    @property
-    def connection(self):
-        """The parent end of the pipe (for ``connection.wait`` gathering)."""
-        return self._conn
-
-    def _recv_msg(self) -> bytes:
-        """Blocking receive with a liveness check: a dead child raises a
-        :class:`ShardError` naming the shard instead of deadlocking."""
-        conn = self._conn
-        proc = self._proc
-        while not conn.poll(_POLL_INTERVAL_S):
-            if not proc.is_alive():
-                raise ShardError(
-                    f"shard {self.name!r} worker died without replying "
-                    f"(exitcode {proc.exitcode})"
-                )
+        self._start(index, seed, builder, kwargs)
         try:
-            msg = conn.recv_bytes()
-        except EOFError:
+            self._ports = pickle.loads(self._expect(b"P")[1:])
+        except BaseException:
+            self.stop()
+            raise
+
+    # -- transport: a direct call ---------------------------------------------
+    def _start(
+        self, index: int, seed: int, builder: Builder, kwargs: dict[str, Any]
+    ) -> None:
+        try:
+            self.shard, self._reply = _open(self.name, index, seed, builder, kwargs)
+        except Exception as exc:
+            raise self._failure(_error_reply(exc, None)) from exc
+
+    def _send(self, msg: bytes) -> None:
+        self.bytes_tx += len(msg)
+        try:
+            self._reply = _serve(self.shard, msg)
+        except Exception as exc:
+            raise self._failure(_error_reply(exc, self.shard)) from exc
+
+    def _recv(self) -> bytes:
+        return self._reply
+
+    def stop(self) -> None:
+        """Close the shard's simulator, so a failed run leaves no suspended
+        process for the garbage collector to finalize (idempotent)."""
+        self.shard.sim.close()
+
+    # -- the protocol ---------------------------------------------------------
+    def _failure(self, reply: bytes) -> ShardError:
+        cls = LookaheadError if reply[:1] == b"L" else ShardError
+        return cls(
+            f"shard {self.name!r} worker failed: "
+            f"{reply[1:].decode(errors='replace')}"
+        )
+
+    def _expect(self, op: bytes) -> bytes:
+        msg = self._recv()
+        tag = msg[:1]
+        if tag != op:
+            if tag in (b"E", b"L"):
+                raise self._failure(msg)
             raise ShardError(
-                f"shard {self.name!r} worker closed its pipe mid-reply "
-                f"(exitcode {proc.exitcode})"
-            ) from None
-        if msg[:1] == b"E":
-            raise ShardError(
-                f"shard {self.name!r} worker failed: "
-                f"{msg[1:].decode(errors='replace')}"
+                f"shard {self.name!r} worker protocol error: expected "
+                f"{op!r}, got {tag!r}"
             )
         self.bytes_rx += len(msg)
         return msg
 
-    def _expect(self, op: bytes) -> bytes:
-        msg = self._recv_msg()
-        if msg[:1] != op:
-            raise ShardError(
-                f"shard {self.name!r} worker protocol error: expected "
-                f"{op!r}, got {msg[:1]!r}"
-            )
-        return msg
-
-    def _send(self, msg: bytes) -> None:
-        try:
-            self._conn.send_bytes(msg)
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardError(
-                f"shard {self.name!r} worker is gone "
-                f"({type(exc).__name__}; exitcode {self._proc.exitcode})"
-            ) from exc
-        self.bytes_tx += len(msg)
-
-    # -- commands -------------------------------------------------------------
     def ports(self) -> dict[str, Any]:
         return self._ports
 
@@ -703,6 +678,58 @@ class _ProcessWorker:
     def finish(self) -> tuple[Any, tuple[int, ...]]:
         self._send(b"F")
         return pickle.loads(self._expect(b"F")[1:])
+
+
+class _ProcessWorker(_Worker):
+    """The same protocol over a pipe to a forked child (``parallel=True``)."""
+
+    def _start(
+        self, index: int, seed: int, builder: Builder, kwargs: dict[str, Any]
+    ) -> None:
+        self._stopped = False
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_conn = ctx.Pipe()
+        self._proc = ctx.Process(
+            target=_worker_main,
+            args=(child_conn, self.name, index, seed, builder, kwargs),
+            daemon=True,
+        )
+        self._proc.start()
+        child_conn.close()
+
+    @property
+    def connection(self):
+        """The parent end of the pipe (for ``connection.wait`` gathering)."""
+        return self._conn
+
+    def _recv(self) -> bytes:
+        """Blocking receive with a liveness check: a dead child raises a
+        :class:`ShardError` naming the shard instead of deadlocking."""
+        conn = self._conn
+        proc = self._proc
+        while not conn.poll(_POLL_INTERVAL_S):
+            if not proc.is_alive():
+                raise ShardError(
+                    f"shard {self.name!r} worker died without replying "
+                    f"(exitcode {proc.exitcode})"
+                )
+        try:
+            return conn.recv_bytes()
+        except EOFError:
+            raise ShardError(
+                f"shard {self.name!r} worker closed its pipe mid-reply "
+                f"(exitcode {proc.exitcode})"
+            ) from None
+
+    def _send(self, msg: bytes) -> None:
+        try:
+            self._conn.send_bytes(msg)
+        except (BrokenPipeError, OSError) as exc:
+            raise ShardError(
+                f"shard {self.name!r} worker is gone "
+                f"({type(exc).__name__}; exitcode {self._proc.exitcode})"
+            ) from exc
+        self.bytes_tx += len(msg)
 
     def stop(self) -> None:
         """Stop the child; always leaves no live process behind.
@@ -742,7 +769,8 @@ class ShardedSimulation:
     opens boundary ports, and sets ``shard.result_fn``.
 
     ``parallel=True`` forks one worker process per shard and scatter-gathers
-    every window; ``adaptive=True`` (default) stretches windows past the
+    every window; without it, every shard runs behind the same protocol in
+    this process.  ``adaptive=True`` (default) stretches windows past the
     static lookahead as far as the shards' earliest-output-time promises
     allow (``adaptive=False`` is the static schedule and ignores them).  The
     boundary digest is schedule-invariant (see module docstring), so
@@ -771,8 +799,8 @@ class ShardedSimulation:
         #: seq): drained into the SHA-256 once the barrier clock passes their
         #: arrival, which makes the digest window-schedule invariant.
         self._undigested: list[tuple[float, int, int, Envelope]] = []
-        worker_cls = _ProcessWorker if parallel else _InlineWorker
-        self.workers: dict[str, Any] = {}
+        worker_cls = _ProcessWorker if parallel else _Worker
+        self.workers: dict[str, _Worker] = {}
         try:
             for index, (name, (builder, kwargs)) in enumerate(
                 sorted(builders.items())
@@ -785,7 +813,7 @@ class ShardedSimulation:
             self._stop_workers()
             raise
         self._names: list[str] = list(self.workers)
-        self._worker_list: list[Any] = list(self.workers.values())
+        self._worker_list: list[_Worker] = list(self.workers.values())
         n = len(self._worker_list)
         self._dst_index = {name: i for i, name in enumerate(self._names)}
         self._pending: list[list[Envelope]] = [[] for _ in range(n)]
@@ -835,8 +863,9 @@ class ShardedSimulation:
         Per shard, ``busy_s`` is the worker's wall time inside windows and
         ``cpu_s`` the CPU time it was actually given for them: on an
         oversubscribed host ``busy_s`` counts time spent preempted, so it is
-        ``cpu_s`` that says how much work the shard did.  Both are zero for
-        inline workers.
+        ``cpu_s`` that says how much work the shard did.  Both are measured
+        alike in both worker modes; ``idle_fraction`` (the share of window
+        wall time a forked worker waited on the barrier) is ``None`` inline.
         """
         wall = self.window_wall_s
         per_shard: dict[str, Any] = {}
@@ -880,10 +909,6 @@ class ShardedSimulation:
         """
         workers = self._worker_list
         pending = self._pending
-        peeks = self._peeks
-        eots = self._eots
-        busy_acc = self._busy
-        cpu_acc = self._cpu
         n = len(workers)
         start = time.perf_counter()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
         for i in range(n):
@@ -906,60 +931,46 @@ class ShardedSimulation:
                             )
                     continue
                 for conn in ready:
-                    i = conn_index[conn]
-                    sent, peek, eot, delta, busy, cpu = workers[i].collect_window()
+                    self._collect(conn_index[conn], outs)
                     remaining.remove(conn)
-                    peeks[i] = peek
-                    eots[i] = eot
-                    busy_acc[i] += busy
-                    cpu_acc[i] += cpu
-                    publish_link_delta(delta)
-                    if sent:
-                        outs.extend(sent)
         else:
             for i in range(n):
-                sent, peek, eot, delta, _busy, _cpu = workers[i].collect_window()
-                peeks[i] = peek
-                eots[i] = eot
-                publish_link_delta(delta)
-                if sent:
-                    outs.extend(sent)
+                self._collect(i, outs)
         self.window_wall_s += time.perf_counter() - start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
         return outs
 
-    def _route_window(
-        self, outs: list[Envelope], window_end: float, promised: tuple[float, ...]
-    ) -> None:
+    def _collect(self, i: int, outs: list[Envelope]) -> None:
+        """Take worker ``i``'s window reply into the coordinator's state."""
+        sent, self._peeks[i], self._eots[i], delta, busy, cpu = (
+            self._worker_list[i].collect_window()
+        )
+        self._busy[i] += busy
+        self._cpu[i] += cpu
+        publish_link_delta(delta)
+        outs.extend(sent)
+
+    def _route_window(self, outs: list[Envelope], window_end: float) -> None:
         """Validate, order and buffer one barrier's cross-shard envelopes.
 
-        ``promised`` is each shard's EOT as this window was scheduled from
-        it; an envelope landing inside the window from a shard that sent
-        before its own EOT is reported as that shard's broken promise.
+        An envelope must land at or after the barrier (its destination has
+        run up to it) and at least one lookahead after it was sent.
         """
         outs.sort(key=_GLOBAL_ORDER)
-        taps = CAUSALITY_TAPS
         lookahead = self.lookahead
         undigested = self._undigested
         dst_index = self._dst_index
         pending = self._pending
         for env in outs:
-            if taps:
-                for tap in taps:
-                    tap.on_route(env, window_end, lookahead)
-            if env.arrival < window_end:
-                msg = (
-                    f"envelope from {env.src_shard!r} arrives at "
-                    f"{env.arrival}, inside the window ending {window_end}"
+            arrival = env.arrival
+            if arrival < window_end or arrival < env.sent_now + lookahead:
+                raise LookaheadError(
+                    f"envelope from shard {env.src_shard!r} through "
+                    f"{env.port_id!r} sent at t={env.sent_now:.6f} arrives at "
+                    f"t={arrival:.6f}: inside the window ending "
+                    f"t={window_end:.6f}, or less than the lookahead "
+                    f"{lookahead} after its send"
                 )
-                eot = promised[env.src_index]
-                if env.sent_now < eot:
-                    msg = (
-                        f"shard {env.src_shard!r} sent through "
-                        f"{env.port_id!r} at t={env.sent_now:.6f} after "
-                        f"promising no output before t={eot:.6f}: {msg}"
-                    )
-                raise LookaheadError(msg)
-            heappush(undigested, (env.arrival, env.src_index, env.seq, env))
+            heappush(undigested, (arrival, env.src_index, env.seq, env))
             pending[dst_index[env.dst_shard]].append(env)
         self.envelopes_routed += len(outs)
 
@@ -972,15 +983,8 @@ class ShardedSimulation:
         """
         undigested = self._undigested
         digest = self._digest
-        taps = CAUSALITY_TAPS
         while undigested and undigested[0][0] <= barrier:
-            _arrival, _src, _seq, env = heappop(undigested)
-            if taps:
-                for tap in taps:
-                    on_digest = getattr(tap, "on_digest", None)
-                    if on_digest is not None:
-                        on_digest(env, barrier)
-            digest.update(canonical_envelope(env))
+            digest.update(canonical_envelope(heappop(undigested)[3]))
 
     # -- run ------------------------------------------------------------------
     def run(self, until: float) -> dict[str, Any]:
@@ -997,11 +1001,6 @@ class ShardedSimulation:
             raise
 
     def _run(self, until: float) -> dict[str, Any]:
-        if CAUSALITY_TAPS:
-            for tap in CAUSALITY_TAPS:
-                on_run_start = getattr(tap, "on_run_start", None)
-                if on_run_start is not None:
-                    on_run_start(self)
         lookahead = self.lookahead
         adaptive = self.adaptive
         pending = self._pending
@@ -1010,11 +1009,10 @@ class ShardedSimulation:
         t = 0.0
         window_end = min(lookahead, until)
         while t < until:
-            promised = tuple(eots)
             outs = self._sync_window(window_end)
             self.windows += 1
             if outs:
-                self._route_window(outs, window_end, promised)
+                self._route_window(outs, window_end)
             self._drain_digest(window_end)
             t = window_end
             next_arrival = _INF
@@ -1035,11 +1033,6 @@ class ShardedSimulation:
                 self.stretched_windows += 1
             if window_end > until:
                 window_end = until
-            if CAUSALITY_TAPS:
-                for tap in CAUSALITY_TAPS:
-                    on_window = getattr(tap, "on_window", None)
-                    if on_window is not None:
-                        on_window(t, window_end, next_t, lookahead)
         self._drain_digest(_INF)
         results: dict[str, Any] = {}
         for i, name in enumerate(self._names):

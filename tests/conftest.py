@@ -31,25 +31,6 @@ def _wire_sanitizer_for_smoke(request):
         yield
 
 
-@pytest.fixture(autouse=True)
-def _causality_sanitizer_for_shards(request):
-    """Smoke-marked tests and the shard suite run with the runtime causality
-    sanitizer installed: every shard built while it is active has its
-    happens-before, monotonic-scheduling and object-ownership contract
-    checked as the simulation executes (inherited across worker forks in
-    ``parallel=True`` runs)."""
-    is_smoke = request.node.get_closest_marker("smoke") is not None
-    module = getattr(request.node, "module", None)
-    in_shard_suite = getattr(module, "__name__", "").endswith("test_shard")
-    if not (is_smoke or in_shard_suite):
-        yield
-        return
-    from repro.analysis.causality import causality_sanitizer
-
-    with causality_sanitizer():
-        yield
-
-
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xDECAF)

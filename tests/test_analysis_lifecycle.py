@@ -203,7 +203,7 @@ def test_lif003_fires_in_tests_too():
     # Tests are exactly where taps leak between cases.
     src = """
         def test_something(tap):
-            CAUSALITY_TAPS.append(tap)
+            WIRE_TAPS.append(tap)
             assert run() == 0
     """
     assert findings(src, "LIF003", path=TESTCODE)
@@ -211,11 +211,11 @@ def test_lif003_fires_in_tests_too():
 
 def test_lif003_attribute_tap_list():
     src = """
-        def install(shard_mod, tap):
-            shard_mod.CAUSALITY_TAPS.append(tap)
+        def install(link, tap):
+            link.WIRE_TAPS.append(tap)
     """
     [finding] = findings(src, "LIF003")
-    assert "CAUSALITY_TAPS" in finding.message
+    assert "WIRE_TAPS" in finding.message
 
 
 def test_lif003_clean_try_finally_pairing():

@@ -7,6 +7,7 @@ engine's golden value) and produce identical per-shard results — and those
 results must match the monolithic single-heap twin of the same topology.
 """
 
+import hashlib
 import struct
 
 import pytest
@@ -21,10 +22,12 @@ from repro.sim.shard import (
     LookaheadError,
     ShardedSimulation,
     ShardError,
+    canonical_envelope,
     decode_envelopes,
     encode_envelopes,
 )
 from tests.test_replay_golden import load_golden
+from tests.wire_fuzz import sweep_truncations
 
 LEFT_ADDR = ipv4("10.7.0.1")
 RIGHT_ADDR = ipv4("10.7.0.2")
@@ -278,6 +281,64 @@ def test_adaptive_process_matches_adaptive_inline():
     assert procs.windows == inline.windows
 
 
+class _Recording(ShardedSimulation):
+    """Logs every barrier with the peeks and EOTs read at it and the
+    envelopes routed there, to re-derive what the coordinator computed."""
+
+    def __init__(self, *args, **kwargs):
+        self.log = []
+        super().__init__(*args, **kwargs)
+
+    def _sync_window(self, window_end):
+        outs = super()._sync_window(window_end)
+        self.log.append((window_end, tuple(self._peeks), tuple(self._eots), list(outs)))
+        return outs
+
+
+@pytest.mark.parametrize(
+    "parallel, adaptive", [(False, False), (False, True), (True, False), (True, True)]
+)
+def test_digest_is_the_sorted_canonical_envelope_stream(parallel, adaptive):
+    """The boundary digest is a SHA-256 over every routed envelope's
+    canonical form in global ``(arrival, src_index, seq)`` order, whatever
+    the schedule or transport."""
+    sharded = _Recording(echo_builders(), 42, parallel=parallel, adaptive=adaptive)
+    sharded.run(1.0)
+    routed = [env for *_, outs in sharded.log for env in outs]
+    routed.sort(key=lambda env: (env.arrival, env.src_index, env.seq))
+    assert len({(e.arrival, e.src_index, e.seq) for e in routed}) == len(routed) == 40
+    stream = hashlib.sha256(b"".join(canonical_envelope(env) for env in routed))
+    assert sharded.boundary_digest == stream.hexdigest()
+    assert sharded.boundary_digest == load_golden()["shard_echo"]["boundary_digest"]
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_window_schedule_is_the_lookahead_bound(adaptive):
+    """Every barrier re-derived: one lookahead past the last, or (adaptive)
+    one lookahead past the earliest possible send, ``min(EOTs, routed
+    arrivals)``, when that is later; capped at ``until``; and no envelope
+    routed at a barrier lands before it."""
+    until = 1.0
+    sharded = _Recording(echo_builders(promises=True), 42, adaptive=adaptive)
+    sharded.run(until)
+    lookahead = sharded.lookahead
+    expected, stretched = min(lookahead, until), 0
+    for end, peeks, eots, outs in sharded.log:
+        assert end == expected
+        assert all(env.arrival >= end for env in outs)
+        next_arrival = min((env.arrival for env in outs), default=INF)
+        if next_arrival == INF and min(peeks) == INF:
+            break
+        next_t = min(min(eots), next_arrival)
+        expected = end + lookahead
+        if adaptive and next_t + lookahead > expected:
+            expected = next_t + lookahead
+            stretched += 1
+        expected = min(expected, until)
+    assert (end, stretched) == (sharded.log[-1][0], sharded.stretched_windows)
+    assert (stretched > 0) == adaptive
+
+
 def test_sync_stats_shape():
     sharded, _ = run_echo(parallel=False)
     stats = sharded.sync_stats()
@@ -292,7 +353,23 @@ def test_sync_stats_shape():
         assert set(row) == {
             "busy_s", "cpu_s", "idle_fraction", "frame_bytes_tx", "frame_bytes_rx",
         }
-        assert row["busy_s"] == row["cpu_s"] == 0.0  # inline: not measured
+        assert row["cpu_s"] > 0.0  # timed inside the worker, as forked
+        assert row["idle_fraction"] is None  # no barrier to wait on inline
+
+
+def test_sync_stats_report_the_same_keys_in_both_transports():
+    inline, _ = run_echo(parallel=False)
+    forked, _ = run_echo(parallel=True)
+    a, b = inline.sync_stats(), forked.sync_stats()
+    assert a.keys() == b.keys()
+    for stats in (a, b):
+        for row in stats["per_shard"].values():
+            assert row.keys() == a["per_shard"]["left"].keys()
+            assert row["busy_s"] > 0.0
+            assert row["cpu_s"] > 0.0
+    # The same bytes cross both transports.
+    assert a["frame_bytes_tx"] == b["frame_bytes_tx"] > 0
+    assert a["frame_bytes_rx"] == b["frame_bytes_rx"] > 0
 
 
 def test_sync_stats_forked_reports_cpu_beside_wall():
@@ -534,8 +611,43 @@ def test_failing_worker_inline_mode_raises():
         "right": (build_bomb, {}),
     }
     sharded = ShardedSimulation(builders, 42, parallel=False)
-    with pytest.raises(RuntimeError, match="bomb went off"):
+    with pytest.raises(ShardError) as exc:
         sharded.run(1.0)
+    assert str(exc.value) == (
+        "shard 'right' worker failed: RuntimeError at t=0.050000: bomb went off"
+    )
+    assert isinstance(exc.value.__cause__, RuntimeError)
+
+
+def test_failed_inline_run_closes_every_shard():
+    """Regression: an inline worker's ``stop()`` did nothing, so after a
+    failed run no shard's simulator was closed and its suspended processes
+    were left for the garbage collector to finalize at some later point."""
+    builders = {
+        "left": (build_left, {}),
+        "right": (build_bomb, {}),
+    }
+    sharded = ShardedSimulation(builders, 42)
+    sims = [worker.shard.sim for worker in sharded.workers.values()]
+    with pytest.raises(Exception, match="bomb went off"):
+        sharded.run(1.0)
+    for sim in sims:
+        assert not sim._processes
+        assert not sim._heap
+
+
+def test_failing_builder_inline_is_a_named_shard_error():
+    def bad_builder(shard):
+        raise ValueError("builder exploded")
+
+    builders = {
+        "left": (build_left, {}),
+        "right": (bad_builder, {}),
+    }
+    with pytest.raises(ShardError) as exc:
+        ShardedSimulation(builders, 42)
+    assert str(exc.value) == "shard 'right' worker failed: ValueError: builder exploded"
+    assert isinstance(exc.value.__cause__, ValueError)
 
 
 def test_failing_builder_stops_siblings():
@@ -574,6 +686,90 @@ def test_stop_is_idempotent_on_dead_child():
     for worker in sharded.workers.values():
         worker.stop()
         worker.stop()  # second stop must be a clean no-op
+
+
+# --- hostile window frames ----------------------------------------------------
+
+
+def _tap_sends(worker, mangle):
+    """Route every command the coordinator sends ``worker`` through
+    ``mangle(msg)`` (the same hook under both transports)."""
+    send = worker._send
+
+    def tampered(msg):
+        send(mangle(msg))
+
+    worker._send = tampered
+
+
+def _first_loaded_window():
+    """``(number, bytes)`` of the first window command that carries an
+    envelope to the echo shard in a clean run."""
+    sharded = ShardedSimulation(echo_builders(), 42)
+    windows = []
+
+    def record(msg):
+        if msg[:1] == b"W":
+            windows.append(msg)
+        return msg
+
+    _tap_sends(sharded.workers["right"], record)
+    sharded.run(1.0)
+    for number, msg in enumerate(windows, 1):
+        if struct.unpack_from("<I", msg, 9)[0]:  # after b"W" + window end
+            return number, msg
+    raise AssertionError("no window carried an envelope")
+
+
+def _run_with_window(parallel, number, replacement):
+    """Run the echo pair, sending ``replacement`` in place of the echo
+    shard's window command ``number``; every worker must be stopped after."""
+    sharded = ShardedSimulation(echo_builders(), 42, parallel=parallel)
+    seen = [0]
+
+    def swap(msg):
+        if msg[:1] == b"W":
+            seen[0] += 1
+            if seen[0] == number:
+                return replacement
+        return msg
+
+    _tap_sends(sharded.workers["right"], swap)
+    try:
+        sharded.run(1.0)
+    finally:
+        for worker in sharded.workers.values():
+            if parallel:
+                assert not worker._proc.is_alive()
+            else:
+                assert not worker.shard.sim._processes
+
+
+def test_truncated_window_command_is_a_shard_error_inline():
+    number, msg = _first_loaded_window()
+    sweep_truncations(
+        msg, lambda cut: _run_with_window(False, number, cut), ShardError
+    )
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_corrupt_window_command_is_a_named_shard_error(parallel):
+    """A live worker's window command cut short or bit-flipped mid-run ends
+    in a ``ShardError`` naming the shard, with its sibling stopped."""
+    number, msg = _first_loaded_window()
+    corrupted = [msg[:cut] for cut in (0, 9, len(msg) // 2, len(msg) - 1)]
+    # The command byte, and the top bit of the frame's envelope count.
+    for pos, bit in ((0, 0x01), (12, 0x80)):
+        flipped = bytearray(msg)
+        flipped[pos] ^= bit
+        corrupted.append(bytes(flipped))
+    for bad in corrupted:
+        with pytest.raises(ShardError) as exc:
+            _run_with_window(parallel, number, bad)
+        assert str(exc.value).startswith(
+            "shard 'right' worker failed: ShardError at t="
+        )
+        assert not isinstance(exc.value, LookaheadError)
 
 
 # --- envelope frame codec -----------------------------------------------------
