@@ -173,7 +173,6 @@ def run_bench(min_time: float = 1.0, e2e_packets: int = 200) -> dict:
     measured = results["packet_transform_1400B"]["speedup"]
     return {
         **provenance(),
-        "hmac_backend": "fast",
         "payload_bytes": PAYLOAD_BYTES,
         "results": results,
         "acceptance": {

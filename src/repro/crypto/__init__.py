@@ -4,11 +4,12 @@ The paper's claim — "HIP and SSL have a very similar performance footprint as
 they are essentially based on the same algorithms" — is structural: both
 protocols pay for asymmetric operations at connection setup and symmetric
 operations per byte.  To make that claim testable we implement the actual
-algorithms (RSA, Diffie-Hellman, ECDSA P-256, AES, SHA-1/SHA-256, HMAC,
-HKDF-style key derivation and RFC 5201 puzzles) in pure Python, operate on
-real bytes everywhere, and let the simulator charge *calibrated* CPU time per
-primitive through :mod:`repro.crypto.costmodel` so measured shapes do not
-depend on the speed of Python big-int arithmetic.
+algorithms (RSA, Diffie-Hellman, ECDSA P-256, AES, HMAC, HKDF-style key
+derivation and RFC 5201 puzzles) in pure Python over stdlib ``hashlib``
+SHA-1/SHA-256, operate on real bytes everywhere, and let the simulator
+charge *calibrated* CPU time per primitive through
+:mod:`repro.crypto.costmodel` so measured shapes do not depend on the speed
+of Python big-int arithmetic.
 """
 
 from repro.crypto.aes import AES

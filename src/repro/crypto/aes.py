@@ -146,6 +146,12 @@ _TE_MUL2 = bytes(t >> 24 for t in _TE0)
 _TE_MUL3 = bytes(t & 0xFF for t in _TE0)
 
 
+def _flatten_schedule(schedule: tuple) -> tuple[int, ...]:
+    """Undo :meth:`AES._structure_schedule`: the round-key words in order."""
+    first, pairs, penult, final = schedule
+    return first + sum(pairs, ()) + penult + final
+
+
 class AES:
     """AES block cipher instance bound to one key.
 
@@ -163,9 +169,8 @@ class AES:
         if len(key) not in (16, 24, 32):
             raise ValueError(f"AES key must be 16/24/32 bytes, got {len(key)}")
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._rk_enc, self._rk_dec, self._rk_rows = self._pack_round_keys(
-            self._expand_key(bytes(key))
-        )
+        self._rk_enc, self._rk_dec = self._pack_round_keys(self._expand_key(bytes(key)))
+        self._rk_rows: tuple[tuple[bytes, ...], ...] | None = None
         self._plane_keys: dict[int, tuple[int, ...]] = {}
         self._lane_keys: dict[int, tuple[int, ...]] = {}
 
@@ -191,7 +196,7 @@ class AES:
             round_keys.append(rk)
         return round_keys
 
-    def _pack_round_keys(self, round_keys: list[list[int]]) -> tuple[tuple, tuple, tuple]:
+    def _pack_round_keys(self, round_keys: list[list[int]]) -> tuple[tuple, tuple]:
         """Pack byte round keys into 32-bit words; derive decryption keys.
 
         The equivalent inverse cipher wants the encryption schedule in
@@ -205,10 +210,6 @@ class AES:
         over (the middle-round count is odd for every AES key size), and the
         final round.  Unpacking a whole 8-tuple at the loop head costs one
         instruction and removes all per-round key indexing.
-
-        The third result is both schedules once more, indexed by
-        ``encrypt``, one 16-byte string per round in plane order (row-major), for
-        :meth:`_plane_round_keys` to stretch to a plane length.
         """
         enc = []
         for rk in round_keys:
@@ -225,12 +226,7 @@ class AES:
                     )
                 else:
                     dec.append((rk[c] << 24) | (rk[c + 1] << 16) | (rk[c + 2] << 8) | rk[c + 3])
-        rows = tuple(
-            tuple(bytes((flat[r + col] >> shift) & 0xFF for shift in (24, 16, 8, 0) for col in range(4))
-                  for r in range(0, len(flat), 4))
-            for flat in (dec, enc)
-        )
-        return self._structure_schedule(enc), self._structure_schedule(dec), rows
+        return self._structure_schedule(enc), self._structure_schedule(dec)
 
     def _structure_schedule(self, flat: list[int]) -> tuple:
         mid = [tuple(flat[4 * r : 4 * r + 4]) for r in range(1, self.rounds)]
@@ -417,15 +413,29 @@ class AES:
         so one big-int XOR adds the round key to all of them.  The cache is
         bounded and evicts oldest-first: message lengths come off the wire,
         and a peer cycling through them must cost a rebuild, not memory.
+
+        The unstretched rows, both schedules once more as one 16-byte string
+        per round in plane order (row-major), are built on first use: most
+        keys, such as a base exchange's, never reach a plane or lane kernel.
         """
         cache = self._lane_keys if encrypt else self._plane_keys
         keys = cache.get(width)
         if keys is None:
+            rows = self._rk_rows
+            if rows is None:
+                rows = self._rk_rows = tuple(
+                    tuple(
+                        bytes((flat[r + col] >> shift) & 0xFF
+                              for shift in (24, 16, 8, 0) for col in range(4))
+                        for r in range(0, len(flat), 4)
+                    )
+                    for flat in map(_flatten_schedule, (self._rk_dec, self._rk_enc))
+                )
             if len(cache) >= _PLANE_KEY_CACHE_MAX:
                 del cache[next(iter(cache))]
             keys = cache[width] = tuple(
                 int.from_bytes(b"".join([rk[q : q + 1] * width for q in range(16)]), "big")
-                for rk in self._rk_rows[encrypt]
+                for rk in rows[encrypt]
             )
         return keys
 

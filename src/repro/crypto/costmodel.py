@@ -130,7 +130,10 @@ class CostModel:
         """Build a table from live timings of this package's implementations.
 
         The resulting model is *self-consistent* (relative costs match the
-        shipped code) but reflects pure-Python speed; ``reference_scale``
+        shipped code) but reflects this package's speed: pure Python for
+        RSA, DH and AES, stdlib :mod:`hashlib` for SHA-1/SHA-256, so the
+        hash rows time ``hashlib``.  Calibration is opt-in; the default
+        constants above do not depend on it.  ``reference_scale``
         rescales everything (e.g. pass the measured Python/C ratio to map
         back onto native-stack magnitudes).  ``rng`` feeds key generation;
         the default is a fixed named stream so repeated calibrations time

@@ -11,83 +11,52 @@ audited primitive set.  Every derived key comes back as a
 key blocks through the hash **once at construction** and every subsequent
 :meth:`HmacKey.digest` resumes from the cached midstates — zero
 key-schedule or pad work per message, and two compression calls fewer than
-the naive construction.  ESP security associations and TLS connections each
-hold their ``HmacKey`` for the lifetime of the key (``repro/hip/esp.py``,
-``repro/tls/connection.py``); ``hmac_digest`` stays as the one-shot
-convenience wrapper.
-
-Two interchangeable midstate engines produce byte-identical output:
-
-* ``fast`` (default) — stdlib :mod:`hashlib` objects; ``.copy()`` *is*
-  midstate resumption, at C speed.  ``hashlib`` is part of every CPython
-  build, so this adds no dependency.
-* ``pure`` — this package's own compression-function API
-  (:mod:`repro.crypto.sha`), the auditable reference engine.
-
-``HmacKey(backend="pure")`` selects the reference engine; differential
-tests run both engines against each other and against
-``hmac``/``hashlib``.  The pure SHA implementations remain the canonical
-spec either way — HITs, puzzle *verification* and all one-shot
-``sha1``/``sha256`` callers always use them (the puzzle *solver* shares the
-``fast`` engine's ``hashlib`` midstate trick; the verifier cross-checks it).
+the naive construction.  The midstates are stdlib :mod:`hashlib` objects,
+whose ``.copy()`` *is* midstate resumption, at C speed.  ESP security
+associations and TLS connections each hold their ``HmacKey`` for the
+lifetime of the key (``repro/hip/esp.py``, ``repro/tls/connection.py``);
+``hmac_digest`` stays as the one-shot convenience wrapper.  Differential
+tests pin it to the RFC 2104 reference in ``tests/oracles`` and to stdlib
+``hmac``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 
 from repro.crypto.secret import Secret
 from repro.metrics import METRICS
-from repro.crypto.sha import (
-    BLOCK_SIZES,
-    COMPRESS,
-    DIGEST_SIZES,
-    HASHES,
-    IVS,
-    PACK_FORMATS,
-    md_finish,
-)
+from repro.crypto.sha import BLOCK_SIZES, DIGEST_SIZES, HASHES
 
 _HMAC_OPS = METRICS.counter("crypto.hmac_ops")
 _HMAC_BYTES = METRICS.counter("crypto.hmac_bytes")
 
 _HASHLIB = {"sha1": hashlib.sha1, "sha256": hashlib.sha256}
+# RFC 2104's inner and outer pads as ``bytes.translate`` tables.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 class HmacKey:
     """HMAC instance bound to one key, with cached ipad/opad midstates."""
 
-    __slots__ = ("hash_name", "digest_size", "_compress", "_fmt", "_inner", "_outer")
+    __slots__ = ("hash_name", "digest_size", "_inner", "_outer")
 
-    def __init__(
-        self, key: bytes | Secret, hash_name: str = "sha256", backend: str = "fast"
-    ) -> None:
+    def __init__(self, key: bytes | Secret, hash_name: str = "sha256") -> None:
         if isinstance(key, Secret):
             key = key.reveal()
         try:
-            hash_fn = HASHES[hash_name]
-            block = BLOCK_SIZES[hash_name]
-            compress = COMPRESS[hash_name]
+            new = _HASHLIB[hash_name]
         except KeyError:
             raise ValueError(f"unknown hash {hash_name!r}") from None
         self.hash_name = hash_name
         self.digest_size = DIGEST_SIZES[hash_name]
-        self._fmt = PACK_FORMATS[hash_name]
+        block = BLOCK_SIZES[hash_name]
         if len(key) > block:
-            key = hash_fn(key)
+            key = new(key).digest()
         key = key.ljust(block, b"\x00")
-        ipad = bytes(b ^ 0x36 for b in key)
-        opad = bytes(b ^ 0x5C for b in key)
-        if backend == "fast":
-            self._compress = None
-            self._inner = _HASHLIB[hash_name](ipad)
-            self._outer = _HASHLIB[hash_name](opad)
-        else:
-            self._compress = compress
-            iv = IVS[hash_name]
-            self._inner = compress(iv, ipad)
-            self._outer = compress(iv, opad)
+        self._inner = new(key.translate(_IPAD))
+        self._outer = new(key.translate(_OPAD))
 
     def digest(self, message: bytes) -> bytes:
         """HMAC(key, message), resuming from the cached pad midstates."""
@@ -97,21 +66,11 @@ class HmacKey:
 
     def _digest(self, message: bytes) -> bytes:
         """:meth:`digest` without the counters, for callers that booked them."""
-        n = len(message)
-        compress = self._compress
-        if compress is None:
-            h = self._inner.copy()
-            h.update(message)
-            outer = self._outer.copy()
-            outer.update(h.digest())
-            return outer.digest()
-        state = self._inner
-        full = n - (n % 64)
-        for off in range(0, full, 64):
-            state = compress(state, message, off)
-        inner = struct.pack(self._fmt, *md_finish(compress, state, message[full:], n + 64))
-        # The inner digest (20/32 bytes) always fits one padded block.
-        return struct.pack(self._fmt, *md_finish(compress, self._outer, inner, 64 + len(inner)))
+        h = self._inner.copy()
+        h.update(message)
+        outer = self._outer.copy()
+        outer.update(h.digest())
+        return outer.digest()
 
 
 def hmac_digest(key: bytes | Secret, message: bytes, hash_name: str = "sha256") -> bytes:

@@ -7,10 +7,11 @@ O(2^K) hash operations on average while verification is a single hash —
 this asymmetry is HIP's DoS-mitigation knob, which the puzzle ablation
 benchmark sweeps.
 
-The solver hashes with :mod:`hashlib` (the fixed ``I | HIT-I | HIT-R``
-prefix once, ``.copy()`` per candidate ``J`` — the ``HmacKey`` "fast"
-engine's trick); the verifier stays on this package's pure :func:`sha1`, so
-every base exchange cross-checks the two implementations.
+The solver hashes the fixed ``I | HIT-I | HIT-R`` prefix once and
+``.copy()``s the :mod:`hashlib` midstate per candidate ``J`` (``HmacKey``'s
+midstate trick); the verifier is one :func:`repro.crypto.sha.sha1`.  Both
+are ``hashlib``; ``tests/test_crypto_fastpath.py`` pins that SHA-1 to the
+FIPS-180 reference in ``tests/oracles``.
 """
 
 from __future__ import annotations

@@ -49,8 +49,10 @@ from repro.hip.esp import (
 )
 from repro.hip.identity import (
     HostIdentity,
+    HostKey,
     LsiAllocator,
     asym_cost_for_host_id,
+    decode_host_id,
     hit_from_public_key,
     verify_with_host_id,
 )
@@ -100,6 +102,20 @@ _ESP_DEC_HIT = "esp.decrypt.hit"
 
 class HipError(Exception):
     """Association failure (timeout, verification failure, policy deny)."""
+
+
+def _parse_peer_host_id(host_id_data: bytes) -> tuple[bytes, HostKey]:
+    """A HOST_ID parameter's wire HI and its decoded key.
+
+    Any peer chooses these bytes before anything has authenticated them, so
+    a key that does not decode raises :class:`~repro.hip.packets.HipParseError`
+    and the packet is dropped like any other malformed parameter.
+    """
+    peer_hi, _di = hp.parse_host_id(host_id_data)
+    try:
+        return peer_hi, decode_host_id(peer_hi)
+    except ValueError as exc:
+        raise hp.HipParseError(f"HOST_ID key: {exc}") from None
 
 
 class HipState(StrEnum):
@@ -179,7 +195,7 @@ class Association:
     role: str  # "initiator" | "responder"
     state: HipState = HipState.UNASSOCIATED
     peer_locator: IPAddress | None = None
-    peer_host_id: bytes = b""
+    peer_key: HostKey | None = None  # the peer's decoded HI
     dh: DHKeyPair | None = None
     keymat: Secret | None = None
     # Midstate-cached HMAC objects for the control channel; every HMAC
@@ -668,7 +684,7 @@ class HipDaemon:
         # Charged once, off the hot path (R1 pool generation).
         self.meter.charge(
             "asym.sign.r1",
-            asym_cost_for_host_id(self.identity.public_key_bytes, "sign", self.node.cost_model),
+            asym_cost_for_host_id(self.identity.public_key, "sign", self.node.cost_model),
         )
         return r1
 
@@ -778,7 +794,7 @@ class HipDaemon:
         if not verify_solution(self._puzzle, i2.sender_hit.packed(), self.hit.packed(), puzzle_j):
             return
         # 2. Identity: HIT must match the carried host id.
-        peer_hi, _di = hp.parse_host_id(host_id_data)
+        peer_hi, peer_key = _parse_peer_host_id(host_id_data)
         if hit_from_public_key(peer_hi) != i2.sender_hit:
             return
         # 3. DH + KEYMAT.
@@ -801,9 +817,9 @@ class HipDaemon:
         if not ct_equal(expect_mac, hmac_data):
             return
         yield from self._charge(
-            "asym.verify.i2", asym_cost_for_host_id(peer_hi, "verify", cm)
+            "asym.verify.i2", asym_cost_for_host_id(peer_key, "verify", cm)
         )
-        if not verify_with_host_id(peer_hi, i2.bytes_for_param(hp.HIP_SIGNATURE), sig_data):
+        if not verify_with_host_id(peer_key, i2.bytes_for_param(hp.HIP_SIGNATURE), sig_data):
             return
         # 5. Create association + SAs.
         _ki, _old_spi, peer_spi = hp.parse_esp_info(esp_data)
@@ -821,7 +837,7 @@ class HipDaemon:
             )
             self.assocs[i2.sender_hit] = assoc
         assoc.peer_locator = ip.src
-        assoc.peer_host_id = peer_hi
+        assoc.peer_key = peer_key
         assoc.keymat = keymat
         assoc.set_hmac_keys(out_key=hmac_out, in_key=hmac_in)
         local_spi = self._alloc_spi()
@@ -843,7 +859,7 @@ class HipDaemon:
         r2.add(hp.HMAC_PARAM, assoc.hmac_out.digest(r2.bytes_for_param(hp.HMAC_PARAM)))
         yield from self._charge(
             "asym.sign.r2",
-            asym_cost_for_host_id(self.identity.public_key_bytes, "sign", cm),
+            asym_cost_for_host_id(self.identity.public_key, "sign", cm),
         )
         r2.add(hp.HIP_SIGNATURE, self.identity.sign(r2.bytes_for_param(hp.HIP_SIGNATURE), self.rng))
         self._send_control(r2, ip.src)
@@ -867,19 +883,19 @@ class HipDaemon:
         sig_data = r1.get(hp.HIP_SIGNATURE)
         if None in (puzzle_data, dh_data, host_id_data, sig_data):
             return
-        peer_hi, _di = hp.parse_host_id(host_id_data)
+        peer_hi, peer_key = _parse_peer_host_id(host_id_data)
         if hit_from_public_key(peer_hi) != r1.sender_hit:
             return
         # Verify the R1 signature against the precomputation rules
         # (receiver HIT zeroed).
-        yield from self._charge("asym.verify.r1", asym_cost_for_host_id(peer_hi, "verify", cm))
+        yield from self._charge("asym.verify.r1", asym_cost_for_host_id(peer_key, "verify", cm))
         unsigned = hp.HipPacket(
             packet_type=hp.R1, sender_hit=r1.sender_hit, receiver_hit=IPAddress(6, 0),
             params=[p for p in r1.params],
         )
-        if not verify_with_host_id(peer_hi, unsigned.bytes_for_param(hp.HIP_SIGNATURE), sig_data):
+        if not verify_with_host_id(peer_key, unsigned.bytes_for_param(hp.HIP_SIGNATURE), sig_data):
             return
-        assoc.peer_host_id = peer_hi
+        assoc.peer_key = peer_key
         # Solve the puzzle (really, counting attempts for honest cost).
         k, lifetime_exp, opaque, puzzle_i = hp.parse_puzzle(puzzle_data)
         puzzle = Puzzle(i=puzzle_i, k=k, lifetime=float(2 ** (lifetime_exp - 1)))
@@ -917,7 +933,7 @@ class HipDaemon:
         )
         yield from self._charge(
             "asym.sign.i2",
-            asym_cost_for_host_id(self.identity.public_key_bytes, "sign", cm),
+            asym_cost_for_host_id(self.identity.public_key, "sign", cm),
         )
         i2.add(hp.HIP_SIGNATURE, self.identity.sign(i2.bytes_for_param(hp.HIP_SIGNATURE), self.rng))
         self._transition(assoc, HipState.I2_SENT)
@@ -940,10 +956,10 @@ class HipDaemon:
         if not ct_equal(expect, hmac_data):
             return
         yield from self._charge(
-            "asym.verify.r2", asym_cost_for_host_id(assoc.peer_host_id, "verify", cm)
+            "asym.verify.r2", asym_cost_for_host_id(assoc.peer_key, "verify", cm)
         )
         if not verify_with_host_id(
-            assoc.peer_host_id, r2.bytes_for_param(hp.HIP_SIGNATURE), sig_data
+            assoc.peer_key, r2.bytes_for_param(hp.HIP_SIGNATURE), sig_data
         ):
             return
         _ki, _old, peer_spi = hp.parse_esp_info(esp_data)
@@ -1034,9 +1050,7 @@ class HipDaemon:
         if sign:
             self.meter.charge(
                 "asym.sign.ctl",
-                asym_cost_for_host_id(
-                    self.identity.public_key_bytes, "sign", self.node.cost_model
-                ),
+                asym_cost_for_host_id(self.identity.public_key, "sign", self.node.cost_model),
             )
             pkt.add(
                 hp.HIP_SIGNATURE,
@@ -1072,11 +1086,11 @@ class HipDaemon:
         if locator_data is not None and seq_data is not None:
             # U1: peer moved.  Verify the new address with a nonce echo (U2).
             yield from self._charge(
-                "asym.verify.update", asym_cost_for_host_id(assoc.peer_host_id, "verify", cm)
+                "asym.verify.update", asym_cost_for_host_id(assoc.peer_key, "verify", cm)
             )
             sig_data = pkt.get(hp.HIP_SIGNATURE)
             if sig_data is None or not verify_with_host_id(
-                assoc.peer_host_id, pkt.bytes_for_param(hp.HIP_SIGNATURE), sig_data
+                assoc.peer_key, pkt.bytes_for_param(hp.HIP_SIGNATURE), sig_data
             ):
                 return
             locators = hp.parse_locator(locator_data)
@@ -1137,10 +1151,10 @@ class HipDaemon:
         # Rekey request: verify the signature before replacing keys.
         sig_data = pkt.get(hp.HIP_SIGNATURE)
         yield from self._charge(
-            "asym.verify.rekey", asym_cost_for_host_id(assoc.peer_host_id, "verify", cm)
+            "asym.verify.rekey", asym_cost_for_host_id(assoc.peer_key, "verify", cm)
         )
         if sig_data is None or not verify_with_host_id(
-            assoc.peer_host_id, pkt.bytes_for_param(hp.HIP_SIGNATURE), sig_data
+            assoc.peer_key, pkt.bytes_for_param(hp.HIP_SIGNATURE), sig_data
         ):
             return
         local_spi = self._alloc_spi()

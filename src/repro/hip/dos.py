@@ -111,9 +111,7 @@ class AdaptivePuzzleController:
         r1.add(hp.HIP_SIGNATURE, signature)
         daemon.meter.charge(
             "asym.sign.r1",
-            asym_cost_for_host_id(
-                daemon.identity.public_key_bytes, "sign", daemon.node.cost_model
-            ),
+            asym_cost_for_host_id(daemon.identity.public_key, "sign", daemon.node.cost_model),
         )
         return r1
 

@@ -20,6 +20,9 @@ from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
 from repro.crypto.sha import sha1
 from repro.net.addresses import IPAddress, LSI_PREFIX, ORCHID_PREFIX
 
+#: A decoded HI: an RSA public key, or an ECDSA P-256 public point.
+HostKey = Union[RsaPublicKey, tuple[int, int]]
+
 ORCHID_CONTEXT = bytes.fromhex("f0efb52907c1c4f20fbeba3e9ee5c2c1")  # RFC 4843 HIP context
 
 
@@ -63,6 +66,15 @@ class HostIdentity:
         return b"ECC:" + self.ecdsa.public_bytes()
 
     @property
+    def public_key(self) -> HostKey:
+        """The HI as a key, as :func:`decode_host_id` decodes a peer's."""
+        if self.algorithm == "rsa":
+            assert self.rsa is not None
+            return self.rsa.public
+        assert self.ecdsa is not None
+        return self.ecdsa.public
+
+    @property
     def hit(self) -> IPAddress:
         return hit_from_public_key(self.public_key_bytes)
 
@@ -79,25 +91,29 @@ class HostIdentity:
         return self.ecdsa.sign(message, rng)
 
 
-def verify_with_host_id(public_key_bytes: bytes, message: bytes, signature: bytes) -> bool:
-    """Verify a signature against a wire-encoded HI; False on any failure."""
+def decode_host_id(public_key_bytes: bytes) -> HostKey:
+    """Decode a wire-encoded HI; ValueError on an unknown algorithm or bad key."""
+    if public_key_bytes.startswith(b"RSA:"):
+        return RsaPublicKey.from_bytes(public_key_bytes[4:])
+    if public_key_bytes.startswith(b"ECC:"):
+        return EcdsaKeyPair.public_from_bytes(public_key_bytes[4:])
+    raise ValueError("unknown HI algorithm")
+
+
+def verify_with_host_id(key: HostKey, message: bytes, signature: bytes) -> bool:
+    """Verify a signature against a decoded HI; False on any failure."""
     try:
-        if public_key_bytes.startswith(b"RSA:"):
-            key = RsaPublicKey.from_bytes(public_key_bytes[4:])
+        if isinstance(key, RsaPublicKey):
             return key.verify(message, signature)
-        if public_key_bytes.startswith(b"ECC:"):
-            point = EcdsaKeyPair.public_from_bytes(public_key_bytes[4:])
-            return ecdsa_verify(point, message, signature)
+        return ecdsa_verify(key, message, signature)
     except (ValueError, IndexError):
         return False
-    return False
 
 
-def asym_cost_for_host_id(public_key_bytes: bytes, op: str, cost_model) -> float:
-    """CPU cost of ``op`` ("sign" | "verify") for the given HI type."""
-    if public_key_bytes.startswith(b"RSA:"):
-        bits = RsaPublicKey.from_bytes(public_key_bytes[4:]).bits
-        return cost_model.rsa_sign(bits) if op == "sign" else cost_model.rsa_verify(bits)
+def asym_cost_for_host_id(key: HostKey, op: str, cost_model) -> float:
+    """CPU cost of ``op`` ("sign" | "verify") for the given decoded HI."""
+    if isinstance(key, RsaPublicKey):
+        return cost_model.rsa_sign(key.bits) if op == "sign" else cost_model.rsa_verify(key.bits)
     if op == "sign":
         return cost_model.ecdsa_sign_p256
     return cost_model.ecdsa_verify_p256

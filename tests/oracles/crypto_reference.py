@@ -1,13 +1,15 @@
 """Schoolbook crypto oracles (the pinned pre-optimization implementations).
 
-These are the byte-matrix AES, SHA/HMAC and mode loops that shipped before
-the fast-path rewrite of :mod:`repro.crypto.aes`, :mod:`repro.crypto.modes`,
-:mod:`repro.crypto.sha` and :mod:`repro.crypto.hmac_kdf`.  They live with
+These are the byte-matrix AES, FIPS-180 SHA, RFC 2104 HMAC and mode loops
+that shipped before the fast-path rewrite of :mod:`repro.crypto.aes` and
+:mod:`repro.crypto.modes`, and before :mod:`repro.crypto.sha` and
+:mod:`repro.crypto.hmac_kdf` moved onto stdlib ``hashlib``.  They live with
 the tests, not in ``src/``, and exist for two reasons only:
 
 1. **Differential tests** — ``tests/test_crypto_fastpath.py`` asserts the
-   optimized primitives are byte-identical to these on random inputs, so a
-   perf change can never silently change outputs.
+   shipped primitives are byte-identical to these on random inputs and on
+   every SHA padding case, so a perf change can never silently change
+   outputs.
 2. **The perf baseline** — ``benchmarks/bench_crypto.py`` measures both the
    oracle and the shipped path and records the ratio in ``BENCH_crypto.json``.
 

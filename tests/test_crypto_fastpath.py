@@ -27,9 +27,11 @@ from tests.oracles.crypto_reference import (
     sha256_ref,
 )
 from repro.crypto.aes import _PLANE_KEY_CACHE_MAX, _PLANE_MIN_BLOCKS, AES
-from repro.crypto.hmac_kdf import HmacKey, hkdf_expand, hmac_digest
+from repro.crypto.hmac_kdf import HmacKey, hip_keymat, hkdf_expand, hmac_digest
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_keystream_xor, pkcs7_pad
+from repro.crypto.rsa import RsaKeyPair
 from repro.crypto.sha import sha1, sha256
+from repro.hip.identity import HostIdentity
 from repro.metrics import METRICS
 
 from tests.test_hip_esp import make_sa, sample_inner
@@ -175,40 +177,97 @@ class TestCbcDecryptPlanes:
             AES(key), iv, ciphertext
         )
 
+    @pytest.mark.parametrize("lanes_first", [True, False])
+    def test_fresh_key_serves_lanes_and_planes_from_one_lazy_schedule(self, lanes_first):
+        # The plane-order rows are built on first use by whichever kernel
+        # runs first; the other direction must read the same schedule.
+        rng = random.Random(0x1A2F + lanes_first)
+        key = rng.randbytes(16)
+        aes, ref = AES(key), AesRef(key)
+        assert aes._rk_rows is None
+        plains = [rng.randbytes(100) for _ in range(5)]
+        ivs = [rng.randbytes(16) for _ in range(5)]
+        long_plain, long_iv = rng.randbytes(16 * _PLANE_MIN_BLOCKS + 9), rng.randbytes(16)
+        long_ct = cbc_encrypt_ref(ref, long_iv, long_plain)
+
+        def lanes():
+            out = aes._cbc_encrypt_lanes(ivs, [pkcs7_pad(p) for p in plains])
+            assert out == [cbc_encrypt_ref(ref, iv, p) for iv, p in zip(ivs, plains)]
+
+        def planes():
+            assert aes.cbc_decrypt_blocks(long_iv, long_ct) == pkcs7_pad(long_plain)
+
+        for kernel in (lanes, planes) if lanes_first else (planes, lanes):
+            kernel()
+        assert aes._rk_rows is not None and aes._plane_keys and aes._lane_keys
+
 
 class TestShaDifferential:
+    """``repro.crypto.sha`` is ``hashlib``; the FIPS-180 oracle pins it.
+
+    Every length from 0 to 130 bytes covers each Merkle-Damgard padding
+    case: a tail that pads within its block (0-55), one that spills into a
+    second padding block (56-63), and both again after one or two full
+    blocks.
+    """
+
+    @staticmethod
+    def padding_cases(seed: int) -> list[bytes]:
+        rng = random.Random(seed)
+        return [rng.randbytes(n) for n in range(131)] + [
+            rng.randbytes(rng.randrange(131, 500)) for _ in range(20)
+        ]
+
     def test_sha1_matches_reference_and_hashlib(self):
-        rng = random.Random(1)
-        msgs = [bytes(n) for n in EDGE_LENS] + [rng.randbytes(rng.randrange(0, 500)) for _ in range(30)]
-        for msg in msgs:
+        for msg in self.padding_cases(1):
             d = sha1(msg)
             assert d == sha1_ref(msg)
             assert d == hashlib.sha1(msg).digest()
 
     def test_sha256_matches_reference_and_hashlib(self):
-        rng = random.Random(2)
-        msgs = [bytes(n) for n in EDGE_LENS] + [rng.randbytes(rng.randrange(0, 500)) for _ in range(30)]
-        for msg in msgs:
+        for msg in self.padding_cases(2):
             d = sha256(msg)
             assert d == sha256_ref(msg)
             assert d == hashlib.sha256(msg).digest()
+
+
+class TestGoldens:
+    """Values recorded with the FIPS-180 engine that ``sha.py`` replaced:
+    identities and keys derived through ``hashlib`` must not move."""
+
+    def test_fixed_rsa_key_gives_a_fixed_hit_and_signature(self):
+        key = RsaKeyPair.generate(512, random.Random(0x417))
+        ident = HostIdentity(algorithm="rsa", rsa=key)
+        assert str(ident.hit) == "2001:12:81a3:8f6c:e7ad:cb64:59d7:f3d9"
+        assert key.sign(b"HIT golden").hex() == (
+            "59935cdd562ce8f8bc8ad28852be08c6ee54d5abfbf19d4d744a9632b7bc897b"
+            "1d52899e85f839244cabeeed861d6362103ca28c9756b708d2e7b5ccb636a70c"
+        )
+
+    def test_fixed_dh_secret_gives_a_fixed_keymat(self):
+        keymat = hip_keymat(bytes(range(48)), bytes(16), bytes(range(16)), 72)
+        assert keymat.reveal().hex() == (
+            "d8ae79c31afe0fdaf8febc5d66b4d18a07c53d0d679786a55721d066015ff485"
+            "4a17132b6b5f4b60829095d02ec705b5b9c2686c822226d25ff1dc355776fa84"
+            "b25dd264f3adc0cf"
+        )
 
 
 class TestHmacDifferential:
     @pytest.mark.parametrize("hash_name", ["sha1", "sha256"])
     def test_backends_agree_with_stdlib_and_reference(self, hash_name):
         rng = random.Random(3)
-        # Short, block-sized and over-long keys (the >64-byte key is hashed
-        # down first — a separate code path in RFC 2104).
-        keys = [b"", b"k", rng.randbytes(20), rng.randbytes(64), rng.randbytes(100)]
+        # Short, block-sized and over-long keys (a key longer than the 64-byte
+        # block, from 65 bytes up, is hashed down first: a separate code
+        # path in RFC 2104).
+        keys = [b"", b"k", rng.randbytes(20), rng.randbytes(64), rng.randbytes(65),
+                rng.randbytes(100)]
         msgs = [bytes(n) for n in EDGE_LENS] + [rng.randbytes(200)]
         for key in keys:
-            fast = HmacKey(key, hash_name, backend="fast")
-            pure = HmacKey(key, hash_name, backend="pure")
+            hk = HmacKey(key, hash_name)
             for msg in msgs:
                 expect = stdlib_hmac.new(key, msg, hash_name).digest()
-                assert fast.digest(msg) == expect
-                assert pure.digest(msg) == expect
+                assert hk.digest(msg) == expect
                 assert hmac_digest_ref(key, msg, hash_name) == expect
 
     def test_one_shot_wrapper(self):

@@ -11,6 +11,7 @@ from repro.hip.identity import (
     HostIdentity,
     LsiAllocator,
     asym_cost_for_host_id,
+    decode_host_id,
     hit_from_public_key,
     verify_with_host_id,
 )
@@ -39,28 +40,38 @@ class TestHit:
         assert is_hit(hit_from_public_key(key))
 
 
+def peer_key(ident: HostIdentity):
+    """The peer's view of ``ident``: its wire HI, decoded."""
+    return decode_host_id(ident.public_key_bytes)
+
+
 class TestHostIdentity:
     def test_rsa_sign_verify_via_host_id(self, session_identities, rng):
         ident = session_identities["a"]
         sig = ident.sign(b"message", rng)
-        assert verify_with_host_id(ident.public_key_bytes, b"message", sig)
-        assert not verify_with_host_id(ident.public_key_bytes, b"other", sig)
+        assert peer_key(ident) == ident.public_key
+        assert verify_with_host_id(peer_key(ident), b"message", sig)
+        assert not verify_with_host_id(peer_key(ident), b"other", sig)
 
     def test_ecdsa_sign_verify_via_host_id(self, session_identities, rng):
         ident = session_identities["ecdsa"]
         sig = ident.sign(b"message", rng)
-        assert verify_with_host_id(ident.public_key_bytes, b"message", sig)
+        assert peer_key(ident) == ident.public_key
+        assert verify_with_host_id(peer_key(ident), b"message", sig)
 
     def test_cross_identity_verification_fails(self, session_identities, rng):
         sig = session_identities["a"].sign(b"m", rng)
-        assert not verify_with_host_id(
-            session_identities["b"].public_key_bytes, b"m", sig
-        )
+        assert not verify_with_host_id(peer_key(session_identities["b"]), b"m", sig)
 
-    def test_garbage_host_id_fails_safely(self):
-        assert not verify_with_host_id(b"", b"m", b"sig")
-        assert not verify_with_host_id(b"XXX:junk", b"m", b"sig")
-        assert not verify_with_host_id(b"RSA:", b"m", b"sig")
+    def test_garbage_host_id_fails_safely(self, session_identities):
+        # A malformed HI is a domain error at decode, never a later crash.
+        for garbage in (b"", b"XXX:junk", b"RSA:", b"RSA:\x00", b"ECC:\x04" + bytes(64)):
+            with pytest.raises(ValueError):
+                decode_host_id(garbage)
+        # A decoded key still rejects signatures of any shape, never raises.
+        key = peer_key(session_identities["a"])
+        assert not verify_with_host_id(key, b"m", b"sig")
+        assert not verify_with_host_id(key, b"m", b"\xff" * key.byte_length)
 
     def test_unknown_algorithm_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -68,8 +79,8 @@ class TestHostIdentity:
 
     def test_asym_cost_rsa_vs_ecdsa(self, session_identities):
         cm = CostModel()
-        rsa_hi = session_identities["a"].public_key_bytes
-        ecc_hi = session_identities["ecdsa"].public_key_bytes
+        rsa_hi = peer_key(session_identities["a"])
+        ecc_hi = peer_key(session_identities["ecdsa"])
         # ECDSA signing is cheaper than RSA-1024-class signing; verify is not.
         assert asym_cost_for_host_id(ecc_hi, "sign", cm) == cm.ecdsa_sign_p256
         assert asym_cost_for_host_id(rsa_hi, "verify", cm) < asym_cost_for_host_id(
