@@ -13,7 +13,7 @@ Subpackages
 ``repro.hip``
     The paper's contribution: the Host Identity Protocol stack.
 ``repro.tls``
-    The SSL comparison point: TLS 1.2 and OpenVPN-style tunnels.
+    The SSL comparison point: OpenVPN-style tunnels.
 ``repro.apps``
     HTTP, reverse proxy/load balancer, database, RUBiS, load generators,
     iperf.

@@ -12,8 +12,8 @@ reproduces the relevant behaviour:
   decline of the secured scenarios at 50 clients;
 * a query cache keyed on the literal query string, invalidated by writes to
   the same table, serving hits at ~1/20 the cost;
-* a wire protocol over any stream (plain TCP, TLS, or TCP-over-HIP), so the
-  same server runs in all three security scenarios.
+* a wire protocol over TCP (plain, or addressed through a HIP or SSL-VPN
+  tunnel), so the same server runs in all three security scenarios.
 
 Wire format: requests are length-prefixed query strings; responses carry a
 status byte, row count, and a result payload sized ``rows * row_bytes``.
@@ -22,19 +22,18 @@ status byte, row count, and a result payload sized ``rows * row_bytes``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
-from repro.apps.streams import BufferedReader, PlainStream, StreamClosed, TlsStream, wrap_stream
+from repro.apps.streams import BufferedReader, StreamClosed
 from repro.net.packet import VirtualPayload
-from repro.net.tcp import TcpError, TcpStack
+from repro.net.tcp import TcpConnection, TcpError, TcpStack
 from repro.net.wire import U32, WireReader
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.addresses import IPAddress
     from repro.net.node import Node
-    from repro.tls.connection import TlsServerContext
 
 CACHE_HIT_FACTOR = 0.05  # cache hits cost this fraction of the class mean
 
@@ -103,7 +102,6 @@ class DbServer:
         port: int,
         tables: list[TableSpec],
         cache_enabled: bool = False,
-        tls_ctx: "TlsServerContext | None" = None,
         rng=None,
         stochastic: bool = True,
     ) -> None:
@@ -113,7 +111,6 @@ class DbServer:
         self.port = port
         self.tables = {t.name: t for t in tables}
         self.cache_enabled = cache_enabled
-        self.tls_ctx = tls_ctx
         self.rng = rng
         self.stochastic = stochastic
         if stochastic and rng is None:
@@ -129,19 +126,8 @@ class DbServer:
             conn = yield self.listener.accept()
             self.sim.process(self._serve_conn(conn), name=f"db-conn-{self.node.name}")
 
-    def _serve_conn(self, conn) -> Generator:
-        if self.tls_ctx is not None:
-            from repro.tls.connection import TlsError, tls_server_handshake
-
-            try:
-                tls = yield from tls_server_handshake(conn, self.node, self.tls_ctx, self.rng)
-            except (TlsError, TcpError):
-                conn.abort()
-                return
-            stream = TlsStream(tls)
-        else:
-            stream = PlainStream(conn)
-        reader = BufferedReader(stream)
+    def _serve_conn(self, conn: TcpConnection) -> Generator:
+        reader = BufferedReader(conn)
         try:
             while True:
                 head = yield from reader.read_exactly(4)
@@ -150,11 +136,11 @@ class DbServer:
                 raw = yield from reader.read_exactly(parse_request_head(head))
                 if isinstance(raw, VirtualPayload):
                     break
-                yield from self._execute(stream, bytes(raw))
+                yield from self._execute(conn, bytes(raw))
         except (StreamClosed, TcpError):
             return
 
-    def _execute(self, stream, raw: bytes) -> Generator:
+    def _execute(self, conn: TcpConnection, raw: bytes) -> Generator:
         try:
             query = Query.from_wire(raw)
             table = self.tables.get(query.table)
@@ -162,7 +148,7 @@ class DbServer:
                 raise QueryError(f"no such table {query.table!r}")
         except QueryError:
             self.stats.errors += 1
-            yield from stream.send(_RESPONSE_HEAD.pack(1, 0, 0))
+            conn.write(_RESPONSE_HEAD.pack(1, 0, 0))
             return
         self.stats.queries += 1
         text = raw.decode("ascii", errors="replace")
@@ -173,7 +159,7 @@ class DbServer:
             cost = self._service_time(table.write_cost)
             yield from self.node.cpu_work(cost)
             self.stats.busy_seconds += cost
-            yield from stream.send(_RESPONSE_HEAD.pack(0, 1, 0))
+            conn.write(_RESPONSE_HEAD.pack(0, 1, 0))
             return
 
         cached_rows = self._cache.get(text) if self.cache_enabled else None
@@ -192,9 +178,9 @@ class DbServer:
         yield from self.node.cpu_work(cost)
         self.stats.busy_seconds += cost
         result_bytes = rows * table.row_bytes
-        yield from stream.send(_RESPONSE_HEAD.pack(0, rows, result_bytes))
+        conn.write(_RESPONSE_HEAD.pack(0, rows, result_bytes))
         if result_bytes:
-            yield from stream.send(VirtualPayload(result_bytes, tag="db-rows"))
+            conn.write(VirtualPayload(result_bytes, tag="db-rows"))
 
     def _class_cost(self, query: Query, table: TableSpec) -> float:
         if query.kind == "pk":
@@ -218,39 +204,24 @@ class DbServer:
 class DbClient:
     """Client-side connection (used by web servers), one per upstream slot."""
 
-    def __init__(self, node: "Node", tcp: TcpStack, addr: "IPAddress", port: int,
-                 rng=None, use_tls: bool = False) -> None:
+    def __init__(self, node: "Node", tcp: TcpStack, addr: "IPAddress", port: int) -> None:
         self.node = node
         self.sim = node.sim
         self.tcp = tcp
         self.addr = addr
         self.port = port
-        self.rng = rng
-        self.use_tls = use_tls
-        self._stream = None
         self._reader: BufferedReader | None = None
-        self._session = None  # TLS resumption state
 
     def connect(self) -> Generator:
         conn = yield self.sim.process(self.tcp.open_connection(self.addr, self.port))
-        if self.use_tls:
-            from repro.tls.connection import tls_client_handshake
-
-            tls = yield from tls_client_handshake(
-                conn, self.node, self.rng, session=self._session
-            )
-            self._session = (tls.session_id, tls.master_secret)
-            self._stream = TlsStream(tls)
-        else:
-            self._stream = PlainStream(conn)
-        self._reader = BufferedReader(self._stream)
+        self._reader = BufferedReader(conn)
 
     def query(self, query: Query) -> Generator:
         """Process-generator: one round trip; returns (rows, result_bytes)."""
-        if self._stream is None:
+        if self._reader is None:
             yield from self.connect()
         raw = query.to_wire()
-        yield from self._stream.send(U32.pack(len(raw)) + raw)
+        self._reader.conn.write(U32.pack(len(raw)) + raw)
         head = yield from self._reader.read_exactly(9)
         status, rows, result_bytes = parse_response_head(head)
         if status != 0:
@@ -260,9 +231,8 @@ class DbClient:
         return rows, result_bytes
 
     def close(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
+        if self._reader is not None:
+            self._reader.conn.close()
             self._reader = None
 
 

@@ -13,6 +13,7 @@ from typing import Generator
 
 from repro.apps.streams import BufferedReader
 from repro.net.packet import VirtualPayload
+from repro.net.tcp import TcpConnection
 
 CRLF = b"\r\n"
 
@@ -53,16 +54,16 @@ class HttpError(Exception):
     """Malformed HTTP message."""
 
 
-def write_request(stream, request: HttpRequest) -> Generator:
-    yield from stream.send(request.head_bytes())
+def write_request(conn: TcpConnection, request: HttpRequest) -> None:
+    conn.write(request.head_bytes())
     if len(request.body):
-        yield from stream.send(request.body)
+        conn.write(request.body)
 
 
-def write_response(stream, response: HttpResponse) -> Generator:
-    yield from stream.send(response.head_bytes())
+def write_response(conn: TcpConnection, response: HttpResponse) -> None:
+    conn.write(response.head_bytes())
     if len(response.body):
-        yield from stream.send(response.body)
+        conn.write(response.body)
 
 
 def _parse_head(raw: bytes) -> tuple[list[str], dict[str, str]]:
@@ -83,30 +84,43 @@ def _parse_head(raw: bytes) -> tuple[list[str], dict[str, str]]:
     return start, headers
 
 
-def read_request(reader: BufferedReader) -> Generator:
-    """Process-generator: parse one request; returns HttpRequest."""
-    raw = yield from reader.read_until(CRLF + CRLF)
+def _content_length(headers: dict[str, str]) -> int:
+    value = headers.get("Content-Length", "0")
+    if not value.isdigit():
+        raise HttpError(f"bad Content-Length {value!r}")
+    return int(value)
+
+
+def _read_message(reader: BufferedReader) -> Generator:
+    """Process-generator: one head and its body; returns (start, headers, body).
+
+    Every way the bytes can be malformed raises :class:`HttpError`.
+    """
+    try:
+        raw = yield from reader.read_until(CRLF + CRLF)
+    except ValueError as exc:  # past the 64 KiB head limit, or a virtual chunk in it
+        raise HttpError(str(exc)) from exc
     start, headers = _parse_head(raw[:-4])
-    if len(start) != 3:
-        raise HttpError(f"malformed request line {start!r}")
-    method, path, _version = start
-    length = int(headers.get("Content-Length", "0"))
+    length = _content_length(headers)
     body: bytes | VirtualPayload = b""
     if length:
         body = yield from reader.read_exactly(length)
+    return start, headers, body
+
+
+def read_request(reader: BufferedReader) -> Generator:
+    """Process-generator: parse one request; returns HttpRequest."""
+    start, headers, body = yield from _read_message(reader)
+    if len(start) != 3:
+        raise HttpError(f"malformed request line {start!r}")
+    method, path, _version = start
     return HttpRequest(method=method, path=path, headers=headers, body=body)
 
 
 def read_response(reader: BufferedReader) -> Generator:
     """Process-generator: parse one response; returns HttpResponse."""
-    raw = yield from reader.read_until(CRLF + CRLF)
-    start, headers = _parse_head(raw[:-4])
-    if len(start) < 2:
+    start, headers, body = yield from _read_message(reader)
+    if len(start) < 2 or not start[1].isdigit():
         raise HttpError(f"malformed status line {start!r}")
-    status = int(start[1])
     reason = " ".join(start[2:]) if len(start) > 2 else ""
-    length = int(headers.get("Content-Length", "0"))
-    body: bytes | VirtualPayload = b""
-    if length:
-        body = yield from reader.read_exactly(length)
-    return HttpResponse(status=status, reason=reason, headers=headers, body=body)
+    return HttpResponse(status=int(start[1]), reason=reason, headers=headers, body=body)

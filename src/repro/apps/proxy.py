@@ -1,14 +1,19 @@
 """Reverse HTTP proxy / load balancer (HAProxy's role in Figure 1).
 
 Consumers speak plain HTTP to the proxy; the proxy forwards each request to
-a backend web server over the scenario's secure transport:
+a backend web server over plain TCP, addressed per the scenario's secure
+transport:
 
-* **basic** — plain TCP;
-* **ssl** — TLS with session resumption on persistent upstream connections;
-* **hip** — plain TCP addressed to the backend's LSI/HIT, which the HIP
-  daemon on the proxy node transparently protects (this is exactly the
-  paper's "reverse proxy terminates HIP" deployment — end users never see
-  HIP).
+* **basic** — the backend's routable address;
+* **ssl** — the backend's VPN tunnel address, which the SSL-VPN daemon on
+  the proxy node protects (the paper's OpenVPN deployment);
+* **hip** — the backend's LSI/HIT, which the HIP daemon on the proxy node
+  transparently protects (this is exactly the paper's "reverse proxy
+  terminates HIP" deployment — end users never see HIP).
+
+A consumer's malformed request closes its connection and counts in
+``client_errors``; a backend's malformed response becomes a 502 counted in
+``upstream_errors``.
 
 Balancing is round-robin across backends (the paper's HAProxy config), with
 least-connections available for the ablation.  Upstream connections are
@@ -18,23 +23,23 @@ pooled and persistent, so handshakes amortize as they did in the testbed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
 from repro.apps.http import (
+    HttpError,
     HttpResponse,
     read_request,
     read_response,
     write_request,
     write_response,
 )
-from repro.apps.streams import BufferedReader, PlainStream, StreamClosed, TlsStream
+from repro.apps.streams import BufferedReader, StreamClosed
 from repro.metrics import METRICS, RECORDER
-from repro.net.tcp import TcpError, TcpStack
+from repro.net.tcp import TcpConnection, TcpError, TcpStack
 from repro.sim.resources import Queue
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.crypto.secret import Secret
     from repro.net.addresses import IPAddress
     from repro.net.node import Node
 
@@ -57,14 +62,13 @@ class Backend:
 
     addr: "IPAddress"
     port: int
-    use_tls: bool = False
     active: int = 0  # in-flight requests (for least-connections)
     served: int = 0
 
 
 @dataclass
 class _Upstream:
-    stream: object
+    conn: TcpConnection
     reader: BufferedReader
     backend: Backend
 
@@ -86,7 +90,6 @@ class ReverseProxy:
         tcp: TcpStack,
         port: int,
         backends: list[Backend],
-        rng,
         algorithm: str = "round-robin",
         max_pool_per_backend: int = 16,
         backend_keepalive: bool = False,
@@ -98,20 +101,17 @@ class ReverseProxy:
         self.node = node
         self.sim = node.sim
         self.tcp = tcp
-        self.rng = rng
         self.backends = backends
         self.algorithm = algorithm
         # HAProxy 1.3 (the paper's version) cannot keep backend connections
         # alive across requests: every forwarded request opens a fresh
-        # upstream TCP connection.  TLS *sessions* still resume across
-        # connections (abbreviated handshakes), as OpenSSL's cache would.
+        # upstream TCP connection.
         self.backend_keepalive = backend_keepalive
         self.stats = ProxyStats()
         self._rr = itertools.cycle(range(len(backends)))
         self._pools: dict[int, Queue] = {id(b): Queue(self.sim) for b in backends}
         self._pool_sizes: dict[int, int] = {id(b): 0 for b in backends}
         self._max_pool = max_pool_per_backend
-        self._tls_sessions: dict[int, tuple[bytes, Secret]] = {}
         self.listener = tcp.listen(port)
         self.sim.process(self._accept_loop(), name=f"proxy-accept-{node.name}")
 
@@ -163,17 +163,7 @@ class ReverseProxy:
         conn = yield self.sim.process(
             self.tcp.open_connection(backend.addr, backend.port)
         )
-        if backend.use_tls:
-            from repro.tls.connection import tls_client_handshake
-
-            tls = yield from tls_client_handshake(
-                conn, self.node, self.rng, session=self._tls_sessions.get(id(backend))
-            )
-            self._tls_sessions[id(backend)] = (tls.session_id, tls.master_secret)
-            stream = TlsStream(tls)
-        else:
-            stream = PlainStream(conn)
-        return _Upstream(stream=stream, reader=BufferedReader(stream), backend=backend)
+        return _Upstream(conn=conn, reader=BufferedReader(conn), backend=backend)
 
     def _release_upstream(self, upstream: _Upstream, broken: bool) -> None:
         if RECORDER.enabled:
@@ -182,7 +172,7 @@ class ReverseProxy:
                 node=self.node.name, port=upstream.backend.port, broken=broken,
             )
         if broken:
-            upstream.stream.close()
+            upstream.conn.close()
             self._pool_sizes[id(upstream.backend)] -= 1
             return
         self._pools[id(upstream.backend)].try_put(upstream)
@@ -194,12 +184,15 @@ class ReverseProxy:
             self.sim.process(self._serve_client(conn), name=f"proxy-conn-{self.node.name}")
 
     def _serve_client(self, conn) -> Generator:
-        stream = PlainStream(conn)
-        reader = BufferedReader(stream)
+        reader = BufferedReader(conn)
         try:
             while True:
                 try:
                     request = yield from read_request(reader)
+                except HttpError:
+                    self.stats.client_errors += 1
+                    _CLIENT_ERRORS.inc()
+                    return
                 except (StreamClosed, TcpError):
                     # A close between requests is the normal end of a
                     # keep-alive session, not a client error.  Bytes already
@@ -224,12 +217,10 @@ class ReverseProxy:
                     if response is None:
                         self.stats.upstream_errors += 1
                         _UPSTREAM_ERRORS.inc()
-                        yield from write_response(
-                            stream, HttpResponse(status=502, reason="Bad Gateway")
-                        )
+                        write_response(conn, HttpResponse(status=502, reason="Bad Gateway"))
                         continue
                     yield from self.node.cpu_work(PROXY_CPU_PER_BYTE * len(response.body))
-                    yield from write_response(stream, response)
+                    write_response(conn, response)
                 except (StreamClosed, TcpError):
                     self.stats.client_errors += 1
                     _CLIENT_ERRORS.inc()
@@ -238,7 +229,7 @@ class ReverseProxy:
                 _RESPONSES.inc()
                 _REQUEST_T.observe(self.sim.now - started)
         finally:
-            stream.close()
+            conn.close()
 
     def _forward(self, request) -> Generator:
         backend = self._pick_backend()
@@ -248,15 +239,15 @@ class ReverseProxy:
                 upstream = None
                 try:
                     upstream = yield from self._open_upstream(backend)
-                    yield from write_request(upstream.stream, request)
+                    write_request(upstream.conn, request)
                     response = yield from read_response(upstream.reader)
-                except (StreamClosed, TcpError):
+                except (StreamClosed, TcpError, HttpError):
                     return None
                 finally:
                     # Close on every exit, not just success: an upstream that
                     # dies mid-exchange must not leak its TCP connection.
                     if upstream is not None:
-                        upstream.stream.close()
+                        upstream.conn.close()
                 backend.served += 1
                 return response
             for attempt in range(2):  # one retry on a stale pooled connection
@@ -265,9 +256,9 @@ class ReverseProxy:
                 except (StreamClosed, TcpError):
                     return None
                 try:
-                    yield from write_request(upstream.stream, request)
+                    write_request(upstream.conn, request)
                     response = yield from read_response(upstream.reader)
-                except (StreamClosed, TcpError):
+                except (StreamClosed, TcpError, HttpError):
                     self._release_upstream(upstream, broken=True)
                     continue
                 self._release_upstream(upstream, broken=False)

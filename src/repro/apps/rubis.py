@@ -6,10 +6,12 @@ a CPU-light web tier issuing 1-3 database queries per page — with a weighted
 request mix, page sizes and render costs in the ballpark of the PHP
 version's published profiles.
 
-A :class:`RubisWebServer` accepts HTTP (plain or TLS — or transparently over
-HIP when the proxy connects to its LSI/HIT), resolves the request type from
-the path, executes its queries through a pooled database connection, charges
-render CPU, and responds with a page-sized body.
+A :class:`RubisWebServer` accepts HTTP over TCP (plain, or transparently
+protected when the proxy connects to its LSI/HIT or VPN tunnel address),
+resolves the request type from the path, executes its queries through a
+pooled database connection, charges render CPU, and responds with a
+page-sized body.  A malformed request closes its connection and counts in
+``errors``.
 """
 
 from __future__ import annotations
@@ -18,16 +20,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
 from repro.apps.database import DbClient, Query, QueryError
-from repro.apps.http import HttpResponse, read_request, write_response
-from repro.apps.streams import BufferedReader, PlainStream, StreamClosed, TlsStream
+from repro.apps.http import HttpError, HttpResponse, read_request, write_response
+from repro.apps.streams import BufferedReader, StreamClosed
 from repro.net.packet import VirtualPayload
-from repro.net.tcp import TcpError, TcpStack
+from repro.net.tcp import TcpConnection, TcpError, TcpStack
 from repro.sim.resources import Queue, Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.addresses import IPAddress
     from repro.net.node import Node
-    from repro.tls.connection import TlsServerContext
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,6 @@ class RubisWebServer:
         db_addr: "IPAddress",
         db_port: int,
         rng,
-        tls_ctx: "TlsServerContext | None" = None,  # inbound TLS (ssl scenario)
-        db_use_tls: bool = False,  # outbound TLS to the database
         db_pool_size: int = 4,
         max_workers: int = 32,
         pressure_threshold: int = 0,
@@ -153,7 +152,6 @@ class RubisWebServer:
         self.sim = node.sim
         self.tcp = tcp
         self.rng = rng
-        self.tls_ctx = tls_ctx
         self.stats = WebStats()
         # Contention model for the 613 MB micro instances: per-request CPU
         # inflates linearly with concurrent requests (buffer churn, GC,
@@ -169,9 +167,7 @@ class RubisWebServer:
         # Database connection pool: persistent connections, FIFO checkout.
         self._db_pool: Queue = Queue(self.sim)
         for _ in range(db_pool_size):
-            self._db_pool.try_put(
-                DbClient(node, tcp, db_addr, db_port, rng=rng, use_tls=db_use_tls)
-            )
+            self._db_pool.try_put(DbClient(node, tcp, db_addr, db_port))
         self.listener = tcp.listen(port)
         self.sim.process(self._accept_loop(), name=f"web-accept-{node.name}")
 
@@ -180,28 +176,20 @@ class RubisWebServer:
             conn = yield self.listener.accept()
             self.sim.process(self._serve_conn(conn), name=f"web-conn-{self.node.name}")
 
-    def _serve_conn(self, conn) -> Generator:
-        if self.tls_ctx is not None:
-            from repro.tls.connection import TlsError, tls_server_handshake
-
-            try:
-                tls = yield from tls_server_handshake(conn, self.node, self.tls_ctx, self.rng)
-            except (TlsError, TcpError):
-                conn.abort()
-                return
-            stream = TlsStream(tls)
-        else:
-            stream = PlainStream(conn)
-        reader = BufferedReader(stream)
+    def _serve_conn(self, conn: TcpConnection) -> Generator:
+        reader = BufferedReader(conn)
         try:
             while True:
                 request = yield from read_request(reader)
                 req_slot = self._workers.request()
                 yield req_slot
                 try:
-                    yield from self._handle(stream, request)
+                    yield from self._handle(conn, request)
                 finally:
                     self._workers.release(req_slot)
+        except HttpError:
+            self.stats.errors += 1
+            conn.close()
         except (StreamClosed, TcpError):
             return
 
@@ -209,19 +197,19 @@ class RubisWebServer:
         excess = max(0, self.inflight - self.pressure_threshold)
         return 1.0 + self.pressure_alpha * excess
 
-    def _handle(self, stream, request) -> Generator:
+    def _handle(self, conn: TcpConnection, request) -> Generator:
         self.stats.requests += 1
         self.inflight += 1
         try:
-            yield from self._handle_inner(stream, request)
+            yield from self._handle_inner(conn, request)
         finally:
             self.inflight -= 1
 
-    def _handle_inner(self, stream, request) -> Generator:
+    def _handle_inner(self, conn: TcpConnection, request) -> Generator:
         path = request.path.partition("?")[0]
         rt = _BY_PATH.get(path)
         if rt is None:
-            yield from write_response(stream, HttpResponse(status=404, reason="Not Found"))
+            write_response(conn, HttpResponse(status=404, reason="Not Found"))
             self.stats.errors += 1
             return
         yield from self.node.cpu_work(rt.parse_cost * self._pressure_factor())
@@ -235,9 +223,7 @@ class RubisWebServer:
             db.close()
             self._db_pool.try_put(db)
             self.stats.errors += 1
-            yield from write_response(
-                stream, HttpResponse(status=503, reason="DB Unavailable")
-            )
+            write_response(conn, HttpResponse(status=503, reason="DB Unavailable"))
             return
         self._db_pool.try_put(db)
         self.stats.db_time += self.sim.now - t0
@@ -250,5 +236,5 @@ class RubisWebServer:
             headers={"Server": "rubis-sim", "Content-Type": "text/html"},
             body=VirtualPayload(rt.page_bytes, tag=rt.name),
         )
-        yield from write_response(stream, response)
+        write_response(conn, response)
         self.stats.responses += 1

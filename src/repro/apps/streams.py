@@ -1,15 +1,11 @@
-"""Uniform byte-stream interface over TCP and TLS connections.
+"""Byte-accurate reading over a TCP connection.
 
-The application protocols (HTTP, the database wire protocol) are written
-against this small interface so the exact same code runs in all three
-security scenarios of the paper:
-
-* **basic** — :class:`PlainStream` over TCP (which may itself ride an LSI /
-  HIT destination, making it HIP-protected transparently);
-* **ssl** — :class:`TlsStream` over a TLS connection.
-
-``send`` and ``recv_chunk`` are process-generators in both cases (plain TCP
-writes complete immediately; TLS writes charge record-protection CPU).
+The application protocols (HTTP, the database wire protocol) read through
+:class:`BufferedReader` and write with ``TcpConnection.write``.  The same
+code runs in all three security scenarios of the paper: ``basic`` is plain
+TCP, while ``hip`` and ``ssl`` address the peer by LSI/HIT or tunnel
+address, and the node's HIP daemon or SSL-VPN daemon protects the packets
+below TCP without the application knowing.
 """
 
 from __future__ import annotations
@@ -17,87 +13,35 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.net.packet import VirtualPayload
-from repro.net.tcp import TcpConnection, TcpError
-from repro.tls.connection import TlsConnection
+from repro.net.tcp import TcpConnection
 
 
 class StreamClosed(Exception):
-    """EOF or reset while reading."""
-
-
-class PlainStream:
-    """Adapter: TcpConnection -> stream interface."""
-
-    def __init__(self, conn: TcpConnection) -> None:
-        self.conn = conn
-
-    def send(self, payload) -> Generator:
-        self.conn.write(payload)
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def recv_chunk(self) -> Generator:
-        chunk = yield self.conn.recv()
-        if isinstance(chunk, (bytes, bytearray)) and len(chunk) == 0:
-            raise StreamClosed("connection closed")
-        return chunk
-
-    def close(self) -> None:
-        self.conn.close()
-
-    @property
-    def transport(self) -> TcpConnection:
-        return self.conn
-
-
-class TlsStream:
-    """Adapter: TlsConnection -> stream interface."""
-
-    def __init__(self, tls: TlsConnection) -> None:
-        self.tls = tls
-
-    def send(self, payload) -> Generator:
-        yield from self.tls.write(payload)
-
-    def recv_chunk(self) -> Generator:
-        try:
-            chunk = yield from self.tls.recv_record()
-        except TcpError as exc:
-            raise StreamClosed(str(exc)) from exc
-        return chunk
-
-    def close(self) -> None:
-        self.tls.close()
-
-    @property
-    def transport(self) -> TcpConnection:
-        return self.tls.conn
-
-
-def wrap_stream(conn) -> PlainStream | TlsStream:
-    if isinstance(conn, TlsConnection):
-        return TlsStream(conn)
-    if isinstance(conn, TcpConnection):
-        return PlainStream(conn)
-    raise TypeError(f"cannot wrap {type(conn).__name__} as a stream")
+    """EOF while reading (a reset raises ``TcpError``)."""
 
 
 class BufferedReader:
-    """Byte-accurate reading over a chunked stream.
+    """Byte-accurate reading over a connection's chunked receive stream.
 
     ``read_until`` requires the delimited region to be real bytes (protocol
     heads always are); ``read_exactly`` spans real and virtual chunks and
     returns a VirtualPayload if any part was virtual.
     """
 
-    def __init__(self, stream) -> None:
-        self.stream = stream
+    def __init__(self, conn: TcpConnection) -> None:
+        self.conn = conn
         self._chunks: list = []  # buffered, in arrival order
 
     @property
     def pending(self) -> bool:
         """True if bytes were received but not yet consumed by a read."""
         return bool(self._chunks)
+
+    def _recv_chunk(self) -> Generator:
+        chunk = yield self.conn.recv()
+        if isinstance(chunk, (bytes, bytearray)) and len(chunk) == 0:
+            raise StreamClosed("connection closed")
+        self._chunks.append(chunk)
 
     def _buffered_real_prefix(self) -> bytes:
         parts = []
@@ -121,8 +65,7 @@ class BufferedReader:
                 raise ValueError(f"delimiter not found within {max_bytes} bytes")
             if self._chunks and isinstance(self._chunks[-1], VirtualPayload):
                 raise ValueError("virtual payload encountered while scanning for delimiter")
-            chunk = yield from self.stream.recv_chunk()
-            self._chunks.append(chunk)
+            yield from self._recv_chunk()
 
     def read_exactly(self, n: int) -> Generator:
         """Process-generator: consume exactly ``n`` stream bytes."""
@@ -131,8 +74,7 @@ class BufferedReader:
         all_real = True
         while got < n:
             if not self._chunks:
-                chunk = yield from self.stream.recv_chunk()
-                self._chunks.append(chunk)
+                yield from self._recv_chunk()
             chunk = self._chunks.pop(0)
             take = min(len(chunk), n - got)
             if take < len(chunk):

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator
 
-from repro.apps.http import HttpRequest, read_response, write_request
+from repro.apps.http import HttpError, HttpRequest, read_response, write_request
 from repro.apps.rubis import pick_request, request_path
-from repro.apps.streams import BufferedReader, PlainStream, StreamClosed
+from repro.apps.streams import BufferedReader, StreamClosed
 from repro.net.tcp import TcpError, TcpStack
 from repro.sim.events import AnyOf, Interrupt
 
@@ -109,10 +109,9 @@ class ClosedLoopClients:
         return self.result
 
     def _client(self, index: int, stop_at: float) -> Generator:
-        stream: PlainStream | None = None
         reader: BufferedReader | None = None
         while self.sim.now < stop_at:
-            if stream is None:
+            if reader is None:
                 connect_started = self.sim.now
                 try:
                     conn = yield self.sim.process(
@@ -128,8 +127,7 @@ class ClosedLoopClients:
                         ))
                     yield self.sim.timeout(0.1)
                     continue
-                stream = PlainStream(conn)
-                reader = BufferedReader(stream)
+                reader = BufferedReader(conn)
             rt = pick_request(self.rng)
             request = HttpRequest(
                 method="GET", path=request_path(rt, self.rng),
@@ -137,7 +135,7 @@ class ClosedLoopClients:
             )
             start = self.sim.now
             exchange = self.sim.process(
-                self._one_exchange(stream, reader, request), name=f"xchg-{index}"
+                self._one_exchange(reader, request), name=f"xchg-{index}"
             )
             deadline = self.sim.timeout(self.timeout)
             winner, value = yield AnyOf(self.sim, [exchange, deadline])
@@ -151,20 +149,19 @@ class ClosedLoopClients:
                 # jmeter-style: timeout abandons the connection.
                 if exchange.is_alive:
                     exchange.interrupt("timeout")
-                stream.transport.abort()
-                stream = None
+                reader.conn.abort()
                 reader = None
             if self.think_time:
                 yield self.sim.timeout(self.rng.expovariate(1.0 / self.think_time))
-        if stream is not None:
-            stream.close()
+        if reader is not None:
+            reader.conn.close()
 
-    def _one_exchange(self, stream, reader, request) -> Generator:
+    def _one_exchange(self, reader: BufferedReader, request) -> Generator:
         try:
-            yield from write_request(stream, request)
+            write_request(reader.conn, request)
             response = yield from read_response(reader)
             return response.status == 200
-        except (StreamClosed, TcpError, ValueError):
+        except (StreamClosed, TcpError, HttpError):
             return False
         except Interrupt:
             return False
@@ -246,19 +243,18 @@ class OpenLoopGenerator:
             )
         except (TcpError, Interrupt):
             return False
-        stream = PlainStream(conn)
-        reader = BufferedReader(stream)
+        reader = BufferedReader(conn)
         request = HttpRequest(
             method="GET", path=request_path(rt, self.rng),
             headers={"Host": "rubis.example", "Connection": "close"},
         )
         try:
-            yield from write_request(stream, request)
+            write_request(conn, request)
             response = yield from read_response(reader)
-            stream.close()
+            conn.close()
             return response.status == 200
-        except (StreamClosed, TcpError, ValueError):
+        except (StreamClosed, TcpError, HttpError):
             return False
         except Interrupt:
-            stream.transport.abort()
+            conn.abort()
             return False

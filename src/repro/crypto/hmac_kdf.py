@@ -13,9 +13,8 @@ key blocks through the hash **once at construction** and every subsequent
 key-schedule or pad work per message, and two compression calls fewer than
 the naive construction.  The midstates are stdlib :mod:`hashlib` objects,
 whose ``.copy()`` *is* midstate resumption, at C speed.  ESP security
-associations and TLS connections each hold their ``HmacKey`` for the
-lifetime of the key (``repro/hip/esp.py``, ``repro/tls/connection.py``);
-``hmac_digest`` stays as the one-shot convenience wrapper.  Differential
+associations each hold their ``HmacKey`` for the lifetime of the key
+(``repro/hip/esp.py``); ``hmac_digest`` stays as the one-shot convenience wrapper.  Differential
 tests pin it to the RFC 2104 reference in ``tests/oracles`` and to stdlib
 ``hmac``.
 """

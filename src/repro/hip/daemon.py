@@ -183,7 +183,6 @@ class HipConfig:
     real_crypto: bool = True  # SAs cipher real-byte payloads (False: cost model only)
     puzzle_k: int = 8  # difficulty served in R1
     dh_group: int = 1  # MODP group id (1 = fast 768-bit test group)
-    charge_costs: bool = True  # charge simulated CPU for crypto work
     queue_limit: int = 64  # packets queued per pending association
 
 
@@ -406,12 +405,10 @@ class HipDaemon:
                 self._start_bex(assoc)
             self._tx_lane.advance()
             return
-        cost = 0.0
-        if self.config.charge_costs:
-            cm = self.node.cost_model
-            translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
-            cost = translate + cm.esp_encrypt_cost(packet.size_bytes)
-            self.meter.charge(_ESP_ENC_LSI if kind == "lsi" else _ESP_ENC_HIT, cost)
+        cm = self.node.cost_model
+        translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
+        cost = translate + cm.esp_encrypt_cost(packet.size_bytes)
+        self.meter.charge(_ESP_ENC_LSI if kind == "lsi" else _ESP_ENC_HIT, cost)
         self.node.cpu_run(cost, self._tx_send, (assoc, packet, kind))
 
     def _tx_send(self, job: tuple[Association, Packet, str]) -> None:
@@ -457,12 +454,10 @@ class HipDaemon:
             self._drop_esp(esp_header, "malformed_payload")
             return
         kind = packet.meta.get("addr_kind", "hit")
-        cost = 0.0
-        if self.config.charge_costs:
-            cm = self.node.cost_model
-            translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
-            cost = translate + cm.esp_decrypt_cost(len(payload.inner))
-            self.meter.charge(_ESP_DEC_LSI if kind == "lsi" else _ESP_DEC_HIT, cost)
+        cm = self.node.cost_model
+        translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
+        cost = translate + cm.esp_decrypt_cost(len(payload.inner))
+        self.meter.charge(_ESP_DEC_LSI if kind == "lsi" else _ESP_DEC_HIT, cost)
         self.node.cpu_run(cost, self._rx_deliver, (assoc, esp_header, payload, kind, packet))
 
     def _rx_deliver(self, job: tuple) -> None:
@@ -498,7 +493,7 @@ class HipDaemon:
         CPU slot — the closed-form rate already subsumes the transfer's
         elapsed time.
         """
-        if n_segments <= 0 or not self.config.charge_costs:
+        if n_segments <= 0:
             return
         if is_lsi(peer_addr) and peer_addr != self.lsi.own_lsi:
             kind = "lsi"
@@ -732,8 +727,7 @@ class HipDaemon:
 
     def _charge(self, kind: str, cost: float) -> Generator:
         self.meter.charge(kind, cost)
-        if self.config.charge_costs:
-            yield from self.node.cpu_work(cost)
+        yield from self.node.cpu_work(cost)
 
     # -- responder side ------------------------------------------------------------
     def _yields_to(self, peer_hit: IPAddress) -> bool:

@@ -7,9 +7,11 @@
 
 * The load balancer (HAProxy's role) sits *outside* the cloud, as in the
   paper, and terminates consumer HTTP.
-* ``security="basic"`` runs everything in the clear; ``"ssl"`` wraps the
-  LB→web and web→db hops in TLS; ``"hip"`` gives the LB, web and db nodes
-  HIP daemons and addresses the same hops by LSI, so ESP protects them
+* ``security="basic"`` runs everything in the clear; ``"ssl"`` gives the
+  LB, web and db nodes OpenVPN-style SSL-VPN daemons and addresses the
+  LB→web and web→db hops by tunnel address, so the VPN record layer carries
+  them (the paper's §V-A baseline); ``"hip"`` gives the same nodes HIP
+  daemons and addresses the same hops by LSI, so ESP protects them
   transparently (end users still speak plain HTTP — HIP's end-to-middle
   deployment).
 * Web VMs are EC2 micros, the database a large instance, per §V-A.
@@ -40,7 +42,6 @@ from repro.net.addresses import IPAddress, ipv4
 from repro.net.node import Node
 from repro.net.tcp import TcpStack
 from repro.sim import RngStreams, Simulator
-from repro.tls.connection import TlsServerContext
 
 SECURITY_MODES = ("basic", "hip", "ssl")
 
@@ -160,8 +161,6 @@ def build_rubis_cloud(
     # "ssl" models the paper's OpenVPN-style deployment: persistent TLS
     # tunnels between the LB, web and db nodes, with per-packet record
     # protection — the structural twin of HIP's ESP data path.
-    use_tls = False
-
     if security == "ssl":
         from repro.net.addresses import IPAddress as _IP
         from repro.tls.vpn import SslVpnDaemon, VPN_SUBNET
@@ -213,11 +212,9 @@ def build_rubis_cloud(
             daemons["db0"].add_peer(identities[vm.name].hit, [vm.primary_address])
 
     # --- database ---------------------------------------------------------------------
-    db_tls_ctx = None
     db_server = DbServer(
         db_vm, tcp["db"], DB_PORT, rubis_tables(),
-        cache_enabled=cache_enabled, tls_ctx=db_tls_ctx,
-        rng=rngs.stream("db-service"),
+        cache_enabled=cache_enabled, rng=rngs.stream("db-service"),
     )
 
     # --- web tier -------------------------------------------------------------------
@@ -233,7 +230,6 @@ def build_rubis_cloud(
             RubisWebServer(
                 vm, tcp[vm.name], WEB_PORT, db_addr, DB_PORT,
                 rng=rngs.stream(f"web-{vm.name}"),
-                tls_ctx=None, db_use_tls=False,
             )
         )
 
@@ -246,10 +242,9 @@ def build_rubis_cloud(
             addr = vpn_daemons[vm.name].vpn_addr
         else:
             addr = vm.primary_address
-        backends.append(Backend(addr=addr, port=WEB_PORT, use_tls=False))
+        backends.append(Backend(addr=addr, port=WEB_PORT))
     lb = ReverseProxy(
-        lb_node, tcp["lb"], FRONTEND_PORT, backends,
-        rng=rngs.stream("proxy"), algorithm="round-robin",
+        lb_node, tcp["lb"], FRONTEND_PORT, backends, algorithm="round-robin"
     )
 
     return RubisDeployment(

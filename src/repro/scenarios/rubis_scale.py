@@ -55,7 +55,7 @@ from repro.apps.http import (
 )
 from repro.apps.proxy import Backend, ReverseProxy
 from repro.apps.rubis import RubisWebServer, pick_scale_request, request_path
-from repro.apps.streams import BufferedReader, PlainStream, StreamClosed
+from repro.apps.streams import BufferedReader, StreamClosed
 from repro.cloud.datacenter import DatacenterParams, Internet
 from repro.cloud.iaas import PublicCloud
 from repro.cloud.tenant import SpreadPlacement, Tenant
@@ -242,14 +242,10 @@ def _build_zone(sim: Simulator, zrngs, zone_index: int, p: ScaleParams) -> Zone:
     frontend_addr = ipv4(f"198.51.{zone_index}.10")
     internet.attach(lb_node, frontend_addr, delay_s=LB_WAN_DELAY)
     lb_tcp = TcpStack(lb_node)
-    backends = [
-        Backend(addr=vm.primary_address, port=WEB_PORT, use_tls=False)
-        for vm in web_vms
-    ]
+    backends = [Backend(addr=vm.primary_address, port=WEB_PORT) for vm in web_vms]
     ReverseProxy(
         lb_node, lb_tcp, FRONTEND_PORT, backends,
-        rng=zrngs.stream("proxy"), algorithm="round-robin",
-        backend_keepalive=True,
+        algorithm="round-robin", backend_keepalive=True,
     )
 
     # --- consumers: one node per closed-loop client -------------------------
@@ -320,15 +316,14 @@ def _client_loop(
             stats.errors += 1
             yield sim.timeout(0.2)
             continue
-        stream = PlainStream(conn)
-        reader = BufferedReader(stream)
+        reader = BufferedReader(conn)
         try:
             while True:
                 rt = pick_scale_request(rng)
                 request = HttpRequest(
                     "GET", request_path(rt, rng), headers={"Host": "rubis"}
                 )
-                yield from write_request(stream, request)
+                write_request(conn, request)
                 response = yield from read_response(reader)
                 if response.status == 200:
                     stats.api_sessions += 1

@@ -1,25 +1,11 @@
-"""TLS 1.2-style baseline ("SSL" in the paper's terminology).
+"""OpenVPN-style SSL tunnels ("SSL" in the paper's terminology).
 
-The paper compares HIP against OpenSSL-based SSL connections (OpenVPN's
-substrate).  This package implements the comparable subset: an RSA
-key-transport handshake with session resumption, and an AES-CBC +
-HMAC-SHA1 record layer — deliberately the *same* symmetric algorithms as
-our ESP transform, because the paper's central performance claim is that
-HIP and SSL cost the same once the key exchange is done.
+The paper compares HIP against OpenVPN, which uses OpenSSL (§V-A).
+:mod:`repro.tls.vpn` models that tunnel: an RSA key-transport handshake
+keys it once per peer pair, then every IP packet to a tunnel address pays
+the TLS record cost.  The record transform's symmetric algorithms
+(AES-CBC + HMAC-SHA1) are the same as our ESP transform's, because the
+paper's central performance claim is that HIP and SSL cost the same once
+the key exchange is done.  The VPN data plane charges cost-model time and
+does not cipher the bytes.
 """
-
-from repro.tls.connection import (
-    TlsConnection,
-    TlsError,
-    TlsServerContext,
-    tls_client_handshake,
-    tls_server_handshake,
-)
-
-__all__ = [
-    "TlsConnection",
-    "TlsError",
-    "TlsServerContext",
-    "tls_client_handshake",
-    "tls_server_handshake",
-]

@@ -129,7 +129,6 @@ class SslVpnDaemon:
         vpn_addr: IPAddress,
         keypair: RsaKeyPair,
         rng: random.Random,
-        charge_costs: bool = True,
         queue_limit: int = 64,
     ) -> None:
         if not VPN_SUBNET.contains(vpn_addr):
@@ -139,7 +138,6 @@ class SslVpnDaemon:
         self.vpn_addr = vpn_addr
         self.keypair = keypair
         self.rng = rng
-        self.charge_costs = charge_costs
         self.queue_limit = queue_limit
         self.meter = CryptoMeter()
 
@@ -209,8 +207,7 @@ class SslVpnDaemon:
         cm = self.node.cost_model
         cost = cm.tls_record_cost(packet.size_bytes)
         self.meter.charge("vpn.record.out", cost)
-        if self.charge_costs:
-            yield from self.node.cpu_work(cost)
+        yield from self.node.cpu_work(cost)
         tunnel.seq_out += 1
         pad = (-(packet.size_bytes + 21)) % 16 + 1
         wire = Packet(
@@ -244,8 +241,7 @@ class SslVpnDaemon:
             cm = self.node.cost_model
             cost = cm.tls_record_cost(inner.size_bytes)
             self.meter.charge("vpn.record.in", cost)
-            if self.charge_costs:
-                yield from self.node.cpu_work(cost)
+            yield from self.node.cpu_work(cost)
             self.packets_received += 1
             delivered = self._rebuild_inner(inner, peer_vpn)
             if packet.meta.get("ce"):
@@ -275,8 +271,7 @@ class SslVpnDaemon:
         else:
             self.meter.charge("vpn.record.in", cost)
             self.packets_received += n_segments
-        if self.charge_costs:
-            self.node.cpu_busy_seconds += cost
+        self.node.cpu_busy_seconds += cost
 
     def _rebuild_inner(self, inner: Packet, peer_vpn: IPAddress) -> Packet:
         if inner.headers and isinstance(inner.outer, IPHeader):
@@ -435,5 +430,4 @@ class SslVpnDaemon:
 
     def _charge(self, kind: str, cost: float) -> Generator:
         self.meter.charge(kind, cost)
-        if self.charge_costs:
-            yield from self.node.cpu_work(cost)
+        yield from self.node.cpu_work(cost)

@@ -28,7 +28,7 @@ def db_net(sim, rng):
         b, tb, DB_PORT, rubis_tables(), cache_enabled=True,
         rng=random.Random(3), stochastic=False,
     )
-    client = DbClient(a, ta, B, DB_PORT, rng=random.Random(4))
+    client = DbClient(a, ta, B, DB_PORT)
     return sim, server, client
 
 
@@ -186,26 +186,3 @@ class TestDbService:
         sim.run(until=30)
         assert results == [1] * 8
         assert server.stats.queries == 8
-
-    def test_tls_protected_db_connection(self, sim):
-        from repro.crypto.rsa import RsaKeyPair
-        from repro.tls.connection import TlsServerContext
-
-        a, b = lan_pair(sim, "web", "db")
-        ta, tb = TcpStack(a), TcpStack(b)
-        ctx = TlsServerContext(keypair=RsaKeyPair.generate(512, random.Random(5)))
-        server = DbServer(b, tb, DB_PORT, rubis_tables(), tls_ctx=ctx,
-                          rng=random.Random(3))
-        client = DbClient(a, ta, B, DB_PORT, rng=random.Random(6), use_tls=True)
-        out = {}
-
-        def flow():
-            rows, nbytes = yield from client.query(
-                Query(kind="pk", table="items", key="3")
-            )
-            out["rows"] = rows
-
-        proc = sim.process(flow())
-        sim.run(until=proc)
-        assert out["rows"] == 1
-        assert server.stats.queries == 1

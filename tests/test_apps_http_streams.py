@@ -1,4 +1,4 @@
-"""Stream adapters, buffered reading and HTTP framing tests."""
+"""Buffered reading and HTTP framing tests."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.apps.http import (
     write_request,
     write_response,
 )
-from repro.apps.streams import BufferedReader, PlainStream, StreamClosed, wrap_stream
+from repro.apps.streams import BufferedReader, StreamClosed
 from repro.net.addresses import ipv4
 from repro.net.packet import VirtualPayload
 from repro.net.tcp import TcpStack
@@ -22,7 +22,7 @@ B = ipv4("10.0.0.2")
 
 @pytest.fixture
 def pipe(sim):
-    """An established TCP connection pair wrapped as streams."""
+    """An established TCP connection pair: (sim, client, server)."""
     a, b = lan_pair(sim, "a", "b")
     ta, tb = TcpStack(a), TcpStack(b)
     conns = {}
@@ -38,7 +38,7 @@ def pipe(sim):
     proc = sim.process(client())
     sim.run(until=proc)
     sim.run(until=sim.now + 0.1)
-    return sim, PlainStream(conns["client"]), PlainStream(conns["server"])
+    return sim, conns["client"], conns["server"]
 
 
 class TestBufferedReader:
@@ -47,15 +47,13 @@ class TestBufferedReader:
         reader = BufferedReader(srv)
         out = {}
 
-        def sender():
-            yield from cli.send(b"GET / HT")
-            yield from cli.send(b"TP/1.1\r\n\r\nrest")
+        cli.write(b"GET / HT")
+        cli.write(b"TP/1.1\r\n\r\nrest")
 
         def receiver():
             out["head"] = yield from reader.read_until(b"\r\n\r\n")
             out["rest"] = yield from reader.read_exactly(4)
 
-        sim.process(sender())
         sim.process(receiver())
         sim.run(until=sim.now + 5)
         assert out["head"] == b"GET / HTTP/1.1\r\n\r\n"
@@ -66,9 +64,8 @@ class TestBufferedReader:
         reader = BufferedReader(srv)
         out = {}
 
-        def sender():
-            for _ in range(30):
-                yield from cli.send(b"x" * 1000)
+        for _ in range(30):
+            cli.write(b"x" * 1000)
 
         def receiver():
             try:
@@ -76,7 +73,6 @@ class TestBufferedReader:
             except ValueError as exc:
                 out["err"] = str(exc)
 
-        sim.process(sender())
         sim.process(receiver())
         sim.run(until=sim.now + 5)
         assert "delimiter" in out["err"]
@@ -86,17 +82,15 @@ class TestBufferedReader:
         reader = BufferedReader(srv)
         out = {}
 
-        def sender():
-            yield from cli.send(b"abcd")
-            yield from cli.send(VirtualPayload(100))
-            yield from cli.send(b"wxyz")
+        cli.write(b"abcd")
+        cli.write(VirtualPayload(100))
+        cli.write(b"wxyz")
 
         def receiver():
             out["first"] = yield from reader.read_exactly(4)
             out["mid"] = yield from reader.read_exactly(100)
             out["last"] = yield from reader.read_exactly(4)
 
-        sim.process(sender())
         sim.process(receiver())
         sim.run(until=sim.now + 5)
         assert out["first"] == b"abcd"
@@ -108,8 +102,7 @@ class TestBufferedReader:
         reader = BufferedReader(srv)
         out = {}
 
-        def sender():
-            yield from cli.send(VirtualPayload(50))
+        cli.write(VirtualPayload(50))
 
         def receiver():
             try:
@@ -117,7 +110,6 @@ class TestBufferedReader:
             except ValueError as exc:
                 out["err"] = str(exc)
 
-        sim.process(sender())
         sim.process(receiver())
         sim.run(until=sim.now + 5)
         assert "virtual" in out["err"]
@@ -127,10 +119,7 @@ class TestBufferedReader:
         reader = BufferedReader(srv)
         out = {}
 
-        def closer():
-            cli.close()
-            return
-            yield
+        cli.close()
 
         def receiver():
             try:
@@ -138,16 +127,9 @@ class TestBufferedReader:
             except StreamClosed:
                 out["closed"] = True
 
-        sim.process(closer())
         sim.process(receiver())
         sim.run(until=sim.now + 5)
         assert out.get("closed") is True
-
-    def test_wrap_stream_dispatch(self, pipe):
-        _sim, cli, _srv = pipe
-        assert isinstance(wrap_stream(cli.conn), PlainStream)
-        with pytest.raises(TypeError):
-            wrap_stream(object())
 
 
 class TestHttpMessages:
@@ -169,16 +151,14 @@ class TestHttpMessages:
         reader = BufferedReader(srv)
         out = {}
 
-        def sender():
-            yield from write_request(
-                cli, HttpRequest(method="POST", path="/bid",
-                                 headers={"Host": "x"}, body=b"amount=10"),
-            )
+        write_request(
+            cli, HttpRequest(method="POST", path="/bid",
+                             headers={"Host": "x"}, body=b"amount=10"),
+        )
 
         def receiver():
             out["req"] = yield from read_request(reader)
 
-        sim.process(sender())
         sim.process(receiver())
         sim.run(until=sim.now + 5)
         req = out["req"]
@@ -190,16 +170,14 @@ class TestHttpMessages:
         reader = BufferedReader(cli)
         out = {}
 
-        def sender():
-            yield from write_response(
-                srv, HttpResponse(status=200, headers={"Server": "sim"},
-                                  body=VirtualPayload(8192)),
-            )
+        write_response(
+            srv, HttpResponse(status=200, headers={"Server": "sim"},
+                              body=VirtualPayload(8192)),
+        )
 
         def receiver():
             out["resp"] = yield from read_response(reader)
 
-        sim.process(sender())
         sim.process(receiver())
         sim.run(until=sim.now + 5)
         resp = out["resp"]
@@ -211,18 +189,14 @@ class TestHttpMessages:
         reader = BufferedReader(srv)
         seen = []
 
-        def sender():
-            for i in range(3):
-                yield from write_request(
-                    cli, HttpRequest(method="GET", path=f"/page{i}"),
-                )
+        for i in range(3):
+            write_request(cli, HttpRequest(method="GET", path=f"/page{i}"))
 
         def receiver():
             for _ in range(3):
                 req = yield from read_request(reader)
                 seen.append(req.path)
 
-        sim.process(sender())
         sim.process(receiver())
         sim.run(until=sim.now + 5)
         assert seen == ["/page0", "/page1", "/page2"]
@@ -232,8 +206,7 @@ class TestHttpMessages:
         reader = BufferedReader(srv)
         out = {}
 
-        def sender():
-            yield from cli.send(b"NOT HTTP AT ALL\r\n\r\n")
+        cli.write(b"NOT HTTP AT ALL\r\n\r\n")
 
         def receiver():
             try:
@@ -241,7 +214,6 @@ class TestHttpMessages:
             except HttpError as exc:
                 out["err"] = str(exc)
 
-        sim.process(sender())
         sim.process(receiver())
         sim.run(until=sim.now + 5)
         assert "malformed" in out["err"]

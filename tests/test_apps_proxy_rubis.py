@@ -13,7 +13,7 @@ from repro.apps.rubis import (
     pick_request,
     request_path,
 )
-from repro.apps.streams import BufferedReader, PlainStream
+from repro.apps.streams import BufferedReader
 from repro.net.addresses import ipv4, prefix
 from repro.net.node import Node
 from repro.net.tcp import TcpStack
@@ -51,19 +51,17 @@ def mini_site(sim):
     ]
     backends = [Backend(addr=addr["web0"], port=8080),
                 Backend(addr=addr["web1"], port=8080)]
-    proxy = ReverseProxy(proxy_node, tcp["proxy"], 80, backends,
-                         rng=random.Random(5))
+    proxy = ReverseProxy(proxy_node, tcp["proxy"], 80, backends)
     return sim, client, tcp["client"], addr, proxy, servers, db
 
 
 def http_get(sim, tcp, frontend, path, out, key="resp"):
     def flow():
         conn = yield sim.process(tcp.open_connection(frontend, 80))
-        stream = PlainStream(conn)
-        reader = BufferedReader(stream)
-        yield from write_request(stream, HttpRequest(method="GET", path=path))
+        reader = BufferedReader(conn)
+        write_request(conn, HttpRequest(method="GET", path=path))
         out[key] = yield from read_response(reader)
-        stream.close()
+        conn.close()
 
     return sim.process(flow())
 
@@ -98,8 +96,7 @@ class TestProxyRegressions:
         sim, tcp, proxy_node, backend_node = small_proxy_net
         proxy = ReverseProxy(proxy_node, tcp["proxy"], 80,
                              [Backend(addr=ipv4("10.1.0.2"), port=9999)],
-                             rng=random.Random(1), backend_keepalive=True,
-                             max_pool_per_backend=2)
+                             backend_keepalive=True, max_pool_per_backend=2)
         out = {}
         for i in range(4):  # strictly more requests than pool slots
             proc = http_get(sim, tcp["client"], ipv4("10.0.0.1"), "/a", out, key=i)
@@ -120,8 +117,7 @@ class TestProxyRegressions:
 
         sim.process(rude_backend(), name="rude-backend")
         ReverseProxy(proxy_node, tcp["proxy"], 80,
-                     [Backend(addr=ipv4("10.1.0.2"), port=8080)],
-                     rng=random.Random(1))
+                     [Backend(addr=ipv4("10.1.0.2"), port=8080)])
         out = {}
         proc = http_get(sim, tcp["client"], ipv4("10.0.0.1"), "/a", out)
         sim.run(until=proc)
@@ -146,10 +142,9 @@ class TestProxyRegressions:
 
         def flow():
             conn = yield sim.process(tcp.open_connection(addr["proxy"], 80))
-            stream = PlainStream(conn)
-            yield from stream.send(b"GET /brow")  # partial request head
+            conn.write(b"GET /brow")  # partial request head
             yield sim.timeout(0.5)
-            stream.close()
+            conn.close()
 
         sim.process(flow())
         sim.run(until=10)
@@ -205,7 +200,7 @@ class TestRubisWebTier:
         node = Node(sim, "p")
         node.add_interface("eth0", ipv4("10.0.0.9"))
         proxy = ReverseProxy(node, TcpStack(node), 80, backends,
-                             rng=random.Random(1), algorithm="least-connections")
+                             algorithm="least-connections")
         backends[0].active = 5
         assert proxy._pick_backend() is backends[1]
         backends[1].active = 9
@@ -217,12 +212,12 @@ class TestRubisWebTier:
         with pytest.raises(ValueError):
             ReverseProxy(node, TcpStack(node), 80,
                          [Backend(addr=ipv4("10.0.0.1"), port=1)],
-                         rng=random.Random(1), algorithm="random")
+                         algorithm="random")
 
     def test_no_backends_rejected(self, sim):
         node = Node(sim, "p")
         with pytest.raises(ValueError):
-            ReverseProxy(node, TcpStack(node), 80, [], rng=random.Random(1))
+            ReverseProxy(node, TcpStack(node), 80, [])
 
     def test_dead_backend_returns_502(self, sim):
         client = Node(sim, "client")
@@ -234,8 +229,7 @@ class TestRubisWebTier:
         tcp_c, tcp_p = TcpStack(client), TcpStack(proxy_node)
         # Backend address exists but nothing listens there.
         ReverseProxy(proxy_node, tcp_p, 80,
-                     [Backend(addr=ipv4("10.0.0.2"), port=9999)],
-                     rng=random.Random(1))
+                     [Backend(addr=ipv4("10.0.0.2"), port=9999)])
         out = {}
         http_get(sim, tcp_c, ipv4("10.0.0.1"), "/browse", out)
         sim.run(until=30)
@@ -257,11 +251,10 @@ class TestRubisWebTier:
 
         def flow():
             conn = yield sim.process(tcp.open_connection(addr["proxy"], 80))
-            stream = PlainStream(conn)
-            reader = BufferedReader(stream)
+            reader = BufferedReader(conn)
             statuses = []
             for path in ("/browse?id=1", "/user?id=2", "/bids?id=3"):
-                yield from write_request(stream, HttpRequest(method="GET", path=path))
+                write_request(conn, HttpRequest(method="GET", path=path))
                 resp = yield from read_response(reader)
                 statuses.append(resp.status)
             out["statuses"] = statuses
@@ -286,9 +279,8 @@ class TestRubisWebTier:
 
         def flow():
             conn = yield sim.process(tcp_c.open_connection(ipv4("10.0.0.1"), 8080))
-            stream = PlainStream(conn)
-            reader = BufferedReader(stream)
-            yield from write_request(stream, HttpRequest(method="GET", path="/browse"))
+            reader = BufferedReader(conn)
+            write_request(conn, HttpRequest(method="GET", path="/browse"))
             out["resp"] = yield from read_response(reader)
 
         sim.process(flow())

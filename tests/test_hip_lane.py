@@ -8,11 +8,13 @@ daemons charge the cost model and never touch AES, the default still does.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.apps.workload import ClosedLoopClients
+from repro.crypto.costmodel import CostModel
 from repro.hip.daemon import HipConfig, HipDaemon, HipState
 from repro.hip.esp import EspCiphertext
 from repro.metrics import METRICS, RECORDER
@@ -41,9 +43,10 @@ def counter(name: str) -> int:
     return METRICS.counter(name).value
 
 
-def configured_pair(sim, identities, config):
-    """``conftest.build_hip_pair`` with a ``HipConfig`` on both daemons."""
-    a, b = lan_pair(sim, "a", "b")
+def configured_pair(sim, identities, config, **node_kw):
+    """``conftest.build_hip_pair`` with a ``HipConfig`` on both daemons
+    (``node_kw`` goes to both nodes)."""
+    a, b = lan_pair(sim, "a", "b", **node_kw)
     da = HipDaemon(a, identities["a"], rng=random.Random(11), config=config)
     db = HipDaemon(b, identities["b"], rng=random.Random(22), config=config)
     da.add_peer(db.hit, [B])
@@ -77,8 +80,10 @@ def test_queued_then_flushed_packets_leave_before_newer_ones(hip_pair):
 
 
 def test_uncharged_lane_keeps_order(sim, session_identities):
-    """``charge_costs=False`` runs every CPU step inline; order still holds."""
-    a, b, da, db = configured_pair(sim, session_identities, HipConfig(charge_costs=False))
+    """On nodes whose every cost is 0 each CPU step runs inline; order
+    still holds."""
+    free = CostModel(**{f.name: 0.0 for f in dataclasses.fields(CostModel)})
+    a, b, da, db = configured_pair(sim, session_identities, HipConfig(), cost_model=free)
     got = udp_sink(b)
     for tag in range(4):
         a.send_ip(db.hit, "udp", datagram(tag))

@@ -53,6 +53,34 @@ class TestFullDeploymentIntegration:
         assert protocols  # something crossed
         assert protocols <= {"hip", "esp"}, protocols
 
+    def test_no_plaintext_inside_cloud_in_ssl_mode(self):
+        """``ssl`` is the tunnel: every LB -> web/db packet on the LB's WAN
+        link is an SSL-VPN record, and every VPN daemon carried data."""
+        dep = build_rubis_cloud(seed=4, security="ssl", hip_rsa_bits=512)
+        sim = dep.sim
+        cloud = {vm.primary_address for vm in dep.web_vms} | {dep.db_vm.primary_address}
+        protocols = set()
+        endpoint = dep.lb_node.interfaces[0]._endpoint
+        original = endpoint.send
+
+        def spy(packet):
+            from repro.net.packet import IPHeader
+
+            ip = packet.outer
+            if isinstance(ip, IPHeader) and ip.dst in cloud:
+                protocols.add(ip.proto)
+            return original(packet)
+
+        endpoint.send = spy
+        workload = ClosedLoopClients(
+            dep.client_node, dep.client_tcp, dep.frontend_addr, FRONTEND_PORT,
+            n_clients=3, rng=dep.rngs.stream("w"), warmup=0.2,
+        )
+        result = sim.run(until=sim.process(workload.run(0.5)))
+        assert result.successes > 0
+        assert protocols == {"sslvpn"}
+        assert all(vpn.packets_sent > 0 for vpn in dep.vpn_daemons.values())
+
     def test_web_vm_failure_and_service_continuity(self):
         """Killing one web VM degrades but does not stop the service."""
         dep = build_rubis_cloud(seed=4, security="basic", hip_rsa_bits=512)

@@ -16,7 +16,6 @@ import json
 import os
 import pathlib
 import pickle
-import random
 import subprocess
 import sys
 import traceback
@@ -31,13 +30,9 @@ from repro.hip.esp import EspError
 from repro.metrics import RECORDER
 from repro.metrics.report import metrics_json
 from repro.net import link
-from repro.net.addresses import ipv4
 from repro.net.icmp import IcmpStack, ping
 from repro.net.packet import Packet, UDPHeader
-from repro.net.tcp import TcpStack
-from repro.net.topology import lan_pair
 from repro.sim import Simulator
-from repro.tls import TlsError, TlsServerContext, tls_client_handshake, tls_server_handshake
 from repro.tls.vpn import VpnError
 
 from tests.conftest import build_hip_pair, build_vpn_pair, run_proc
@@ -241,38 +236,6 @@ def catch(sim, generator, error) -> list[Exception]:
     return caught
 
 
-def tls_pair(server_key, session=None, cache=None):
-    """One TLS handshake over a fresh LAN; returns (sim, client, server, errors)."""
-    sim = Simulator()
-    a, b = lan_pair(sim, "client", "server")
-    ta, tb = TcpStack(a), TcpStack(b)
-    ctx = TlsServerContext(keypair=server_key)
-    ctx.session_cache.update(cache or {})
-    listener = tb.listen(443)
-    out: dict = {"errors": []}
-
-    def server():
-        conn = yield listener.accept()
-        try:
-            out["server"] = yield from tls_server_handshake(conn, b, ctx, random.Random(5))
-        except TlsError as exc:
-            out["errors"].append(exc)
-
-    def client():
-        conn = yield sim.process(ta.open_connection(ipv4("10.0.0.2"), 443))
-        try:
-            out["client"] = yield from tls_client_handshake(
-                conn, a, random.Random(6), session=session
-            )
-        except TlsError as exc:
-            out["errors"].append(exc)
-
-    sim.process(server())
-    sim.run(until=sim.process(client()))
-    sim.run(until=sim.now + 1)
-    return sim, out.get("client"), out.get("server"), out["errors"]
-
-
 def test_no_live_key_reaches_traces_metrics_reprs_errors_or_wire(
     minted, wire, session_identities, vpn_keys
 ):
@@ -319,22 +282,6 @@ def test_no_live_key_reaches_traces_metrics_reprs_errors_or_wire(
         holders += [*da.assocs.values()]
         ints += [da.assocs[db.hit].dh.private]
 
-        # TLS: a full handshake with one record, a resumed one, and one whose
-        # resumed master differs between the ends (both Finished checks fail).
-        server_key = vpn_keys[1]
-        sim, cli, srv, _ = tls_pair(server_key)
-        run_proc(sim, cli.write(b"attack at dawn"))
-        assert run_proc(sim, srv.recv_bytes(14)) == b"attack at dawn"
-        session = (cli.session_id, cli.master_secret)
-        _, cli2, srv2, _ = tls_pair(server_key, session, {cli.session_id: srv.master_secret})
-        assert cli2.resumed and srv2.resumed
-        _, _, _, tls_errors = tls_pair(
-            server_key, session, {cli.session_id: Secret(random.Random(9).randbytes(48))}
-        )
-        assert len(tls_errors) == 2
-        errors += tls_errors
-        holders += [cli, srv, cli2, srv2]
-
         # VPN: a handshake, then one whose key message is corrupted on the way.
         sim, a, b, va, vb = build_vpn_pair(Simulator(), vpn_keys)
         run_proc(sim, va.connect(vb.vpn_addr))
@@ -353,7 +300,7 @@ def test_no_live_key_reaches_traces_metrics_reprs_errors_or_wire(
     assert RECORDER.dropped == 0  # the ring held every event
 
     keys = {s.reveal() for s in minted if len(s) >= 8}
-    assert len(keys) > 20  # DH secrets, KEYMATs, SA keys, premasters, masters...
+    assert len(keys) > 15  # DH secrets, KEYMATs, SA keys, VPN premasters and masters
     for identity in session_identities.values():
         ints += private_ints(identity)
     for pair in vpn_keys:

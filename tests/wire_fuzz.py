@@ -107,9 +107,8 @@ class DecoderCase(NamedTuple):
 
 def decoder_corpus() -> list[DecoderCase]:
     """A valid message for every ``WireReader`` parser outside HIP/DNS/Teredo
-    (those have their own suites): DNSSEC signature section, TLS handshake
-    bodies, the VPN ``key`` body, the DB protocol heads and the shard
-    envelope frame."""
+    (those have their own suites): DNSSEC signature section, the VPN ``key``
+    body, the DB protocol heads and the shard envelope frame."""
     from repro.apps.database import QueryError, parse_request_head, parse_response_head
     from repro.crypto.rsa import RsaKeyPair
     from repro.net.addresses import ipv4
@@ -122,12 +121,6 @@ def decoder_corpus() -> list[DecoderCase]:
     )
     from repro.net.packet import Packet
     from repro.sim.shard import Envelope, ShardError, decode_envelopes, encode_envelopes
-    from repro.tls.connection import (
-        TlsError,
-        parse_certificate,
-        parse_client_hello,
-        parse_server_hello,
-    )
     from repro.tls.vpn import VpnError, parse_key_body
 
     keypair = RsaKeyPair.generate(512, random.Random(0x5160))
@@ -150,8 +143,7 @@ def decoder_corpus() -> list[DecoderCase]:
             raise DnssecError("answer is missing signatures")
         return sigs
 
-    session_id, nonce = bytes(range(16)), bytes(range(32))
-    key_bytes = keypair.public.to_bytes()
+    nonce = bytes(range(32))
     packets = [Packet(headers=(), payload=bytes([i]) * 32) for i in range(3)]
     frame = encode_envelopes(
         [
@@ -165,14 +157,6 @@ def decoder_corpus() -> list[DecoderCase]:
     )
     return [
         DecoderCase("dnssec-signatures", section, parse_signatures, DnssecError),
-        DecoderCase("tls-client-hello", struct.pack(">H", 16) + session_id + nonce,
-                    parse_client_hello, TlsError),
-        DecoderCase("tls-server-hello",
-                    struct.pack(">H", 16) + session_id + nonce + b"\x01",
-                    parse_server_hello, TlsError),
-        # Without the chain padding, which the parser does not read.
-        DecoderCase("tls-certificate", struct.pack(">H", len(key_bytes)) + key_bytes,
-                    parse_certificate, TlsError),
         DecoderCase("vpn-key", nonce + bytes(64),
                     lambda body: parse_key_body(body, 64), VpnError),
         DecoderCase("db-request-head", struct.pack(">I", 17),
