@@ -2,8 +2,10 @@
 
 Supports 128/192/256-bit keys.  The S-box is derived at import time from the
 GF(2^8) multiplicative inverse plus the affine transform rather than being
-transcribed, so a typo cannot silently corrupt the cipher; known-answer tests
-in ``tests/crypto`` pin the FIPS-197 vectors.
+transcribed, so a typo cannot silently corrupt the cipher; the inverses come
+from log/antilog tables over the generator {03}.  Known-answer tests in
+``tests/test_crypto_aes_modes.py`` pin the FIPS-197 vectors and every S-box
+entry against the definition.
 
 The hot path is the classic 32-bit T-table formulation: four 256-entry
 tables fold SubBytes + ShiftRows + MixColumns into table lookups and XORs
@@ -57,13 +59,16 @@ def _gf_mul(a: int, b: int) -> int:
 
 
 def _build_sbox() -> tuple[bytes, bytes]:
-    # Multiplicative inverse table via exhaustive search (256 entries, import-time only).
-    inv = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if _gf_mul(x, y) == 1:
-                inv[x] = y
-                break
+    # Multiplicative inverses from log/antilog tables over the generator
+    # {03}: if x = 3**k then 1/x = 3**(255 - k).  (0 maps to 0.)
+    antilog = [0] * 255
+    log = [0] * 256
+    x = 1
+    for k in range(255):
+        antilog[k] = x
+        log[x] = k
+        x ^= _xtime(x)  # x * {03} = x * {02} ^ x
+    inv = [0] + [antilog[-log[x] % 255] for x in range(1, 256)]
     sbox = bytearray(256)
     for x in range(256):
         b = inv[x]

@@ -12,7 +12,7 @@ monotonic sequence number and all randomness flows through
 :class:`~repro.sim.rng.RngStreams`.
 """
 
-from repro.sim.engine import Simulator, SimTimeoutError, StopProcess, TimerHandle
+from repro.sim.engine import Simulator, SimTimeoutError, TimerHandle
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
 from repro.sim.resources import Queue, Resource
 from repro.sim.rng import RngStreams
@@ -28,7 +28,6 @@ __all__ = [
     "RngStreams",
     "SimTimeoutError",
     "Simulator",
-    "StopProcess",
     "TimerHandle",
     "Timeout",
 ]

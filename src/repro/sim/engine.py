@@ -1,22 +1,20 @@
 """The discrete-event simulator core: clock, event heap, run loop.
 
-The scheduler has two lanes sharing one heap, ordered by ``(when, seq)``:
+The heap holds one kind of entry, ``(when, seq, entry)``.  ``entry`` is a
+:class:`TimerHandle` — a raw ``fn(arg)`` timer from
+:meth:`Simulator.call_later` / :meth:`Simulator.call_at`: no ``Event`` is
+allocated, cancellation is lazy and a handle is rearmed in place, so
+per-packet machinery costs one heap tuple — or an
+:class:`~repro.sim.events.Event`, whose firing runs its waiters' callbacks.
+Both arm through :class:`~repro.sim.events._Entry` and draw sequence numbers
+from one counter, so same-timestamp entries fire strictly in scheduling
+order — the determinism contract the replay sanitizer enforces.
 
-* the **Event lane** — full :class:`~repro.sim.events.Event` objects with
-  callback lists, what generator processes yield and wait on; and
-* the **callback lane** — raw ``fn(arg)`` timers behind a small
-  :class:`TimerHandle`, scheduled with :meth:`Simulator.call_later` /
-  :meth:`Simulator.call_at`.  No ``Event`` is allocated, cancellation is
-  lazy (a stale heap entry pops as a no-op), and a handle can be rearmed
-  in place, so per-packet machinery (link delivery, TCP retransmission
-  timers) costs one heap tuple instead of a generator process.  A rearm
-  to a time no earlier than the handle's heaped entry pushes nothing: the
-  entry carries the new ``(when, seq)`` and is re-pushed when it surfaces
-  (see :meth:`TimerHandle.rearm_at`).
-
-Both lanes draw sequence numbers from the same counter, so same-timestamp
-entries fire strictly in scheduling order regardless of lane — the
-determinism contract the replay sanitizer enforces.
+One dispatcher, :meth:`Simulator._dispatch`, pops the heap for every form of
+:meth:`Simulator.run` and for :meth:`Simulator.step`.  One helper,
+``_settle``, re-pushes an entry that carries a deferred rearm (see
+:meth:`TimerHandle.rearm_at`) or retires a stale one, for the dispatcher and
+for :meth:`Simulator.peek_live`.
 """
 
 from __future__ import annotations
@@ -25,58 +23,40 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator
 
 from repro.metrics import METRICS, RECORDER
-from repro.sim.events import PROCESSED, Event, Process, Timeout
+from repro.sim.events import (
+    _INF, _NO_ARG, PROCESSED, Event, Process, Timeout, _Entry,
+)
 
 _STEPS = METRICS.counter("sim.steps")
 _CRASHES = METRICS.counter("sim.process_crashes")
-
-#: Heap-entry kinds.  Entries are ``(when, seq, kind, payload)``; ``seq`` is
-#: unique, so ``kind``/``payload`` never participate in heap comparisons.
-_KIND_EVENT = 0
-_KIND_CALL = 1
-
-#: Sentinel: "call fn with no argument" (None must stay passable as an arg).
-_NO_ARG = object()
-
-#: ``TimerHandle._heap_when`` of a handle with no heaped entry.
-_INF = float("inf")
-
-
-class StopProcess(Exception):
-    """Raised by ``Simulator.run(until=...)`` helpers to abort a run."""
 
 
 class SimTimeoutError(Exception):
     """Raised when a wait exceeds its deadline (see :meth:`Simulator.with_deadline`)."""
 
 
-class TimerHandle:
-    """Cancellable handle for a callback-lane timer.
+class TimerHandle(_Entry):
+    """Cancellable handle for a ``fn(arg)`` timer.
 
     Cancellation is *lazy*: :meth:`cancel` invalidates the handle and the
     already-pushed heap entry stays heaped, so cancelling is O(1) with no
     heap surgery.  :meth:`rearm` / :meth:`rearm_at` reschedule the same
     handle (same ``fn``/``arg``), invalidating any pending firing — the
-    idiom for self-rearming protocol timers (TCP RTO).
-
-    The handle's live firing is ``(_when, _entry_seq)``; ``_entry_seq`` is
-    -1 when nothing is pending.  Separately it tracks the one heap entry it
-    may reuse, ``(_heap_when, _heap_seq)`` (``_heap_when`` is ``inf`` when
-    there is none).  The two differ while a later rearm is *deferred*: when
-    the tracked entry surfaces, the engine re-pushes it at the live
+    idiom for self-rearming protocol timers (TCP RTO).  When a deferred
+    rearm's tracked entry surfaces, the engine re-pushes it at the live
     ``(when, seq)``, or retires it if the handle was cancelled meanwhile.
     """
 
-    __slots__ = ("_sim", "_fn", "_arg", "_when", "_entry_seq", "_heap_when", "_heap_seq")
+    # ``_fire`` is the callback itself: the dispatcher calls it directly.
+    __slots__ = ("_fire", "_arg")
 
     def __init__(self, sim: "Simulator", fn: Callable, arg: Any) -> None:
-        self._sim = sim
-        self._fn = fn
+        self.sim = sim
+        self._fire = fn
         self._arg = arg
         self._when = -1.0
         self._entry_seq = -1
         self._heap_when = _INF
-        self._heap_seq = -1
 
     @property
     def when(self) -> float:
@@ -102,49 +82,50 @@ class TimerHandle:
         """(Re)schedule this timer ``delay`` seconds from now; returns self."""
         if delay < 0:
             raise ValueError(f"negative timer delay: {delay!r}")
-        return self.rearm_at(self._sim._now + delay)
+        return self._arm_at(self.sim._now + delay)
 
-    def rearm_at(self, due: float) -> "TimerHandle":
-        """(Re)schedule this timer at absolute time ``due``; returns self.
-
-        Any previously pending firing is cancelled.  The sequence number is
-        drawn now, so the firing orders at ``(due, seq)`` exactly as a fresh
-        push would.  If the handle's heaped entry is due no later than
-        ``due``, nothing is pushed: that entry carries the new firing and is
-        re-pushed at ``(due, seq)`` when it surfaces — before anything it
-        could overtake.  Only a handle with no heaped entry (new or fired),
-        or a rearm to an *earlier* time, pushes.
-        """
-        sim = self._sim
-        if due < sim._now:
-            raise ValueError(f"timer rearmed into the past: {due} < {sim._now}")
-        sim._seq += 1
-        seq = sim._seq
-        self._when = due
-        self._entry_seq = seq
-        if self._heap_when > due:
-            self._heap_when = due
-            self._heap_seq = seq
-            heappush(sim._heap, (due, seq, _KIND_CALL, self))
-        return self
+    #: (Re)schedule this timer at absolute time ``due``; returns self.  This
+    #: is the shared arm primitive (see ``_Entry._arm_at``): a rearm no
+    #: earlier than the heaped entry pushes nothing.
+    rearm_at = _Entry._arm_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "active" if self.active else "inactive"
         return f"<TimerHandle {state} when={self._when}>"
 
 
+#: The ``stop`` of a run that waits for no event: never armed, never fires.
+_NEVER = Event(None)  # type: ignore[arg-type]
+
+
+def _settle(heap: list, entry: _Entry, seq: int) -> None:
+    """Settle a popped entry that does not fire.
+
+    If it is the entry's tracked heap tuple, re-push it at a deferred
+    rearm's live ``(when, seq)``, or retire it if the entry was cancelled;
+    any other stale tuple is dropped.  Nothing is called.
+    """
+    if entry._heap_seq == seq:
+        if entry._entry_seq >= 0:
+            entry._heap_when = due = entry._when
+            entry._heap_seq = seq = entry._entry_seq
+            heappush(heap, (due, seq, entry))
+        else:
+            entry._heap_when = _INF
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
-    Events scheduled for the same simulated time fire in the order they were
-    scheduled (FIFO via a monotonically increasing sequence number shared by
-    the Event and callback lanes), which makes whole-experiment runs
+    Entries scheduled for the same simulated time fire in the order they were
+    scheduled (FIFO via one monotonically increasing sequence number shared
+    by timers and events), which makes whole-experiment runs
     bit-reproducible for a fixed seed.
     """
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, int, Any]] = []
+        self._heap: list[tuple[float, int, _Entry]] = []
         self._seq = 0
         #: Sim-scoped service registry.  Subsystems that would otherwise need
         #: process-global state (the TCP fluid-mode peer directory, its id
@@ -182,27 +163,19 @@ class Simulator:
         """Register ``generator`` as a new process starting at the current time."""
         return Process(self, generator, name=name)
 
-    # -- callback lane --------------------------------------------------------
+    # -- timers --------------------------------------------------------------
     def call_later(self, delay: float, fn: Callable, arg: Any = _NO_ARG) -> TimerHandle:
         """Run ``fn()`` (or ``fn(arg)``) after ``delay`` simulated seconds.
 
-        Returns a cancellable :class:`TimerHandle`.  This is the raw-callback
-        scheduling lane: no :class:`Event` is allocated and the callback runs
-        directly from the dispatch loop, interleaved FIFO with the Event lane
-        at equal timestamps.
+        Returns a cancellable :class:`TimerHandle`.  No :class:`Event` is
+        allocated: the callback runs directly from the dispatcher,
+        interleaved FIFO with events at equal timestamps.
         """
         if not callable(fn):
             raise TypeError(f"call_later fn must be callable, got {fn!r}")
         if delay < 0:
             raise ValueError(f"negative timer delay: {delay!r}")
-        # Inlined first arm (equivalent to TimerHandle(...).rearm(delay));
-        # this is the hottest scheduling entry point.
-        handle = TimerHandle(self, fn, arg)
-        self._seq += 1
-        handle._when = handle._heap_when = when = self._now + delay
-        handle._entry_seq = handle._heap_seq = seq = self._seq
-        heappush(self._heap, (when, seq, _KIND_CALL, handle))
-        return handle
+        return TimerHandle(self, fn, arg)._arm_at(self._now + delay)
 
     def call_at(self, when: float, fn: Callable, arg: Any = _NO_ARG) -> TimerHandle:
         """Run ``fn()`` (or ``fn(arg)``) at absolute simulated time ``when``."""
@@ -210,12 +183,7 @@ class Simulator:
             raise ValueError(f"call_at into the past: {when} < {self._now}")
         if not callable(fn):
             raise TypeError(f"call_at fn must be callable, got {fn!r}")
-        return TimerHandle(self, fn, arg).rearm_at(when)
-
-    # -- scheduling (internal) ------------------------------------------------
-    def _schedule(self, event: Event, delay: float) -> None:
-        self._seq += 1
-        heappush(self._heap, (self._now + delay, self._seq, _KIND_EVENT, event))
+        return TimerHandle(self, fn, arg)._arm_at(when)
 
     # -- process registry (internal) -------------------------------------------
     def _register_process(self, proc: Process) -> int:
@@ -237,8 +205,8 @@ class Simulator:
         send packets and bump process-global metrics from a dead simulation,
         which is exactly the kind of nondeterminism the replay sanitizer
         exists to catch.  ``close()`` runs those finalizers *now*, in process
-        creation order, then drops the event heap (pending callback-lane
-        timers are discarded with it — they never fire).  Returns the number
+        creation order, then drops the event heap (pending timers are
+        discarded with it — they never fire).  Returns the number
         of processes closed.  The simulator must not be run afterwards.
         """
         closed = 0
@@ -272,39 +240,44 @@ class Simulator:
         self.close()
 
     # -- run loop --------------------------------------------------------------
-    def step(self) -> None:
-        """Pop one heap entry (either lane) and dispatch it if it is live."""
+    def _dispatch(self, deadline: float, stop: Event = _NEVER, once: bool = False) -> None:
+        """The one dispatcher: pop heap entries due by ``deadline``, firing
+        the live ones and settling the rest, until ``stop`` is processed or
+        the heap runs out — or after one pop if ``once``."""
+        # The step counter is flushed once per call: a counter-attribute
+        # store per event would be measurable at millions of events.
+        steps = 0
         heap = self._heap
-        when, seq, kind, payload = heappop(heap)
-        self._now = when
-        if kind:
-            # Callback lane.  The entry is live iff it carries the handle's
-            # pending sequence number.  Otherwise, if it is the handle's
-            # tracked entry, re-push it at a deferred rearm or retire it;
-            # any other stale entry is skipped.
-            if payload._entry_seq == seq:
-                payload._entry_seq = -1
-                payload._heap_when = _INF
-                arg = payload._arg
-                if arg is _NO_ARG:
-                    payload._fn()
+        pop = heappop
+        no_arg = _NO_ARG
+        processed = PROCESSED
+        try:
+            while stop._state is not processed and heap and heap[0][0] <= deadline:
+                when, seq, entry = pop(heap)
+                self._now = when
+                steps += 1
+                if entry._entry_seq == seq:
+                    entry._entry_seq = -1
+                    entry._heap_when = _INF
+                    arg = entry._arg
+                    if arg is no_arg:
+                        entry._fire()
+                    else:
+                        entry._fire(arg)
+                    if self._crashed:
+                        self._raise_crashed()
                 else:
-                    payload._fn(arg)
-            elif payload._heap_seq == seq:
-                if payload._entry_seq >= 0:
-                    payload._heap_when = due = payload._when
-                    payload._heap_seq = seq = payload._entry_seq
-                    heappush(heap, (due, seq, _KIND_CALL, payload))
-                else:
-                    payload._heap_when = _INF
-        else:
-            callbacks = payload.callbacks
-            payload.callbacks = []
-            payload._state = PROCESSED
-            for cb in callbacks:
-                cb(payload)
-        if self._crashed:
-            self._raise_crashed()
+                    _settle(heap, entry, seq)
+                if once:
+                    return
+        finally:
+            _STEPS.value += steps
+
+    def step(self) -> None:
+        """Pop one heap entry and dispatch it if it is live."""
+        if not self._heap:
+            raise IndexError("step() on an empty event heap")
+        self._dispatch(_INF, once=True)
 
     def _raise_crashed(self) -> None:
         # One event cascade can crash several processes; drain them all
@@ -333,28 +306,22 @@ class Simulator:
     def peek_live(self) -> float:
         """Time of the next *live* entry, or ``inf`` if none.
 
-        Unlike :meth:`peek`, leading callback-lane entries that would not
-        dispatch are settled first, exactly as the run loop settles them:
-        a stale entry is popped, a tracked entry carrying a deferred rearm
-        is re-pushed at its live ``(when, seq)``, a cancelled one retired.
-        None of this runs a callback, so it is observably identical and
-        deterministic.  The sharded coordinator uses this as its
-        adaptive-lookahead hint: a dead RTO timer must not cap how far an
-        idle shard's window can stretch.
+        Unlike :meth:`peek`, leading entries that would not fire are settled
+        first, exactly as the dispatcher settles them: a stale entry is
+        popped, a tracked entry carrying a deferred rearm is re-pushed at
+        its live ``(when, seq)``, a cancelled one retired.  None of this
+        runs a callback, so it is observably identical and deterministic.
+        The sharded coordinator uses this as its adaptive-lookahead hint: a
+        dead RTO timer must not cap how far an idle shard's window can
+        stretch.
         """
         heap = self._heap
         while heap:
-            when, seq, kind, payload = heap[0]
-            if not kind or payload._entry_seq == seq:
+            when, seq, entry = heap[0]
+            if entry._entry_seq == seq:
                 return when
             heappop(heap)
-            if payload._heap_seq == seq:
-                if payload._entry_seq >= 0:
-                    payload._heap_when = due = payload._when
-                    payload._heap_seq = seq = payload._entry_seq
-                    heappush(heap, (due, seq, _KIND_CALL, payload))
-                else:
-                    payload._heap_when = _INF
+            _settle(heap, entry, seq)
         return _INF
 
     def run(self, until: float | Event | None = None) -> Any:
@@ -369,122 +336,25 @@ class Simulator:
           * an :class:`Event` — run until it fires, returning its value
             (re-raising its exception if it failed).
         """
-        # The step counter is batched per run() call: one flush instead of a
-        # counter-attribute store per event keeps the hot loop overhead nil.
-        # Each loop below inlines the body of :meth:`step` — at millions of
-        # events per run, the per-event method call is measurable.
-        steps = 0
-        heap = self._heap
-        pop = heappop
-        push = heappush
-        no_arg = _NO_ARG
-        inf = _INF
-        try:
-            if until is None:
-                while heap:
-                    steps += 1
-                    when, seq, kind, payload = pop(heap)
-                    self._now = when
-                    if kind:
-                        if payload._entry_seq == seq:
-                            payload._entry_seq = -1
-                            payload._heap_when = inf
-                            arg = payload._arg
-                            if arg is no_arg:
-                                payload._fn()
-                            else:
-                                payload._fn(arg)
-                        elif payload._heap_seq == seq:
-                            if payload._entry_seq >= 0:
-                                payload._heap_when = due = payload._when
-                                payload._heap_seq = seq = payload._entry_seq
-                                push(heap, (due, seq, _KIND_CALL, payload))
-                            else:
-                                payload._heap_when = inf
-                    else:
-                        callbacks = payload.callbacks
-                        payload.callbacks = []
-                        payload._state = PROCESSED
-                        for cb in callbacks:
-                            cb(payload)
-                    if self._crashed:
-                        self._raise_crashed()
-                return None
-
-            if isinstance(until, Event):
-                stop = until
-                while not stop.processed:
-                    if not heap:
-                        raise RuntimeError(
-                            "simulation starved: event heap drained before the "
-                            "awaited event fired (deadlock?)"
-                        )
-                    steps += 1
-                    when, seq, kind, payload = pop(heap)
-                    self._now = when
-                    if kind:
-                        if payload._entry_seq == seq:
-                            payload._entry_seq = -1
-                            payload._heap_when = inf
-                            arg = payload._arg
-                            if arg is no_arg:
-                                payload._fn()
-                            else:
-                                payload._fn(arg)
-                        elif payload._heap_seq == seq:
-                            if payload._entry_seq >= 0:
-                                payload._heap_when = due = payload._when
-                                payload._heap_seq = seq = payload._entry_seq
-                                push(heap, (due, seq, _KIND_CALL, payload))
-                            else:
-                                payload._heap_when = inf
-                    else:
-                        callbacks = payload.callbacks
-                        payload.callbacks = []
-                        payload._state = PROCESSED
-                        for cb in callbacks:
-                            cb(payload)
-                    if self._crashed:
-                        self._raise_crashed()
-                if stop._ok:
-                    return stop._value
-                raise stop._value
-
-            deadline = float(until)
-            if deadline < self._now:
-                raise ValueError(f"run(until={deadline}) is in the past (now={self._now})")
-            while heap and heap[0][0] <= deadline:
-                steps += 1
-                when, seq, kind, payload = pop(heap)
-                self._now = when
-                if kind:
-                    if payload._entry_seq == seq:
-                        payload._entry_seq = -1
-                        payload._heap_when = inf
-                        arg = payload._arg
-                        if arg is no_arg:
-                            payload._fn()
-                        else:
-                            payload._fn(arg)
-                    elif payload._heap_seq == seq:
-                        if payload._entry_seq >= 0:
-                            payload._heap_when = due = payload._when
-                            payload._heap_seq = seq = payload._entry_seq
-                            push(heap, (due, seq, _KIND_CALL, payload))
-                        else:
-                            payload._heap_when = inf
-                else:
-                    callbacks = payload.callbacks
-                    payload.callbacks = []
-                    payload._state = PROCESSED
-                    for cb in callbacks:
-                        cb(payload)
-                if self._crashed:
-                    self._raise_crashed()
-            self._now = deadline
+        if until is None:
+            self._dispatch(_INF)
             return None
-        finally:
-            _STEPS.value += steps
+        if isinstance(until, Event):
+            self._dispatch(_INF, until)
+            if until._state is not PROCESSED:
+                raise RuntimeError(
+                    "simulation starved: event heap drained before the "
+                    "awaited event fired (deadlock?)"
+                )
+            if until._ok:
+                return until._value
+            raise until._value
+        deadline = float(until)
+        if deadline < self._now:
+            raise ValueError(f"run(until={deadline}) is in the past (now={self._now})")
+        self._dispatch(deadline)
+        self._now = deadline
+        return None
 
     # -- conveniences -----------------------------------------------------------
     def with_deadline(

@@ -9,6 +9,7 @@ failure, mirroring the familiar future/promise contract.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -18,15 +19,64 @@ PENDING = "pending"
 TRIGGERED = "triggered"  # scheduled for processing, outcome decided
 PROCESSED = "processed"  # callbacks have run
 
+#: Sentinel: "call fn with no argument" (None must stay passable as an arg).
+_NO_ARG = object()
 
-class Event:
+#: ``_Entry._heap_when`` of an entry with nothing heaped.
+_INF = float("inf")
+
+
+class _Entry:
+    """Heap-entry bookkeeping shared by timers and events.
+
+    The heap holds ``(when, seq, entry)``; ``seq`` is unique, so ``entry``
+    never takes part in a comparison.  The entry's live firing is
+    ``(_when, _entry_seq)``; ``_entry_seq`` is -1 once it has fired or been
+    cancelled.  Separately it tracks the one heap tuple it may reuse,
+    ``(_heap_when, _heap_seq)`` (``_heap_when`` is ``inf`` when there is
+    none).  The two differ only while a later rearm of a timer is deferred.
+    The engine fires a live entry as ``entry._fire()``, or
+    ``entry._fire(entry._arg)`` when ``_arg`` is not ``_NO_ARG``.
+    """
+
+    __slots__ = ("sim", "_when", "_entry_seq", "_heap_when", "_heap_seq")
+
+    _arg: Any = _NO_ARG
+
+    def _arm_at(self, due: float) -> Any:
+        """(Re)schedule the firing at absolute time ``due``; returns self.
+
+        Any previously pending firing is cancelled.  The sequence number is
+        drawn now, so the firing orders at ``(due, seq)`` exactly as a fresh
+        push would.  If the entry's heaped tuple is due no later than
+        ``due``, nothing is pushed: that tuple carries the new firing and is
+        re-pushed at ``(due, seq)`` when it surfaces — before anything it
+        could overtake.  Only an entry with nothing heaped (new or fired),
+        or a rearm to an *earlier* time, pushes.
+        """
+        sim = self.sim
+        if due < sim._now:
+            raise ValueError(f"timer rearmed into the past: {due} < {sim._now}")
+        sim._seq += 1
+        seq = sim._seq
+        self._when = due
+        self._entry_seq = seq
+        if self._heap_when > due:
+            self._heap_when = due
+            self._heap_seq = seq
+            heappush(sim._heap, (due, seq, self))
+        return self
+
+
+class Event(_Entry):
     """One-shot event that processes can wait on.
 
     State machine: ``pending`` -> ``triggered`` (via :meth:`succeed` or
-    :meth:`fail`) -> ``processed`` (after the simulator runs callbacks).
+    :meth:`fail`, which arm its heap entry) -> ``processed`` (after the
+    simulator fires the entry and runs the callbacks).
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_state")
+    __slots__ = ("callbacks", "_value", "_ok", "_state")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -34,6 +84,7 @@ class Event:
         self._value: Any = None
         self._ok: bool | None = None
         self._state = PENDING
+        self._heap_when = _INF
 
     # -- inspection ---------------------------------------------------------
     @property
@@ -59,28 +110,29 @@ class Event:
     # -- triggering ---------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Mark the event successful and schedule its callbacks now."""
-        if self._state != PENDING:
-            raise RuntimeError(f"event already {self._state}")
-        self._ok = True
-        self._value = value
-        self._state = TRIGGERED
-        self.sim._schedule(self, delay=0.0)
-        return self
+        return self._trigger(True, value)
 
     def fail(self, exception: BaseException) -> "Event":
         """Mark the event failed; waiters will see ``exception`` raised."""
-        if self._state != PENDING:
-            raise RuntimeError(f"event already {self._state}")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        self._ok = False
-        self._value = exception
-        self._state = TRIGGERED
-        self.sim._schedule(self, delay=0.0)
-        return self
+        return self._trigger(False, exception)
 
-    def _mark_processed(self) -> None:
+    def _trigger(self, ok: bool, value: Any, delay: float = 0.0) -> "Event":
+        if self._state != PENDING:
+            raise RuntimeError(f"event already {self._state}")
+        self._ok = ok
+        self._value = value
+        self._state = TRIGGERED
+        return self._arm_at(self.sim._now + delay)
+
+    def _fire(self) -> None:
+        """The engine's dispatch of this event: run the waiters' callbacks."""
+        callbacks = self.callbacks
+        self.callbacks = []
         self._state = PROCESSED
+        for cb in callbacks:
+            cb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} state={self._state}>"
@@ -96,10 +148,7 @@ class Timeout(Event):
             raise ValueError(f"negative timeout delay: {delay!r}")
         super().__init__(sim)
         self.delay = delay
-        self._ok = True
-        self._value = value
-        self._state = TRIGGERED
-        sim._schedule(self, delay=delay)
+        self._trigger(True, value, delay)
 
 
 class Interrupt(Exception):
@@ -133,9 +182,9 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Event | None = None
         self._pid = sim._register_process(self)
-        # Bootstrap: resume once at the current time, booked on the
-        # raw-callback lane (one heap tuple, no Event).  The sequence number
-        # is drawn here, so same-time ordering follows creation order.
+        # Bootstrap: resume once at the current time, booked as a timer
+        # (one heap tuple, no Event).  The sequence number is drawn here,
+        # so same-time ordering follows creation order.
         sim.call_later(0.0, Process._boot, self)
 
     @property
@@ -150,9 +199,7 @@ class Process(Event):
         """
         if not self.is_alive:
             raise RuntimeError(f"cannot interrupt dead process {self.name!r}")
-        evt = Event(self.sim)
-        evt.callbacks.append(self._deliver_interrupt)
-        evt.fail(Interrupt(cause))
+        self.sim.call_later(0.0, self._deliver_interrupt, Interrupt(cause))
 
     def close(self) -> None:
         """Finalize the generator *now* (throws ``GeneratorExit`` into it).
@@ -181,17 +228,17 @@ class Process(Event):
                 self._value = GeneratorExit("process closed")
                 self._state = PROCESSED
 
-    def _deliver_interrupt(self, evt: Event) -> None:
+    def _deliver_interrupt(self, interrupt: Interrupt) -> None:
         if not self.is_alive:
             return  # process finished in the meantime; drop the interrupt
         target = self._waiting_on
         if target is not None:
             in_list_remove(target.callbacks, self._resume)
             self._waiting_on = None
-        self._step(throw=evt._value)
+        self._step(throw=interrupt)
 
     def _boot(self) -> None:
-        """First resume, via the callback lane."""
+        """First resume, fired by the boot timer."""
         if self._state == PENDING:  # a process can be close()d before booting
             self._step(send=None)
 

@@ -14,6 +14,7 @@ from repro.crypto.modes import (
     pkcs7_pad,
     pkcs7_unpad,
 )
+from tests.oracles.crypto_reference import _gf_mul
 
 FIPS_PLAIN = bytes.fromhex("00112233445566778899aabbccddeeff")
 
@@ -22,6 +23,21 @@ class TestAesBlock:
     def test_sbox_is_permutation(self):
         assert sorted(SBOX) == list(range(256))
         assert all(INV_SBOX[SBOX[x]] == x for x in range(256))
+
+    def test_sbox_matches_its_definition(self):
+        """Each entry is the FIPS-197 affine transform of the GF(2^8)
+        inverse, the inverse found by exhaustive search with the oracle's
+        multiplier (independent of the log tables that build ``SBOX``)."""
+
+        def rotl8(b, n):
+            return ((b << n) | (b >> (8 - n))) & 0xFF
+
+        for x in range(256):
+            inv = next((y for y in range(1, 256) if _gf_mul(x, y) == 1), 0)
+            want = inv ^ rotl8(inv, 1) ^ rotl8(inv, 2) ^ rotl8(inv, 3) ^ rotl8(inv, 4) ^ 0x63
+            assert SBOX[x] == want, x
+            assert INV_SBOX[want] == x
+        assert SBOX[0x00] == 0x63 and SBOX[0x53] == 0xED  # FIPS-197 5.1.1
 
     def test_fips197_aes128(self):
         aes = AES(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))

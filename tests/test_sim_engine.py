@@ -397,3 +397,23 @@ def test_context_manager_closes():
         sim.process(p())
         sim.run(until=1.0)
     assert hits == [1]
+
+
+def test_step_and_run_both_count_sim_steps(sim):
+    """``sim.steps`` counts every heap pop, whichever entry point pops it."""
+    from repro.metrics import METRICS
+
+    steps = METRICS.counter("sim.steps")
+    stale = sim.call_later(1.0, lambda: None)
+    stale.cancel()
+    sim.call_later(2.0, lambda: None)
+    sim.timeout(3.0)
+    sim.timeout(4.0)
+    before = steps.value
+    sim.step()  # the cancelled entry: popped, nothing fires
+    sim.step()
+    assert steps.value == before + 2
+    sim.run()
+    assert steps.value == before + 4
+    with pytest.raises(IndexError):
+        sim.step()

@@ -1,10 +1,10 @@
-"""Callback-lane tests: raw timers and cross-lane ordering.
+"""Raw-timer tests: ``TimerHandle``s and their ordering against events.
 
 Covers the scheduling contract the dataplane is built on:
 ``call_later``/``call_at`` handles (validation, cancellation, rearm),
-same-timestamp FIFO interleaving between the Event lane and the callback
-lane, ``close()`` with pending raw callbacks, and already-processed Event
-resume/failure semantics.
+same-timestamp FIFO interleaving of events and raw timers (one heap-entry
+kind, one sequence counter), ``close()`` with pending raw callbacks, and
+already-processed Event resume/failure semantics.
 """
 
 import pytest
