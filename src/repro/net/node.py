@@ -244,13 +244,16 @@ class Node:
         src: IPAddress | None = None,
         ttl: int = 64,
         meta: dict | None = None,
+        size: int = 0,
     ) -> bool:
         """Prepend an IP header to raw ``(headers, payload)`` and route it out.
 
         Builds the wire packet in one allocation, runs the output shims and
         hands the result to the egress link.  Returns False if the packet
         was dropped (no route / egress queue full) or True if it was handed
-        to a link or consumed by a shim.
+        to a link or consumed by a shim.  ``size`` is the packet's wire size
+        when the caller already knows it (0: the link measures it); a shim
+        that substitutes another packet discards it.
         """
         if src is None:
             src = self._pick_source(dst)
@@ -269,8 +272,9 @@ class Node:
                 result = shim(self, packet)
                 if result is None:
                     return True  # consumed by the shim
-                packet = result
-        return self._route_out(packet)
+                if result is not packet:
+                    packet, size = result, 0
+        return self._route_out(packet, size)
 
     def _pick_source(self, dst: IPAddress) -> IPAddress | None:
         iface = self.routes.lookup_cached(dst)
@@ -285,43 +289,39 @@ class Node:
             return addr
         return None
 
-    def _route_out(self, packet: Packet) -> bool:
+    def _route_out(self, packet: Packet, size: int = 0) -> bool:
         dst = packet.headers[0].dst
         if dst in self._local:
             # Loopback delivery stays inside the node.
-            self._dispatch_local(packet, None)
+            self._on_receive(packet, None)
             return True
         iface = self.routes.lookup_cached(dst)
         endpoint = None if iface is None else iface._endpoint
         if endpoint is None:  # no route, or egress not attached to a link
             self.dropped_no_route += 1
             return False
-        return endpoint.send(packet)
+        return endpoint.send(packet, size)
 
     # -- receiving ---------------------------------------------------------------------
     def _on_receive(
         self, packet: Packet, iface: Interface | None, size: int = 0
     ) -> None:
-        """Consume or forward an arriving packet.  ``size`` is its wire size
-        when the delivering link already measured it (0: unknown)."""
+        """Forward an arriving packet, or hand one addressed to this node to
+        its protocol handler: the one place a handler's transport header is
+        checked.  ``size`` is its wire size when the delivering link already
+        measured it (0: unknown)."""
         headers = packet.headers
         ip = headers[0] if headers else None
         if not isinstance(ip, IPHeader):
             self.dropped_no_handler += 1
             return
-        if ip.dst in self._local:
-            self._dispatch_local(packet, iface)
+        if ip.dst not in self._local:
+            if self.forwarding:
+                self._forward(packet, size)
+            else:
+                self.dropped_no_route += 1
             return
-        if self.forwarding:
-            self._forward(packet, size)
-            return
-        self.dropped_no_route += 1
-
-    def _dispatch_local(self, packet: Packet, iface: Interface | None) -> None:
-        """Hand a packet addressed to this node to its protocol handler: the
-        one place a handler's transport header is checked."""
-        headers = packet.headers
-        proto = headers[0].proto
+        proto = ip.proto
         entry = self._protocol_handlers.get(proto)
         if entry is None:
             self.dropped_no_handler += 1

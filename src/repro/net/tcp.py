@@ -68,6 +68,8 @@ _ZW_PROBES = METRICS.counter("tcp.zero_window_probes")
 _FLUID_ENTERS = METRICS.counter("tcp.fluid_enters")
 _FLUID_EXITS = METRICS.counter("tcp.fluid_exits")
 _FLUID_BYTES = METRICS.counter("tcp.fluid_bytes")
+_RX_BEYOND_WINDOW = METRICS.counter("tcp.rx_beyond_window")
+_SACK_BEYOND_SENT = METRICS.counter("tcp.sack_beyond_sent")
 _RTT = METRICS.histogram("tcp.rtt_s")
 
 DEFAULT_MSS = 1448  # bytes of payload per segment (Ethernet MTU - headers)
@@ -101,23 +103,6 @@ _RST_FLAGS = frozenset({"RST"})
 _RST_ACK_FLAGS = frozenset({"RST", "ACK"})
 _FIN_FLAGS = frozenset({"FIN"})
 _EMPTY_SACK: tuple = ()
-
-#: Free list for inflight-segment metadata dicts.  Every data segment
-#: allocates one of these and the ACK path pops it a round-trip later; the
-#: pool recycles them so bulk transfers stop churning the allocator.  Dicts
-#: are released only once popped from an inflight deque (never while a
-#: retransmit path can still hold a reference) and every field is
-#: reassigned on reuse.
-_SEG_POOL: list[dict] = []
-_SEG_POOL_MAX = 512
-
-
-def _seg_release(entry: dict) -> None:
-    if len(_SEG_POOL) < _SEG_POOL_MAX:
-        entry["payload"] = None  # don't pin payload bytes while pooled
-        # repro: ignore[ISO001] -- allocator recycling only: pooled dicts never carry state between users (every field reassigned on reuse), so per-process pools cannot diverge observably
-        _SEG_POOL.append(entry)
-
 
 class TcpError(Exception):
     """Connection-level failure (reset, timeout, closed)."""
@@ -158,9 +143,14 @@ class TcpConnection:
         # --- send side ---
         self.snd_una = 0  # oldest unacked sequence number
         self.snd_nxt = 0  # next sequence number to send
-        self.snd_buf: deque[tuple[int, Payload]] = deque()  # (start_seq, chunk)
+        self.snd_buf: deque[tuple[int, int, Payload]] = deque()  # (start, end, chunk)
         self.snd_buf_end = 1  # stream offsets live in seq space; SYN consumes 0
-        self.inflight: deque[dict] = deque()  # segments awaiting ACK
+        #: Segments awaiting ACK, oldest first, each a list
+        #: ``[seq, end, payload, flags, sent_at, retx]`` (``end`` counts a FIN).
+        self.inflight: deque[list] = deque()
+        #: Wire bytes of the IP header and the option-less TCP header every
+        #: segment carries (``IPHeader``/``TCPHeader.header_len``).
+        self._hdr_len = (20 if remote_addr.family == 4 else 40) + 20
         self.cwnd = 2 * mss
         self.ssthresh = 64 * 1024 * 1024
         self.peer_window = DEFAULT_WINDOW
@@ -267,6 +257,8 @@ class TcpConnection:
         self.segments_sent = 0
         self.segments_retransmitted = 0
         self.rtos = 0
+        self.rx_beyond_window = 0  # segments dropped past the receive window
+        self.sack_beyond_sent = 0  # SACK blocks ignored for bytes never sent
 
     # -- public API ------------------------------------------------------------
     @property
@@ -284,10 +276,11 @@ class TcpConnection:
             raise TcpError(f"write on {self.state} connection")
         if self._fin_queued:
             raise TcpError("write after close")
-        if len(payload) == 0:
+        n = len(payload)
+        if n == 0:
             return
-        self.snd_buf.append((self.snd_buf_end, payload))
-        self.snd_buf_end += len(payload)
+        self.snd_buf.append((self.snd_buf_end, self.snd_buf_end + n, payload))
+        self.snd_buf_end += n
         if self.state == "ESTABLISHED":
             self._pump()
 
@@ -365,7 +358,7 @@ class TcpConnection:
     def abort(self) -> None:
         """Hard close: send RST and drop all state."""
         if self.state != "CLOSED":
-            self._send_segment(flags=frozenset({"RST"}))
+            self._send_segment(_RST_FLAGS)
             self._teardown(TcpError("connection reset locally"))
 
     # -- connection setup ---------------------------------------------------------
@@ -389,11 +382,13 @@ class TcpConnection:
     # -- segment transmission -------------------------------------------------------
     def _send_segment(
         self,
-        flags: frozenset[str] = frozenset(),
+        flags: frozenset[str] = _NO_FLAGS,
         seq: int | None = None,
         payload: Payload = b"",
+        plen: int = 0,
         register_inflight: bool = False,
     ) -> None:
+        """Send one segment; ``plen`` is ``len(payload)``, measured by the caller."""
         if "SYN" in flags and self.state == "SYN_SENT":
             eff_flags = flags
         elif flags:
@@ -405,19 +400,26 @@ class TcpConnection:
         if self._cwr_pending:
             eff_flags = eff_flags | _CWR_FLAGS
             self._cwr_pending = False
+        if seq is None:
+            seq = self.snd_nxt
+        sack = self._sack_blocks() if self.ooo else _EMPTY_SACK
         header = TCPHeader(
             self.local_port,
             self.remote_port,
-            self.snd_nxt if seq is None else seq,
+            seq,
             self.rcv_nxt,
             eff_flags,
             # The app drains the rx queue; receive backlog is not modelled,
             # so the advertised window is the configured one.
             self.recv_window,
-            self._sack_blocks() if self.ooo else _EMPTY_SACK,
+            sack,
         )
+        # The wire size is known here, so the link does not measure it again.
+        size = self._hdr_len + plen
+        if sack:
+            size += header.header_len - 20  # the padded SACK option
         self.node.send_ip_fast(
-            self.remote_addr, "tcp", (header,), payload, self.local_addr
+            self.remote_addr, "tcp", (header,), payload, self.local_addr, 64, None, size
         )
         self.segments_sent += 1
         _SEGMENTS_SENT.value += 1
@@ -425,30 +427,11 @@ class TcpConnection:
             RECORDER.record(
                 self.sim.now, "tcp", "tx",
                 node=self.node.name, dst_port=self.remote_port,
-                seq=header.seq, flags=sorted(header.flags), len=len(payload),
+                seq=seq, flags=sorted(eff_flags), len=plen,
             )
         if register_inflight:
-            seg_len = len(payload) + (1 if "FIN" in flags or "SYN" in flags else 0)
-            if _SEG_POOL:
-                # repro: ignore[ISO001] -- allocator recycling only: see _seg_release; pool contents never affect behavior
-                entry = _SEG_POOL.pop()
-                entry["seq"] = header.seq
-                entry["len"] = seg_len
-                entry["payload"] = payload
-                entry["flags"] = flags
-                entry["sent_at"] = self.sim.now
-                entry["retx"] = 0
-            else:
-                # repro: ignore[PERF001] -- pool-miss fallback: this dict is built only while _SEG_POOL is warming up, then recycled indefinitely by _seg_release
-                entry = {
-                    "seq": header.seq,
-                    "len": seg_len,
-                    "payload": payload,
-                    "flags": flags,
-                    "sent_at": self.sim.now,
-                    "retx": 0,
-                }
-            self.inflight.append(entry)
+            end = seq + plen + (1 if "FIN" in flags else 0)
+            self.inflight.append([seq, end, payload, flags, self.sim._now, 0])
 
     def _pump(self) -> None:
         """Send as much queued data as the congestion/flow windows allow."""
@@ -478,15 +461,13 @@ class TcpConnection:
             in_flight = self.snd_nxt - self.snd_una
             room = window - in_flight
             if available > 0 and room > 0:
-                want = min(self.mss, available, room)
-                payload = self._gather(self.snd_nxt, want)
+                seq = self.snd_nxt
                 # _gather may stop at a chunk boundary and return fewer
                 # bytes; advance by what was actually segmented.
-                seg_len = len(payload)
-                seq = self.snd_nxt
-                self.snd_nxt += seg_len
+                payload, seg_len = self._gather(seq, min(self.mss, available, room))
+                self.snd_nxt = seq + seg_len
                 self.bytes_sent += seg_len
-                self._send_segment(_NO_FLAGS, seq, payload, True)
+                self._send_segment(_NO_FLAGS, seq, payload, seg_len, True)
                 continue
             if (
                 self._fin_queued
@@ -498,26 +479,28 @@ class TcpConnection:
                 self.state = "FIN_WAIT"
                 seq = self.snd_nxt
                 self.snd_nxt += 1
-                self._send_segment(flags=frozenset({"FIN"}), seq=seq, register_inflight=True)
+                self._send_segment(_FIN_FLAGS, seq, b"", 0, True)
             break
         if self.snd_una < self.snd_nxt:
             self._arm_timer()
 
-    def _gather(self, seq: int, length: int) -> Payload:
-        """Extract ``length`` stream bytes starting at ``seq`` from the send buffer."""
+    def _gather(self, seq: int, length: int) -> tuple[Payload, int]:
+        """Up to ``length`` stream bytes starting at ``seq`` from the send
+        buffer (fewer at a chunk boundary), and how many that is."""
+        buf = self.snd_buf
+        una = self.snd_una
         # Drop chunks that are fully before the window base to bound memory.
-        while self.snd_buf and self.snd_buf[0][0] + len(self.snd_buf[0][1]) <= self.snd_una:
-            self.snd_buf.popleft()
-        for start, chunk in self.snd_buf:
-            clen = len(chunk)
-            if start <= seq < start + clen:
-                take = min(length, start + clen - seq)
+        while buf and buf[0][1] <= una:
+            buf.popleft()
+        for start, end, chunk in buf:
+            if start <= seq < end:
+                take = min(length, end - seq)
                 if isinstance(chunk, VirtualPayload):
                     vp = self._vp_cache
                     if vp.size != take or vp.tag != chunk.tag:
                         vp = self._vp_cache = VirtualPayload(take, chunk.tag)
-                    return vp
-                return _slice_payload(chunk, seq - start, take)
+                    return vp, take
+                return chunk[seq - start : seq - start + take], take
         raise TcpError(f"send buffer does not cover seq {seq}")
 
     # -- zero-window persist (RFC 1122 §4.2.2.17) --------------------------------------
@@ -549,10 +532,10 @@ class TcpConnection:
         # peer's current window, and if the window opened the byte is simply
         # the first byte of the resumed stream.
         if self.snd_buf_end > self.snd_nxt:
-            payload = self._gather(self.snd_nxt, 1)
             seq = self.snd_nxt
-            self.snd_nxt += len(payload)
-            self.bytes_sent += len(payload)
+            payload, seg_len = self._gather(seq, 1)
+            self.snd_nxt = seq + seg_len
+            self.bytes_sent += seg_len
             self.zero_window_probes += 1
             _ZW_PROBES.inc()
             if RECORDER.enabled:
@@ -560,7 +543,7 @@ class TcpConnection:
                     self.sim.now, "tcp", "zero_window_probe",
                     node=self.node.name, seq=seq,
                 )
-            self._send_segment(_NO_FLAGS, seq, payload, True)
+            self._send_segment(_NO_FLAGS, seq, payload, seg_len, True)
             self._arm_timer()
         elif self._fin_queued and self._fin_seq is not None and self.snd_nxt == self._fin_seq:
             # No data left — probe with the FIN itself.
@@ -569,7 +552,7 @@ class TcpConnection:
             self.snd_nxt += 1
             self.zero_window_probes += 1
             _ZW_PROBES.inc()
-            self._send_segment(flags=_FIN_FLAGS, seq=seq, register_inflight=True)
+            self._send_segment(_FIN_FLAGS, seq, b"", 0, True)
             self._arm_timer()
         else:
             self._persist_stop()
@@ -607,13 +590,11 @@ class TcpConnection:
         in_flight = self.snd_nxt - self.snd_una
         room = window - in_flight
         if available > 0 and room > 0:
-            want = min(self.mss, available, room)
-            payload = self._gather(self.snd_nxt, want)
-            seg_len = len(payload)
             seq = self.snd_nxt
-            self.snd_nxt += seg_len
+            payload, seg_len = self._gather(seq, min(self.mss, available, room))
+            self.snd_nxt = seq + seg_len
             self.bytes_sent += seg_len
-            self._send_segment(_NO_FLAGS, seq, payload, True)
+            self._send_segment(_NO_FLAGS, seq, payload, seg_len, True)
             self._arm_timer()
             if self.snd_buf_end > self.snd_nxt:
                 self._pace_armed = True
@@ -629,7 +610,7 @@ class TcpConnection:
             self.state = "FIN_WAIT"
             seq = self.snd_nxt
             self.snd_nxt += 1
-            self._send_segment(flags=_FIN_FLAGS, seq=seq, register_inflight=True)
+            self._send_segment(_FIN_FLAGS, seq, b"", 0, True)
             self._arm_timer()
 
     def _pace_rearm(self, delay: float) -> None:
@@ -677,17 +658,18 @@ class TcpConnection:
             if self._handshake_retx > 6:
                 self._teardown(TcpError("connection attempt timed out"))
                 return
+            seq, payload = 0, b""
             if self.state == "SYN_SENT":
-                seg = {"seq": 0, "flags": frozenset({"SYN"}), "payload": b""}
+                flags = frozenset({"SYN"})
             else:
-                seg = {"seq": 0, "flags": frozenset({"SYN", "ACK"}), "payload": b""}
+                flags = frozenset({"SYN", "ACK"})
         elif self.inflight:
             entry = self.inflight[0]
-            entry["retx"] += 1
-            if entry["retx"] > 8:
+            entry[5] += 1
+            if entry[5] > 8:
                 self._teardown(TcpError("too many retransmissions"))
                 return
-            seg = entry
+            seq, _, payload, flags = entry[:4]
         else:
             return
         # Exponential backoff + collapse the window (RFC 5681).
@@ -710,11 +692,9 @@ class TcpConnection:
         if RECORDER.enabled:
             RECORDER.record(
                 self.sim.now, "tcp", "retransmit",
-                node=self.node.name, kind="rto", seq=seg["seq"], rto=self.rto,
+                node=self.node.name, kind="rto", seq=seq, rto=self.rto,
             )
-        self._send_segment(
-            flags=seg.get("flags", frozenset()), seq=seg["seq"], payload=seg.get("payload", b"")
-        )
+        self._send_segment(flags, seq, payload, len(payload))
         self._arm_timer()
 
     # -- inbound segment processing ------------------------------------------------------
@@ -750,8 +730,13 @@ class TcpConnection:
                 self._pump()
             # fall through: the ACK may carry data too
 
+        plen = len(payload)  # the one measurement of this segment's payload
         if "ACK" in flags:
-            self._process_ack(tcp, payload, prev_window)
+            # Only an ACK that can change sender state costs a call: one that
+            # advances snd_una, may be a duplicate, or carries SACK or ECE.
+            una = self.snd_una
+            if tcp.ack > una or una < self.snd_nxt or tcp.sack or "ECE" in flags:
+                self._process_ack(tcp, plen, prev_window)
 
         if self._persist_armed and self.peer_window > 0:
             # Window reopened — stop probing and resume normal transmission.
@@ -768,10 +753,10 @@ class TcpConnection:
             self._ecn_echo = True
 
         fin = "FIN" in flags
-        if fin or len(payload):
-            self._process_data(tcp.seq, payload, fin)
+        if fin or plen:
+            self._process_data(tcp.seq, payload, plen, fin)
 
-    def _process_ack(self, tcp: TCPHeader, payload: Payload, prev_window: int) -> None:
+    def _process_ack(self, tcp: TCPHeader, plen: int, prev_window: int) -> None:
         ack = tcp.ack
         if ack > self.snd_nxt:
             return  # acks data we never sent; ignore
@@ -789,13 +774,24 @@ class TcpConnection:
             self.bytes_acked += acked
             self.dup_acks = 0
             self.rto = min(max(self.rto, MIN_RTO), MAX_RTO)
-            # RTT sampling from the oldest newly-acked, non-retransmitted segment.
+            # Pop every newly-acked segment; each one never retransmitted
+            # is an RTT sample (Karn) for the Jacobson/Karels estimator.
             inflight = self.inflight
-            while inflight and inflight[0]["seq"] + inflight[0]["len"] <= ack:
+            now = self.sim._now
+            while inflight and inflight[0][1] <= ack:
                 entry = inflight.popleft()
-                if entry["retx"] == 0:
-                    self._update_rtt(self.sim.now - entry["sent_at"])
-                _seg_release(entry)
+                if entry[5]:
+                    continue
+                sample = now - entry[4]
+                srtt = self.srtt
+                if srtt is None:
+                    self.srtt = sample
+                    self.rttvar = sample / 2
+                else:
+                    self.rttvar = 0.75 * self.rttvar + 0.25 * abs(srtt - sample)
+                    self.srtt = 0.875 * srtt + 0.125 * sample
+                self.rto = min(max(self.srtt + 4 * self.rttvar, MIN_RTO), MAX_RTO)
+                _RTT.observe(sample)
             if self._sacked:
                 self._drop_sacked_below(ack)
             if self.in_recovery:
@@ -839,7 +835,7 @@ class TcpConnection:
         elif (
             ack == self.snd_una
             and self.snd_una < self.snd_nxt
-            and len(payload) == 0
+            and plen == 0
             and tcp.window == prev_window
             and "SYN" not in tcp.flags
             and "FIN" not in tcp.flags
@@ -885,30 +881,26 @@ class TcpConnection:
     def _partial_retransmit(self, ack: int) -> None:
         """Retransmit the first unacked, un-SACKed segment after a partial ACK."""
         for entry in self.inflight:
-            seq = entry["seq"]
+            seq = entry[0]
             if seq < ack:
                 continue
-            if self._sack_covered(seq, seq + entry["len"]):
+            if self._sack_covered(seq, entry[1]):
                 continue
             self._retransmit_entry(entry, "partial")
             self._arm_timer()
             return
 
-    def _retransmit_entry(self, entry: dict, kind: str) -> None:
-        entry["retx"] += 1
+    def _retransmit_entry(self, entry: list, kind: str) -> None:
+        entry[5] += 1
+        seq, end, payload, flags = entry[:4]
         self.segments_retransmitted += 1
         _RETRANSMITS.inc()
         if RECORDER.enabled:
             RECORDER.record(
                 self.sim.now, "tcp", "retransmit",
-                node=self.node.name, kind=kind, seq=entry["seq"],
+                node=self.node.name, kind=kind, seq=seq,
             )
-        self._send_segment(
-            flags=entry.get("flags", _NO_FLAGS),
-            seq=entry["seq"],
-            payload=entry.get("payload", b""),
-        )
-        end = entry["seq"] + entry["len"]
+        self._send_segment(flags, seq, payload, len(payload))
         if end > self._high_rtx:
             self._high_rtx = end
 
@@ -921,6 +913,11 @@ class TcpConnection:
         for start, end in blocks:
             if end <= una:
                 continue  # stale block below the cumulative ACK
+            if end > self.snd_nxt:
+                # Bytes never sent: a forged or corrupt block (RFC 2018 §8).
+                self.sack_beyond_sent += 1
+                _SACK_BEYOND_SENT.value += 1
+                continue
             if start < una:
                 start = una
             # Insertion + merge keeping ``sacked`` sorted and disjoint.
@@ -970,8 +967,7 @@ class TcpConnection:
         top = self._sacked[-1][1]  # scoreboard is sorted: highest SACKed byte
         high_rtx = self._high_rtx
         for entry in self.inflight:
-            seq = entry["seq"]
-            end = seq + entry["len"]
+            seq, end = entry[0], entry[1]
             if end > top:
                 break  # not known-lost: no SACKed data above this hole
             if seq < high_rtx:
@@ -1019,16 +1015,6 @@ class TcpConnection:
                 blocks.append((start, end))
         return tuple(blocks[:SACK_MAX_BLOCKS])
 
-    def _update_rtt(self, sample: float) -> None:
-        if self.srtt is None:
-            self.srtt = sample
-            self.rttvar = sample / 2
-        else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
-            self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.rto = min(max(self.srtt + 4 * self.rttvar, MIN_RTO), MAX_RTO)
-        _RTT.observe(sample)
-
     # -- fluid fast-forward (flow-level bulk mode) ---------------------------------------
     #
     # Protocol: once a window-limited bulk flow has been steady for
@@ -1069,8 +1055,8 @@ class TcpConnection:
             return False
         # Every byte that would be fast-forwarded must be virtual — real
         # bytes always travel as segments.
-        for start, chunk in self.snd_buf:
-            if start + len(chunk) <= self.snd_nxt:
+        for _, end, chunk in self.snd_buf:
+            if end <= self.snd_nxt:
                 continue
             if not isinstance(chunk, VirtualPayload):
                 return False
@@ -1229,9 +1215,9 @@ class TcpConnection:
         seq = self.snd_nxt
         end = seq + n
         while seq < end:
-            piece = self._gather(seq, end - seq)
+            piece, n_piece = self._gather(seq, end - seq)
             peer._deliver(piece)
-            seq += len(piece)
+            seq += n_piece
         self.snd_nxt = end
         self.snd_una = end
         self.bytes_sent += n
@@ -1243,7 +1229,7 @@ class TcpConnection:
         self._fluid_charge(n)
         # Trim delivered chunks (same drop rule as _gather's).
         buf = self.snd_buf
-        while buf and buf[0][0] + len(buf[0][1]) <= self.snd_una:
+        while buf and buf[0][1] <= self.snd_una:
             buf.popleft()
         if self.snd_nxt < self._fluid_goal:
             self._fluid_schedule()
@@ -1290,13 +1276,19 @@ class TcpConnection:
         if self.state == "ESTABLISHED":
             self._pump()  # resume per-packet transmission (FIN included)
 
-    def _process_data(self, seq: int, payload: Payload, fin: bool) -> None:
+    def _process_data(self, seq: int, payload: Payload, plen: int, fin: bool) -> None:
         rcv_nxt = self.rcv_nxt
         if seq > rcv_nxt:
-            self.ooo[seq] = (payload, fin)
+            if seq > rcv_nxt + self.recv_window:
+                # Starts beyond the window: unacceptable (RFC 9293 §3.10.7.4).
+                # Neither buffered nor SACKed; the ACK restates rcv_nxt.
+                self.rx_beyond_window += 1
+                _RX_BEYOND_WINDOW.value += 1
+            else:
+                self.ooo[seq] = (payload, fin)
             self._ack_now()  # immediate dup ACK (with SACK blocks) signals the gap
             return
-        if seq + len(payload) + (1 if fin else 0) <= rcv_nxt:
+        if seq + plen + (1 if fin else 0) <= rcv_nxt:
             self._send_segment()  # pure duplicate; re-ACK
             return
         # In-order, possibly overlapping data already delivered (SACK
@@ -1304,20 +1296,20 @@ class TcpConnection:
         # payload to start at rcv_nxt so bytes are never double-counted.
         if seq < rcv_nxt:
             trim = rcv_nxt - seq
-            plen = len(payload)
             if trim >= plen:
-                payload = b""  # only the FIN is new
+                payload, plen = b"", 0  # only the FIN is new
             else:
-                payload = _slice_payload(payload, trim, plen - trim)
+                plen -= trim
+                payload = _slice_payload(payload, trim, plen)
         had_ooo = bool(self.ooo)
-        self._accept_data(payload, fin)
+        self._accept_data(payload, plen, fin)
         # Pull any queued out-of-order continuations, trimming overlaps.
         ooo = self.ooo
         while ooo:
             nxt = self.rcv_nxt
             if nxt in ooo:
                 nxt_payload, nxt_fin = ooo.pop(nxt)
-                self._accept_data(nxt_payload, nxt_fin)
+                self._accept_data(nxt_payload, len(nxt_payload), nxt_fin)
                 continue
             # No exact match: look for a stored segment straddling rcv_nxt
             # (deterministic: dict iteration is insertion-ordered).
@@ -1334,10 +1326,8 @@ class TcpConnection:
             if end <= nxt:
                 continue  # fully stale; drop
             trim = nxt - s
-            plen = len(p)
-            self._accept_data(
-                b"" if trim >= plen else _slice_payload(p, trim, plen - trim), f
-            )
+            plen = max(len(p) - trim, 0)
+            self._accept_data(_slice_payload(p, trim, plen) if plen else b"", plen, f)
         if fin or had_ooo:
             self._ack_now()
             return
@@ -1363,8 +1353,7 @@ class TcpConnection:
         if self._delack_pending and self.state not in ("CLOSED",):
             self._ack_now()
 
-    def _accept_data(self, payload: Payload, fin: bool) -> None:
-        plen = len(payload)
+    def _accept_data(self, payload: Payload, plen: int, fin: bool) -> None:
         if plen:
             self.rcv_nxt += plen
             self.bytes_received += plen

@@ -192,9 +192,9 @@ class TestDataPath:
         endpoint = a.interface("eth0")._endpoint
         original_send = endpoint.send
 
-        def spy(packet):
+        def spy(packet, size=0):
             wire_protos.append(packet.outer.proto)
-            return original_send(packet)
+            return original_send(packet, size)
 
         endpoint.send = spy
 

@@ -151,7 +151,7 @@ def test_rx_lane_survives_each_drop_path(hip_pair, forge, reason):
     wire: list[Packet] = []
     endpoint = a.interface("eth0")._endpoint
     send = endpoint.send
-    endpoint.send = lambda packet: (wire.append(packet), send(packet))[1]
+    endpoint.send = lambda packet, size=0: (wire.append(packet), send(packet, size))[1]
     a.send_ip(db.hit, "udp", datagram(0))
     sim.run(until=1.0)
     assert got == [0] and db.drops_esp == 0

@@ -35,13 +35,13 @@ class TestFullDeploymentIntegration:
         endpoint = dep.lb_node.interfaces[0]._endpoint
         original = endpoint.send
 
-        def spy(packet):
+        def spy(packet, size=0):
             from repro.net.packet import IPHeader
 
             ip = packet.outer
             if isinstance(ip, IPHeader) and str(ip.dst).startswith("10."):
                 protocols.add(ip.proto)
-            return original(packet)
+            return original(packet, size)
 
         endpoint.send = spy
         workload = ClosedLoopClients(
@@ -63,13 +63,13 @@ class TestFullDeploymentIntegration:
         endpoint = dep.lb_node.interfaces[0]._endpoint
         original = endpoint.send
 
-        def spy(packet):
+        def spy(packet, size=0):
             from repro.net.packet import IPHeader
 
             ip = packet.outer
             if isinstance(ip, IPHeader) and ip.dst in cloud:
                 protocols.add(ip.proto)
-            return original(packet)
+            return original(packet, size)
 
         endpoint.send = spy
         workload = ClosedLoopClients(

@@ -46,9 +46,9 @@ class TestVpnDetails:
         endpoint = a.interface("eth0")._endpoint
         original = endpoint.send
 
-        def spy(packet):
+        def spy(packet, size=0):
             protos.append(packet.outer.proto)
-            return original(packet)
+            return original(packet, size)
 
         endpoint.send = spy
         ta, tb = TcpStack(a), TcpStack(b)
