@@ -3,11 +3,11 @@
 The sharded simulator (``repro.sim.shard``) runs each partition on its own
 ``Simulator`` — inline or in a forked worker.  Its correctness argument
 assumes every piece of runtime-mutable state is *owned by one simulator*:
-module-level containers and counters are process-globals that silently
-diverge between the inline and fork-per-shard modes (a child's writes die
-with the child), and objects reaching across shard boundaries outside the
-envelope protocol break the conservative-lookahead ordering proof.  These
-rules make that ownership contract checkable:
+module-level containers are process-globals that diverge between the
+inline and fork-per-shard modes (a child's writes die with the child), and
+objects reaching across shard boundaries outside the envelope protocol
+break the conservative-lookahead ordering proof.  These rules make that
+ownership contract checkable:
 
 * **ISO001** — module-level mutable state written at runtime (same-module
   containers/counters mutated inside functions, and *any* attribute write
@@ -21,10 +21,10 @@ rules make that ownership contract checkable:
 
 Scope: product code except ``repro/analysis`` itself — the analysis layer
 is deliberately process-global instrumentation (``WIRE_TAPS`` installs,
-registry side effects) and never runs inside a shard.  Intentional exceptions in the simulator (the ``METRICS``
-get-or-create handles, the fast-path rearm inlining, the TCP segment
-pool) carry ``# repro: ignore[ISO...]`` suppressions with their
-justification at the site.
+registry side effects) and never runs inside a shard.  Same-module
+``METRICS`` handle writes are exempt: counter writes are committed at the
+barrier, histograms remain process-local (ROADMAP item 2a).  Any other
+exception carries a ``# repro: ignore[ISO...]`` justified at the site.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ _SIMULATOR_CONSTRUCTORS = frozenset(
 )
 
 #: ``METRICS`` handle factories: module-level counter/gauge/histogram
-#: bindings are the sanctioned process-global observability channel (the
-#: registry is get-or-create and shard deltas are republished by the
-#: coordinator), so same-module writes through those handles are exempt.
+#: bindings are the process-global observability channel (the registry is
+#: get-or-create, and a shard's counter writes are committed at the barrier
+#: by the coordinator), so same-module writes through those handles are exempt.
 _METRIC_FACTORY_PREFIX = "repro.metrics.METRICS."
 
 
@@ -226,7 +226,8 @@ class ModuleStateWriteChecker(Rule):
         if isinstance(target, (ast.Attribute, ast.Subscript)):
             root = root_name(target)
             if root is not None:
-                # Same-module METRICS handles are the sanctioned exception.
+                # Same-module METRICS handles: counter writes are committed
+                # at the barrier; histograms remain process-local (item 2a).
                 if self._bindings.get(root) == "metric":
                     return
                 self._flag_write(target, root, "assignment through")
@@ -257,8 +258,7 @@ class SimulatorPrivateWriteChecker(Rule):
     """Only the engine owns the engine.  A module that pokes ``sim._seq`` or
     heap-pushes onto ``sim._heap`` bypasses the scheduling invariants the
     shard sync proof relies on (monotonic sequence numbers, one writer per
-    heap).  The fast-path rearm inlining in ``net/link.py``/``net/tcp.py``
-    is the deliberate, benchmarked exception — suppressed at the site."""
+    heap)."""
 
     rule = "ISO002"
     description = (

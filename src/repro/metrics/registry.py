@@ -16,7 +16,9 @@ report module groups by it.
 
 ``reset()`` zeroes every metric **in place** — handles bound by instrumented
 modules stay valid across resets, which is what lets one process run many
-isolated measurements.
+isolated measurements.  ``mark()``/``rewind()``/``commit()`` carry counter
+increments from a shard worker's registry to the coordinator's (see
+:mod:`repro.sim.shard`).
 """
 
 from __future__ import annotations
@@ -31,17 +33,18 @@ HISTOGRAM_RESERVOIR = 4096
 class Counter:
     """Monotonic event counter."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_mark")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
+        self._mark = 0
 
     def inc(self, n: int = 1) -> None:
         self.value += n
 
     def _reset(self) -> None:
-        self.value = 0
+        self.value = self._mark = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.name}={self.value}>"
@@ -177,6 +180,27 @@ class MetricsRegistry:
                 h.name: h.summary() for h in self._histograms.values()
             },
         }
+
+    def mark(self) -> None:
+        """Remember every counter's value for :meth:`rewind`."""
+        for counter in self._counters.values():
+            counter._mark = counter.value
+
+    def rewind(self) -> list[tuple[str, int]]:
+        """Return counters to their :meth:`mark`; the non-zero ``(name, n)``
+        increments booked since."""
+        moved = []
+        for counter in self._counters.values():
+            n = counter.value - counter._mark
+            if n:
+                moved.append((counter.name, n))
+                counter.value = counter._mark
+        return moved
+
+    def commit(self, increments: list[tuple[str, int]]) -> None:
+        """Book ``(name, n)`` increments another registry :meth:`rewind` took."""
+        for name, n in increments:
+            self.counter(name).value += n
 
     def reset(self) -> None:
         """Zero every metric in place; bound handles remain valid."""

@@ -39,87 +39,6 @@ _ECN_MARKS = METRICS.counter("link.ecn_marks")
 WIRE_TAPS: list[Callable[["Packet"], None]] = []
 
 
-class LinkLedger:
-    """Per-simulator link accounting, owned by the Simulator that the links
-    belong to (``sim.services["link.ledger"]``).
-
-    A plain simulator's ledger *publishes*: every addition writes through to
-    the process-wide ``METRICS`` counters immediately, preserving the
-    established observability contract.  A shard's simulator instead gets a
-    non-publishing ledger (see :class:`repro.sim.shard.Shard`): the shard
-    accumulates locally and the coordinator collects :meth:`take_delta` at
-    every sync window, folding it into the global counters in the parent
-    process via :func:`publish_link_delta`.  That is what makes the totals
-    identical between inline and fork-per-shard workers — a forked child's
-    writes to process globals would otherwise die with the child.
-    """
-
-    FIELDS = ("tx_packets", "tx_bytes", "lost_packets", "queue_drops", "ecn_marks")
-
-    __slots__ = FIELDS + ("publish", "_taken")
-
-    def __init__(self, publish: bool = True) -> None:
-        self.publish = publish
-        self.tx_packets = 0
-        self.tx_bytes = 0
-        self.lost_packets = 0
-        self.queue_drops = 0
-        self.ecn_marks = 0
-        self._taken = (0, 0, 0, 0, 0)
-
-    def add_tx(self, packets: int, n_bytes: int) -> None:
-        self.tx_packets += packets
-        self.tx_bytes += n_bytes
-        if self.publish:
-            _TX_PACKETS.value += packets
-            _TX_BYTES.value += n_bytes
-
-    def add_lost(self) -> None:
-        self.lost_packets += 1
-        if self.publish:
-            _LOST.value += 1
-
-    def add_queue_drop(self) -> None:
-        self.queue_drops += 1
-        if self.publish:
-            _QUEUE_DROPS.value += 1
-
-    def add_ecn_mark(self) -> None:
-        self.ecn_marks += 1
-        if self.publish:
-            _ECN_MARKS.value += 1
-
-    def take_delta(self) -> tuple[int, int, int, int, int]:
-        """Counts accumulated since the last take (picklable, cheap)."""
-        now = (
-            self.tx_packets,
-            self.tx_bytes,
-            self.lost_packets,
-            self.queue_drops,
-            self.ecn_marks,
-        )
-        taken = self._taken
-        self._taken = now
-        return tuple(a - b for a, b in zip(now, taken))
-
-
-def ledger_of(sim: "Simulator") -> LinkLedger:
-    """The simulator's link ledger (get-or-create; publishing by default)."""
-    ledger = sim.services.get("link.ledger")
-    if ledger is None:
-        ledger = sim.services["link.ledger"] = LinkLedger()
-    return ledger
-
-
-def publish_link_delta(delta: tuple[int, int, int, int, int]) -> None:
-    """Fold a shard ledger delta into the process-global METRICS counters."""
-    _TX_PACKETS.value += delta[0]
-    _TX_BYTES.value += delta[1]
-    _LOST.value += delta[2]
-    _QUEUE_DROPS.value += delta[3]
-    _ECN_MARKS.value += delta[4]
-
-
 class Serializer:
     """One transmit direction in closed form: drop-tail FIFO + serializer.
 
@@ -130,9 +49,10 @@ class Serializer:
     ones whose start lies in the future, kept as a deque of start times
     pruned lazily from the front.  No timer runs while a burst drains.
 
-    Accounting is booked at acceptance, straight into the simulator's
-    :class:`LinkLedger`, so the process-wide METRICS equal the serializers'
-    own totals whenever a run returns.  Subclasses are the *sink*:
+    Accounting is booked at acceptance, straight into the process-wide
+    METRICS counters like every other layer's, so they equal the
+    serializers' own totals whenever a run returns (a shard's reply carries
+    them home, see :mod:`repro.sim.shard`).  Subclasses are the *sink*:
     :meth:`_depart` receives every accepted packet with its measured size
     and departure time.
     """
@@ -163,9 +83,6 @@ class Serializer:
         self.tx_bytes = 0
         self.queue_drops = 0
         self.ecn_marks = 0
-        # All global-counter traffic goes through the simulator's ledger so
-        # shard simulators can keep accounting local (see LinkLedger).
-        self._ledger = ledger_of(sim)
         self._free_at = 0.0
         self._starts: deque[float] = deque()
 
@@ -192,14 +109,14 @@ class Serializer:
             waiting = len(starts)
             if waiting >= self.queue_packets:
                 self.queue_drops += 1
-                self._ledger.add_queue_drop()
+                _QUEUE_DROPS.value += 1
                 if RECORDER.enabled:
                     RECORDER.record(now, "link", "queue_drop", bytes=size)
                 return False
             if self.ecn_threshold is not None and waiting >= self.ecn_threshold:
                 packet.meta["ce"] = True
                 self.ecn_marks += 1
-                self._ledger.add_ecn_mark()
+                _ECN_MARKS.value += 1
                 if RECORDER.enabled:
                     RECORDER.record(now, "link", "ecn_mark")
             starts.append(start)
@@ -208,7 +125,8 @@ class Serializer:
         self._free_at = depart = start + size * 8.0 / self.bandwidth_bps
         self.tx_packets += 1
         self.tx_bytes += size
-        self._ledger.add_tx(1, size)
+        _TX_PACKETS.value += 1
+        _TX_BYTES.value += size
         if RECORDER.enabled:
             RECORDER.record(
                 now, "link", "tx", bytes=size, start=start, depart=depart,
@@ -231,7 +149,8 @@ class Serializer:
         """
         self.tx_packets += n_segments
         self.tx_bytes += n_bytes
-        self._ledger.add_tx(n_segments, n_bytes)
+        _TX_PACKETS.value += n_segments
+        _TX_BYTES.value += n_bytes
 
 
 class LinkEndpoint(Serializer):
@@ -305,7 +224,7 @@ class LinkEndpoint(Serializer):
         packet, size = item
         if self.loss_rate and self._lose():
             self.lost_packets += 1
-            self._ledger.add_lost()
+            _LOST.value += 1
             if RECORDER.enabled:
                 RECORDER.record(self.sim.now, "link", "loss", bytes=size)
             return

@@ -652,10 +652,9 @@ def build_scale_monolithic(
     so the ring links are ordinary wires.
 
     Used as the speedup baseline (with ``fluid=False``) and as the timing
-    reference the sharded build must reproduce bit-identically.  No
-    coordinator collects its link ledger, so it publishes as a plain
-    simulator's does.
+    reference the sharded build must reproduce bit-identically.  It books
+    its counters into METRICS as any plain simulator does, the totals a
+    sharded run's replies carry home.
     """
     shard = Shard("monolithic", 0, seed)
-    shard.ledger.publish = True
     return shard.sim, build_scale_zones(shard, tuple(range(p.n_zones)), p.n_zones, p)

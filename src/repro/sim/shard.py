@@ -51,9 +51,11 @@ The coordinator is built for real hardware parallelism:
   a *single* pickle of the packet list (shared memo, payload bytes interned
   once).  Inline and forked workers speak the same bytes (see
   :func:`_serve`), so a destination shard never holds the sender's packet
-  object in either mode.  Sync-overhead metrics (windows, stretched
-  windows, envelopes, frame bytes, per-shard busy and CPU seconds) land in
-  the metrics registry and :meth:`ShardedSimulation.sync_stats`.
+  object in either mode.  Every reply also carries the counter increments
+  the shard booked, committed at the barrier (see the protocol below).
+  Sync-overhead metrics (windows, stretched windows, envelopes, frame
+  bytes, per-shard busy and CPU seconds) land in the metrics registry and
+  :meth:`ShardedSimulation.sync_stats`.
 
 **Digest invariance under window scheduling.**  Because adaptive windows
 change *when* envelopes reach the coordinator, the boundary digest referee
@@ -83,6 +85,7 @@ import multiprocessing
 import pickle
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from multiprocessing.connection import wait as _conn_wait
@@ -90,7 +93,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.metrics import METRICS
-from repro.net.link import LinkLedger, Serializer, publish_link_delta
+from repro.net.link import Serializer
 from repro.net.packet import Packet, VirtualPayload
 from repro.net.wire import WireReader
 from repro.sim.engine import Simulator
@@ -215,9 +218,10 @@ _STR_LEN = struct.Struct("<H")
 _ENV_META = struct.Struct("<ddIIHHH")
 _BLOB_LEN = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
-#: Window-reply tail: peek, EOT, 5-field ledger delta, busy wall-seconds,
-#: busy CPU-seconds.
-_REPLY_TAIL = struct.Struct("<dd5qdd")
+#: Window-reply tail: peek, EOT, busy wall-seconds, busy CPU-seconds.
+_REPLY_TAIL = struct.Struct("<dddd")
+#: Window-reply count section: <H n>, then n x (<q increment> <H len> name).
+_COUNT = struct.Struct("<qH")
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 
 
@@ -359,14 +363,6 @@ class Shard:
         #: The run's seed, for a builder hosting several RNG namespaces.
         self.seed = seed
         self.sim = Simulator()
-        #: Shard-owned link accounting: a *non-publishing* ledger installed
-        #: before the builder runs, so every LinkEndpoint (and portal) this
-        #: shard creates books into simulator-owned state instead of the
-        #: process-global METRICS counters — which forked workers cannot
-        #: update.  The coordinator collects ``take_delta()`` at every sync
-        #: window and publishes it in the parent process.
-        self.ledger = LinkLedger(publish=False)
-        self.sim.services["link.ledger"] = self.ledger
         #: Per-shard RNG namespace: draw order inside one shard can never
         #: perturb another shard's streams.
         self.rngs = RngStreams(seed).spawn(f"shard:{name}")
@@ -451,23 +447,18 @@ class Shard:
             self.sim.call_at(arrival, iface.receive, env.packet)
         self._inbound = inbound
 
-    def advance(
-        self, window_end: float
-    ) -> tuple[list[Envelope], float, float, tuple[int, ...]]:
+    def advance(self, window_end: float) -> tuple[list[Envelope], float, float]:
         """Run this shard's clock to ``window_end``; return boundary traffic.
 
-        Returns ``(envelopes, peek, eot, ledger_delta)``.  ``peek`` is the
-        next *live* local event time (``inf`` when idle; stale cancelled
-        timers are pruned, see :meth:`Simulator.peek_live`); the coordinator
-        reads it only to tell when every shard has drained.  ``eot`` is the
-        earliest output time — the least of the registered
-        :meth:`egress_promise` values, or ``peek`` when none is registered —
-        and is what the next barrier is computed from: correctness never
-        depends on it being tight, only on no portal send happening before
-        it except in reaction to an inbound envelope, which the portal
-        enforces.  ``ledger_delta`` is
-        this window's link accounting, published by the coordinator in the
-        parent process.
+        Returns ``(envelopes, peek, eot)``.  ``peek`` is the next *live*
+        local event time (``inf`` when idle; stale cancelled timers are
+        pruned, see :meth:`Simulator.peek_live`); the coordinator reads it
+        only to tell when every shard has drained.  ``eot`` is the earliest
+        output time — the least of the registered :meth:`egress_promise`
+        values, or ``peek`` when none is registered — and is what the next
+        barrier is computed from: correctness never depends on it being
+        tight, only on no portal send happening before it except in reaction
+        to an inbound envelope, which the portal enforces.
         """
         self.sim.run(until=window_end)
         portals = self._portal_order
@@ -483,13 +474,7 @@ class Shard:
         out.sort(key=_LOCAL_ORDER)
         peek = self.sim.peek_live()
         self.eot = eot = min([fn() for fn in self._promises], default=peek)
-        return out, peek, eot, self.ledger.take_delta()
-
-    def finish(self) -> tuple[Any, tuple[int, ...]]:
-        result = self.result_fn() if self.result_fn is not None else None
-        delta = self.ledger.take_delta()
-        self.sim.close()
-        return result, delta
+        return out, peek, eot
 
 
 # ----------------------------------------------------------------- workers --
@@ -500,11 +485,15 @@ class Shard:
 # child process.  All messages are bytes:
 #
 #   parent  W + window_end f64 + envelope frame;  F;  S (forked only)
-#   shard   P + pickled ports (once, after build);
-#           W + envelope frame + reply tail (peek, EOT, ledger delta,
-#             busy wall-seconds, busy CPU-seconds);
-#           F + pickled (result, ledger delta);
+#   shard   P + pickled (ports, counts) (once, after build);
+#           W + envelope frame + reply tail (peek, EOT, busy wall-seconds,
+#             busy CPU-seconds) + count section;
+#           F + pickled (result, counts);
 #           E, or L for a LookaheadError, + utf-8 error text
+#
+# ``counts`` are the ``(name, n)`` counter increments booked serving that
+# command, which the shard rewinds (:func:`_booked`) and the coordinator
+# commits: each is booked once, in the parent.  A failure commits none.
 
 Builder = Callable[..., None]
 
@@ -512,13 +501,25 @@ Builder = Callable[..., None]
 _POLL_INTERVAL_S = 0.05
 
 
+@contextmanager
+def _booked():
+    """The block's counter increments, with METRICS rewound past them."""
+    counts: list[tuple[str, int]] = []
+    METRICS.mark()
+    try:
+        yield counts
+    finally:
+        counts += METRICS.rewind()
+
+
 def _open(
     name: str, index: int, seed: int, builder: Builder, kwargs: dict[str, Any]
 ) -> tuple[Shard, bytes]:
     """Build one shard; returns it with its ``P`` reply."""
-    shard = Shard(name, index, seed)
-    builder(shard, **kwargs)
-    return shard, b"P" + pickle.dumps(shard.ports(), _PICKLE_PROTO)
+    with _booked() as counts:
+        shard = Shard(name, index, seed)
+        builder(shard, **kwargs)
+    return shard, b"P" + pickle.dumps((shard.ports(), counts), _PICKLE_PROTO)
 
 
 def _serve(shard: Shard, msg: bytes) -> bytes:
@@ -532,16 +533,24 @@ def _serve(shard: Shard, msg: bytes) -> bytes:
     if op == b"W":
         (window_end,) = reader.read(_F64, "window end")
         envelopes = _read_envelopes(reader)
-        start = time.perf_counter()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
-        cpu_start = time.process_time()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
-        shard.inject(envelopes)
-        out, peek, eot, delta = shard.advance(window_end)
-        cpu = time.process_time() - cpu_start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
-        busy = time.perf_counter() - start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
-        tail = _REPLY_TAIL.pack(peek, eot, *delta, busy, cpu)
-        return b"".join((b"W", encode_envelopes(out), tail))
+        with _booked() as counts:
+            start = time.perf_counter()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
+            cpu_start = time.process_time()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
+            shard.inject(envelopes)
+            out, peek, eot = shard.advance(window_end)
+            cpu = time.process_time() - cpu_start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
+            busy = time.perf_counter() - start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
+        parts = [b"W", encode_envelopes(out), _REPLY_TAIL.pack(peek, eot, busy, cpu),
+                 _STR_LEN.pack(len(counts))]
+        for name, n in counts:
+            raw = name.encode()
+            parts += (_COUNT.pack(n, len(raw)), raw)
+        return b"".join(parts)
     if op == b"F":
-        return b"F" + pickle.dumps(shard.finish(), _PICKLE_PROTO)
+        with _booked() as counts:
+            result = shard.result_fn() if shard.result_fn is not None else None
+            shard.sim.close()
+        return b"F" + pickle.dumps((result, counts), _PICKLE_PROTO)
     raise ShardError(f"unknown command {bytes(op)!r}")
 
 
@@ -606,10 +615,11 @@ class _Worker:
         self.bytes_rx = 0
         self._start(index, seed, builder, kwargs)
         try:
-            self._ports = pickle.loads(self._expect(b"P")[1:])
+            self._ports, counts = pickle.loads(self._expect(b"P")[1:])
         except BaseException:
             self.stop()
             raise
+        METRICS.commit(counts)
 
     # -- transport: a direct call ---------------------------------------------
     def _start(
@@ -632,8 +642,10 @@ class _Worker:
 
     def stop(self) -> None:
         """Close the shard's simulator, so a failed run leaves no suspended
-        process for the garbage collector to finalize (idempotent)."""
-        self.shard.sim.close()
+        process for the garbage collector to finalize (idempotent).  What
+        its finalizers book is dropped, as a stopped forked child's is."""
+        with _booked():
+            self.shard.sim.close()
 
     # -- the protocol ---------------------------------------------------------
     def _failure(self, reply: bytes) -> ShardError:
@@ -664,20 +676,28 @@ class _Worker:
             b"".join((b"W", _F64.pack(window_end), encode_envelopes(envelopes)))
         )
 
-    def collect_window(
-        self,
-    ) -> tuple[list[Envelope], float, float, tuple[int, ...], float, float]:
+    def collect_window(self) -> tuple[list[Envelope], float, float, float, float, list]:
         reader = WireReader(self._expect(b"W"), ShardError)
         reader.take(1, "reply tag")
-        envelopes = _read_envelopes(reader)
-        peek, eot, d0, d1, d2, d3, d4, busy, cpu = reader.read(
-            _REPLY_TAIL, "window reply tail"
-        )
-        return envelopes, peek, eot, (d0, d1, d2, d3, d4), busy, cpu
+        try:
+            envelopes = _read_envelopes(reader)
+            peek, eot, busy, cpu = reader.read(_REPLY_TAIL, "window reply tail")
+            counts = []
+            for _ in range(reader.read(_STR_LEN, "count section length")[0]):
+                n, length = reader.read(_COUNT, "counter increment")
+                counts.append((reader.take(length, "counter name").decode(), n))
+            reader.expect_end("count section")
+        except (ShardError, UnicodeDecodeError) as exc:
+            raise ShardError(
+                f"shard {self.name!r} sent a corrupt window reply: {exc}"
+            ) from exc
+        return envelopes, peek, eot, busy, cpu, counts
 
-    def finish(self) -> tuple[Any, tuple[int, ...]]:
+    def finish(self) -> Any:
         self._send(b"F")
-        return pickle.loads(self._expect(b"F")[1:])
+        result, counts = pickle.loads(self._expect(b"F")[1:])
+        METRICS.commit(counts)
+        return result
 
 
 class _ProcessWorker(_Worker):
@@ -905,7 +925,8 @@ class ShardedSimulation:
         In parallel mode the ``window`` command is broadcast first and
         replies are collected as they arrive (``connection.wait``), so
         shard work genuinely overlaps across cores; merged output order is
-        irrelevant because routing re-sorts canonically.
+        irrelevant because routing re-sorts canonically.  A window that
+        fails anywhere commits no counter increments, whatever the order.
         """
         workers = self._worker_list
         pending = self._pending
@@ -915,6 +936,7 @@ class ShardedSimulation:
             workers[i].start_window(window_end, pending[i])
             pending[i] = []
         outs: list[Envelope] = []
+        counts: list[tuple[str, int]] = []  # committed once all have answered
         if self.parallel:
             conn_index = self._conn_index
             remaining = list(self._conns)
@@ -931,23 +953,25 @@ class ShardedSimulation:
                             )
                     continue
                 for conn in ready:
-                    self._collect(conn_index[conn], outs)
+                    counts += self._collect(conn_index[conn], outs)
                     remaining.remove(conn)
         else:
             for i in range(n):
-                self._collect(i, outs)
+                counts += self._collect(i, outs)
+        METRICS.commit(counts)
         self.window_wall_s += time.perf_counter() - start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
         return outs
 
-    def _collect(self, i: int, outs: list[Envelope]) -> None:
-        """Take worker ``i``'s window reply into the coordinator's state."""
-        sent, self._peeks[i], self._eots[i], delta, busy, cpu = (
+    def _collect(self, i: int, outs: list[Envelope]) -> list[tuple[str, int]]:
+        """Take worker ``i``'s window reply into the coordinator's state;
+        returns its counter increments."""
+        sent, self._peeks[i], self._eots[i], busy, cpu, booked = (
             self._worker_list[i].collect_window()
         )
         self._busy[i] += busy
         self._cpu[i] += cpu
-        publish_link_delta(delta)
         outs.extend(sent)
+        return booked
 
     def _route_window(self, outs: list[Envelope], window_end: float) -> None:
         """Validate, order and buffer one barrier's cross-shard envelopes.
@@ -1036,9 +1060,7 @@ class ShardedSimulation:
         self._drain_digest(_INF)
         results: dict[str, Any] = {}
         for i, name in enumerate(self._names):
-            result, delta = self._worker_list[i].finish()
-            publish_link_delta(delta)
-            results[name] = result
+            results[name] = self._worker_list[i].finish()
         self.results = results
         self._stop_workers()
         _SYNC_WINDOWS.value += self.windows

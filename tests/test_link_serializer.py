@@ -17,7 +17,7 @@ import pytest
 
 from repro.metrics import METRICS
 from repro.net.addresses import ipv4, prefix
-from repro.net.link import Link, LinkEndpoint, ledger_of
+from repro.net.link import Link, LinkEndpoint
 from repro.net.node import Node
 from repro.net.packet import IPHeader, Packet, UDPHeader, VirtualPayload
 from repro.net.routing import FORWARD_CACHE_SIZE
@@ -254,9 +254,8 @@ def test_stopped_mid_burst_the_books_agree():
         a.send_ip(DST, "udp", Packet((UDPHeader(src_port=1, dst_port=i),), VirtualPayload(972)))
     sim.run(until=5e-3)  # 1000 B at 10 Mbit/s: ~6 of 50 have departed
     ep = a.interface("eth0")._endpoint
-    ledger = ledger_of(sim)
-    assert ep.tx_packets == ledger.tx_packets == tx.value - before[0] == 50
-    assert ep.tx_bytes == ledger.tx_bytes == tx_bytes.value - before[1] == 50_000
+    assert ep.tx_packets == tx.value - before[0] == 50
+    assert ep.tx_bytes == tx_bytes.value - before[1] == 50_000
     assert ep._free_at > sim.now  # the burst really was cut mid-way
 
 

@@ -12,10 +12,11 @@ import struct
 
 import pytest
 
+from repro.metrics import METRICS
 from repro.net.addresses import Prefix, ipv4
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.net.topology import wire_cross_shard
+from repro.net.topology import wire, wire_cross_shard
 from repro.net.udp import UdpStack
 from repro.sim.shard import (
     Envelope,
@@ -115,6 +116,14 @@ def echo_builders(promises=False, **left_kw):
     }
 
 
+def booked(run):
+    """``(run(), increments)``: every METRICS counter ``run`` moved."""
+    before = {c.name: c.value for c in METRICS.counters()}
+    result = run()
+    moved = {c.name: c.value - before.get(c.name, 0) for c in METRICS.counters()}
+    return result, {name: n for name, n in moved.items() if n}
+
+
 def run_echo(seed=42, until=1.0, builders=None, **kwargs):
     if builders is None:
         builders = echo_builders()
@@ -189,26 +198,16 @@ def test_egress_without_matching_ingress_rejected():
 
 
 def test_link_counters_aggregate_across_workers():
-    """Regression: shard link accounting used to write the process-global
-    METRICS counters directly — a forked worker's writes died with the
-    child, so ``parallel=True`` silently under-counted.  The per-shard
-    ledger deltas published at every sync window must make both modes
-    book identical totals."""
-    from repro.metrics import METRICS
-
-    tx_packets = METRICS.counter("link.tx_packets")
-    tx_bytes = METRICS.counter("link.tx_bytes")
-
-    def booked(parallel):
-        before = (tx_packets.value, tx_bytes.value)
-        run_echo(parallel=parallel)
-        return (tx_packets.value - before[0], tx_bytes.value - before[1])
-
-    inline = booked(parallel=False)
-    forked = booked(parallel=True)
+    """Regression: a forked worker's METRICS writes died with the child, and
+    only the link counters were carried home, so ``parallel=True`` booked
+    no engine, UDP or other layer's counts.  Every reply carries the
+    shard's counter increments, so both modes book identical totals."""
+    _, inline = booked(lambda: run_echo(parallel=False))
+    _, forked = booked(lambda: run_echo(parallel=True))
     assert inline == forked
-    assert inline[0] >= 40  # 20 pings + 20 echoes crossed the boundary
-    assert inline[1] > 0
+    assert inline["link.tx_packets"] >= 40  # 20 pings + 20 echoes crossed
+    assert inline["link.tx_bytes"] > 0
+    assert inline["sim.steps"] > 0
 
 
 def build_burst(shard, n_packets, queue_packets):
@@ -238,7 +237,7 @@ def test_portal_queue_overflow_books_queue_drops(parallel):
     portal itself — no ``link.queue_drops`` in the shard ledger, no
     ``queue_drop`` trace record — so a cross-zone overflow showed zero drops
     in METRICS.  One packet serializes, four wait, fifteen are dropped."""
-    from repro.metrics import METRICS, RECORDER
+    from repro.metrics import RECORDER
 
     drops = METRICS.counter("link.queue_drops")
     before = drops.value
@@ -605,6 +604,43 @@ def test_failing_worker_stops_siblings():
         assert not worker._proc.is_alive()
 
 
+def build_left_with_goodbye(shard):
+    """The pinging shard, plus a process whose finalizer sends one datagram
+    over an in-shard link when ``Simulator.close()`` abandons it."""
+    build_left(shard)
+    sim = shard.sim
+    near, far = Node(sim, "near"), Node(sim, "far")
+    iface, _, _ = wire(sim, near, far, addr_a=ipv4("10.8.0.1"), addr_b=ipv4("10.8.0.2"))
+    near.routes.add(Prefix(ipv4("10.8.0.2"), 32), iface)
+    sock = UdpStack(near).bind(ECHO_PORT)
+
+    def goodbye():
+        try:
+            yield sim.event()
+        finally:
+            sock.sendto(b"bye", ipv4("10.8.0.2"), ECHO_PORT)
+
+    sim.process(goodbye())
+
+
+def test_failed_window_commits_no_counts_in_either_mode():
+    """A window that raises commits none of its counter increments — not the
+    failing shard's, not its siblings' — the windows before it commit all
+    of theirs, and closing the failed shards books nothing (a forked child
+    never runs its finalizers), under both transports alike."""
+
+    def failed(parallel):
+        builders = {"left": (build_left_with_goodbye, {}), "right": (build_bomb, {})}
+        sharded = ShardedSimulation(builders, 42, parallel=parallel)
+        with pytest.raises(ShardError, match="bomb went off"):
+            sharded.run(1.0)
+
+    _, inline = booked(lambda: failed(False))
+    _, forked = booked(lambda: failed(True))
+    assert inline == forked
+    assert inline["link.tx_packets"] > 0  # pings before the bomb's window
+
+
 def test_failing_worker_inline_mode_raises():
     builders = {
         "left": (build_left, {}),
@@ -827,6 +863,46 @@ def test_envelope_frame_cut_short_or_overdeclared_is_a_shard_error():
         decode_envelopes(bad_index)
 
 
+def test_window_reply_counts_cut_short_overdeclared_or_not_utf8_is_a_shard_error():
+    """The count section ending a window reply: cut at any byte, declaring
+    more than it carries, trailing bytes, or a name that is not utf-8 all
+    end in a ShardError naming the shard."""
+    sharded = ShardedSimulation(echo_builders(), 42)
+    worker = sharded.workers["left"]
+    try:
+        worker.start_window(0.05, [])
+        reply = worker._recv()
+        _, end = decode_envelopes(reply, 1)
+        counts_at = end + 32  # after the tail: peek, EOT, busy and CPU seconds
+        (n_counts,) = struct.unpack_from("<H", reply, counts_at)
+        assert n_counts > 0
+        name_at = counts_at + 2 + 10  # after the first <q increment> <H length>
+
+        def collect(raw):
+            worker._reply = raw
+            try:
+                return worker.collect_window()
+            except ShardError as exc:
+                assert str(exc).startswith("shard 'left' ")
+                raise
+
+        counts = dict(collect(reply)[5])
+        assert counts["sim.steps"] > 0 and counts["link.tx_packets"] > 0
+        sweep_truncations(reply, collect, ShardError)
+        more = reply[:counts_at] + struct.pack("<H", n_counts + 1) + reply[counts_at + 2 :]
+        with pytest.raises(ShardError, match="truncated counter increment"):
+            collect(more)
+        longer = reply[: name_at - 2] + struct.pack("<H", len(reply)) + reply[name_at:]
+        with pytest.raises(ShardError, match="truncated counter name"):
+            collect(longer)
+        with pytest.raises(ShardError, match="trailing bytes after count section"):
+            collect(reply + b"\0")
+        with pytest.raises(ShardError, match="shard 'left' .*utf-8"):
+            collect(reply[:name_at] + b"\xff" + reply[name_at + 1 :])
+    finally:
+        sharded._stop_workers()
+
+
 def test_envelope_frame_interns_strings():
     """The string table stores each shard/port id once, not per envelope."""
     envelopes = [
@@ -847,7 +923,8 @@ def test_envelope_frame_interns_strings():
 def test_scale_scenario_sharded_matches_monolithic():
     """The RUBiS scale scenario: per-zone stats from the sharded build must
     equal the monolithic twin's bit-for-bit (same RNG namespaces, same
-    zone-local event order)."""
+    zone-local event order), and so must every METRICS counter, inline and
+    forked alike."""
     from repro.scenarios.rubis_scale import (
         ScaleParams,
         build_scale_monolithic,
@@ -859,15 +936,34 @@ def test_scale_scenario_sharded_matches_monolithic():
         n_racks=1, hosts_per_rack=2, media_prob=0.25, media_window=65536,
     )
     until = 3.0
-    sharded = ShardedSimulation(scale_builders(p), 7)
-    shard_res = sharded.run(until)
 
-    sim, zones = build_scale_monolithic(7, p)
-    sim.run(until=until)
-    mono_res = {z.name: z.stats.as_dict() for z in zones}
-    sim.close()
+    def sharded_run(parallel):
+        sharded = ShardedSimulation(scale_builders(p), 7, parallel=parallel)
+        return sharded, sharded.run(until)
 
-    assert shard_res == mono_res
+    def monolithic_run():
+        sim, zones = build_scale_monolithic(7, p)
+        sim.run(until=until)
+        mono_res = {z.name: z.stats.as_dict() for z in zones}
+        sim.close()
+        return mono_res
+
+    (sharded, shard_res), inline_counts = booked(lambda: sharded_run(False))
+    (_, forked_res), forked_counts = booked(lambda: sharded_run(True))
+    mono_res, mono_counts = booked(monolithic_run)
+
+    assert shard_res == forked_res == mono_res
+    assert inline_counts == forked_counts
+    # sim.steps counts heap pops, and a sharded run's barriers settle dead
+    # entries through peek_live(), which pops them without counting a step.
+    def booked_by_the_model(counts):
+        return {
+            name: n for name, n in counts.items()
+            if name != "sim.steps" and not name.startswith("shard.sync.")
+        }
+
+    assert booked_by_the_model(inline_counts) == booked_by_the_model(mono_counts)
+    assert inline_counts["tcp.segments_sent"] > 0
     assert sum(z["sessions"] for z in shard_res.values()) > 0
     assert sum(z["errors"] for z in shard_res.values()) == 0
     assert sum(z["heartbeats_recv"] for z in shard_res.values()) > 0
