@@ -59,7 +59,7 @@ def report_dir() -> pathlib.Path:
 def metrics_snapshot(request, report_dir):
     """Per-benchmark layer breakdown: reset the registry, dump it afterwards.
 
-    Every benchmark gets a ``<test>.metrics.json`` (schema ``repro-metrics/1``)
+    Every benchmark gets a ``<test>.metrics.json`` (schema ``repro-metrics/2``)
     next to its text table, so throughput/latency numbers come with the
     per-layer packet and drop counts that produced them.
     """

@@ -26,7 +26,7 @@ This package *enforces* that discipline mechanically:
 * :mod:`repro.analysis.runner` — file discovery, suppression handling and
   the ``python -m repro.analysis`` CLI;
 * :mod:`repro.analysis.report` — text and strict-JSON reporters (schema
-  ``repro-analysis/2``, sibling of ``repro-metrics/1``);
+  ``repro-analysis/2``, sibling of ``repro-metrics/2``);
 * :mod:`repro.analysis.replay` — the *dynamic* complement: run a scenario
   twice under one seed and compare flight-recorder digests.
 

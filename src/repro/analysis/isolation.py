@@ -22,9 +22,10 @@ ownership contract checkable:
 Scope: product code except ``repro/analysis`` itself — the analysis layer
 is deliberately process-global instrumentation (``WIRE_TAPS`` installs,
 registry side effects) and never runs inside a shard.  Same-module
-``METRICS`` handle writes are exempt: counter writes are committed at the
-barrier, histograms remain process-local (ROADMAP item 2a).  Any other
-exception carries a ``# repro: ignore[ISO...]`` justified at the site.
+``METRICS`` handle writes are exempt: every metric write (counter or
+histogram bucket) is rewound in the shard and committed at the barrier.
+Any other exception carries a ``# repro: ignore[ISO...]`` justified at the
+site.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ _SIMULATOR_CONSTRUCTORS = frozenset(
     }
 )
 
-#: ``METRICS`` handle factories: module-level counter/gauge/histogram
-#: bindings are the process-global observability channel (the registry is
-#: get-or-create, and a shard's counter writes are committed at the barrier
+#: ``METRICS`` handle factories: module-level counter/histogram bindings
+#: are the process-global observability channel (the registry is
+#: get-or-create, and a shard's metric writes are committed at the barrier
 #: by the coordinator), so same-module writes through those handles are exempt.
 _METRIC_FACTORY_PREFIX = "repro.metrics.METRICS."
 
@@ -226,8 +227,8 @@ class ModuleStateWriteChecker(Rule):
         if isinstance(target, (ast.Attribute, ast.Subscript)):
             root = root_name(target)
             if root is not None:
-                # Same-module METRICS handles: counter writes are committed
-                # at the barrier; histograms remain process-local (item 2a).
+                # Same-module METRICS handles: every metric write is
+                # committed at the barrier.
                 if self._bindings.get(root) == "metric":
                     return
                 self._flag_write(target, root, "assignment through")

@@ -72,7 +72,7 @@ ROOTS = (
 CHA_FANOUT_LIMIT = 3
 
 #: METRICS registry methods that do a name lookup / registration.
-_REGISTRY_LOOKUPS = frozenset({"counter", "gauge", "histogram"})
+_REGISTRY_LOOKUPS = frozenset({"counter", "histogram"})
 
 
 #: The analysis package itself (and its wire sanitizer) is offline

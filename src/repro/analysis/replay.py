@@ -51,7 +51,7 @@ class ReplayRun:
     digest: str  # sha256 over the canonical event stream
     n_events: int
     tally: dict[str, int]
-    counters_digest: str  # sha256 over the final METRICS counter snapshot
+    counters_digest: str  # sha256 over the final METRICS counters and histograms
     events: list[str] = field(default_factory=list, repr=False)
 
 
@@ -157,16 +157,15 @@ def record_run(
     finally:
         RECORDER.sink = None
         RECORDER.enabled = False
-        # Closing fence: finalize *this* run's orphans before the counter
+        # Closing fence: finalize *this* run's orphans before the metric
         # snapshot, so their bumps land at a deterministic point (the trace
         # digest is safe either way — the recorder is already off).
         gc.collect()
         RECORDER.sink = prev_sink
         RECORDER.enabled = prev_enabled
 
-    counters = METRICS.snapshot()["counters"]
     counters_digest = hashlib.sha256(
-        json.dumps(dict(sorted(counters.items())), sort_keys=True).encode()
+        json.dumps(METRICS.snapshot(), sort_keys=True).encode()
     ).hexdigest()
     return ReplayRun(
         digest=hasher.hexdigest(),

@@ -1,7 +1,7 @@
 """Text and strict-JSON reporters for analysis results.
 
 The JSON schema (version ``repro-analysis/2``) is the linter sibling of the
-``repro-metrics/1`` run report::
+``repro-metrics/2`` run report::
 
     {
       "schema": "repro-analysis/2",

@@ -3,19 +3,20 @@
 Two process-wide singletons anchor the observability layer:
 
 * :data:`METRICS` — a :class:`~repro.metrics.registry.MetricsRegistry` of
-  counters/gauges/histograms that instrumented modules bind handles to at
-  import time (always on; a counter bump is a plain attribute add);
+  counters and log-bucketed histograms (integer state that shard replies
+  carry home) that instrumented modules bind handles to at import time
+  (always on; a counter bump is a plain attribute add);
 * :data:`RECORDER` — a :class:`~repro.metrics.recorder.FlightRecorder` ring
   buffer of structured trace events, **disabled by default**; hot paths
   guard every ``record()`` behind ``if RECORDER.enabled:``.
 
 :mod:`repro.metrics.report` turns both into an end-of-run text report and a
-JSON dump (schema ``repro-metrics/1``) that the benchmarks write next to
+JSON dump (schema ``repro-metrics/2``) that the benchmarks write next to
 their ``bench_results/*.txt`` tables.
 """
 
 from repro.metrics.recorder import FlightRecorder, TraceEvent
-from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.metrics.registry import Counter, Histogram, MetricsRegistry
 from repro.metrics.stats import describe, mean, percentile, stdev
 
 # Process-wide singletons (see module docstring).
@@ -25,7 +26,6 @@ RECORDER = FlightRecorder()
 __all__ = [
     "Counter",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "METRICS",
     "MetricsRegistry",

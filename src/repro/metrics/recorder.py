@@ -19,6 +19,7 @@ process-wide while clocks are per-:class:`~repro.sim.engine.Simulator`.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from typing import Iterator, NamedTuple
 
 
@@ -77,9 +78,17 @@ class FlightRecorder:
         self._tally.clear()
         self.recorded = 0
 
-    def recording(self, capacity: int | None = None) -> "_Recording":
-        """Context manager: enable around a block, restore state after."""
-        return _Recording(self, capacity)
+    @contextmanager
+    def recording(self, capacity: int | None = None) -> Iterator["FlightRecorder"]:
+        """Context manager: enable around a block, then restore ``enabled``
+        and the capacity (a shrunk ring keeps its newest events)."""
+        was_enabled, was_capacity = self.enabled, self.capacity
+        self.enable(capacity)
+        try:
+            yield self
+        finally:
+            self.enable(was_capacity)
+            self.enabled = was_enabled
 
     # -- inspection ----------------------------------------------------------
     def __len__(self) -> int:
@@ -118,18 +127,3 @@ class FlightRecorder:
             "dropped": self.dropped,
             "by_event": self.tally(),
         }
-
-
-class _Recording:
-    def __init__(self, recorder: FlightRecorder, capacity: int | None) -> None:
-        self._recorder = recorder
-        self._capacity = capacity
-        self._was_enabled = False
-
-    def __enter__(self) -> FlightRecorder:
-        self._was_enabled = self._recorder.enabled
-        self._recorder.enable(self._capacity)
-        return self._recorder
-
-    def __exit__(self, *exc) -> None:
-        self._recorder.enabled = self._was_enabled

@@ -1,4 +1,4 @@
-"""Process-wide metrics primitives: counters, gauges, latency histograms.
+"""Process-wide metrics primitives: counters and latency histograms.
 
 The simulator creates and discards :class:`~repro.sim.engine.Simulator`
 instances per scenario, but a benchmark wants one merged view of everything
@@ -17,17 +17,32 @@ report module groups by it.
 ``reset()`` zeroes every metric **in place** — handles bound by instrumented
 modules stay valid across resets, which is what lets one process run many
 isolated measurements.  ``mark()``/``rewind()``/``commit()`` carry counter
-increments from a shard worker's registry to the coordinator's (see
-:mod:`repro.sim.shard`).
+and histogram increments from a shard worker's registry to the
+coordinator's (see :mod:`repro.sim.shard`).
 """
 
 from __future__ import annotations
 
+import re
+from math import ceil, floor, log, nan
 from typing import Iterator
 
-from repro.metrics.stats import mean, percentile
+#: Bucket ``i`` holds the samples in ``(GROWTH**(i-1), GROWTH**i]`` and
+#: reports them at its geometric midpoint, within ``sqrt(GROWTH) - 1``
+#: (under 1 %) of each: the DDSketch layout (Masson et al., VLDB 2019).
+GROWTH = 1.02
+_PER_LOG = 1 / log(GROWTH)
+_ZERO = -(1 << 20)  # 0.0's bucket, below the least positive float's -37,593
+#: A :meth:`MetricsRegistry.rewind` key: a counter name, or a histogram name
+#: and ``#`` with a bucket index or ``ns`` (the sum).
+_KEY = re.compile(r"([^#]+)(?:#(ns|-?[0-9]+))?")
 
-HISTOGRAM_RESERVOIR = 4096
+
+def _check_name(name: str, other_kind: dict) -> None:
+    if not name or name != name.strip() or "#" in name:
+        raise ValueError(f"bad metric name {name!r}")
+    if name in other_kind:
+        raise ValueError(f"metric {name!r} already registered with another type")
 
 
 class Counter:
@@ -50,160 +65,144 @@ class Counter:
         return f"<Counter {self.name}={self.value}>"
 
 
-class Gauge:
-    """Last-value-wins instantaneous measurement."""
+class Histogram:
+    """Distribution of non-negative samples: a count per log bucket (see
+    :data:`GROWTH`) and their sum in nanoseconds, so the count and mean are
+    exact and every quantile is within 1 % of the sample at its rank."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "buckets", "total_ns", "_mark")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def _reset(self) -> None:
-        self.value = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Gauge {self.name}={self.value}>"
-
-
-class Histogram:
-    """Latency/size distribution with a bounded, deterministic reservoir.
-
-    ``count``/``total``/``minimum``/``maximum`` are exact over every
-    observation; percentiles are computed over the first ``capacity``
-    samples (no random subsampling — determinism is a repo-wide invariant).
-    """
-
-    __slots__ = ("name", "capacity", "count", "total", "minimum", "maximum", "_values")
-
-    def __init__(self, name: str, capacity: int = HISTOGRAM_RESERVOIR) -> None:
-        if capacity <= 0:
-            raise ValueError("histogram capacity must be positive")
-        self.name = name
-        self.capacity = capacity
         self._reset()
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-        if len(self._values) < self.capacity:
-            self._values.append(value)
-
-    def percentile(self, p: float) -> float:
-        return percentile(self._values, p)
+        if value > 0:
+            i = ceil(log(value) * _PER_LOG)
+        elif value == 0:
+            i = _ZERO
+        else:
+            raise ValueError(f"histogram {self.name!r} got a sample of {value!r}")
+        buckets = self.buckets
+        buckets[i] = buckets.get(i, 0) + 1
+        self.total_ns += int(value * 1e9 + 0.5)
 
     @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
+    def count(self) -> int:
+        return sum(self.buckets.values())
+
+    def _quantile(self, p: float) -> float:
+        """The bucket value of the sample at rank ``floor(p/100 * (count-1))``."""
+        rank = floor(p * (self.count - 1) / 100)
+        for i in sorted(self.buckets):
+            rank -= self.buckets[i]
+            if rank < 0:
+                return 0.0 if i == _ZERO else GROWTH ** (i - 0.5)
+        return nan
 
     def summary(self) -> dict:
+        count = self.count
+        ranks = {"p50": 50, "p95": 95, "p99": 99, "min": 0, "max": 100}
         return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "min": self.minimum if self.minimum is not None else float("nan"),
-            "max": self.maximum if self.maximum is not None else float("nan"),
-            "reservoir": len(self._values),
+            "count": count,
+            "mean": self.total_ns / count / 1e9 if count else nan,
+            **{key: self._quantile(p) for key, p in ranks.items()},
         }
 
     def _reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum: float | None = None
-        self.maximum: float | None = None
-        self._values: list[float] = []
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Histogram {self.name} n={self.count}>"
+        self.buckets: dict[int, int] = {}  # repro: ignore[PERF001] -- once per new histogram or reset(), never per event
+        self.total_ns = 0
+        self._mark: tuple[dict[int, int], int] = ({}, 0)  # repro: ignore[PERF001] -- once per new histogram or reset(), never per event
 
 
 class MetricsRegistry:
-    """Named collection of counters, gauges and histograms.
+    """Named collection of counters and histograms.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create, so any module can
-    bind a handle without caring who registered the name first.
+    ``counter``/``histogram`` are get-or-create, so any module can bind a
+    handle without caring who registered the name first.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- handles -------------------------------------------------------------
     def counter(self, name: str) -> Counter:
         metric = self._counters.get(name)
         if metric is None:
-            self._check_name(name)
+            _check_name(name, self._histograms)
             metric = self._counters[name] = Counter(name)
         return metric
 
-    def gauge(self, name: str) -> Gauge:
-        metric = self._gauges.get(name)
-        if metric is None:
-            self._check_name(name)
-            metric = self._gauges[name] = Gauge(name)
-        return metric
-
-    def histogram(self, name: str, capacity: int = HISTOGRAM_RESERVOIR) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
-            self._check_name(name)
-            metric = self._histograms[name] = Histogram(name, capacity)
+            _check_name(name, self._counters)
+            metric = self._histograms[name] = Histogram(name)
         return metric
-
-    def _check_name(self, name: str) -> None:
-        if not name or name != name.strip():
-            raise ValueError(f"bad metric name {name!r}")
-        kinds = (self._counters, self._gauges, self._histograms)
-        if sum(name in kind for kind in kinds):
-            raise ValueError(f"metric {name!r} already registered with another type")
 
     # -- inspection ----------------------------------------------------------
     def counters(self) -> Iterator[Counter]:
         return iter(self._counters.values())
 
     def snapshot(self) -> dict:
-        """JSON-ready view: counters/gauges as scalars, histogram summaries."""
+        """JSON-ready view: counters as scalars, histogram summaries."""
         return {
             "counters": {c.name: c.value for c in self._counters.values()},
-            "gauges": {g.name: g.value for g in self._gauges.values()},
             "histograms": {
                 h.name: h.summary() for h in self._histograms.values()
             },
         }
 
     def mark(self) -> None:
-        """Remember every counter's value for :meth:`rewind`."""
+        """Remember every metric's state for :meth:`rewind`."""
         for counter in self._counters.values():
             counter._mark = counter.value
+        for hist in self._histograms.values():
+            hist._mark = (dict(hist.buckets), hist.total_ns)  # repro: ignore[PERF001] -- one copy per histogram per shard command, never per event
 
     def rewind(self) -> list[tuple[str, int]]:
-        """Return counters to their :meth:`mark`; the non-zero ``(name, n)``
-        increments booked since."""
+        """Return every metric to its :meth:`mark`; the non-zero ``(key, n)``
+        increments booked since, keyed as :data:`_KEY` reads them."""
         moved = []
         for counter in self._counters.values():
             n = counter.value - counter._mark
             if n:
                 moved.append((counter.name, n))
                 counter.value = counter._mark
+        for hist in self._histograms.values():
+            buckets, total_ns = hist._mark
+            for i, n in hist.buckets.items():
+                if n != buckets.get(i, 0):
+                    moved.append((f"{hist.name}#{i}", n - buckets.get(i, 0)))  # repro: ignore[PERF001] -- one key per bucket a shard command moved: the reply's payload
+            if hist.total_ns != total_ns:
+                moved.append((f"{hist.name}#ns", hist.total_ns - total_ns))  # repro: ignore[PERF001] -- one key per histogram a shard command moved: the reply's payload
+            hist.buckets, hist.total_ns = buckets, total_ns
         return moved
 
+    def parse(self, key: str) -> tuple[str, str | None]:
+        """``(name, part)`` of a :meth:`rewind` key (``part`` None: a counter)."""
+        match = _KEY.fullmatch(key)
+        if match is None:
+            raise ValueError(f"malformed metric key {key!r}")
+        name, part = match.groups()
+        _check_name(name, self._histograms if part is None else self._counters)
+        return name, part
+
     def commit(self, increments: list[tuple[str, int]]) -> None:
-        """Book ``(name, n)`` increments another registry :meth:`rewind` took."""
-        for name, n in increments:
-            self.counter(name).value += n
+        """Book ``(key, n)`` increments another registry :meth:`rewind` took;
+        every key is parsed before any is booked."""
+        for (name, part), n in [(self.parse(key), n) for key, n in increments]:
+            if part is None:
+                self.counter(name).value += n
+            elif part == "ns":
+                self.histogram(name).total_ns += n
+            else:
+                buckets = self.histogram(name).buckets
+                buckets[int(part)] = buckets.get(int(part), 0) + n
 
     def reset(self) -> None:
         """Zero every metric in place; bound handles remain valid."""
-        for kind in (self._counters, self._gauges, self._histograms):
+        for kind in (self._counters, self._histograms):
             for metric in kind.values():
                 metric._reset()

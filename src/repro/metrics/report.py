@@ -1,16 +1,15 @@
 """End-of-run observability reports: text rendering and the JSON dump.
 
-The JSON schema (version ``repro-metrics/1``) consumed by
+The JSON schema (version ``repro-metrics/2``) consumed by
 ``bench_results/*.metrics.json``::
 
     {
-      "schema": "repro-metrics/1",
+      "schema": "repro-metrics/2",
       "counters":   {"<layer>.<name>": int, ...},
-      "gauges":     {"<layer>.<name>": float, ...},
       "histograms": {"<layer>.<name>": {"count": int, "mean": float,
                                         "p50": float, "p95": float,
                                         "p99": float, "min": float,
-                                        "max": float, "reservoir": int}},
+                                        "max": float}},
       "layers":     {"<layer>": {"<name>": int, ...}},   # counters regrouped
       "flight_recorder": {"enabled": bool, "capacity": int, "recorded": int,
                           "buffered": int, "dropped": int,
@@ -19,9 +18,11 @@ The JSON schema (version ``repro-metrics/1``) consumed by
       "extra": {...}                                      # caller-supplied
     }
 
-``trace`` carries at most the recorder's ring capacity; ``NaN`` never
-appears (empty histograms serialize their statistics as ``null``) so the
-dump is strict-JSON parseable.
+Histogram ``count`` and ``mean`` are exact; quantiles, ``min`` and ``max``
+are log-bucket values within 1 % of the sample at their rank.  ``trace``
+carries at most the recorder's ring capacity; ``NaN`` never appears (empty
+histograms serialize their statistics as ``null``) so the dump is
+strict-JSON parseable.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import math
 import pathlib
 
-SCHEMA_VERSION = "repro-metrics/1"
+SCHEMA_VERSION = "repro-metrics/2"
 
 
 def _layer_of(name: str) -> str:
@@ -62,7 +63,6 @@ def metrics_json(registry=None, recorder=None, extra: dict | None = None) -> dic
     payload = {
         "schema": SCHEMA_VERSION,
         "counters": dict(sorted(snap["counters"].items())),
-        "gauges": dict(sorted(snap["gauges"].items())),
         "histograms": histograms,
         "layers": layers,
         "flight_recorder": recorder.summary(),
@@ -92,8 +92,6 @@ def render_report(registry=None, recorder=None) -> list[str]:
     for layer, counters in sorted(payload["layers"].items()):
         parts = "  ".join(f"{name}={value}" for name, value in sorted(counters.items()))
         lines.append(f"{layer:>8s} | {parts}")
-    for name, value in sorted(payload["gauges"].items()):
-        lines.append(f"{'gauge':>8s} | {name}={value:.6g}")
     for name, summary in sorted(payload["histograms"].items()):
         if not summary["count"]:
             continue

@@ -13,7 +13,7 @@ opens that workload space on top of the NewReno+SACK transport:
 * :func:`run_loss_sweep` — HIP vs TLS-VPN vs plain TCP goodput across a
   loss-rate sweep (tunnels established loss-free, then loss switched on, so
   the sweep measures steady-state transport behaviour, not handshake luck).
-* :func:`run_matrix` — all of the above, each emitting a repro-metrics/1
+* :func:`run_matrix` — all of the above, each emitting a repro-metrics/2
   ``metrics.json``; the CLI entry point used by CI's smoke run.
 
 Everything is seeded through :class:`~repro.sim.RngStreams`; every scenario

@@ -491,9 +491,9 @@ class Shard:
 #           F + pickled (result, counts);
 #           E, or L for a LookaheadError, + utf-8 error text
 #
-# ``counts`` are the ``(name, n)`` counter increments booked serving that
-# command, which the shard rewinds (:func:`_booked`) and the coordinator
-# commits: each is booked once, in the parent.  A failure commits none.
+# ``counts`` are the ``(key, n)`` counter and histogram increments booked
+# serving that command, which the shard rewinds (:func:`_booked`) and the
+# coordinator commits: each is booked once, in the parent.  A failure commits none.
 
 Builder = Callable[..., None]
 
@@ -503,7 +503,7 @@ _POLL_INTERVAL_S = 0.05
 
 @contextmanager
 def _booked():
-    """The block's counter increments, with METRICS rewound past them."""
+    """The block's metric increments, with METRICS rewound past them."""
     counts: list[tuple[str, int]] = []
     METRICS.mark()
     try:
@@ -686,8 +686,9 @@ class _Worker:
             for _ in range(reader.read(_STR_LEN, "count section length")[0]):
                 n, length = reader.read(_COUNT, "counter increment")
                 counts.append((reader.take(length, "counter name").decode(), n))
+                METRICS.parse(counts[-1][0])
             reader.expect_end("count section")
-        except (ShardError, UnicodeDecodeError) as exc:
+        except (ShardError, ValueError) as exc:  # UnicodeDecodeError included
             raise ShardError(
                 f"shard {self.name!r} sent a corrupt window reply: {exc}"
             ) from exc

@@ -86,6 +86,18 @@ def test_counters_divergence_is_detected_even_with_identical_trace():
     assert report.runs[0].counters_digest != report.runs[1].counters_digest
 
 
+def test_histogram_divergence_is_detected_even_with_identical_counters():
+    flip = []
+
+    def scenario():
+        flip.append(None)
+        METRICS.histogram("test.replay_latency_s").observe(0.001 * len(flip))
+
+    report = check_replay(scenario)
+    assert not report.deterministic
+    assert report.runs[0].digest == report.runs[1].digest
+
+
 def test_record_run_digests_past_ring_eviction():
     """Events evicted from the ring still contribute to the digest."""
 

@@ -1,12 +1,14 @@
 """Unit tests for the metrics registry, flight recorder and report module."""
 
+import itertools
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from repro.metrics import FlightRecorder, METRICS, MetricsRegistry, RECORDER
-from repro.metrics.registry import HISTOGRAM_RESERVOIR
 from repro.metrics.report import (
     SCHEMA_VERSION,
     metrics_json,
@@ -25,19 +27,11 @@ class TestRegistry:
         assert c.value == 6
         assert reg.counter("link.tx_packets") is c  # get-or-create
 
-    def test_gauge_set(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("sim.heap_depth")
-        g.set(17.5)
-        assert g.value == 17.5
-
     def test_cross_type_name_rejected(self):
         reg = MetricsRegistry()
         reg.counter("esp.drops")
         with pytest.raises(ValueError, match="another type"):
             reg.histogram("esp.drops")
-        with pytest.raises(ValueError, match="another type"):
-            reg.gauge("esp.drops")
 
     def test_bad_name_rejected(self):
         reg = MetricsRegistry()
@@ -45,6 +39,8 @@ class TestRegistry:
             reg.counter("")
         with pytest.raises(ValueError):
             reg.counter(" padded ")
+        with pytest.raises(ValueError):  # '#' separates a histogram's parts
+            reg.histogram("tcp.rtt_s#3")
 
     def test_reset_zeroes_in_place(self):
         """Handles bound before a reset must stay live — the instrumented
@@ -66,35 +62,90 @@ class TestRegistry:
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("a.n").inc()
-        reg.gauge("b.g").set(2.0)
         reg.histogram("c.h").observe(3.0)
         snap = reg.snapshot()
+        assert set(snap) == {"counters", "histograms"}
         assert snap["counters"] == {"a.n": 1}
-        assert snap["gauges"] == {"b.g": 2.0}
         assert snap["histograms"]["c.h"]["count"] == 1
 
 
+def seeded_samples(seed: int = 5, n: int = 5000) -> list[float]:
+    """Log-uniform samples from 1 us to 10 s, plus some 0.0 samples."""
+    rng = random.Random(seed)
+    samples = [10 ** rng.uniform(-6, 1) for _ in range(n)] + [0.0] * 40
+    rng.shuffle(samples)
+    return samples
+
+
+def split_registries(samples: list[float], parts: int) -> list[list]:
+    """Each registry's increments for one slice of ``samples``, taken the way
+    a shard's reply takes them: ``mark()``, observe, ``rewind()``."""
+    increments = []
+    for part in range(parts):
+        reg = MetricsRegistry()
+        hist = reg.histogram("t.lat")
+        hist.observe(1.0)  # state before the mark stays behind
+        reg.mark()
+        for value in samples[part::parts]:
+            hist.observe(value)
+        increments.append(reg.rewind())
+        assert hist.count == 1 and hist.total_ns == 10**9
+    return increments
+
+
 class TestHistogram:
-    def test_percentiles_interpolate(self):
+    def test_quantiles_within_one_percent_of_their_rank(self):
         reg = MetricsRegistry()
         h = reg.histogram("t.lat")
-        for v in range(1, 101):  # 1..100
-            h.observe(float(v))
-        assert h.percentile(50) == pytest.approx(50.5)
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 100.0
-        assert h.percentile(99) == pytest.approx(99.01)
-        assert h.mean == pytest.approx(50.5)
-        assert h.minimum == 1.0 and h.maximum == 100.0
+        samples = seeded_samples()
+        for v in samples:
+            h.observe(v)
+        ordered = sorted(samples)
+        n = len(ordered)
+        summary = h.summary()
+        assert summary["count"] == n
+        exact_mean = sum(map(Fraction, samples)) / n
+        assert abs(Fraction(summary["mean"]) - exact_mean) <= Fraction(1, 10**9)
+        for key, p in (("min", 0), ("p50", 50), ("p95", 95), ("p99", 99), ("max", 100)):
+            r = p / 100 * (n - 1)
+            at_rank = {ordered[math.floor(r)], ordered[math.ceil(r)]}
+            assert any(
+                abs(summary[key] - x) <= 0.01 * x for x in at_rank
+            ), (key, summary[key], at_rank)
+        assert summary["min"] == 0.0
+        assert summary["max"] == pytest.approx(max(samples), rel=0.01)
+
+    def test_split_streams_commit_to_one_summary_in_any_order(self):
+        samples = seeded_samples(seed=9, n=600)
+        whole = MetricsRegistry()
+        for v in samples:
+            whole.histogram("t.lat").observe(v)
+        expected = whole.snapshot()["histograms"]
+        increments = split_registries(samples, 3)
+        for order in itertools.permutations(increments):
+            merged = MetricsRegistry()
+            for moved in order:
+                merged.commit(moved)
+            assert merged.snapshot()["histograms"] == expected
+            assert merged.histogram("t.lat").buckets == whole.histogram("t.lat").buckets
+
+    def test_malformed_or_cross_kind_key_commits_nothing(self):
+        reg = MetricsRegistry()
+        reg.counter("link.tx_packets")
+        for key in ("t.lat#x", "t.lat#", "#3", "t.lat#3#4", "link.tx_packets#3"):
+            with pytest.raises(ValueError):
+                reg.commit([("t.lat#3", 1), (key, 1)])
+        assert "t.lat" not in reg.snapshot()["histograms"]
+        assert set(reg.snapshot()["counters"]) == {"link.tx_packets"}
 
     def test_single_observation(self):
         reg = MetricsRegistry()
         h = reg.histogram("t.one")
         h.observe(7.0)
-        assert h.percentile(50) == 7.0
-        assert h.percentile(99) == 7.0
         summary = h.summary()
-        assert summary["count"] == 1 and summary["p95"] == 7.0
+        assert summary["count"] == 1 and summary["mean"] == 7.0
+        for key in ("p50", "p95", "p99", "min", "max"):
+            assert summary[key] == pytest.approx(7.0, rel=0.01)
 
     def test_empty_summary_is_nan_not_crash(self):
         reg = MetricsRegistry()
@@ -103,25 +154,23 @@ class TestHistogram:
         assert math.isnan(summary["p50"])
         assert math.isnan(summary["mean"])
 
-    def test_reservoir_bounds_memory_but_not_exact_stats(self):
+    def test_buckets_bound_memory_and_cover_every_sample(self):
         reg = MetricsRegistry()
-        h = reg.histogram("t.big", capacity=10)
-        for v in range(100):
+        h = reg.histogram("t.big")
+        for v in range(100_000):
             h.observe(float(v))
-        assert h.count == 100  # exact
-        assert h.maximum == 99.0  # exact
-        assert len(h._values) == 10  # percentile reservoir is bounded
-        # Deterministic first-N reservoir: percentiles reflect the first 10.
-        assert h.percentile(100) == 9.0
+        assert h.count == 100_000  # exact
+        assert len(h.buckets) < 600  # one per 2 % of range, not per sample
+        summary = h.summary()
+        assert summary["p50"] == pytest.approx(49_999.0, rel=0.01)
+        assert summary["max"] == pytest.approx(99_999.0, rel=0.01)
 
-    def test_default_capacity(self):
-        reg = MetricsRegistry()
-        assert reg.histogram("t.cap").capacity == HISTOGRAM_RESERVOIR
-
-    def test_invalid_capacity(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.histogram("t.bad", capacity=0)
+    def test_negative_or_nan_sample_rejected(self):
+        h = MetricsRegistry().histogram("t.bad")
+        for value in (-1e-9, math.nan):
+            with pytest.raises(ValueError):
+                h.observe(value)
+        assert h.count == 0
 
 
 class TestFlightRecorder:
@@ -177,6 +226,19 @@ class TestFlightRecorder:
         assert not rec.enabled
         assert len(rec) == 1  # events kept, recording just stopped
 
+    def test_recording_context_restores_capacity(self):
+        rec = FlightRecorder(capacity=8)
+        with rec.recording(capacity=500):
+            for i in range(20):
+                rec.record(0.0, "a", "x", n=i)
+            assert len(rec) == 20
+        assert rec.capacity == 8 and not rec.enabled
+        assert [ev.fields["n"] for ev in rec.events()] == list(range(12, 20))
+        rec.enable()
+        for i in range(20):
+            rec.record(0.0, "a", "y")
+        assert len(rec) == 8
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
@@ -190,7 +252,6 @@ class TestReport:
         reg.counter("link.tx_packets").inc(5)
         reg.counter("link.tx_bytes").inc(5000)
         reg.counter("tcp.connects").inc(2)
-        reg.gauge("sim.depth").set(3.0)
         h = reg.histogram("tcp.rtt_s")
         for v in (0.01, 0.02, 0.03):
             h.observe(v)
@@ -202,7 +263,8 @@ class TestReport:
     def test_schema_and_layers(self):
         reg, rec = self._populated()
         payload = metrics_json(reg, rec, extra={"benchmark": "x"})
-        assert payload["schema"] == SCHEMA_VERSION
+        assert payload["schema"] == SCHEMA_VERSION == "repro-metrics/2"
+        assert "gauges" not in payload
         assert payload["layers"]["link"] == {"tx_packets": 5, "tx_bytes": 5000}
         assert payload["layers"]["tcp"] == {"connects": 2}
         assert payload["counters"]["link.tx_packets"] == 5

@@ -101,6 +101,6 @@ class TestMatrix:
             report_path = tmp_path / name / "metrics.json"
             assert report_path.is_file()
             payload = json.loads(report_path.read_text())
-            assert payload["schema"] == "repro-metrics/1"
+            assert payload["schema"] == "repro-metrics/2"
             assert payload["extra"] == result
             assert payload["extra"] == golden["scenarios"][name], name

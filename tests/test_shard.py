@@ -865,8 +865,9 @@ def test_envelope_frame_cut_short_or_overdeclared_is_a_shard_error():
 
 def test_window_reply_counts_cut_short_overdeclared_or_not_utf8_is_a_shard_error():
     """The count section ending a window reply: cut at any byte, declaring
-    more than it carries, trailing bytes, or a name that is not utf-8 all
-    end in a ShardError naming the shard."""
+    more than it carries, trailing bytes, a name that is not utf-8, or a
+    histogram key that does not parse all end in a ShardError naming the
+    shard, never a new counter."""
     sharded = ShardedSimulation(echo_builders(), 42)
     worker = sharded.workers["left"]
     try:
@@ -899,6 +900,12 @@ def test_window_reply_counts_cut_short_overdeclared_or_not_utf8_is_a_shard_error
             collect(reply + b"\0")
         with pytest.raises(ShardError, match="shard 'left' .*utf-8"):
             collect(reply[:name_at] + b"\xff" + reply[name_at + 1 :])
+        # A histogram increment's key must parse: a bucket index or "ns".
+        for key in (b"tcp.rtt_s#x", b"tcp.rtt_s#", b"#5", b"link.tx_packets#5"):
+            junk = struct.pack("<H", 1) + struct.pack("<qH", 1, len(key)) + key
+            with pytest.raises(ShardError, match="shard 'left' .*metric"):
+                collect(reply[:counts_at] + junk)
+            assert key.decode() not in {c.name for c in METRICS.counters()}
     finally:
         sharded._stop_workers()
 
@@ -923,8 +930,8 @@ def test_envelope_frame_interns_strings():
 def test_scale_scenario_sharded_matches_monolithic():
     """The RUBiS scale scenario: per-zone stats from the sharded build must
     equal the monolithic twin's bit-for-bit (same RNG namespaces, same
-    zone-local event order), and so must every METRICS counter, inline and
-    forked alike."""
+    zone-local event order), and so must every METRICS counter and every
+    histogram summary, inline and forked alike."""
     from repro.scenarios.rubis_scale import (
         ScaleParams,
         build_scale_monolithic,
@@ -948,12 +955,24 @@ def test_scale_scenario_sharded_matches_monolithic():
         sim.close()
         return mono_res
 
-    (sharded, shard_res), inline_counts = booked(lambda: sharded_run(False))
-    (_, forked_res), forked_counts = booked(lambda: sharded_run(True))
-    mono_res, mono_counts = booked(monolithic_run)
+    def observed(run):
+        """``booked(run)`` plus the summary of every histogram ``run`` fed."""
+        METRICS.reset()
+        result = booked(run)
+        hists = METRICS.snapshot()["histograms"].items()
+        return (*result, {name: s for name, s in hists if s["count"]})
+
+    (sharded, shard_res), inline_counts, inline_hists = observed(
+        lambda: sharded_run(False)
+    )
+    (_, forked_res), forked_counts, forked_hists = observed(lambda: sharded_run(True))
+    mono_res, mono_counts, mono_hists = observed(monolithic_run)
 
     assert shard_res == forked_res == mono_res
     assert inline_counts == forked_counts
+    assert inline_hists == forked_hists == mono_hists
+    assert inline_hists["tcp.rtt_s"]["count"] > 0
+    assert inline_hists["proxy.request_s"]["count"] > 0
     # sim.steps counts heap pops, and a sharded run's barriers settle dead
     # entries through peek_live(), which pops them without counting a step.
     def booked_by_the_model(counts):

@@ -2,7 +2,7 @@
 
 Run standalone with ``pytest -m smoke``; it also rides in the default
 collection.  One second of simulated closed-loop load against the smallest
-deployment, flight recorder enabled, then the ``repro-metrics/1`` report is
+deployment, flight recorder enabled, then the ``repro-metrics/2`` report is
 checked for well-formedness and the per-layer counts for plausibility.
 """
 
