@@ -7,8 +7,12 @@ server with query cache (:mod:`~repro.apps.database`, MySQL's role); the
 RUBiS-like auction workload (:mod:`~repro.apps.rubis`); closed- and
 open-loop load generators (:mod:`~repro.apps.workload`, jmeter/httperf's
 roles); and bulk TCP measurement (:mod:`~repro.apps.iperf`).
+
+Each reads its connections with the primitives of
+:class:`~repro.net.tcp.TcpConnection` (``recv_bytes``, ``read_until``,
+``recv``, ``consume``) and writes with ``TcpConnection.write``.  The same
+code runs in all three security scenarios of the paper: ``basic`` is plain
+TCP, while ``hip`` and ``ssl`` address the peer by LSI/HIT or tunnel
+address, and the node's HIP daemon or SSL-VPN daemon protects the packets
+below TCP without the application knowing.
 """
-
-from repro.apps.streams import BufferedReader, StreamClosed
-
-__all__ = ["BufferedReader", "StreamClosed"]

@@ -25,7 +25,6 @@ import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
-from repro.apps.streams import BufferedReader, StreamClosed
 from repro.net.packet import VirtualPayload
 from repro.net.tcp import TcpConnection, TcpError, TcpStack
 from repro.net.wire import U32, WireReader
@@ -127,17 +126,16 @@ class DbServer:
             self.sim.process(self._serve_conn(conn), name=f"db-conn-{self.node.name}")
 
     def _serve_conn(self, conn: TcpConnection) -> Generator:
-        reader = BufferedReader(conn)
         try:
             while True:
-                head = yield from reader.read_exactly(4)
+                head = yield from conn.recv_bytes(4)
                 if isinstance(head, VirtualPayload):
                     break
-                raw = yield from reader.read_exactly(parse_request_head(head))
+                raw = yield from conn.recv_bytes(parse_request_head(head))
                 if isinstance(raw, VirtualPayload):
                     break
                 yield from self._execute(conn, bytes(raw))
-        except (StreamClosed, TcpError):
+        except TcpError:
             return
 
     def _execute(self, conn: TcpConnection, raw: bytes) -> Generator:
@@ -210,30 +208,29 @@ class DbClient:
         self.tcp = tcp
         self.addr = addr
         self.port = port
-        self._reader: BufferedReader | None = None
+        self._conn: TcpConnection | None = None
 
     def connect(self) -> Generator:
-        conn = yield self.sim.process(self.tcp.open_connection(self.addr, self.port))
-        self._reader = BufferedReader(conn)
+        self._conn = yield self.sim.process(self.tcp.open_connection(self.addr, self.port))
 
     def query(self, query: Query) -> Generator:
         """Process-generator: one round trip; returns (rows, result_bytes)."""
-        if self._reader is None:
+        if self._conn is None:
             yield from self.connect()
         raw = query.to_wire()
-        self._reader.conn.write(U32.pack(len(raw)) + raw)
-        head = yield from self._reader.read_exactly(9)
+        self._conn.write(U32.pack(len(raw)) + raw)
+        head = yield from self._conn.recv_bytes(9)
         status, rows, result_bytes = parse_response_head(head)
         if status != 0:
             raise QueryError(f"server rejected query {query}")
         if result_bytes:
-            yield from self._reader.read_exactly(result_bytes)
+            yield from self._conn.recv_bytes(result_bytes)
         return rows, result_bytes
 
     def close(self) -> None:
-        if self._reader is not None:
-            self._reader.conn.close()
-            self._reader = None
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
 
 _RESPONSE_HEAD = struct.Struct(">BII")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator
 
-from repro.apps.streams import BufferedReader
 from repro.net.packet import VirtualPayload
 from repro.net.tcp import TcpConnection
 
@@ -91,35 +90,35 @@ def _content_length(headers: dict[str, str]) -> int:
     return int(value)
 
 
-def _read_message(reader: BufferedReader) -> Generator:
+def _read_message(conn: TcpConnection) -> Generator:
     """Process-generator: one head and its body; returns (start, headers, body).
 
     Every way the bytes can be malformed raises :class:`HttpError`.
     """
     try:
-        raw = yield from reader.read_until(CRLF + CRLF)
+        raw = yield from conn.read_until(CRLF + CRLF)
     except ValueError as exc:  # past the 64 KiB head limit, or a virtual chunk in it
         raise HttpError(str(exc)) from exc
     start, headers = _parse_head(raw[:-4])
     length = _content_length(headers)
     body: bytes | VirtualPayload = b""
     if length:
-        body = yield from reader.read_exactly(length)
+        body = yield from conn.recv_bytes(length)
     return start, headers, body
 
 
-def read_request(reader: BufferedReader) -> Generator:
+def read_request(conn: TcpConnection) -> Generator:
     """Process-generator: parse one request; returns HttpRequest."""
-    start, headers, body = yield from _read_message(reader)
+    start, headers, body = yield from _read_message(conn)
     if len(start) != 3:
         raise HttpError(f"malformed request line {start!r}")
     method, path, _version = start
     return HttpRequest(method=method, path=path, headers=headers, body=body)
 
 
-def read_response(reader: BufferedReader) -> Generator:
+def read_response(conn: TcpConnection) -> Generator:
     """Process-generator: parse one response; returns HttpResponse."""
-    start, headers, body = yield from _read_message(reader)
+    start, headers, body = yield from _read_message(conn)
     if len(start) < 2 or not start[1].isdigit():
         raise HttpError(f"malformed status line {start!r}")
     reason = " ".join(start[2:]) if len(start) > 2 else ""

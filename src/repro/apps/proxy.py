@@ -34,7 +34,6 @@ from repro.apps.http import (
     write_request,
     write_response,
 )
-from repro.apps.streams import BufferedReader, StreamClosed
 from repro.metrics import METRICS, RECORDER
 from repro.net.tcp import TcpConnection, TcpError, TcpStack
 from repro.sim.resources import Queue
@@ -69,7 +68,6 @@ class Backend:
 @dataclass
 class _Upstream:
     conn: TcpConnection
-    reader: BufferedReader
     backend: Backend
 
 
@@ -163,7 +161,7 @@ class ReverseProxy:
         conn = yield self.sim.process(
             self.tcp.open_connection(backend.addr, backend.port)
         )
-        return _Upstream(conn=conn, reader=BufferedReader(conn), backend=backend)
+        return _Upstream(conn=conn, backend=backend)
 
     def _release_upstream(self, upstream: _Upstream, broken: bool) -> None:
         if RECORDER.enabled:
@@ -184,22 +182,20 @@ class ReverseProxy:
             self.sim.process(self._serve_client(conn), name=f"proxy-conn-{self.node.name}")
 
     def _serve_client(self, conn) -> Generator:
-        reader = BufferedReader(conn)
         try:
             while True:
                 try:
-                    request = yield from read_request(reader)
+                    request = yield from read_request(conn)
                 except HttpError:
                     self.stats.client_errors += 1
                     _CLIENT_ERRORS.inc()
                     return
-                except (StreamClosed, TcpError):
+                except TcpError:
                     # A close between requests is the normal end of a
-                    # keep-alive session, not a client error.  Bytes already
-                    # buffered mean the peer died mid-request-head.  (A close
-                    # mid-body with an empty buffer still looks graceful;
-                    # acceptable for the GET-only workloads simulated here.)
-                    if reader.pending:
+                    # keep-alive session, not a client error.  A failed read
+                    # leaves the bytes it took buffered, so bytes in ``rx``
+                    # mean the peer died mid-request.
+                    if len(conn.rx):
                         self.stats.client_errors += 1
                         _CLIENT_ERRORS.inc()
                     return
@@ -221,7 +217,7 @@ class ReverseProxy:
                         continue
                     yield from self.node.cpu_work(PROXY_CPU_PER_BYTE * len(response.body))
                     write_response(conn, response)
-                except (StreamClosed, TcpError):
+                except TcpError:
                     self.stats.client_errors += 1
                     _CLIENT_ERRORS.inc()
                     return
@@ -240,8 +236,8 @@ class ReverseProxy:
                 try:
                     upstream = yield from self._open_upstream(backend)
                     write_request(upstream.conn, request)
-                    response = yield from read_response(upstream.reader)
-                except (StreamClosed, TcpError, HttpError):
+                    response = yield from read_response(upstream.conn)
+                except (TcpError, HttpError):
                     return None
                 finally:
                     # Close on every exit, not just success: an upstream that
@@ -253,12 +249,12 @@ class ReverseProxy:
             for attempt in range(2):  # one retry on a stale pooled connection
                 try:
                     upstream = yield from self._acquire_upstream(backend)
-                except (StreamClosed, TcpError):
+                except TcpError:
                     return None
                 try:
                     write_request(upstream.conn, request)
-                    response = yield from read_response(upstream.reader)
-                except (StreamClosed, TcpError, HttpError):
+                    response = yield from read_response(upstream.conn)
+                except (TcpError, HttpError):
                     self._release_upstream(upstream, broken=True)
                     continue
                 self._release_upstream(upstream, broken=False)

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.apps.database import DbClient, Query, QueryError
 from repro.apps.http import HttpError, HttpResponse, read_request, write_response
-from repro.apps.streams import BufferedReader, StreamClosed
 from repro.net.packet import VirtualPayload
 from repro.net.tcp import TcpConnection, TcpError, TcpStack
 from repro.sim.resources import Queue, Resource
@@ -177,10 +176,9 @@ class RubisWebServer:
             self.sim.process(self._serve_conn(conn), name=f"web-conn-{self.node.name}")
 
     def _serve_conn(self, conn: TcpConnection) -> Generator:
-        reader = BufferedReader(conn)
         try:
             while True:
-                request = yield from read_request(reader)
+                request = yield from read_request(conn)
                 req_slot = self._workers.request()
                 yield req_slot
                 try:
@@ -190,7 +188,7 @@ class RubisWebServer:
         except HttpError:
             self.stats.errors += 1
             conn.close()
-        except (StreamClosed, TcpError):
+        except TcpError:
             return
 
     def _pressure_factor(self) -> float:
@@ -219,7 +217,7 @@ class RubisWebServer:
             for kind, table, rows in rt.queries:
                 key = request.path.partition("=")[2] or "0"
                 yield from db.query(Query(kind=kind, table=table, key=key, rows=rows))
-        except (QueryError, TcpError, StreamClosed):
+        except (QueryError, TcpError):
             db.close()
             self._db_pool.try_put(db)
             self.stats.errors += 1

@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.apps.http import HttpError, HttpRequest, read_response, write_request
 from repro.apps.rubis import pick_request, request_path
-from repro.apps.streams import BufferedReader, StreamClosed
-from repro.net.tcp import TcpError, TcpStack
+from repro.net.tcp import TcpConnection, TcpError, TcpStack
 from repro.sim.events import AnyOf, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,9 +108,9 @@ class ClosedLoopClients:
         return self.result
 
     def _client(self, index: int, stop_at: float) -> Generator:
-        reader: BufferedReader | None = None
+        conn: TcpConnection | None = None
         while self.sim.now < stop_at:
-            if reader is None:
+            if conn is None:
                 connect_started = self.sim.now
                 try:
                     conn = yield self.sim.process(
@@ -127,7 +126,6 @@ class ClosedLoopClients:
                         ))
                     yield self.sim.timeout(0.1)
                     continue
-                reader = BufferedReader(conn)
             rt = pick_request(self.rng)
             request = HttpRequest(
                 method="GET", path=request_path(rt, self.rng),
@@ -135,7 +133,7 @@ class ClosedLoopClients:
             )
             start = self.sim.now
             exchange = self.sim.process(
-                self._one_exchange(reader, request), name=f"xchg-{index}"
+                self._one_exchange(conn, request), name=f"xchg-{index}"
             )
             deadline = self.sim.timeout(self.timeout)
             winner, value = yield AnyOf(self.sim, [exchange, deadline])
@@ -149,19 +147,19 @@ class ClosedLoopClients:
                 # jmeter-style: timeout abandons the connection.
                 if exchange.is_alive:
                     exchange.interrupt("timeout")
-                reader.conn.abort()
-                reader = None
+                conn.abort()
+                conn = None
             if self.think_time:
                 yield self.sim.timeout(self.rng.expovariate(1.0 / self.think_time))
-        if reader is not None:
-            reader.conn.close()
+        if conn is not None:
+            conn.close()
 
-    def _one_exchange(self, reader: BufferedReader, request) -> Generator:
+    def _one_exchange(self, conn: TcpConnection, request) -> Generator:
         try:
-            write_request(reader.conn, request)
-            response = yield from read_response(reader)
+            write_request(conn, request)
+            response = yield from read_response(conn)
             return response.status == 200
-        except (StreamClosed, TcpError, HttpError):
+        except (TcpError, HttpError):
             return False
         except Interrupt:
             return False
@@ -243,17 +241,16 @@ class OpenLoopGenerator:
             )
         except (TcpError, Interrupt):
             return False
-        reader = BufferedReader(conn)
         request = HttpRequest(
             method="GET", path=request_path(rt, self.rng),
             headers={"Host": "rubis.example", "Connection": "close"},
         )
         try:
             write_request(conn, request)
-            response = yield from read_response(reader)
+            response = yield from read_response(conn)
             conn.close()
             return response.status == 200
-        except (StreamClosed, TcpError, HttpError):
+        except (TcpError, HttpError):
             return False
         except Interrupt:
             conn.abort()

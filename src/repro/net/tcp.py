@@ -41,7 +41,14 @@ All timers (RTO, delayed ACK, persist, pacing, fluid) are callback-lane
 
 Segments carry either real bytes (all unit tests, HTTP control traffic) or
 :class:`~repro.net.packet.VirtualPayload` sizes (bulk benchmarks), and the
-stream machinery is agnostic between them.
+stream machinery is agnostic between them.  Bursts, pacing ticks and
+zero-window probes all send through ``_send_next``: new data, else the FIN.
+
+Applications read through the one receive buffer, ``rx``, with
+:meth:`~TcpConnection.recv`, :meth:`~TcpConnection.recv_bytes`,
+:meth:`~TcpConnection.read_until` or :meth:`~TcpConnection.consume`; bytes
+not yet read wait there in order, whichever reads next.  EOF is sticky: once
+the ``b""`` marker is read, every read raises :class:`StreamClosed`.
 """
 
 from __future__ import annotations
@@ -106,6 +113,10 @@ _EMPTY_SACK: tuple = ()
 
 class TcpError(Exception):
     """Connection-level failure (reset, timeout, closed)."""
+
+
+class StreamClosed(TcpError):
+    """A read found the receive stream ended (by the peer's FIN or a reset)."""
 
 
 def _slice_payload(payload: Payload, start: int, length: int) -> Payload:
@@ -180,14 +191,12 @@ class TcpConnection:
         # Pacing: spread segments at cwnd/srtt through the callback lane
         # instead of bursting the whole window per ACK.
         self.pacing = pacing
-        self._pace_armed = False
-        self._pace_timer = None  # TimerHandle
+        self._pace_timer = None  # TimerHandle; active while draining the buffer
         # Bulk senders cut identical VirtualPayload slices (one
         # MSS each) for thousands of segments in a row; VirtualPayload is
         # immutable, so the last one is shared while (size, tag) repeats.
         self._vp_cache = VirtualPayload(0)
-        self._fin_queued = False
-        self._fin_seq: int | None = None
+        self._fin_seq: int | None = None  # our FIN's sequence once close() queued it
         # Fluid fast-forward (flow-level bulk mode); see the module docstring.
         self.fluid = fluid
         # The competing-flow guard exits fluid mode when either endpoint's
@@ -235,11 +244,14 @@ class TcpConnection:
         self.recv_window = recv_window
         self.rcv_nxt = 0
         self.ooo: dict[int, tuple[Payload, bool]] = {}  # seq -> (payload, fin)
+        #: The one receive buffer: chunks delivered but not yet read, in order.
         self.rx = Queue(self.sim)
         #: Where in-order stream data and the ``b""`` EOF marker go: the rx
         #: queue's put, or the sink installed by :meth:`consume`.
         self._deliver: Callable[[Payload], object] = self.rx.try_put
-        self._leftover: Payload | None = None  # partial chunk from recv_bytes
+        #: Chunks at the head of ``rx`` that a read already waited for (the
+        #: rest of a split chunk): the next read takes them without waiting.
+        self._held = 0
         self._peer_fin_seen = False
         # Delayed ACKs (RFC 1122): ack every 2nd in-order segment, or after
         # the delayed-ack timer.
@@ -274,7 +286,7 @@ class TcpConnection:
         """Queue application data on the stream."""
         if self.state not in ("ESTABLISHED", "SYN_SENT", "SYN_RCVD"):
             raise TcpError(f"write on {self.state} connection")
-        if self._fin_queued:
+        if self._fin_seq is not None:
             raise TcpError("write after close")
         n = len(payload)
         if n == 0:
@@ -285,72 +297,113 @@ class TcpConnection:
             self._pump()
 
     def recv(self):
-        """Event yielding the next in-order chunk (``b""`` signals EOF)."""
+        """Event yielding the next in-order chunk (``b""`` signals EOF);
+        raises :class:`StreamClosed` once that marker has been read."""
         if self._deliver != self.rx.try_put:
             raise TcpError("recv() on a stream handed to consume()")
+        if self._held:
+            self._held -= 1  # rx.get() hands the held head back
+        elif not self.rx and (self._peer_fin_seen or self.state == "CLOSED"):
+            raise self._stream_closed()
         return self.rx.get()
 
     def consume(self, fn: Callable[[Payload], object]) -> None:
         """Hand the receive stream to ``fn`` instead of the rx queue.
 
-        Chunks already queued (a partial chunk kept by :meth:`recv_bytes`
-        first) go to ``fn`` now, in order.  From then on every in-order
-        chunk, and the ``b""`` EOF marker, goes to ``fn`` inline at
-        delivery: no process wakes per chunk.  ``fn`` runs inside the
-        delivery, so it must schedule nothing per chunk — it is for sinks
+        Chunks still buffered go to ``fn`` now, in order.  From then on
+        every in-order chunk, and the ``b""`` EOF marker, goes to ``fn``
+        inline at delivery: no process wakes per chunk.  ``fn`` runs inside
+        the delivery, so it must schedule nothing per chunk — it is for sinks
         whose per-chunk work is local accounting.  After this, :meth:`recv`
         raises :class:`TcpError`; the connection must have no waiting reader.
         """
         if self._deliver != self.rx.try_put:
             raise TcpError("consume() on a stream already handed to consume()")
-        if self._leftover is not None:
-            chunk, self._leftover = self._leftover, None
-            fn(chunk)
         ok, chunk = self.rx.try_get()
         while ok:
             fn(chunk)
             ok, chunk = self.rx.try_get()
+        self._held = 0
         self._deliver = fn
 
     def recv_bytes(self, n: int) -> Generator:
-        """Process-generator: accumulate exactly ``n`` stream bytes.
+        """Process-generator: read exactly ``n`` stream bytes.
 
-        Consumes partial chunks (the remainder is buffered for the next
-        read).  Returns real bytes if every consumed piece was real, else a
-        VirtualPayload of the total.  Raises TcpError on EOF before ``n``.
+        Returns real bytes if every piece read was real, else a
+        VirtualPayload of ``n``.  Raises :class:`StreamClosed` at EOF before
+        ``n``, leaving the bytes it took buffered.
         """
+        parts: list = []
         got = 0
-        real_parts: list[bytes] = []
-        all_real = True
         while got < n:
-            if self._leftover is not None:
-                chunk, self._leftover = self._leftover, None
-            else:
-                chunk = yield self.recv()
-            if isinstance(chunk, (bytes, bytearray)) and len(chunk) == 0:
-                raise TcpError(f"EOF after {got}/{n} bytes")
-            take = min(len(chunk), n - got)
-            if take < len(chunk):
-                if isinstance(chunk, VirtualPayload):
-                    self._leftover = VirtualPayload(len(chunk) - take, tag=chunk.tag)
-                    chunk = VirtualPayload(take, tag=chunk.tag)
-                else:
-                    self._leftover = bytes(chunk[take:])
-                    chunk = bytes(chunk[:take])
-            got += take
+            try:
+                chunk = yield from self._next_chunk()
+            except StreamClosed:
+                self._unread(parts)
+                raise
+            size = len(chunk)
+            if size > n - got:
+                self._unread([_slice_payload(chunk, n - got, size - n + got)])
+                size = n - got
+                chunk = _slice_payload(chunk, 0, size)
+            parts.append(chunk)
+            got += size
+        if any(isinstance(part, VirtualPayload) for part in parts):
+            return VirtualPayload(size=n)
+        return b"".join(parts)
+
+    def read_until(self, delim: bytes, max_bytes: int = 65536) -> Generator:
+        """Process-generator: read the real bytes through ``delim`` (included).
+
+        Raises ValueError if ``delim`` is not within ``max_bytes`` or a
+        virtual chunk comes before it, and :class:`StreamClosed` at EOF;
+        either way the bytes it took stay buffered.
+        """
+        head = b""
+        while True:
+            try:
+                chunk = yield from self._next_chunk()
+            except StreamClosed:
+                self._unread([head])
+                raise
             if isinstance(chunk, VirtualPayload):
-                all_real = False
-            else:
-                real_parts.append(bytes(chunk))
-        if all_real:
-            return b"".join(real_parts)
-        return VirtualPayload(size=n)
+                self._unread([head, chunk])
+                raise ValueError("virtual payload encountered while scanning for delimiter")
+            head += chunk
+            end = head.find(delim)
+            if end >= 0:
+                end += len(delim)
+                self._unread([head[end:]])
+                return head[:end]
+            if len(head) > max_bytes:
+                self._unread([head])
+                raise ValueError(f"delimiter not found within {max_bytes} bytes")
+
+    def _next_chunk(self) -> Generator:
+        """Process-generator: the next chunk, a held one without waiting."""
+        if self._held:
+            self._held -= 1
+            return self.rx._items.popleft()
+        chunk = yield self.recv()
+        if isinstance(chunk, (bytes, bytearray)) and not chunk:
+            raise self._stream_closed()
+        return chunk
+
+    def _unread(self, chunks: list) -> None:
+        """Put ``chunks`` back at the head of the buffer, held, in order."""
+        for chunk in reversed(chunks):
+            if len(chunk):
+                self.rx._items.appendleft(chunk)
+                self._held += 1
+
+    def _stream_closed(self) -> StreamClosed:
+        error = self._closed_evt.value if self._closed_evt.triggered else None
+        return StreamClosed(str(error or "connection closed"))
 
     def close(self) -> None:
         """Half-close: queue a FIN after any pending data."""
-        if self._fin_queued or self.state in ("CLOSED",):
+        if self._fin_seq is not None or self.state == "CLOSED":
             return
-        self._fin_queued = True
         self._fin_seq = self.snd_buf_end
         if self.state == "ESTABLISHED":
             self._pump()
@@ -444,7 +497,7 @@ class TcpConnection:
             if (
                 not self._persist_armed
                 and self.state in ("ESTABLISHED", "FIN_WAIT")
-                and (self.snd_buf_end > self.snd_nxt or self._fin_queued)
+                and (self.snd_buf_end > self.snd_nxt or self._fin_seq is not None)
             ):
                 self._persist_start()
             return
@@ -453,36 +506,36 @@ class TcpConnection:
             # instead of bursting the whole window.  Until the first RTT
             # sample exists there is no rate to pace at — fall through and
             # burst (slow-start's first flight).
-            self._pump_paced()
+            if self._pace_timer is None or not self._pace_timer.active:
+                self._pace_send_one()
             return
         window = min(self.cwnd, self.peer_window)
-        while True:
-            available = self.snd_buf_end - self.snd_nxt
-            in_flight = self.snd_nxt - self.snd_una
-            room = window - in_flight
-            if available > 0 and room > 0:
-                seq = self.snd_nxt
-                # _gather may stop at a chunk boundary and return fewer
-                # bytes; advance by what was actually segmented.
-                payload, seg_len = self._gather(seq, min(self.mss, available, room))
-                self.snd_nxt = seq + seg_len
-                self.bytes_sent += seg_len
-                self._send_segment(_NO_FLAGS, seq, payload, seg_len, True)
-                continue
-            if (
-                self._fin_queued
-                and self._fin_seq is not None
-                and self.snd_nxt == self._fin_seq
-                and available == 0
-                and self.state == "ESTABLISHED"
-            ):
-                self.state = "FIN_WAIT"
-                seq = self.snd_nxt
-                self.snd_nxt += 1
-                self._send_segment(_FIN_FLAGS, seq, b"", 0, True)
-            break
+        while self._send_next(min(self.mss, window - (self.snd_nxt - self.snd_una))):
+            pass
         if self.snd_una < self.snd_nxt:
             self._arm_timer()
+
+    def _send_next(self, budget: int) -> bool:
+        """Send the next segment of new data, at most ``budget`` bytes, or the
+        queued FIN once every byte is out; False if there is nothing to send."""
+        seq = self.snd_nxt
+        available = self.snd_buf_end - seq
+        if available > 0:
+            if budget <= 0:
+                return False
+            # _gather stops at a chunk boundary (so never past the buffered
+            # bytes) and may return fewer; advance by what it segmented.
+            payload, seg_len = self._gather(seq, budget)
+            self.snd_nxt = seq + seg_len
+            self.bytes_sent += seg_len
+            self._send_segment(_NO_FLAGS, seq, payload, seg_len, True)
+            return True
+        if seq == self._fin_seq and self.state == "ESTABLISHED":
+            self.state = "FIN_WAIT"
+            self.snd_nxt = seq + 1
+            self._send_segment(_FIN_FLAGS, seq, b"", 0, True)
+            return True
+        return False
 
     def _gather(self, seq: int, length: int) -> tuple[Payload, int]:
         """Up to ``length`` stream bytes starting at ``seq`` from the send
@@ -500,7 +553,7 @@ class TcpConnection:
                     if vp.size != take or vp.tag != chunk.tag:
                         vp = self._vp_cache = VirtualPayload(take, chunk.tag)
                     return vp, take
-                return chunk[seq - start : seq - start + take], take
+                return _slice_payload(chunk, seq - start, take), take
         raise TcpError(f"send buffer does not cover seq {seq}")
 
     # -- zero-window persist (RFC 1122 §4.2.2.17) --------------------------------------
@@ -527,36 +580,22 @@ class TcpConnection:
             self._persist_stop()
             self._pump()
             return
-        # Probe: one byte of new data past the window edge.  The probe is a
-        # real segment (registered in flight) — the elicited ACK carries the
-        # peer's current window, and if the window opened the byte is simply
-        # the first byte of the resumed stream.
-        if self.snd_buf_end > self.snd_nxt:
-            seq = self.snd_nxt
-            payload, seg_len = self._gather(seq, 1)
-            self.snd_nxt = seq + seg_len
-            self.bytes_sent += seg_len
-            self.zero_window_probes += 1
-            _ZW_PROBES.inc()
-            if RECORDER.enabled:
-                RECORDER.record(
-                    self.sim.now, "tcp", "zero_window_probe",
-                    node=self.node.name, seq=seq,
-                )
-            self._send_segment(_NO_FLAGS, seq, payload, seg_len, True)
-            self._arm_timer()
-        elif self._fin_queued and self._fin_seq is not None and self.snd_nxt == self._fin_seq:
-            # No data left — probe with the FIN itself.
-            self.state = "FIN_WAIT"
-            seq = self.snd_nxt
-            self.snd_nxt += 1
-            self.zero_window_probes += 1
-            _ZW_PROBES.inc()
-            self._send_segment(_FIN_FLAGS, seq, b"", 0, True)
-            self._arm_timer()
-        else:
+        # Probe: one byte of new data past the window edge, or the FIN once
+        # no data is left.  The probe is a real segment (registered in
+        # flight) — the elicited ACK carries the peer's current window, and
+        # if the window opened the byte is simply the first byte of the
+        # resumed stream.
+        if RECORDER.enabled and self.snd_buf_end > self.snd_nxt:
+            RECORDER.record(
+                self.sim.now, "tcp", "zero_window_probe",
+                node=self.node.name, seq=self.snd_nxt,
+            )
+        if not self._send_next(1):
             self._persist_stop()
             return
+        self.zero_window_probes += 1
+        _ZW_PROBES.inc()
+        self._arm_timer()
         self._persist_backoff = min(self._persist_backoff * 2, PERSIST_MAX)
         self._persist_rearm(self._persist_backoff)
 
@@ -569,64 +608,24 @@ class TcpConnection:
             self._persist_timer.cancel()
 
     # -- paced transmission ------------------------------------------------------------
-    def _pace_interval(self) -> float:
-        # One segment every srtt/(cwnd/mss): the window spread over an RTT.
-        return self.srtt * self.mss / max(self.cwnd, self.mss)
-
-    def _pump_paced(self) -> None:
-        if self._pace_armed:
-            return  # timer already draining the buffer
-        self._pace_send_one()
-
     def _pace_send_one(self) -> None:
         """Send at most one segment, then rearm the pacing timer if more remain."""
-        self._pace_armed = False
         if self.state not in ("ESTABLISHED", "FIN_WAIT") or self.peer_window == 0:
             if self.peer_window == 0:
                 self._pump()  # route through the persist logic
             return
         window = min(self.cwnd, self.peer_window)
-        available = self.snd_buf_end - self.snd_nxt
-        in_flight = self.snd_nxt - self.snd_una
-        room = window - in_flight
-        if available > 0 and room > 0:
-            seq = self.snd_nxt
-            payload, seg_len = self._gather(seq, min(self.mss, available, room))
-            self.snd_nxt = seq + seg_len
-            self.bytes_sent += seg_len
-            self._send_segment(_NO_FLAGS, seq, payload, seg_len, True)
+        if self._send_next(min(self.mss, window - (self.snd_nxt - self.snd_una))):
             self._arm_timer()
             if self.snd_buf_end > self.snd_nxt:
-                self._pace_armed = True
-                self._pace_rearm(self._pace_interval())
-            return
-        if (
-            self._fin_queued
-            and self._fin_seq is not None
-            and self.snd_nxt == self._fin_seq
-            and available == 0
-            and self.state == "ESTABLISHED"
-        ):
-            self.state = "FIN_WAIT"
-            seq = self.snd_nxt
-            self.snd_nxt += 1
-            self._send_segment(_FIN_FLAGS, seq, b"", 0, True)
-            self._arm_timer()
-
-    def _pace_rearm(self, delay: float) -> None:
-        handle = self._pace_timer
-        if handle is None:
-            self._pace_timer = self.sim.call_later(
-                delay, TcpConnection._pace_fired, self
-            )
-        else:
-            handle.rearm(delay)
-
-    def _pace_fired(self) -> None:
-        if not self._pace_armed or self.state == "CLOSED":
-            self._pace_armed = False
-            return
-        self._pace_send_one()
+                # One segment every srtt/(cwnd/mss): the window spread over an RTT.
+                delay = self.srtt * self.mss / max(self.cwnd, self.mss)
+                if self._pace_timer is None:
+                    self._pace_timer = self.sim.call_later(
+                        delay, TcpConnection._pace_send_one, self
+                    )
+                else:
+                    self._pace_timer.rearm(delay)
 
     # -- timers -----------------------------------------------------------------------
     def _arm_timer(self) -> None:
@@ -821,7 +820,7 @@ class TcpConnection:
                 self._fluid_clean += acked
             if self.snd_una >= self.snd_nxt:
                 self._cancel_timer()  # everything acked
-                if self.state == "FIN_WAIT" and self._fin_seq is not None and ack > self._fin_seq:
+                if self.state == "FIN_WAIT" and ack > self._fin_seq:
                     self._maybe_finish()
             else:
                 self._arm_timer()
@@ -1366,10 +1365,8 @@ class TcpConnection:
 
     def _maybe_finish(self) -> None:
         """Close fully once our FIN is acked and the peer's FIN arrived."""
-        ours_done = (
-            self._fin_seq is not None and self.snd_una > self._fin_seq
-        ) or not self._fin_queued
-        if self._peer_fin_seen and self._fin_queued and ours_done:
+        fin_seq = self._fin_seq
+        if self._peer_fin_seen and fin_seq is not None and self.snd_una > fin_seq:
             self._teardown(None)
 
     def _teardown(self, error: TcpError | None) -> None:
@@ -1383,7 +1380,6 @@ class TcpConnection:
             self._delack_handle.cancel()
             self._delack_timer_armed = False
         self._persist_stop()
-        self._pace_armed = False
         if self._pace_timer is not None:
             self._pace_timer.cancel()
         if self._fluid_timer is not None:
@@ -1413,8 +1409,8 @@ class TcpConnection:
             self._established_evt.fail(error or TcpError("closed before established"))
         if not self._closed_evt.triggered:
             self._closed_evt.succeed(error)
-        if error is not None:
-            self._deliver(b"")  # unblock readers with EOF
+        if error is not None and not self._peer_fin_seen:
+            self._deliver(b"")  # unblock readers with EOF (the stream ends once)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -55,7 +55,6 @@ from repro.apps.http import (
 )
 from repro.apps.proxy import Backend, ReverseProxy
 from repro.apps.rubis import RubisWebServer, pick_scale_request, request_path
-from repro.apps.streams import BufferedReader, StreamClosed
 from repro.cloud.datacenter import DatacenterParams, Internet
 from repro.cloud.iaas import PublicCloud
 from repro.cloud.tenant import SpreadPlacement, Tenant
@@ -285,11 +284,11 @@ def _media_accept_loop(sim, stats: ZoneStats, listener, p: ScaleParams) -> Gener
 def _media_serve(stats: ZoneStats, conn, p: ScaleParams) -> Generator:
     """Read the one-line request, push the blob, wait for the client's FIN."""
     try:
-        request = yield conn.rx.get()
+        request = yield conn.recv()
         if request:
             conn.write(VirtualPayload(p.media_bytes, tag="media"))
             while True:
-                chunk = yield conn.rx.get()
+                chunk = yield conn.recv()
                 if not chunk:
                     break
         conn.close()
@@ -316,7 +315,6 @@ def _client_loop(
             stats.errors += 1
             yield sim.timeout(0.2)
             continue
-        reader = BufferedReader(conn)
         try:
             while True:
                 rt = pick_scale_request(rng)
@@ -324,7 +322,7 @@ def _client_loop(
                     "GET", request_path(rt, rng), headers={"Host": "rubis"}
                 )
                 write_request(conn, request)
-                response = yield from read_response(reader)
+                response = yield from read_response(conn)
                 if response.status == 200:
                     stats.api_sessions += 1
                 else:
@@ -333,7 +331,7 @@ def _client_loop(
                     yield from _fetch_media(sim, stats, tcp, media_addr, p)
                 if p.think_time > 0.0:
                     yield sim.timeout(rng.expovariate(1.0 / p.think_time))
-        except (TcpError, StreamClosed, HttpError):
+        except (TcpError, HttpError):
             stats.errors += 1
             conn.abort()
             yield sim.timeout(0.1)
@@ -351,7 +349,7 @@ def _fetch_media(sim, stats: ZoneStats, tcp: TcpStack, media_addr, p) -> Generat
         conn.write(b"GET /media HTTP/1.0\r\n\r\n")
         got = 0
         while got < p.media_bytes:
-            chunk = yield conn.rx.get()
+            chunk = yield conn.recv()
             if not chunk:
                 stats.errors += 1
                 conn.abort()
@@ -364,7 +362,7 @@ def _fetch_media(sim, stats: ZoneStats, tcp: TcpStack, media_addr, p) -> Generat
         stats.media_bytes += got
         conn.close()
         while True:  # drain to EOF so both FINs complete the teardown
-            chunk = yield conn.rx.get()
+            chunk = yield conn.recv()
             if not chunk:
                 break
     except TcpError:

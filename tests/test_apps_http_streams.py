@@ -11,10 +11,9 @@ from repro.apps.http import (
     write_request,
     write_response,
 )
-from repro.apps.streams import BufferedReader, StreamClosed
 from repro.net.addresses import ipv4
 from repro.net.packet import VirtualPayload
-from repro.net.tcp import TcpStack
+from repro.net.tcp import StreamClosed, TcpStack
 from repro.net.topology import lan_pair
 
 B = ipv4("10.0.0.2")
@@ -44,15 +43,14 @@ def pipe(sim):
 class TestBufferedReader:
     def test_read_until_across_chunks(self, pipe):
         sim, cli, srv = pipe
-        reader = BufferedReader(srv)
         out = {}
 
         cli.write(b"GET / HT")
         cli.write(b"TP/1.1\r\n\r\nrest")
 
         def receiver():
-            out["head"] = yield from reader.read_until(b"\r\n\r\n")
-            out["rest"] = yield from reader.read_exactly(4)
+            out["head"] = yield from srv.read_until(b"\r\n\r\n")
+            out["rest"] = yield from srv.recv_bytes(4)
 
         sim.process(receiver())
         sim.run(until=sim.now + 5)
@@ -61,7 +59,6 @@ class TestBufferedReader:
 
     def test_read_until_limit(self, pipe):
         sim, cli, srv = pipe
-        reader = BufferedReader(srv)
         out = {}
 
         for _ in range(30):
@@ -69,7 +66,7 @@ class TestBufferedReader:
 
         def receiver():
             try:
-                yield from reader.read_until(b"\r\n\r\n", max_bytes=5000)
+                yield from srv.read_until(b"\r\n\r\n", max_bytes=5000)
             except ValueError as exc:
                 out["err"] = str(exc)
 
@@ -79,7 +76,6 @@ class TestBufferedReader:
 
     def test_read_exactly_mixed_virtual(self, pipe):
         sim, cli, srv = pipe
-        reader = BufferedReader(srv)
         out = {}
 
         cli.write(b"abcd")
@@ -87,9 +83,9 @@ class TestBufferedReader:
         cli.write(b"wxyz")
 
         def receiver():
-            out["first"] = yield from reader.read_exactly(4)
-            out["mid"] = yield from reader.read_exactly(100)
-            out["last"] = yield from reader.read_exactly(4)
+            out["first"] = yield from srv.recv_bytes(4)
+            out["mid"] = yield from srv.recv_bytes(100)
+            out["last"] = yield from srv.recv_bytes(4)
 
         sim.process(receiver())
         sim.run(until=sim.now + 5)
@@ -99,14 +95,13 @@ class TestBufferedReader:
 
     def test_virtual_in_delimiter_scan_rejected(self, pipe):
         sim, cli, srv = pipe
-        reader = BufferedReader(srv)
         out = {}
 
         cli.write(VirtualPayload(50))
 
         def receiver():
             try:
-                yield from reader.read_until(b"\r\n")
+                yield from srv.read_until(b"\r\n")
             except ValueError as exc:
                 out["err"] = str(exc)
 
@@ -116,14 +111,13 @@ class TestBufferedReader:
 
     def test_stream_closed_raises(self, pipe):
         sim, cli, srv = pipe
-        reader = BufferedReader(srv)
         out = {}
 
         cli.close()
 
         def receiver():
             try:
-                yield from reader.read_exactly(10)
+                yield from srv.recv_bytes(10)
             except StreamClosed:
                 out["closed"] = True
 
@@ -148,7 +142,6 @@ class TestHttpMessages:
 
     def test_request_roundtrip_over_stream(self, pipe):
         sim, cli, srv = pipe
-        reader = BufferedReader(srv)
         out = {}
 
         write_request(
@@ -157,7 +150,7 @@ class TestHttpMessages:
         )
 
         def receiver():
-            out["req"] = yield from read_request(reader)
+            out["req"] = yield from read_request(srv)
 
         sim.process(receiver())
         sim.run(until=sim.now + 5)
@@ -167,7 +160,6 @@ class TestHttpMessages:
 
     def test_response_roundtrip_with_virtual_body(self, pipe):
         sim, cli, srv = pipe
-        reader = BufferedReader(cli)
         out = {}
 
         write_response(
@@ -176,7 +168,7 @@ class TestHttpMessages:
         )
 
         def receiver():
-            out["resp"] = yield from read_response(reader)
+            out["resp"] = yield from read_response(cli)
 
         sim.process(receiver())
         sim.run(until=sim.now + 5)
@@ -186,7 +178,6 @@ class TestHttpMessages:
 
     def test_pipelined_requests_parse_in_order(self, pipe):
         sim, cli, srv = pipe
-        reader = BufferedReader(srv)
         seen = []
 
         for i in range(3):
@@ -194,7 +185,7 @@ class TestHttpMessages:
 
         def receiver():
             for _ in range(3):
-                req = yield from read_request(reader)
+                req = yield from read_request(srv)
                 seen.append(req.path)
 
         sim.process(receiver())
@@ -203,14 +194,13 @@ class TestHttpMessages:
 
     def test_malformed_head_raises(self, pipe):
         sim, cli, srv = pipe
-        reader = BufferedReader(srv)
         out = {}
 
         cli.write(b"NOT HTTP AT ALL\r\n\r\n")
 
         def receiver():
             try:
-                yield from read_request(reader)
+                yield from read_request(srv)
             except HttpError as exc:
                 out["err"] = str(exc)
 

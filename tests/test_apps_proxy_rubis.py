@@ -13,7 +13,6 @@ from repro.apps.rubis import (
     pick_request,
     request_path,
 )
-from repro.apps.streams import BufferedReader
 from repro.net.addresses import ipv4, prefix
 from repro.net.node import Node
 from repro.net.tcp import TcpStack
@@ -58,9 +57,8 @@ def mini_site(sim):
 def http_get(sim, tcp, frontend, path, out, key="resp"):
     def flow():
         conn = yield sim.process(tcp.open_connection(frontend, 80))
-        reader = BufferedReader(conn)
         write_request(conn, HttpRequest(method="GET", path=path))
-        out[key] = yield from read_response(reader)
+        out[key] = yield from read_response(conn)
         conn.close()
 
     return sim.process(flow())
@@ -251,11 +249,10 @@ class TestRubisWebTier:
 
         def flow():
             conn = yield sim.process(tcp.open_connection(addr["proxy"], 80))
-            reader = BufferedReader(conn)
             statuses = []
             for path in ("/browse?id=1", "/user?id=2", "/bids?id=3"):
                 write_request(conn, HttpRequest(method="GET", path=path))
-                resp = yield from read_response(reader)
+                resp = yield from read_response(conn)
                 statuses.append(resp.status)
             out["statuses"] = statuses
 
@@ -279,9 +276,8 @@ class TestRubisWebTier:
 
         def flow():
             conn = yield sim.process(tcp_c.open_connection(ipv4("10.0.0.1"), 8080))
-            reader = BufferedReader(conn)
             write_request(conn, HttpRequest(method="GET", path="/browse"))
-            out["resp"] = yield from read_response(reader)
+            out["resp"] = yield from read_response(conn)
 
         sim.process(flow())
         sim.run(until=60)

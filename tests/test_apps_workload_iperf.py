@@ -69,17 +69,15 @@ class TestStats:
 def _trivial_web(sim, tcp_server):
     """A minimal HTTP responder answering every RUBiS path with 200."""
     from repro.apps.http import HttpResponse, read_request, write_response
-    from repro.apps.streams import BufferedReader, StreamClosed
     from repro.net.packet import VirtualPayload
     from repro.net.tcp import TcpError
 
     def serve_conn(conn):
-        reader = BufferedReader(conn)
         try:
             while True:
-                yield from read_request(reader)
+                yield from read_request(conn)
                 write_response(conn, HttpResponse(status=200, body=VirtualPayload(2048)))
-        except (StreamClosed, TcpError):
+        except TcpError:
             return
 
     def acceptor():

@@ -20,7 +20,6 @@ from repro.apps.http import (
     write_request,
 )
 from repro.apps.proxy import Backend, ReverseProxy
-from repro.apps.streams import BufferedReader
 from repro.net.addresses import ipv4, prefix
 from repro.net.node import Node
 from repro.net.tcp import TcpStack
@@ -55,7 +54,7 @@ def honest_get(sim, tcp, addr, port, path="/browse?id=1"):
     def flow():
         conn = yield from tcp.open_connection(addr, port)
         write_request(conn, HttpRequest("GET", path, headers={"Host": "rubis"}))
-        response = yield from read_response(BufferedReader(conn))
+        response = yield from read_response(conn)
         conn.close()
         return response.status
 
@@ -98,7 +97,7 @@ def test_every_rejection_is_an_http_error(sim, raw):
     def parse():
         conn = yield listener.accept()
         with pytest.raises(HttpError):
-            yield from read_request(BufferedReader(conn))
+            yield from read_request(conn)
         return True
 
     assert run_proc(sim, parse()) is True

@@ -6,7 +6,7 @@ from repro.net.addresses import ipv4
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.packet import VirtualPayload
-from repro.net.tcp import DEFAULT_MSS, TcpError, TcpStack
+from repro.net.tcp import DEFAULT_MSS, StreamClosed, TcpError, TcpStack
 from repro.net.topology import lan_pair
 from repro.sim import RngStreams, Simulator
 
@@ -261,6 +261,112 @@ class TestHandshakeAndData:
             sim.process(client(b"%02d" % i))
         sim.run(until=5)
         assert sorted(got) == [b"%02d" % i for i in range(5)]
+
+
+class TestReadPrimitives:
+    """Every read goes through the connection's one receive buffer."""
+
+    def test_one_buffer_serves_every_primitive_in_order(self, stacks):
+        sim, ta, tb = stacks
+        got = []
+
+        def server():
+            conn = yield tb.listen(80).accept()
+            got.append((yield from conn.read_until(b"\r\n\r\n")))  # splits chunk 1
+            got.append((yield from conn.recv_bytes(3)))  # splits what it left
+            got.append((yield conn.recv()))  # what recv_bytes left, not chunk 2
+            got.append((yield from conn.recv_bytes(2)))  # waits for chunk 2, splits it
+            yield sim.timeout(0.1)  # chunk 3 and the FIN queue meanwhile
+            conn.consume(got.append)
+
+        def client():
+            conn = yield sim.process(ta.open_connection(B, 80))
+            conn.write(b"HEAD\r\n\r\n12345")
+            yield sim.timeout(0.01)
+            conn.write(b"67890")
+            conn.write(b"xyz")
+            conn.close()
+
+        sim.process(server())
+        sim.process(client())
+        sim.run(until=5)
+        assert got == [b"HEAD\r\n\r\n", b"123", b"45", b"67", b"890", b"xyz", b""]
+
+    def test_eof_is_sticky_and_a_failed_read_keeps_its_bytes(self, stacks):
+        sim, ta, tb = stacks
+        got = {}
+
+        def server():
+            conn = yield tb.listen(80).accept()
+            with pytest.raises(StreamClosed, match="connection closed"):
+                yield from conn.recv_bytes(10)
+            failed_at = sim.now
+            got["kept"] = yield from conn.recv_bytes(5)
+            for read in (conn.recv_bytes(10), conn.read_until(b"\n")):
+                with pytest.raises(StreamClosed, match="connection closed"):
+                    yield from read
+            with pytest.raises(StreamClosed):
+                conn.recv()
+            got["waited"] = sim.now - failed_at
+
+        def client():
+            conn = yield sim.process(ta.open_connection(B, 80))
+            conn.write(b"hello")
+            conn.close()
+
+        served = sim.process(server())
+        sim.process(client())
+        sim.run(until=5)
+        assert not served.is_alive
+        assert got == {"kept": b"hello", "waited": 0.0}
+
+    def test_reset_is_named_by_every_read_after_it(self, stacks):
+        sim, ta, tb = stacks
+        errors = []
+
+        def server():
+            conn = yield tb.listen(80).accept()
+            for _ in range(2):
+                with pytest.raises(StreamClosed) as exc:
+                    yield from conn.recv_bytes(100)
+                errors.append(str(exc.value))
+
+        def client():
+            conn = yield sim.process(ta.open_connection(B, 80))
+            conn.write(b"xyz")
+            yield sim.timeout(0.05)
+            conn.abort()
+
+        sim.process(server())
+        sim.process(client())
+        sim.run(until=5)
+        assert errors == ["connection reset by peer"] * 2
+        assert issubclass(StreamClosed, TcpError)
+
+    def test_a_reset_after_the_fin_ends_the_stream_only_once(self, stacks):
+        sim, ta, tb = stacks
+        got = {}
+
+        def server():
+            conn = yield tb.listen(80).accept()
+            with pytest.raises(StreamClosed, match="connection closed"):
+                yield from conn.recv_bytes(1)
+            yield sim.timeout(0.1)  # the peer's reset lands meanwhile
+            got["buffered"] = len(conn.rx)  # no second EOF marker
+            with pytest.raises(StreamClosed) as exc:
+                conn.recv()
+            got["error"] = str(exc.value)
+
+        def client():
+            conn = yield sim.process(ta.open_connection(B, 80))
+            conn.close()
+            yield sim.timeout(0.05)
+            conn.abort()
+
+        sim.process(server())
+        sim.process(client())
+        sim.run(until=5)
+        assert got == {"buffered": 0, "error": "connection reset by peer"}
 
 
 class TestLossRecovery:

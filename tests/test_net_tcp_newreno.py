@@ -346,6 +346,24 @@ class TestZeroWindowPersist:
         assert conn.zero_window_probes == 1
         assert conn._persist_backoff == first * 2
 
+    def test_close_into_closed_window_sends_the_fin_as_the_probe(self, sim, scripted):
+        conn, peer = scripted
+        conn.write(b"x" * 200)
+        _settle(sim)
+        peer.reply(ack=201, window=0)  # all data acked, window closed
+        _settle(sim)
+        conn.close()  # nothing left but the FIN, and no window to send it in
+        _settle(sim)
+        assert conn._persist_armed and conn.snd_nxt == 201
+        first = conn._persist_backoff
+        sim.run(until=sim.now + first + 0.1)
+        assert conn.zero_window_probes == 1
+        fins = [t.seq for t, p in peer.segments if "FIN" in t.flags]
+        assert fins == [201]
+        assert (conn.state, conn.snd_nxt) == ("FIN_WAIT", 202)
+        assert conn._rto_timer.active
+        assert conn._persist_backoff == first * 2
+
     def test_zero_window_stall_and_resume_end_to_end(self, sim):
         """Receiver closes its window mid-transfer, reopens later; the
         sender must stall (not blast into the closed window), probe, and
@@ -382,6 +400,26 @@ class TestZeroWindowPersist:
 
 
 class TestPacing:
+    def test_paced_close_sends_the_fin_after_the_last_segment(self, sim, scripted):
+        conn, peer = scripted
+        conn.pacing = True
+        conn.write(b"x" * 100)  # no RTT sample yet: the first flight bursts
+        _settle(sim)
+        peer.reply(ack=101)
+        _settle(sim)
+        assert conn.srtt is not None  # paced from here on
+        conn.write(b"y" * 300)
+        conn.close()
+        _settle(sim, 0.05)  # the pacer drains the buffer; the RTO (>= 0.2 s) waits
+        assert peer.data_seqs() == [1, 101, 201, 301]
+        assert not any("FIN" in t.flags for t, _ in peer.segments)
+        peer.reply(ack=401)  # the ACK's pump hands the FIN to the pacer
+        _settle(sim)
+        last, payload = peer.segments[-1]
+        assert "FIN" in last.flags and last.seq == 401 and not len(payload)
+        assert (conn.state, conn.snd_nxt) == ("FIN_WAIT", 402)
+        assert conn._rto_timer.active
+
     def test_paced_transfer_completes_and_spreads_segments(self, sim):
         a, b = lan_pair(sim, "a", "b", bandwidth_bps=1e9, delay_s=2e-3)
         ta, tb = TcpStack(a), TcpStack(b)

@@ -28,9 +28,9 @@ def test_queued_chunks_flush_in_order_then_data_arrives_inline(sim):
 
     def server():
         conn = yield tcp_b.listen(PORT).accept()
-        head = yield from conn.recv_bytes(2)  # leaves b"c" as a partial chunk
-        yield sim.timeout(0.05)  # b"def" queues meanwhile
-        assert len(conn.rx) == 1
+        head = yield from conn.recv_bytes(2)  # leaves b"c" held at the head of rx
+        yield sim.timeout(0.05)  # b"def" queues behind it meanwhile
+        assert len(conn.rx) == 2
         conn.consume(got.append)
         assert got == [b"c", b"def"]
         return head
