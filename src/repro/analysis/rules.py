@@ -78,13 +78,15 @@ class WallClockChecker(Rule):
 class AmbientRandomChecker(Rule):
     """Randomness must arrive as an injected ``random.Random`` (usually a
     named ``RngStreams`` stream).  Calling into the ``random`` module —
-    including constructing ``random.Random`` ad hoc — creates draws whose
-    order and seeding are invisible to the experiment harness."""
+    including constructing ``random.Random`` ad hoc — or handing the module
+    itself over as a generator (``rng or random``) creates draws whose order
+    and seeding are invisible to the experiment harness."""
 
     rule = "DET002"
     description = (
-        "no random-module calls or ad-hoc random.Random() outside sim/rng.py; "
-        "inject a named RngStreams stream instead"
+        "no random-module calls, no random module as a value and no ad-hoc "
+        "random.Random() outside sim/rng.py; inject a named RngStreams "
+        "stream instead"
     )
     #: ``sim/rng.py`` is the one place allowed to construct ``Random``
     scope = Scope(product=True, outside=("sim/rng.py",))
@@ -98,6 +100,20 @@ class AmbientRandomChecker(Rule):
                 "random.Random (a named RngStreams stream) instead",
             )
         self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        # `random.Random` in an annotation names the type; only the module
+        # itself, passed or bound as a value, is an ambient generator.
+        if not isinstance(node.value, ast.Name):
+            self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if self.ctx._aliases.get(node.id) == "random":
+            self.report(
+                node,
+                "the `random` module used as a generator (`rng or random`, "
+                "`f(random)`); accept an injected random.Random instead",
+            )
 
 
 # ------------------------------------------------------------------ DET003 --

@@ -66,9 +66,9 @@ class Counter:
 
 
 class Histogram:
-    """Distribution of non-negative samples: a count per log bucket (see
-    :data:`GROWTH`) and their sum in nanoseconds, so the count and mean are
-    exact and every quantile is within 1 % of the sample at its rank."""
+    """Distribution of finite non-negative samples: a count per log bucket
+    (see :data:`GROWTH`) and their sum in nanoseconds, so the count and mean
+    are exact and every quantile is within 1 % of the sample at its rank."""
 
     __slots__ = ("name", "buckets", "total_ns", "_mark")
 
@@ -77,12 +77,12 @@ class Histogram:
         self._reset()
 
     def observe(self, value: float) -> None:
-        if value > 0:
-            i = ceil(log(value) * _PER_LOG)
-        elif value == 0:
-            i = _ZERO
-        else:
-            raise ValueError(f"histogram {self.name!r} got a sample of {value!r}")
+        try:
+            i = ceil(log(value) * _PER_LOG) if value else _ZERO
+        except (ValueError, OverflowError):  # negative, NaN or infinite
+            raise ValueError(
+                f"histogram {self.name!r} got a sample of {value!r}"
+            ) from None
         buckets = self.buckets
         buckets[i] = buckets.get(i, 0) + 1
         self.total_ns += int(value * 1e9 + 0.5)

@@ -3,13 +3,17 @@
 These are the byte-matrix AES, FIPS-180 SHA, RFC 2104 HMAC and mode loops
 that shipped before the fast-path rewrite of :mod:`repro.crypto.aes` and
 :mod:`repro.crypto.modes`, and before :mod:`repro.crypto.sha` and
-:mod:`repro.crypto.hmac_kdf` moved onto stdlib ``hashlib``.  They live with
-the tests, not in ``src/``, and exist for two reasons only:
+:mod:`repro.crypto.hmac_kdf` moved onto stdlib ``hashlib``, and the
+sequential prime search that shipped before
+:func:`repro.crypto.numtheory.random_prime` computed its Miller–Rabin
+rounds in batches.  They live with the tests, not in ``src/``, and exist
+for two reasons only:
 
 1. **Differential tests** — ``tests/test_crypto_fastpath.py`` asserts the
    shipped primitives are byte-identical to these on random inputs and on
-   every SHA padding case, so a perf change can never silently change
-   outputs.
+   every SHA padding case, and ``tests/test_crypto_keygen.py`` that the
+   shipped prime search gives the same primes and rng end states, so a perf
+   change can never silently change outputs.
 2. **The perf baseline** — ``benchmarks/bench_crypto.py`` measures both the
    oracle and the shipped path and records the ratio in ``BENCH_crypto.json``.
 
@@ -19,10 +23,12 @@ all it shares with the shipped cipher is the derived S-box.
 
 from __future__ import annotations
 
+import random
 import struct
 
 from repro.crypto.aes import BLOCK_SIZE, INV_SBOX, SBOX
 from repro.crypto.modes import pkcs7_pad, pkcs7_unpad
+from repro.crypto.numtheory import _SMALL_PRIMES
 
 _MASK32 = 0xFFFFFFFF
 
@@ -292,3 +298,48 @@ def ctr_keystream_xor_ref(
         out += _xor_block_ref(chunk, block[: len(chunk)])
         counter += 1
     return bytes(out)
+
+
+def is_probable_prime_ref(n: int, rounds: int = 40, *, rng: random.Random) -> bool:
+    """Sequential Miller–Rabin: a loop over every small prime, then up to
+    ``rounds`` rounds, each drawing its base from ``rng``."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    # n - 1 = d * 2^s with d odd
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = (x * x) % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def random_prime_ref(bits: int, rng: random.Random) -> int:
+    """Sequential prime search: one candidate at a time, each tested in full.
+
+    Setting the top two bits guarantees the product of two such primes has
+    exactly ``2*bits`` bits, which RSA key generation relies on.
+    """
+    if bits < 8:
+        raise ValueError("prime size too small to be meaningful")
+    while True:
+        candidate = rng.getrandbits(bits)
+        candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
+        if is_probable_prime_ref(candidate, rng=rng):
+            return candidate

@@ -62,10 +62,14 @@ FIXTURES: dict[str, tuple[list[str], list[str]]] = {
             "import random as _r\nrng = _r.Random(3)\n",
             "from random import randint\nx = randint(1, 6)\n",
             "import random\nrandom.shuffle(items)\n",
+            # The module itself standing in for an injected generator.
+            "import random\ndef f(rng=None):\n    rng = rng or random\n",
+            "import random as _r\nkey = make_key(_r)\n",
         ],
         [
             # Injected-RNG idiom: annotation plus draws on the parameter.
             "import random\ndef f(rng: random.Random) -> float:\n    return rng.random()\n",
+            "import random\ndef f(rng: random.Random | None) -> random.Random:\n    return rng\n",
             "x = self.rng.randint(0, 9)\n",
         ],
     ),

@@ -47,23 +47,23 @@ class TestNumTheory:
         with pytest.raises(ValueError):
             modinv(4, 8)
 
-    def test_small_primes_recognized(self):
+    def test_small_primes_recognized(self, rng):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 997, 7919}
         for p in primes:
-            assert is_probable_prime(p), p
+            assert is_probable_prime(p, rng=rng), p
         for n in (0, 1, 4, 6, 9, 15, 998, 7917):
-            assert not is_probable_prime(n), n
+            assert not is_probable_prime(n, rng=rng), n
 
-    def test_carmichael_numbers_rejected(self):
+    def test_carmichael_numbers_rejected(self, rng):
         # Classic Fermat pseudoprimes that Miller-Rabin must catch.
         for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041):
-            assert not is_probable_prime(n), n
+            assert not is_probable_prime(n, rng=rng), n
 
     def test_random_prime_bit_length(self, rng):
         for bits in (16, 64, 256):
             p = random_prime(bits, rng)
             assert p.bit_length() == bits
-            assert is_probable_prime(p)
+            assert is_probable_prime(p, rng=rng)
 
     def test_random_prime_too_small(self, rng):
         with pytest.raises(ValueError):

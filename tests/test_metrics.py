@@ -167,7 +167,7 @@ class TestHistogram:
 
     def test_negative_or_nan_sample_rejected(self):
         h = MetricsRegistry().histogram("t.bad")
-        for value in (-1e-9, math.nan):
+        for value in (-1e-9, math.nan, math.inf):
             with pytest.raises(ValueError):
                 h.observe(value)
         assert h.count == 0
