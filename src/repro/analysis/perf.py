@@ -64,8 +64,8 @@ ROOTS = (
     "ShardedSimulation._drain_digest",
     "Shard.inject",
     "Shard.advance",
-    "shard.encode_envelopes",
-    "shard.decode_envelopes",
+    "shard._dumps",
+    "shard._loads",
 )
 
 #: Do not follow opaque-receiver CHA edges wider than this.

@@ -46,15 +46,15 @@ The coordinator is built for real hardware parallelism:
   :class:`LookaheadError` naming the shard, the port, the send time and the
   promise, whether or not the packet would have landed inside a committed
   window.
-* **Batched envelope frames** — every window is one length-prefixed frame
-  each way: struct-packed envelope metadata, an interned string table, and
-  a *single* pickle of the packet list (shared memo, payload bytes interned
-  once).  Inline and forked workers speak the same bytes (see
-  :func:`_serve`), so a destination shard never holds the sender's packet
-  object in either mode.  Every reply also carries the counter increments
-  the shard booked, committed at the barrier (see the protocol below).
-  Sync-overhead metrics (windows, stretched windows, envelopes, frame
-  bytes, per-shard busy and CPU seconds) land in the metrics registry and
+* **One message codec** — every message is a tag byte and at most one
+  pickle, one message per window each way: a window's envelopes share one
+  pickle memo, so shard/port ids and repeated payloads are written once.
+  Inline and forked workers speak the same bytes (see :func:`_serve`), so a
+  destination shard never holds the sender's packet object in either mode.
+  Every reply also carries the counter increments the shard booked,
+  committed at the barrier (see the protocol below).  Sync-overhead
+  metrics (windows, stretched windows, envelopes, frame bytes, per-shard
+  busy and CPU seconds) land in the metrics registry and
   :meth:`ShardedSimulation.sync_stats`.
 
 **Digest invariance under window scheduling.**  Because adaptive windows
@@ -81,9 +81,9 @@ Determinism rules for shard authors:
 from __future__ import annotations
 
 import hashlib
+import io
 import multiprocessing
 import pickle
-import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -95,7 +95,6 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.metrics import METRICS
 from repro.net.link import Serializer
 from repro.net.packet import Packet, VirtualPayload
-from repro.net.wire import WireReader
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
@@ -194,107 +193,48 @@ def canonical_envelope(env: Envelope) -> bytes:
     return repr(form).encode()
 
 
-# ----------------------------------------------------------- frame codec --
+# ---------------------------------------------------------- message codec --
 #
-# One frame per window direction:
-#
-#   head     <I n_envelopes> <H n_strings>
-#   strings  n_strings x (<H len> utf-8)          -- interned shard/port ids
-#   metas    n_envelopes x <d d I I H H H>        -- arrival, sent_now,
-#                                                    src_index, seq, then
-#                                                    string-table indexes for
-#                                                    src_shard/dst_shard/port
-#   blob     <Q len> pickle([packet, ...])        -- ONE pickle for all
-#                                                    packets: shared memo, so
-#                                                    repeated payload bytes /
-#                                                    header objects are
-#                                                    interned once per frame
-#
-# Doubles round-trip bit-exactly through struct, so arrival timestamps (the
-# determinism-critical field) are preserved to the last ulp.
+# One tag byte and at most one pickle per message (the protocol is under
+# "workers" below).  An envelope travels as the row of its fields: a
+# window's envelopes share one pickle memo, which writes each shard/port id
+# once, and arrival doubles round-trip bit-exactly.
 
-_FRAME_HEAD = struct.Struct("<IH")
-_STR_LEN = struct.Struct("<H")
-_ENV_META = struct.Struct("<ddIIHHH")
-_BLOB_LEN = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
-#: Window-reply tail: peek, EOT, busy wall-seconds, busy CPU-seconds.
-_REPLY_TAIL = struct.Struct("<dddd")
-#: Window-reply count section: <H n>, then n x (<q increment> <H len> name).
-_COUNT = struct.Struct("<qH")
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
+_ROW = attrgetter(*Envelope.__dataclass_fields__)
+
+
+def _dumps(tag: bytes, value: Any) -> bytes:
+    """One shard message: ``tag`` and the pickle of ``value``."""
+    return tag + pickle.dumps(value, _PICKLE_PROTO)
+
+
+def _loads(msg: bytes, start: int = 1) -> Any:
+    """The pickle from ``msg[start:]`` to the end of ``msg``.  One cut short,
+    corrupt or followed by trailing bytes is a :class:`ShardError`."""
+    stream = io.BytesIO(msg)
+    stream.seek(start)
+    try:
+        value = pickle.load(stream)
+    except Exception as exc:  # noqa: BLE001 - a corrupt pickle can raise anything
+        raise ShardError(f"corrupt message: {type(exc).__name__}: {exc}") from exc
+    if stream.tell() != len(msg):
+        raise ShardError(f"corrupt message: {len(msg) - stream.tell()} trailing bytes")
+    return value
 
 
 def encode_envelopes(envelopes: list[Envelope]) -> bytes:
-    """Serialize a window's envelope list as one batched frame."""
-    strings: list[str] = []
-    for env in envelopes:
-        s = env.src_shard
-        if s not in strings:
-            strings.append(s)
-        s = env.dst_shard
-        if s not in strings:
-            strings.append(s)
-        s = env.port_id
-        if s not in strings:
-            strings.append(s)
-    parts = [_FRAME_HEAD.pack(len(envelopes), len(strings))]
-    for s in strings:
-        raw = s.encode()
-        parts.append(_STR_LEN.pack(len(raw)))
-        parts.append(raw)
-    index = strings.index
-    packets = []
-    pack_meta = _ENV_META.pack
-    for env in envelopes:
-        parts.append(
-            pack_meta(
-                env.arrival, env.sent_now, env.src_index, env.seq,
-                index(env.src_shard), index(env.dst_shard), index(env.port_id),
-            )
-        )
-        packets.append(env.packet)
-    blob = pickle.dumps(packets, _PICKLE_PROTO)
-    parts.append(_BLOB_LEN.pack(len(blob)))
-    parts.append(blob)
-    return b"".join(parts)
+    """A window's envelopes as the one pickle the messages carry them in."""
+    return pickle.dumps([_ROW(env) for env in envelopes], _PICKLE_PROTO)
 
 
 def decode_envelopes(buf: bytes, offset: int = 0) -> tuple[list[Envelope], int]:
-    """Decode one envelope frame; returns ``(envelopes, end_offset)``."""
-    reader = WireReader(buf, ShardError)
-    reader.take(offset, "frame prefix")
-    return _read_envelopes(reader), len(buf) - reader.remaining
-
-
-def _read_envelopes(reader: WireReader) -> list[Envelope]:
-    """One envelope frame off the front of ``reader``.  A frame cut short,
-    declaring more than it carries, or corrupt inside raises
-    :class:`ShardError` (truncation names the offset)."""
-    n_env, n_strings = reader.read(_FRAME_HEAD, "frame head")
-    raw_strings = []
-    for _ in range(n_strings):
-        (length,) = reader.read(_STR_LEN, "frame string length")
-        raw_strings.append(reader.take(length, "frame string"))
-    read = reader.read
-    metas = [read(_ENV_META, "envelope meta") for _ in range(n_env)]
-    (blob_len,) = reader.read(_BLOB_LEN, "frame blob length")
-    blob = reader.take(blob_len, "frame packet blob")
+    """The envelopes :func:`encode_envelopes` wrote at ``offset``, which
+    must run to the end of ``buf``; returns ``(envelopes, len(buf))``."""
     try:
-        strings = [raw.decode() for raw in raw_strings]
-        packets = pickle.loads(blob)
-        return [
-            Envelope(
-                arrival=arrival, src_shard=strings[s_i], src_index=src_index,
-                seq=seq, dst_shard=strings[d_i], port_id=strings[p_i],
-                packet=packets[i], sent_now=sent_now,
-            )
-            for i, (arrival, sent_now, src_index, seq, s_i, d_i, p_i) in enumerate(metas)
-        ]
-    except Exception as exc:  # noqa: BLE001 - a corrupt pickle can raise anything
-        raise ShardError(
-            f"corrupt envelope frame: {type(exc).__name__}: {exc}"
-        ) from exc
+        return [Envelope(*row) for row in _loads(buf, offset)], len(buf)
+    except TypeError as exc:
+        raise ShardError(f"corrupt envelope rows: {exc}") from exc
 
 
 class ShardPortal(Serializer):
@@ -480,15 +420,16 @@ class Shard:
 # ----------------------------------------------------------------- workers --
 #
 # One protocol, two transports.  The coordinator talks to every shard in
-# frame bytes and the shard answers through :func:`_serve`; the inline
+# message bytes and the shard answers through :func:`_serve`; the inline
 # worker calls it on those bytes directly, the forked worker pipes them to a
-# child process.  All messages are bytes:
+# child process.  Every message is a tag byte, then one pickle (:func:`_dumps`)
+# or, for ``E``/``L``, utf-8 text:
 #
-#   parent  W + window_end f64 + envelope frame;  F;  S (forked only)
-#   shard   P + pickled (ports, counts) (once, after build);
-#           W + envelope frame + reply tail (peek, EOT, busy wall-seconds,
-#             busy CPU-seconds) + count section;
-#           F + pickled (result, counts);
+#   parent  W (window_end, envelope rows);  F;  S (forked only, no pickle)
+#   shard   P (ports, counts) (once, after build);
+#           W (envelope rows, peek, EOT, busy wall-seconds, busy CPU-seconds,
+#              counts);
+#           F (result, counts);
 #           E, or L for a LookaheadError, + utf-8 error text
 #
 # ``counts`` are the ``(key, n)`` counter and histogram increments booked
@@ -496,6 +437,9 @@ class Shard:
 # coordinator commits: each is booked once, in the parent.  A failure commits none.
 
 Builder = Callable[..., None]
+
+#: What each reply is called in a corrupt-reply error.
+_REPLIES = {b"P": "ports reply", b"W": "window reply", b"F": "result reply"}
 
 #: How often a blocking receive re-checks worker liveness (wall seconds).
 _POLL_INTERVAL_S = 0.05
@@ -519,7 +463,19 @@ def _open(
     with _booked() as counts:
         shard = Shard(name, index, seed)
         builder(shard, **kwargs)
-    return shard, b"P" + pickle.dumps((shard.ports(), counts), _PICKLE_PROTO)
+    return shard, _dumps(b"P", (shard.ports(), counts))
+
+
+def _pair(value: Any, counts: list) -> tuple[Any, list]:
+    """The fields of a ``P`` or ``F`` reply."""
+    return value, counts
+
+
+def _window_reply(
+    rows: list, peek: float, eot: float, busy: float, cpu: float, counts: list
+) -> tuple[list[Envelope], float, float, float, float, list]:
+    """The fields of a ``W`` reply, its envelope rows made envelopes."""
+    return [Envelope(*row) for row in rows], peek, eot, busy, cpu, counts
 
 
 def _serve(shard: Shard, msg: bytes) -> bytes:
@@ -528,11 +484,10 @@ def _serve(shard: Shard, msg: bytes) -> bytes:
     Busy and CPU seconds time the window's simulation, not the codec, the
     same way under both transports.
     """
-    reader = WireReader(msg, ShardError)
-    op = reader.take(1, "command")
+    op = msg[:1]
     if op == b"W":
-        (window_end,) = reader.read(_F64, "window end")
-        envelopes = _read_envelopes(reader)
+        window_end, rows = _loads(msg)
+        envelopes = [Envelope(*row) for row in rows]
         with _booked() as counts:
             start = time.perf_counter()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
             cpu_start = time.process_time()  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
@@ -540,18 +495,13 @@ def _serve(shard: Shard, msg: bytes) -> bytes:
             out, peek, eot = shard.advance(window_end)
             cpu = time.process_time() - cpu_start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
             busy = time.perf_counter() - start  # repro: ignore[DET001] -- sync-overhead observability only; never feeds simulation state
-        parts = [b"W", encode_envelopes(out), _REPLY_TAIL.pack(peek, eot, busy, cpu),
-                 _STR_LEN.pack(len(counts))]
-        for name, n in counts:
-            raw = name.encode()
-            parts += (_COUNT.pack(n, len(raw)), raw)
-        return b"".join(parts)
-    if op == b"F":
+        return _dumps(b"W", ([_ROW(env) for env in out], peek, eot, busy, cpu, counts))
+    if msg == b"F":
         with _booked() as counts:
             result = shard.result_fn() if shard.result_fn is not None else None
             shard.sim.close()
-        return b"F" + pickle.dumps((result, counts), _PICKLE_PROTO)
-    raise ShardError(f"unknown command {bytes(op)!r}")
+        return _dumps(b"F", (result, counts))
+    raise ShardError(f"unknown command {bytes(msg[:8])!r} ({len(msg)} bytes)")
 
 
 def _error_reply(exc: BaseException, shard: Shard | None) -> bytes:
@@ -569,12 +519,7 @@ def _error_reply(exc: BaseException, shard: Shard | None) -> bytes:
 
 
 def _worker_main(
-    conn,
-    name: str,
-    index: int,
-    seed: int,
-    builder: Builder,
-    kwargs: dict[str, Any],
+    conn, name: str, index: int, seed: int, builder: Builder, kwargs: dict[str, Any]
 ) -> None:
     """Forked child: build the shard, then serve commands off the pipe until
     ``S`` or EOF.  A failure is replied as ``E``/``L`` and ends the child."""
@@ -603,19 +548,14 @@ class _Worker:
     """
 
     def __init__(
-        self,
-        name: str,
-        index: int,
-        seed: int,
-        builder: Builder,
-        kwargs: dict[str, Any],
+        self, name: str, index: int, seed: int, builder: Builder, kwargs: dict[str, Any]
     ) -> None:
         self.name = name
         self.bytes_tx = 0
         self.bytes_rx = 0
         self._start(index, seed, builder, kwargs)
         try:
-            self._ports, counts = pickle.loads(self._expect(b"P")[1:])
+            self.ports, counts = self._expect(b"P", _pair)
         except BaseException:
             self.stop()
             raise
@@ -655,48 +595,36 @@ class _Worker:
             f"{reply[1:].decode(errors='replace')}"
         )
 
-    def _expect(self, op: bytes) -> bytes:
+    def _expect(self, op: bytes, read: Callable[..., tuple]) -> tuple:
+        """``read(*fields)`` of the next reply, an ``op`` reply whose last
+        field is its counter increments.  ``E``/``L`` raises the worker's own
+        failure; a reply cut short, corrupt, refused by ``read`` or with a
+        metric key that does not parse is a ShardError naming the shard."""
         msg = self._recv()
-        tag = msg[:1]
-        if tag != op:
-            if tag in (b"E", b"L"):
-                raise self._failure(msg)
-            raise ShardError(
-                f"shard {self.name!r} worker protocol error: expected "
-                f"{op!r}, got {tag!r}"
-            )
+        if msg[:1] in (b"E", b"L"):
+            raise self._failure(msg)
         self.bytes_rx += len(msg)
-        return msg
-
-    def ports(self) -> dict[str, Any]:
-        return self._ports
+        try:
+            if msg[:1] != op:
+                raise ShardError(f"unexpected tag {bytes(msg[:1])!r}")
+            fields = read(*_loads(msg))
+            for key, _n in fields[-1]:
+                METRICS.parse(key)
+        except (ShardError, TypeError, ValueError) as exc:
+            raise ShardError(
+                f"shard {self.name!r} sent a corrupt {_REPLIES[op]}: {exc}"
+            ) from exc
+        return fields
 
     def start_window(self, window_end: float, envelopes: list[Envelope]) -> None:
-        self._send(
-            b"".join((b"W", _F64.pack(window_end), encode_envelopes(envelopes)))
-        )
+        self._send(_dumps(b"W", (window_end, [_ROW(env) for env in envelopes])))
 
     def collect_window(self) -> tuple[list[Envelope], float, float, float, float, list]:
-        reader = WireReader(self._expect(b"W"), ShardError)
-        reader.take(1, "reply tag")
-        try:
-            envelopes = _read_envelopes(reader)
-            peek, eot, busy, cpu = reader.read(_REPLY_TAIL, "window reply tail")
-            counts = []
-            for _ in range(reader.read(_STR_LEN, "count section length")[0]):
-                n, length = reader.read(_COUNT, "counter increment")
-                counts.append((reader.take(length, "counter name").decode(), n))
-                METRICS.parse(counts[-1][0])
-            reader.expect_end("count section")
-        except (ShardError, ValueError) as exc:  # UnicodeDecodeError included
-            raise ShardError(
-                f"shard {self.name!r} sent a corrupt window reply: {exc}"
-            ) from exc
-        return envelopes, peek, eot, busy, cpu, counts
+        return self._expect(b"W", _window_reply)
 
     def finish(self) -> Any:
         self._send(b"F")
-        result, counts = pickle.loads(self._expect(b"F")[1:])
+        result, counts = self._expect(b"F", _pair)
         METRICS.commit(counts)
         return result
 
@@ -718,29 +646,26 @@ class _ProcessWorker(_Worker):
         self._proc.start()
         child_conn.close()
 
-    @property
-    def connection(self):
-        """The parent end of the pipe (for ``connection.wait`` gathering)."""
-        return self._conn
-
     def _recv(self) -> bytes:
         """Blocking receive with a liveness check: a dead child raises a
         :class:`ShardError` naming the shard instead of deadlocking."""
-        conn = self._conn
-        proc = self._proc
-        while not conn.poll(_POLL_INTERVAL_S):
-            if not proc.is_alive():
-                raise ShardError(
-                    f"shard {self.name!r} worker died without replying "
-                    f"(exitcode {proc.exitcode})"
-                )
+        while not self._conn.poll(_POLL_INTERVAL_S):
+            self.check_alive()
         try:
-            return conn.recv_bytes()
+            return self._conn.recv_bytes()
         except EOFError:
             raise ShardError(
                 f"shard {self.name!r} worker closed its pipe mid-reply "
-                f"(exitcode {proc.exitcode})"
+                f"(exitcode {self._proc.exitcode})"
             ) from None
+
+    def check_alive(self) -> None:
+        """Raise a ShardError naming the shard if its child has died."""
+        if not self._proc.is_alive():
+            raise ShardError(
+                f"shard {self.name!r} worker died without replying "
+                f"(exitcode {self._proc.exitcode})"
+            )
 
     def _send(self, msg: bytes) -> None:
         try:
@@ -823,9 +748,7 @@ class ShardedSimulation:
         worker_cls = _ProcessWorker if parallel else _Worker
         self.workers: dict[str, _Worker] = {}
         try:
-            for index, (name, (builder, kwargs)) in enumerate(
-                sorted(builders.items())
-            ):
+            for index, (name, (builder, kwargs)) in enumerate(sorted(builders.items())):
                 self.workers[name] = worker_cls(name, index, seed, builder, kwargs)
             self._validate_ports(lookahead)
         except BaseException:
@@ -843,12 +766,12 @@ class ShardedSimulation:
         self._busy: list[float] = [0.0] * n
         self._cpu: list[float] = [0.0] * n
         if parallel:
-            self._conns = [w.connection for w in self._worker_list]
+            self._conns = [w._conn for w in self._worker_list]
             self._conn_index = {conn: i for i, conn in enumerate(self._conns)}
         self.results: dict[str, Any] = {}
 
     def _validate_ports(self, lookahead: float | None) -> None:
-        ports = {name: w.ports() for name, w in self.workers.items()}
+        ports = {name: w.ports for name, w in self.workers.items()}
         delays: list[float] = []
         for name, desc in ports.items():
             for pid, (dst, delay) in desc["egress"].items():
@@ -945,14 +868,7 @@ class ShardedSimulation:
                 ready = _conn_wait(remaining, _POLL_INTERVAL_S)
                 if not ready:
                     for conn in remaining:
-                        i = conn_index[conn]
-                        if not workers[i]._proc.is_alive():
-                            raise ShardError(
-                                f"shard {self._names[i]!r} worker died "
-                                "mid-window (exitcode "
-                                f"{workers[i]._proc.exitcode})"
-                            )
-                    continue
+                        workers[conn_index[conn]].check_alive()
                 for conn in ready:
                     counts += self._collect(conn_index[conn], outs)
                     remaining.remove(conn)

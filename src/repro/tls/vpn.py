@@ -151,6 +151,9 @@ class SslVpnDaemon:
 
         # peer vpn address -> (locator, peer public key)
         self.peers: dict[IPAddress, tuple[IPAddress, object]] = {}
+        # peer locator -> peer vpn address: a data record's tunnel is the
+        # one of the host that sent it, never one its sender names
+        self._by_locator: dict[IPAddress, IPAddress] = {}
         self.tunnels: dict[IPAddress, Tunnel] = {}
         self._tx = Queue(self.sim)
         self._rx = Queue(self.sim)
@@ -163,6 +166,7 @@ class SslVpnDaemon:
     # -- configuration -------------------------------------------------------
     def add_peer(self, peer_vpn: IPAddress, locator: IPAddress, public_key) -> None:
         self.peers[peer_vpn] = (locator, public_key)
+        self._by_locator[locator] = peer_vpn
 
     def connect(self, peer_vpn: IPAddress, timeout: float = 30.0) -> Generator:
         """Process-generator: ensure the tunnel to ``peer_vpn`` is up."""
@@ -232,7 +236,7 @@ class SslVpnDaemon:
             if not isinstance(record, VpnRecordHeader) or not isinstance(packet.payload, Packet):
                 self.drops += 1
                 continue
-            peer_vpn = packet.meta.get("vpn_src")
+            peer_vpn = self._by_locator.get(headers[0].src)
             tunnel = self.tunnels.get(peer_vpn)
             if tunnel is None or not tunnel.is_established:
                 self.drops += 1

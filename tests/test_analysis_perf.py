@@ -191,7 +191,7 @@ def test_perf002_negative_unreached_method():
          "Serializer.send"),
         # A hot module-level function deleted: its module is still analysed.
         ("src/repro/sim/shard.py", "def encode_frames(envelopes):\n    return b''\n",
-         "shard.encode_envelopes"),
+         "shard._dumps"),
     ],
 )
 def test_root_matching_no_function_is_a_finding(path, source, root):

@@ -8,7 +8,7 @@ results must match the monolithic single-heap twin of the same topology.
 """
 
 import hashlib
-import struct
+import pickle
 
 import pytest
 
@@ -23,6 +23,8 @@ from repro.sim.shard import (
     LookaheadError,
     ShardedSimulation,
     ShardError,
+    _ProcessWorker,
+    _Worker,
     canonical_envelope,
     decode_envelopes,
     encode_envelopes,
@@ -746,13 +748,14 @@ def _first_loaded_window():
 
     def record(msg):
         if msg[:1] == b"W":
-            windows.append(msg)
+            # The envelopes this command carries are still pending.
+            windows.append((msg, len(sharded._pending[1])))
         return msg
 
     _tap_sends(sharded.workers["right"], record)
     sharded.run(1.0)
-    for number, msg in enumerate(windows, 1):
-        if struct.unpack_from("<I", msg, 9)[0]:  # after b"W" + window end
+    for number, (msg, n_envelopes) in enumerate(windows, 1):
+        if n_envelopes:
             return number, msg
     raise AssertionError("no window carried an envelope")
 
@@ -794,8 +797,8 @@ def test_corrupt_window_command_is_a_named_shard_error(parallel):
     in a ``ShardError`` naming the shard, with its sibling stopped."""
     number, msg = _first_loaded_window()
     corrupted = [msg[:cut] for cut in (0, 9, len(msg) // 2, len(msg) - 1)]
-    # The command byte, and the top bit of the frame's envelope count.
-    for pos, bit in ((0, 0x01), (12, 0x80)):
+    # The command byte, and the top bit of the pickle's protocol number.
+    for pos, bit in ((0, 0x01), (2, 0x80)):
         flipped = bytearray(msg)
         flipped[pos] ^= bit
         corrupted.append(bytes(flipped))
@@ -836,7 +839,33 @@ def test_envelope_frame_roundtrip_empty():
     assert offset == len(buf)
 
 
-def test_envelope_frame_cut_short_or_overdeclared_is_a_shard_error():
+@pytest.mark.parametrize("parallel", [False, True])
+@pytest.mark.parametrize("tag", [b"P", b"W", b"F"])
+def test_message_with_a_trailing_byte_is_a_named_shard_error(
+    monkeypatch, parallel, tag
+):
+    """A window command, or a ports or result reply, with one byte after its
+    end is refused, not served or read as if it ended there."""
+    if tag == b"W":
+        number, msg = _first_loaded_window()
+        with pytest.raises(ShardError) as exc:
+            _run_with_window(parallel, number, msg + b"\0")
+        assert str(exc.value).startswith("shard 'right' worker failed: ShardError at t=")
+        assert "trailing" in str(exc.value)
+        return
+    for cls in (_Worker, _ProcessWorker):
+
+        def recv(self, recv=cls._recv):
+            msg = recv(self)
+            return msg + b"\0" if msg[:1] == tag else msg
+
+        monkeypatch.setattr(cls, "_recv", recv)
+    reply = "ports" if tag == b"P" else "result"
+    with pytest.raises(ShardError, match=f"shard 'left' sent a corrupt {reply} reply: .*trailing"):
+        run_echo(parallel=parallel)
+
+
+def test_envelope_frame_cut_short_corrupt_or_trailing_is_a_shard_error():
     frame = encode_envelopes(
         [
             Envelope(
@@ -846,72 +875,85 @@ def test_envelope_frame_cut_short_or_overdeclared_is_a_shard_error():
             )
         ]
     )
-    with pytest.raises(ShardError, match="frame head.*offset 0"):
-        decode_envelopes(frame[:3])
-    for cut in range(len(frame)):
-        with pytest.raises(ShardError, match="offset"):
-            decode_envelopes(frame[:cut])
-    # A blob length that overruns the frame (the 8 bytes before the pickle).
-    blob_at = frame.index(b"\x80\x05")
-    overrun = frame[: blob_at - 8] + struct.pack("<Q", len(frame)) + frame[blob_at:]
-    with pytest.raises(ShardError, match="frame packet blob.*offset"):
-        decode_envelopes(overrun)
-    # A string-table index past the table is corruption, not an IndexError.
-    meta_at = blob_at - 8 - 6
-    bad_index = frame[:meta_at] + struct.pack("<H", 9) + frame[meta_at + 2 :]
-    with pytest.raises(ShardError, match="corrupt envelope frame"):
-        decode_envelopes(bad_index)
+    sweep_truncations(frame, decode_envelopes, ShardError)
+    with pytest.raises(ShardError, match="corrupt"):
+        decode_envelopes(b"\xff" + frame[1:])
+    with pytest.raises(ShardError, match="1 trailing bytes"):
+        decode_envelopes(frame + b"\0")
+    with pytest.raises(ShardError, match="corrupt envelope rows"):
+        decode_envelopes(pickle.dumps([("not", "a row")]))
 
 
-def test_window_reply_counts_cut_short_overdeclared_or_not_utf8_is_a_shard_error():
-    """The count section ending a window reply: cut at any byte, declaring
-    more than it carries, trailing bytes, a name that is not utf-8, or a
-    histogram key that does not parse all end in a ShardError naming the
-    shard, never a new counter."""
+def test_hostile_window_command_or_reply_is_a_named_shard_error(monkeypatch):
+    """Whatever the codec: a window command or reply cut at any byte, a
+    corrupt pickle, a metric name that is not utf-8 or a metric key that
+    does not parse ends in a ShardError naming the shard, and none of them
+    books a counter."""
     sharded = ShardedSimulation(echo_builders(), 42)
     worker = sharded.workers["left"]
+    sent = []
+    _tap_sends(worker, lambda msg: sent.append(msg) or msg)
     try:
         worker.start_window(0.05, [])
-        reply = worker._recv()
-        _, end = decode_envelopes(reply, 1)
-        counts_at = end + 32  # after the tail: peek, EOT, busy and CPU seconds
-        (n_counts,) = struct.unpack_from("<H", reply, counts_at)
-        assert n_counts > 0
-        name_at = counts_at + 2 + 10  # after the first <q increment> <H length>
+        command, reply = sent[0], worker._recv()
+        del worker._send  # back to the untapped transport
+        counts = dict(worker.collect_window()[5])
+        assert counts["sim.steps"] > 0 and counts["link.tx_packets"] > 0
+
+        def send(raw):
+            worker._send(raw)
 
         def collect(raw):
             worker._reply = raw
-            try:
-                return worker.collect_window()
-            except ShardError as exc:
-                assert str(exc).startswith("shard 'left' ")
-                raise
+            worker.collect_window()
 
-        counts = dict(collect(reply)[5])
-        assert counts["sim.steps"] > 0 and counts["link.tx_packets"] > 0
-        sweep_truncations(reply, collect, ShardError)
-        more = reply[:counts_at] + struct.pack("<H", n_counts + 1) + reply[counts_at + 2 :]
-        with pytest.raises(ShardError, match="truncated counter increment"):
-            collect(more)
-        longer = reply[: name_at - 2] + struct.pack("<H", len(reply)) + reply[name_at:]
-        with pytest.raises(ShardError, match="truncated counter name"):
-            collect(longer)
-        with pytest.raises(ShardError, match="trailing bytes after count section"):
-            collect(reply + b"\0")
-        with pytest.raises(ShardError, match="shard 'left' .*utf-8"):
-            collect(reply[:name_at] + b"\xff" + reply[name_at + 1 :])
-        # A histogram increment's key must parse: a bucket index or "ns".
-        for key in (b"tcp.rtt_s#x", b"tcp.rtt_s#", b"#5", b"link.tx_packets#5"):
-            junk = struct.pack("<H", 1) + struct.pack("<qH", 1, len(key)) + key
-            with pytest.raises(ShardError, match="shard 'left' .*metric"):
-                collect(reply[:counts_at] + junk)
-            assert key.decode() not in {c.name for c in METRICS.counters()}
+        def named(call):
+            """``call``, whose ShardError must name the shard."""
+
+            def run(raw):
+                try:
+                    call(raw)
+                except ShardError as exc:
+                    assert str(exc).startswith("shard 'left' "), exc
+                    raise
+
+            return run
+
+        def hostile():
+            sweep_truncations(command, named(send), ShardError)
+            sweep_truncations(reply, named(collect), ShardError)
+            # Not a pickle opcode; a pickle protocol this Python does not
+            # know; a byte after the end.
+            served = "^shard 'left' worker failed: ShardError at t=0.050000: corrupt"
+            for bad in (b"\xff" + command[2:], b"\x80\x85" + command[3:]):
+                with pytest.raises(ShardError, match=served):
+                    send(command[:1] + bad)
+            corrupt_reply = "^shard 'left' sent a corrupt window reply: "
+            for bad in (b"\xff" + reply[2:], b"\x80\x85" + reply[3:], reply[1:] + b"\0"):
+                with pytest.raises(ShardError, match=corrupt_reply + "corrupt"):
+                    collect(reply[:1] + bad)
+            assert reply.count(b"sim.steps") == 1
+            with pytest.raises(ShardError, match="^shard 'left' .*utf-8"):
+                collect(reply.replace(b"sim.steps", b"\xffim.steps"))
+            # A histogram increment's key must parse: a bucket index or "ns".
+            rewind = METRICS.rewind
+            for key in ("tcp.rtt_s#x", "tcp.rtt_s#", "#5", "link.tx_packets#5"):
+                monkeypatch.setattr(METRICS, "rewind", lambda: [*rewind(), (key, 1)])
+                worker.start_window(0.05, [])
+                monkeypatch.undo()
+                with pytest.raises(ShardError, match=corrupt_reply + ".*metric"):
+                    worker.collect_window()
+                assert key not in {c.name for c in METRICS.counters()}
+
+        names = {c.name for c in METRICS.counters()}
+        assert booked(hostile)[1] == {}
+        assert {c.name for c in METRICS.counters()} == names
     finally:
         sharded._stop_workers()
 
 
 def test_envelope_frame_interns_strings():
-    """The string table stores each shard/port id once, not per envelope."""
+    """The pickle memo stores each shard/port id once, not per envelope."""
     envelopes = [
         Envelope(
             arrival=float(i), src_shard="left", src_index=0, seq=i,

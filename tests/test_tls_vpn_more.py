@@ -158,3 +158,46 @@ class TestVpnDetails:
         assert vb.drops == 1
         assert "vpn.asym.decrypt" not in vb.meter.ops
         assert vpn_addr(10) not in vb.tunnels
+
+
+def test_record_claiming_a_peers_vpn_address_from_another_host_is_dropped(vpn_pair):
+    """A co-tenant's well-formed record whose meta names an established
+    peer's VPN address is not that peer's traffic: the tunnel is chosen by
+    the outer source locator, and an unregistered locator is a drop."""
+    from repro.net.addresses import Prefix
+    from repro.net.node import Node
+    from repro.net.packet import IPHeader, Packet, UDPHeader
+    from repro.net.topology import wire
+    from repro.net.udp import UdpStack
+
+    sim, a, b, va, vb = vpn_pair
+    c = Node(sim, "c")
+    c_addr, b_addr = ipv4("10.0.1.3"), ipv4("10.0.1.2")
+    c_iface, b_iface, _ = wire(sim, c, b, addr_a=c_addr, addr_b=b_addr)
+    c.routes.add(Prefix(b_addr, 32), c_iface)
+    b.routes.add(Prefix(c_addr, 32), b_iface)
+    sock = UdpStack(b).bind(9)
+    got = []
+
+    def listen():
+        while True:
+            payload, _ = yield sock.recvfrom()
+            got.append(payload)
+
+    sim.process(listen())
+    sim.run(until=sim.process(va.connect(vpn_addr(11))))
+    assert vb.tunnels[vpn_addr(10)].is_established
+    inner = Packet(
+        headers=(IPHeader(src=vpn_addr(10), dst=vpn_addr(11), proto="udp"),
+                 UDPHeader(src_port=1, dst_port=9)),
+        payload=b"forged",
+    )
+    forged = Packet(
+        headers=(VpnRecordHeader(seq=1, pad_len=1),), payload=inner,
+    ).with_meta(vpn_src=vpn_addr(10))
+    drops, received = vb.drops, vb.packets_received
+    c.send_ip(b_addr, "sslvpn", forged)
+    sim.run(until=sim.now + 1)
+    assert got == []
+    assert vb.drops == drops + 1
+    assert vb.packets_received == received

@@ -12,7 +12,6 @@ table for the parsers that have no suite of their own.
 
 from __future__ import annotations
 
-import pickle
 import random
 import struct
 from typing import Callable, NamedTuple
@@ -106,9 +105,10 @@ class DecoderCase(NamedTuple):
 
 
 def decoder_corpus() -> list[DecoderCase]:
-    """A valid message for every ``WireReader`` parser outside HIP/DNS/Teredo
+    """A valid message for every wire parser outside HIP/DNS/Teredo
     (those have their own suites): DNSSEC signature section, the VPN ``key``
-    body, the DB protocol heads and the shard envelope frame."""
+    body, the DB protocol heads, the shard envelope pickle and both
+    directions of a shard window."""
     from repro.apps.database import QueryError, parse_request_head, parse_response_head
     from repro.crypto.rsa import RsaKeyPair
     from repro.net.addresses import ipv4
@@ -120,7 +120,15 @@ def decoder_corpus() -> list[DecoderCase]:
         encode_signed_response,
     )
     from repro.net.packet import Packet
-    from repro.sim.shard import Envelope, ShardError, decode_envelopes, encode_envelopes
+    from repro.sim.shard import (
+        _ROW,
+        Envelope,
+        ShardError,
+        _dumps,
+        _loads,
+        decode_envelopes,
+        encode_envelopes,
+    )
     from repro.tls.vpn import VpnError, parse_key_body
 
     keypair = RsaKeyPair.generate(512, random.Random(0x5160))
@@ -144,17 +152,17 @@ def decoder_corpus() -> list[DecoderCase]:
         return sigs
 
     nonce = bytes(range(32))
-    packets = [Packet(headers=(), payload=bytes([i]) * 32) for i in range(3)]
-    frame = encode_envelopes(
-        [
-            Envelope(
-                arrival=0.125 + i * 1e-9, src_shard="left", src_index=0,
-                seq=i + 1, dst_shard="right", port_id="l->r",
-                packet=packet, sent_now=0.1,
-            )
-            for i, packet in enumerate(packets)
-        ]
-    )
+    envelopes = [
+        Envelope(
+            arrival=0.125 + i * 1e-9, src_shard="left", src_index=0,
+            seq=i + 1, dst_shard="right", port_id="l->r",
+            packet=Packet(headers=(), payload=bytes([i]) * 32), sent_now=0.1,
+        )
+        for i in range(3)
+    ]
+    rows = [_ROW(env) for env in envelopes]
+    command = _dumps(b"W", (0.25, rows))
+    reply = _dumps(b"W", (rows, 0.25, 0.3, 1e-4, 1e-4, [("sim.steps", 12)]))
     return [
         DecoderCase("dnssec-signatures", section, parse_signatures, DnssecError),
         DecoderCase("vpn-key", nonce + bytes(64),
@@ -163,9 +171,13 @@ def decoder_corpus() -> list[DecoderCase]:
                     parse_request_head, QueryError),
         DecoderCase("db-response-head", struct.pack(">BII", 0, 3, 768),
                     parse_response_head, QueryError),
-        # Flips stay out of the trailing pickle: a frame is only ever bytes a
-        # worker of this program wrote, and a corrupted pickle can ask the
-        # unpickler for arbitrary allocations.
-        DecoderCase("shard-envelope-frame", frame, decode_envelopes, ShardError,
-                    corruptible=len(frame) - len(pickle.dumps(packets, pickle.HIGHEST_PROTOCOL))),
+        # The envelope pickle, and both directions of a shard window.  Flips
+        # stay in the tag byte and the pickle's protocol and frame header: a
+        # message is only ever bytes a worker of this program wrote, and a
+        # corrupted pickle body can ask the unpickler for arbitrary
+        # allocations.
+        DecoderCase("shard-envelope-frame", encode_envelopes(envelopes),
+                    decode_envelopes, ShardError, corruptible=11),
+        DecoderCase("shard-window-command", command, _loads, ShardError, corruptible=12),
+        DecoderCase("shard-window-reply", reply, _loads, ShardError, corruptible=12),
     ]
