@@ -47,11 +47,18 @@ ROOTS = (
     "LinkEndpoint._deliver",
     "Node.send_ip_fast",
     "Node._route_out",
+    # The CPU slot every ESP charge takes, and its completion timer's callback.
+    "Node.cpu_run",
+    "Node._cpu_done",
     "TcpConnection._fluid_advance",
     "TcpConnection._fluid_fired",
     "TcpConnection._fluid_charge",
     # (not _tx_serve: its pending branch starts base exchanges — cold — and
-    # its established branch is the same cost arithmetic as _rx_serve's)
+    # its established branch is the same cost arithmetic as _rx_serve's).
+    # The shim is reached only through ``Node._output_shims`` and a lane's
+    # hop only through its timer, both opaque to the call graph.
+    "HipDaemon._output_shim",
+    "_Lane._serve_next",
     "HipDaemon._tx_send",
     "HipDaemon._rx_serve",
     "HipDaemon._rx_deliver",

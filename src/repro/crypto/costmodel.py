@@ -89,18 +89,18 @@ class CostModel:
         return self.aes128_per_byte * n_bytes
 
     def esp_encrypt_cost(self, payload_bytes: int) -> float:
-        """ESP transform: AES-CBC + HMAC-SHA1 over the payload + fixed encap."""
-        return (
-            self.esp_encap_fixed
-            + self.aes_cost(payload_bytes)
-            + self.hmac_cost(payload_bytes, "sha1")
+        """ESP transform: AES-CBC + HMAC-SHA1 over the payload + fixed encap.
+
+        ``aes_cost`` and ``hmac_cost(..., "sha1")`` spelled out, with the
+        same float operations in the same order: this runs once per packet.
+        """
+        return self.esp_encap_fixed + self.aes128_per_byte * payload_bytes + (
+            self.hmac_fixed + (self.hash_fixed + self.sha1_per_byte * payload_bytes)
         )
 
     def esp_decrypt_cost(self, payload_bytes: int) -> float:
-        return (
-            self.esp_decap_fixed
-            + self.aes_cost(payload_bytes)
-            + self.hmac_cost(payload_bytes, "sha1")
+        return self.esp_decap_fixed + self.aes128_per_byte * payload_bytes + (
+            self.hmac_fixed + (self.hash_fixed + self.sha1_per_byte * payload_bytes)
         )
 
     def tls_record_cost(self, payload_bytes: int) -> float:

@@ -67,6 +67,7 @@ from repro.net.packet import (
     TCPHeader,
     UDPHeader,
 )
+from repro.sim.engine import TimerHandle
 from repro.sim.resources import Queue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,6 +93,12 @@ _POLICY_DROPS = METRICS.counter("hip.drops_policy")
 _QUEUE_FULL = METRICS.counter("hip.drops_queue_full")
 _BEX_DONE = METRICS.counter("hip.bex_completed")
 _BEX_T = METRICS.histogram("hip.bex_s")
+
+#: ``HipDaemon._routes`` miss marker (None there means "not a HIP destination").
+_UNSEEN = object()
+
+#: The inner IP header's ``proto`` by transport header type ("raw" for others).
+_INNER_PROTO = {TCPHeader: "tcp", UDPHeader: "udp", ICMPHeader: "icmp"}
 
 # Pre-bound meter keys: the ESP dataplane must not format strings per packet.
 _ESP_ENC_LSI = "esp.encrypt.lsi"
@@ -203,7 +210,7 @@ class Association:
     hmac_in: HmacKey | None = None
     sa_out: SecurityAssociation | None = None
     sa_in: SecurityAssociation | None = None
-    queued: list[tuple[Packet, str]] = field(default_factory=list)
+    queued: list[tuple] = field(default_factory=list)  # tx lane items
     established_evt: object = None  # sim Event
     update_id: int = 0
     pending_update: dict | None = None
@@ -213,6 +220,10 @@ class Association:
     established_at: float = 0.0
     rekey_count: int = 0
     pending_rekey: dict | None = None
+    #: The receiver's inner IP header by (address kind, transport header
+    #: type): built from the HIT pair and this host's LSIs, none of which
+    #: change for the association's life.
+    rx_headers: dict = field(default_factory=dict)
 
     @property
     def is_established(self) -> bool:
@@ -231,20 +242,23 @@ class _Lane:
     calling ``serve`` inline: the packet's sender is mid-dispatch, and other
     work scheduled for this instant must reach the node's CPU first (DESIGN.md
     "The ESP lane").  ``serve(item)`` owns the lane until it calls
-    ``advance`` — after the packet is sent, delivered or dropped.
+    ``advance`` — after the packet is sent, delivered or dropped.  At most
+    one hop is pending at a time, so the lane rearms its one timer for each.
     """
 
-    __slots__ = ("sim", "serve", "items", "idle")
+    __slots__ = ("serve", "items", "idle", "_hop")
 
     def __init__(self, sim, serve: Callable) -> None:
-        self.sim = sim
         self.serve = serve
         self.items: deque = deque()
         self.idle = True
+        self._hop = TimerHandle(sim, self._serve_next)
 
     def submit(self, item) -> None:
         self.items.append(item)
-        self._wake()
+        if self.idle:
+            self.idle = False
+            self._hop.rearm(0.0)
 
     def submit_first(self, items: list) -> None:
         """Put ``items`` ahead of everything waiting, keeping their order."""
@@ -254,11 +268,11 @@ class _Lane:
     def _wake(self) -> None:
         if self.idle and self.items:
             self.idle = False
-            self.sim.call_later(0.0, self._serve_next)
+            self._hop.rearm(0.0)
 
     def advance(self) -> None:
         if self.items:
-            self.sim.call_later(0.0, self._serve_next)
+            self._hop.rearm(0.0)
         else:
             self.idle = True
 
@@ -303,6 +317,9 @@ class HipDaemon:
         self.assocs: dict[IPAddress, Association] = {}
         self._spi_counter = rng.randrange(0x1000, 0xFFFF)
         self._sa_in_by_spi: dict[int, Association] = {}
+        #: destination -> ``_classify(destination)``, for every destination
+        #: this host has sent to (an LSI no peer owns yet is not kept).
+        self._routes: dict[IPAddress, tuple | None] = {}
 
         node.add_output_shim(self._output_shim)
         node.register_protocol("hip", self._on_hip_packet, HIPHeader)
@@ -368,31 +385,53 @@ class HipDaemon:
         self._transition(assoc, HipState.CLOSING)
 
     # --------------------------------------------------------------- data path --
+    def _classify(self, dst: IPAddress) -> tuple[IPAddress | None, str] | None:
+        """``(peer HIT, "hit" | "lsi")`` for a destination this daemon carries
+        (the peer HIT is None for an LSI no peer owns), None for any other.
+
+        Remembered in ``_routes``: a HIT or LSI mapping never changes once
+        made, and an unmapped LSI is asked again, since ``add_peer`` may map
+        it later.
+        """
+        if is_lsi(dst) and dst != self.lsi.own_lsi:
+            route = (self.lsi.hit_for(dst), "lsi")
+            if route[0] is None:
+                return route
+        elif is_hit(dst) and dst != self.hit:
+            route = (dst, "hit")
+        else:
+            route = None
+        self._routes[dst] = route
+        return route
+
     def _output_shim(self, node: "Node", packet: Packet) -> Packet | None:
-        ip = packet.outer
+        ip = packet.headers[0]
         if not isinstance(ip, IPHeader):
             return packet
-        if is_lsi(ip.dst) and ip.dst != self.lsi.own_lsi:
-            peer_hit = self.lsi.hit_for(ip.dst)
-            if peer_hit is None:
-                self.drops_no_mapping += 1
-                _NO_MAPPING.inc()
-                return None
-            self._tx_lane.submit((peer_hit, packet, "lsi"))
+        route = self._routes.get(ip.dst, _UNSEEN)
+        if route is _UNSEEN:
+            route = self._classify(ip.dst)
+        if route is None:
+            return packet
+        peer_hit, kind = route
+        if peer_hit is None:
+            self.drops_no_mapping += 1
+            _NO_MAPPING.inc()
             return None
-        if is_hit(ip.dst) and ip.dst != self.hit:
-            self._tx_lane.submit((ip.dst, packet, "hit"))
-            return None
-        return packet
+        # The inner wire size, measured once: the cost charge, the plaintext
+        # length and the outer packet's size all follow from it.
+        self._tx_lane.submit((peer_hit, packet, kind, packet.size_bytes))
+        return None
 
-    def _tx_serve(self, item: tuple[IPAddress, Packet, str]) -> None:
-        peer_hit, packet, kind = item
-        assoc = self._ensure_assoc(peer_hit)
-        if not assoc.is_established:
+    def _tx_serve(self, item: tuple[IPAddress, Packet, str, int]) -> None:
+        peer_hit, packet, kind, size = item
+        assoc = self.assocs.get(peer_hit)
+        if assoc is None or not assoc.is_established:
+            assoc = self._ensure_assoc(peer_hit)
             if assoc.state in (HipState.FAILED, HipState.CLOSED):
                 assoc = self._restart_assoc(peer_hit)
             if len(assoc.queued) < self.config.queue_limit:
-                assoc.queued.append((packet, kind))
+                assoc.queued.append(item)
             else:
                 self.drops_queue_full += 1
                 _QUEUE_FULL.inc()
@@ -407,14 +446,15 @@ class HipDaemon:
             return
         cm = self.node.cost_model
         translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
-        cost = translate + cm.esp_encrypt_cost(packet.size_bytes)
+        cost = translate + cm.esp_encrypt_cost(size)
         self.meter.charge(_ESP_ENC_LSI if kind == "lsi" else _ESP_ENC_HIT, cost)
-        self.node.cpu_run(cost, self._tx_send, (assoc, packet, kind))
+        self.node.cpu_run(cost, self._tx_send, (assoc, packet, kind, size))
 
-    def _tx_send(self, job: tuple[Association, Packet, str]) -> None:
-        assoc, packet, kind = job
-        assert assoc.sa_out is not None and assoc.peer_locator is not None
-        esp_header, ciphertext = assoc.sa_out.protect(packet)
+    def _tx_send(self, job: tuple[Association, Packet, str, int]) -> None:
+        assoc, packet, kind, size = job
+        locator = assoc.peer_locator
+        assert assoc.sa_out is not None and locator is not None
+        esp_header, ciphertext = assoc.sa_out.protect(packet, size)
         # The one fresh annotation dict of this packet's trip: it rides the
         # wire (where links mark "ce" in place, so it cannot be shared) and
         # the receiver hands it on to the rebuilt inner packet.
@@ -425,10 +465,15 @@ class HipDaemon:
         if RECORDER.enabled:
             RECORDER.record(
                 self.sim.now, "hip", "esp_seal", node=self.node.name,
-                spi=esp_header.spi, seq=esp_header.seq, bytes=packet.size_bytes,
+                spi=esp_header.spi, seq=esp_header.seq, bytes=size,
             )
+        # Outer IP header (its length follows the locator's family, which
+        # UPDATE can change) + ESP fields + the protected plaintext.
+        wire_size = (
+            (20 if locator.family == 4 else 40) + esp_header.header_len + ciphertext.wire_len
+        )
         self.node.send_ip_fast(
-            assoc.peer_locator, "esp", (esp_header,), ciphertext, None, 64, meta
+            locator, "esp", (esp_header,), ciphertext, None, 64, meta, wire_size
         )
         self._tx_lane.advance()
 
@@ -436,9 +481,7 @@ class HipDaemon:
         """Send what queued while the exchange ran — through the tx lane, ahead
         of anything submitted since, so newer packets cannot overtake it."""
         queued, assoc.queued = assoc.queued, []
-        self._tx_lane.submit_first(
-            [(assoc.peer_hit, packet, kind) for packet, kind in queued]
-        )
+        self._tx_lane.submit_first(queued)
 
     def _on_esp_packet(self, node: "Node", packet: Packet, iface) -> None:
         self._rx_lane.submit(packet)
@@ -450,13 +493,15 @@ class HipDaemon:
             self._drop_esp(esp_header, "unknown_spi")
             return
         payload = packet.payload
-        if not isinstance(payload, EspCiphertext):
+        # A body without ciphertext is not authenticated, so ``inner`` may be
+        # anything a co-tenant put there.
+        if not isinstance(payload, EspCiphertext) or not isinstance(payload.inner, Packet):
             self._drop_esp(esp_header, "malformed_payload")
             return
-        kind = packet.meta.get("addr_kind", "hit")
+        kind = "lsi" if packet.meta.get("addr_kind") == "lsi" else "hit"
         cm = self.node.cost_model
         translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
-        cost = translate + cm.esp_decrypt_cost(len(payload.inner))
+        cost = translate + cm.esp_decrypt_cost(payload.inner.size_bytes)
         self.meter.charge(_ESP_DEC_LSI if kind == "lsi" else _ESP_DEC_HIT, cost)
         self.node.cpu_run(cost, self._rx_deliver, (assoc, esp_header, payload, kind, packet))
 
@@ -495,12 +540,12 @@ class HipDaemon:
         """
         if n_segments <= 0:
             return
-        if is_lsi(peer_addr) and peer_addr != self.lsi.own_lsi:
-            kind = "lsi"
-        elif is_hit(peer_addr) and peer_addr != self.hit:
-            kind = "hit"
-        else:
+        route = self._routes.get(peer_addr, _UNSEEN)
+        if route is _UNSEEN:
+            route = self._classify(peer_addr)
+        if route is None:
             return  # not a HIP-addressed flow: no ESP on this path
+        kind = route[1]
         cm = self.node.cost_model
         translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
         seg_bytes = n_bytes // n_segments
@@ -539,25 +584,16 @@ class HipDaemon:
         transport = inner.headers
         if transport and isinstance(transport[0], IPHeader):
             transport = transport[1:]
-        if kind == "lsi":
-            src = self.lsi.assign(assoc.peer_hit)
-            dst = self.lsi.own_lsi
-        else:
-            src = assoc.peer_hit
-            dst = self.hit
-        ip = IPHeader(src, dst, self._inner_proto(transport))
+        key = (kind, transport[0].__class__ if transport else None)
+        ip = assoc.rx_headers.get(key)
+        if ip is None:
+            if kind == "lsi":
+                src, dst = self.lsi.assign(assoc.peer_hit), self.lsi.own_lsi
+            else:
+                src, dst = assoc.peer_hit, self.hit
+            ip = IPHeader(src, dst, _INNER_PROTO.get(key[1], "raw"))
+            assoc.rx_headers[key] = ip
         return Packet((ip,) + transport, inner.payload, meta)
-
-    @staticmethod
-    def _inner_proto(transport: tuple) -> str:
-        head = transport[0] if transport else None
-        if isinstance(head, TCPHeader):
-            return "tcp"
-        if isinstance(head, UDPHeader):
-            return "udp"
-        if isinstance(head, ICMPHeader):
-            return "icmp"
-        return "raw"
 
     # ------------------------------------------------------------ associations --
     def _transition(self, assoc: Association, state: HipState) -> None:

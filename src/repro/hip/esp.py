@@ -67,21 +67,32 @@ class EspMode(enum.Enum):
     TUNNEL = "tunnel"
 
 
+#: Every TCP flag; flag ``_TCP_FLAGS[i]`` sets bit ``i`` of the encoding.
+_TCP_FLAGS = ("SYN", "ACK", "FIN", "RST", "ECE", "CWR")
+
+
 def canonical_header_bytes(header: Header) -> bytes:
-    """Deterministic byte encoding of transport/IP headers for real encryption."""
+    """Deterministic byte encoding of transport/IP headers for real encryption.
+
+    It covers every field a receiver acts on (for TCP all six flags and the
+    SACK blocks), so an authenticated body cannot carry altered headers.
+    """
     if isinstance(header, IPHeader):
         return (
             b"IP" + struct.pack(">BB", header.family, header.ttl)
             + header.src.packed() + header.dst.packed() + header.proto.encode()
         )
     if isinstance(header, TCPHeader):
-        flag_bits = sum(
-            1 << i for i, f in enumerate(("SYN", "ACK", "FIN", "RST")) if f in header.flags
-        )
-        return b"TC" + struct.pack(
+        flag_bits = sum(1 << i for i, f in enumerate(_TCP_FLAGS) if f in header.flags)
+        out = b"TC" + struct.pack(
             ">HHIIBI", header.src_port, header.dst_port, header.seq,
             header.ack, flag_bits, header.window,
         )
+        if header.sack:  # in-order segments carry none and end at the window
+            out += struct.pack(">B", len(header.sack)) + b"".join(
+                struct.pack(">II", start, end) for start, end in header.sack
+            )
+        return out
     if isinstance(header, UDPHeader):
         return b"UD" + struct.pack(">HH", header.src_port, header.dst_port)
     if isinstance(header, ICMPHeader):
@@ -184,47 +195,42 @@ class SecurityAssociation:
         self.auth_failures = 0
 
     # -- outbound ---------------------------------------------------------------
-    def protect(self, inner: Packet) -> tuple[ESPHeader, EspCiphertext]:
-        """Protect ``inner``; returns (ESP header, ESP payload)."""
-        self.seq += 1
+    def protect(self, inner: Packet, size: int = 0) -> tuple[ESPHeader, EspCiphertext]:
+        """Protect ``inner``; returns (ESP header, ESP payload).
+
+        ``size`` is ``len(inner)`` when the caller already measured it (0:
+        measure here).
+        """
+        self.seq = seq = self.seq + 1
         self.packets_protected += 1
         _PROTECTED.value += 1
-        real = canonical_packet_bytes(self._plaintext_view(inner)) if self.real else None
+        base_len = (size or len(inner)) - self._stripped(inner.headers)
         # Pad plaintext + 2 trailer bytes to the AES block size.
-        base_len = self._plaintext_len(inner)
-        pad_len = (-(base_len + 2)) % 16 if self.encrypt else 0
-        header = ESPHeader(
-            spi=self.spi, seq=self.seq,
-            iv_len=IV_LEN if self.encrypt else 0,
-            icv_len=ICV_LEN, pad_len=pad_len,
-        )
+        if self.encrypt:
+            header = ESPHeader(self.spi, seq, IV_LEN, ICV_LEN, (-(base_len + 2)) % 16)
+        else:
+            header = ESPHeader(self.spi, seq, 0, ICV_LEN, 0)
+        real = canonical_packet_bytes(self._plaintext_view(inner)) if self.real else None
         if real is not None and self.encrypt:
-            iv = self._iv_hmac.digest(struct.pack(">IQ", self.spi, self.seq))[:16]
-            sealed = self._sealer.seal(iv, real, struct.pack(">II", self.spi, self.seq))
+            iv = self._iv_hmac.digest(struct.pack(">IQ", self.spi, seq))[:16]
+            sealed = self._sealer.seal(iv, real, struct.pack(">II", self.spi, seq))
             # Padding/IV/ICV are accounted in ESPHeader.header_len, so the
             # ciphertext contributes exactly the plaintext length.
-            return header, EspCiphertext(
-                inner=inner, wire_len=base_len, ciphertext=sealed, icv=sealed, iv=iv,
-            )
-        return header, EspCiphertext(inner=inner, wire_len=base_len)
+            return header, EspCiphertext(inner, base_len, sealed, sealed, iv)
+        return header, EspCiphertext(inner, base_len)
 
-    def _strips_ip(self, headers: tuple) -> bool:
-        """BEET keeps the inner IP header off the wire."""
-        return self.mode is EspMode.BEET and bool(headers) and isinstance(headers[0], IPHeader)
+    def _stripped(self, headers: tuple) -> int:
+        """Bytes of ``headers`` kept off the wire: BEET's inner IP header."""
+        if self.mode is EspMode.BEET and headers and isinstance(headers[0], IPHeader):
+            return headers[0].header_len
+        return 0
 
     def _plaintext_view(self, inner: Packet) -> Packet:
         """What actually goes on the wire."""
         headers = inner.headers
-        if self._strips_ip(headers):
+        if self._stripped(headers):
             return Packet(headers[1:], inner.payload, inner.meta)
         return inner
-
-    def _plaintext_len(self, inner: Packet) -> int:
-        """``len(self._plaintext_view(inner))``, without building the view."""
-        headers = inner.headers
-        if self._strips_ip(headers):
-            return len(inner) - headers[0].header_len
-        return len(inner)
 
     # -- inbound -----------------------------------------------------------------
     def verify(self, header: ESPHeader, payload: EspCiphertext) -> Packet:
@@ -232,8 +238,8 @@ class SecurityAssociation:
         if header.spi != self.spi:
             raise EspError(f"SPI mismatch: packet {header.spi:#x}, SA {self.spi:#x}")
         self._check_replay(header.seq)
-        ciphertext, iv, icv = payload.ciphertext, payload.iv, payload.icv
-        if ciphertext is not None:
+        if payload[2] is not None:  # the raw slot: a virtual body skips the sealed reads
+            ciphertext, iv, icv = payload.ciphertext, payload.iv, payload.icv
             if not all(isinstance(field, bytes) for field in (ciphertext, iv, icv)):
                 raise self._auth_failure("malformed ESP payload")
             expect_icv = self._icv_hmac.digest(
@@ -245,7 +251,11 @@ class SecurityAssociation:
                 plain = cbc_decrypt(self._aes, iv, ciphertext)
             except ValueError as exc:
                 raise self._auth_failure(f"decryption failed: {exc}") from exc
-            if plain != canonical_packet_bytes(self._plaintext_view(payload.inner)):
+            try:
+                expect = canonical_packet_bytes(self._plaintext_view(payload.inner))
+            except (struct.error, TypeError, ValueError, AttributeError):
+                expect = None  # a carried inner that has no encoding matches nothing
+            if plain != expect:
                 raise self._auth_failure("decrypted plaintext does not match inner packet")
         self._accept_replay(header.seq)
         self.packets_verified += 1
@@ -282,7 +292,7 @@ class SecurityAssociation:
 
     def overhead_bytes(self, inner: Packet) -> int:
         """Per-packet wire overhead vs sending ``inner`` unprotected."""
-        plain_len = self._plaintext_len(inner)
+        plain_len = len(inner) - self._stripped(inner.headers)
         pad_len = (-(plain_len + 2)) % 16 if self.encrypt else 0
         esp = ESPHeader(spi=self.spi, seq=0, iv_len=IV_LEN if self.encrypt else 0,
                         icv_len=ICV_LEN, pad_len=pad_len)

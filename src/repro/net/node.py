@@ -24,7 +24,7 @@ from repro.net.addresses import IPAddress
 from repro.metrics import RECORDER
 from repro.net.packet import Header, IPHeader, Packet
 from repro.net.routing import RouteTable
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, TimerPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Serializer
@@ -103,6 +103,8 @@ class Node:
         self._protocol_handlers: dict[str, tuple[ProtocolHandler, type[Header] | None]] = {}
         self._output_shims: list[OutputShim] = []
         self.cpu = Resource(sim, cpu_cores)
+        #: One completion timer per busy CPU slot, rearmed for each charge.
+        self._cpu_timers = TimerPool(sim, self._cpu_done)
         self.dropped_no_route = 0
         self.dropped_no_handler = 0
         self.dropped_ttl = 0
@@ -210,7 +212,7 @@ class Node:
 
     def _cpu_granted(self, job: tuple) -> None:
         self.cpu_busy_seconds += job[0]
-        self.sim.call_later(job[0], self._cpu_done, job)
+        self._cpu_timers.call_later(job[0], job)
 
     def _cpu_done(self, job: tuple) -> None:
         self.cpu.release()

@@ -166,7 +166,10 @@ class Packet(WireValue):
 
     @property
     def size_bytes(self) -> int:
-        return sum(h.header_len for h in self.headers) + len(self.payload)
+        size = len(self.payload)
+        for header in self.headers:
+            size += header.header_len
+        return size
 
     @property
     def outer(self) -> Header:

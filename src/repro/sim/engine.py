@@ -50,7 +50,7 @@ class TimerHandle(_Entry):
     # ``_fire`` is the callback itself: the dispatcher calls it directly.
     __slots__ = ("_fire", "_arg")
 
-    def __init__(self, sim: "Simulator", fn: Callable, arg: Any) -> None:
+    def __init__(self, sim: "Simulator", fn: Callable, arg: Any = _NO_ARG) -> None:
         self.sim = sim
         self._fire = fn
         self._arg = arg

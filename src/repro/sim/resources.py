@@ -1,8 +1,9 @@
-"""Shared resources for simulation processes: FIFO queues and counted resources.
+"""Shared resources for simulation processes: FIFO queues, counted resources
+and timer pools.
 
 These are the primitives the application substrates build on — a web server's
 worker pool is a :class:`Resource`, a NIC transmit buffer or a server's accept
-backlog is a :class:`Queue`.
+backlog is a :class:`Queue`, a node's CPU completions share a :class:`TimerPool`.
 """
 
 from __future__ import annotations
@@ -10,10 +11,37 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.sim.engine import TimerHandle
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
+
+
+class TimerPool:
+    """Timers for one callback ``fn(arg)``, each rearmed once it has fired.
+
+    A per-event callback (a CPU charge's completion, a slot's grant) needs
+    only as many handles as were ever pending at once, not one per event.
+    """
+
+    __slots__ = ("sim", "fn", "timers")
+
+    def __init__(self, sim: "Simulator", fn: Callable) -> None:
+        self.sim = sim
+        self.fn = fn
+        self.timers: list[TimerHandle] = []
+
+    def call_later(self, delay: float, arg: Any) -> None:
+        """Run ``fn(arg)`` after ``delay``, as ``sim.call_later`` would."""
+        for timer in self.timers:
+            if timer._entry_seq < 0:  # fired (or never armed): free
+                break
+        else:
+            timer = TimerHandle(self.sim, self.fn)
+            self.timers.append(timer)
+        timer._arg = arg
+        timer.rearm_at(self.sim._now + delay)
 
 
 class QueueFullError(Exception):
@@ -104,6 +132,7 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: deque[Event | tuple[Callable, Any]] = deque()
+        self._grants = TimerPool(sim, self._grant)
 
     @property
     def in_use(self) -> int:
@@ -143,11 +172,15 @@ class Resource:
         if self._waiters:
             nxt = self._waiters.popleft()  # hand the slot directly to the next waiter
             if type(nxt) is tuple:
-                self.sim.call_later(0.0, *nxt)
+                self._grants.call_later(0.0, nxt)
             else:
                 nxt.succeed(nxt)
         else:
             self._in_use -= 1
+
+    @staticmethod
+    def _grant(waiter: tuple[Callable, Any]) -> None:
+        waiter[0](waiter[1])
 
     def cancel(self, request: Event) -> bool:
         """Withdraw a queued (not yet granted) request; returns True if removed."""

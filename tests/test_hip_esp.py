@@ -123,6 +123,39 @@ class TestProtectVerify:
         assert in_sa.auth_failures == 1
         assert in_sa.verify(header, ct) is ct.inner  # the genuine packet still passes
 
+    @pytest.mark.parametrize("forged", [
+        {"flags": frozenset({"ACK", "ECE"}), "sack": ((5000, 6000),)},
+        {"flags": frozenset({"ACK", "ECE"})},
+        {"flags": frozenset({"ACK", "CWR"})},
+        {"sack": ((5000, 6000),)},
+    ], ids=["ece+sack", "ece", "cwr", "sack"])
+    def test_forged_inner_tcp_fields_fail_authentication(self, forged):
+        # A co-tenant on the path keeps a real body's ciphertext, ICV and IV
+        # and swaps in an inner segment that gained ECE, CWR or SACK blocks:
+        # it could force the peer's cwnd down or fake its SACK state.
+        out_sa, in_sa = make_sa(), make_sa()
+        ip, tcp = sample_inner().headers
+        inner = Packet((ip, tcp._replace(flags=frozenset({"ACK"}))), b"application data")
+        header, ct = out_sa.protect(inner)
+        forged_inner = Packet((ip, inner.headers[1]._replace(**forged)), inner.payload)
+        bad = EspCiphertext(forged_inner, ct.wire_len, ct.ciphertext, ct.icv, ct.iv)
+        with pytest.raises(EspError, match="does not match inner packet"):
+            in_sa.verify(header, bad)
+        assert in_sa.auth_failures == 1
+        assert in_sa.verify(header, ct) is inner  # the genuine packet still passes
+
+    def test_forged_inner_with_no_encoding_is_a_domain_error(self):
+        out_sa, in_sa = make_sa(), make_sa()
+        inner = sample_inner()
+        header, ct = out_sa.protect(inner)
+        ip, tcp = inner.headers
+        for bad_tcp in (tcp._replace(sack=((-1, 5),)), tcp._replace(seq=1 << 40)):
+            forged = Packet((ip, bad_tcp), inner.payload)
+            bad = EspCiphertext(forged, ct.wire_len, ct.ciphertext, ct.icv, ct.iv)
+            with pytest.raises(EspError, match="does not match inner packet"):
+                in_sa.verify(header, bad)
+        assert in_sa.auth_failures == 2
+
     def test_wrong_key_rejected(self):
         out_sa = make_sa()
         wrong = SecurityAssociation(
@@ -395,6 +428,30 @@ class TestCanonicalBytes:
     def test_virtual_payload_returns_none(self):
         pkt = Packet(headers=(), payload=VirtualPayload(10))
         assert canonical_packet_bytes(pkt) is None
+
+    def test_segments_without_ece_cwr_or_sack_keep_their_encoding(self):
+        from repro.hip.esp import canonical_header_bytes
+
+        tcp = TCPHeader(src_port=1000, dst_port=80, seq=5, ack=6,
+                        flags=frozenset({"SYN", "ACK", "FIN", "RST"}), window=4096)
+        assert canonical_header_bytes(tcp) == b"TC" + struct.pack(
+            ">HHIIBI", 1000, 80, 5, 6, 0b1111, 4096
+        )
+
+    def test_every_tcp_flag_and_sack_block_is_encoded(self):
+        from repro.hip.esp import canonical_header_bytes
+
+        base = TCPHeader(src_port=1, dst_port=2, flags=frozenset({"ACK"}))
+        variants = [base] + [
+            base._replace(**change) for change in (
+                {"flags": frozenset({"ACK", "ECE"})},
+                {"flags": frozenset({"ACK", "CWR"})},
+                {"sack": ((10, 20),)},
+                {"sack": ((10, 21),)},
+                {"sack": ((10, 20), (30, 40))},
+            )
+        ]
+        assert len({canonical_header_bytes(h) for h in variants}) == len(variants)
 
     def test_distinct_headers_distinct_bytes(self):
         p1 = Packet(headers=(TCPHeader(src_port=1, dst_port=2, seq=9),), payload=b"")

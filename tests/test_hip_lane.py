@@ -8,6 +8,7 @@ daemons charge the cost model and never touch AES, the default still does.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import random
 
@@ -23,7 +24,9 @@ from repro.net.packet import ESPHeader, Packet, UDPHeader
 from repro.net.tcp import TcpStack
 from repro.net.topology import lan_pair
 from repro.scenarios.rubis_cloud import FRONTEND_PORT, build_rubis_cloud
-from tests.conftest import run_proc
+from repro.sim import Simulator
+from repro.sim.engine import TimerHandle
+from tests.conftest import build_hip_pair, run_proc
 
 B, NOBODY = ipv4("10.0.0.2"), ipv4("10.0.0.250")
 
@@ -109,7 +112,7 @@ def test_pending_queue_overflow_is_counted(sim, session_identities):
     RECORDER.clear()
     assoc = da.assocs[peer]
     assert assoc.state == HipState.I1_SENT
-    assert [packet.payload[0] for packet, _kind in assoc.queued] == [0, 1, 2, 3]
+    assert [packet.payload[0] for _hit, packet, _kind, _size in assoc.queued] == [0, 1, 2, 3]
     assert da.drops_queue_full == 6
     assert counter("hip.drops_queue_full") - before == 6
     assert len(drops) == 6
@@ -131,6 +134,13 @@ def _malformed_payload(da, db, good_wire) -> Packet:
     return Packet(headers=(ESPHeader(spi=spi, seq=50),), payload=b"not an ESP payload")
 
 
+def _non_packet_inner(da, db, good_wire) -> Packet:
+    # No ciphertext, so nothing authenticates the carried ``inner``.
+    spi = db.assocs[da.hit].sa_in.spi
+    return Packet(headers=(ESPHeader(spi=spi, seq=50),),
+                  payload=EspCiphertext(inner=b"not a packet", wire_len=1))
+
+
 def _replayed(da, db, good_wire) -> Packet:
     esp_header, body = good_wire.popped()[1].popped()
     return Packet(headers=(esp_header,), payload=body.payload)
@@ -139,8 +149,8 @@ def _replayed(da, db, good_wire) -> Packet:
 @pytest.mark.parametrize(
     "forge, reason",
     [(_unknown_spi, "unknown_spi"), (_malformed_payload, "malformed_payload"),
-     (_replayed, "replayed sequence")],
-    ids=["unknown_spi", "malformed_payload", "esp_error"],
+     (_non_packet_inner, "malformed_payload"), (_replayed, "replayed sequence")],
+    ids=["unknown_spi", "malformed_payload", "non_packet_inner", "esp_error"],
 )
 def test_rx_lane_survives_each_drop_path(hip_pair, forge, reason):
     """A bad ESP packet and a good one arrive back to back: the bad one is
@@ -219,3 +229,81 @@ def test_ciphering_daemons_still_cipher(sim, session_identities, config):
     assert sim.run(until=srv) == blob
     assert da.assocs[db.hit].sa_out.real and db.assocs[da.hit].sa_in.real
     assert counter("crypto.aes_blocks") - before >= 2 * len(blob) // 16
+
+
+# ------------------------------------------------------ one pass per packet --
+
+
+def _tcp_transfer(sim, a, b, dst, n_bytes: int) -> None:
+    """``n_bytes`` from ``a`` to ``b`` over one packet-mode TCP connection."""
+    ta, tb = TcpStack(a), TcpStack(b)
+
+    def server():
+        conn = yield tb.listen(9000).accept()
+        return (yield from conn.recv_bytes(n_bytes))
+
+    def client():
+        conn = yield sim.process(ta.open_connection(dst, 9000))
+        conn.write(bytes(n_bytes))
+
+    srv = sim.process(server())
+    sim.process(client())
+    assert len(sim.run(until=srv)) == n_bytes
+    sim.run(until=sim.now + 1.0)
+
+
+#: The callbacks of the ESP path's own timers: a lane hop, a CPU charge's
+#: completion, and the grant that hands a queued charge its CPU slot.
+_PATH_TIMERS = {"_Lane._serve_next", "Node._cpu_done", "Node._cpu_granted", "Resource._grant"}
+
+
+def test_lanes_and_cpu_charges_rearm_their_timers(monkeypatch, session_identities):
+    """A transfer builds a few lane and CPU timers whatever its length, not
+    one per lane hop and one per CPU charge."""
+    built: collections.Counter = collections.Counter()
+    init = TimerHandle.__init__
+
+    def counting_init(self, sim, fn, *arg):
+        built[getattr(fn, "__qualname__", "")] += 1
+        init(self, sim, fn, *arg)
+
+    monkeypatch.setattr(TimerHandle, "__init__", counting_init)
+    # Two lanes per daemon; per one-core node, one completion and one grant timer.
+    most = {"_Lane._serve_next": 4, "Node._cpu_done": 2, "Resource._grant": 2}
+    for n_bytes in (10_000, 200_000):
+        built.clear()
+        sim, a, b, da, db = build_hip_pair(Simulator(), session_identities)
+        _tcp_transfer(sim, a, b, db.hit, n_bytes)
+        assert da.assocs[db.hit].sa_out.packets_protected > n_bytes // 1500
+        path_timers = {fn: n for fn, n in built.items() if fn in _PATH_TIMERS}
+        assert all(n <= most.get(fn, 0) for fn, n in path_timers.items()), path_timers
+
+
+@pytest.mark.parametrize("kind", ["hit", "lsi"])
+def test_meter_seconds_are_the_cost_model_of_the_inner_sizes(hip_pair, kind):
+    """Each side's ESP meter holds exactly ``translation + esp_*_cost(inner
+    size)`` summed over its packets, in order, bit for bit, with the cost
+    spelled as ``aes_cost`` + ``hmac_cost``."""
+    sim, a, b, da, db = hip_pair
+    dst = db.hit if kind == "hit" else da.lsi_for_peer(db.hit)
+    with RECORDER.recording():
+        _tcp_transfer(sim, a, b, dst, 20_000)
+        events = RECORDER.events("hip")
+    RECORDER.clear()
+    for daemon in (da, db):
+        cm = daemon.node.cost_model
+        translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
+        sizes = {
+            op: [ev.fields["bytes"] for ev in events
+                 if ev.event == op and ev.fields["node"] == daemon.node.name]
+            for op in ("esp_seal", "esp_open")
+        }
+        assert len(sizes["esp_seal"]) > 5 and len(sizes["esp_open"]) > 5
+        encrypt = decrypt = 0.0
+        for n in sizes["esp_seal"]:
+            encrypt += translate + (cm.esp_encap_fixed + cm.aes_cost(n) + cm.hmac_cost(n, "sha1"))
+        for n in sizes["esp_open"]:
+            decrypt += translate + (cm.esp_decap_fixed + cm.aes_cost(n) + cm.hmac_cost(n, "sha1"))
+        assert daemon.meter.seconds[f"esp.encrypt.{kind}"] == encrypt
+        assert daemon.meter.seconds[f"esp.decrypt.{kind}"] == decrypt
+        assert daemon.meter.ops[f"esp.encrypt.{kind}"] == len(sizes["esp_seal"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Queue, Resource, RngStreams, Simulator
-from repro.sim.resources import QueueFullError
+from repro.sim.resources import QueueFullError, TimerPool
 
 
 class TestQueue:
@@ -198,6 +198,23 @@ class TestResource:
         assert pool.in_use == 0 and pool.queued == 0
         with pytest.raises(RuntimeError):
             pool.release()
+
+
+class TestTimerPool:
+    def test_fires_like_call_later_with_only_as_many_handles_as_were_pending(self, sim):
+        """Same firing order as ``call_later`` (one sequence number per arm),
+        and a fired handle is rearmed instead of a new one being built."""
+        got = []
+        pool = TimerPool(sim, got.append)
+        pool.call_later(2.0, "b")
+        pool.call_later(1.0, "a")
+        sim.call_later(1.0, got.append, "a2")  # same instant, armed later
+        sim.run(until=1.5)
+        assert got == ["a", "a2"] and len(pool.timers) == 2
+        for i in range(5):
+            pool.call_later(0.1 * i, i)
+            sim.run(until=sim.now + 1.0)
+        assert got == ["a", "a2", 0, "b", 1, 2, 3, 4] and len(pool.timers) == 2
 
 
 class TestRngStreams:

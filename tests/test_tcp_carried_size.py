@@ -6,11 +6,15 @@ their sum through ``Node.send_ip_fast`` and ``Node._route_out`` to
 ``Serializer.send`` instead of having the link measure the packet again.
 Every kind of segment must arrive there with exactly ``packet.size_bytes``.
 A packet an output shim substitutes arrives with size 0, so the link
-measures what really leaves.
+measures what really leaves.  The HIP daemon's ESP packets carry the size
+it works out from the inner packet's, for either locator family.
 """
+
+import random
 
 import pytest
 
+from repro.hip.daemon import HipDaemon
 from repro.net.addresses import ipv6, prefix
 from repro.net.link import Serializer
 from repro.net.node import Node
@@ -133,12 +137,7 @@ def test_sack_blocks_count_their_padded_option(sim, lan, sends):
         assert size == packet.size_bytes
 
 
-@pytest.mark.parametrize("via", ["hit", "lsi"])
-def test_hip_shim_packets_are_measured_at_the_link(sim, hip_pair, sends, via):
-    """TCP to a HIT or an LSI is consumed by the HIP shim; what reaches the
-    link is ESP (or HIP control), sent without a size, and measured there."""
-    _, a, b, da, db = hip_pair
-    dst = db.hit if via == "hit" else da.lsi_for_peer(db.hit)
+def _hip_transfer(sim, a, b, dst):
     ta, tb = TcpStack(a), TcpStack(b)
     listener = tb.listen(80)
     got = []
@@ -155,9 +154,38 @@ def test_hip_shim_packets_are_measured_at_the_link(sim, hip_pair, sends, via):
     sim.process(client())
     sim.run(until=30)
     assert got == [b"x" * 3000]
+
+
+def _esp_sends(sends):
+    return [(p, size) for p, size in sends if p.headers[0].proto == "esp"]
+
+
+@pytest.mark.parametrize("via", ["hit", "lsi"])
+def test_hip_esp_packets_carry_their_wire_size(sim, hip_pair, sends, via):
+    """TCP to a HIT or an LSI is consumed by the HIP shim; what reaches the
+    link is ESP, sent with the size the daemon worked out from the inner
+    packet's (or HIP control, measured at the link)."""
+    _, a, b, da, db = hip_pair
+    _hip_transfer(sim, a, b, db.hit if via == "hit" else da.lsi_for_peer(db.hit))
     assert not _tcp_sends(sends)  # no plaintext segment on any link
-    esp = [(p, size) for p, size in sends if p.headers[0].proto == "esp"]
-    assert esp and all(size == 0 for _, size in esp)
+    esp = _esp_sends(sends)
+    assert esp and all(size == p.size_bytes for p, size in esp)
+    assert {p.headers[0].header_len for p, _ in esp} == {20}
+
+
+def test_esp_over_ipv6_locators_counts_the_longer_outer_header(sim, sends, session_identities):
+    a, b = Node(sim, "a"), Node(sim, "b")
+    ia, ib, _ = wire(sim, a, b, addr_a=ipv6("2001:db8::1"), addr_b=ipv6("2001:db8::2"))
+    a.routes.add(prefix("2001:db8::/64"), ia)
+    b.routes.add(prefix("2001:db8::/64"), ib)
+    da = HipDaemon(a, session_identities["a"], rng=random.Random(11))
+    db = HipDaemon(b, session_identities["b"], rng=random.Random(22))
+    da.add_peer(db.hit, [ipv6("2001:db8::2")])
+    db.add_peer(da.hit, [ipv6("2001:db8::1")])
+    _hip_transfer(sim, a, b, db.hit)
+    esp = _esp_sends(sends)
+    assert esp and all(size == p.size_bytes for p, size in esp)
+    assert {p.headers[0].header_len for p, _ in esp} == {40}
 
 
 def test_shim_substitute_drops_the_carried_size(sim, lan, sends):
