@@ -214,7 +214,6 @@ class Association:
     established_evt: object = None  # sim Event
     update_id: int = 0
     pending_update: dict | None = None
-    retries: int = 0
     close_nonce: bytes = b""
     created_at: float = 0.0
     established_at: float = 0.0
@@ -444,10 +443,7 @@ class HipDaemon:
                 self._start_bex(assoc)
             self._tx_lane.advance()
             return
-        cm = self.node.cost_model
-        translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
-        cost = translate + cm.esp_encrypt_cost(size)
-        self.meter.charge(_ESP_ENC_LSI if kind == "lsi" else _ESP_ENC_HIT, cost)
+        cost = self._esp_cost(kind, size, True)
         self.node.cpu_run(cost, self._tx_send, (assoc, packet, kind, size))
 
     def _tx_send(self, job: tuple[Association, Packet, str, int]) -> None:
@@ -493,16 +489,12 @@ class HipDaemon:
             self._drop_esp(esp_header, "unknown_spi")
             return
         payload = packet.payload
-        # A body without ciphertext is not authenticated, so ``inner`` may be
-        # anything a co-tenant put there.
+        # Until verify has run, ``inner`` may be anything a co-tenant put there.
         if not isinstance(payload, EspCiphertext) or not isinstance(payload.inner, Packet):
             self._drop_esp(esp_header, "malformed_payload")
             return
         kind = "lsi" if packet.meta.get("addr_kind") == "lsi" else "hit"
-        cm = self.node.cost_model
-        translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
-        cost = translate + cm.esp_decrypt_cost(payload.inner.size_bytes)
-        self.meter.charge(_ESP_DEC_LSI if kind == "lsi" else _ESP_DEC_HIT, cost)
+        cost = self._esp_cost(kind, payload.inner.size_bytes, False)
         self.node.cpu_run(cost, self._rx_deliver, (assoc, esp_header, payload, kind, packet))
 
     def _rx_deliver(self, job: tuple) -> None:
@@ -545,21 +537,28 @@ class HipDaemon:
             route = self._classify(peer_addr)
         if route is None:
             return  # not a HIP-addressed flow: no ESP on this path
-        kind = route[1]
-        cm = self.node.cost_model
-        translate = cm.lsi_translation if kind == "lsi" else cm.hit_translation
-        seg_bytes = n_bytes // n_segments
-        if direction == "out":
-            per_seg = translate + cm.esp_encrypt_cost(seg_bytes)
-            self.meter.charge(_ESP_ENC_LSI if kind == "lsi" else _ESP_ENC_HIT, per_seg * n_segments)
+        out = direction == "out"
+        busy = self._esp_cost(route[1], n_bytes // n_segments, out, n_segments)
+        if out:
             self.data_packets_sent += n_segments
             _DATA_SENT.value += n_segments
         else:
-            per_seg = translate + cm.esp_decrypt_cost(seg_bytes)
-            self.meter.charge(_ESP_DEC_LSI if kind == "lsi" else _ESP_DEC_HIT, per_seg * n_segments)
             self.data_packets_received += n_segments
             _DATA_RECV.value += n_segments
-        self.node.cpu_busy_seconds += per_seg * n_segments
+        self.node.cpu_busy_seconds += busy
+
+    def _esp_cost(self, kind: str, size: int, out: bool, n: int = 1) -> float:
+        """Price ``n`` ESP packets of ``size`` inner bytes: the ``kind``
+        address translation plus ESP encrypt (``out``) or decrypt.  The total
+        is charged to the meter key of that pair and returned."""
+        cm = self.node.cost_model
+        lsi = kind == "lsi"
+        cost = cm.lsi_translation if lsi else cm.hit_translation
+        if out:
+            cost += cm.esp_encrypt_cost(size)
+            return self.meter.charge(_ESP_ENC_LSI if lsi else _ESP_ENC_HIT, cost * n)
+        cost += cm.esp_decrypt_cost(size)
+        return self.meter.charge(_ESP_DEC_LSI if lsi else _ESP_DEC_HIT, cost * n)
 
     def _drop_esp(self, esp_header: ESPHeader, reason: str) -> None:
         """Count and trace an inbound drop, and move the rx lane on."""
@@ -622,6 +621,7 @@ class HipDaemon:
         _BEX_T.observe(self.sim.now - assoc.created_at)
         if not assoc.established_evt.triggered:  # type: ignore[attr-defined]
             assoc.established_evt.succeed(assoc)  # type: ignore[attr-defined]
+        self._flush_queued(assoc)
 
     def _ensure_assoc(self, peer_hit: IPAddress) -> Association:
         assoc = self.assocs.get(peer_hit)
@@ -648,42 +648,27 @@ class HipDaemon:
             self._fail_assoc(assoc, HipError(f"no locator known for {assoc.peer_hit}"))
             return
         if self.firewall is not None and not self.firewall.allow_outbound(assoc.peer_hit):
-            self.drops_policy += 1
-            _POLICY_DROPS.inc()
+            self._policy_drop()
             self._fail_assoc(assoc, HipError("outbound HIP policy denies peer"))
             return
         assoc.peer_locator = locator
         self._transition(assoc, HipState.I1_SENT)
-        assoc.retries = 0
-        self._send_i1(assoc)
-        self.sim.process(self._i1_retransmitter(assoc), name="hip-i1-rtx")
-
-    def _send_i1(self, assoc: Association) -> None:
         i1 = self._new_packet(hp.I1, assoc.peer_hit)
-        self._send_control(i1, assoc.peer_locator)
+        self._send_control(i1, locator)
+        self.sim.process(self._retransmitter(assoc, i1, I1_RETRIES), name="hip-i1-rtx")
 
-    def _i1_retransmitter(self, assoc: Association) -> Generator:
-        while assoc.state == HipState.I1_SENT:
-            yield self.sim.timeout(RETRY_BASE_S * (2**assoc.retries))
-            if assoc.state != HipState.I1_SENT:
-                return
-            assoc.retries += 1
-            if assoc.retries > I1_RETRIES:
-                self._fail_assoc(assoc, HipError("I1 retransmissions exhausted"))
-                return
-            self._send_i1(assoc)
-
-    def _i2_retransmitter(self, assoc: Association, i2: hp.HipPacket) -> Generator:
-        retries = 0
-        while assoc.state == HipState.I2_SENT:
+    def _retransmitter(self, assoc: Association, packet: hp.HipPacket, limit: int) -> Generator:
+        """Resend ``packet`` after 0.5, 1, 2, ... s while ``assoc`` stays in
+        the state it was sent from; the wake after ``limit`` resends fails it."""
+        state = assoc.state
+        for retries in range(limit + 1):
             yield self.sim.timeout(RETRY_BASE_S * (2**retries))
-            if assoc.state != HipState.I2_SENT:
+            if assoc.state != state:
                 return
-            retries += 1
-            if retries > I2_RETRIES:
-                self._fail_assoc(assoc, HipError("I2 retransmissions exhausted"))
+            if retries == limit:
+                self._fail_assoc(assoc, HipError(f"{packet.type_name} retransmissions exhausted"))
                 return
-            self._send_control(i2, assoc.peer_locator)
+            self._send_control(packet, assoc.peer_locator)
 
     def _fail_assoc(self, assoc: Association, error: Exception) -> None:
         self._transition(assoc, HipState.FAILED)
@@ -758,12 +743,52 @@ class HipDaemon:
             except hp.HipParseError:
                 # Malformed header, TLV block or typed parameter: any peer
                 # can send one, so it is dropped, never a daemon crash.
-                self.drops_policy += 1
-                _POLICY_DROPS.inc()
+                self._policy_drop()
+
+    def _policy_drop(self) -> None:
+        self.drops_policy += 1
+        _POLICY_DROPS.inc()
 
     def _charge(self, kind: str, cost: float) -> Generator:
         self.meter.charge(kind, cost)
         yield from self.node.cpu_work(cost)
+
+    @staticmethod
+    def _hmac_ok(pkt: hp.HipPacket, key: HmacKey) -> bool:
+        """Whether ``pkt`` carries the HMAC parameter ``key`` computes over it."""
+        mac = pkt.get(hp.HMAC_PARAM)
+        return mac is not None and ct_equal(key.digest(pkt.bytes_for_param(hp.HMAC_PARAM)), mac)
+
+    def _signed(
+        self, kind: str, key: HostKey, pkt: hp.HipPacket, signed: hp.HipPacket | None = None
+    ) -> Generator:
+        """Charge one signature check of ``key`` under ``kind``, then verify
+        ``pkt``'s HIP_SIGNATURE over ``signed`` (``pkt`` itself unless the
+        signer covered another view of it, as R1's zeroed receiver HIT)."""
+        yield from self._charge(kind, asym_cost_for_host_id(key, "verify", self.node.cost_model))
+        sig = pkt.get(hp.HIP_SIGNATURE)
+        view = pkt if signed is None else signed
+        return sig is not None and verify_with_host_id(
+            key, view.bytes_for_param(hp.HIP_SIGNATURE), sig
+        )
+
+    def _install_sas(
+        self, assoc: Association, keymat: Secret, local_spi: int, peer_spi: int
+    ) -> None:
+        """Key ``assoc``'s SA pair from 72 bytes of ESP ``keymat`` (I2, R2 and
+        rekey alike): the superseded inbound SPI is retired, the new one
+        indexed, and fluid flows must re-enter."""
+        if assoc.sa_in is not None:
+            self._sa_in_by_spi.pop(assoc.sa_in.spi, None)
+        assoc.sa_out, assoc.sa_in = derive_sa_pair(
+            keymat, spi_out=peer_spi, spi_in=local_spi,
+            local_hit=self.hit, peer_hit=assoc.peer_hit,
+            is_initiator=assoc.role == "initiator",
+            mode=self.config.esp_mode, encrypt=self.config.esp_encrypt,
+            real=self.config.real_crypto,
+        )
+        self._sa_in_by_spi[local_spi] = assoc
+        self.node.dataplane_epoch += 1
 
     # -- responder side ------------------------------------------------------------
     def _yields_to(self, peer_hit: IPAddress) -> bool:
@@ -782,8 +807,7 @@ class HipDaemon:
         if i1.receiver_hit != self.hit or self._yields_to(i1.sender_hit):
             return
         if self.firewall is not None and not self.firewall.allow_inbound(i1.sender_hit):
-            self.drops_policy += 1
-            _POLICY_DROPS.inc()
+            self._policy_drop()
             return
         # Stateless: send the precomputed R1 with the initiator's HIT stamped
         # into the (unsigned) receiver slot.  Cheap by design.
@@ -804,8 +828,7 @@ class HipDaemon:
         if i2.receiver_hit != self.hit or self._yields_to(i2.sender_hit):
             return
         if self.firewall is not None and not self.firewall.allow_inbound(i2.sender_hit):
-            self.drops_policy += 1
-            _POLICY_DROPS.inc()
+            self._policy_drop()
             return
         cm = self.node.cost_model
         solution_data = i2.get(hp.SOLUTION)
@@ -843,13 +866,9 @@ class HipDaemon:
         hmac_in, hmac_out = keymat[:20], keymat[20:40]
         # 4. HMAC then signature (cheap check first, per RFC processing order).
         yield from self._charge("sym.hmac.i2", cm.hmac_cost(200))
-        expect_mac = HmacKey(hmac_in, "sha1").digest(i2.bytes_for_param(hp.HMAC_PARAM))
-        if not ct_equal(expect_mac, hmac_data):
+        if not self._hmac_ok(i2, HmacKey(hmac_in, "sha1")):
             return
-        yield from self._charge(
-            "asym.verify.i2", asym_cost_for_host_id(peer_key, "verify", cm)
-        )
-        if not verify_with_host_id(peer_key, i2.bytes_for_param(hp.HIP_SIGNATURE), sig_data):
+        if not (yield from self._signed("asym.verify.i2", peer_key, i2)):
             return
         # 5. Create association + SAs.
         _ki, _old_spi, peer_spi = hp.parse_esp_info(esp_data)
@@ -858,7 +877,6 @@ class HipDaemon:
             # Our own exchange crossed the peer's and ours is the larger HIT
             # (_yields_to above): adopt the pending association as responder,
             # so its waiters and queued packets complete with this exchange.
-            assoc.role = "responder"
             assoc.pending_update = None
         elif assoc is None or not assoc.is_established:
             assoc = Association(
@@ -866,22 +884,14 @@ class HipDaemon:
                 established_evt=self.sim.event(),
             )
             self.assocs[i2.sender_hit] = assoc
+        assoc.role = "responder"
         assoc.peer_locator = ip.src
         assoc.peer_key = peer_key
         assoc.keymat = keymat
         assoc.set_hmac_keys(out_key=hmac_out, in_key=hmac_in)
+        # An I2 on an established association supersedes its SA pair.
         local_spi = self._alloc_spi()
-        if assoc.sa_in is not None:
-            # I2 on an established association: its SA pair is superseded.
-            self._sa_in_by_spi.pop(assoc.sa_in.spi, None)
-        assoc.sa_out, assoc.sa_in = derive_sa_pair(
-            keymat[_HIP_KEY_BYTES:], spi_out=peer_spi, spi_in=local_spi,
-            local_hit=self.hit, peer_hit=assoc.peer_hit, is_initiator=False,
-            mode=self.config.esp_mode, encrypt=self.config.esp_encrypt,
-            real=self.config.real_crypto,
-        )
-        self._sa_in_by_spi[local_spi] = assoc
-        self.node.dataplane_epoch += 1  # new SA pair: fluid flows must re-enter
+        self._install_sas(assoc, keymat[_HIP_KEY_BYTES:], local_spi, peer_spi)
         # 6. R2: ESP_INFO + HMAC + signature.
         r2 = self._new_packet(hp.R2, assoc.peer_hit)
         r2.add(hp.ESP_INFO, hp.build_esp_info(0, local_spi))
@@ -899,7 +909,6 @@ class HipDaemon:
             self._transition(assoc, HipState.ESTABLISHED)
         else:
             self._established(assoc)
-            self._flush_queued(assoc)
 
     # -- initiator side --------------------------------------------------------------
     def _handle_r1(self, r1: hp.HipPacket, ip: IPHeader) -> Generator:
@@ -910,20 +919,18 @@ class HipDaemon:
         puzzle_data = r1.get(hp.PUZZLE)
         dh_data = r1.get(hp.DIFFIE_HELLMAN)
         host_id_data = r1.get(hp.HOST_ID)
-        sig_data = r1.get(hp.HIP_SIGNATURE)
-        if None in (puzzle_data, dh_data, host_id_data, sig_data):
+        if None in (puzzle_data, dh_data, host_id_data, r1.get(hp.HIP_SIGNATURE)):
             return
         peer_hi, peer_key = _parse_peer_host_id(host_id_data)
         if hit_from_public_key(peer_hi) != r1.sender_hit:
             return
         # Verify the R1 signature against the precomputation rules
         # (receiver HIT zeroed).
-        yield from self._charge("asym.verify.r1", asym_cost_for_host_id(peer_key, "verify", cm))
         unsigned = hp.HipPacket(
             packet_type=hp.R1, sender_hit=r1.sender_hit, receiver_hit=IPAddress(6, 0),
-            params=[p for p in r1.params],
+            params=list(r1.params),
         )
-        if not verify_with_host_id(peer_key, unsigned.bytes_for_param(hp.HIP_SIGNATURE), sig_data):
+        if not (yield from self._signed("asym.verify.r1", peer_key, r1, unsigned)):
             return
         assoc.peer_key = peer_key
         # Solve the puzzle (really, counting attempts for honest cost).
@@ -969,42 +976,25 @@ class HipDaemon:
         self._transition(assoc, HipState.I2_SENT)
         assoc.peer_locator = ip.src
         self._send_control(i2, ip.src)
-        self.sim.process(self._i2_retransmitter(assoc, i2), name="hip-i2-rtx")
+        self.sim.process(self._retransmitter(assoc, i2, I2_RETRIES), name="hip-i2-rtx")
 
     def _handle_r2(self, r2: hp.HipPacket, ip: IPHeader) -> Generator:
         assoc = self.assocs.get(r2.sender_hit)
         if assoc is None or assoc.state != HipState.I2_SENT:
             return
-        cm = self.node.cost_model
         esp_data = r2.get(hp.ESP_INFO)
-        hmac_data = r2.get(hp.HMAC_PARAM)
-        sig_data = r2.get(hp.HIP_SIGNATURE)
-        if None in (esp_data, hmac_data, sig_data):
+        if None in (esp_data, r2.get(hp.HMAC_PARAM), r2.get(hp.HIP_SIGNATURE)):
             return
-        yield from self._charge("sym.hmac.r2", cm.hmac_cost(120))
-        expect = assoc.hmac_in.digest(r2.bytes_for_param(hp.HMAC_PARAM))
-        if not ct_equal(expect, hmac_data):
+        yield from self._charge("sym.hmac.r2", self.node.cost_model.hmac_cost(120))
+        if not self._hmac_ok(r2, assoc.hmac_in):
             return
-        yield from self._charge(
-            "asym.verify.r2", asym_cost_for_host_id(assoc.peer_key, "verify", cm)
-        )
-        if not verify_with_host_id(
-            assoc.peer_key, r2.bytes_for_param(hp.HIP_SIGNATURE), sig_data
-        ):
+        if not (yield from self._signed("asym.verify.r2", assoc.peer_key, r2)):
             return
         _ki, _old, peer_spi = hp.parse_esp_info(esp_data)
         local_spi = assoc.pending_update["local_spi"]
         assoc.pending_update = None
-        assoc.sa_out, assoc.sa_in = derive_sa_pair(
-            assoc.keymat[_HIP_KEY_BYTES:], spi_out=peer_spi, spi_in=local_spi,
-            local_hit=self.hit, peer_hit=assoc.peer_hit, is_initiator=True,
-            mode=self.config.esp_mode, encrypt=self.config.esp_encrypt,
-            real=self.config.real_crypto,
-        )
-        self._sa_in_by_spi[local_spi] = assoc
-        self.node.dataplane_epoch += 1  # new SA pair: fluid flows must re-enter
+        self._install_sas(assoc, assoc.keymat[_HIP_KEY_BYTES:], local_spi, peer_spi)
         self._established(assoc)
-        self._flush_queued(assoc)
 
     # ------------------------------------------------------------------- rekeying --
     def rekey(self, peer_hit: IPAddress) -> None:
@@ -1030,28 +1020,14 @@ class HipDaemon:
         pkt.add(hp.SEQ, hp.build_seq(assoc.update_id))
         self._finalize_and_send(pkt, assoc, sign=True)
 
-    def _rekey_keymat(self, assoc: Association, count: int) -> Secret:
-        return hkdf_expand(
-            assoc.keymat[:32], b"esp-rekey" + bytes([count & 0xFF]), _ESP_KEY_BYTES,
-        )
-
     def _install_rekeyed_sas(
         self, assoc: Association, count: int, local_spi: int, peer_spi: int
     ) -> None:
-        old_spi = assoc.sa_in.spi if assoc.sa_in is not None else None
-        keymat = self._rekey_keymat(assoc, count)
-        assoc.sa_out, assoc.sa_in = derive_sa_pair(
-            keymat, spi_out=peer_spi, spi_in=local_spi,
-            local_hit=self.hit, peer_hit=assoc.peer_hit,
-            is_initiator=(assoc.role == "initiator"),
-            mode=self.config.esp_mode, encrypt=self.config.esp_encrypt,
-            real=self.config.real_crypto,
+        keymat = hkdf_expand(
+            assoc.keymat[:32], b"esp-rekey" + bytes([count & 0xFF]), _ESP_KEY_BYTES,
         )
+        self._install_sas(assoc, keymat, local_spi, peer_spi)
         assoc.rekey_count = count
-        if old_spi is not None:
-            self._sa_in_by_spi.pop(old_spi, None)
-        self._sa_in_by_spi[local_spi] = assoc
-        self.node.dataplane_epoch += 1  # rekey: force fluid flows back to packets
 
     # ------------------------------------------------------------------ mobility --
     def move_to(self, new_locator: IPAddress) -> None:
@@ -1092,13 +1068,8 @@ class HipDaemon:
         assoc = self.assocs.get(pkt.sender_hit)
         if assoc is None or not assoc.is_established:
             return
-        cm = self.node.cost_model
-        yield from self._charge("sym.hmac.update", cm.hmac_cost(150))
-        hmac_data = pkt.get(hp.HMAC_PARAM)
-        if hmac_data is None:
-            return
-        expect = assoc.hmac_in.digest(pkt.bytes_for_param(hp.HMAC_PARAM))
-        if not ct_equal(expect, hmac_data):
+        yield from self._charge("sym.hmac.update", self.node.cost_model.hmac_cost(150))
+        if not self._hmac_ok(pkt, assoc.hmac_in):
             return
 
         locator_data = pkt.get(hp.LOCATOR)
@@ -1115,13 +1086,7 @@ class HipDaemon:
 
         if locator_data is not None and seq_data is not None:
             # U1: peer moved.  Verify the new address with a nonce echo (U2).
-            yield from self._charge(
-                "asym.verify.update", asym_cost_for_host_id(assoc.peer_key, "verify", cm)
-            )
-            sig_data = pkt.get(hp.HIP_SIGNATURE)
-            if sig_data is None or not verify_with_host_id(
-                assoc.peer_key, pkt.bytes_for_param(hp.HIP_SIGNATURE), sig_data
-            ):
+            if not (yield from self._signed("asym.verify.update", assoc.peer_key, pkt)):
                 return
             locators = hp.parse_locator(locator_data)
             if not locators:
@@ -1179,13 +1144,7 @@ class HipDaemon:
         if seq_data is None:
             return
         # Rekey request: verify the signature before replacing keys.
-        sig_data = pkt.get(hp.HIP_SIGNATURE)
-        yield from self._charge(
-            "asym.verify.rekey", asym_cost_for_host_id(assoc.peer_key, "verify", cm)
-        )
-        if sig_data is None or not verify_with_host_id(
-            assoc.peer_key, pkt.bytes_for_param(hp.HIP_SIGNATURE), sig_data
-        ):
+        if not (yield from self._signed("asym.verify.rekey", assoc.peer_key, pkt)):
             return
         local_spi = self._alloc_spi()
         yield from self._charge("sym.rekey", cm.hmac_cost(72))
@@ -1203,11 +1162,7 @@ class HipDaemon:
         if assoc is None or assoc.state not in (HipState.ESTABLISHED, HipState.CLOSING):
             return
         yield from self._charge("sym.hmac.close", self.node.cost_model.hmac_cost(100))
-        hmac_data = pkt.get(hp.HMAC_PARAM)
-        if hmac_data is None:
-            return
-        expect = assoc.hmac_in.digest(pkt.bytes_for_param(hp.HMAC_PARAM))
-        if not ct_equal(expect, hmac_data):
+        if not self._hmac_ok(pkt, assoc.hmac_in):
             return
         echo = pkt.get(hp.ECHO_REQUEST_SIGNED) or b""
         ack = self._new_packet(hp.CLOSE_ACK, assoc.peer_hit)
@@ -1223,10 +1178,7 @@ class HipDaemon:
         # RFC 5201 §6.15: the CLOSE_ACK HMAC must verify, and the echoed
         # nonce must match the one we sent in CLOSE — otherwise any on-path
         # host that saw the CLOSE could forge the teardown completion.
-        hmac_data = pkt.get(hp.HMAC_PARAM)
-        if hmac_data is None or not ct_equal(
-            assoc.hmac_in.digest(pkt.bytes_for_param(hp.HMAC_PARAM)), hmac_data
-        ):
+        if not self._hmac_ok(pkt, assoc.hmac_in):
             return
         echo = pkt.get(hp.ECHO_RESPONSE_SIGNED)
         if echo is None or not ct_equal(echo, assoc.close_nonce):

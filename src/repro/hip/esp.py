@@ -13,14 +13,17 @@ difference is exactly the bandwidth-efficiency claim of §II-B, quantified by
 the ESP-mode ablation benchmark.
 
 When the inner payload is real bytes and the SA is ``real`` (the default)
-the transform genuinely encrypts and authenticates them (tamper tests flip
-ciphertext bits and watch decap fail).  Virtual payloads, and every payload
-of a ``real=False`` SA, take the cost-only branch: same ``wire_len``,
-padding, ESP header sizes, SPI match and replay window, no cipher work.
-That one ``real and bytes`` test in :meth:`SecurityAssociation.protect` is
-the only place bytes-vs-virtual is decided; the receiver follows the packet
-— a payload that arrives carrying ciphertext is ICV-checked and decrypted
-whatever the receiving SA's flag.
+the transform genuinely authenticates them, and encrypts them too unless the
+SA is auth-only (``encrypt=False``: an HMAC-SHA1-96 ICV over the plaintext).
+Tamper tests flip ciphertext bits and watch decap fail.  Virtual payloads,
+and every payload of a ``real=False`` SA, take the cost-only branch: same
+``wire_len``, padding, ESP header sizes, SPI match and replay window, no
+cipher work.  A body that arrives carrying ciphertext or an ICV is checked
+whatever the receiving SA's flag.  A real SA accepts no real-byte body it
+has not authenticated: an encrypting one refuses a body without ciphertext,
+an auth-only one a body without a valid ICV.  What a real SA cannot
+authenticate is a virtual payload: it has no bytes, so its inner packet is
+taken as carried (the cost model's trust in its own simulation).
 """
 
 from __future__ import annotations
@@ -211,13 +214,19 @@ class SecurityAssociation:
         else:
             header = ESPHeader(self.spi, seq, 0, ICV_LEN, 0)
         real = canonical_packet_bytes(self._plaintext_view(inner)) if self.real else None
-        if real is not None and self.encrypt:
-            iv = self._iv_hmac.digest(struct.pack(">IQ", self.spi, seq))[:16]
-            sealed = self._sealer.seal(iv, real, struct.pack(">II", self.spi, seq))
-            # Padding/IV/ICV are accounted in ESPHeader.header_len, so the
-            # ciphertext contributes exactly the plaintext length.
-            return header, EspCiphertext(inner, base_len, sealed, sealed, iv)
-        return header, EspCiphertext(inner, base_len)
+        if real is None:
+            return header, EspCiphertext(inner, base_len)
+        if not self.encrypt:
+            return header, EspCiphertext(inner, base_len, None, self._plain_icv(header, real))
+        iv = self._iv_hmac.digest(struct.pack(">IQ", self.spi, seq))[:16]
+        sealed = self._sealer.seal(iv, real, struct.pack(">II", self.spi, seq))
+        # Padding/IV/ICV are accounted in ESPHeader.header_len, so the
+        # ciphertext contributes exactly the plaintext length.
+        return header, EspCiphertext(inner, base_len, sealed, sealed, iv)
+
+    def _plain_icv(self, header: ESPHeader, plain: bytes) -> bytes:
+        """An auth-only body's ICV: HMAC-SHA1-96 over SPI, sequence and plaintext."""
+        return self._icv_hmac.digest(struct.pack(">II", header.spi, header.seq) + plain)[:ICV_LEN]
 
     def _stripped(self, headers: tuple) -> int:
         """Bytes of ``headers`` kept off the wire: BEET's inner IP header."""
@@ -251,16 +260,30 @@ class SecurityAssociation:
                 plain = cbc_decrypt(self._aes, iv, ciphertext)
             except ValueError as exc:
                 raise self._auth_failure(f"decryption failed: {exc}") from exc
-            try:
-                expect = canonical_packet_bytes(self._plaintext_view(payload.inner))
-            except (struct.error, TypeError, ValueError, AttributeError):
-                expect = None  # a carried inner that has no encoding matches nothing
-            if plain != expect:
+            if plain != self._carried_bytes(payload.inner):
                 raise self._auth_failure("decrypted plaintext does not match inner packet")
+        elif payload[3] is not None or self.real and isinstance(
+            getattr(payload.inner, "payload", None), (bytes, bytearray)
+        ):
+            # No ciphertext: an auth-only body, or real bytes nobody sealed.
+            if self.real and self.encrypt:
+                raise self._auth_failure("unencrypted body on an encrypting SA")
+            icv, plain = payload.icv, self._carried_bytes(payload.inner)
+            if not isinstance(icv, bytes) or plain is None:
+                raise self._auth_failure("malformed ESP payload")
+            if not ct_equal(self._plain_icv(header, plain), icv):
+                raise self._auth_failure("ICV verification failed")
         self._accept_replay(header.seq)
         self.packets_verified += 1
         _VERIFIED.value += 1
         return payload.inner
+
+    def _carried_bytes(self, inner: Packet) -> bytes | None:
+        """The plaintext a body's carried inner packet stands for (None: none)."""
+        try:
+            return canonical_packet_bytes(self._plaintext_view(inner))
+        except (struct.error, TypeError, ValueError, AttributeError):
+            return None  # a carried inner that has no encoding matches nothing
 
     def _auth_failure(self, message: str) -> EspError:
         self.auth_failures += 1

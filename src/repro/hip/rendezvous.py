@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.crypto.hmac_kdf import ct_equal
 from repro.hip import packets as hp
 from repro.hip.daemon import HipDaemon
 from repro.net.addresses import IPAddress
@@ -63,11 +62,7 @@ class RendezvousServer:
             if assoc is None or not assoc.is_established:
                 return
             # Registrations must be authenticated: re-check the packet HMAC.
-            mac = pkt.get(hp.HMAC_PARAM)
-            if mac is None:
-                return
-            expect = assoc.hmac_in.digest(pkt.bytes_for_param(hp.HMAC_PARAM))
-            if not ct_equal(expect, mac):
+            if not self.daemon._hmac_ok(pkt, assoc.hmac_in):
                 return
             if REGTYPE_RENDEZVOUS in list(reg):
                 self.registrations[pkt.sender_hit] = ip.src

@@ -72,7 +72,6 @@ TUNNEL_TRANSITIONS: frozenset[tuple[TunnelState, TunnelState]] = frozenset(
         # A retransmitted key message re-derives the same secrets and the
         # server answers finished again: an idempotent self-loop.
         (TunnelState.ESTABLISHED, TunnelState.ESTABLISHED),
-        (TunnelState.ESTABLISHED, TunnelState.FAILED),  # no locator to answer finished on
     }
 )
 
@@ -151,8 +150,8 @@ class SslVpnDaemon:
 
         # peer vpn address -> (locator, peer public key)
         self.peers: dict[IPAddress, tuple[IPAddress, object]] = {}
-        # peer locator -> peer vpn address: a data record's tunnel is the
-        # one of the host that sent it, never one its sender names
+        # peer locator -> peer vpn address: every packet, control or data,
+        # belongs to the host that sent it, never to one its sender names
         self._by_locator: dict[IPAddress, IPAddress] = {}
         self.tunnels: dict[IPAddress, Tunnel] = {}
         self._tx = Queue(self.sim)
@@ -208,8 +207,7 @@ class SslVpnDaemon:
             yield from self._protect_and_send(tunnel, packet)
 
     def _protect_and_send(self, tunnel: Tunnel, packet: Packet) -> Generator:
-        cm = self.node.cost_model
-        cost = cm.tls_record_cost(packet.size_bytes)
+        cost = self.node.cost_model.tls_record_cost(packet.size_bytes)
         self.meter.charge("vpn.record.out", cost)
         yield from self.node.cpu_work(cost)
         tunnel.seq_out += 1
@@ -217,7 +215,7 @@ class SslVpnDaemon:
         wire = Packet(
             headers=(VpnRecordHeader(seq=tunnel.seq_out, pad_len=pad),),
             payload=packet,
-        ).with_meta(vpn_src=self.vpn_addr)
+        )
         self.packets_sent += 1
         self.node.send_ip(tunnel.locator, "sslvpn", wire)
 
@@ -227,23 +225,22 @@ class SslVpnDaemon:
     def _rx_worker(self) -> Generator:
         while True:
             packet = yield self._rx.get()
-            kind = packet.meta.get("vpn_ctl")
-            if kind is not None:
-                yield from self._handle_control(packet)
-                continue
             headers = packet.headers
-            record = headers[1] if len(headers) > 1 else None
-            if not isinstance(record, VpnRecordHeader) or not isinstance(packet.payload, Packet):
+            peer_vpn = self._by_locator.get(headers[0].src)
+            if peer_vpn is None:  # not a registered peer's locator
                 self.drops += 1
                 continue
-            peer_vpn = self._by_locator.get(headers[0].src)
+            if packet.meta.get("vpn_ctl") is not None:
+                yield from self._handle_control(packet, peer_vpn)
+                continue
+            record = headers[1] if len(headers) > 1 else None
             tunnel = self.tunnels.get(peer_vpn)
-            if tunnel is None or not tunnel.is_established:
+            if not (isinstance(record, VpnRecordHeader) and isinstance(packet.payload, Packet)
+                    and tunnel is not None and tunnel.is_established):
                 self.drops += 1
                 continue
             inner = packet.payload
-            cm = self.node.cost_model
-            cost = cm.tls_record_cost(inner.size_bytes)
+            cost = self.node.cost_model.tls_record_cost(inner.size_bytes)
             self.meter.charge("vpn.record.in", cost)
             yield from self.node.cpu_work(cost)
             self.packets_received += 1
@@ -332,12 +329,7 @@ class SslVpnDaemon:
             evt.fail(error)  # type: ignore[attr-defined]
 
     def _send_control(self, tunnel: Tunnel, kind: str, body: bytes) -> None:
-        if tunnel.locator is None:
-            self._fail(tunnel, VpnError(f"no locator for {tunnel.peer_vpn}"))
-            return
-        ctl = Packet(headers=(), payload=body).with_meta(
-            vpn_ctl=kind, vpn_src=self.vpn_addr,
-        )
+        ctl = Packet(headers=(), payload=body).with_meta(vpn_ctl=kind)
         self.node.send_ip(tunnel.locator, "sslvpn", ctl)
 
     def _start_handshake(self, tunnel: Tunnel) -> None:
@@ -351,8 +343,7 @@ class SslVpnDaemon:
         self.sim.process(self._client_handshake(tunnel), name=f"vpn-hs-{self.node.name}")
 
     def _client_handshake(self, tunnel: Tunnel) -> Generator:
-        info = self.peers[tunnel.peer_vpn]
-        peer_key = info[1]
+        peer_key = self.peers[tunnel.peer_vpn][1]
         cm = self.node.cost_model
         # ClientHello -> (retransmitted until ServerHello arrives).
         client_random = self.rng.getrandbits(256).to_bytes(32, "big")
@@ -363,28 +354,39 @@ class SslVpnDaemon:
         encrypted = peer_key.encrypt(premaster, self.rng)
         yield from self._charge("vpn.asym.verify_cert", cm.rsa_verify(peer_key.bits))
         self._send_control(tunnel, "key", client_random + encrypted)
-        tunnel.master_secret = tls_prf(premaster, b"vpn master", client_random, 48)
-        # RFC 5246-style verify_data: a PRF output over the master secret, so
-        # the Finished message proves key possession without revealing any
-        # master-secret bytes on the wire.
-        tunnel.verify_data = tls_verify_data(
-            tunnel.master_secret, b"vpn finished", client_random
-        )
+        self._key(tunnel, premaster, client_random)
         # Wait for the server's finished (retry the key message on timeout).
         for attempt in range(HANDSHAKE_RETRIES):
             yield self.sim.timeout(RETRY_BASE_S * (2**attempt))
             if tunnel.is_established or tunnel.state == TunnelState.FAILED:
                 return
             self._send_control(tunnel, "key", client_random + encrypted)
-        if not tunnel.is_established:
-            self._fail(tunnel, VpnError("handshake retransmissions exhausted"))
+        self._fail(tunnel, VpnError("handshake retransmissions exhausted"))
 
-    def _handle_control(self, packet: Packet) -> Generator:
+    def _key(self, tunnel: Tunnel, premaster: Secret, client_random: bytes) -> None:
+        """Derive the tunnel's master secret and RFC 5246-style verify_data:
+        a PRF output over the master secret, so the Finished message proves
+        key possession without revealing any master-secret bytes."""
+        tunnel.master_secret = tls_prf(premaster, b"vpn master", client_random, 48)
+        tunnel.verify_data = tls_verify_data(
+            tunnel.master_secret, b"vpn finished", client_random
+        )
+
+    def _established(self, tunnel: Tunnel) -> Generator:
+        """Both ways into ESTABLISHED (the client's verified ``finished``,
+        the server's accepted ``key``): wake the waiters, then send what
+        queued while the handshake ran."""
+        self._transition(tunnel, TunnelState.ESTABLISHED)
+        if not tunnel.established_evt.triggered:  # type: ignore[attr-defined]
+            tunnel.established_evt.succeed(tunnel)  # type: ignore[attr-defined]
+        queued, tunnel.queued = tunnel.queued, []
+        for pkt in queued:
+            yield from self._protect_and_send(tunnel, pkt)
+
+    def _handle_control(self, packet: Packet, peer_vpn: IPAddress) -> Generator:
         kind = packet.meta["vpn_ctl"]
-        peer_vpn = packet.meta["vpn_src"]
-        cm = self.node.cost_model
+        body = packet.payload
         if kind == "key":
-            body = packet.payload
             if not isinstance(body, (bytes, bytearray)):
                 return
             try:
@@ -396,40 +398,29 @@ class SslVpnDaemon:
                 # private-key operation is charged (free CPU otherwise).
                 self.drops += 1
                 return
-            yield from self._charge("vpn.asym.decrypt", cm.rsa_sign(self.keypair.public.bits))
+            cost = self.node.cost_model.rsa_sign(self.keypair.public.bits)
+            yield from self._charge("vpn.asym.decrypt", cost)
             try:
                 premaster = Secret(self.keypair.decrypt(encrypted))
             except RsaError:
                 return
             tunnel = self._ensure_tunnel(peer_vpn)
-            if tunnel.locator is None and peer_vpn in self.peers:
-                tunnel.locator = self.peers[peer_vpn][0]
             tunnel.role = "server"
-            tunnel.master_secret = tls_prf(premaster, b"vpn master", client_random, 48)
-            tunnel.verify_data = tls_verify_data(
-                tunnel.master_secret, b"vpn finished", client_random
-            )
-            self._transition(tunnel, TunnelState.ESTABLISHED)
-            if not tunnel.established_evt.triggered:  # type: ignore[attr-defined]
-                tunnel.established_evt.succeed(tunnel)  # type: ignore[attr-defined]
+            self._key(tunnel, premaster, client_random)
+            # finished leaves first, so it reaches the peer (in a
+            # simultaneous open, still HELLO-SENT) before any queued record.
             self._send_control(tunnel, "finished", tunnel.verify_data)
+            yield from self._established(tunnel)
             return
         if kind == "finished":
             tunnel = self.tunnels.get(peer_vpn)
             if tunnel is None or tunnel.state != TunnelState.HELLO_SENT:
                 return
-            body = packet.payload
             if not isinstance(body, (bytes, bytearray)) or not ct_equal(
                 bytes(body), tunnel.verify_data
             ):
                 return  # verify_data mismatch: ignore (attacker or corruption)
-            self._transition(tunnel, TunnelState.ESTABLISHED)
-            if not tunnel.established_evt.triggered:  # type: ignore[attr-defined]
-                tunnel.established_evt.succeed(tunnel)  # type: ignore[attr-defined]
-            queued, tunnel.queued = tunnel.queued, []
-            for pkt in queued:
-                yield from self._protect_and_send(tunnel, pkt)
-            return
+            yield from self._established(tunnel)
         # "hello" needs no state on the server (the key message carries all).
 
     def _charge(self, kind: str, cost: float) -> Generator:

@@ -60,14 +60,15 @@ def session_identities():
     }
 
 
-def build_hip_pair(sim: Simulator, identities):
-    """Two HIP-enabled hosts with peer mappings installed.
+def build_hip_pair(sim: Simulator, identities, config: HipConfig | None = None):
+    """Two HIP-enabled hosts with peer mappings installed, both daemons on
+    ``config`` (default: ``HipConfig()``).
 
     Returns (sim, node_a, node_b, daemon_a, daemon_b).
     """
     a, b = lan_pair(sim, "a", "b")
-    da = HipDaemon(a, identities["a"], rng=random.Random(11))
-    db = HipDaemon(b, identities["b"], rng=random.Random(22))
+    da = HipDaemon(a, identities["a"], rng=random.Random(11), config=config)
+    db = HipDaemon(b, identities["b"], rng=random.Random(22), config=config)
     da.add_peer(db.hit, [ipv4("10.0.0.2")])
     db.add_peer(da.hit, [ipv4("10.0.0.1")])
     return sim, a, b, da, db

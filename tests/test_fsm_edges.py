@@ -242,18 +242,19 @@ def vpn_lost_finished(keys) -> None:
     assert (vb.packets_sent, va.packets_received) == (1, 1)
 
 
-def vpn_server_without_locator(keys) -> None:
-    """ESTABLISHED -> FAILED: a valid ``key`` from a peer the server was never
-    told about leaves it nowhere to send ``finished``."""
+def vpn_unregistered_locator(keys) -> None:
+    """A valid ``key`` from a host the server was never told about is not a
+    peer's: every control packet from its locator is a counted drop, before
+    any RSA decrypt, tunnel or dataplane disturbance on the server."""
     sim, a, b, va, vb = build_vpn_pair(Simulator(), keys, server_knows_client=False)
     epoch = b.dataplane_epoch
     raises_at(sim, va.connect(VB), VpnError, "retransmissions exhausted")
     sim.run(until=sim.now + 1.0)  # the last retransmitted key is still in flight
-    tunnel = vb.tunnels[VA]
-    assert tunnel.state == TunnelState.FAILED and tunnel.queued == []
-    # Each key message (the original and every retransmission) keyed a fresh
-    # tunnel and then failed it: two dataplane disturbances apiece.
-    assert b.dataplane_epoch == epoch + 2 * (1 + vpn.HANDSHAKE_RETRIES)
+    assert va.tunnels[VB].state == TunnelState.FAILED and vb.tunnels == {}
+    # hello, key and every retransmitted key
+    assert vb.drops == 2 + vpn.HANDSHAKE_RETRIES
+    assert "vpn.asym.decrypt" not in vb.meter.ops
+    assert b.dataplane_epoch == epoch
 
 
 VPN_SCENARIOS = (
@@ -261,7 +262,7 @@ VPN_SCENARIOS = (
     vpn_unknown_peer,
     vpn_server_silent,
     vpn_lost_finished,
-    vpn_server_without_locator,
+    vpn_unregistered_locator,
 )
 
 
@@ -302,7 +303,7 @@ def test_hip_recorded_edges_equal_table(session_identities):
 def test_vpn_recorded_edges_equal_table(vpn_keys):
     seen = recorded_edges(VPN_SCENARIOS, vpn_keys, "vpn", "tunnel_state")
     assert seen == TUNNEL_TRANSITIONS
-    assert len(TUNNEL_TRANSITIONS) == 7
+    assert len(TUNNEL_TRANSITIONS) == 6
 
 
 @pytest.mark.parametrize(

@@ -457,3 +457,88 @@ class TestCanonicalBytes:
         p1 = Packet(headers=(TCPHeader(src_port=1, dst_port=2, seq=9),), payload=b"")
         p2 = Packet(headers=(TCPHeader(src_port=1, dst_port=2, seq=10),), payload=b"")
         assert canonical_packet_bytes(p1) != canonical_packet_bytes(p2)
+
+
+class TestUnauthenticatedBodies:
+    """A real SA accepts no real-byte body it has not authenticated; only a
+    virtual payload, which has no bytes, is taken as carried."""
+
+    def test_encrypting_sa_refuses_a_body_without_ciphertext(self):
+        in_sa = make_sa()
+        header, _ = make_sa().protect(sample_inner())
+        with pytest.raises(EspError, match="unencrypted body"):
+            in_sa.verify(header, EspCiphertext(sample_inner(b"forged"), 20))
+        _, auth_only = make_sa(encrypt=False).protect(sample_inner())
+        with pytest.raises(EspError, match="unencrypted body"):
+            in_sa.verify(header, auth_only)  # an ICV alone is not ciphertext
+        assert (in_sa.auth_failures, in_sa.packets_verified) == (2, 0)
+
+    def test_auth_only_sa_seals_and_checks_an_icv_over_the_plaintext(self):
+        out_sa, in_sa = make_sa(encrypt=False), make_sa(encrypt=False)
+        inner = sample_inner()
+        header, ct = out_sa.protect(inner)
+        assert ct.ciphertext is None and ct.iv is None and len(ct.icv) == 12
+        assert in_sa.verify(header, ct) is inner
+        header, ct = out_sa.protect(inner)
+        forged_inner = sample_inner(b"application dat!")
+        with pytest.raises(EspError, match="ICV verification failed"):
+            in_sa.verify(header, EspCiphertext(forged_inner, ct.wire_len, None, ct.icv))
+        with pytest.raises(EspError, match="malformed ESP payload"):
+            in_sa.verify(header, EspCiphertext(inner, ct.wire_len))  # no ICV at all
+        wrong = SecurityAssociation(spi=0x1000, enc_key=ENC, auth_key=bytes(20),
+                                    src_hit=HIT_A, dst_hit=HIT_B, encrypt=False)
+        with pytest.raises(EspError, match="ICV verification failed"):
+            wrong.verify(header, ct)
+        assert (in_sa.auth_failures, in_sa.packets_verified) == (2, 1)
+        assert in_sa.verify(header, ct) is inner  # the genuine body still passes
+        # A virtual payload has no bytes to seal: taken as carried, as on
+        # every SA.
+        virtual = sample_inner(VirtualPayload(700))
+        header, ct = out_sa.protect(virtual)
+        assert ct.icv is None and in_sa.verify(header, ct) is virtual
+
+    def test_an_icv_reaching_a_cost_model_sa_is_still_checked(self):
+        out_sa, in_sa = make_sa(encrypt=False), make_sa(encrypt=False, real=False)
+        inner = sample_inner()
+        header, ct = out_sa.protect(inner)
+        assert in_sa.verify(header, ct) is inner
+        header, ct = out_sa.protect(inner)
+        bad = EspCiphertext(inner, ct.wire_len, None, bytes(12))
+        with pytest.raises(EspError, match="ICV"):
+            in_sa.verify(header, bad)
+        # A cost-model SA still takes an unsealed real-byte body as carried.
+        assert in_sa.verify(header, EspCiphertext(inner, ct.wire_len)) is inner
+
+
+@pytest.mark.parametrize("encrypt", [True, False], ids=["encrypting", "auth-only"])
+def test_forged_body_with_no_ciphertext_is_dropped_by_the_daemon(session_identities, encrypt):
+    """A co-tenant that read an SPI off the wire and picks a sequence above
+    the replay window cannot have an unsealed inner packet delivered."""
+    from repro.hip.daemon import HipConfig
+    from repro.net.packet import ESPHeader
+    from repro.net.udp import UdpStack
+    from repro.sim import Simulator
+    from tests.conftest import build_hip_pair
+
+    sim, a, b, da, db = build_hip_pair(
+        Simulator(), session_identities, HipConfig(esp_encrypt=encrypt)
+    )
+    sock = UdpStack(b).bind(9)
+    got = []
+
+    def listen():
+        while True:
+            payload, _ = yield sock.recvfrom()
+            got.append(payload)
+
+    sim.process(listen())
+    UdpStack(a).bind(1).sendto(b"genuine", db.hit, 9)
+    sim.run(until=2.0)
+    assert got == [b"genuine"]
+    sa_in = db.assocs[da.hit].sa_in
+    inner = Packet((IPHeader(da.hit, db.hit, "udp"), UDPHeader(1, 9)), b"forged")
+    a.send_ip(ipv4("10.0.0.2"), "esp", Packet((ESPHeader(sa_in.spi, 1000),), EspCiphertext(inner, 20)))
+    sim.run(until=3.0)
+    assert got == [b"genuine"]
+    assert db.drops_esp == 1 and sa_in.auth_failures == 1
+    assert sa_in.packets_verified == 1

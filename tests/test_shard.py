@@ -7,6 +7,7 @@ engine's golden value) and produce identical per-shard results — and those
 results must match the monolithic single-heap twin of the same topology.
 """
 
+import gc
 import hashlib
 import pickle
 
@@ -119,7 +120,15 @@ def echo_builders(promises=False, **left_kw):
 
 
 def booked(run):
-    """``(run(), increments)``: every METRICS counter ``run`` moved."""
+    """``(run(), increments)``: every METRICS counter ``run`` moved.
+
+    Garbage is collected first: a simulation an earlier test left unclosed
+    still holds suspended processes, and when the collector finalizes one
+    (a proxy handler parked on a read runs ``finally: conn.close()``) it
+    sends a segment and bumps the process-global counters in the middle of
+    whatever run is being booked.
+    """
+    gc.collect()
     before = {c.name: c.value for c in METRICS.counters()}
     result = run()
     moved = {c.name: c.value - before.get(c.name, 0) for c in METRICS.counters()}

@@ -150,9 +150,7 @@ class TestVpnDetails:
         from repro.net.packet import Packet
 
         sim, a, b, va, vb = vpn_pair
-        ctl = Packet(headers=(), payload=body).with_meta(
-            vpn_ctl="key", vpn_src=vpn_addr(10)
-        )
+        ctl = Packet(headers=(), payload=body).with_meta(vpn_ctl="key")
         a.send_ip(B, "sslvpn", ctl)
         sim.run(until=1)
         assert vb.drops == 1
@@ -201,3 +199,29 @@ def test_record_claiming_a_peers_vpn_address_from_another_host_is_dropped(vpn_pa
     assert got == []
     assert vb.drops == drops + 1
     assert vb.packets_received == received
+
+
+def test_simultaneous_open_delivers_both_first_datagrams(vpn_pair):
+    """Both ends send at t=0: each starts a handshake as client, then takes
+    the other's key as server.  That way into ESTABLISHED sends what queued
+    meanwhile, as the client's does, so neither datagram is stranded."""
+    from repro.net.udp import UdpStack
+
+    sim, a, b, va, vb = vpn_pair
+    got: dict[str, list] = {"a": [], "b": []}
+    socks = {}
+    for name, node in (("a", a), ("b", b)):
+        socks[name] = sock = UdpStack(node).bind(9)
+
+        def listen(sock=sock, name=name):
+            while True:
+                payload, _ = yield sock.recvfrom()
+                got[name].append(payload)
+
+        sim.process(listen())
+    socks["a"].sendto(b"from a", vpn_addr(11), 9)
+    socks["b"].sendto(b"from b", vpn_addr(10), 9)
+    sim.run(until=10)
+    assert va.tunnels[vpn_addr(11)].is_established and vb.tunnels[vpn_addr(10)].is_established
+    assert got == {"a": [b"from b"], "b": [b"from a"]}
+    assert va.tunnels[vpn_addr(11)].queued == vb.tunnels[vpn_addr(10)].queued == []
