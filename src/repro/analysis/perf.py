@@ -62,7 +62,6 @@ ROOTS = (
     "HipDaemon._tx_send",
     "HipDaemon._rx_serve",
     "HipDaemon._rx_deliver",
-    "HipDaemon._fluid_taxer",
     # The shard coordinator's window loop (PR 10): these run once per sync
     # window / boundary packet, thousands of times per scale run, and the
     # scatter-gather speedup evaporates if barrier turnaround regresses.

@@ -323,7 +323,6 @@ class HipDaemon:
         node.add_output_shim(self._output_shim)
         node.register_protocol("hip", self._on_hip_packet, HIPHeader)
         node.register_protocol("esp", self._on_esp_packet, ESPHeader)
-        node.fluid_taxers.append(self._fluid_taxer)
 
         self._tx_lane = _Lane(self.sim, self._tx_serve)
         self._rx_lane = _Lane(self.sim, self._rx_serve)
@@ -518,47 +517,18 @@ class HipDaemon:
         self.node._on_receive(delivered, None)
         self._rx_lane.advance()
 
-    def _fluid_taxer(
-        self, peer_addr: IPAddress, n_bytes: int, n_segments: int, direction: str
-    ) -> None:
-        """Charge ESP dataplane costs for TCP fluid fast-forwarded bytes.
-
-        A fluid flow skips per-packet events, but each skipped segment would
-        have paid address translation plus ESP encrypt (out) / decrypt (in).
-        Charge the same meters per virtual byte so the crypto accounting
-        stays honest.  CPU busy-seconds are tallied without occupying the
-        CPU slot — the closed-form rate already subsumes the transfer's
-        elapsed time.
-        """
-        if n_segments <= 0:
-            return
-        route = self._routes.get(peer_addr, _UNSEEN)
-        if route is _UNSEEN:
-            route = self._classify(peer_addr)
-        if route is None:
-            return  # not a HIP-addressed flow: no ESP on this path
-        out = direction == "out"
-        busy = self._esp_cost(route[1], n_bytes // n_segments, out, n_segments)
-        if out:
-            self.data_packets_sent += n_segments
-            _DATA_SENT.value += n_segments
-        else:
-            self.data_packets_received += n_segments
-            _DATA_RECV.value += n_segments
-        self.node.cpu_busy_seconds += busy
-
-    def _esp_cost(self, kind: str, size: int, out: bool, n: int = 1) -> float:
-        """Price ``n`` ESP packets of ``size`` inner bytes: the ``kind``
-        address translation plus ESP encrypt (``out``) or decrypt.  The total
-        is charged to the meter key of that pair and returned."""
+    def _esp_cost(self, kind: str, size: int, out: bool) -> float:
+        """Price one ESP packet of ``size`` inner bytes: the ``kind`` address
+        translation plus ESP encrypt (``out``) or decrypt.  The cost is
+        charged to the meter key of that pair and returned."""
         cm = self.node.cost_model
         lsi = kind == "lsi"
         cost = cm.lsi_translation if lsi else cm.hit_translation
         if out:
             cost += cm.esp_encrypt_cost(size)
-            return self.meter.charge(_ESP_ENC_LSI if lsi else _ESP_ENC_HIT, cost * n)
+            return self.meter.charge(_ESP_ENC_LSI if lsi else _ESP_ENC_HIT, cost)
         cost += cm.esp_decrypt_cost(size)
-        return self.meter.charge(_ESP_DEC_LSI if lsi else _ESP_DEC_HIT, cost * n)
+        return self.meter.charge(_ESP_DEC_LSI if lsi else _ESP_DEC_HIT, cost)
 
     def _drop_esp(self, esp_header: ESPHeader, reason: str) -> None:
         """Count and trace an inbound drop, and move the rx lane on."""
@@ -777,7 +747,7 @@ class HipDaemon:
     ) -> None:
         """Key ``assoc``'s SA pair from 72 bytes of ESP ``keymat`` (I2, R2 and
         rekey alike): the superseded inbound SPI is retired, the new one
-        indexed, and fluid flows must re-enter."""
+        indexed."""
         if assoc.sa_in is not None:
             self._sa_in_by_spi.pop(assoc.sa_in.spi, None)
         assoc.sa_out, assoc.sa_in = derive_sa_pair(
@@ -788,7 +758,6 @@ class HipDaemon:
             real=self.config.real_crypto,
         )
         self._sa_in_by_spi[local_spi] = assoc
-        self.node.dataplane_epoch += 1
 
     # -- responder side ------------------------------------------------------------
     def _yields_to(self, peer_hit: IPAddress) -> bool:
@@ -1190,7 +1159,6 @@ class HipDaemon:
         if assoc.sa_in is not None:
             self._sa_in_by_spi.pop(assoc.sa_in.spi, None)
         assoc.sa_in = assoc.sa_out = None
-        self.node.dataplane_epoch += 1  # SA teardown disturbs any fluid flow
 
     # --------------------------------------------------------------------- helpers --
     def _alloc_spi(self) -> int:

@@ -161,6 +161,9 @@ class Zone:
 class DnsServer:
     """Authoritative server bound to a node's UDP port 53."""
 
+    #: CPU seconds to answer one query: lookup + response build.
+    answer_cost = 20e-6
+
     def __init__(self, node: "Node", udp: UdpStack, zone: Zone | None = None) -> None:
         self.node = node
         self.zone = zone or Zone()
@@ -175,10 +178,13 @@ class DnsServer:
                 qid, qname, qtype = decode_query(bytes(data))
             except DnsDecodeError:
                 continue
-            yield from self.node.cpu_work(20e-6)  # lookup + response build
+            yield from self.node.cpu_work(self.answer_cost)
             answers = self.zone.lookup(qname, qtype)
             self.queries_served += 1
-            self._sock.sendto(encode_response(qid, answers), src, src_port)
+            self._sock.sendto(self._encode(qid, answers), src, src_port)
+
+    def _encode(self, qid: int, answers: list[DnsRecord]) -> bytes:
+        return encode_response(qid, answers)
 
 
 class DnsResolver:
@@ -215,13 +221,14 @@ class DnsResolver:
                 deadline = sim.timeout(timeout)
                 winner, value = yield AnyOf(sim, [reply, deadline])
                 if winner is reply:
-                    data, _src = value
+                    data = bytes(value[0])
                     try:
-                        rid, records = decode_response(bytes(data))
+                        rid, records = decode_response(data)
                     except DnsDecodeError:
                         continue  # hostile or corrupt response: retry
                     if rid != qid:
                         continue  # stale response; retry
+                    self._check(data, qid, records)
                     if records:
                         ttl = min(r.ttl for r in records)
                         self._cache[(qname, qtype)] = (sim.now + ttl, records)
@@ -229,3 +236,7 @@ class DnsResolver:
             raise TimeoutError(f"DNS query {qname}/{qtype} timed out")
         finally:
             sock.close()
+
+    def _check(self, data: bytes, qid: int, records: list[DnsRecord]) -> None:
+        """Accept the answer ``data`` to query ``qid``, decoded to
+        ``records``, or raise."""

@@ -14,10 +14,9 @@ DNSSEC deploys incrementally.
 from __future__ import annotations
 
 import struct
-from typing import Generator
 
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
-from repro.net.dns import DnsDecodeError, DnsRecord, DnsResolver, Zone, encode_response
+from repro.net.dns import DnsRecord, DnsResolver, DnsServer, Zone, encode_response
 from repro.net.wire import U16, WireReader
 
 
@@ -84,34 +83,17 @@ def decode_signature_section(data: bytes, base_len: int) -> list[bytes]:
     return sigs
 
 
-class SignedDnsServer:
-    """Authoritative server answering with signatures from a SignedZone."""
+class SignedDnsServer(DnsServer):
+    """Authoritative server answering with signatures from a SignedZone.
 
-    def __init__(self, node, udp, zone: SignedZone) -> None:
-        from repro.net.dns import DNS_PORT, decode_query
+    Signing happened at zone-load time; answering costs a little more than
+    the plain lookup for the longer response."""
 
-        self.node = node
-        self.zone = zone
-        self.queries_served = 0
-        self._sock = udp.bind(DNS_PORT)
-        self._decode_query = decode_query
-        node.sim.process(self._serve(), name=f"dnssec-server-{node.name}")
+    zone: SignedZone
+    answer_cost = 25e-6
 
-    def _serve(self) -> Generator:
-        while True:
-            data, (src, src_port) = yield self._sock.recvfrom()
-            try:
-                qid, qname, qtype = self._decode_query(bytes(data))
-            except DnsDecodeError:
-                continue
-            # Signing happened at zone-load time; answering adds only the
-            # usual lookup cost.
-            yield from self.node.cpu_work(25e-6)
-            answers = self.zone.lookup(qname, qtype)
-            self.queries_served += 1
-            self._sock.sendto(
-                encode_signed_response(self.zone, qid, answers), src, src_port
-            )
+    def _encode(self, qid: int, answers: list[DnsRecord]) -> bytes:
+        return encode_signed_response(self.zone, qid, answers)
 
 
 class ValidatingResolver(DnsResolver):
@@ -128,51 +110,15 @@ class ValidatingResolver(DnsResolver):
         self.validated = 0
         self.rejected = 0
 
-    def query(self, qname: str, qtype: str, timeout: float = 2.0,
-              retries: int = 2) -> Generator:
-        from repro.net.dns import DNS_PORT, decode_response, encode_query
-        from repro.sim.events import AnyOf
-
-        sim = self.node.sim
-        cached = self._cache.get((qname, qtype))
-        if cached is not None and sim.now < cached[0]:
-            return cached[1]
-        sock = self.udp.bind(0)
+    def _check(self, data: bytes, qid: int, records: list[DnsRecord]) -> None:
         try:
-            for _attempt in range(retries + 1):
-                qid = self._next_id
-                self._next_id += 1
-                sock.sendto(encode_query(qname, qtype, qid),
-                            self.server_addr, DNS_PORT)
-                reply = sock.recvfrom()
-                deadline = sim.timeout(timeout)
-                winner, value = yield AnyOf(sim, [reply, deadline])
-                if winner is not reply:
-                    continue
-                data, _src = value
-                data = bytes(data)
-                rid, records = decode_response(data)
-                if rid != qid:
-                    continue
-                base_len = len(encode_response(rid, records))
-                try:
-                    sigs = decode_signature_section(data, base_len)
-                    self._validate(records, sigs)
-                except DnssecError:
-                    self.rejected += 1  # malformed, missing or bogus alike
-                    raise
-                if records:
-                    ttl = min(r.ttl for r in records)
-                    self._cache[(qname, qtype)] = (sim.now + ttl, records)
-                return records
-            raise TimeoutError(f"DNS query {qname}/{qtype} timed out")
-        finally:
-            sock.close()
-
-    def _validate(self, records: list[DnsRecord], sigs: list[bytes]) -> None:
-        if len(sigs) < len(records):
-            raise DnssecError("answer is missing signatures")
-        for record, sig in zip(records, sigs):
-            if not self.trust_anchor.verify(record_canonical_bytes(record), sig):
-                raise DnssecError(f"bogus signature for {record.name}/{record.rtype}")
-            self.validated += 1
+            sigs = decode_signature_section(data, len(encode_response(qid, records)))
+            if len(sigs) < len(records):
+                raise DnssecError("answer is missing signatures")
+            for record, sig in zip(records, sigs):
+                if not self.trust_anchor.verify(record_canonical_bytes(record), sig):
+                    raise DnssecError(f"bogus signature for {record.name}/{record.rtype}")
+                self.validated += 1
+        except DnssecError:
+            self.rejected += 1  # malformed, missing or bogus alike
+            raise

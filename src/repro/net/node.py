@@ -111,16 +111,6 @@ class Node:
         #: Local deliveries whose transport header does not match ``proto``.
         self.dropped_malformed = 0
         self.cpu_busy_seconds = 0.0
-        #: Dataplane taxers for TCP fluid fast-forward: when a bulk flow on
-        #: this node advances as a closed-form rate integral instead of
-        #: per-packet events, each taxer ``(peer_addr, n_bytes, n_segments,
-        #: direction)`` charges whatever per-byte cost its subsystem would
-        #: have charged packet-by-packet (ESP encrypt/decrypt, TLS records).
-        self.fluid_taxers: list[Callable[[IPAddress, int, int, str], None]] = []
-        #: Bumped whenever the node's secure dataplane changes shape (SA
-        #: install, rekey, VPN tunnel (re)establishment).  Fluid-mode flows
-        #: snapshot it at entry and fall back to packet mode when it moves.
-        self.dataplane_epoch = 0
 
     # -- configuration -----------------------------------------------------------
     def add_interface(self, name: str, *addresses: IPAddress) -> Interface:

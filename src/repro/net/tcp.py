@@ -24,17 +24,18 @@ Implements the behaviourally-relevant subset for the paper's experiments:
   ``cwnd/srtt`` instead of in back-to-back window bursts;
 * optional fluid fast-forward (``fluid=True``): a window-limited bulk flow
   whose congestion window has stopped moving drains its pipe, locates its
-  peer endpoint (via an in-band probe that crosses ESP/VPN encapsulation
-  like any other segment), and then advances as a closed-form rate integral
+  peer endpoint (via an in-band probe that travels like any other
+  segment), and then advances as a closed-form rate integral
   ``min(cwnd, peer_window)/srtt`` — skipping per-segment events entirely —
   until the transfer completes or the steady state is disturbed (loss, ECN
-  echo, a rekey bumping ``Node.dataplane_epoch``, or a competing flow
-  appearing on either stack), at which point it re-enters packet mode with
-  bit-identical ``snd_nxt``/``cwnd``/``bytes_acked``.  Crypto costs are
-  still charged per virtual byte through ``Node.fluid_taxers``.  ``fluid``
-  implies RFC 2861-style congestion-window validation (``cwnd`` only grows
-  while the flow is cwnd-limited), which is what pins ``cwnd`` exactly in
-  the window-limited steady state.
+  echo, a receive-window change, or a competing flow appearing on either
+  stack), at which point it re-enters packet mode with bit-identical
+  ``snd_nxt``/``cwnd``/``bytes_acked``.  A flow never goes fluid at a
+  tunnel endpoint (a node with an output shim: HIP, SSL VPN, Teredo), so
+  every tunnel cost is charged per packet, exactly as with ``fluid=False``.
+  ``fluid`` implies RFC 2861-style congestion-window validation (``cwnd``
+  only grows while the flow is cwnd-limited), which is what pins ``cwnd``
+  exactly in the window-limited steady state.
 
 All timers (RTO, delayed ACK, persist, pacing, fluid) are callback-lane
 :class:`~repro.sim.engine.TimerHandle` objects rearmed in place.
@@ -94,7 +95,7 @@ SACK_MAX_BLOCKS = 3  # blocks per ACK, as a timestamped real header would fit
 FLUID_STABLE_WINDOWS = 2
 FLUID_MIN_WINDOWS = 3
 #: Simulated seconds advanced per fluid checkpoint: each chunk re-validates
-#: the steady-state guards (peer alive, no rekey, no competing flow) so a
+#: the steady-state guards (peer alive, same window, no competing flow) so a
 #: disturbance is noticed within one chunk.
 FLUID_CHUNK_S = 0.25
 FLUID_PROBE_RETRIES = 3
@@ -219,7 +220,6 @@ class TcpConnection:
         self._fluid_rate = 0.0  # bytes per simulated second while active
         self._fluid_wait_tries = 0
         self._fluid_entry_flows = 0
-        self._fluid_entry_epoch = 0
         self._fluid_entry_wnd = 0
         self.fluid_bytes = 0
         self.fluid_enters = 0
@@ -1022,15 +1022,16 @@ class TcpConnection:
     # (2) waits for the pipe to drain (snd_una == snd_nxt) and for the
     # probe to have linked the peer connection object, then (3) advances
     # both endpoints in closed form at min(cwnd, peer_window)/srtt via one
-    # rearmed callback timer, charging crypto/link costs per virtual byte.
-    # Any disturbance — loss, ECN echo, a dataplane rekey, a competing flow
-    # on either stack, peer teardown — drops the flow back to packet mode
-    # with exactly the sender/receiver state a per-packet run would have at
-    # that stream offset.
+    # rearmed callback timer, charging first-hop link costs per virtual byte.
+    # Neither end is a tunnel endpoint.  Any disturbance — loss, ECN echo, a
+    # window change, a competing flow on either stack, peer teardown — drops
+    # the flow back to packet mode with exactly the sender/receiver state a
+    # per-packet run would have at that stream offset.
 
     def _fluid_eligible(self) -> bool:
         if (
             self.state != "ESTABLISHED"
+            or self.node._output_shims  # a tunnel endpoint: see _fluid_try_jump
             or self.in_recovery
             or self._sacked
             or self._ecn_echo
@@ -1075,9 +1076,8 @@ class TcpConnection:
     def _fluid_send_probe(self) -> None:
         """In-band peer discovery: a pure ACK whose meta names our directory id.
 
-        It rides the normal dataplane — through output shims, ESP/VPN
-        encapsulation and decapsulation — so whatever endpoint demultiplexes
-        it *is* the peer connection object, LSI/HIT translation included.
+        It rides the normal dataplane, so whatever endpoint demultiplexes it
+        *is* the peer connection object, address translation included.
         """
         header = TCPHeader(
             self.local_port, self.remote_port, self.snd_nxt, self.rcv_nxt,
@@ -1121,8 +1121,11 @@ class TcpConnection:
                 self._fluid_send_probe()
             self._fluid_arm(max(self.srtt or 0.0, 0.01))
             return
+        # Neither end may be a tunnel endpoint: HIP, the SSL VPN and Teredo
+        # charge their per-packet costs on packets a fluid flow never sends.
         if (
             peer.state != "ESTABLISHED"
+            or peer.node._output_shims
             or peer.sim is not self.sim
             or peer.rcv_nxt != self.snd_nxt
             or peer.ooo
@@ -1139,9 +1142,6 @@ class TcpConnection:
         self._fluid_rate = wnd / self.srtt
         self._fluid_entry_flows = len(self.stack._connections) + len(
             peer.stack._connections
-        )
-        self._fluid_entry_epoch = (
-            self.node.dataplane_epoch + peer.node.dataplane_epoch
         )
         self._fluid_entry_wnd = self.peer_window
         self.fluid_enters += 1
@@ -1199,8 +1199,6 @@ class TcpConnection:
                 and len(self.stack._connections) + len(peer.stack._connections)
                 != self._fluid_entry_flows
             )
-            or self.node.dataplane_epoch + peer.node.dataplane_epoch
-            != self._fluid_entry_epoch
             or self.peer_window != self._fluid_entry_wnd
         ):
             self._fluid_exit("disturbed")
@@ -1236,21 +1234,10 @@ class TcpConnection:
             self._fluid_exit("complete")
 
     def _fluid_charge(self, n: int) -> None:
-        """Charge per-byte dataplane costs the skipped segments would have paid."""
+        """Charge the first-hop link costs the skipped segments would have paid."""
         segs = (n + self.mss - 1) // self.mss
-        node = self.node
-        if node.fluid_taxers:
-            for taxer in node.fluid_taxers:
-                taxer(self.remote_addr, n, segs, "out")
-        peer = self._fluid_peer
-        pnode = peer.node
-        if pnode.fluid_taxers:
-            for taxer in pnode.fluid_taxers:
-                taxer(peer.remote_addr, n, segs, "in")
-        # First-hop wire accounting on the sender's egress (if it has a
-        # routed one — shim-handled LSI/HIT destinations are charged by
-        # their daemon's taxer instead).
-        iface = node.routes.lookup(self.remote_addr)
+        # First-hop wire accounting on the sender's egress.
+        iface = self.node.routes.lookup(self.remote_addr)
         if iface is not None and iface._endpoint is not None:
             iface._endpoint.account_fluid(n, segs)
 

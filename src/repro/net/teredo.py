@@ -212,12 +212,7 @@ class TeredoRelay:
         self.node = node
         self.sock = udp.bind(TEREDO_PORT)
         self.relayed = 0
-        node.add_output_shim(self._output_shim)
         node.sim.process(self._serve(), name=f"teredo-relay-{node.name}")
-
-    def _output_shim(self, node: "Node", packet: Packet) -> Packet | None:
-        # Relays forward, they do not originate; shim kept for symmetry.
-        return packet
 
     def relay_ipv6(self, packet: Packet) -> None:
         """Called by the owning node's forwarding hook for Teredo destinations."""

@@ -66,7 +66,7 @@ TUNNEL_TRANSITIONS: frozenset[tuple[TunnelState, TunnelState]] = frozenset(
         (TunnelState.NEW, TunnelState.ESTABLISHED),  # server accepts key message
         (TunnelState.NEW, TunnelState.FAILED),  # unknown peer / no locator
         # finished verified (client), or the peer's key message won a
-        # simultaneous open and this end becomes the server
+        # simultaneous open and this end, the smaller address, is the server
         (TunnelState.HELLO_SENT, TunnelState.ESTABLISHED),
         (TunnelState.HELLO_SENT, TunnelState.FAILED),  # retransmissions exhausted
         # A retransmitted key message re-derives the same secrets and the
@@ -146,7 +146,6 @@ class SslVpnDaemon:
         node.add_output_shim(self._output_shim)
         # Control messages carry no record header: _rx_worker checks its own.
         node.register_protocol("sslvpn", self._on_packet, None)
-        node.fluid_taxers.append(self._fluid_taxer)
 
         # peer vpn address -> (locator, peer public key)
         self.peers: dict[IPAddress, tuple[IPAddress, object]] = {}
@@ -201,6 +200,8 @@ class SslVpnDaemon:
             if not tunnel.is_established:
                 if len(tunnel.queued) < self.queue_limit:
                     tunnel.queued.append(packet)
+                else:
+                    self.drops += 1  # the pending tunnel's queue is full
                 if tunnel.state == TunnelState.NEW:
                     self._start_handshake(tunnel)
                 continue
@@ -251,29 +252,6 @@ class SslVpnDaemon:
                 delivered = delivered.with_meta(ce=True)
             self.node._on_receive(delivered, None)
 
-    def _fluid_taxer(
-        self, peer_addr: IPAddress, n_bytes: int, n_segments: int, direction: str
-    ) -> None:
-        """Charge TLS record costs for TCP fluid fast-forwarded bytes.
-
-        Mirrors the per-packet ``vpn.record.*`` accounting for segments a
-        fluid flow never emits; busy-seconds are tallied without occupying
-        the CPU slot since the fluid rate subsumes the elapsed time.
-        """
-        if n_segments <= 0:
-            return
-        if not VPN_SUBNET.contains(peer_addr) or peer_addr == self.vpn_addr:
-            return  # not a tunneled flow
-        cm = self.node.cost_model
-        cost = cm.tls_record_cost(n_bytes // n_segments) * n_segments
-        if direction == "out":
-            self.meter.charge("vpn.record.out", cost)
-            self.packets_sent += n_segments
-        else:
-            self.meter.charge("vpn.record.in", cost)
-            self.packets_received += n_segments
-        self.node.cpu_busy_seconds += cost
-
     def _rebuild_inner(self, inner: Packet, peer_vpn: IPAddress) -> Packet:
         if inner.headers and isinstance(inner.outer, IPHeader):
             old_ip, transport = inner.popped()
@@ -316,10 +294,6 @@ class SslVpnDaemon:
                 frm=tunnel.state, to=state,
             )
         tunnel.state = state
-        if state in (TunnelState.ESTABLISHED, TunnelState.FAILED):
-            # Keying change on this node's dataplane: any TCP flow in fluid
-            # fast-forward must drop back to packets and re-qualify.
-            self.node.dataplane_epoch += 1
 
     def _fail(self, tunnel: Tunnel, error: Exception) -> None:
         self._transition(tunnel, TunnelState.FAILED)
@@ -353,6 +327,8 @@ class SslVpnDaemon:
         yield from self._charge("vpn.asym.encrypt", cm.rsa_verify(peer_key.bits))
         encrypted = peer_key.encrypt(premaster, self.rng)
         yield from self._charge("vpn.asym.verify_cert", cm.rsa_verify(peer_key.bits))
+        if tunnel.state != TunnelState.HELLO_SENT:
+            return  # the peer's key won a simultaneous open meanwhile
         self._send_control(tunnel, "key", client_random + encrypted)
         self._key(tunnel, premaster, client_random)
         # Wait for the server's finished (retry the key message on timeout).
@@ -387,7 +363,13 @@ class SslVpnDaemon:
         kind = packet.meta["vpn_ctl"]
         body = packet.payload
         if kind == "key":
-            if not isinstance(body, (bytes, bytearray)):
+            tunnel = self.tunnels.get(peer_vpn)
+            if not isinstance(body, (bytes, bytearray)) or tunnel is not None and (
+                # Simultaneous open: the smaller address answers as server,
+                # the larger stays client.  Only a server re-answers a key.
+                tunnel.state == TunnelState.HELLO_SENT and self.vpn_addr > peer_vpn
+                or tunnel.is_established and tunnel.role == "client"
+            ):
                 return
             try:
                 client_random, encrypted = parse_key_body(

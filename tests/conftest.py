@@ -31,6 +31,28 @@ def _wire_sanitizer_for_smoke(request):
         yield
 
 
+@pytest.fixture(autouse=True)
+def _close_simulators(monkeypatch):
+    """Close every ``Simulator`` the test built, when the test ends.
+
+    A simulation left open holds suspended processes; the garbage collector
+    would finalize them during some later test, whose counters their
+    ``finally`` blocks (a proxy's ``conn.close()`` sending a FIN) would then
+    bump.  ``Simulator.close()`` runs them here instead, in creation order.
+    """
+    built: list[Simulator] = []
+    init = Simulator.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Simulator, "__init__", tracked_init)
+    yield
+    for sim in built:
+        sim.close()
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xDECAF)
@@ -60,13 +82,15 @@ def session_identities():
     }
 
 
-def build_hip_pair(sim: Simulator, identities, config: HipConfig | None = None):
+def build_hip_pair(
+    sim: Simulator, identities, config: HipConfig | None = None, **link_kw
+):
     """Two HIP-enabled hosts with peer mappings installed, both daemons on
-    ``config`` (default: ``HipConfig()``).
+    ``config`` (default: ``HipConfig()``); ``link_kw`` goes to ``lan_pair``.
 
     Returns (sim, node_a, node_b, daemon_a, daemon_b).
     """
-    a, b = lan_pair(sim, "a", "b")
+    a, b = lan_pair(sim, "a", "b", **link_kw)
     da = HipDaemon(a, identities["a"], rng=random.Random(11), config=config)
     db = HipDaemon(b, identities["b"], rng=random.Random(22), config=config)
     da.add_peer(db.hit, [ipv4("10.0.0.2")])
@@ -90,13 +114,16 @@ def vpn_addr(n: int) -> IPAddress:
     return IPAddress(4, VPN_SUBNET.network.value + n)
 
 
-def build_vpn_pair(sim: Simulator, keys, server_knows_client: bool = True):
-    """Two SSL-VPN hosts, ``a`` keyed to reach ``b`` at ``vpn_addr(11)``.
+def build_vpn_pair(
+    sim: Simulator, keys, server_knows_client: bool = True, **link_kw
+):
+    """Two SSL-VPN hosts, ``a`` keyed to reach ``b`` at ``vpn_addr(11)``;
+    ``link_kw`` goes to ``lan_pair``.
 
     Returns (sim, node_a, node_b, daemon_a, daemon_b).
     """
     key_a, key_b = keys
-    a, b = lan_pair(sim, "a", "b")
+    a, b = lan_pair(sim, "a", "b", **link_kw)
     va = SslVpnDaemon(a, vpn_addr(10), key_a, rng=random.Random(1))
     vb = SslVpnDaemon(b, vpn_addr(11), key_b, rng=random.Random(2))
     va.add_peer(vpn_addr(11), ipv4("10.0.0.2"), key_b.public)

@@ -20,6 +20,10 @@ from repro.sim import Simulator
 
 @pytest.fixture
 def natted_net(sim):
+    return build_natted_net(sim)
+
+
+def build_natted_net(sim):
     """client_a behind NAT; server and client_b public.
 
     Returns dict of nodes; all given UDP stacks.

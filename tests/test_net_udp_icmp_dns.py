@@ -252,21 +252,34 @@ class TestDnsHostileInput:
         assert records[0].address == ipv4("10.0.0.2")
         assert server.queries_served == 1  # hostile datagrams never counted
 
-    def test_resolver_retries_past_hostile_response(self, lan, drive):
+    @pytest.mark.parametrize("validating", [False, True], ids=["plain", "validating"])
+    def test_resolver_retries_past_hostile_response(self, lan, drive, vpn_keys, validating):
+        """One off-path garbage datagram costs a retry, never the lookup: the
+        validating resolver runs the same query loop (the signed answer is
+        read past its signatures by the plain one)."""
+        from repro.net.dnssec import SignedZone, ValidatingResolver, encode_signed_response
+
         sim, a, b = lan
         ua, ub = UdpStack(a), UdpStack(b)
         sock = ub.bind(53)
         record = DnsRecord(name="db.internal", rtype="A", ttl=10.0,
                            address=ipv4("10.0.0.2"))
+        zone = SignedZone(vpn_keys[0])
+        zone.add(record)
 
         def hostile_then_honest():
             _data, (src, port) = yield sock.recvfrom()
             sock.sendto(b"\x00\x01\x02", src, port)  # corrupt: short header
             data, (src, port) = yield sock.recvfrom()
             qid, _qname, _qtype = decode_query(bytes(data))
-            sock.sendto(encode_response(qid, [record]), src, port)
+            sock.sendto(encode_signed_response(zone, qid, [record]), src, port)
 
         sim.process(hostile_then_honest())
-        resolver = DnsResolver(a, ua, server_addr=B)
+        if validating:
+            resolver = ValidatingResolver(a, ua, B, trust_anchor=zone.public_key)
+        else:
+            resolver = DnsResolver(a, ua, server_addr=B)
         records = drive(sim, resolver.query("db.internal", "A", timeout=1.0, retries=2))
         assert records[0].address == ipv4("10.0.0.2")
+        if validating:
+            assert (resolver.validated, resolver.rejected) == (1, 0)

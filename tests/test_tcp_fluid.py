@@ -3,17 +3,24 @@
 A cwnd-stabilised bulk flow leaves per-packet simulation and advances as a
 closed-form rate integral (``min(cwnd, peer_window) / srtt``), re-entering
 packet mode when disturbed.  These tests pin the contract: the stream the
-receiver sees is byte-identical, the skipped segments' dataplane costs are
-still charged, disturbances (competing flow, rekey epoch bump) force an
-exit, and the whole dance is bit-identical to the retired reference
-engine's golden run.
+receiver sees is byte-identical, a competing flow forces an exit, a flow
+between tunnel endpoints (HIP, SSL VPN, Teredo) never goes fluid and is
+charged exactly as in packet mode, and the whole dance is bit-identical to the
+retired reference engine's golden run.
 """
 
+import pytest
+
+from repro.hip.daemon import HipConfig
 from repro.metrics import METRICS
+from repro.net.addresses import ipv4
 from repro.net.packet import VirtualPayload
 from repro.net.tcp import TcpStack
+from repro.net.teredo import TeredoClient, TeredoServer
 from repro.net.topology import lan_pair
 from repro.sim.engine import Simulator
+from tests.conftest import build_hip_pair, build_vpn_pair, vpn_addr
+from tests.test_net_nat_teredo import build_natted_net
 from tests.test_replay_golden import load_golden
 
 N_BYTES = 2_000_000
@@ -28,14 +35,21 @@ def run_transfer(
     payload=None,
     disturb=None,
     n_bytes=N_BYTES,
+    pair=None,
 ):
     """One window-limited bulk server->client transfer.
 
     ``disturb`` is an optional ``(at, fn)`` pair; ``fn(sim, ctx)`` runs at
-    sim-time ``at`` with ``ctx`` holding the nodes and stacks.
+    sim-time ``at`` with ``ctx`` holding the nodes and stacks.  ``pair(sim)``
+    builds the hosts and returns ``(node_a, node_b, address of b)``; by
+    default two plain hosts on one link.
     """
     sim = Simulator()
-    node_a, node_b = lan_pair(sim, delay_s=DELAY)
+    if pair is None:
+        node_a, node_b = lan_pair(sim, delay_s=DELAY)
+        dst = node_b.addresses()[0]
+    else:
+        node_a, node_b, dst = pair(sim)
     tcp_a, tcp_b = TcpStack(node_a), TcpStack(node_b)
     data = payload if payload is not None else VirtualPayload(n_bytes, tag="bulk")
     collect = isinstance(data, (bytes, bytearray))
@@ -44,6 +58,7 @@ def run_transfer(
         "received_n": 0,
         "done_at": None,
         "server_conn": None,
+        "nodes": (node_a, node_b),
     }
 
     listener = tcp_b.listen(PORT, fluid=fluid, fluid_flow_guard=flow_guard)
@@ -61,7 +76,7 @@ def run_transfer(
 
     def client():
         conn = yield sim.process(
-            tcp_a.open_connection(node_b.addresses()[0], PORT, recv_window=WINDOW)
+            tcp_a.open_connection(dst, PORT, recv_window=WINDOW)
         )
         conn.write(b"go")
         while out["received_n"] < n_bytes:
@@ -192,35 +207,59 @@ def test_flow_guard_off_ignores_competing_flow():
     assert conn.fluid_enters == 1
 
 
-def _bump_epoch(sim, ctx):
-    # What a rekey does to the dataplane: invalidates cached crypto state.
-    ctx["node_b"].dataplane_epoch += 1
+def tunnel_pair(kind, identities, vpn_keys, cpu_scale, daemons):
+    """A ``pair`` for :func:`run_transfer`: two tunnel endpoints, ``b``
+    addressed by its HIT, its LSI, its VPN address (all on the usual link)
+    or its Teredo address (``a`` behind a NAT, both already qualified).  The
+    daemons land in ``daemons``."""
+
+    def build(sim):
+        if kind == "teredo":
+            net = build_natted_net(sim)
+            a, b = net["a"], net["b"]
+            TeredoServer(net["server"], net["udp_srv"])
+            da = TeredoClient(a, net["udp_a"], ipv4("203.0.113.1"))
+            db = TeredoClient(b, net["udp_b"], ipv4("203.0.113.1"))
+            sim.run(until=sim.process(da.qualify()))
+            dst = sim.run(until=sim.process(db.qualify()))
+        elif kind == "vpn":
+            _, a, b, da, db = build_vpn_pair(sim, vpn_keys, delay_s=DELAY)
+            dst = vpn_addr(11)
+        else:
+            config = HipConfig(real_crypto=False)
+            _, a, b, da, db = build_hip_pair(sim, identities, config, delay_s=DELAY)
+            dst = db.hit if kind == "hit" else da.lsi_for_peer(db.hit)
+        a.cpu_scale = b.cpu_scale = cpu_scale
+        daemons[:] = [da, db]
+        return a, b, dst
+
+    return build
 
 
-def test_rekey_epoch_bump_exits_fluid():
-    out = run_transfer(fluid=True, disturb=(0.6, _bump_epoch))
-    conn = out["server_conn"]
-    assert out["received_n"] == N_BYTES
-    reasons = [e[0] for e in conn.fluid_log if e[0].startswith("exit")]
-    assert "exit:disturbed" in reasons
-
-
-def test_fluid_charges_dataplane_taxers():
-    """Every fast-forwarded byte is charged to both endpoints' taxers with
-    the segment count the packet path would have used."""
-    charged = {"out": 0, "in": 0, "out_segs": 0, "in_segs": 0}
-
-    def arm_taxers(sim, ctx):
-        def tax_b(addr, n, segs, direction):
-            charged[direction] += n
-            charged[direction + "_segs"] += segs
-
-        ctx["node_b"].fluid_taxers.append(tax_b)
-        ctx["node_a"].fluid_taxers.append(tax_b)
-
-    out = run_transfer(fluid=True, disturb=(0.0, arm_taxers))
-    conn = out["server_conn"]
-    assert conn.fluid_bytes > 0
-    assert charged["out"] == conn.fluid_bytes
-    assert charged["in"] == conn.fluid_bytes
-    assert charged["out_segs"] >= conn.fluid_bytes // 1448
+@pytest.mark.parametrize("cpu_scale", [1, 8])
+@pytest.mark.parametrize("kind", ["hit", "lsi", "vpn", "teredo"])
+def test_no_fluid_between_tunnel_endpoints(kind, cpu_scale, session_identities, vpn_keys):
+    """A flow to a HIT, an LSI, a VPN or a Teredo address never goes fluid:
+    the tunnel's per-packet costs (address translation, ESP or TLS record
+    transform, Teredo encapsulation) are charged on packets, so both hosts
+    book the same CPU as with ``fluid=False``, at any ``cpu_scale``."""
+    runs = {}
+    for fluid in (False, True):
+        daemons = []
+        pair = tunnel_pair(kind, session_identities, vpn_keys, cpu_scale, daemons)
+        out = run_transfer(fluid=fluid, pair=pair)
+        assert out["received_n"] == N_BYTES
+        runs[fluid] = [node.cpu_busy_seconds for node in out["nodes"]]
+        da, db = daemons
+    assert out["server_conn"].fluid_enters == 0
+    assert out["server_conn"].fluid_bytes == 0
+    assert runs[True] == runs[False]
+    if kind == "teredo":
+        sent = (db.packets_encapsulated, da.packets_encapsulated)
+        assert sent == (da.packets_decapsulated, db.packets_decapsulated)
+    elif kind == "vpn":
+        assert (db.packets_sent, da.packets_sent) == (da.packets_received, db.packets_received)
+    else:
+        for tx, rx in ((da, db), (db, da)):
+            sa_out, sa_in = tx.assocs[rx.hit].sa_out, rx.assocs[tx.hit].sa_in
+            assert sa_out.packets_protected == sa_in.packets_verified > 0

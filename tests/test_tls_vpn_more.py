@@ -202,9 +202,12 @@ def test_record_claiming_a_peers_vpn_address_from_another_host_is_dropped(vpn_pa
 
 
 def test_simultaneous_open_delivers_both_first_datagrams(vpn_pair):
-    """Both ends send at t=0: each starts a handshake as client, then takes
-    the other's key as server.  That way into ESTABLISHED sends what queued
-    meanwhile, as the client's does, so neither datagram is stranded."""
+    """Both ends send at t=0 and each starts a handshake as client.  The
+    smaller address takes the other's key as server; the larger ignores its
+    peer's key and completes as client.  So both ends key the tunnel from one
+    premaster after one RSA decrypt, and the server's way into ESTABLISHED
+    sends what queued meanwhile, as the client's does: neither datagram is
+    stranded."""
     from repro.net.udp import UdpStack
 
     sim, a, b, va, vb = vpn_pair
@@ -225,3 +228,83 @@ def test_simultaneous_open_delivers_both_first_datagrams(vpn_pair):
     assert va.tunnels[vpn_addr(11)].is_established and vb.tunnels[vpn_addr(10)].is_established
     assert got == {"a": [b"from b"], "b": [b"from a"]}
     assert va.tunnels[vpn_addr(11)].queued == vb.tunnels[vpn_addr(10)].queued == []
+    ta, tb = va.tunnels[vpn_addr(11)], vb.tunnels[vpn_addr(10)]
+    assert ta.master_secret.reveal() == tb.master_secret.reveal()
+    assert ta.verify_data == tb.verify_data
+    decrypts = [d.meter.ops.get("vpn.asym.decrypt", 0) for d in (va, vb)]
+    assert sum(decrypts) == 1
+    assert (ta.role, tb.role) == ("server", "client")
+
+
+def test_own_handshake_started_while_answering_a_key_keeps_the_servers_secret(vpn_pair):
+    """``b`` opens the tunnel; ``a`` sends its first datagram while it is
+    still decrypting ``b``'s key, so its own handshake starts as client.
+    The key wins: ``a`` ends as server and its client handshake, still
+    charging its RSA work, sends no key and derives no secret of its own."""
+    from repro.net.udp import UdpStack
+
+    sim, a, b, va, vb = vpn_pair
+    sock_a, sock_b = UdpStack(a).bind(9), UdpStack(b).bind(9)
+    charge = va._charge
+
+    def charge_then_send(kind, cost):
+        if kind == "vpn.asym.decrypt":
+            sock_a.sendto(b"from a", vpn_addr(11), 9)
+        yield from charge(kind, cost)
+
+    va._charge = charge_then_send
+    got = []
+
+    def listen():
+        payload, _ = yield sock_b.recvfrom()
+        got.append(payload)
+
+    sim.process(listen())
+    sim.process(vb.connect(vpn_addr(10)))
+    sim.run(until=10)
+    ta, tb = va.tunnels[vpn_addr(11)], vb.tunnels[vpn_addr(10)]
+    assert (ta.role, tb.role) == ("server", "client")
+    assert ta.master_secret.reveal() == tb.master_secret.reveal()
+    assert got == [b"from a"]
+    assert "vpn.asym.decrypt" not in vb.meter.ops
+
+
+def test_established_client_ignores_a_key(vpn_pair):
+    """Only a server re-answers a key: a client's tunnel keeps its secret and
+    buys no RSA decrypt for a key from its server's locator."""
+    from repro.crypto.secret import Secret
+    from repro.net.packet import Packet
+
+    sim, a, b, va, vb = vpn_pair
+    tunnel = sim.run(until=sim.process(va.connect(vpn_addr(11))))
+    secret = tunnel.master_secret.reveal()
+    body = bytes(32) + va.keypair.public.encrypt(Secret(bytes(48)), random.Random(5))
+    b.send_ip(A, "sslvpn", Packet((), body).with_meta(vpn_ctl="key"))
+    sim.run(until=sim.now + 1.0)
+    assert (tunnel.role, tunnel.is_established) == ("client", True)
+    assert tunnel.master_secret.reveal() == secret
+    assert "vpn.asym.decrypt" not in va.meter.ops
+
+
+def test_full_pending_queue_counts_each_overflow_as_a_drop(vpn_pair):
+    """A pending tunnel holds ``queue_limit`` packets; each one beyond is a
+    counted drop, as HIP counts ``drops_queue_full``."""
+    from repro.net.udp import UdpStack
+
+    sim, a, b, va, vb = vpn_pair
+    va.queue_limit = 4
+    got = []
+    rx = UdpStack(b).bind(9)
+
+    def listen():
+        while True:
+            payload, _ = yield rx.recvfrom()
+            got.append(payload)
+
+    sim.process(listen())
+    tx = UdpStack(a).bind(0)
+    for i in range(10):  # all before the handshake has begun
+        tx.sendto(bytes([i]), vpn_addr(11), 9)
+    sim.run(until=10)
+    assert got == [bytes([i]) for i in range(4)]
+    assert (va.drops, vb.drops) == (6, 0)
