@@ -8,8 +8,7 @@ Subpackages
 ``repro.crypto``
     From-scratch cryptographic primitives + the calibrated CPU cost model.
 ``repro.net``
-    Packet network: addressing, links, routing, NAT, UDP/TCP/ICMP, DNS
-    (+DNSSEC), Teredo.
+    Packet network: addressing, links, routing, NAT, UDP/TCP/ICMP, Teredo.
 ``repro.hip``
     The paper's contribution: the Host Identity Protocol stack.
 ``repro.tls``

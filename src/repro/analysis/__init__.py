@@ -29,6 +29,7 @@ This package *enforces* that discipline mechanically:
   ``repro-analysis/2``, sibling of ``repro-metrics/2``);
 * :mod:`repro.analysis.replay` — the *dynamic* complement: run a scenario
   twice under one seed and compare flight-recorder digests.
+* :mod:`repro.analysis.census` — which functions the product runs call.
 
 Findings are suppressed inline with a justified comment::
 

@@ -4,8 +4,8 @@ The paper's claim — "HIP and SSL have a very similar performance footprint as
 they are essentially based on the same algorithms" — is structural: both
 protocols pay for asymmetric operations at connection setup and symmetric
 operations per byte.  To make that claim testable we implement the actual
-algorithms (RSA, Diffie-Hellman, ECDSA P-256, AES, HMAC, HKDF-style key
-derivation and RFC 5201 puzzles) in pure Python over stdlib ``hashlib``
+algorithms (RSA, Diffie-Hellman, ECDSA P-256, AES, HMAC, the HIP and TLS key
+derivations and RFC 5201 puzzles) in pure Python over stdlib ``hashlib``
 SHA-1/SHA-256, operate on real bytes everywhere, and let the simulator
 charge *calibrated* CPU time per primitive through
 :mod:`repro.crypto.costmodel` so measured shapes do not depend on the speed
@@ -18,15 +18,12 @@ from repro.crypto.dh import DHKeyPair, DHParams, MODP_GROUPS
 from repro.crypto.ecc import EcdsaKeyPair, P256
 from repro.crypto.hmac_kdf import (
     ct_equal,
-    hkdf_expand,
-    hkdf_extract,
     hmac_digest,
     tls_verify_data,
 )
 from repro.crypto.modes import (
     cbc_decrypt,
     cbc_encrypt,
-    ctr_keystream_xor,
     pkcs7_pad,
     pkcs7_unpad,
 )
@@ -52,9 +49,6 @@ __all__ = [
     "cbc_decrypt",
     "cbc_encrypt",
     "ct_equal",
-    "ctr_keystream_xor",
-    "hkdf_expand",
-    "hkdf_extract",
     "hmac_digest",
     "is_probable_prime",
     "modinv",

@@ -9,15 +9,13 @@ Xeon core (the hardware class behind EC2 "compute units"); instance types
 scale them by their CPU share (an EC2 micro burns the same cycles but gets a
 fraction of a core under load).
 
-``CostModel.calibrate()`` can instead derive a self-consistent table from
-live timings of this package's own implementations, for users who want the
-model tied to the code it ships with.
+The table is an input, never measured here: timing this package's own
+Python would say nothing about the C stacks the paper ran.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -123,71 +121,6 @@ class CostModel:
 
     def puzzle_verify_cost(self) -> float:
         return self.hash_cost(48, "sha1")
-
-    # -- calibration -----------------------------------------------------------
-    @classmethod
-    def calibrate(cls, reference_scale: float = 1.0, rng=None) -> "CostModel":
-        """Build a table from live timings of this package's implementations.
-
-        The resulting model is *self-consistent* (relative costs match the
-        shipped code) but reflects this package's speed: pure Python for
-        RSA, DH and AES, stdlib :mod:`hashlib` for SHA-1/SHA-256, so the
-        hash rows time ``hashlib``.  Calibration is opt-in; the default
-        constants above do not depend on it.  ``reference_scale``
-        rescales everything (e.g. pass the measured Python/C ratio to map
-        back onto native-stack magnitudes).  ``rng`` feeds key generation;
-        the default is a fixed named stream so repeated calibrations time
-        identical keys.
-        """
-        from repro.crypto.aes import AES
-        from repro.crypto.dh import DHKeyPair, MODP_GROUPS
-        from repro.crypto.rsa import RsaKeyPair
-        from repro.crypto.sha import sha1 as _sha1
-        from repro.crypto.sha import sha256 as _sha256
-        from repro.sim.rng import RngStreams
-
-        if rng is None:
-            rng = RngStreams(0xCA11B).stream("costmodel-calibrate")
-
-        def timeit(fn, reps: int) -> float:
-            # Calibration is the one sanctioned wall-clock consumer: its whole
-            # job is to measure how long this host takes to run the primitives.
-            start = time.perf_counter()  # repro: ignore[DET001] -- calibration measures real host CPU time by design
-            for _ in range(reps):
-                fn()
-            return (time.perf_counter() - start) / reps  # repro: ignore[DET001] -- calibration measures real host CPU time by design
-
-        rsa = RsaKeyPair.generate(1024, rng)
-        msg = bytes(range(64))
-        sig = rsa.sign(msg)
-        t_sign = timeit(lambda: rsa.sign(msg), 5)
-        t_verify = timeit(lambda: rsa.public.verify(msg, sig), 20)
-
-        dh_params = MODP_GROUPS[5]
-        kp = DHKeyPair.generate(dh_params, rng)
-        t_dh = timeit(lambda: DHKeyPair.generate(dh_params, rng), 5)
-
-        aes = AES(bytes(16))
-        block = bytes(16)
-        t_aes_block = timeit(lambda: aes.encrypt_block(block), 200)
-
-        buf = bytes(4096)
-        t_sha1 = timeit(lambda: _sha1(buf), 20) / len(buf)
-        t_sha256 = timeit(lambda: _sha256(buf), 20) / len(buf)
-
-        s = reference_scale
-        base = cls()
-        return replace(
-            base,
-            rsa_sign_1024=t_sign * s,
-            rsa_verify_1024=t_verify * s,
-            rsa_sign_2048=t_sign * 8 * s,
-            rsa_verify_2048=t_verify * 4 * s,
-            dh_modexp_1536=t_dh * s,
-            aes128_per_byte=t_aes_block / 16 * s,
-            sha1_per_byte=t_sha1 * s,
-            sha256_per_byte=t_sha256 * s,
-        )
 
 
 @dataclass

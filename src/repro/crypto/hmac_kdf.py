@@ -1,9 +1,8 @@
-"""HMAC (RFC 2104) and HKDF-style key derivation (RFC 5869) over our SHA.
+"""HMAC (RFC 2104) and the two protocol key derivations over our SHA.
 
 HIP derives its ESP keys from the Diffie-Hellman secret via a KEYMAT
-expansion (RFC 5201 §6.5) which is structurally HKDF-expand; TLS 1.2 uses a
-P_hash PRF which is also provided here so both protocol stacks share one
-audited primitive set.  Every derived key comes back as a
+expansion (RFC 5201 §6.5); TLS 1.2 uses a P_hash PRF which is also provided
+here so both protocol stacks share one audited primitive set.  Every derived key comes back as a
 :class:`~repro.crypto.secret.Secret`; only the Finished ``verify_data``
 (:func:`tls_verify_data`), public by design, is plain bytes.
 
@@ -75,34 +74,6 @@ class HmacKey:
 def hmac_digest(key: bytes | Secret, message: bytes, hash_name: str = "sha256") -> bytes:
     """HMAC per RFC 2104 (one-shot; hot paths cache an :class:`HmacKey`)."""
     return HmacKey(key, hash_name).digest(message)
-
-
-def hkdf_extract(salt: bytes, ikm: bytes | Secret, hash_name: str = "sha256") -> Secret:
-    """HKDF-Extract: PRK = HMAC(salt, IKM)."""
-    if isinstance(ikm, Secret):
-        ikm = ikm.reveal()
-    return Secret(hmac_digest(salt, ikm, hash_name))
-
-
-def hkdf_expand(
-    prk: bytes | Secret, info: bytes, length: int, hash_name: str = "sha256"
-) -> Secret:
-    """HKDF-Expand: derive ``length`` bytes of output keying material."""
-    try:
-        digest_len = DIGEST_SIZES[hash_name]
-    except KeyError:
-        raise ValueError(f"unknown hash {hash_name!r}") from None
-    if length > 255 * digest_len:
-        raise ValueError("requested keying material too long")
-    hk = HmacKey(prk, hash_name)
-    okm = b""
-    t = b""
-    counter = 1
-    while len(okm) < length:
-        t = hk.digest(t + info + bytes([counter]))
-        okm += t
-        counter += 1
-    return Secret(okm[:length])
 
 
 def hip_keymat(dh_secret: bytes | Secret, hit_i: bytes, hit_r: bytes, length: int) -> Secret:

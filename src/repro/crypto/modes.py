@@ -1,28 +1,20 @@
-"""Block-cipher modes of operation: CBC and CTR, plus PKCS#7 padding.
+"""Block-cipher mode of operation: CBC, plus PKCS#7 padding.
 
-CBC + HMAC is the classic ESP transform (and the TLS 1.2 CBC suites); CTR is
-provided for completeness and for the virtual-payload fast path (keystream
-generation cost without ciphertext storage).
+CBC + HMAC is the classic ESP transform (and the TLS 1.2 CBC suites).
 
-The mode loops are batched: input is unpacked to 32-bit words once with
-``struct``, chaining/keystream XOR happens on words, and ciphertext is
-packed straight into a preallocated ``bytearray`` — no per-byte generator
-expressions, no per-block ``bytes`` round-trips through
-``AES.encrypt_block``.  CBC delegates to ``AES.cbc_encrypt_blocks`` /
-``cbc_decrypt_blocks`` so the whole message runs inside one round-loop
-frame (key schedule and tables bound once per message, the chaining XOR
-fused into the whitening round); decryption of four or more blocks runs
-block-parallel there, every round over the whole message.  CTR derives each
-counter block from two nonce words plus the 64-bit counter split into
-words, so no counter buffer is ever (re)built or sliced.
+The mode loops are batched: no per-byte generator expressions, no
+per-block ``bytes`` round-trips through ``AES.encrypt_block``.  CBC
+delegates to ``AES.cbc_encrypt_blocks`` / ``cbc_decrypt_blocks`` so the
+whole message runs inside one round-loop frame (key schedule and tables
+bound once per message, the chaining XOR fused into the whitening round);
+decryption of four or more blocks runs block-parallel there, every round
+over the whole message.
 
 :class:`CbcSealer` defers CBC encrypt-then-MAC to the first read, so bodies
 sealed under one key meanwhile are ciphered as lanes of one pass.
 """
 
 from __future__ import annotations
-
-import struct
 
 from repro.crypto.aes import AES, BLOCK_SIZE
 from repro.crypto.hmac_kdf import HmacKey
@@ -33,7 +25,6 @@ _AES_BYTES = METRICS.counter("crypto.aes_bytes")
 _HMAC_OPS = METRICS.counter("crypto.hmac_ops")
 _HMAC_BYTES = METRICS.counter("crypto.hmac_bytes")
 
-_MASK32 = 0xFFFFFFFF
 # Fewer same-length pending bodies than this take the scalar chain (DESIGN.md).
 _MULTI_MIN_LANES = 3
 # The seal that fills a sealer's queue flushes it: unread bodies pin bounded memory.
@@ -143,43 +134,3 @@ class CbcSealer:
                 sealed._body, sealed._sealer = ciphertext, None
                 tag = self._mac._digest(sealed._mac_prefix + sealed._iv + ciphertext)
                 sealed._tag = tag[: self._tag_len]
-
-
-def ctr_keystream_xor(cipher: AES, nonce: bytes, data: bytes, counter0: int = 0) -> bytes:
-    """CTR mode: XOR ``data`` with the AES-CTR keystream.
-
-    ``nonce`` is the first 8 bytes of the counter block; the remaining 8
-    bytes are a big-endian block counter starting at ``counter0``.  Encryption
-    and decryption are the same operation.
-    """
-    if len(nonce) != 8:
-        raise ValueError("CTR nonce must be 8 bytes")
-    n = len(data)
-    if n == 0:
-        return b""
-    nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    _AES_BLOCKS.value += nblocks
-    _AES_BYTES.value += n
-    n0, n1 = struct.unpack(">2I", nonce)
-    enc = cipher.encrypt_words
-    out = bytearray(n)
-    pack_into = struct.pack_into
-    full = n - (n % BLOCK_SIZE)
-    counter = counter0
-    if full:
-        words = struct.unpack_from(">%dI" % (full // 4), data)
-        for i in range(0, full // 4, 4):
-            k0, k1, k2, k3 = enc(n0, n1, (counter >> 32) & _MASK32, counter & _MASK32)
-            pack_into(
-                ">4I", out, i * 4,
-                words[i] ^ k0, words[i + 1] ^ k1, words[i + 2] ^ k2, words[i + 3] ^ k3,
-            )
-            counter += 1
-    rem = n - full
-    if rem:
-        k = struct.pack(">4I", *enc(n0, n1, (counter >> 32) & _MASK32, counter & _MASK32))
-        tail = data[full:]
-        out[full:] = (
-            int.from_bytes(tail, "big") ^ int.from_bytes(k[:rem], "big")
-        ).to_bytes(rem, "big")
-    return bytes(out)

@@ -4,7 +4,7 @@ The paper's case for HIP and SSL in a shared cloud is that a co-resident
 tenant never sees key material.  That promise is only as good as the
 discipline keeping keys out of traces, metrics, exception messages and
 reprs.  :class:`Secret` makes the discipline structural: the key sources
-(DH, KEYMAT, HKDF, the TLS PRF, premasters) return one, the consumers
+(DH, KEYMAT, the TLS PRF, premasters) return one, the consumers
 (:class:`~repro.crypto.aes.AES`, :class:`~repro.crypto.hmac_kdf.HmacKey`,
 RSA key transport and the KDFs) accept one and reveal it once at
 construction, and everything in between only carries it.

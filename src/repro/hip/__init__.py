@@ -9,12 +9,14 @@ A complete RFC 5201-family HIP stack over the simulated network:
 * :mod:`~repro.hip.esp` — BEET- and tunnel-mode ESP security associations
   (AES-CBC + HMAC-SHA1, anti-replay) for the data plane;
 * :mod:`~repro.hip.daemon` — the per-host daemon: base exchange state
-  machine, LSI/HIT flow interception, data-path translation;
-* :mod:`~repro.hip.mobility` — UPDATE-based locator handoff (RFC 5206);
-* :mod:`~repro.hip.rendezvous` — rendezvous server (RFC 5204);
+  machine, LSI/HIT flow interception, data-path translation,
+  UPDATE-based locator handoff (RFC 5206) and CLOSE teardown;
 * :mod:`~repro.hip.firewall` — HIT-based access control
-  (hosts.allow/hosts.deny semantics, plus a middlebox variant);
-* :mod:`~repro.hip.dnsproxy` — name resolution glue for HIP records.
+  (hosts.allow/hosts.deny semantics, plus a middlebox variant).
+
+Peers are found through each daemon's static host table (``hosts``);
+puzzle difficulty is the fixed ``HipConfig.puzzle_k``, and SAs are keyed
+once per base exchange.
 """
 
 from repro.hip.daemon import HipConfig, HipDaemon

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.crypto.costmodel import CryptoMeter
 from repro.crypto.dh import DHKeyPair, MODP_GROUPS
-from repro.crypto.hmac_kdf import HmacKey, ct_equal, hip_keymat, hkdf_expand
+from repro.crypto.hmac_kdf import HmacKey, ct_equal, hip_keymat
 from repro.crypto.puzzle import Puzzle, solve_puzzle, verify_solution
 from repro.crypto.secret import Secret
 from repro.hip import packets as hp
@@ -217,8 +217,6 @@ class Association:
     close_nonce: bytes = b""
     created_at: float = 0.0
     established_at: float = 0.0
-    rekey_count: int = 0
-    pending_rekey: dict | None = None
     #: The receiver's inner IP header by (address kind, transport header
     #: type): built from the HIT pair and this host's LSIs, none of which
     #: change for the association's life.
@@ -311,7 +309,7 @@ class HipDaemon:
         node.routes.add(ORCHID_PREFIX, iface)
         node.routes.add(LSI_PREFIX, iface)
 
-        # peer HIT -> known locators (static hosts file / DNS / RVS).
+        # peer HIT -> known locators (the static hosts file).
         self.hosts: dict[IPAddress, list[IPAddress]] = {}
         self.assocs: dict[IPAddress, Association] = {}
         self._spi_counter = rng.randrange(0x1000, 0xFFFF)
@@ -745,9 +743,8 @@ class HipDaemon:
     def _install_sas(
         self, assoc: Association, keymat: Secret, local_spi: int, peer_spi: int
     ) -> None:
-        """Key ``assoc``'s SA pair from 72 bytes of ESP ``keymat`` (I2, R2 and
-        rekey alike): the superseded inbound SPI is retired, the new one
-        indexed."""
+        """Key ``assoc``'s SA pair from 72 bytes of ESP ``keymat`` (I2 and R2
+        alike): the superseded inbound SPI is retired, the new one indexed."""
         if assoc.sa_in is not None:
             self._sa_in_by_spi.pop(assoc.sa_in.spi, None)
         assoc.sa_out, assoc.sa_in = derive_sa_pair(
@@ -785,13 +782,9 @@ class HipDaemon:
             packet_type=hp.R1, sender_hit=self.hit, receiver_hit=i1.sender_hit,
             params=list(self._r1_template.params),
         )
-        # RFC 5204: an I1 relayed by a rendezvous server carries the
-        # initiator's address in FROM; answer the initiator directly.
-        reply_to = ip.src
-        from_param = i1.get(hp.FROM)
-        if from_param is not None:
-            reply_to = hp.parse_from(from_param)
-        self._send_control(r1, reply_to)
+        # Always to the I1's IP source: nothing in an unauthenticated I1 may
+        # name another address for the (much larger) signed R1.
+        self._send_control(r1, ip.src)
 
     def _handle_i2(self, i2: hp.HipPacket, ip: IPHeader) -> Generator:
         if i2.receiver_hit != self.hit or self._yields_to(i2.sender_hit):
@@ -965,39 +958,6 @@ class HipDaemon:
         self._install_sas(assoc, assoc.keymat[_HIP_KEY_BYTES:], local_spi, peer_spi)
         self._established(assoc)
 
-    # ------------------------------------------------------------------- rekeying --
-    def rekey(self, peer_hit: IPAddress) -> None:
-        """Initiate an ESP rekey (RFC 5202 §6): fresh SPIs and keys, same HITs.
-
-        UPDATE(ESP_INFO old->new SPI, SEQ) → peer installs its side and
-        answers with its own ESP_INFO + ACK → we install ours.  New keys are
-        expanded from the association's KEYMAT with a per-rekey counter, so
-        no new Diffie-Hellman is needed (matching the RFC's keymat-index
-        mechanism).
-        """
-        assoc = self.assocs.get(peer_hit)
-        if assoc is None or not assoc.is_established:
-            raise HipError(f"no established association with {peer_hit}")
-        assert assoc.sa_in is not None
-        new_spi = self._alloc_spi()
-        assoc.pending_rekey = {"old_spi": assoc.sa_in.spi, "new_spi": new_spi,
-                               "count": assoc.rekey_count + 1}
-        assoc.update_id += 1
-        pkt = self._new_packet(hp.UPDATE, peer_hit)
-        pkt.add(hp.ESP_INFO, hp.build_esp_info(assoc.sa_in.spi, new_spi,
-                                               keymat_index=assoc.rekey_count + 1))
-        pkt.add(hp.SEQ, hp.build_seq(assoc.update_id))
-        self._finalize_and_send(pkt, assoc, sign=True)
-
-    def _install_rekeyed_sas(
-        self, assoc: Association, count: int, local_spi: int, peer_spi: int
-    ) -> None:
-        keymat = hkdf_expand(
-            assoc.keymat[:32], b"esp-rekey" + bytes([count & 0xFF]), _ESP_KEY_BYTES,
-        )
-        self._install_sas(assoc, keymat, local_spi, peer_spi)
-        assoc.rekey_count = count
-
     # ------------------------------------------------------------------ mobility --
     def move_to(self, new_locator: IPAddress) -> None:
         """Announce a new preferred locator to every established peer.
@@ -1043,15 +1003,8 @@ class HipDaemon:
 
         locator_data = pkt.get(hp.LOCATOR)
         seq_data = pkt.get(hp.SEQ)
-        ack_data = pkt.get(hp.ACK)
         echo_req = pkt.get(hp.ECHO_REQUEST_SIGNED)
         echo_resp = pkt.get(hp.ECHO_RESPONSE_SIGNED)
-        esp_data = pkt.get(hp.ESP_INFO)
-
-        if esp_data is not None and locator_data is None:
-            yield from self._handle_rekey_update(pkt, assoc, esp_data,
-                                                 seq_data, ack_data)
-            return
 
         if locator_data is not None and seq_data is not None:
             # U1: peer moved.  Verify the new address with a nonce echo (U2).
@@ -1092,38 +1045,6 @@ class HipDaemon:
                 self.hosts[assoc.peer_hit] = [pending["verify_addr"]]
                 assoc.pending_update = None
             return
-
-    def _handle_rekey_update(
-        self, pkt: hp.HipPacket, assoc: Association,
-        esp_data: bytes, seq_data: bytes | None, ack_data: bytes | None,
-    ) -> Generator:
-        cm = self.node.cost_model
-        keymat_index, _peer_old, peer_new = hp.parse_esp_info(esp_data)
-        if ack_data is not None and assoc.pending_rekey is not None:
-            # Rekey response: the peer installed; now we do.
-            pending = assoc.pending_rekey
-            if keymat_index != pending["count"]:
-                return
-            yield from self._charge("sym.rekey", cm.hmac_cost(72))
-            self._install_rekeyed_sas(
-                assoc, pending["count"], pending["new_spi"], peer_new,
-            )
-            assoc.pending_rekey = None
-            return
-        if seq_data is None:
-            return
-        # Rekey request: verify the signature before replacing keys.
-        if not (yield from self._signed("asym.verify.rekey", assoc.peer_key, pkt)):
-            return
-        local_spi = self._alloc_spi()
-        yield from self._charge("sym.rekey", cm.hmac_cost(72))
-        self._install_rekeyed_sas(assoc, keymat_index, local_spi, peer_new)
-        assoc.update_id += 1
-        reply = self._new_packet(hp.UPDATE, assoc.peer_hit)
-        reply.add(hp.ESP_INFO, hp.build_esp_info(0, local_spi,
-                                                 keymat_index=keymat_index))
-        reply.add(hp.ACK, hp.build_ack([hp.parse_seq(seq_data)]))
-        self._finalize_and_send(reply, assoc, sign=False)
 
     # ------------------------------------------------------------------- teardown --
     def _handle_close(self, pkt: hp.HipPacket, ip: IPHeader) -> Generator:

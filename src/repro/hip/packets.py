@@ -43,11 +43,6 @@ HOST_ID = 705
 NOTIFICATION = 832
 ECHO_REQUEST_SIGNED = 897
 ECHO_RESPONSE_SIGNED = 961
-REG_INFO = 930
-REG_REQUEST = 932
-REG_RESPONSE = 934
-FROM = 65498  # RFC 5204 rendezvous
-VIA_RVS = 65502
 HMAC_PARAM = 61505
 HIP_SIGNATURE = 61697
 ECHO_REQUEST_UNSIGNED = 63661
@@ -180,7 +175,6 @@ _DH_HEAD = struct.Struct(">BH")
 _ESP_INFO = struct.Struct(">HHII")
 _HOST_ID_HEAD = struct.Struct(">HH")
 _LOCATOR_ENTRY = struct.Struct(">Bf16s")
-_FROM = struct.Struct(">16sB")
 
 
 def _parse_fixed(data: bytes, layout: struct.Struct, what: str) -> tuple:
@@ -237,8 +231,8 @@ def parse_dh(data: bytes) -> tuple[int, bytes]:
     return group_id, public
 
 
-def build_esp_info(old_spi: int, new_spi: int, keymat_index: int = 0) -> bytes:
-    return struct.pack(">HHII", 0, keymat_index, old_spi, new_spi)
+def build_esp_info(old_spi: int, new_spi: int) -> bytes:
+    return struct.pack(">HHII", 0, 0, old_spi, new_spi)  # KEYMAT index 0: no rekeying
 
 
 def parse_esp_info(data: bytes) -> tuple[int, int, int]:
@@ -281,16 +275,6 @@ def parse_locator(data: bytes) -> list[tuple[IPAddress, float]]:
         out.append((_address(family, packed, "LOCATOR"), lifetime))
     r.expect_end(f"the {count} declared LOCATOR entries")
     return out
-
-
-def build_from(addr: IPAddress) -> bytes:
-    """FROM (RFC 5204): the initiator's address as the rendezvous saw it."""
-    return _FROM.pack(addr.value.to_bytes(16, "big"), addr.family)
-
-
-def parse_from(data: bytes) -> IPAddress:
-    packed, family = _parse_fixed(data, _FROM, "FROM")
-    return _address(family, packed, "FROM")
 
 
 def build_seq(update_id: int) -> bytes:

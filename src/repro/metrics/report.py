@@ -1,4 +1,4 @@
-"""End-of-run observability reports: text rendering and the JSON dump.
+"""End-of-run observability report: the JSON dump.
 
 The JSON schema (version ``repro-metrics/2``) consumed by
 ``bench_results/*.metrics.json``::
@@ -83,29 +83,3 @@ def write_json_report(
     payload = metrics_json(registry, recorder, extra=extra)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def render_report(registry=None, recorder=None) -> list[str]:
-    """Human-readable end-of-run report, grouped by layer."""
-    payload = metrics_json(registry, recorder)
-    lines = ["== metrics report =="]
-    for layer, counters in sorted(payload["layers"].items()):
-        parts = "  ".join(f"{name}={value}" for name, value in sorted(counters.items()))
-        lines.append(f"{layer:>8s} | {parts}")
-    for name, summary in sorted(payload["histograms"].items()):
-        if not summary["count"]:
-            continue
-        lines.append(
-            f"{'hist':>8s} | {name}: n={summary['count']} "
-            f"mean={summary['mean']:.4g} p50={summary['p50']:.4g} "
-            f"p95={summary['p95']:.4g} p99={summary['p99']:.4g}"
-        )
-    fr = payload["flight_recorder"]
-    state = "on" if fr["enabled"] else "off"
-    lines.append(
-        f"{'trace':>8s} | {state}: recorded={fr['recorded']} "
-        f"buffered={fr['buffered']} dropped={fr['dropped']}"
-    )
-    for key, n in fr["by_event"].items():
-        lines.append(f"{'trace':>8s} |   {key} x{n}")
-    return lines

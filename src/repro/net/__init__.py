@@ -2,8 +2,9 @@
 
 Implements everything the experiments need below the HIP/TLS layers:
 IPv4/IPv6 addressing, links with bandwidth/latency/queues, nodes with
-interfaces and protocol dispatch, static routing, NAT, UDP, a simplified
-TCP Reno, ICMP echo, DNS (with HIP resource records) and Teredo tunneling.
+interfaces and protocol dispatch, static routing, NAT, UDP, TCP, ICMP
+echo and Teredo tunneling.
+Peers find each other through static host tables.
 """
 
 from repro.net.addresses import (

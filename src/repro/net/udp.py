@@ -1,7 +1,7 @@
 """UDP: connectionless datagram service with port demultiplexing.
 
-Used directly by DNS, Teredo and the HIP-over-UDP NAT traversal path, and
-indirectly by everything that runs over those.
+Used directly by Teredo (its relay and qualification exchange ride UDP)
+and by everything that runs over a Teredo tunnel.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ the immutable tuple base of the values a packet is made of.
 Every byte a peer can put on the wire is attacker-controlled.  A parser
 that reads it through :class:`WireReader` cannot forget a length check:
 each read either returns exactly the bytes asked for or raises the
-*caller's* domain error (``HipParseError``, ``DnsDecodeError``, …) naming
+*caller's* domain error (``HipParseError``, ``TeredoParseError``, …) naming
 the field and the offset — never ``struct.error`` or ``IndexError``, and
 never a silently short slice.  The analyzer's VAL001 keeps raw
 ``struct.unpack*`` out of every other product module, so this file is the
@@ -12,7 +12,7 @@ one place the bounds arithmetic lives.
 
 Semantic checks stay with the parser: that a length field equals the
 packet size, that parameters ascend, that padding is zero, that an address
-family matches its record type.
+family is one the field may carry.
 
 :class:`WireValue` is the tuple base of every value built or hashed per
 packet-hop, so construction, field access and hashing run in C.

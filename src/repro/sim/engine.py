@@ -31,10 +31,6 @@ _STEPS = METRICS.counter("sim.steps")
 _CRASHES = METRICS.counter("sim.process_crashes")
 
 
-class SimTimeoutError(Exception):
-    """Raised when a wait exceeds its deadline (see :meth:`Simulator.with_deadline`)."""
-
-
 class TimerHandle(_Entry):
     """Cancellable handle for a ``fn(arg)`` timer.
 
@@ -355,34 +351,3 @@ class Simulator:
         self._dispatch(deadline)
         self._now = deadline
         return None
-
-    # -- conveniences -----------------------------------------------------------
-    def with_deadline(
-        self, generator: Generator[Any, Any, Any], deadline: float
-    ) -> Generator[Any, Any, Any]:
-        """Wrap a process body so it fails with SimTimeoutError after ``deadline`` s.
-
-        Usage inside a process::
-
-            result = yield sim.process(sim.with_deadline(body(), 5.0))
-        """
-
-        def watchdog(target: Process) -> Generator[Any, Any, None]:
-            yield self.timeout(deadline)
-            if target.is_alive:
-                target.interrupt(SimTimeoutError(deadline))
-
-        def wrapper() -> Generator[Any, Any, Any]:
-            from repro.sim.events import Interrupt
-
-            target = self.process(generator)
-            self.process(watchdog(target))
-            try:
-                result = yield target
-            except Interrupt as exc:
-                if isinstance(exc.cause, SimTimeoutError):
-                    raise exc.cause from None
-                raise
-            return result
-
-        return wrapper()

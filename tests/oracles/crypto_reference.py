@@ -284,22 +284,6 @@ def cbc_decrypt_ref(cipher: AesRef, iv: bytes, ciphertext: bytes) -> bytes:
     return pkcs7_unpad(bytes(out))
 
 
-def ctr_keystream_xor_ref(
-    cipher: AesRef, nonce: bytes, data: bytes, counter0: int = 0
-) -> bytes:
-    """Pre-PR CTR: rebuilds the counter block by concatenation per block."""
-    if len(nonce) != 8:
-        raise ValueError("CTR nonce must be 8 bytes")
-    out = bytearray()
-    counter = counter0
-    for i in range(0, len(data), BLOCK_SIZE):
-        block = cipher.encrypt_block(nonce + counter.to_bytes(8, "big"))
-        chunk = data[i : i + BLOCK_SIZE]
-        out += _xor_block_ref(chunk, block[: len(chunk)])
-        counter += 1
-    return bytes(out)
-
-
 def is_probable_prime_ref(n: int, rounds: int = 40, *, rng: random.Random) -> bool:
     """Sequential Miller–Rabin: a loop over every small prime, then up to
     ``rounds`` rounds, each drawing its base from ``rng``."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.hmac_kdf import hip_keymat, hkdf_expand
+from repro.crypto.hmac_kdf import hip_keymat
 from repro.crypto.secret import Secret
 from repro.hip import packets as hp
 from repro.metrics import RECORDER
@@ -58,7 +58,7 @@ def test_sec003_secret_passed_into_sinking_callee():
 
 def test_sec003_two_hop_return_chain():
     def inner() -> Secret:
-        return hkdf_expand(derive(), b"salt", 32)
+        return hip_keymat(derive(), HIT_I.packed(), HIT_R.packed(), 32)
 
     def outer() -> Secret:
         return inner()

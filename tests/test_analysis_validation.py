@@ -39,7 +39,7 @@ READER_PARSE = """
 """
 
 
-def findings(source: str, path: str = "src/repro/net/dns.py") -> list:
+def findings(source: str, path: str = "src/repro/net/teredo.py") -> list:
     return [
         f
         for f in analyze_source(textwrap.dedent(source), path, rules={"VAL001"})
@@ -74,7 +74,7 @@ def test_the_same_parse_through_a_reader_is_clean():
 
 def test_rule_binds_in_every_product_module_not_a_scope_list():
     for path in (
-        "src/repro/net/dnssec.py",
+        "src/repro/apps/database.py",
         "src/repro/tls/vpn.py",
         "src/repro/sim/shard.py",
         "src/repro/sim/engine.py",

@@ -10,7 +10,6 @@ from repro.crypto.aes import AES, INV_SBOX, SBOX
 from repro.crypto.modes import (
     cbc_decrypt,
     cbc_encrypt,
-    ctr_keystream_xor,
     pkcs7_pad,
     pkcs7_unpad,
 )
@@ -167,26 +166,3 @@ class TestModes:
         aes = AES(bytes(16))
         with pytest.raises(ValueError):
             cbc_decrypt(aes, bytes(16), bytes(17))
-
-    @given(st.binary(max_size=200))
-    @settings(max_examples=30)
-    def test_ctr_involution(self, data):
-        aes = AES(b"fedcba9876543210")
-        nonce = b"\x07" * 8
-        assert ctr_keystream_xor(aes, nonce, ctr_keystream_xor(aes, nonce, data)) == data
-
-    def test_ctr_counter_offset_consistency(self):
-        """Encrypting block-by-block with counters equals one-shot encryption."""
-        aes = AES(bytes(16))
-        nonce = bytes(8)
-        data = bytes(range(64))
-        whole = ctr_keystream_xor(aes, nonce, data)
-        parts = b"".join(
-            ctr_keystream_xor(aes, nonce, data[i : i + 16], counter0=i // 16)
-            for i in range(0, 64, 16)
-        )
-        assert whole == parts
-
-    def test_ctr_nonce_validation(self):
-        with pytest.raises(ValueError):
-            ctr_keystream_xor(AES(bytes(16)), bytes(4), b"data")

@@ -21,14 +21,13 @@ from tests.oracles.crypto_reference import (
     AesRef,
     cbc_decrypt_ref,
     cbc_encrypt_ref,
-    ctr_keystream_xor_ref,
     hmac_digest_ref,
     sha1_ref,
     sha256_ref,
 )
 from repro.crypto.aes import _PLANE_KEY_CACHE_MAX, _PLANE_MIN_BLOCKS, AES
-from repro.crypto.hmac_kdf import HmacKey, hip_keymat, hkdf_expand, hmac_digest
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_keystream_xor, pkcs7_pad
+from repro.crypto.hmac_kdf import HmacKey, hip_keymat, hmac_digest
+from repro.crypto.modes import cbc_decrypt, cbc_encrypt, pkcs7_pad
 from repro.crypto.rsa import RsaKeyPair
 from repro.crypto.sha import sha1, sha256
 from repro.hip.identity import HostIdentity
@@ -81,31 +80,6 @@ class TestModesDifferential:
             assert ct == cbc_encrypt_ref(ref, iv, pt)
             assert cbc_decrypt(aes, iv, ct) == pt
             assert cbc_decrypt_ref(ref, iv, ct) == pt
-
-    def test_ctr_matches_reference(self):
-        rng = random.Random(0xC12)
-        for trial in range(60):
-            key = rng.randbytes(16)
-            aes = AES(key)
-            nonce = rng.randbytes(8)
-            n = EDGE_LENS[trial % len(EDGE_LENS)] if trial < 32 else rng.randrange(0, 400)
-            data = rng.randbytes(n)
-            counter0 = rng.choice([0, 1, 0xFFFFFFFF, 2**63])
-            ks = ctr_keystream_xor(aes, nonce, data, counter0)
-            assert ks == ctr_keystream_xor_ref(AesRef(key), nonce, data, counter0)
-            # XOR is an involution: applying it twice restores the data.
-            assert ctr_keystream_xor(aes, nonce, ks, counter0) == data
-
-    def test_ctr_counter_straddles_word_boundary(self):
-        # counter0 near 2**32 exercises the high-word carry in the split
-        # (counter >> 32, counter & 0xFFFFFFFF) counter representation.
-        aes, ref = AES(bytes(range(16))), AesRef(bytes(range(16)))
-        nonce = bytes(8)
-        data = bytes(64)
-        for counter0 in (0xFFFFFFFE, 0xFFFFFFFF, 0x100000000):
-            assert ctr_keystream_xor(aes, nonce, data, counter0) == ctr_keystream_xor_ref(
-                ref, nonce, data, counter0
-            )
 
 
 def scalar_cbc_decrypt_blocks(aes: AES, iv: bytes, ciphertext: bytes) -> bytes:
@@ -272,20 +246,6 @@ class TestHmacDifferential:
 
     def test_one_shot_wrapper(self):
         assert hmac_digest(b"key", b"msg", "sha1") == stdlib_hmac.new(b"key", b"msg", "sha1").digest()
-
-    def test_hkdf_expand_uses_real_digest_length(self):
-        # Satellite fix: digest length must come from DIGEST_SIZES, not a
-        # throwaway hmac call.  Cross-check output against a manual expand.
-        prk = bytes(range(32))
-        info = b"ctx"
-        okm = hkdf_expand(prk, info, 70, "sha1")
-        t1 = stdlib_hmac.new(prk, info + b"\x01", "sha1").digest()
-        t2 = stdlib_hmac.new(prk, t1 + info + b"\x02", "sha1").digest()
-        t3 = stdlib_hmac.new(prk, t2 + info + b"\x03", "sha1").digest()
-        t4 = stdlib_hmac.new(prk, t3 + info + b"\x04", "sha1").digest()
-        assert okm.reveal() == (t1 + t2 + t3 + t4)[:70]
-        with pytest.raises(ValueError):
-            hkdf_expand(prk, info, 255 * 20 + 1, "sha1")
 
 
 class TestCryptoCounters:

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from repro.crypto.hmac_kdf import (
     hip_keymat,
-    hkdf_expand,
-    hkdf_extract,
     hmac_digest,
     tls_prf,
     tls_verify_data,
@@ -132,25 +130,6 @@ class TestHmacKdf:
     def test_hmac_unknown_hash(self):
         with pytest.raises(ValueError):
             hmac_digest(b"k", b"m", "md5")
-
-    def test_hkdf_rfc5869_case1(self):
-        # RFC 5869 test case 1.
-        ikm = bytes.fromhex("0b" * 22)
-        salt = bytes.fromhex("000102030405060708090a0b0c")
-        info = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9")
-        prk = hkdf_extract(salt, ikm)
-        assert prk.reveal().hex() == (
-            "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
-        )
-        okm = hkdf_expand(prk, info, 42)
-        assert okm.reveal().hex() == (
-            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
-            "34007208d5b887185865"
-        )
-
-    def test_hkdf_expand_length_limit(self):
-        with pytest.raises(ValueError):
-            hkdf_expand(b"\x00" * 32, b"", 255 * 32 + 1)
 
     def test_hip_keymat_symmetric(self):
         """Initiator and responder derive identical KEYMAT."""

@@ -16,6 +16,15 @@ from repro.sim import Simulator
 
 A, B = ipv4("10.0.0.1"), ipv4("10.0.0.2")
 
+#: RFC 5204's FROM parameter type.  This stack runs no rendezvous server and
+#: reads no FROM: to a responder it is an unknown, ignored parameter.
+FROM = 65498
+
+
+def _from_param(addr) -> bytes:
+    """A well-formed FROM body: the 16-byte address, then its family."""
+    return addr.value.to_bytes(16, "big") + bytes([addr.family])
+
 
 class TestForgedControlPackets:
     def test_i2_with_wrong_puzzle_solution_ignored(self, hip_pair, drive):
@@ -92,24 +101,29 @@ class TestForgedControlPackets:
         sim.run(until=sim.now + 2)
         assert db.assocs[da.hit].is_established  # CLOSE ignored
 
-    def test_rekey_with_bad_signature_ignored(self, hip_pair, drive):
+    def test_i1_from_naming_a_third_address_does_not_redirect_r1(self, hip_pair, drive):
+        """An unauthenticated 64-byte I1 must not make the responder send its
+        signed R1 anywhere but the I1's IP source: a FROM naming a victim
+        would turn every responder into a reflector with ~7x gain."""
         sim, a, b, da, db = hip_pair
-        drive(sim, da.associate(db.hit))
-        assoc_b = db.assocs[da.hit]
-        old_spi = assoc_b.sa_in.spi
-        # HMAC valid (attacker on-path replaying key material can't have it;
-        # here we simulate a *partially* forged packet: valid HMAC structure
-        # cannot be built without the key, so use garbage and expect a drop).
-        forged = hp.HipPacket(packet_type=hp.UPDATE, sender_hit=da.hit,
-                              receiver_hit=db.hit)
-        forged.add(hp.ESP_INFO, hp.build_esp_info(old_spi, 0xF00D, keymat_index=1))
-        forged.add(hp.SEQ, hp.build_seq(12345))
-        forged.add(hp.HMAC_PARAM, b"\x00" * 20)
-        forged.add(hp.HIP_SIGNATURE, b"\x00" * 64)
-        da._send_control(forged, B)
-        sim.run(until=sim.now + 2)
-        assert assoc_b.sa_in.spi == old_spi
-        assert assoc_b.rekey_count == 0
+        victim = ipv4("10.0.0.77")
+        send_a, send_b = da._send_control, db._send_control
+        replies = []
+
+        def initiator_send(packet, locator):
+            if packet.packet_type == hp.I1:
+                packet.add(FROM, _from_param(victim))
+            send_a(packet, locator)
+
+        def responder_send(packet, locator):
+            replies.append((packet.packet_type, locator))
+            send_b(packet, locator)
+
+        da._send_control, db._send_control = initiator_send, responder_send
+        assoc = drive(sim, da.associate(db.hit))
+        assert assoc.is_established and db.assocs[da.hit].is_established
+        assert replies and (hp.R1, A) in replies
+        assert all(locator == A for _type, locator in replies)
 
     def test_esp_injection_with_unknown_spi_dropped(self, hip_pair, drive):
         sim, a, b, da, db = hip_pair
@@ -155,13 +169,21 @@ class TestMalformedParametersNeverCrashTheDaemon:
     """A typed parameter that does not parse is one more malformed packet:
     dropped and counted, with the control worker still serving."""
 
-    def test_unauthenticated_i1_with_unknown_from_family_is_dropped(self, hip_pair, drive):
+    def test_unauthenticated_i1_with_malformed_from_is_an_ordinary_i1(self, hip_pair, drive):
         sim, a, b, da, db = hip_pair
         i1 = hp.HipPacket(packet_type=hp.I1, sender_hit=da.hit, receiver_hit=db.hit)
-        i1.add(hp.FROM, b"\x00" * 12 + A.packed() + b"\x09")  # address family 9
+        i1.add(FROM, b"\x00" * 12 + A.packed() + b"\x09")  # address family 9
+        send_b, replies = db._send_control, []
+
+        def responder_send(packet, locator):
+            replies.append((packet.packet_type, locator))
+            send_b(packet, locator)
+
+        db._send_control = responder_send
         da._send_control(i1, B)
         sim.run(until=sim.now + 1)  # a crashed 'hipd-ctl-b' would raise here
-        assert db.drops_policy == 1
+        assert replies == [(hp.R1, A)]  # answered like any I1, at its source
+        assert db.drops_policy == 0 and da.hit not in db.assocs
         # The responder still answers the next well-formed I1.
         drive(sim, da.associate(db.hit))
         assert db.assocs[da.hit].is_established

@@ -1,6 +1,7 @@
 """HIP identities, HIT derivation, LSIs and control-packet wire format."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -197,8 +198,9 @@ class TestParamCodecs:
             hp.parse_dh(hp.build_dh(14, b"\xab" * 256)[:-1])
 
     def test_esp_info_roundtrip(self):
-        data = hp.build_esp_info(0x11, 0x22, keymat_index=3)
-        assert hp.parse_esp_info(data) == (3, 0x11, 0x22)
+        assert hp.parse_esp_info(hp.build_esp_info(0x11, 0x22)) == (0, 0x11, 0x22)
+        # A peer's KEYMAT index is still read off the wire.
+        assert hp.parse_esp_info(struct.pack(">HHII", 0, 3, 0x11, 0x22)) == (3, 0x11, 0x22)
 
     def test_host_id_roundtrip(self):
         data = hp.build_host_id(b"RSA:key", b"fqdn.example")

@@ -12,7 +12,6 @@ from repro.metrics import FlightRecorder, METRICS, MetricsRegistry, RECORDER
 from repro.metrics.report import (
     SCHEMA_VERSION,
     metrics_json,
-    render_report,
     write_json_report,
 )
 
@@ -286,16 +285,6 @@ class TestReport:
         parsed = json.loads(path.read_text())
         assert parsed["schema"] == SCHEMA_VERSION
         assert parsed["histograms"]["tcp.rtt_s"]["count"] == 3
-
-    def test_render_report_text(self):
-        reg, rec = self._populated()
-        lines = render_report(reg, rec)
-        text = "\n".join(lines)
-        assert text.startswith("== metrics report ==")
-        assert "tx_packets=5" in text
-        assert "tcp.rtt_s: n=3" in text
-        assert "hip.bex_state x1" in text
-        assert "proxy.request_s" not in text  # empty histograms elided
 
     def test_defaults_to_global_singletons(self):
         import repro.net.link  # noqa: F401 — binds link.* counters

@@ -27,6 +27,7 @@ from repro.crypto.secret import Secret
 from repro.hip import packets as hp
 from repro.hip.daemon import HipError
 from repro.hip.esp import EspError
+from repro.hip.identity import hit_from_public_key
 from repro.metrics import RECORDER
 from repro.metrics.report import metrics_json
 from repro.net import link
@@ -244,25 +245,31 @@ def test_no_live_key_reaches_traces_metrics_reprs_errors_or_wire(
     ints: list[int] = []
     RECORDER.clear()
     with RECORDER.recording():
-        # HIP: base exchange, ESP data both ways, rekey, then a base exchange
-        # whose I2 HMAC is forged on the wire.
+        # HIP: base exchange, ESP data both ways, CLOSE and a second base
+        # exchange (fresh DH, KEYMAT and SAs), a failed association, then a
+        # base exchange whose I2 HMAC is forged on the wire.
         sim, a, b, da, db = build_hip_pair(Simulator(), session_identities)
         run_proc(sim, da.associate(db.hit))
         IcmpStack(b)
-        run_proc(sim, ping(IcmpStack(a), db.hit, count=2, timeout=5.0))
-        da.rekey(db.hit)
-        sim.run(until=sim.now + 3)
+        icmp_a = IcmpStack(a)
+        run_proc(sim, ping(icmp_a, db.hit, count=2, timeout=5.0))
+        first = da.assocs[db.hit]
+        holders += [first, db.assocs[da.hit]]
+        ints += [first.dh.private]
+        da.close(db.hit)
+        sim.run(until=sim.now + 1)
+        run_proc(sim, da.associate(db.hit))
+        run_proc(sim, ping(icmp_a, db.hit, count=2, timeout=5.0))
         ours, theirs = da.assocs[db.hit], db.assocs[da.hit]
-        assert ours.rekey_count == theirs.rekey_count == 1
+        assert ours is not first and ours.is_established
         header, body = ours.sa_out.protect(
             Packet((UDPHeader(src_port=1, dst_port=2),), b"tamper me")
         )
         flipped = body._replace(ciphertext=bytes(len(body.ciphertext)))
         with pytest.raises(EspError) as esp_error:
             theirs.sa_in.verify(header, flipped)
-        with pytest.raises(HipError) as hip_error:
-            da.rekey(da.hit)
-        errors += [esp_error.value, hip_error.value]
+        errors += [esp_error.value]
+        errors += catch(sim, da.associate(hit_from_public_key(b"RSA:nobody")), HipError)
         holders += [da, db, ours, theirs, ours.sa_out, ours.sa_in, theirs.sa_out, theirs.sa_in]
         ints += [ours.dh.private, da._responder_dh.private, db._responder_dh.private]
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator, Timeout
-from repro.sim.engine import SimTimeoutError
 
 
 def test_clock_starts_at_zero(sim):
@@ -278,33 +277,6 @@ def test_call_at_past_raises(sim):
     sim.run(until=1.0)
     with pytest.raises(ValueError):
         sim.call_at(0.5, lambda: None)
-
-
-def test_with_deadline_times_out(sim):
-    def slow():
-        yield sim.timeout(100)
-        return "never"
-
-    def parent():
-        with pytest.raises(SimTimeoutError):
-            yield sim.process(sim.with_deadline(slow(), 2.0))
-        return sim.now
-
-    proc = sim.process(parent())
-    assert sim.run(until=proc) == pytest.approx(2.0)
-
-
-def test_with_deadline_passes_result(sim):
-    def quick():
-        yield sim.timeout(1)
-        return "made it"
-
-    def parent():
-        result = yield sim.process(sim.with_deadline(quick(), 10.0))
-        return result
-
-    proc = sim.process(parent())
-    assert sim.run(until=proc) == "made it"
 
 
 def test_peek(sim):

@@ -15,7 +15,6 @@ from repro.metrics import METRICS, RECORDER
 from repro.metrics.report import (
     SCHEMA_VERSION,
     metrics_json,
-    render_report,
     write_json_report,
 )
 from repro.scenarios.rubis_cloud import FRONTEND_PORT, build_rubis_cloud
@@ -62,10 +61,6 @@ def test_smoke_rubis_run_emits_well_formed_metrics(tmp_path):
         out = write_json_report(tmp_path / "smoke.metrics.json",
                                 METRICS, RECORDER, extra={"scenario": "smoke"})
         assert json.loads(out.read_text())["extra"] == {"scenario": "smoke"}
-
-        lines = render_report(METRICS, RECORDER)
-        assert lines[0] == "== metrics report =="
-        assert any(line.lstrip().startswith("proxy") for line in lines)
     finally:
         RECORDER.disable()
         RECORDER.clear()

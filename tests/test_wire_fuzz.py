@@ -14,15 +14,7 @@ import struct
 
 import pytest
 
-from repro.net.addresses import ipv4, ipv6
-from repro.net.dns import (
-    DnsDecodeError,
-    DnsRecord,
-    decode_query,
-    decode_response,
-    encode_query,
-    encode_response,
-)
+from repro.net.addresses import ipv4
 from repro.net.teredo import TeredoParseError, parse_ra
 from tests.wire_fuzz import (
     decoder_corpus,
@@ -30,70 +22,6 @@ from tests.wire_fuzz import (
     sweep_byte_flips,
     sweep_truncations,
 )
-
-
-def _query_corpus() -> list[bytes]:
-    return [
-        encode_query("www.example.com", "A", 7),
-        encode_query("vm1.cloud.example", "HIP", 65535),
-        encode_query("", "AAAA", 0),
-    ]
-
-
-def _response_corpus() -> list[bytes]:
-    return [
-        encode_response(7, [
-            DnsRecord(name="h", rtype="A", ttl=60.0, address=ipv4("1.2.3.4")),
-        ]),
-        encode_response(8, [
-            DnsRecord(name="v6", rtype="AAAA", ttl=60.0,
-                      address=ipv6("2001:db8::1")),
-        ]),
-        encode_response(9, [
-            DnsRecord(name="vm", rtype="HIP", ttl=30.0,
-                      hit=ipv6("2001:10::42"), host_id=b"RSA:fakekey",
-                      rvs=("rvs1.example", "rvs2.example")),
-            DnsRecord(name="h", rtype="A", ttl=60.0, address=ipv4("1.2.3.4")),
-        ]),
-    ]
-
-
-class TestDnsQueryFuzz:
-    def test_truncations(self):
-        for raw in _query_corpus():
-            sweep_truncations(raw, decode_query, DnsDecodeError)
-
-    def test_byte_flips(self):
-        rng = random.Random(0xD15)
-        for raw in _query_corpus():
-            sweep_byte_flips(raw, decode_query, DnsDecodeError, rng)
-
-    def test_field_stomps(self):
-        rng = random.Random(0xD16)
-        for raw in _query_corpus():
-            stomp_fields(raw, decode_query, DnsDecodeError, rng)
-
-    def test_bad_utf8_rejected(self):
-        raw = struct.pack(">HB", 1, 0) + struct.pack(">H", 2) + b"\xff\xfe"
-        raw += struct.pack(">H", 1) + b"A"
-        with pytest.raises(DnsDecodeError):
-            decode_query(raw)
-
-
-class TestDnsResponseFuzz:
-    def test_truncations(self):
-        for raw in _response_corpus():
-            sweep_truncations(raw, decode_response, DnsDecodeError)
-
-    def test_byte_flips(self):
-        rng = random.Random(0xE17)
-        for raw in _response_corpus():
-            sweep_byte_flips(raw, decode_response, DnsDecodeError, rng)
-
-    def test_field_stomps(self):
-        rng = random.Random(0xE18)
-        for raw in _response_corpus():
-            stomp_fields(raw, decode_response, DnsDecodeError, rng)
 
 
 class TestTeredoRaFuzz:

@@ -2,9 +2,9 @@
 
 Every wire codec in the tree owes its callers the same contract: malformed
 input raises the codec's *domain* error (``HipParseError``,
-``DnsDecodeError``, ``TeredoParseError``) — never a raw ``struct.error``
-or ``IndexError``.  These helpers drive that contract with truncation
-sweeps, seeded byte flips and length/count-field stomps; the HIP, DNS and
+``TeredoParseError``, ...) — never a raw ``struct.error`` or
+``IndexError``.  These helpers drive that contract with truncation
+sweeps, seeded byte flips and length/count-field stomps; the HIP and
 Teredo fuzz suites share them so a new parser only has to plug in its
 builder, parser and error type.  :func:`decoder_corpus` is the plug-in
 table for the parsers that have no suite of their own.
@@ -12,7 +12,6 @@ table for the parsers that have no suite of their own.
 
 from __future__ import annotations
 
-import random
 import struct
 from typing import Callable, NamedTuple
 
@@ -105,20 +104,10 @@ class DecoderCase(NamedTuple):
 
 
 def decoder_corpus() -> list[DecoderCase]:
-    """A valid message for every wire parser outside HIP/DNS/Teredo
-    (those have their own suites): DNSSEC signature section, the VPN ``key``
-    body, the DB protocol heads, the shard envelope pickle and both
-    directions of a shard window."""
+    """A valid message for every wire parser outside HIP/Teredo (those have
+    their own suites): the VPN ``key`` body, the DB protocol heads, the
+    shard envelope pickle and both directions of a shard window."""
     from repro.apps.database import QueryError, parse_request_head, parse_response_head
-    from repro.crypto.rsa import RsaKeyPair
-    from repro.net.addresses import ipv4
-    from repro.net.dns import DnsRecord, encode_response
-    from repro.net.dnssec import (
-        DnssecError,
-        SignedZone,
-        decode_signature_section,
-        encode_signed_response,
-    )
     from repro.net.packet import Packet
     from repro.sim.shard import (
         _ROW,
@@ -130,26 +119,6 @@ def decoder_corpus() -> list[DecoderCase]:
         encode_envelopes,
     )
     from repro.tls.vpn import VpnError, parse_key_body
-
-    keypair = RsaKeyPair.generate(512, random.Random(0x5160))
-    zone = SignedZone(keypair)
-    records = [
-        DnsRecord(name="web.cloud", rtype="A", ttl=30.0, address=ipv4("10.0.0.9")),
-        DnsRecord(name="db.cloud", rtype="A", ttl=30.0, address=ipv4("10.0.0.7")),
-    ]
-    for record in records:
-        zone.add(record)
-    base = encode_response(7, records)
-    section = encode_signed_response(zone, 7, records)[len(base):]
-
-    def parse_signatures(data: bytes) -> list[bytes]:
-        # As the validating resolver reads it: no section at all is the
-        # "unsigned server" case, refused one step later for lack of
-        # signatures; fold that step in so every prefix is a rejection.
-        sigs = decode_signature_section(base + data, len(base))
-        if len(sigs) < len(records):
-            raise DnssecError("answer is missing signatures")
-        return sigs
 
     nonce = bytes(range(32))
     envelopes = [
@@ -164,7 +133,6 @@ def decoder_corpus() -> list[DecoderCase]:
     command = _dumps(b"W", (0.25, rows))
     reply = _dumps(b"W", (rows, 0.25, 0.3, 1e-4, 1e-4, [("sim.steps", 12)]))
     return [
-        DecoderCase("dnssec-signatures", section, parse_signatures, DnssecError),
         DecoderCase("vpn-key", nonce + bytes(64),
                     lambda body: parse_key_body(body, 64), VpnError),
         DecoderCase("db-request-head", struct.pack(">I", 17),
