@@ -46,7 +46,6 @@ ROOTS = (
     "Serializer.send",
     "LinkEndpoint._deliver",
     "Node.send_ip_fast",
-    "Node._route_out",
     # The CPU slot every ESP charge takes, and its completion timer's callback.
     "Node.cpu_run",
     "Node._cpu_done",

@@ -67,6 +67,7 @@ from repro.net.packet import (
     TCPHeader,
     UDPHeader,
 )
+from repro.net.wire import unchecked
 from repro.sim.engine import TimerHandle
 from repro.sim.resources import Queue
 
@@ -560,7 +561,7 @@ class HipDaemon:
                 src, dst = assoc.peer_hit, self.hit
             ip = IPHeader(src, dst, _INNER_PROTO.get(key[1], "raw"))
             assoc.rx_headers[key] = ip
-        return Packet((ip,) + transport, inner.payload, meta)
+        return unchecked(Packet, ((ip,) + transport, inner.payload, meta))
 
     # ------------------------------------------------------------ associations --
     def _transition(self, assoc: Association, state: HipState) -> None:
@@ -605,13 +606,10 @@ class HipDaemon:
         self.assocs.pop(peer_hit, None)
         return self._ensure_assoc(peer_hit)
 
-    def _locator_for(self, peer_hit: IPAddress) -> IPAddress | None:
-        locators = self.hosts.get(peer_hit)
-        return locators[0] if locators else None
-
     # ------------------------------------------------------------- BEX, initiator --
     def _start_bex(self, assoc: Association) -> None:
-        locator = self._locator_for(assoc.peer_hit)
+        locators = self.hosts.get(assoc.peer_hit)
+        locator = locators[0] if locators else None
         if locator is None:
             self._fail_assoc(assoc, HipError(f"no locator known for {assoc.peer_hit}"))
             return
@@ -842,10 +840,10 @@ class HipDaemon:
             assoc.pending_update = None
         elif assoc is None or not assoc.is_established:
             assoc = Association(
-                peer_hit=i2.sender_hit, role="responder", created_at=self.sim.now,
-                established_evt=self.sim.event(),
+                peer_hit=self.lsi.held(i2.sender_hit), role="responder",
+                created_at=self.sim.now, established_evt=self.sim.event(),
             )
-            self.assocs[i2.sender_hit] = assoc
+            self.assocs[assoc.peer_hit] = assoc
         assoc.role = "responder"
         assoc.peer_locator = ip.src
         assoc.peer_key = peer_key
@@ -936,8 +934,9 @@ class HipDaemon:
         )
         i2.add(hp.HIP_SIGNATURE, self.identity.sign(i2.bytes_for_param(hp.HIP_SIGNATURE), self.rng))
         self._transition(assoc, HipState.I2_SENT)
-        assoc.peer_locator = ip.src
-        self._send_control(i2, ip.src)
+        if ip.src != assoc.peer_locator:  # an equal one keeps the I1's object, which caches hold
+            assoc.peer_locator = ip.src
+        self._send_control(i2, assoc.peer_locator)
         self.sim.process(self._retransmitter(assoc, i2, I2_RETRIES), name="hip-i2-rtx")
 
     def _handle_r2(self, r2: hp.HipPacket, ip: IPHeader) -> Generator:

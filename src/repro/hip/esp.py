@@ -47,7 +47,7 @@ from repro.net.packet import (
     UDPHeader,
     VirtualPayload,
 )
-from repro.net.wire import WireValue
+from repro.net.wire import WireValue, unchecked
 
 ICV_LEN = 12  # HMAC-SHA1-96
 IV_LEN = 16
@@ -210,19 +210,20 @@ class SecurityAssociation:
         base_len = (size or len(inner)) - self._stripped(inner.headers)
         # Pad plaintext + 2 trailer bytes to the AES block size.
         if self.encrypt:
-            header = ESPHeader(self.spi, seq, IV_LEN, ICV_LEN, (-(base_len + 2)) % 16)
+            header = unchecked(ESPHeader, (self.spi, seq, IV_LEN, ICV_LEN, (-(base_len + 2)) % 16))
         else:
-            header = ESPHeader(self.spi, seq, 0, ICV_LEN, 0)
+            header = unchecked(ESPHeader, (self.spi, seq, 0, ICV_LEN, 0))
         real = canonical_packet_bytes(self._plaintext_view(inner)) if self.real else None
         if real is None:
-            return header, EspCiphertext(inner, base_len)
+            return header, unchecked(EspCiphertext, (inner, base_len, None, None, None))
         if not self.encrypt:
-            return header, EspCiphertext(inner, base_len, None, self._plain_icv(header, real))
+            icv = self._plain_icv(header, real)
+            return header, unchecked(EspCiphertext, (inner, base_len, None, icv, None))
         iv = self._iv_hmac.digest(struct.pack(">IQ", self.spi, seq))[:16]
         sealed = self._sealer.seal(iv, real, struct.pack(">II", self.spi, seq))
         # Padding/IV/ICV are accounted in ESPHeader.header_len, so the
         # ciphertext contributes exactly the plaintext length.
-        return header, EspCiphertext(inner, base_len, sealed, sealed, iv)
+        return header, unchecked(EspCiphertext, (inner, base_len, sealed, sealed, iv))
 
     def _plain_icv(self, header: ESPHeader, plain: bytes) -> bytes:
         """An auth-only body's ICV: HMAC-SHA1-96 over SPI, sequence and plaintext."""

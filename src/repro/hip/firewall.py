@@ -87,17 +87,7 @@ class MiddleboxFirewall:
         self._pinholes: set[frozenset] = set()
         self.dropped_esp = 0
         self.dropped_hip = 0
-        self._install()
-
-    def _install(self) -> None:
-        original_forward = self.node._forward
-
-        def forward(packet: Packet, size: int = 0) -> None:
-            if not self._permit(packet):
-                return
-            original_forward(packet, size)
-
-        self.node._forward = forward  # type: ignore[method-assign]
+        node.forward_filters.append(self._permit)
 
     def _permit(self, packet: Packet) -> bool:
         ip = packet.outer

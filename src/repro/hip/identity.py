@@ -153,5 +153,12 @@ class LsiAllocator:
     def hit_for(self, lsi: IPAddress) -> IPAddress | None:
         return self._by_lsi.get(lsi)
 
+    def held(self, hit: IPAddress) -> IPAddress:
+        """The HIT object :meth:`hit_for` hands out for ``hit``'s LSI, or
+        ``hit`` itself when it has none: keying by it keeps one object per
+        peer, so per-packet lookups match by identity, not by ``__eq__``."""
+        lsi = self._by_hit.get(hit)
+        return hit if lsi is None else self._by_lsi[lsi]
+
     def lsi_for(self, hit: IPAddress) -> IPAddress | None:
         return self._by_hit.get(hit)

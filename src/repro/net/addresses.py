@@ -66,7 +66,9 @@ def ipv4(text_or_int: str | int) -> IPAddress:
         if not 0 <= octet <= 255:
             raise ValueError(f"IPv4 octet out of range in {text_or_int!r}")
         value = (value << 8) | octet
-    return IPAddress(4, value)
+    # The int form's object: text and int name one object, which per-packet
+    # dict and set lookups then match by identity, not by ``__eq__``.
+    return ipv4(value)
 
 
 @lru_cache(maxsize=4096)
@@ -95,7 +97,7 @@ def ipv6(text_or_int: str | int) -> IPAddress:
         if not 0 <= part <= 0xFFFF:
             raise ValueError(f"IPv6 group out of range in {text!r}")
         value = (value << 16) | part
-    return IPAddress(6, value)
+    return ipv6(value)  # the int form's object, as for ipv4
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ router, a NAT box, the load balancer.  Protocol engines (UDP, TCP, ICMP,
 ESP, HIP) register handlers for their IP protocol string; *output shims* let
 the HIP daemon intercept locally-originated packets addressed to HITs/LSIs
 before routing (that is exactly where HIPL's LD_PRELOAD/iptables hook sits
-in the real stack).
+in the real stack); *forward filters* let a middlebox veto transit packets.
 
 The CPU model is deliberately simple and explicit: a node has ``cpu_cores``
 worker slots and a ``cpu_scale`` multiplier (an EC2 micro instance gets
@@ -24,6 +24,7 @@ from repro.net.addresses import IPAddress
 from repro.metrics import RECORDER
 from repro.net.packet import Header, IPHeader, Packet
 from repro.net.routing import RouteTable
+from repro.net.wire import unchecked
 from repro.sim.resources import Resource, TimerPool
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,6 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ProtocolHandler = Callable[["Node", Packet, "Interface"], None]
 OutputShim = Callable[["Node", Packet], "Packet | None"]
+ForwardFilter = Callable[[Packet], bool]
+
+#: Bound on each sender's IP header cache, in entries, oldest evicted first
+#: (as the forwarding cache's :data:`~repro.net.routing.FORWARD_CACHE_SIZE`).
+HEADER_CACHE_SIZE = 64
 
 
 class Interface:
@@ -95,13 +101,18 @@ class Node:
         self.forwarding = forwarding
         #: Every local address, rebuilt whenever one is added or removed.
         self._local: frozenset[IPAddress] = frozenset()
-        self._ip_hdr_cache: IPHeader | None = None  # last header built by send_ip
+        #: (src, dst, proto, ttl) -> the one IPHeader a flow's packets share,
+        #: so every forwarding cache downstream finds it by identity.
+        self._ip_hdrs: dict[tuple, IPHeader] = {}
         self.interfaces: list[Interface] = []
         self.routes = RouteTable()
         #: proto -> (handler, the transport header type it is owed, or None
         #: when the protocol checks its own packets).
         self._protocol_handlers: dict[str, tuple[ProtocolHandler, type[Header] | None]] = {}
         self._output_shims: list[OutputShim] = []
+        #: Run in order on every transit packet before the TTL check; a
+        #: False drops it (the filter counts its own drops).
+        self.forward_filters: list[ForwardFilter] = []
         self.cpu = Resource(sim, cpu_cores)
         #: One completion timer per busy CPU slot, rearmed for each charge.
         self._cpu_timers = TimerPool(sim, self._cpu_done)
@@ -252,12 +263,17 @@ class Node:
             if src is None:
                 self.dropped_no_route += 1
                 return False
-        # Headers are immutable values, so consecutive packets of a flow
-        # share one header instead of rebuilding it.
-        hdr = self._ip_hdr_cache
-        if hdr is None or hdr[:] != (src, dst, proto, ttl):
-            hdr = self._ip_hdr_cache = IPHeader(src, dst, proto, ttl)
-        packet = Packet((hdr,) + headers, payload, meta)
+        key = (src, dst, proto, ttl)
+        hdrs = self._ip_hdrs
+        hdr = hdrs.get(key)
+        if hdr is None:
+            if len(hdrs) >= HEADER_CACHE_SIZE:
+                del hdrs[next(iter(hdrs))]
+            hdr = hdrs[key] = IPHeader(src, dst, proto, ttl)
+        if meta is None:
+            # repro: ignore[PERF001] -- one dict per sent packet: links mark meta["ce"] in place and the receiver owns the annotations, so packets cannot share one
+            meta = {}
+        packet = unchecked(Packet, ((hdr,) + headers, payload, meta))
         shims = self._output_shims
         if shims:
             for shim in shims:
@@ -265,8 +281,17 @@ class Node:
                 if result is None:
                     return True  # consumed by the shim
                 if result is not packet:
-                    packet, size = result, 0
-        return self._route_out(packet, size)
+                    packet, size, dst = result, 0, result.headers[0].dst
+        if dst in self._local:
+            # Loopback delivery stays inside the node.
+            self._on_receive(packet, None)
+            return True
+        iface = self.routes.lookup_cached(dst)
+        endpoint = None if iface is None else iface._endpoint
+        if endpoint is None:  # no route, or egress not attached to a link
+            self.dropped_no_route += 1
+            return False
+        return endpoint.send(packet, size)
 
     def _pick_source(self, dst: IPAddress) -> IPAddress | None:
         iface = self.routes.lookup_cached(dst)
@@ -280,19 +305,6 @@ class Node:
         for addr in self.addresses(dst.family):
             return addr
         return None
-
-    def _route_out(self, packet: Packet, size: int = 0) -> bool:
-        dst = packet.headers[0].dst
-        if dst in self._local:
-            # Loopback delivery stays inside the node.
-            self._on_receive(packet, None)
-            return True
-        iface = self.routes.lookup_cached(dst)
-        endpoint = None if iface is None else iface._endpoint
-        if endpoint is None:  # no route, or egress not attached to a link
-            self.dropped_no_route += 1
-            return False
-        return endpoint.send(packet, size)
 
     # -- receiving ---------------------------------------------------------------------
     def _on_receive(
@@ -308,10 +320,25 @@ class Node:
             self.dropped_no_handler += 1
             return
         if ip.dst not in self._local:
-            if self.forwarding:
-                self._forward(packet, size)
-            else:
+            if not self.forwarding:
                 self.dropped_no_route += 1
+                return
+            if self.forward_filters:
+                for permit in self.forward_filters:
+                    if not permit(packet):
+                        return
+            if ip.ttl <= 1:
+                self.dropped_ttl += 1
+                return
+            hop = self.routes._hops.get(ip)
+            if hop is None:
+                hop = self.routes.next_hop(ip)
+                if hop is None:  # no route, or egress not attached to a link
+                    self.dropped_no_route += 1
+                    return
+            # The TTL rewrite leaves the wire size unchanged.
+            wire = unchecked(Packet, ((hop[0],) + headers[1:], packet.payload, packet.meta))
+            hop[1].send(wire, size)
             return
         proto = ip.proto
         entry = self._protocol_handlers.get(proto)
@@ -328,19 +355,6 @@ class Node:
                 )
             return
         handler(self, packet, iface)  # type: ignore[arg-type]
-
-    def _forward(self, packet: Packet, size: int = 0) -> None:
-        headers = packet.headers
-        ip = headers[0]
-        if ip.ttl <= 1:
-            self.dropped_ttl += 1
-            return
-        hop = self.routes.next_hop(ip)
-        if hop is None:  # no route, or egress not attached to a link
-            self.dropped_no_route += 1
-            return
-        # The TTL rewrite leaves the wire size unchanged.
-        hop[1].send(Packet((hop[0],) + headers[1:], packet.payload, packet.meta), size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.name}>"

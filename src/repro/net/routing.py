@@ -37,8 +37,9 @@ class RouteTable:
         # so entries stay valid until add()/remove() clears them.
         self._cache: dict[IPAddress, "Interface | None"] = {}
         # Forwarding cache: header -> (TTL-decremented header, egress
-        # serializer).  A flow's packets carry equal headers, so a transit
-        # hop finds its answer after the first packet.
+        # serializer).  A flow's packets share one header object (the
+        # sender's header cache), so after its first packet a transit hop
+        # finds the answer by identity.  Node._on_receive reads it directly.
         self._hops: dict[IPHeader, tuple[IPHeader, "Serializer"]] = {}
 
     def invalidate(self) -> None:

@@ -60,6 +60,7 @@ from typing import TYPE_CHECKING, Callable, Generator
 from repro.metrics import METRICS, RECORDER
 from repro.net.addresses import IPAddress
 from repro.net.packet import Packet, Payload, TCPHeader, VirtualPayload
+from repro.net.wire import unchecked
 from repro.sim.resources import Queue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -456,17 +457,12 @@ class TcpConnection:
         if seq is None:
             seq = self.snd_nxt
         sack = self._sack_blocks() if self.ooo else _EMPTY_SACK
-        header = TCPHeader(
-            self.local_port,
-            self.remote_port,
-            seq,
-            self.rcv_nxt,
-            eff_flags,
-            # The app drains the rx queue; receive backlog is not modelled,
-            # so the advertised window is the configured one.
-            self.recv_window,
-            sack,
-        )
+        # The app drains the rx queue; receive backlog is not modelled, so
+        # the advertised window is the configured one.
+        header = unchecked(TCPHeader, (
+            self.local_port, self.remote_port, seq, self.rcv_nxt, eff_flags,
+            self.recv_window, sack,
+        ))
         # The wire size is known here, so the link does not measure it again.
         size = self._hdr_len + plen
         if sack:
@@ -1541,7 +1537,8 @@ class TcpStack:
         ip = headers[0]
         tcp = headers[1]
         body_payload = packet.payload
-        key = self._key(tcp.dst_port, ip.src, tcp.src_port)
+        src = ip.src
+        key = (tcp.dst_port, src.family, src.value, tcp.src_port)  # self._key, inlined per segment
         conn = self._connections.get(key)
         if conn is not None:
             meta = packet.meta

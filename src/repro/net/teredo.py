@@ -2,14 +2,13 @@
 
 The paper's power users reach cloud VMs over HIP combined with Teredo when
 they sit behind NATs (native HIP NAT traversal was not yet implemented in
-2012).  We implement the three roles:
+2012).  We implement the two roles they need:
 
 * **server** — answers router solicitations, telling the client its
   NAT-mapped (address, port) from which the client derives its Teredo IPv6
   address ``2001:0:<server-v4>:<flags>:<~port>:<~addr>``;
 * **client** — qualifies against a server, owns the derived address, and
-  encapsulates/decapsulates IPv6 packets in UDP;
-* **relay** — forwards between native IPv6 hosts and Teredo clients.
+  encapsulates/decapsulates IPv6 packets in UDP.
 
 Client↔client traffic flows directly between the mapped endpoints (both our
 NATs are full-cone), but every packet crosses the *userspace* Teredo daemon
@@ -102,18 +101,14 @@ class TeredoServer:
 class TeredoClient:
     """Per-host Teredo engine: qualification + encap/decap daemon.
 
-    ``relay_v4`` names the relay used to reach *native* IPv6 destinations
-    (RFC 4380 clients discover one via their server; we configure it).
     Client-to-client traffic always goes direct to the peer's mapped
     endpoint.
     """
 
-    def __init__(self, node: "Node", udp: UdpStack, server_v4: IPAddress,
-                 relay_v4: IPAddress | None = None) -> None:
+    def __init__(self, node: "Node", udp: UdpStack, server_v4: IPAddress) -> None:
         self.node = node
         self.udp = udp
         self.server_v4 = server_v4
-        self.relay_v4 = relay_v4
         self.sock = udp.bind(TEREDO_PORT)
         self.address: IPAddress | None = None
         self._iface = node.add_interface("teredo0")
@@ -164,10 +159,6 @@ class TeredoClient:
         if is_teredo(ip.dst):
             self._tx.try_put(packet)
             return None
-        if self.relay_v4 is not None:
-            # Native IPv6 destination: hand to the configured relay.
-            self._tx.try_put(packet)
-            return None
         return packet
 
     def _tx_daemon(self) -> Generator:
@@ -175,12 +166,8 @@ class TeredoClient:
             packet = yield self._tx.get()
             # Userspace daemon cost dominates the Teredo data path.
             yield from self.node.cpu_work(self.node.cost_model.teredo_encap)
-            ip = packet.outer
-            assert isinstance(ip, IPHeader)
-            if is_teredo(ip.dst):
-                _server, peer_addr, peer_port = parse_teredo_address(ip.dst)
-            else:
-                peer_addr, peer_port = self.relay_v4, TEREDO_PORT
+            # The shim queues only packets to Teredo destinations.
+            _server, peer_addr, peer_port = parse_teredo_address(packet.outer.dst)
             self.packets_encapsulated += 1
             self.sock.sendto(packet, peer_addr, peer_port)
 
@@ -197,51 +184,3 @@ class TeredoClient:
         if isinstance(data, Packet):
             self.packets_decapsulated += 1
             self.node._on_receive(data, self._iface)
-
-
-class TeredoRelay:
-    """Relay between native IPv6 and Teredo clients.
-
-    Installed on a dual-stack router: IPv6 packets routed to it with a
-    Teredo destination get encapsulated toward the client's mapped endpoint;
-    encapsulated packets from clients get decapsulated and forwarded
-    natively.
-    """
-
-    def __init__(self, node: "Node", udp: UdpStack) -> None:
-        self.node = node
-        self.sock = udp.bind(TEREDO_PORT)
-        self.relayed = 0
-        node.sim.process(self._serve(), name=f"teredo-relay-{node.name}")
-
-    def relay_ipv6(self, packet: Packet) -> None:
-        """Called by the owning node's forwarding hook for Teredo destinations."""
-        ip = packet.outer
-        assert isinstance(ip, IPHeader) and is_teredo(ip.dst)
-        _server, peer_addr, peer_port = parse_teredo_address(ip.dst)
-        self.relayed += 1
-        self.sock.sendto(packet, peer_addr, peer_port)
-
-    def _serve(self) -> Generator:
-        while True:
-            data, _src = yield self.sock.recvfrom()
-            if not isinstance(data, Packet):
-                continue
-            yield from self.node.cpu_work(5e-6)
-            self.relayed += 1
-            if data.headers and isinstance(data.headers[0], IPHeader):
-                self.node._forward(data)
-
-
-def install_relay_forwarding(node: "Node", relay: TeredoRelay) -> None:
-    """Divert the node's IPv6 forwarding for Teredo destinations to the relay."""
-    original_forward = node._forward
-
-    def forward(packet: Packet, size: int = 0) -> None:
-        ip = packet.outer
-        if isinstance(ip, IPHeader) and ip.family == 6 and is_teredo(ip.dst):
-            relay.relay_ipv6(packet)
-            return
-        original_forward(packet, size)
-
-    node._forward = forward  # type: ignore[method-assign]

@@ -15,7 +15,9 @@ packet size, that parameters ascend, that padding is zero, that an address
 family is one the field may carry.
 
 :class:`WireValue` is the tuple base of every value built or hashed per
-packet-hop, so construction, field access and hashing run in C.
+packet-hop, so field access and hashing run in C.  Construction through the
+class runs a Python ``__new__``; :func:`unchecked` is the C one, for the
+per-packet sites whose fields are already known to be valid.
 """
 
 from __future__ import annotations
@@ -76,6 +78,15 @@ class WireReader:
             raise self._error(
                 f"{self.remaining} trailing bytes after {what} at offset {self._pos}"
             )
+
+
+#: ``unchecked(cls, fields)`` builds a wire value without running
+#: ``cls.__new__``: no validation, no defaults, ``fields`` complete and in
+#: order.  Only for per-packet values whose fields were all validated where
+#: they were made (a header from the flow's cache, addresses, ports and
+#: sequence numbers the sender owns); bytes from the wire, the shard codec
+#: (pickling re-runs ``__new__``), tests and callers go through the class.
+unchecked = tuple.__new__
 
 
 class WireValue(tuple):

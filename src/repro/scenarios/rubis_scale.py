@@ -600,7 +600,7 @@ def build_scale_zones(shard, hosted: tuple[int, ...], n_zones: int,
                 )
     # Earliest-output-time promises (see repro.sim.shard), registered for
     # the sources that can reach a portal.  A heartbeat is sent by the
-    # border router itself (sendto -> send_ip -> _route_out ->
+    # border router itself (sendto -> send_ip -> send_ip_fast ->
     # ShardPortal.send is one event), so its timer is a sound promise.
     for i, zone in zones.items():
         if peers[i]:

@@ -18,9 +18,9 @@ at ``t_send`` and arriving at ``t_arr``, the conservative condition is:
 The ingresses that feed ``E`` are all of ``F``'s ingresses except ``E``'s own
 link (no route sends a packet back out of the link it came in on; the census
 counts such hairpins and the test requires none).  Ties count against cut-
-through.  The census only observes: it wraps the link sink, the link
-delivery and ``Node._forward``, and the test checks that an instrumented
-run's results equal a plain run's.
+through.  The census only observes: it wraps the link sink and the link
+delivery, registers a forward filter on every node that always passes, and
+the test checks that an instrumented run's results equal a plain run's.
 
 Run ``PYTHONPATH=src python -m tests.test_cut_through_census`` for the
 per-forwarder table published in DESIGN.md.
@@ -64,7 +64,7 @@ class Census:
     def install(self, monkeypatch) -> None:
         census = self
         attach, depart = Interface.attach, LinkEndpoint._depart
-        deliver, receive, forward = LinkEndpoint._deliver, Interface.receive, Node._forward
+        deliver, receive, init = LinkEndpoint._deliver, Interface.receive, Node.__init__
 
         def attach_(iface, endpoint):
             census.iface_of[endpoint] = iface
@@ -85,39 +85,47 @@ class Census:
             # which is fresh per transmission.
             census.in_flight[id(endpoint._deliver_ring[-1]._arg)] = (endpoint, now, t_arr)
 
+        # A forward runs inside the delivery (or portal arrival) that brought
+        # the packet, so the forwarder named by the filter is cleared after it.
         def deliver_(endpoint, item):
             census.delivering = census.in_flight.pop(id(item))
             try:
                 deliver(endpoint, item)
             finally:
-                census.delivering = None
+                census.delivering = census.forwarding = None
 
         def receive_(iface, packet):
             census.remote_ingress.add(iface)
-            receive(iface, packet)
-
-        def forward_(node, packet, size=0):
-            record, census.delivering = census.delivering, None
-            outer, census.forwarding = census.forwarding, node
             try:
-                forward(node, packet, size)
+                receive(iface, packet)
             finally:
-                census.forwarding = outer
-            if packet.headers[0].ttl <= 1:
-                return
-            hop = node.routes.next_hop(packet.headers[0])  # a forwarding-cache hit
-            if hop is None:
-                return
-            if record is None:
-                census.portal_deliveries[node.name] += 1
-                return
-            census.hops.append((node, record[0], hop[1], record[1], record[2]))
+                census.forwarding = None
+
+        def init_(node, *args, **kwargs):
+            init(node, *args, **kwargs)
+            node.forward_filters.append(lambda packet: census.observe(node, packet))
 
         monkeypatch.setattr(Interface, "attach", attach_)
         monkeypatch.setattr(LinkEndpoint, "_depart", depart_)
         monkeypatch.setattr(LinkEndpoint, "_deliver", deliver_)
         monkeypatch.setattr(Interface, "receive", receive_)
-        monkeypatch.setattr(Node, "_forward", forward_)
+        monkeypatch.setattr(Node, "__init__", init_)
+
+    def observe(self, node: Node, packet) -> bool:
+        """Forward filter: note one transit packet at ``node`` and pass it."""
+        record, self.delivering = self.delivering, None
+        self.forwarding = node
+        ip = packet.headers[0]
+        if ip.ttl <= 1:
+            return True
+        hop = node.routes.next_hop(ip)  # fills the forwarding cache the node then reads
+        if hop is None:
+            return True
+        if record is None:
+            self.portal_deliveries[node.name] += 1
+            return True
+        self.hops.append((node, record[0], hop[1], record[1], record[2]))
+        return True
 
     def table(self) -> dict:
         """Per forwarder: deliveries, qualifying deliveries, deliveries whose

@@ -2,8 +2,8 @@
 
 ``TcpConnection._send_segment`` knows the IP header length, the TCP header
 length (SACK option padding included) and the payload length, so it passes
-their sum through ``Node.send_ip_fast`` and ``Node._route_out`` to
-``Serializer.send`` instead of having the link measure the packet again.
+their sum through ``Node.send_ip_fast``, which routes the packet itself,
+to ``Serializer.send`` instead of having the link measure the packet again.
 Every kind of segment must arrive there with exactly ``packet.size_bytes``.
 A packet an output shim substitutes arrives with size 0, so the link
 measures what really leaves.  The HIP daemon's ESP packets carry the size
